@@ -1,0 +1,203 @@
+//! Operator-matrix differential test: one job touching every operator
+//! family — element-wise narrow, whole-partition narrow over a shuffle
+//! output, `join` (two shuffles + `zip_partitions`), `sort_by_key`,
+//! `reduce_by_key`, `barrier_via_disk`, adaptive shuffle, `collect` — run
+//! under {faults off, quiet plan, seeded plans} × {no budget, tight budget}
+//! × {sole-owner, shared shuffle input}.
+//!
+//! Every cell must reproduce the oracle's partition layout and records at
+//! every checkpoint, and the fault-free and quiet-plan cells must also
+//! reproduce its `JobRun` shape (stage labels and kinds, tasks per stage,
+//! shuffle write/read byte vectors). The oracle is the same job on a plain
+//! context with its explicit shuffle routed through the retained
+//! `partition_by_reference`. The engine's configuration axes select
+//! execution strategy (move vs clone vs stream, parallel vs serial restore,
+//! checksum-and-recompute), never results — this test pins that for the
+//! whole operator surface at once, where the chaos/budget/skew batteries
+//! pin it per mechanism.
+
+use gpf_engine::{
+    Dataset, EngineConfig, EngineContext, FaultConfig, FaultPlan, JobRun, RebalancePlan, StageKind,
+};
+use std::sync::Arc;
+
+type Rec = (u64, u64);
+
+/// One dataset's partition layout: a debug rendering per partition, so
+/// equality covers placement and order, not just the multiset.
+struct Checkpoint {
+    name: &'static str,
+    parts: Vec<String>,
+}
+
+fn checkpoint<T>(name: &'static str, ds: &Dataset<T>) -> Checkpoint
+where
+    T: Clone + std::fmt::Debug + Send + Sync + 'static,
+{
+    // Sizes + one streamed concatenation: feasible under any budget (a
+    // per-partition `partition(i)` restore would be charged to the ledger).
+    let all = ds.collect_local();
+    let mut at = 0usize;
+    let parts = ds
+        .partition_sizes()
+        .into_iter()
+        .map(|n| {
+            let s = format!("{:?}", &all[at..at + n]);
+            at += n;
+            s
+        })
+        .collect();
+    Checkpoint { name, parts }
+}
+
+struct Outcome {
+    checkpoints: Vec<Checkpoint>,
+    collected: Vec<Rec>,
+    /// Input partitions evicted at build time (0 without a budget).
+    spilled_inputs: usize,
+}
+
+fn input() -> Vec<Rec> {
+    (0u64..6000)
+        .map(|i| (i.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 40, i.wrapping_mul(0x2545_f491_4f6c_dd1d)))
+        .collect()
+}
+
+/// The matrix job. `shared` keeps a second handle on the explicit shuffle's
+/// input alive (forcing the clone path where the sole-owner cell moves);
+/// `reference` routes that shuffle through `partition_by_reference`.
+fn job(ctx: &Arc<EngineContext>, data: &[Rec], shared: bool, reference: bool) -> Outcome {
+    let d = Dataset::from_vec(Arc::clone(ctx), data.to_vec(), 4).evictable();
+    let spilled_inputs = d.spilled_partitions();
+    // Element-wise narrow ops: stream spilled frames under a budget.
+    let m = d.map(|kv| (kv.0 % 61, kv.1.rotate_left(7))).filter(|kv| kv.1 % 11 != 0);
+    let _keep = shared.then(|| m.clone());
+    let route = |kv: &Rec| (kv.0 % 5) as usize;
+    let p = if reference { m.partition_by_reference(5, route) } else { m.into_partition_by(5, route) };
+    // Whole-partition narrow op over a shuffle output (restores serially
+    // under a budget).
+    let w = p.map_partitions(|part| {
+        let mut v = part.to_vec();
+        v.sort_by_key(|kv| kv.1);
+        v
+    });
+    let b = w.barrier_via_disk("checkpoint");
+    let s = b.sort_by_key(4);
+    let r = s.reduce_by_key(3, |a, b| a.wrapping_add(*b));
+    let tags = s.filter(|kv| kv.1 % 4 == 0).map(|kv| (kv.0, format!("t{}", kv.1 % 1000)));
+    let j = r.join(&tags, 3);
+    let jc = checkpoint("join", &j);
+    // Adaptive shuffle with a fixed plan: base 0 splits by tag length.
+    let a = j.into_partition_by_adaptive(
+        3,
+        |kv| (kv.0 % 3) as usize,
+        |counts| RebalancePlan {
+            n_final: 4,
+            route: Box::new(|kv: &(u64, (u64, String))| {
+                let base = (kv.0 % 3) as usize;
+                if base == 0 && kv.1 .1.len() % 2 == 1 {
+                    3
+                } else {
+                    base
+                }
+            }),
+            splits: 1,
+            moved_records: counts[0],
+            cap_hits: 0,
+            merged: 0,
+        },
+    );
+    let out = a.map(|kv| (kv.0, kv.1 .0 ^ kv.1 .1.len() as u64));
+    let collected = out.collect();
+    let checkpoints = vec![
+        checkpoint("partitionBy", &p),
+        checkpoint("mapPartitions", &w),
+        checkpoint("barrier", &b),
+        checkpoint("sortByKey", &s),
+        checkpoint("reduceByKey", &r),
+        jc,
+        checkpoint("adaptive", &a),
+        checkpoint("map", &out),
+    ];
+    Outcome { checkpoints, collected, spilled_inputs }
+}
+
+/// What the simulator consumes of a run, minus measured times.
+fn shape(run: &JobRun) -> Vec<(String, StageKind, usize, Vec<u64>, Vec<u64>)> {
+    run.stages
+        .iter()
+        .map(|s| {
+            (
+                s.label.clone(),
+                s.kind,
+                s.task_cpu_s.len(),
+                s.shuffle_write_bytes.clone(),
+                s.shuffle_read_bytes.clone(),
+            )
+        })
+        .collect()
+}
+
+fn assert_same_output(cell: &str, got: &Outcome, want: &Outcome) {
+    assert_eq!(got.checkpoints.len(), want.checkpoints.len());
+    for (g, w) in got.checkpoints.iter().zip(&want.checkpoints) {
+        assert_eq!(g.parts.len(), w.parts.len(), "[{cell}] {}: partition count", g.name);
+        for (i, (gp, wp)) in g.parts.iter().zip(&w.parts).enumerate() {
+            assert!(gp == wp, "[{cell}] {}: partition {i} diverged from the oracle", g.name);
+        }
+    }
+    assert!(got.collected == want.collected, "[{cell}] collect() diverged from the oracle");
+}
+
+#[test]
+fn every_operator_agrees_across_faults_budget_and_ownership() {
+    let data = input();
+    let oracle_ctx = EngineContext::new(EngineConfig::default().with_parallelism(4));
+    let oracle = job(&oracle_ctx, &data, false, true);
+    let oracle_shape = shape(&oracle_ctx.take_run());
+    assert!(oracle.collected.len() > 1000, "the job must carry real volume to the end");
+    assert_eq!(
+        oracle_shape.iter().filter(|s| s.1 == StageKind::Shuffle).count(),
+        7,
+        "partitionBy, barrier, sortByKey, reduceByKey, join x2, adaptive: {oracle_shape:?}"
+    );
+
+    // About a third of the widest intermediate's footprint: forces spills,
+    // streamed maps and serial restores, yet fits the largest zip pair.
+    let tight = data.len() as u64 * 16 / 3;
+    let plans: [(&str, Option<FaultPlan>); 5] = [
+        ("faults off", None),
+        ("quiet plan", Some(FaultPlan::seeded(1, 0))),
+        ("seed 0x2018", Some(FaultPlan::seeded(0x2018, 120))),
+        ("seed 0xbeef", Some(FaultPlan::seeded(0xbeef, 120))),
+        ("seed 7", Some(FaultPlan::seeded(7, 250))),
+    ];
+    for (plan_name, plan) in &plans {
+        for budget in [None, Some(tight)] {
+            for shared in [false, true] {
+                let cell = format!("{plan_name}, budget {budget:?}, shared {shared}");
+                let mut cfg = EngineConfig::default().with_parallelism(4);
+                if let Some(plan) = plan {
+                    cfg = cfg.with_faults(FaultConfig::new(plan.clone()));
+                }
+                if let Some(bytes) = budget {
+                    cfg = cfg.with_memory_budget(bytes);
+                }
+                let ctx = EngineContext::new(cfg);
+                let got = job(&ctx, &data, shared, false);
+                assert!(ctx.take_budget_breach().is_none(), "[{cell}] feasible budget breached");
+                assert!(ctx.take_failure().is_none(), "[{cell}] in-budget faults must recover");
+                assert_eq!(
+                    got.spilled_inputs > 0,
+                    budget.is_some(),
+                    "[{cell}] the tight budget (and only it) must force spills"
+                );
+                assert_same_output(&cell, &got, &oracle);
+                let injects = plan.as_ref().is_some_and(|p| p.rate_permille > 0);
+                if !injects {
+                    assert_eq!(shape(&ctx.take_run()), oracle_shape, "[{cell}] JobRun shape");
+                }
+            }
+        }
+    }
+}
