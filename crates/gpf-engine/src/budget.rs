@@ -21,7 +21,7 @@
 //! Spill frames model write-verified durable storage as in-memory buffers
 //! (the same simulation stance as `barrier_via_disk`; [`crate::fsmodel`]
 //! prices the IO analytically). Frames are therefore pristine at rest —
-//! read-back faults ([`FaultSurface::SpillRead`]) damage only the
+//! read-back faults ([`crate::fault::damaged_read`]) damage only the
 //! transient copy handed to the decoder, the checksum detects it, and a
 //! bounded retry re-reads pristine bytes: a tracked-store read never
 //! panics and never returns corrupt data. The only way a read fails is a
@@ -32,7 +32,7 @@
 //! [c2]: gpf_trace::names::MEM_BUDGET_SPILLED
 
 use crate::dataset::fnv64;
-use crate::fault::{corrupt_bit, FaultKind, FaultPlan, FaultSurface};
+use crate::fault::{damaged_read, FaultPlan};
 use gpf_compress::serializer::{
     deserialize_batch_into, serialize_batch, GpfSerialize, SerializerKind,
 };
@@ -481,30 +481,14 @@ impl TicketFrames<'_> {
         for frame in self.frames {
             let mut attempt = 0u32;
             loop {
-                let injected = faults.and_then(|f| {
-                    if attempt <= f.max_retries {
-                        f.plan.decide(stage, part as u32, attempt, FaultSurface::SpillRead)
-                    } else {
-                        None
-                    }
+                let damaged = faults.filter(|f| attempt <= f.max_retries).and_then(|f| {
+                    // gpf-lint: allow(spill-read-checksum): the damaged copy
+                    // goes straight into try_decode_frame's fnv64 verify.
+                    let stored = frame.payload_unverified();
+                    damaged_read(&f.plan, stage, part as u32, attempt, stored)
                 });
-                let ok = match injected {
-                    Some(kind) => {
-                        // gpf-lint: allow(spill-read-checksum): damaged copy
-                        // goes straight into try_decode_frame's fnv64 verify.
-                        let mut copy = frame.payload_unverified().to_vec();
-                        let salt = faults
-                            .map(|f| f.plan.corruption_salt(stage, part as u32))
-                            .unwrap_or(0);
-                        match kind {
-                            FaultKind::TruncateSpill => {
-                                let keep = (salt % copy.len().max(1) as u64) as usize;
-                                copy.truncate(keep);
-                            }
-                            _ => {
-                                corrupt_bit(&mut copy, salt);
-                            }
-                        }
+                let ok = match damaged {
+                    Some(copy) => {
                         // Unconditional like `record_fault_event`: this
                         // branch only runs under configured faults, and
                         // chaos tests read the counter without tracing on.
@@ -598,7 +582,7 @@ impl<T: GpfSerialize + Send + Sync + 'static> Shed for TrackedStore<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::FaultSite;
+    use crate::fault::{FaultKind, FaultSite};
 
     fn store_with(
         budget: u64,

@@ -192,19 +192,6 @@ impl EngineContext {
         records_out: u64,
         alloc_bytes: u64,
     ) {
-        if std::env::var_os("GPF_DEBUG_OPS").is_some() && !samples.is_empty() {
-            let mut top: Vec<(f64, usize)> =
-                samples.iter().map(|s| s.cpu_s).zip(0..).collect();
-            top.sort_by(|a, b| b.0.total_cmp(&a.0));
-            let total: f64 = samples.iter().map(|s| s.cpu_s).sum();
-            gpf_trace::warn(&format!(
-                "[op] {:<28} tasks {:>5} cpu {:>8.3}s top {:?}",
-                label,
-                samples.len(),
-                total,
-                &top[..3.min(top.len())]
-            ));
-        }
         let phase = self.phase_tag();
         let name: Arc<str> = Arc::from(label);
         let spans_on = gpf_trace::enabled();

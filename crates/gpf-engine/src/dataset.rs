@@ -11,24 +11,29 @@
 //! Partition contents are held behind an `Arc`, so cloning a dataset is
 //! cheap and read-only datasets (the FASTA/VCF partition RDDs of the paper's
 //! Figure 7) can be reused by many downstream processes without copying.
+//!
+//! This module is the operator API and the partition representation
+//! ([`Parts`]). Every operator is a thin caller of the one task runner
+//! (`task.rs`) and the one shuffle (`shuffle.rs`); the retained
+//! `shuffle_reference` oracle lives here too.
 
-use crate::budget::{BudgetBreach, TrackedParts, TrackedStore};
+use crate::budget::{TrackedParts, TrackedStore};
 use crate::context::{EngineContext, TaskSample};
-use crate::fault::{corrupt_bit, AttemptRecord, EngineError, FaultConfig, FaultKind, FaultSurface};
+use crate::fault::{corrupt_bit, damaged_read, FaultKind, FaultSurface};
+use crate::shuffle::{adaptive_shuffle, shuffle};
+use crate::task::{run_stage, Abort, Mode, Task, TaskRun};
 use crate::timing::TaskTimer;
-use gpf_compress::serializer::{
-    deserialize_batch, deserialize_batch_into, serialize_batch, serialize_batch_into,
-};
+use gpf_compress::serializer::{deserialize_batch, serialize_batch};
 use gpf_compress::{GpfSerialize, SerializerKind};
 use gpf_support::par;
-use gpf_support::sync::Mutex;
-use gpf_trace::alloc::{self, AllocTag};
+use gpf_trace::alloc::AllocTag;
 use gpf_trace::clock::now_ns;
 use gpf_trace::current_tid;
 use gpf_trace::names as tn;
 use std::hash::{Hash, Hasher};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
+
+pub use crate::shuffle::RebalancePlan;
 
 /// Deterministic FNV-1a hasher used for hash partitioning, so shuffles
 /// produce identical layouts across runs (important for reproducible
@@ -86,7 +91,7 @@ impl<T> Clone for Parts<T> {
 }
 
 impl<T> Parts<T> {
-    fn num(&self) -> usize {
+    pub(crate) fn num(&self) -> usize {
         match self {
             Parts::Plain(v) => v.len(),
             Parts::Tracked(s) => s.num_parts(),
@@ -100,8 +105,12 @@ impl<T> Parts<T> {
         }
     }
 
-    fn total_len(&self) -> usize {
+    pub(crate) fn total_len(&self) -> usize {
         (0..self.num()).map(|i| self.part_len(i)).sum()
+    }
+
+    fn is_tracked(&self) -> bool {
+        matches!(self, Parts::Tracked(_))
     }
 
     /// Borrow (plain) or restore (tracked) partition `i`.
@@ -118,7 +127,7 @@ impl<T> Parts<T> {
     /// or resident partition is one chunk, a spilled partition yields one
     /// spill frame at a time. Infallible — nothing is charged to the budget
     /// ledger.
-    fn stream(&self, i: usize, f: &mut dyn FnMut(&[T])) {
+    pub(crate) fn stream(&self, i: usize, f: &mut dyn FnMut(&[T])) {
         match self {
             Parts::Plain(v) => f(&v[i]),
             Parts::Tracked(s) => s.stream(i, f),
@@ -138,16 +147,22 @@ impl<T> Parts<T> {
     }
 }
 
-/// `n` empty partitions — the placeholder a failed pipeline propagates.
-fn empty_parts<T>(n: usize) -> Parts<T> {
-    Parts::Plain(Arc::new((0..n).map(|_| Vec::new()).collect()))
+/// How a stage whose tasks read whole partitions schedules them: a tracked
+/// operand means restores, which are admitted one task at a time; plain
+/// operands are borrowed by one parallel wave.
+fn restore_mode(any_tracked: bool) -> Mode {
+    if any_tracked {
+        Mode::Serial
+    } else {
+        Mode::Parallel
+    }
 }
 
 /// Wrap freshly produced output partitions: budget-tracked (evictable)
 /// when the context has a memory-budget accountant installed, plain
 /// otherwise. Shuffle and barrier outputs route through this, so under a
 /// budget every wide-operation result is an eviction candidate.
-fn output_parts<T: GpfSerialize + Send + Sync + 'static>(
+pub(crate) fn output_parts<T: GpfSerialize + Send + Sync + 'static>(
     ctx: &Arc<EngineContext>,
     parts: Vec<Vec<T>>,
 ) -> Parts<T> {
@@ -210,13 +225,24 @@ impl<T: std::fmt::Debug> std::fmt::Debug for PartRef<'_, T> {
 
 /// A partitioned in-memory dataset (the RDD analogue).
 pub struct Dataset<T> {
-    ctx: Arc<EngineContext>,
-    parts: Parts<T>,
+    pub(crate) ctx: Arc<EngineContext>,
+    pub(crate) parts: Parts<T>,
 }
 
 impl<T> Clone for Dataset<T> {
     fn clone(&self) -> Self {
         Self { ctx: Arc::clone(&self.ctx), parts: self.parts.clone() }
+    }
+}
+
+impl<T> Dataset<T> {
+    /// What every operator returns once the pipeline has failed (a task
+    /// out of retries, a budget breach): `n` empty partitions, so
+    /// downstream operators short-circuit and the structured failure on the
+    /// context is what surfaces.
+    pub(crate) fn failed(ctx: &Arc<EngineContext>, n: usize) -> Self {
+        let parts = Parts::Plain(Arc::new((0..n).map(|_| Vec::new()).collect()));
+        Self { ctx: Arc::clone(ctx), parts }
     }
 }
 
@@ -287,16 +313,6 @@ impl<T: Send + Sync + 'static> Dataset<T> {
         }
     }
 
-    /// Surface a memory-budget breach as the pipeline's structured failure.
-    fn breach(&self, label: &str, requested: u64, budget: u64) {
-        self.ctx.fail_budget(BudgetBreach {
-            stage: self.ctx.current_stage(),
-            operator: label.to_string(),
-            requested,
-            budget,
-        });
-    }
-
     /// Serialize every partition as one batch buffer. Tracked partitions
     /// stage through a transient streamed copy (nothing is admitted), built
     /// serially one partition at a time, so the buffers are byte-identical
@@ -313,261 +329,98 @@ impl<T: Send + Sync + 'static> Dataset<T> {
         }
     }
 
-    /// Core narrow operation: per-partition parallel transform with metric
+    /// Serialized size of every partition under `kind`. Tracked partitions
+    /// serialize from streamed chunks serially, so measuring never admits
+    /// (or breaches) anything.
+    fn serialized_part_bytes(&self, kind: SerializerKind) -> Vec<u64>
+    where
+        T: GpfSerialize,
+    {
+        match &self.parts {
+            Parts::Plain(v) => par::map(v, |p| serialize_batch(kind, p).len() as u64),
+            Parts::Tracked(_) => (0..self.parts.num())
+                .map(|i| {
+                    let mut bytes = 0u64;
+                    self.parts.stream(i, &mut |chunk| {
+                        bytes += serialize_batch(kind, chunk).len() as u64;
+                    });
+                    bytes
+                })
+                .collect(),
+        }
+    }
+
+    /// One narrow stage over this dataset's partitions: `body` runs task
+    /// `i` through the task runner, outputs become a plain dataset, and the
+    /// op is recorded with its output record count and estimated churn.
+    fn narrow_stage<U: Send + Sync + 'static>(
+        &self,
+        label: &str,
+        mode: Mode,
+        body: impl Fn(usize, &Task<'_>) -> Result<TaskRun<Vec<U>>, Abort> + Sync,
+    ) -> Dataset<U> {
+        let n = self.parts.num();
+        let overhead = self.ctx.config().per_record_overhead_bytes;
+        let surface = Some(FaultSurface::NarrowTask);
+        let outs = run_stage(&self.ctx, label, surface, n, mode, body, |outs| {
+            let records: u64 = outs.iter().map(|v| v.len() as u64).sum();
+            (records, records * overhead)
+        });
+        match outs {
+            Some(outs) => {
+                Dataset { ctx: Arc::clone(&self.ctx), parts: Parts::Plain(Arc::new(outs)) }
+            }
+            None => Dataset::failed(&self.ctx, n),
+        }
+    }
+
+    /// Core narrow operation: per-partition transform with metric
     /// recording. `f` receives `(partition_index, records)`.
+    ///
+    /// Plain partitions are borrowed by one parallel wave. Budget-tracked
+    /// partitions are restored **serially** — at most one restore is
+    /// admitted at a time, so any budget that fits the largest single
+    /// partition stays feasible: under memory pressure the engine
+    /// deliberately trades parallelism for a bounded footprint (graceful
+    /// degradation), and an infeasible restore surfaces as a structured
+    /// budget breach. Element-wise operators avoid even the restore via
+    /// [`Dataset::narrow_op_chunked`].
     pub fn narrow_op<U: Send + Sync + 'static>(
         &self,
         label: &str,
         f: impl Fn(usize, &[T]) -> Vec<U> + Send + Sync,
     ) -> Dataset<U> {
-        if self.ctx.has_failed() {
-            return Dataset { ctx: Arc::clone(&self.ctx), parts: empty_parts(self.parts.num()) };
-        }
-        if matches!(&self.parts, Parts::Tracked(_)) {
-            return self.narrow_op_tracked(label, f);
-        }
-        if let Some(fc) = self.ctx.faults() {
-            return self.narrow_op_ft(label, f, fc);
-        }
-        let Parts::Plain(plain) = &self.parts else {
-            // gpf-lint: allow(no-panic): the Tracked match above returned.
-            unreachable!("tracked handled above")
-        };
-        let results: Vec<(Vec<U>, TaskSample)> = par::map_indexed(plain, |i, p| {
-            let start_ns = now_ns();
-            let t0 = TaskTimer::start();
-            let scope = alloc::scope(AllocTag::Task);
-            let ht = alloc::window_begin();
-            let out = f(i, p);
-            let w = alloc::window_end(ht);
-            drop(scope);
-            let cpu_s = t0.elapsed_s();
-            (
-                out,
-                TaskSample {
-                    cpu_s,
-                    start_ns,
-                    end_ns: now_ns(),
-                    tid: current_tid(),
-                    heap_peak_bytes: w.peak_bytes,
-                    heap_alloc_bytes: w.alloc_bytes,
-                },
-            )
-        });
-        let samples: Vec<TaskSample> = results.iter().map(|(_, s)| *s).collect();
-        let records: u64 = results.iter().map(|(v, _)| v.len() as u64).sum();
-        let alloc = records * self.ctx.config().per_record_overhead_bytes;
-        self.ctx.record_tasks(label, &samples, records, alloc);
-        Dataset {
-            ctx: Arc::clone(&self.ctx),
-            parts: Parts::Plain(Arc::new(results.into_iter().map(|(v, _)| v).collect())),
-        }
-    }
-
-    /// Fault-tolerant [`Dataset::narrow_op`]: every task runs under
-    /// [`run_with_retry`] (injection, bounded retries, panic capture) and
-    /// completed stages speculate duplicates for straggler tasks.
-    fn narrow_op_ft<U: Send + Sync + 'static>(
-        &self,
-        label: &str,
-        f: impl Fn(usize, &[T]) -> Vec<U> + Send + Sync,
-        fc: &FaultConfig,
-    ) -> Dataset<U> {
-        let Parts::Plain(plain) = &self.parts else {
-            // gpf-lint: allow(no-panic): narrow_op routes tracked datasets
-            // to narrow_op_tracked before the fault path is considered.
-            unreachable!("tracked datasets run the serial narrow path")
-        };
-        let stage = self.ctx.current_stage();
-        let results: Vec<Result<TaskRun<Vec<U>>, EngineError>> =
-            par::map_indexed(plain, |i, p| {
-                run_with_retry(fc, label, stage, i as u32, FaultSurface::NarrowTask, || f(i, p))
-            });
-        let mut runs: Vec<TaskRun<Vec<U>>> = Vec::with_capacity(results.len());
-        for r in results {
-            match r {
-                Ok(tr) => runs.push(tr),
-                Err(err) => {
-                    self.ctx.record_fault_event(
-                        tn::TASK_RETRIES,
-                        stage,
-                        err.partition,
-                        err.attempts.len() as u64,
-                    );
-                    self.ctx.fail(err);
-                    return Dataset {
-                        ctx: Arc::clone(&self.ctx),
-                        parts: empty_parts(self.parts.num()),
-                    };
-                }
-            }
-        }
-        speculate(&self.ctx, fc, stage, &mut runs, |i| f(i, &plain[i]));
-        record_task_fault_events(&self.ctx, stage, &runs);
-        let samples: Vec<TaskSample> = runs.iter().map(|r| r.sample).collect();
-        let records: u64 = runs.iter().map(|r| r.out.len() as u64).sum();
-        let alloc = records * self.ctx.config().per_record_overhead_bytes;
-        self.ctx.record_tasks(label, &samples, records, alloc);
-        Dataset {
-            ctx: Arc::clone(&self.ctx),
-            parts: Parts::Plain(Arc::new(runs.into_iter().map(|r| r.out).collect())),
-        }
-    }
-
-    /// Narrow op over a budget-tracked dataset: partitions are restored
-    /// **serially** — at most one restore is admitted at a time, so any
-    /// budget that fits the largest single partition stays feasible. Under
-    /// memory pressure the engine deliberately trades parallelism for a
-    /// bounded footprint (graceful degradation); element-wise operators
-    /// avoid even the restore via [`Dataset::narrow_op_chunked`].
-    fn narrow_op_tracked<U: Send + Sync + 'static>(
-        &self,
-        label: &str,
-        f: impl Fn(usize, &[T]) -> Vec<U> + Send + Sync,
-    ) -> Dataset<U> {
-        let n = self.parts.num();
-        let stage = self.ctx.current_stage();
-        let fc = self.ctx.faults();
-        let mut runs: Vec<TaskRun<Vec<U>>> = Vec::with_capacity(n);
-        for i in 0..n {
-            let part = match self.parts.get(i) {
-                Ok(p) => p,
-                Err((requested, budget)) => {
-                    self.breach(label, requested, budget);
-                    return Dataset { ctx: Arc::clone(&self.ctx), parts: empty_parts(n) };
-                }
-            };
-            if let Some(fc) = fc {
-                let run = run_with_retry(fc, label, stage, i as u32, FaultSurface::NarrowTask, || {
-                    f(i, &part)
-                });
-                match run {
-                    Ok(tr) => runs.push(tr),
-                    Err(err) => {
-                        self.ctx.record_fault_event(
-                            tn::TASK_RETRIES,
-                            stage,
-                            err.partition,
-                            err.attempts.len() as u64,
-                        );
-                        self.ctx.fail(err);
-                        return Dataset { ctx: Arc::clone(&self.ctx), parts: empty_parts(n) };
-                    }
-                }
-            } else {
-                let start_ns = now_ns();
-                let t0 = TaskTimer::start();
-                let scope = alloc::scope(AllocTag::Task);
-                let ht = alloc::window_begin();
-                let out = f(i, &part);
-                let w = alloc::window_end(ht);
-                drop(scope);
-                runs.push(TaskRun {
-                    out,
-                    sample: TaskSample {
-                        cpu_s: t0.elapsed_s(),
-                        start_ns,
-                        end_ns: now_ns(),
-                        tid: current_tid(),
-                        heap_peak_bytes: w.peak_bytes,
-                        heap_alloc_bytes: w.alloc_bytes,
-                    },
-                    attempts: Vec::new(),
-                    injected: 0,
-                });
-            }
-        }
-        // No speculation on the serial path: there is no parallel wave for
-        // a straggler to lag behind.
-        record_task_fault_events(&self.ctx, stage, &runs);
-        let samples: Vec<TaskSample> = runs.iter().map(|r| r.sample).collect();
-        let records: u64 = runs.iter().map(|r| r.out.len() as u64).sum();
-        let alloc_est = records * self.ctx.config().per_record_overhead_bytes;
-        self.ctx.record_tasks(label, &samples, records, alloc_est);
-        Dataset {
-            ctx: Arc::clone(&self.ctx),
-            parts: Parts::Plain(Arc::new(runs.into_iter().map(|r| r.out).collect())),
-        }
+        self.narrow_stage(label, restore_mode(self.parts.is_tracked()), |i, task| {
+            let part = self.parts.get(i)?;
+            task.run(AllocTag::Task, || f(i, &part))
+        })
     }
 
     /// Element-wise narrow operation: `f` maps a *chunk* of records to
-    /// outputs and is applied once per partition for plain datasets but
-    /// once per spill frame for evicted tracked partitions — a map stage
-    /// over an evicted partition never materializes it.
+    /// outputs and is applied once per partition for plain (or resident)
+    /// partitions but once per spill frame for evicted ones — a map stage
+    /// over an evicted partition never materializes it, charges nothing to
+    /// the ledger, and so stays parallel under any budget.
     fn narrow_op_chunked<U: Send + Sync + 'static>(
         &self,
         label: &str,
         f: impl Fn(&[T]) -> Vec<U> + Send + Sync,
     ) -> Dataset<U> {
-        let store = match &self.parts {
-            Parts::Plain(_) => return self.narrow_op(label, move |_, p| f(p)),
-            Parts::Tracked(s) => Arc::clone(s),
-        };
-        if self.ctx.has_failed() {
-            return Dataset { ctx: Arc::clone(&self.ctx), parts: empty_parts(store.num_parts()) };
-        }
-        let n = store.num_parts();
-        let stage = self.ctx.current_stage();
-        let body = |i: usize| -> Vec<U> {
-            let mut out = Vec::new();
-            store.stream(i, &mut |chunk| out.append(&mut f(chunk)));
-            out
-        };
-        let results: Vec<Result<TaskRun<Vec<U>>, EngineError>> = match self.ctx.faults() {
-            Some(fc) => par::map_range(n, |i| {
-                run_with_retry(fc, label, stage, i as u32, FaultSurface::NarrowTask, || body(i))
-            }),
-            None => par::map_range(n, |i| {
-                let start_ns = now_ns();
-                let t0 = TaskTimer::start();
-                let scope = alloc::scope(AllocTag::Task);
-                let ht = alloc::window_begin();
-                let out = body(i);
-                let w = alloc::window_end(ht);
-                drop(scope);
-                Ok(TaskRun {
-                    out,
-                    sample: TaskSample {
-                        cpu_s: t0.elapsed_s(),
-                        start_ns,
-                        end_ns: now_ns(),
-                        tid: current_tid(),
-                        heap_peak_bytes: w.peak_bytes,
-                        heap_alloc_bytes: w.alloc_bytes,
-                    },
-                    attempts: Vec::new(),
-                    injected: 0,
-                })
-            }),
-        };
-        let mut runs: Vec<TaskRun<Vec<U>>> = Vec::with_capacity(results.len());
-        for r in results {
-            match r {
-                Ok(tr) => runs.push(tr),
-                Err(err) => {
-                    self.ctx.record_fault_event(
-                        tn::TASK_RETRIES,
-                        stage,
-                        err.partition,
-                        err.attempts.len() as u64,
-                    );
-                    self.ctx.fail(err);
-                    return Dataset { ctx: Arc::clone(&self.ctx), parts: empty_parts(n) };
-                }
-            }
-        }
-        if let Some(fc) = self.ctx.faults() {
-            speculate(&self.ctx, fc, stage, &mut runs, &body);
-        }
-        record_task_fault_events(&self.ctx, stage, &runs);
-        let samples: Vec<TaskSample> = runs.iter().map(|r| r.sample).collect();
-        let records: u64 = runs.iter().map(|r| r.out.len() as u64).sum();
-        let alloc_est = records * self.ctx.config().per_record_overhead_bytes;
-        self.ctx.record_tasks(label, &samples, records, alloc_est);
-        Dataset {
-            ctx: Arc::clone(&self.ctx),
-            parts: Parts::Plain(Arc::new(runs.into_iter().map(|r| r.out).collect())),
-        }
+        self.narrow_stage(label, Mode::Parallel, |i, task| {
+            task.run(AllocTag::Task, || {
+                let mut out = Vec::new();
+                self.parts.stream(i, &mut |chunk| {
+                    let mut mapped = f(chunk);
+                    // A one-chunk partition hands its output over as is.
+                    if out.is_empty() {
+                        out = mapped;
+                    } else {
+                        out.append(&mut mapped);
+                    }
+                });
+                out
+            })
+        })
     }
 
     /// Element-wise transform.
@@ -640,6 +493,12 @@ impl<T: Send + Sync + 'static> Dataset<T> {
 
     /// Pairwise partition zip (both datasets must have equal partition
     /// counts) — the primitive behind bundled RDDs (paper Figure 7(b)).
+    ///
+    /// With either side budget-tracked the zip runs pairwise-*serially*: at
+    /// most one left/right partition pair is resident at a time, so the
+    /// working set is bounded by the largest pair — not the whole
+    /// right-hand dataset, which is what pinning every restore up front
+    /// would cost.
     pub fn zip_partitions<U: Send + Sync + 'static, V: Send + Sync + 'static>(
         &self,
         other: &Dataset<U>,
@@ -650,81 +509,11 @@ impl<T: Send + Sync + 'static> Dataset<T> {
             other.num_partitions(),
             "zip_partitions requires equal partition counts"
         );
-        if self.ctx.has_failed() {
-            return Dataset { ctx: Arc::clone(&self.ctx), parts: empty_parts(self.parts.num()) };
-        }
-        // Both sides resident: parallel narrow op, right side indexed
-        // directly — zero overhead, the pre-budget fast path.
-        if let (Parts::Plain(_), Parts::Plain(rp)) = (&self.parts, &other.parts) {
-            let rp = Arc::clone(rp);
-            return self.narrow_op("zipPartitions", move |i, p| f(i, p, &rp[i]));
-        }
-        // Either side budget-tracked: zip pairwise-*serially*. At most one
-        // left/right partition pair is resident at a time, so the working
-        // set is bounded by the largest pair — not the whole right-hand
-        // dataset, which is what pinning every restore up front would cost.
-        let n = self.parts.num();
-        let stage = self.ctx.current_stage();
-        let fc = self.ctx.faults();
-        let mut runs: Vec<TaskRun<Vec<V>>> = Vec::with_capacity(n);
-        for i in 0..n {
-            let pair = self.parts.get(i).and_then(|l| other.parts.get(i).map(|r| (l, r)));
-            let (left, right) = match pair {
-                Ok(p) => p,
-                Err((requested, budget)) => {
-                    self.breach("zipPartitions", requested, budget);
-                    return Dataset { ctx: Arc::clone(&self.ctx), parts: empty_parts(n) };
-                }
-            };
-            if let Some(fc) = fc {
-                let run = run_with_retry(fc, "zipPartitions", stage, i as u32, FaultSurface::NarrowTask, || {
-                    f(i, &left, &right)
-                });
-                match run {
-                    Ok(tr) => runs.push(tr),
-                    Err(err) => {
-                        self.ctx.record_fault_event(
-                            tn::TASK_RETRIES,
-                            stage,
-                            err.partition,
-                            err.attempts.len() as u64,
-                        );
-                        self.ctx.fail(err);
-                        return Dataset { ctx: Arc::clone(&self.ctx), parts: empty_parts(n) };
-                    }
-                }
-            } else {
-                let start_ns = now_ns();
-                let t0 = TaskTimer::start();
-                let scope = alloc::scope(AllocTag::Task);
-                let ht = alloc::window_begin();
-                let out = f(i, &left, &right);
-                let w = alloc::window_end(ht);
-                drop(scope);
-                runs.push(TaskRun {
-                    out,
-                    sample: TaskSample {
-                        cpu_s: t0.elapsed_s(),
-                        start_ns,
-                        end_ns: now_ns(),
-                        tid: current_tid(),
-                        heap_peak_bytes: w.peak_bytes,
-                        heap_alloc_bytes: w.alloc_bytes,
-                    },
-                    attempts: Vec::new(),
-                    injected: 0,
-                });
-            }
-        }
-        record_task_fault_events(&self.ctx, stage, &runs);
-        let samples: Vec<TaskSample> = runs.iter().map(|r| r.sample).collect();
-        let records: u64 = runs.iter().map(|r| r.out.len() as u64).sum();
-        let alloc_est = records * self.ctx.config().per_record_overhead_bytes;
-        self.ctx.record_tasks("zipPartitions", &samples, records, alloc_est);
-        Dataset {
-            ctx: Arc::clone(&self.ctx),
-            parts: Parts::Plain(Arc::new(runs.into_iter().map(|r| r.out).collect())),
-        }
+        let mode = restore_mode(self.parts.is_tracked() || other.parts.is_tracked());
+        self.narrow_stage("zipPartitions", mode, |i, task| {
+            let (left, right) = (self.parts.get(i)?, other.parts.get(i)?);
+            task.run(AllocTag::Task, || f(i, &left, &right))
+        })
     }
 
     /// Collect every record to the driver — an *action* that closes the
@@ -736,22 +525,8 @@ impl<T: Send + Sync + 'static> Dataset<T> {
         if self.ctx.has_failed() {
             return Vec::new();
         }
-        let kind = self.ctx.serializer();
         let t0 = now_ns();
-        let per_partition: Vec<u64> = match &self.parts {
-            Parts::Plain(v) => par::map(v, |p| serialize_batch(kind, p).len() as u64),
-            // Tracked: serialize from streamed chunks serially, so the
-            // action never admits (or breaches) anything.
-            Parts::Tracked(_) => (0..self.parts.num())
-                .map(|i| {
-                    let mut bytes = 0u64;
-                    self.parts.stream(i, &mut |chunk| {
-                        bytes += serialize_batch(kind, chunk).len() as u64;
-                    });
-                    bytes
-                })
-                .collect(),
-        };
+        let per_partition = self.serialized_part_bytes(self.ctx.serializer());
         self.ctx.record_serde(now_ns().saturating_sub(t0) as f64 * 1e-9);
         self.ctx.close_stage_collect("collect", per_partition);
         self.collect_local()
@@ -777,26 +552,7 @@ impl<T: Send + Sync + 'static> Dataset<T> {
     where
         T: GpfSerialize,
     {
-        match &self.parts {
-            Parts::Plain(v) => {
-                par::map(v, |p| serialize_batch(kind, p).len() as u64).into_iter().sum()
-            }
-            Parts::Tracked(_) => (0..self.parts.num())
-                .map(|i| {
-                    let mut bytes = 0u64;
-                    self.parts.stream(i, &mut |chunk| {
-                        bytes += serialize_batch(kind, chunk).len() as u64;
-                    });
-                    bytes
-                })
-                .sum(),
-        }
-    }
-
-    /// Mark the dataset as cached (eager engine: data is already resident;
-    /// this is a documentation-of-intent no-op kept for API parity).
-    pub fn cache(&self) -> Dataset<T> {
-        self.clone()
+        self.serialized_part_bytes(kind).into_iter().sum()
     }
 
     /// Materialize the dataset through "disk": every partition is serialized
@@ -807,179 +563,101 @@ impl<T: Send + Sync + 'static> Dataset<T> {
     /// GATK-Queue) whose steps hand intermediate SAM/BAM files to each other
     /// through the filesystem — the I/O pattern the paper's Table 1 blames
     /// for their poor scaling.
+    ///
+    /// With faults configured every spill buffer is checksummed when
+    /// written; on read-back a checksum, decode, or record-count mismatch
+    /// recomputes the partition from the in-memory lineage (`self` still
+    /// holds the pre-spill partitions) instead of trusting the corrupt
+    /// bytes. The read side additionally observes
+    /// [`FaultSurface::SpillRead`] damage ([`damaged_read`]), which the same
+    /// checksum path must catch.
     pub fn barrier_via_disk(&self, label: &str) -> Dataset<T>
     where
         T: GpfSerialize + Clone,
     {
+        let n = self.parts.num();
         if self.ctx.has_failed() {
-            return Dataset { ctx: Arc::clone(&self.ctx), parts: empty_parts(self.parts.num()) };
-        }
-        if let Some(fc) = self.ctx.faults() {
-            return self.barrier_via_disk_ft(label, fc);
+            return Dataset::failed(&self.ctx, n);
         }
         let kind = self.ctx.serializer();
-        let t0 = now_ns();
-        let bufs: Vec<Vec<u8>> = self.serialize_partitions(kind);
-        let ser_s = now_ns().saturating_sub(t0) as f64 * 1e-9;
-        // (wall time acceptable here: ser_s feeds the aggregate serde metric,
-        // not per-task durations)
-        let bytes: Vec<u64> = bufs.iter().map(|b| b.len() as u64).collect();
-        self.ctx.record_serde(ser_s);
-        self.ctx.close_stage_shuffle(label, bytes.clone(), bytes.clone());
-        let t1 = now_ns();
-        let parts: Vec<(Vec<T>, TaskSample)> = par::map(&bufs, |b| {
-            let start_ns = now_ns();
-            let t = TaskTimer::start();
-            let scope = alloc::scope(AllocTag::Spill);
-            let ht = alloc::window_begin();
-            let items: Vec<T> =
-                // gpf-lint: allow(no-panic): the buffer was produced by
-                // serialize_batch in the same shuffle a few lines above; a
-                // decode failure is engine corruption, not an input error.
-                deserialize_batch(kind, b).expect("engine-produced buffer is valid");
-            let w = alloc::window_end(ht);
-            drop(scope);
-            let cpu_s = t.elapsed_s();
-            (
-                items,
-                TaskSample {
-                    cpu_s,
-                    start_ns,
-                    end_ns: now_ns(),
-                    tid: current_tid(),
-                    heap_peak_bytes: w.peak_bytes,
-                    heap_alloc_bytes: w.alloc_bytes,
-                },
-            )
-        });
-        let de_samples: Vec<TaskSample> = parts.iter().map(|(_, s)| *s).collect();
-        let records: u64 = parts.iter().map(|(v, _)| v.len() as u64).sum();
-        let churn: u64 =
-            bytes.iter().sum::<u64>() + records * self.ctx.config().per_record_overhead_bytes;
-        self.ctx.record_tasks(&format!("{label}(read)"), &de_samples, records, churn);
-        self.ctx.record_serde(now_ns().saturating_sub(t1) as f64 * 1e-9);
-        Dataset {
-            ctx: Arc::clone(&self.ctx),
-            parts: output_parts(&self.ctx, parts.into_iter().map(|(v, _)| v).collect()),
-        }
-    }
-
-    /// Fault-tolerant [`Dataset::barrier_via_disk`]: every spill buffer is
-    /// checksummed when written; on read-back a checksum, decode, or record
-    /// count mismatch recomputes the partition from the in-memory lineage
-    /// (`self` still holds the pre-spill partitions) instead of trusting the
-    /// corrupt bytes. The read side additionally injects
-    /// [`FaultSurface::SpillRead`] damage (truncation or a flipped bit) into
-    /// a *transient copy* of the buffer — the durable bytes stay pristine —
-    /// which must be caught by the same checksum path.
-    fn barrier_via_disk_ft(&self, label: &str, fc: &FaultConfig) -> Dataset<T>
-    where
-        T: GpfSerialize + Clone,
-    {
-        if self.ctx.has_failed() {
-            return Dataset { ctx: Arc::clone(&self.ctx), parts: empty_parts(self.parts.num()) };
-        }
-        let kind = self.ctx.serializer();
+        let faults = self.ctx.faults();
         let stage = self.ctx.current_stage();
         let t0 = now_ns();
         let mut bufs: Vec<Vec<u8>> = self.serialize_partitions(kind);
-        let sums: Vec<u64> = bufs.iter().map(|b| fnv64(b)).collect();
-        let ser_s = now_ns().saturating_sub(t0) as f64 * 1e-9;
-        // Inject spill corruption driver-side, after the checksums were
-        // taken over the correct bytes — detection must fire even when the
-        // flipped bit would still decode.
-        for (i, buf) in bufs.iter_mut().enumerate() {
-            if fc.plan.decide(stage, i as u32, 0, FaultSurface::Spill)
-                == Some(FaultKind::CorruptSpill)
-                && corrupt_bit(buf, fc.plan.corruption_salt(stage, i as u32))
-            {
-                self.ctx.record_fault_event(tn::FAULT_INJECTED, stage, i as u32, 1);
+        let sums: Option<Vec<u64>> = faults.map(|_| bufs.iter().map(|b| fnv64(b)).collect());
+        // (wall time acceptable here: it feeds the aggregate serde metric,
+        // not per-task durations)
+        self.ctx.record_serde(now_ns().saturating_sub(t0) as f64 * 1e-9);
+        if let Some(fc) = faults {
+            // Inject spill corruption driver-side, after the checksums were
+            // taken over the correct bytes — detection must fire even when
+            // the flipped bit would still decode.
+            for (i, buf) in bufs.iter_mut().enumerate() {
+                if fc.plan.decide(stage, i as u32, 0, FaultSurface::Spill)
+                    == Some(FaultKind::CorruptSpill)
+                    && corrupt_bit(buf, fc.plan.corruption_salt(stage, i as u32))
+                {
+                    self.ctx.record_fault_event(tn::FAULT_INJECTED, stage, i as u32, 1);
+                }
             }
         }
         let bytes: Vec<u64> = bufs.iter().map(|b| b.len() as u64).collect();
-        self.ctx.record_serde(ser_s);
-        self.ctx.close_stage_shuffle(label, bytes.clone(), bytes.clone());
+        let spilled: u64 = bytes.iter().sum();
+        self.ctx.close_stage_shuffle(label, bytes.clone(), bytes);
         let read_stage = self.ctx.current_stage();
         let t1 = now_ns();
-        let expected: Vec<usize> =
-            (0..self.parts.num()).map(|i| self.parts.part_len(i)).collect();
-        let parts: Vec<(Vec<T>, TaskSample, u64, u64)> = par::map_range(bufs.len(), |i| {
-            let start_ns = now_ns();
-            let t = TaskTimer::start();
-            let scope = alloc::scope(AllocTag::Spill);
-            let ht = alloc::window_begin();
-            // Read-side fault surface: TruncateSpill / CorruptSpillRead
-            // damage only the transient copy this read observed — the
-            // durable buffer stays pristine — so detection (below) plus
-            // lineage recompute must recover byte-identically.
-            let mut damaged: Vec<u8>;
-            let mut injected = 0u64;
-            let read_bytes: &[u8] =
-                match fc.plan.decide(read_stage, i as u32, 0, FaultSurface::SpillRead) {
-                    Some(fkind) => {
-                        damaged = bufs[i].clone();
-                        let salt = fc.plan.corruption_salt(read_stage, i as u32);
-                        if fkind == FaultKind::TruncateSpill {
-                            let keep = (salt % damaged.len().max(1) as u64) as usize;
-                            damaged.truncate(keep);
-                        } else {
-                            corrupt_bit(&mut damaged, salt);
-                        }
-                        injected = 1;
-                        &damaged
-                    }
-                    None => &bufs[i],
-                };
-            let ok = fnv64(read_bytes) == sums[i];
-            let decoded: Option<Vec<T>> = if ok {
-                match deserialize_batch(kind, read_bytes) {
-                    Ok(items) if items.len() == expected[i] => Some(items),
-                    _ => None,
-                }
-            } else {
-                None
+        // One read-back: `(records, read damage injected, recomputed)`.
+        let read_back = |i: usize| -> (Vec<T>, bool, bool) {
+            let damaged =
+                faults.and_then(|fc| damaged_read(&fc.plan, read_stage, i as u32, 0, &bufs[i]));
+            let read: &[u8] = damaged.as_deref().unwrap_or(&bufs[i]);
+            let intact = sums.as_ref().is_none_or(|s| fnv64(read) == s[i]);
+            let decoded = match intact.then(|| deserialize_batch::<T>(kind, read)) {
+                Some(Ok(items)) if items.len() == self.parts.part_len(i) => Some(items),
+                _ => None,
             };
-            let (items, recomputed) = match decoded {
-                Some(items) => (items, 0u64),
+            let recomputed = decoded.is_none();
+            let items = match decoded {
+                Some(items) => items,
                 // Lineage recompute: the pre-spill partition is still
                 // resident, so a lost spill costs one clone, not a rerun.
-                None => (self.parts.part_to_vec(i), 1u64),
+                None if faults.is_some() => self.parts.part_to_vec(i),
+                None => {
+                    // gpf-lint: allow(no-panic): with faults off nothing can
+                    // damage a buffer serialize_batch produced a few lines
+                    // above; a decode failure is engine corruption, not an
+                    // input error.
+                    panic!("barrier buffer {i} did not decode")
+                }
             };
-            let w = alloc::window_end(ht);
-            drop(scope);
-            let cpu_s = t.elapsed_s();
-            (
-                items,
-                TaskSample {
-                    cpu_s,
-                    start_ns,
-                    end_ns: now_ns(),
-                    tid: current_tid(),
-                    heap_peak_bytes: w.peak_bytes,
-                    heap_alloc_bytes: w.alloc_bytes,
-                },
-                recomputed,
-                injected,
-            )
-        });
-        for (i, (_, _, rec, inj)) in parts.iter().enumerate() {
-            if *inj > 0 {
-                self.ctx.record_fault_event(tn::FAULT_INJECTED, read_stage, i as u32, *inj);
+            (items, damaged.is_some(), recomputed)
+        };
+        let overhead = self.ctx.config().per_record_overhead_bytes;
+        let Some(read) = run_stage(
+            &self.ctx,
+            &format!("{label}(read)"),
+            None,
+            n,
+            Mode::Parallel,
+            |i, task| task.run(AllocTag::Spill, || read_back(i)),
+            |outs| {
+                let records: u64 = outs.iter().map(|(v, _, _)| v.len() as u64).sum();
+                (records, spilled + records * overhead)
+            },
+        ) else {
+            return Dataset::failed(&self.ctx, n);
+        };
+        for (i, (_, injected, recomputed)) in read.iter().enumerate() {
+            if *injected {
+                self.ctx.record_fault_event(tn::FAULT_INJECTED, read_stage, i as u32, 1);
             }
-            if *rec > 0 {
-                self.ctx.record_fault_event(tn::SHUFFLE_RECOMPUTED, read_stage, i as u32, *rec);
+            if *recomputed {
+                self.ctx.record_fault_event(tn::SHUFFLE_RECOMPUTED, read_stage, i as u32, 1);
             }
         }
-        let de_samples: Vec<TaskSample> = parts.iter().map(|(_, s, _, _)| *s).collect();
-        let records: u64 = parts.iter().map(|(v, _, _, _)| v.len() as u64).sum();
-        let churn: u64 =
-            bytes.iter().sum::<u64>() + records * self.ctx.config().per_record_overhead_bytes;
-        self.ctx.record_tasks(&format!("{label}(read)"), &de_samples, records, churn);
         self.ctx.record_serde(now_ns().saturating_sub(t1) as f64 * 1e-9);
-        Dataset {
-            ctx: Arc::clone(&self.ctx),
-            parts: output_parts(&self.ctx, parts.into_iter().map(|(v, _, _, _)| v).collect()),
-        }
+        let parts = read.into_iter().map(|(v, _, _)| v).collect();
+        Dataset { ctx: Arc::clone(&self.ctx), parts: output_parts(&self.ctx, parts) }
     }
 
     /// Repartition arbitrary records by an explicit routing function.
@@ -1136,26 +814,7 @@ where
     /// Hash-partition by key and fold values with `f`.
     pub fn reduce_by_key(&self, nparts: usize, f: impl Fn(&V, &V) -> V + Send + Sync) -> Dataset<(K, V)> {
         // Map-side combine first (Spark does this too) to cut shuffle volume.
-        let combined = self.narrow_op("mapSideCombine", |_, p| {
-            let mut order: Vec<K> = Vec::new();
-            let mut acc: std::collections::HashMap<K, V> = std::collections::HashMap::new();
-            for (k, v) in p {
-                match acc.get_mut(k) {
-                    Some(cur) => *cur = f(cur, v),
-                    None => {
-                        order.push(k.clone());
-                        acc.insert(k.clone(), v.clone());
-                    }
-                }
-            }
-            order
-                .into_iter()
-                .filter_map(|k| {
-                    let v = acc.remove(&k)?;
-                    Some((k, v))
-                })
-                .collect()
-        });
+        let combined = self.narrow_op("mapSideCombine", |_, p| fold_by_key(p, &f));
         // `combined` is a freshly built intermediate nobody else references,
         // so destructuring it hands the shuffle sole ownership of the
         // partitions and the map side moves records instead of cloning.
@@ -1163,26 +822,7 @@ where
         let shuffled = shuffle(&ctx, parts, nparts, "reduceByKey", |kv: &(K, V)| {
             (stable_hash(&kv.0) % nparts as u64) as usize
         });
-        shuffled.narrow_op("reduce", |_, p| {
-            let mut order: Vec<K> = Vec::new();
-            let mut acc: std::collections::HashMap<K, V> = std::collections::HashMap::new();
-            for (k, v) in p {
-                match acc.get_mut(k) {
-                    Some(cur) => *cur = f(cur, v),
-                    None => {
-                        order.push(k.clone());
-                        acc.insert(k.clone(), v.clone());
-                    }
-                }
-            }
-            order
-                .into_iter()
-                .filter_map(|k| {
-                    let v = acc.remove(&k)?;
-                    Some((k, v))
-                })
-                .collect()
-        })
+        shuffled.narrow_op("reduce", |_, p| fold_by_key(p, &f))
     }
 
     /// Inner hash join (both sides shuffled by key hash).
@@ -1268,776 +908,31 @@ where
     }
 }
 
-/// One serialized bucket inside a map task's output buffer.
-///
-/// Offsets, lengths and record counts are recorded *while writing*, so
-/// nothing re-traverses the serialized data afterwards: shuffle-write bytes
-/// come from the buffer length, shuffle-read bytes from summing one segment
-/// column, and the reduce side pre-sizes its output from the record counts.
-#[derive(Clone, Copy)]
-struct BucketSeg {
-    offset: usize,
-    len: usize,
-    records: usize,
-    /// FNV-1a over the segment's bytes when the shuffle runs under fault
-    /// tolerance; 0 (and unchecked) otherwise, so the fast path never pays
-    /// for hashing (DESIGN.md §11 documents this trade).
-    checksum: u64,
-}
-
-/// Output of one map-side shuffle task: every bucket serialized
-/// back-to-back into a single pooled buffer, indexed by [`BucketSeg`]s.
-struct MapTaskOut {
-    data: Vec<u8>,
-    segs: Vec<BucketSeg>,
-    sample: TaskSample,
-    ser_s: f64,
-}
-
-/// Cap on pooled map-side serialization buffers. Bounds idle memory while
-/// still covering every worker thread of the widest in-repo shuffle.
-const SCRATCH_POOL_CAP: usize = 64;
-
-fn scratch_pool() -> &'static Mutex<Vec<Vec<u8>>> {
-    static POOL: OnceLock<Mutex<Vec<Vec<u8>>>> = OnceLock::new();
-    POOL.get_or_init(|| Mutex::new(Vec::new()))
-}
-
-/// Take a cleared serialization buffer from the pool (or allocate the first
-/// time). Reuse keeps steady-state shuffles from re-growing a fresh `Vec`
-/// through the allocator on every map task.
-fn scratch_take() -> Vec<u8> {
-    let got = scratch_pool().lock().pop();
-    if gpf_trace::enabled() {
-        if got.is_some() {
-            gpf_trace::counter(tn::SHUFFLE_SCRATCH_REUSED).add(1);
-        } else {
-            gpf_trace::counter(tn::SHUFFLE_SCRATCH_ALLOCATED).add(1);
-        }
-    }
-    got.unwrap_or_default()
-}
-
-/// Return a buffer to the pool once the reduce side has drained it.
-fn scratch_put(mut buf: Vec<u8>) {
-    buf.clear();
-    let mut pool = scratch_pool().lock();
-    if pool.len() < SCRATCH_POOL_CAP {
-        pool.push(buf);
-    }
-}
-
-/// Compute every record's target bucket in one routing pass, plus the
-/// per-bucket counts used to pre-size the scatter (no bucket reallocates).
-fn plan_routes<T>(
-    p: &[T],
-    nparts: usize,
-    route: &(impl Fn(&T) -> usize + Send + Sync),
-) -> (Vec<u32>, Vec<usize>) {
-    let mut routes = Vec::with_capacity(p.len());
-    let mut counts = vec![0usize; nparts];
-    for item in p {
-        let target = route(item);
-        assert!(target < nparts, "router produced partition {target} >= {nparts}");
-        counts[target] += 1;
-        routes.push(target as u32);
-    }
-    (routes, counts)
-}
-
-/// Serialize every bucket back-to-back into one pooled buffer, recording a
-/// [`BucketSeg`] per bucket as it is written.
-fn serialize_buckets<T: GpfSerialize>(
-    kind: SerializerKind,
-    buckets: &[Vec<T>],
-    with_checksum: bool,
-) -> (Vec<u8>, Vec<BucketSeg>) {
-    let mut data = scratch_take();
-    // Serialization allocations (scratch growth, codec temporaries) charge
-    // the serde heap tag; one scope per map task keeps this off the
-    // per-bucket hot path.
-    let _serde_scope = alloc::scope(AllocTag::Serde);
-    let mut segs = Vec::with_capacity(buckets.len());
-    // Bucket stats accumulate locally and merge into the registry once
-    // per task: a smoke run serializes millions of buckets, and even an
-    // uncontended per-bucket `fetch_add` shows up in `--trace-overhead`.
-    let mut stats = if gpf_trace::enabled() {
-        Some((gpf_trace::LocalHistogram::new(), gpf_trace::LocalHistogram::new()))
-    } else {
-        None
-    };
-    for b in buckets {
-        let offset = data.len();
-        // Empty buckets produce zero bytes (Spark's shuffle index marks
-        // them with zero-length segments; no framing is written).
-        let len = if b.is_empty() { 0 } else { serialize_batch_into(kind, b, &mut data) };
-        if let Some((by, recs)) = &mut stats {
-            by.record(len as u64);
-            recs.record(b.len() as u64);
-        }
-        let checksum =
-            if with_checksum && len > 0 { fnv64(&data[offset..offset + len]) } else { 0 };
-        segs.push(BucketSeg { offset, len, records: b.len(), checksum });
-    }
-    if let Some((by, recs)) = &stats {
-        gpf_trace::histogram(tn::SHUFFLE_BUCKET_BYTES).merge(by);
-        gpf_trace::histogram(tn::SHUFFLE_BUCKET_RECORDS).merge(recs);
-    }
-    (data, segs)
-}
-
-/// Shared tail of a map-side task: serialize the scattered buckets, close
-/// the task's heap window, and stamp the task sample. `heap` is the window
-/// the caller opened before routing, so the sample's heap columns cover
-/// the whole map task (scatter + serialize).
-fn finish_map_task<T: GpfSerialize>(
-    kind: SerializerKind,
-    buckets: Vec<Vec<T>>,
-    bucket_s: f64,
-    start_ns: u64,
-    with_checksum: bool,
-    heap: alloc::WindowToken,
-) -> MapTaskOut {
-    let t1 = TaskTimer::start();
-    let (data, segs) = serialize_buckets(kind, &buckets, with_checksum);
-    let ser_s = t1.elapsed_s();
-    let w = alloc::window_end(heap);
-    MapTaskOut {
-        data,
-        segs,
-        sample: TaskSample {
-            cpu_s: bucket_s + ser_s,
-            start_ns,
-            end_ns: now_ns(),
-            tid: current_tid(),
-            heap_peak_bytes: w.peak_bytes,
-            heap_alloc_bytes: w.alloc_bytes,
-        },
-        ser_s,
-    }
-}
-
-/// A task that survived [`run_with_retry`]: its output plus the attempt
-/// history the retry loop accumulated.
-struct TaskRun<R> {
-    out: R,
-    sample: TaskSample,
-    /// Failed attempts, in order (empty when the first attempt succeeded).
-    attempts: Vec<AttemptRecord>,
-    /// Faults injected into this task (panics that were retried away plus
-    /// straggler delays).
-    injected: u32,
-}
-
-/// Heap attribution tag for a fault surface's task body.
-fn tag_for_surface(surface: FaultSurface) -> AllocTag {
-    match surface {
-        FaultSurface::NarrowTask => AllocTag::Task,
-        FaultSurface::ShuffleMap => AllocTag::Shuffle,
-        _ => AllocTag::Untagged,
-    }
-}
-
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        format!("panic: {s}")
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        format!("panic: {s}")
-    } else {
-        "panic: <non-string payload>".to_string()
-    }
-}
-
-/// Run one task body under the fault plan: injected panics and real panics
-/// (captured via `catch_unwind`) consume attempts until the budget is
-/// exhausted; an injected straggler completes but with its measured window
-/// inflated by [`FaultConfig::straggler_extra_ns`] (accounting-only — no
-/// sleeping — which is what keeps chaos runs fast and deterministic).
-fn run_with_retry<R>(
-    fc: &FaultConfig,
-    label: &str,
-    stage: u32,
-    partition: u32,
-    surface: FaultSurface,
-    body: impl Fn() -> R,
-) -> Result<TaskRun<R>, EngineError> {
-    let mut attempts: Vec<AttemptRecord> = Vec::new();
-    let mut injected = 0u32;
-    let mut attempt = 0u32;
-    loop {
-        let backoff_ns = fc.backoff_ns(attempt);
-        let decision = fc.plan.decide(stage, partition, attempt, surface);
-        if decision == Some(FaultKind::TaskPanic) {
-            injected += 1;
-            attempts.push(AttemptRecord {
-                attempt,
-                cause: "injected: task panic".to_string(),
-                backoff_ns,
-            });
-        } else {
-            let start_ns = now_ns();
-            let t0 = TaskTimer::start();
-            let scope = alloc::scope(tag_for_surface(surface));
-            let ht = alloc::window_begin();
-            match catch_unwind(AssertUnwindSafe(&body)) {
-                Ok(out) => {
-                    let w = alloc::window_end(ht);
-                    drop(scope);
-                    let mut cpu_s = t0.elapsed_s();
-                    let mut end_ns = now_ns();
-                    if decision == Some(FaultKind::Straggler) {
-                        injected += 1;
-                        end_ns = end_ns.saturating_add(fc.straggler_extra_ns);
-                        cpu_s += fc.straggler_extra_ns as f64 * 1e-9;
-                    }
-                    return Ok(TaskRun {
-                        out,
-                        sample: TaskSample {
-                            cpu_s,
-                            start_ns,
-                            end_ns,
-                            tid: current_tid(),
-                            heap_peak_bytes: w.peak_bytes,
-                            heap_alloc_bytes: w.alloc_bytes,
-                        },
-                        attempts,
-                        injected,
-                    });
-                }
-                Err(payload) => {
-                    // A panicked attempt leaked its partial allocations past
-                    // the window; close it for balance and discard the stats.
-                    // gpf-lint: allow(swallowed-error): heap stats of a failed
-                    // attempt are meaningless; the window must still close so
-                    // the thread-local peak state stays balanced.
-                    let _ = alloc::window_end(ht);
-                    drop(scope);
-                    attempts.push(AttemptRecord {
-                        attempt,
-                        cause: panic_message(payload),
-                        backoff_ns,
-                    });
-                }
-            }
-        }
-        if attempt >= fc.max_task_retries {
-            return Err(EngineError { label: label.to_string(), stage, partition, attempts });
-        }
-        attempt += 1;
-    }
-}
-
-/// Speculative execution over a completed stage's tasks: any task whose
-/// measured window exceeds `speculation_multiplier ×` the stage median gets
-/// one clean (injection-free) duplicate, and the strictly faster finisher
-/// wins. Runs driver-side after the stage completes, which makes the winner
-/// deterministic — under MockClock and, for the injected-straggler case,
-/// under the real clock too (the injected delay dwarfs task jitter).
-fn speculate<R>(
-    ctx: &EngineContext,
-    fc: &FaultConfig,
-    stage: u32,
-    runs: &mut [TaskRun<R>],
-    rerun: impl Fn(usize) -> R,
-) {
-    if !fc.speculation || runs.len() < 2 {
-        return;
-    }
-    let mut durs: Vec<u64> =
-        runs.iter().map(|r| r.sample.end_ns.saturating_sub(r.sample.start_ns)).collect();
-    durs.sort_unstable();
-    let median = durs[durs.len() / 2];
-    if median == 0 {
-        return;
-    }
-    let threshold = (median as f64 * fc.speculation_multiplier) as u64;
-    for i in 0..runs.len() {
-        let dur = runs[i].sample.end_ns.saturating_sub(runs[i].sample.start_ns);
-        if dur <= threshold {
-            continue;
-        }
-        ctx.record_fault_event(tn::SPEC_LAUNCHED, stage, i as u32, 1);
-        let start_ns = now_ns();
-        let t0 = TaskTimer::start();
-        let scope = alloc::scope(AllocTag::Task);
-        let ht = alloc::window_begin();
-        let out = rerun(i);
-        let w = alloc::window_end(ht);
-        drop(scope);
-        let cpu_s = t0.elapsed_s();
-        let end_ns = now_ns();
-        if end_ns.saturating_sub(start_ns) < dur {
-            runs[i].out = out;
-            runs[i].sample = TaskSample {
-                cpu_s,
-                start_ns,
-                end_ns,
-                tid: current_tid(),
-                heap_peak_bytes: w.peak_bytes,
-                heap_alloc_bytes: w.alloc_bytes,
-            };
-            ctx.record_fault_event(tn::SPEC_WON, stage, i as u32, 1);
-        }
-    }
-}
-
-/// Emit the per-task recovery events for a completed stage, driver-side so
-/// the session trace stays in deterministic order.
-fn record_task_fault_events<R>(ctx: &EngineContext, stage: u32, runs: &[TaskRun<R>]) {
-    for (i, r) in runs.iter().enumerate() {
-        if r.injected > 0 {
-            ctx.record_fault_event(tn::FAULT_INJECTED, stage, i as u32, r.injected as u64);
-        }
-        if !r.attempts.is_empty() {
-            ctx.record_fault_event(tn::TASK_RETRIES, stage, i as u32, r.attempts.len() as u64);
-        }
-    }
-}
-
-/// A driver-side rebalance decision: the final (post-split) layout an
-/// adaptive shuffle routes through, plus the decision stats the engine
-/// reports via the `repartition.*` trace counters.
-///
-/// Produced by the `rebalance` callback of
-/// [`Dataset::partition_by_adaptive`] from the aggregated per-base-partition
-/// record counts. The engine stays split-table-agnostic on purpose: callers
-/// (gpf-core, the bench workloads, tests) build the routing from
-/// `PartitionInfo::with_splits_stats` or any equivalent table, and the
-/// engine only needs the final partition count and a routing closure.
-pub struct RebalancePlan<T> {
-    /// Number of final (post-split) partitions the shuffle writes to.
-    pub n_final: usize,
-    /// Routes a record to its final partition id in `0..n_final`.
-    pub route: Box<dyn Fn(&T) -> usize + Send + Sync>,
-    /// Base partitions the decision split.
-    pub splits: u64,
-    /// Records living in split partitions (their id changed vs the base
-    /// layout).
-    pub moved_records: u64,
-    /// Partitions whose requested piece count was truncated by the
-    /// 64-piece cap — surfaced so a too-hot-to-fix partition never
-    /// truncates silently.
-    pub cap_hits: u64,
-    /// Underfull base partitions the decision *merged* into shared final
-    /// partitions (piece-aware merging of the rebalance plan): their
-    /// records change partition id without being split. Reported via the
-    /// `repartition.merged` trace counter.
-    pub merged: u64,
-}
-
-/// Adaptive shuffle (paper §4.4): count → driver rebalance → shuffle.
-///
-/// The count pass is recorded as a narrow op into the *open* stage, so the
-/// statistics cost shows up in the same stage as the shuffle map tasks —
-/// mirroring where Spark's AQE pays for its map statistics. Driver
-/// aggregation between the two passes is a plain vector sum. The data
-/// movement itself delegates to [`shuffle`] with the plan's final routing,
-/// which means the fault-tolerant path ([`shuffle_ft`]) and its lineage
-/// recompute automatically resolve *final* partition ids — a corrupted
-/// bucket on a split piece recomputes exactly that piece.
-fn adaptive_shuffle<T>(
-    ctx: &Arc<EngineContext>,
-    parts: Parts<T>,
-    nbase: usize,
-    route_base: impl Fn(&T) -> usize + Send + Sync,
-    rebalance: impl FnOnce(&[u64]) -> RebalancePlan<T>,
-) -> Dataset<T>
+/// Fold each key's values with `f`, emitting keys in order of first
+/// arrival so the result is deterministic.
+fn fold_by_key<K, V>(p: &[(K, V)], f: &impl Fn(&V, &V) -> V) -> Vec<(K, V)>
 where
-    T: GpfSerialize + Clone + Send + Sync + 'static,
+    K: Hash + Eq + Clone,
+    V: Clone,
 {
-    assert!(nbase > 0, "adaptive shuffle needs at least one base partition");
-    if ctx.has_failed() {
-        return Dataset { ctx: Arc::clone(ctx), parts: empty_parts(nbase) };
-    }
-    // Count pass: per-map-partition histograms over base ids, streamed so an
-    // evicted partition never has to rematerialize just to be counted.
-    let hists: Vec<(Vec<u64>, TaskSample)> = par::map_range(parts.num(), |i| {
-        let start_ns = now_ns();
-        let t0 = TaskTimer::start();
-        let scope = alloc::scope(AllocTag::Repartition);
-        let ht = alloc::window_begin();
-        let mut h = vec![0u64; nbase];
-        parts.stream(i, &mut |chunk| {
-            for item in chunk {
-                let r = route_base(item);
-                assert!(r < nbase, "base route {r} out of range ({nbase} base partitions)");
-                h[r] += 1;
-            }
-        });
-        let w = alloc::window_end(ht);
-        drop(scope);
-        (
-            h,
-            TaskSample {
-                cpu_s: t0.elapsed_s(),
-                start_ns,
-                end_ns: now_ns(),
-                tid: current_tid(),
-                heap_peak_bytes: w.peak_bytes,
-                heap_alloc_bytes: w.alloc_bytes,
-            },
-        )
-    });
-    let samples: Vec<TaskSample> = hists.iter().map(|(_, s)| *s).collect();
-    let records: u64 = (0..parts.num()).map(|i| parts.part_len(i) as u64).sum();
-    ctx.record_tasks(crate::metrics::names::REPARTITION_COUNT, &samples, records, 0);
-    // Driver side: aggregate the histograms and let the caller decide the
-    // final layout from them.
-    let mut counts = vec![0u64; nbase];
-    for (h, _) in &hists {
-        for (c, &v) in counts.iter_mut().zip(h) {
-            *c += v;
-        }
-    }
-    let plan = rebalance(&counts);
-    assert!(plan.n_final > 0, "rebalance produced an empty final layout");
-    ctx.record_repartition(plan.splits, plan.moved_records, plan.cap_hits, plan.merged);
-    shuffle(ctx, parts, plan.n_final, "partitionByAdaptive", plan.route)
-}
-
-/// The shuffle: route, scatter, serialize, exchange, deserialize — with the
-/// same metrics as [`shuffle_reference`] but none of its per-record clones
-/// or per-bucket buffers.
-///
-/// Takes the partition `Arc` by value: when the caller held the only
-/// reference (consuming APIs like [`Dataset::into_partition_by`] or
-/// internal intermediates like `reduceByKey`'s map-side combine), records
-/// are *moved* into their buckets; otherwise each record is cloned exactly
-/// once, as before.
-fn shuffle<T>(
-    ctx: &Arc<EngineContext>,
-    parts: Parts<T>,
-    nparts: usize,
-    label: &str,
-    route: impl Fn(&T) -> usize + Send + Sync,
-) -> Dataset<T>
-where
-    T: GpfSerialize + Clone + Send + Sync + 'static,
-{
-    assert!(nparts > 0, "shuffle needs at least one output partition");
-    if ctx.has_failed() {
-        return Dataset { ctx: Arc::clone(ctx), parts: empty_parts(nparts) };
-    }
-    if let Some(fc) = ctx.faults() {
-        return shuffle_ft(ctx, fc, parts, nparts, label, route);
-    }
-    let kind = ctx.serializer();
-    let records: u64 = (0..parts.num()).map(|i| parts.part_len(i) as u64).sum();
-
-    // Map side: one routing pass plans the scatter, then records move (or,
-    // when the source dataset is still live, clone) into pre-sized buckets.
-    // Tracked inputs stream chunk-by-chunk instead: an evicted partition is
-    // routed one spill frame at a time, never rematerialized whole.
-    let map_out: Vec<MapTaskOut> = match parts {
-        Parts::Plain(arc) => match Arc::try_unwrap(arc) {
-            Ok(owned) => {
-                if gpf_trace::enabled() {
-                    gpf_trace::counter(tn::SHUFFLE_PARTITIONS_MOVED).add(owned.len() as u64);
-                }
-                par::map_vec(owned, |p| {
-                    let start_ns = now_ns();
-                    let t0 = TaskTimer::start();
-                    let scope = alloc::scope(AllocTag::Shuffle);
-                    let ht = alloc::window_begin();
-                    let (routes, counts) = plan_routes(&p, nparts, &route);
-                    let mut buckets: Vec<Vec<T>> =
-                        counts.iter().map(|&c| Vec::with_capacity(c)).collect();
-                    for (item, &r) in p.into_iter().zip(&routes) {
-                        buckets[r as usize].push(item);
-                    }
-                    let out = finish_map_task(kind, buckets, t0.elapsed_s(), start_ns, false, ht);
-                    drop(scope);
-                    out
-                })
-            }
-            Err(shared) => {
-                if gpf_trace::enabled() {
-                    gpf_trace::counter(tn::SHUFFLE_PARTITIONS_CLONED).add(shared.len() as u64);
-                }
-                par::map(&shared, |p| {
-                    let start_ns = now_ns();
-                    let t0 = TaskTimer::start();
-                    let scope = alloc::scope(AllocTag::Shuffle);
-                    let ht = alloc::window_begin();
-                    let (routes, counts) = plan_routes(p, nparts, &route);
-                    let mut buckets: Vec<Vec<T>> =
-                        counts.iter().map(|&c| Vec::with_capacity(c)).collect();
-                    for (item, &r) in p.iter().zip(&routes) {
-                        buckets[r as usize].push(item.clone());
-                    }
-                    let out = finish_map_task(kind, buckets, t0.elapsed_s(), start_ns, false, ht);
-                    drop(scope);
-                    out
-                })
-            }
-        },
-        Parts::Tracked(store) => {
-            if gpf_trace::enabled() {
-                gpf_trace::counter(tn::SHUFFLE_PARTITIONS_CLONED).add(store.num_parts() as u64);
-            }
-            par::map_range(store.num_parts(), |i| {
-                let start_ns = now_ns();
-                let t0 = TaskTimer::start();
-                let scope = alloc::scope(AllocTag::Shuffle);
-                let ht = alloc::window_begin();
-                let mut buckets: Vec<Vec<T>> = (0..nparts).map(|_| Vec::new()).collect();
-                store.stream(i, &mut |chunk| {
-                    let (routes, counts) = plan_routes(chunk, nparts, &route);
-                    for (b, &c) in buckets.iter_mut().zip(&counts) {
-                        b.reserve(c);
-                    }
-                    for (item, &r) in chunk.iter().zip(&routes) {
-                        buckets[r as usize].push(item.clone());
-                    }
-                });
-                let out = finish_map_task(kind, buckets, t0.elapsed_s(), start_ns, false, ht);
-                drop(scope);
-                out
-            })
-        }
-    };
-
-    let map_samples: Vec<TaskSample> = map_out.iter().map(|m| m.sample).collect();
-    let ser_s: f64 = map_out.iter().map(|m| m.ser_s).sum();
-    // Transfer sizes come straight from the segment index recorded while
-    // writing — no second traversal of the serialized buffers.
-    let write_bytes: Vec<u64> = map_out.iter().map(|m| m.data.len() as u64).collect();
-    let read_bytes: Vec<u64> = (0..nparts)
-        .map(|t| map_out.iter().map(|m| m.segs[t].len as u64).sum())
-        .collect();
-    ctx.record_tasks(label, &map_samples, records, 0);
-    ctx.record_serde(ser_s);
-    ctx.close_stage_shuffle(label, write_bytes, read_bytes.clone());
-
-    // Reduce side: deserialize segments in map order into one output vector
-    // pre-sized from the per-bucket record counts.
-    let reduce_out: Vec<(Vec<T>, TaskSample)> = par::map_range(nparts, |t| {
-        let start_ns = now_ns();
-        let t0 = TaskTimer::start();
-        let scope = alloc::scope(AllocTag::Serde);
-        let ht = alloc::window_begin();
-        let expected: usize = map_out.iter().map(|m| m.segs[t].records).sum();
-        let mut out: Vec<T> = Vec::with_capacity(expected);
-        for m in &map_out {
-            let seg = m.segs[t];
-            if seg.len == 0 {
-                continue;
-            }
-            let n =
-                deserialize_batch_into(kind, &m.data[seg.offset..seg.offset + seg.len], &mut out)
-                    // gpf-lint: allow(no-panic): map-side serialize_batch_into
-                    // produced this segment in the same shuffle; a decode
-                    // failure is engine corruption, not an input error.
-                    .expect("engine-produced buffer is valid");
-            // The pre-sizing above trusted the segment index; verify it
-            // against what actually decoded instead of silently mis-sizing.
-            assert_eq!(
-                n, seg.records,
-                "shuffle segment index records {} but {} decoded",
-                seg.records, n
-            );
-        }
-        let w = alloc::window_end(ht);
-        drop(scope);
-        let cpu_s = t0.elapsed_s();
-        (
-            out,
-            TaskSample {
-                cpu_s,
-                start_ns,
-                end_ns: now_ns(),
-                tid: current_tid(),
-                heap_peak_bytes: w.peak_bytes,
-                heap_alloc_bytes: w.alloc_bytes,
-            },
-        )
-    });
-    for m in map_out {
-        scratch_put(m.data);
-    }
-    let de_samples: Vec<TaskSample> = reduce_out.iter().map(|(_, s)| *s).collect();
-    let de_s: f64 = de_samples.iter().map(|s| s.cpu_s).sum();
-    let out_records: u64 = reduce_out.iter().map(|(v, _)| v.len() as u64).sum();
-    // Deserialized shuffle data is fresh heap churn (the GC driver).
-    let churn: u64 = read_bytes.iter().sum::<u64>()
-        + out_records * ctx.config().per_record_overhead_bytes;
-    ctx.record_tasks(&format!("{label}(read)"), &de_samples, out_records, churn);
-    ctx.record_serde(de_s);
-    Dataset {
-        ctx: Arc::clone(ctx),
-        parts: output_parts(ctx, reduce_out.into_iter().map(|(v, _)| v).collect()),
-    }
-}
-
-/// Fault-tolerant [`shuffle`]: map tasks run under [`run_with_retry`] and
-/// speculate duplicates, every bucket segment is checksummed, and the
-/// reduce side recomputes any segment that fails its checksum, decode, or
-/// record-count check from the owning input partition (lineage = the
-/// routing closure + the input, which stays resident for exactly this).
-///
-/// Always takes the clone path — the input partitions must outlive the map
-/// side to serve as lineage, so the move optimization is deliberately
-/// traded away while faults are on.
-fn shuffle_ft<T>(
-    ctx: &Arc<EngineContext>,
-    fc: &FaultConfig,
-    parts: Parts<T>,
-    nparts: usize,
-    label: &str,
-    route: impl Fn(&T) -> usize + Send + Sync,
-) -> Dataset<T>
-where
-    T: GpfSerialize + Clone + Send + Sync + 'static,
-{
-    if ctx.has_failed() {
-        return Dataset { ctx: Arc::clone(ctx), parts: empty_parts(nparts) };
-    }
-    let kind = ctx.serializer();
-    let stage = ctx.current_stage();
-    let lineage = parts;
-    let records: u64 = (0..lineage.num()).map(|i| lineage.part_len(i) as u64).sum();
-
-    let map_body = |i: usize| -> MapTaskOut {
-        let start_ns = now_ns();
-        let t0 = TaskTimer::start();
-        // run_with_retry opens the outer (attributing) scope and window for
-        // this body; this inner window only feeds the MapTaskOut sample.
-        let ht = alloc::window_begin();
-        let mut buckets: Vec<Vec<T>> = (0..nparts).map(|_| Vec::new()).collect();
-        lineage.stream(i, &mut |chunk| {
-            let (routes, counts) = plan_routes(chunk, nparts, &route);
-            for (b, &c) in buckets.iter_mut().zip(&counts) {
-                b.reserve(c);
-            }
-            for (item, &r) in chunk.iter().zip(&routes) {
-                buckets[r as usize].push(item.clone());
-            }
-        });
-        finish_map_task(kind, buckets, t0.elapsed_s(), start_ns, true, ht)
-    };
-    let results: Vec<Result<TaskRun<MapTaskOut>, EngineError>> =
-        par::map_range(lineage.num(), |i| {
-            run_with_retry(fc, label, stage, i as u32, FaultSurface::ShuffleMap, || map_body(i))
-        });
-    let mut runs: Vec<TaskRun<MapTaskOut>> = Vec::with_capacity(results.len());
-    for r in results {
-        match r {
-            Ok(tr) => runs.push(tr),
-            Err(err) => {
-                ctx.record_fault_event(
-                    tn::TASK_RETRIES,
-                    stage,
-                    err.partition,
-                    err.attempts.len() as u64,
-                );
-                ctx.fail(err);
-                return Dataset { ctx: Arc::clone(ctx), parts: empty_parts(nparts) };
+    let mut order: Vec<K> = Vec::new();
+    let mut acc: std::collections::HashMap<K, V> = std::collections::HashMap::new();
+    for (k, v) in p {
+        match acc.get_mut(k) {
+            Some(cur) => *cur = f(cur, v),
+            None => {
+                order.push(k.clone());
+                acc.insert(k.clone(), v.clone());
             }
         }
     }
-    speculate(ctx, fc, stage, &mut runs, &map_body);
-
-    // Bucket corruption is injected driver-side, after the map side
-    // checksummed the correct bytes — the reduce-side verify must fire even
-    // if the flipped bit would still decode to something.
-    for (i, run) in runs.iter_mut().enumerate() {
-        if fc.plan.decide(stage, i as u32, 0, FaultSurface::ShuffleBucket)
-            != Some(FaultKind::CorruptBucket)
-        {
-            continue;
-        }
-        let m = &mut run.out;
-        let nonempty: Vec<usize> = (0..m.segs.len()).filter(|&j| m.segs[j].len > 0).collect();
-        if nonempty.is_empty() {
-            continue;
-        }
-        let salt = fc.plan.corruption_salt(stage, i as u32);
-        let seg = m.segs[nonempty[(salt % nonempty.len() as u64) as usize]];
-        if corrupt_bit(&mut m.data[seg.offset..seg.offset + seg.len], salt) {
-            run.injected += 1;
-        }
-    }
-    record_task_fault_events(ctx, stage, &runs);
-
-    let map_samples: Vec<TaskSample> = runs.iter().map(|r| r.sample).collect();
-    let ser_s: f64 = runs.iter().map(|r| r.out.ser_s).sum();
-    let map_out: Vec<MapTaskOut> = runs.into_iter().map(|r| r.out).collect();
-    let write_bytes: Vec<u64> = map_out.iter().map(|m| m.data.len() as u64).collect();
-    let read_bytes: Vec<u64> = (0..nparts)
-        .map(|t| map_out.iter().map(|m| m.segs[t].len as u64).sum())
-        .collect();
-    ctx.record_tasks(label, &map_samples, records, 0);
-    ctx.record_serde(ser_s);
-    ctx.close_stage_shuffle(label, write_bytes, read_bytes.clone());
-    let read_stage = ctx.current_stage();
-
-    // Reduce side: verify → decode → count-check every segment; any failure
-    // discards the segment's partial output and recomputes its records from
-    // the owning input partition (same routing closure, same order, so the
-    // recovered bytes are byte-identical to the lost ones).
-    let reduce_out: Vec<(Vec<T>, TaskSample, u64)> = par::map_range(nparts, |t| {
-        let start_ns = now_ns();
-        let t0 = TaskTimer::start();
-        let scope = alloc::scope(AllocTag::Serde);
-        let ht = alloc::window_begin();
-        let expected: usize = map_out.iter().map(|m| m.segs[t].records).sum();
-        let mut out: Vec<T> = Vec::with_capacity(expected);
-        let mut recomputes = 0u64;
-        for (mi, m) in map_out.iter().enumerate() {
-            let seg = m.segs[t];
-            if seg.len == 0 {
-                continue;
-            }
-            let base = out.len();
-            let bytes = &m.data[seg.offset..seg.offset + seg.len];
-            let ok = fnv64(bytes) == seg.checksum
-                && match deserialize_batch_into(kind, bytes, &mut out) {
-                    Ok(n) => n == seg.records,
-                    Err(_) => false,
-                };
-            if !ok {
-                out.truncate(base);
-                lineage.stream(mi, &mut |chunk| {
-                    out.extend(chunk.iter().filter(|item| route(item) == t).cloned());
-                });
-                recomputes += 1;
-            }
-        }
-        let w = alloc::window_end(ht);
-        drop(scope);
-        let cpu_s = t0.elapsed_s();
-        (
-            out,
-            TaskSample {
-                cpu_s,
-                start_ns,
-                end_ns: now_ns(),
-                tid: current_tid(),
-                heap_peak_bytes: w.peak_bytes,
-                heap_alloc_bytes: w.alloc_bytes,
-            },
-            recomputes,
-        )
-    });
-    for m in map_out {
-        scratch_put(m.data);
-    }
-    for (t, (_, _, rec)) in reduce_out.iter().enumerate() {
-        if *rec > 0 {
-            ctx.record_fault_event(tn::SHUFFLE_RECOMPUTED, read_stage, t as u32, *rec);
-        }
-    }
-    let de_samples: Vec<TaskSample> = reduce_out.iter().map(|(_, s, _)| *s).collect();
-    let de_s: f64 = de_samples.iter().map(|s| s.cpu_s).sum();
-    let out_records: u64 = reduce_out.iter().map(|(v, _, _)| v.len() as u64).sum();
-    let churn: u64 = read_bytes.iter().sum::<u64>()
-        + out_records * ctx.config().per_record_overhead_bytes;
-    ctx.record_tasks(&format!("{label}(read)"), &de_samples, out_records, churn);
-    ctx.record_serde(de_s);
-    Dataset {
-        ctx: Arc::clone(ctx),
-        parts: output_parts(ctx, reduce_out.into_iter().map(|(v, _, _)| v).collect()),
-    }
+    order
+        .into_iter()
+        .filter_map(|k| {
+            let v = acc.remove(&k)?;
+            Some((k, v))
+        })
+        .collect()
 }
 
 /// The pre-optimization shuffle, retained verbatim: clones every record

@@ -10,8 +10,9 @@
 //! exact same fault schedule on every run — a failing chaos test prints its
 //! seed and the whole schedule is reproducible from it.
 //!
-//! Recovery itself lives in [`crate::dataset`] (task retry, lineage
-//! recompute, checksummed spill) and [`crate::context`] (the failure slot
+//! Recovery itself lives in `task.rs` (retry, speculation), `shuffle.rs`
+//! and [`crate::dataset`] (checksummed segments and spills, lineage
+//! recompute) and [`crate::context`] (the failure slot
 //! [`crate::EngineContext::fail`] that [`gpf_core`]'s `Pipeline::run` maps
 //! to `PipelineError::TaskFailed`). This module only holds the plan, the
 //! configuration knobs, and the [`EngineError`] those layers exchange.
@@ -182,6 +183,30 @@ pub fn corrupt_bit(bytes: &mut [u8], salt: u64) -> bool {
     let idx = (h % bytes.len() as u64) as usize;
     bytes[idx] ^= 1 << ((h >> 32) % 8);
     true
+}
+
+/// Read-side injection ([`FaultSurface::SpillRead`]): the damaged
+/// *transient copy* a faulted read observes — truncated or with one bit
+/// flipped — or `None` when the plan leaves this read alone. The stored
+/// bytes stay pristine, so a caller's checksum verify detects the damage
+/// and a re-read (or lineage recompute) recovers byte-identically. Shared by
+/// the barrier read-back and the budget store's frame decoder.
+pub(crate) fn damaged_read(
+    plan: &FaultPlan,
+    stage: u32,
+    partition: u32,
+    attempt: u32,
+    stored: &[u8],
+) -> Option<Vec<u8>> {
+    let kind = plan.decide(stage, partition, attempt, FaultSurface::SpillRead)?;
+    let salt = plan.corruption_salt(stage, partition);
+    let mut copy = stored.to_vec();
+    if kind == FaultKind::TruncateSpill {
+        copy.truncate((salt % copy.len().max(1) as u64) as usize);
+    } else {
+        corrupt_bit(&mut copy, salt);
+    }
+    Some(copy)
 }
 
 /// Fault-tolerance configuration, carried by

@@ -11,7 +11,7 @@
 //!   collection with Spark-shaped operations: narrow (`map`, `flat_map`,
 //!   `filter`, `map_partitions`) and wide (`group_by_key`, `reduce_by_key`,
 //!   `join`, `partition_by`, `sort_by_key`). Narrow ops run data-parallel
-//!   over partitions on a rayon pool; wide ops run a real **shuffle** that
+//!   over partitions on [`gpf_support::par`]; wide ops run a real **shuffle** that
 //!   serializes every bucket with the configured
 //!   [`gpf_compress::SerializerKind`], so shuffle byte counts honestly
 //!   reflect Java-like vs Kryo-like vs GPF-compressed encodings (§4.2 of the
@@ -47,7 +47,9 @@ pub mod dataset;
 pub mod fault;
 pub mod fsmodel;
 pub mod metrics;
+mod shuffle;
 pub mod sim;
+mod task;
 pub mod timing;
 
 pub use broadcast::Broadcast;

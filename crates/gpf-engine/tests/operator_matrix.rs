@@ -59,7 +59,9 @@ struct Outcome {
 
 fn input() -> Vec<Rec> {
     (0u64..6000)
-        .map(|i| (i.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 40, i.wrapping_mul(0x2545_f491_4f6c_dd1d)))
+        .map(|i| {
+            (i.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 40, i.wrapping_mul(0x2545_f491_4f6c_dd1d))
+        })
         .collect()
 }
 
@@ -73,7 +75,8 @@ fn job(ctx: &Arc<EngineContext>, data: &[Rec], shared: bool, reference: bool) ->
     let m = d.map(|kv| (kv.0 % 61, kv.1.rotate_left(7))).filter(|kv| kv.1 % 11 != 0);
     let _keep = shared.then(|| m.clone());
     let route = |kv: &Rec| (kv.0 % 5) as usize;
-    let p = if reference { m.partition_by_reference(5, route) } else { m.into_partition_by(5, route) };
+    let p =
+        if reference { m.partition_by_reference(5, route) } else { m.into_partition_by(5, route) };
     // Whole-partition narrow op over a shuffle output (restores serially
     // under a budget).
     let w = p.map_partitions(|part| {
@@ -122,18 +125,25 @@ fn job(ctx: &Arc<EngineContext>, data: &[Rec], shared: bool, reference: bool) ->
     Outcome { checkpoints, collected, spilled_inputs }
 }
 
-/// What the simulator consumes of a run, minus measured times.
-fn shape(run: &JobRun) -> Vec<(String, StageKind, usize, Vec<u64>, Vec<u64>)> {
+/// What the simulator consumes of one stage, minus measured times.
+#[derive(Debug, PartialEq)]
+struct StageShape {
+    label: String,
+    kind: StageKind,
+    tasks: usize,
+    shuffle_write: Vec<u64>,
+    shuffle_read: Vec<u64>,
+}
+
+fn shape(run: &JobRun) -> Vec<StageShape> {
     run.stages
         .iter()
-        .map(|s| {
-            (
-                s.label.clone(),
-                s.kind,
-                s.task_cpu_s.len(),
-                s.shuffle_write_bytes.clone(),
-                s.shuffle_read_bytes.clone(),
-            )
+        .map(|s| StageShape {
+            label: s.label.clone(),
+            kind: s.kind,
+            tasks: s.task_cpu_s.len(),
+            shuffle_write: s.shuffle_write_bytes.clone(),
+            shuffle_read: s.shuffle_read_bytes.clone(),
         })
         .collect()
 }
@@ -157,7 +167,7 @@ fn every_operator_agrees_across_faults_budget_and_ownership() {
     let oracle_shape = shape(&oracle_ctx.take_run());
     assert!(oracle.collected.len() > 1000, "the job must carry real volume to the end");
     assert_eq!(
-        oracle_shape.iter().filter(|s| s.1 == StageKind::Shuffle).count(),
+        oracle_shape.iter().filter(|s| s.kind == StageKind::Shuffle).count(),
         7,
         "partitionBy, barrier, sortByKey, reduceByKey, join x2, adaptive: {oracle_shape:?}"
     );

@@ -158,49 +158,6 @@ where
     map_range(items.len(), |i| f(&items[i]))
 }
 
-/// Parallel map that **consumes** its input, passing each element to `f`
-/// by value — the move-path primitive for callers (like the engine's
-/// shuffle) that own their data and must not pay a clone per element.
-///
-/// Elements are moved into per-chunk cells up front (pointer moves only);
-/// workers then take ownership of whole chunks through the same
-/// work-stealing scheduler as [`map_range`]. Output order equals input
-/// order.
-pub fn map_vec<T, U, F>(mut items: Vec<T>, f: F) -> Vec<U>
-where
-    T: Send,
-    U: Send,
-    F: Fn(T) -> U + Sync,
-{
-    let n = items.len();
-    if max_threads() <= 1 || n <= 1 {
-        return items.into_iter().map(f).collect();
-    }
-    let chunk = default_chunk(n);
-    let nchunks = n.div_ceil(chunk);
-    // Split from the tail so each split_off is O(chunk), not O(n).
-    let mut chunks: Vec<Vec<T>> = Vec::with_capacity(nchunks);
-    for c in (0..nchunks).rev() {
-        chunks.push(items.split_off(c * chunk));
-    }
-    chunks.reverse();
-    let cells: Vec<crate::sync::Mutex<Option<Vec<T>>>> =
-        chunks.into_iter().map(|v| crate::sync::Mutex::new(Some(v))).collect();
-    let f = &f;
-    let out_chunks = map_range(nchunks, |c| {
-        let taken = cells[c].lock().take();
-        // gpf-lint: allow(no-panic): map_range hands each chunk index to
-        // exactly one closure invocation, so the cell is always still full.
-        let owned = taken.expect("chunk consumed twice");
-        owned.into_iter().map(f).collect::<Vec<U>>()
-    });
-    let mut out = Vec::with_capacity(n);
-    for v in out_chunks {
-        out.extend(v);
-    }
-    out
-}
-
 /// Parallel map over a slice with the element index.
 pub fn map_indexed<T, U, F>(items: &[T], f: F) -> Vec<U>
 where
@@ -269,20 +226,6 @@ mod tests {
         let items: Vec<u64> = (0..10_000).collect();
         let seq: Vec<u64> = items.iter().map(|x| x * 3 + 1).collect();
         assert_eq!(map(&items, |x| x * 3 + 1), seq);
-    }
-
-    #[test]
-    fn map_vec_moves_and_preserves_order() {
-        // Box<u64> is not Copy, so this only compiles if elements really
-        // move through by value.
-        let items: Vec<Box<u64>> = (0..10_000u64).map(Box::new).collect();
-        let out = map_vec(items, |b| *b * 2);
-        assert_eq!(out, (0..10_000u64).map(|i| i * 2).collect::<Vec<_>>());
-        for n in [0usize, 1, 2, 1003] {
-            let items: Vec<String> = (0..n).map(|i| i.to_string()).collect();
-            let expect = items.clone();
-            assert_eq!(map_vec(items, |s| s), expect, "n={n}");
-        }
     }
 
     #[test]
