@@ -4,7 +4,7 @@
 //! simulator.
 
 use crate::flavors::Flavor;
-use gpf_cleaner::bqsr::{apply_recalibration, known_sites_mask, RecalTable};
+use gpf_cleaner::bqsr::{apply_recalibration, build_recal_table, RecalTable};
 use gpf_cleaner::mark_duplicates;
 use gpf_cleaner::realign::{find_realign_intervals, realign_interval};
 use gpf_core::partition::PartitionInfo;
@@ -97,19 +97,13 @@ pub fn run_bqsr(flavor: Flavor, input: &KernelInput) -> JobRun {
     let known = Dataset::from_vec(Arc::clone(&ctx), input.known.clone(), input.nparts);
     let bundles = build_bundles(&ctx, &input.reference, &info, &ds, Some(&known));
     let reference = Arc::clone(&input.reference);
-    let tables = bundles.map(move |b| {
-        let mask = known_sites_mask(&b.vcfs);
-        let mut t = RecalTable::default();
-        for r in &b.sams {
-            t.observe(r, &reference, &mask);
-        }
-        t
-    });
+    let tables = bundles.map(move |b| build_recal_table(&b.sams, &reference, &b.vcfs));
     let collected = tables.collect();
     let mut merged = RecalTable::default();
     for t in &collected {
         merged.merge(t);
     }
+    merged.finish();
     let table = ctx.broadcast(merged);
     let recal = bundles.map(move |b| {
         let mut out = b.clone();

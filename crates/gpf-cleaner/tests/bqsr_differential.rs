@@ -4,9 +4,11 @@
 //! (read group, quality, cycle bucket, context) to the same `u8`, rewrite
 //! the same quality strings and serialize to the same bytes as the oracle.
 
+// Verbatim means verbatim: keep rustfmt off it too.
+#[rustfmt::skip]
 mod bqsr_oracle;
 
-use gpf_cleaner::bqsr::{apply_recalibration, known_sites_mask, RecalTable};
+use gpf_cleaner::bqsr::{apply_recalibration, build_recal_table, known_sites_mask, RecalTable};
 use gpf_compress::serializer::{deserialize_batch, serialize_batch, SerializerKind};
 use gpf_compress::GpfSerialize;
 use gpf_formats::cigar::CigarOp;
@@ -17,7 +19,8 @@ use gpf_formats::{Cigar, ReferenceGenome};
 use gpf_support::proptest::prelude::*;
 use gpf_support::rng::{Rng, SeedableRng, StdRng};
 
-const KINDS: [SerializerKind; 3] = [SerializerKind::JavaSim, SerializerKind::KryoSim, SerializerKind::Gpf];
+const KINDS: [SerializerKind; 3] =
+    [SerializerKind::JavaSim, SerializerKind::KryoSim, SerializerKind::Gpf];
 const READ_GROUPS: [u16; 5] = [0, 1, 2, 7, 300];
 /// Most bases report one of these, so rows pass the 20-observation floor.
 const COMMON_QUALS: [u8; 7] = [2, 10, 20, 30, 37, 40, 93];
@@ -45,11 +48,13 @@ fn random_cigar(rng: &mut StdRng, read_len: usize) -> Cigar {
         ops.push((lead as u32, CigarOp::SoftClip));
         left -= lead;
     }
-    let trail = if rng.gen_bool(0.3) { rng.gen_range(1..6usize).min(left.saturating_sub(1)) } else { 0 };
+    let trail =
+        if rng.gen_bool(0.3) { rng.gen_range(1..6usize).min(left.saturating_sub(1)) } else { 0 };
     left -= trail;
     while left > 0 {
         let n = rng.gen_range(1..=left.min(60));
-        let op = [CigarOp::Match, CigarOp::Match, CigarOp::Equal, CigarOp::Diff][rng.gen_range(0..4usize)];
+        let op = [CigarOp::Match, CigarOp::Match, CigarOp::Equal, CigarOp::Diff]
+            [rng.gen_range(0..4usize)];
         ops.push((n as u32, op));
         left -= n;
         if left > 1 && rng.gen_bool(0.4) {
@@ -186,24 +191,16 @@ fn world(seed: u64, n_records: usize) -> World {
 }
 
 fn observe_new(records: &[SamRecord], w: &World) -> RecalTable {
-    let mask = known_sites_mask(&w.known);
-    let mut t = RecalTable::default();
-    for r in records {
-        t.observe(r, &w.reference, &mask);
-    }
-    t
+    build_recal_table(records, &w.reference, &w.known)
 }
 
 fn observe_oracle(records: &[SamRecord], w: &World) -> bqsr_oracle::RecalTable {
-    let mask = bqsr_oracle::known_sites_mask(&w.known);
-    let mut t = bqsr_oracle::RecalTable::default();
-    for r in records {
-        t.observe(r, &w.reference, &mask);
-    }
-    t
+    bqsr_oracle::build_recal_table(records, &w.reference, &w.known)
 }
 
 type Counts<K> = Vec<(K, (u64, u64))>;
+/// The (read group, quality), cycle and context tables, each in key order.
+type TableCounts = (Counts<(u16, u8)>, Counts<(u16, u8, u8)>, Counts<(u16, u8, u8)>);
 
 fn sorted<K: Ord + Copy>(m: &std::collections::HashMap<K, (u64, u64)>) -> Counts<K> {
     let mut v: Counts<K> = m.iter().map(|(k, c)| (*k, *c)).collect();
@@ -211,14 +208,12 @@ fn sorted<K: Ord + Copy>(m: &std::collections::HashMap<K, (u64, u64)>) -> Counts
     v
 }
 
-/// The shipped table's non-empty counts, in key order.
-fn counts_new(t: &RecalTable) -> (Counts<(u16, u8)>, Counts<(u16, u8, u8)>, Counts<(u16, u8, u8)>) {
-    (sorted(&t.rg_q), sorted(&t.cycle), sorted(&t.context))
+/// The shipped table's non-empty counts; its accessors promise key order.
+fn counts_new(t: &RecalTable) -> TableCounts {
+    (t.rg_q_counts().collect(), t.cycle_counts().collect(), t.context_counts().collect())
 }
 
-fn counts_oracle(
-    t: &bqsr_oracle::RecalTable,
-) -> (Counts<(u16, u8)>, Counts<(u16, u8, u8)>, Counts<(u16, u8, u8)>) {
+fn counts_oracle(t: &bqsr_oracle::RecalTable) -> TableCounts {
     (sorted(&t.rg_q), sorted(&t.cycle), sorted(&t.context))
 }
 
@@ -283,8 +278,17 @@ fn random_records_match_the_oracle() {
             merged_oracle.merge(&o);
         }
         assert_same_table(&merged_new, &merged_oracle, &format!("seed {seed} merged"));
-        assert_same_table(&observe_new(&w.records, &w), &merged_oracle, &format!("seed {seed} whole"));
+        assert_same_table(
+            &observe_new(&w.records, &w),
+            &merged_oracle,
+            &format!("seed {seed} whole"),
+        );
         assert!(merged_new.observations() > 20_000, "seed {seed}: the generator aligned bases");
+        assert!(
+            bqsr_oracle::build_recal_table(&w.records, &w.reference, &[]).observations()
+                > merged_oracle.observations(),
+            "seed {seed}: the mask hid some"
+        );
         assert!(
             merged_oracle.cycle.keys().any(|k| k.2 == 255),
             "seed {seed}: a long read reached the bucket cap"
@@ -357,7 +361,8 @@ fn apply_after_more_counts_reflects_them() {
 /// reads over a fixed reference, Gpf serializer.
 #[test]
 fn golden_wire_bytes() {
-    let reference = ReferenceGenome::from_contigs(vec![("chr1", b"ACGTACGTTGCAACGTTTGACCAGT".to_vec())]);
+    let reference =
+        ReferenceGenome::from_contigs(vec![("chr1", b"ACGTACGTTGCAACGTTTGACCAGT".to_vec())]);
     let read = |pos: u64, seq: &[u8], q: u8, rg: u16, reverse: bool| {
         let mut flags = SamFlags::default();
         if reverse {
@@ -379,16 +384,19 @@ fn golden_wire_bytes() {
             edit_distance: 0,
         }
     };
-    let records =
-        [read(0, b"ACGTACCT", 30, 1, false), read(8, b"TGCAAC", 30, 1, true), read(16, b"TTGA", 12, 513, false)];
+    let records = [
+        read(0, b"ACGTACCT", 30, 1, false),
+        read(8, b"TGCAAC", 30, 1, true),
+        read(16, b"TTGA", 12, 513, false),
+    ];
     let mut table = RecalTable::default();
     let mask = known_sites_mask(&[]);
     for r in &records {
         table.observe(r, &reference, &mask);
     }
-    let golden: &[u8] = GOLDEN_GPF;
-    assert_eq!(wire(SerializerKind::Gpf, &table), golden);
-    let back: Vec<RecalTable> = deserialize_batch(SerializerKind::Gpf, golden).expect("golden bytes decode");
+    assert_eq!(wire(SerializerKind::Gpf, &table), GOLDEN_GPF);
+    let back: Vec<RecalTable> =
+        deserialize_batch(SerializerKind::Gpf, GOLDEN_GPF).expect("golden bytes decode");
     assert_eq!(back[0], table);
 }
 
@@ -428,6 +436,13 @@ proptest! {
         prop_assert_eq!(wire(SerializerKind::Gpf, &ab_c), wire(SerializerKind::Gpf, &a_bc));
         prop_assert_eq!(ab_c.observations(), a.observations() + b.observations() + c.observations());
 
+        // Merging invalidates nothing it should keep: a table that answered
+        // before the merge answers like one that never did.
+        let mut asked = a.clone();
+        asked.recalibrate(1, 30, 0, 0);
+        asked.merge(&b);
+        prop_assert_eq!(asked.recalibrate(1, 30, 3, 5), ab.recalibrate(1, 30, 3, 5));
+
         // The empty table is the identity, from either side.
         let mut e = RecalTable::default();
         e.merge(&a);
@@ -435,5 +450,28 @@ proptest! {
         let mut a_e = a.clone();
         a_e.merge(&RecalTable::default());
         prop_assert_eq!(&a_e, &a);
+    }
+
+    #[test]
+    fn mask_as_sorted_vector_is_mask_as_set(
+        sites in proptest::collection::vec((0u32..3, 0u64..60, 0usize..5), 0..40)
+    ) {
+        let known: Vec<VcfRecord> = sites
+            .iter()
+            .map(|&(contig, pos, allele_len)| VcfRecord {
+                contig,
+                pos,
+                ref_allele: vec![b'A'; allele_len],
+                alt_allele: b"T".to_vec(),
+                qual: 50.0,
+                genotype: Genotype::Het,
+                depth: 0,
+            })
+            .collect();
+        let mask = known_sites_mask(&known);
+        let mut set: Vec<(u32, u64)> = bqsr_oracle::known_sites_mask(&known).into_iter().collect();
+        set.sort_unstable();
+        prop_assert_eq!(mask.sites(), set.as_slice());
+        prop_assert!(mask.sites().windows(2).all(|w| w[0] < w[1]), "sorted, no repeats");
     }
 }

@@ -26,7 +26,7 @@ use crate::resource::{
 };
 use gpf_align::BwaMemAligner;
 use gpf_caller::CallerOptions;
-use gpf_cleaner::bqsr::{apply_recalibration, known_sites_mask, RecalTable};
+use gpf_cleaner::bqsr::{apply_recalibration, build_recal_table, RecalTable};
 use gpf_cleaner::realign::{find_realign_intervals, realign_interval};
 use gpf_cleaner::{coordinate_sort, mark_duplicates};
 use gpf_engine::{Dataset, EngineContext};
@@ -469,20 +469,15 @@ impl BundleStage for BaseRecalibrationProcess {
         ctx.set_phase("cleaner");
         let reference = self.io.reference.clone();
         // Gather: per-partition covariate tables.
-        let tables = bundles.map(move |b| {
-            let mask = known_sites_mask(&b.vcfs);
-            let mut t = RecalTable::default();
-            for r in &b.sams {
-                t.observe(r, &reference, &mask);
-            }
-            t
-        });
+        let tables = bundles.map(move |b| build_recal_table(&b.sams, &reference, &b.vcfs));
         // Collect to the driver (serial step) and merge.
         let collected = tables.collect();
         let mut merged = RecalTable::default();
         for t in &collected {
             merged.merge(t);
         }
+        // One lookup table per job, computed here rather than per bundle.
+        merged.finish();
         // Broadcast the mask table to every node (the "multiple gigabyte
         // mask table" of §5.2.2 — here it is proportionally sized).
         let table = ctx.broadcast(merged);

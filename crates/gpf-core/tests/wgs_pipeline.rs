@@ -126,19 +126,20 @@ fn run_pipeline(s: &Setup, optimize: bool) -> (Vec<VcfRecord>, JobRun, usize) {
     (calls, ctx.take_run(), fused)
 }
 
+/// Calls of `setup()`'s seed, and a floor just under their measured
+/// precision (59 of 62 within a base of a planted variant, 0.952).
+const PINNED_CALLS: usize = 62;
+const PRECISION_FLOOR: f64 = 0.95;
+
 #[test]
 fn full_pipeline_recovers_planted_variants() {
     let s = setup();
     let (calls, _run, _) = run_pipeline(&s, true);
     assert!(!calls.is_empty(), "pipeline produced calls");
-    let recalled = s
-        .donor
-        .truth
-        .iter()
-        .filter(|t| {
-            calls.iter().any(|c| c.contig == t.pos.contig && c.pos.abs_diff(t.pos.pos) <= 1)
-        })
-        .count();
+    let near = |c: &VcfRecord, t: &gpf_workloads::variants::PlantedVariant| {
+        c.contig == t.pos.contig && c.pos.abs_diff(t.pos.pos) <= 1
+    };
+    let recalled = s.donor.truth.iter().filter(|t| calls.iter().any(|c| near(c, t))).count();
     let recall = recalled as f64 / s.donor.truth.len() as f64;
     assert!(
         recall > 0.55,
@@ -146,6 +147,13 @@ fn full_pipeline_recovers_planted_variants() {
         s.donor.truth.len(),
         calls.len()
     );
+    // The call set is a function of the seed: anything upstream that shifts
+    // a recalibrated quality, an alignment or a duplicate mark shows here
+    // first. Re-pin the count only with the cause in hand.
+    let true_calls = calls.iter().filter(|c| s.donor.truth.iter().any(|t| near(c, t))).count();
+    let precision = true_calls as f64 / calls.len() as f64;
+    assert!(precision > PRECISION_FLOOR, "precision {precision:.3} ({true_calls}/{} calls)", calls.len());
+    assert_eq!(calls.len(), PINNED_CALLS, "call count moved (precision {precision:.3}, recall {recall:.3})");
     // Calls are coordinate-sorted.
     for w in calls.windows(2) {
         assert!((w[0].contig, w[0].pos) <= (w[1].contig, w[1].pos));

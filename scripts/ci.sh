@@ -7,7 +7,7 @@
 #
 # Usage:
 #   scripts/ci.sh          # build + test + clippy + bench smoke
-#   scripts/ci.sh quick    # build + test only
+#   scripts/ci.sh quick    # build + test only (workspace and benchmark/)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -28,6 +28,12 @@ fi
 
 echo "== test (workspace, offline) =="
 cargo test -q --offline --workspace
+
+echo "== repo benchmark (its own workspace: build + unit tests, offline) =="
+# benchmark/ compiles against the crates' public API from outside the
+# workspace, so nothing above notices when a signature change breaks it.
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
 if [[ "${1:-}" == "quick" ]]; then
     exit 0
