@@ -20,12 +20,12 @@
 
 use crate::fmindex::FmIndex;
 use crate::sw::{fit_align, Scoring};
-use gpf_formats::base::{rank4, reverse_complement};
+use crate::verify::{rank_votes, verify_at, vote, OrientedRead, Placement};
+use gpf_formats::base::reverse_complement;
 use gpf_formats::cigar::{Cigar, CigarOp};
 use gpf_formats::fastq::FastqPair;
 use gpf_formats::sam::{SamFlags, SamRecord};
 use gpf_formats::{GenomeInterval, ReferenceGenome};
-use std::collections::HashMap;
 
 /// Aligner tuning parameters.
 #[derive(Debug, Clone)]
@@ -66,15 +66,17 @@ impl Default for AlignerOptions {
     }
 }
 
-/// One verified candidate alignment.
-#[derive(Debug, Clone)]
-struct Candidate {
-    contig: u32,
-    pos: u64,
-    reverse: bool,
-    score: i32,
-    cigar: Cigar,
-    edit: u32,
+/// Buffers one `align_read`/`align_pair` call owns and reuses for every
+/// mate, strand and rescue attempt: nothing below allocates per read except
+/// what ends up in the output records.
+#[derive(Default)]
+struct Scratch {
+    /// The read in the orientation being worked on.
+    read: OrientedRead,
+    /// Seed hits per bucketed diagonal.
+    votes: Vec<(i64, u32)>,
+    /// Verified candidates of the current read, both strands.
+    cands: Vec<Placement>,
 }
 
 /// The aligner: FM-index plus options.
@@ -102,25 +104,24 @@ impl BwaMemAligner {
     /// Align a single read; returns the best alignment as a [`SamRecord`]
     /// (unmapped record when nothing acceptable is found).
     pub fn align_read(&self, name: &str, seq: &[u8], qual: &[u8]) -> SamRecord {
-        let cands = self.candidates(seq);
-        self.emit(name, seq, qual, &cands)
+        self.align_single(name, seq, qual, &mut Scratch::default())
     }
 
     /// Align a pair; returns `(mate1, mate2)` records with mate/pairing
     /// fields filled in.
     pub fn align_pair(&self, pair: &FastqPair) -> (SamRecord, SamRecord) {
-        let c1 = self.candidates(&pair.r1.seq);
-        let c2 = self.candidates(&pair.r2.seq);
-        let mut r1 = self.emit(&pair.r1.name, &pair.r1.seq, &pair.r1.qual, &c1);
-        let mut r2 = self.emit(&pair.r2.name, &pair.r2.seq, &pair.r2.qual, &c2);
+        let mut scratch = Scratch::default();
+        let (m1, m2) = (&pair.r1, &pair.r2);
+        let mut r1 = self.align_single(&m1.name, &m1.seq, &m1.qual, &mut scratch);
+        let mut r2 = self.align_single(&m2.name, &m2.seq, &m2.qual, &mut scratch);
 
         // Mate rescue: one mapped, one not -> banded search near the mate.
         if r1.flags.is_mapped() && !r2.flags.is_mapped() {
-            if let Some(res) = self.rescue(&r1, &pair.r2.seq) {
+            if let Some(res) = self.rescue(&r1, &pair.r2.seq, &mut scratch.read) {
                 self.apply_rescue(&mut r2, res, &pair.r2.seq, &pair.r2.qual);
             }
         } else if r2.flags.is_mapped() && !r1.flags.is_mapped() {
-            if let Some(res) = self.rescue(&r2, &pair.r1.seq) {
+            if let Some(res) = self.rescue(&r2, &pair.r1.seq, &mut scratch.read) {
                 self.apply_rescue(&mut r1, res, &pair.r1.seq, &pair.r1.qual);
             }
         }
@@ -168,135 +169,91 @@ impl BwaMemAligner {
         (r1, r2)
     }
 
-    /// Seed both orientations and verify the best diagonals.
-    fn candidates(&self, seq: &[u8]) -> Vec<Candidate> {
-        let mut out = Vec::new();
-        for (reverse, oriented) in
-            [(false, seq.to_vec()), (true, reverse_complement(seq))]
-        {
-            // Diagonal votes: (bucketed text diagonal) -> votes.
-            let mut votes: HashMap<i64, u32> = HashMap::new();
-            let sl = self.opts.seed_len;
-            if oriented.len() < sl {
-                continue;
-            }
-            let mut offsets: Vec<usize> =
-                (0..=oriented.len() - sl).step_by(self.opts.seed_stride).collect();
-            let tail = oriented.len() - sl;
-            if offsets.last() != Some(&tail) {
-                offsets.push(tail);
-            }
-            for off in offsets {
-                let pattern = &oriented[off..off + sl];
-                if pattern.iter().any(|&b| b == b'N') {
-                    continue;
-                }
+    /// Seed, verify and emit one read on its own.
+    fn align_single(
+        &self,
+        name: &str,
+        seq: &[u8],
+        qual: &[u8],
+        scratch: &mut Scratch,
+    ) -> SamRecord {
+        self.candidates(seq, scratch);
+        self.emit(name, seq, qual, &mut scratch.cands)
+    }
+
+    /// Seed both orientations and verify the best diagonals into
+    /// `scratch.cands`.
+    fn candidates(&self, seq: &[u8], scratch: &mut Scratch) {
+        let Scratch { read, votes, cands } = scratch;
+        cands.clear();
+        let sl = self.opts.seed_len;
+        // No seed length means no seeds; no stride means every offset.
+        if sl == 0 || seq.len() < sl {
+            return;
+        }
+        let stride = self.opts.seed_stride.max(1);
+        let tail = seq.len() - sl;
+        for reverse in [false, true] {
+            read.load(seq, reverse);
+            // Seeds every `stride` bases, plus one flush with the read's end.
+            votes.clear();
+            for off in (0..=tail).step_by(stride).chain((!tail.is_multiple_of(stride)).then_some(tail)) {
+                let pattern = &read.seq()[off..off + sl];
                 if let Some((lo, hi)) = self.index.backward_search(pattern) {
                     if hi - lo > self.opts.max_seed_hits {
                         continue; // repeat region
                     }
-                    for hit in self.index.locate(lo, hi, self.opts.max_seed_hits) {
-                        let diag = hit as i64 - off as i64;
-                        *votes.entry(diag - diag.rem_euclid(8)).or_insert(0) += 1;
+                    for &hit in self.index.locate(lo, hi, self.opts.max_seed_hits) {
+                        vote(votes, hit, off);
                     }
                 }
             }
             // Verify top diagonals.
-            let mut ranked: Vec<(i64, u32)> = votes.into_iter().collect();
-            ranked.sort_by_key(|&(d, v)| (std::cmp::Reverse(v), d));
-            for &(diag, _) in ranked.iter().take(self.opts.max_candidates) {
-                if let Some(c) = self.extend(&oriented, diag.max(0) as u64, reverse) {
-                    out.push(c);
-                }
+            rank_votes(votes);
+            for &(diag, _) in votes.iter().take(self.opts.max_candidates) {
+                cands.extend(self.extend(read, diag.max(0) as u64, reverse));
             }
         }
-        out
     }
 
     /// Banded extension of an oriented read at a candidate text diagonal.
-    fn extend(&self, oriented: &[u8], text_start: u64, reverse: bool) -> Option<Candidate> {
+    fn extend(&self, read: &mut OrientedRead, text_start: u64, reverse: bool) -> Option<Placement> {
         let (contig, pos) = self.index.resolve(text_start as u32, 1)?;
-        let clen = self.index.contig_len(contig);
-        let pad = self.opts.window_pad as u64;
-        let w_start = pos.saturating_sub(pad);
-        let w_end = (pos + oriented.len() as u64 + pad).min(clen);
-        if w_end <= w_start {
-            return None;
-        }
-        let window = self.index.contig_window(GenomeInterval::new(contig, w_start, w_end));
-        let read_ranks: Vec<u8> = oriented.iter().map(|&b| rank4(b)).collect();
-        let diag_offset = (pos - w_start) as usize;
-        let perfect = oriented.len() as i32 * self.opts.scoring.match_score;
-        let threshold = self.opts.min_score_frac * perfect as f64;
-        // Bit-parallel prefilter: skip the affine DP when no path can
-        // reach the acceptance threshold (output-preserving — see
-        // myers::prefilter_allows).
-        if !crate::myers::prefilter_allows(
-            &read_ranks,
-            window,
-            threshold.ceil() as i64,
+        let whole = GenomeInterval::new(contig, 0, self.index.contig_len(contig));
+        let (pos, aln) = verify_at(
+            read,
+            self.index.contig_window(whole),
+            pos as usize,
+            self.opts.window_pad,
+            self.opts.min_score_frac,
             &self.opts.scoring,
-        ) {
-            return None;
-        }
-        let aln = fit_align(&read_ranks, window, diag_offset, &self.opts.scoring)?;
-        if (aln.score as f64) < threshold {
-            return None;
-        }
-        Some(Candidate {
-            contig,
-            pos: w_start + aln.window_start as u64,
-            reverse,
-            score: aln.score,
-            cigar: aln.cigar,
-            edit: aln.edit_distance,
-        })
+        )?;
+        Some(Placement { contig, pos, reverse, aln })
     }
 
     /// Build the output record from verified candidates.
-    fn emit(&self, name: &str, seq: &[u8], qual: &[u8], cands: &[Candidate]) -> SamRecord {
-        let mut sorted: Vec<&Candidate> = cands.iter().collect();
-        sorted.sort_by_key(|c| (std::cmp::Reverse(c.score), c.contig, c.pos));
+    fn emit(&self, name: &str, seq: &[u8], qual: &[u8], cands: &mut Vec<Placement>) -> SamRecord {
+        cands.sort_by_key(|c| (std::cmp::Reverse(c.aln.score), c.contig, c.pos));
         // Deduplicate identical loci (same diagonal found twice).
-        sorted.dedup_by_key(|c| (c.contig, c.pos, c.reverse));
-        let Some(best) = sorted.first() else {
-            return SamRecord::unmapped(name, seq.to_vec(), qual.to_vec());
-        };
-        let second = sorted.get(1).map(|c| c.score);
-        let mapq = match second {
+        cands.dedup_by_key(|c| (c.contig, c.pos, c.reverse));
+        let mapq = match cands.get(1) {
             None => 60,
-            Some(s2) => (((best.score - s2) * 6).clamp(0, 60)) as u8,
+            Some(second) => (((cands[0].aln.score - second.aln.score) * 6).clamp(0, 60)) as u8,
         };
-        let (stored_seq, stored_qual) = if best.reverse {
-            let mut q = qual.to_vec();
-            q.reverse();
-            (reverse_complement(seq), q)
-        } else {
-            (seq.to_vec(), qual.to_vec())
-        };
-        let mut flags = SamFlags::default();
-        if best.reverse {
-            flags.set(SamFlags::REVERSE);
-        }
-        SamRecord {
-            name: name.to_string(),
-            flags,
-            contig: best.contig,
-            pos: best.pos,
-            mapq,
-            cigar: best.cigar.clone(),
-            mate_contig: gpf_formats::sam::NO_CONTIG,
-            mate_pos: 0,
-            tlen: 0,
-            seq: stored_seq,
-            qual: stored_qual,
-            read_group: 1,
-            edit_distance: best.edit as u16,
+        match cands.drain(..).next() {
+            Some(best) => best.into_record(name, seq, qual, mapq),
+            None => SamRecord::unmapped(name, seq.to_vec(), qual.to_vec()),
         }
     }
 
     /// Try to place an unmapped mate near its mapped partner.
-    fn rescue(&self, anchor: &SamRecord, mate_seq: &[u8]) -> Option<Candidate> {
+    fn rescue(
+        &self,
+        anchor: &SamRecord,
+        mate_seq: &[u8],
+        read: &mut OrientedRead,
+    ) -> Option<Placement> {
+        let sc = &self.opts.scoring;
         let clen = self.index.contig_len(anchor.contig);
         let span = (self.opts.insert_mean + 4.0 * self.opts.insert_sd) as u64;
         // The mate should be on the opposite strand, within the insert span.
@@ -308,42 +265,32 @@ impl BwaMemAligner {
         if w_end <= w_start + mate_seq.len() as u64 / 2 {
             return None;
         }
-        let oriented =
-            if mate_reverse { reverse_complement(mate_seq) } else { mate_seq.to_vec() };
+        read.load(mate_seq, mate_reverse);
         let window =
             self.index.contig_window(GenomeInterval::new(anchor.contig, w_start, w_end));
-        let read_ranks: Vec<u8> = oriented.iter().map(|&b| rank4(b)).collect();
-        let perfect = oriented.len() as i32 * self.opts.scoring.match_score;
-        let threshold = self.opts.min_score_frac * perfect as f64;
+        let threshold = read.threshold(self.opts.min_score_frac, sc);
         // One bit-parallel prefilter covers the whole diagonal scan: the
         // fitting distance is diagonal-independent, so if no path anywhere
         // in the window can reach the threshold, every banded attempt
         // below would be rejected too.
-        if !crate::myers::prefilter_allows(
-            &read_ranks,
-            window,
-            threshold.ceil() as i64,
-            &self.opts.scoring,
-        ) {
+        if !read.may_reach(window, threshold, sc) {
             return None;
         }
         // A wide band is unnecessary: scan the window by trying several
         // diagonal offsets.
-        let mut best: Option<Candidate> = None;
-        let step = (self.opts.scoring.band).max(8);
+        let mut best: Option<Placement> = None;
+        let step = sc.band.max(8);
         let mut diag = 0usize;
-        while diag + oriented.len() / 2 < window.len() {
-            if let Some(aln) = fit_align(&read_ranks, window, diag, &self.opts.scoring) {
+        while diag + mate_seq.len() / 2 < window.len() {
+            if let Some(aln) = fit_align(read.ranks(), window, diag, sc) {
                 if (aln.score as f64) >= threshold
-                    && best.as_ref().map_or(true, |b| aln.score > b.score)
+                    && best.as_ref().map_or(true, |b| aln.score > b.aln.score)
                 {
-                    best = Some(Candidate {
+                    best = Some(Placement {
                         contig: anchor.contig,
                         pos: w_start + aln.window_start as u64,
                         reverse: mate_reverse,
-                        score: aln.score,
-                        cigar: aln.cigar,
-                        edit: aln.edit_distance,
+                        aln,
                     });
                 }
             }
@@ -353,7 +300,7 @@ impl BwaMemAligner {
     }
 
     /// Overwrite an unmapped record with a rescued alignment.
-    fn apply_rescue(&self, rec: &mut SamRecord, res: Candidate, seq: &[u8], qual: &[u8]) {
+    fn apply_rescue(&self, rec: &mut SamRecord, res: Placement, seq: &[u8], qual: &[u8]) {
         rec.flags.clear(SamFlags::UNMAPPED);
         if res.reverse {
             rec.flags.set(SamFlags::REVERSE);
@@ -365,8 +312,8 @@ impl BwaMemAligner {
         rec.contig = res.contig;
         rec.pos = res.pos;
         rec.mapq = 20; // rescued placements get modest confidence
-        rec.cigar = res.cigar;
-        rec.edit_distance = res.edit as u16;
+        rec.cigar = res.aln.cigar;
+        rec.edit_distance = res.aln.edit_distance as u16;
     }
 }
 
@@ -520,6 +467,37 @@ mod tests {
             assert_eq!(b.contig, 0);
             assert!(b.pos.abs_diff(1780) < 40, "rescued at {}", b.pos);
         }
+    }
+
+    #[test]
+    fn zero_seed_stride_seeds_every_offset() {
+        // A zero stride used to panic inside `step_by(0)`.
+        let r = reference();
+        let opts = AlignerOptions { seed_stride: 0, ..Default::default() };
+        let aligner = BwaMemAligner::with_options(&r, opts);
+        let read = r.contig_seq(0)[500..600].to_vec();
+        let rec = aligner.align_read("r", &read, &quals(100));
+        assert!(rec.flags.is_mapped());
+        assert_eq!((rec.contig, rec.pos), (0, 500));
+    }
+
+    #[test]
+    fn zero_seed_len_means_no_seeds() {
+        // Used to run an empty-pattern search per base. No seeds, no votes:
+        // nothing maps, and a pair has no mapped mate to anchor a rescue on.
+        let r = reference();
+        let opts = AlignerOptions { seed_len: 0, ..Default::default() };
+        let aligner = BwaMemAligner::with_options(&r, opts);
+        let frag = &r.contig_seq(0)[800..1180];
+        let rec = aligner.align_read("r", &frag[..100], &quals(100));
+        assert!(!rec.flags.is_mapped());
+        let pair = FastqPair::new(
+            fastq_record_new("p/1", &frag[..100]),
+            fastq_record_new("p/2", &reverse_complement(&frag[280..380])),
+        )
+        .unwrap();
+        let (a, b) = aligner.align_pair(&pair);
+        assert!(!a.flags.is_mapped() && !b.flags.is_mapped());
     }
 
     #[test]

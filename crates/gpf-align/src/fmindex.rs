@@ -1,16 +1,28 @@
 //! BWT + FM-index over the concatenated reference genome.
 //!
 //! Alphabet: `$ < A < C < G < T` (any `N` in the reference collapses to `A`,
-//! as bwa does). Backward search runs over sampled occurrence counts; locate
-//! is O(1) because the full suffix array is retained (4 bytes/base — cheap
-//! at this reproduction's genome scale, and it keeps `locate` exact).
+//! as bwa does). The BWT is held two bits per row in 64-row rank blocks, so
+//! a backward-search step is a checkpoint load plus one masked popcount;
+//! locate is O(1) because the full suffix array is retained (4 bytes/base —
+//! cheap at this reproduction's genome scale, and it keeps `locate` exact).
 
 use crate::suffix::suffix_array;
 use gpf_formats::base::rank4;
 use gpf_formats::{GenomeInterval, ReferenceGenome};
 
-/// Occurrence-count checkpoint spacing.
-const OCC_SAMPLE: usize = 64;
+/// BWT rows per rank block.
+const BLOCK_ROWS: usize = 64;
+
+/// 64 BWT rows: how many of each rank precede the block, and the rows' two
+/// rank bits as two planes (bit `r` of each plane is row `r` of the block).
+/// 32 bytes, 32-aligned: two blocks per cache line, never one across two.
+#[derive(Clone, Copy, Default)]
+#[repr(C, align(32))]
+struct RankBlock {
+    before: [u32; 4],
+    low: u64,
+    high: u64,
+}
 
 /// FM-index over a genome.
 pub struct FmIndex {
@@ -20,16 +32,18 @@ pub struct FmIndex {
     /// Full suffix array (includes the sentinel suffix at index 0
     /// conceptually removed — entries address `text`).
     sa: Vec<u32>,
-    /// BWT characters, 0..=3, with `sentinel_pos` marking where `$` sits.
-    bwt: Vec<u8>,
+    /// The BWT, one block per [`BLOCK_ROWS`] rows plus one, so the block of
+    /// row `rows` (one past the end) always exists. The sentinel's row is
+    /// stored, and counted in `before`, as an `A`; [`FmIndex::occ`] takes it
+    /// back out.
+    blocks: Vec<RankBlock>,
+    /// Number of BWT rows: one per text suffix plus the sentinel suffix.
+    rows: usize,
     /// Row of the BWT holding the sentinel.
     sentinel_pos: usize,
     /// C[c]: number of text characters strictly smaller than `c` (sentinel
     /// included).
     c: [usize; 5],
-    /// Sampled cumulative occ counts: `occ_samples[block][c]` = occurrences
-    /// of `c` in `bwt[0 .. block*OCC_SAMPLE)`.
-    occ_samples: Vec<[u32; 4]>,
     /// Contig start offsets in the concatenated text.
     contig_offsets: Vec<u64>,
     /// Contig lengths.
@@ -52,49 +66,42 @@ impl FmIndex {
         let sa = suffix_array(&text);
 
         // BWT with conceptual sentinel: row 0 of the full BWT matrix is the
-        // sentinel suffix, whose BWT char is text[n-1]; for sa[i]=0 the BWT
-        // char is the sentinel. We store rows for suffixes 0..n and remember
-        // where the sentinel char lives.
-        let mut bwt = Vec::with_capacity(n + 1);
-        bwt.push(text[n - 1]); // row for the sentinel suffix "$"
+        // sentinel suffix, whose BWT char is text[n-1]; row r > 0 is suffix
+        // sa[r-1], and for sa[r-1]=0 the BWT char is the sentinel, stored as
+        // rank 0. `counts` ends as the per-rank totals (one `A` too many,
+        // the sentinel's).
+        let rows = n + 1;
+        let mut blocks = vec![RankBlock::default(); rows / BLOCK_ROWS + 1];
+        let mut counts = [0u32; 4];
         let mut sentinel_pos = 0usize;
-        for (row, &s) in sa.iter().enumerate() {
-            if s == 0 {
-                sentinel_pos = row + 1;
-                bwt.push(0); // placeholder; excluded from occ counts
-            } else {
-                bwt.push(text[s as usize - 1]);
+        for row in 0..rows {
+            let ch = match row.checked_sub(1).map(|r| sa[r] as usize) {
+                None => text[n - 1],
+                Some(0) => {
+                    sentinel_pos = row;
+                    0
+                }
+                Some(s) => text[s - 1],
+            };
+            let block = &mut blocks[row / BLOCK_ROWS];
+            block.low |= u64::from(ch & 1) << (row % BLOCK_ROWS);
+            block.high |= u64::from(ch >> 1) << (row % BLOCK_ROWS);
+            counts[ch as usize] += 1;
+            if (row + 1) % BLOCK_ROWS == 0 {
+                blocks[(row + 1) / BLOCK_ROWS].before = counts;
             }
         }
+        counts[0] -= 1;
 
         // C array: sentinel counts as the single smallest character.
-        let mut counts = [0usize; 4];
-        for &ch in &text {
-            counts[ch as usize] += 1;
-        }
+        // c[k] = first BWT row whose suffix starts with rank k.
         let mut c = [0usize; 5];
         c[0] = 1; // one sentinel before 'A'
         for i in 0..4 {
-            c[i + 1] = c[i] + counts[i];
+            c[i + 1] = c[i] + counts[i] as usize;
         }
-        // c[k] = #chars < rank k where rank space is A=0..T=3 shifted by
-        // sentinel: lookup uses c[rank] as "first row of rank" = c[rank].
 
-        // Occ checkpoints.
-        let blocks = bwt.len() / OCC_SAMPLE + 1;
-        let mut occ_samples = Vec::with_capacity(blocks);
-        let mut acc = [0u32; 4];
-        for (i, &ch) in bwt.iter().enumerate() {
-            if i % OCC_SAMPLE == 0 {
-                occ_samples.push(acc);
-            }
-            if i != sentinel_pos {
-                acc[ch as usize] += 1;
-            }
-        }
-        occ_samples.push(acc);
-
-        Self { text, sa, bwt, sentinel_pos, c, occ_samples, contig_offsets, contig_lengths }
+        Self { text, sa, blocks, rows, sentinel_pos, c, contig_offsets, contig_lengths }
     }
 
     /// Genome length (bases).
@@ -107,17 +114,21 @@ impl FmIndex {
         self.text.is_empty()
     }
 
-    /// occurrences of `ch` in `bwt[0..i)`.
+    /// occurrences of `ch` in `bwt[0..i)`, for `i` up to and including the
+    /// number of rows.
+    #[inline]
     fn occ(&self, ch: u8, i: usize) -> usize {
-        let block = i / OCC_SAMPLE;
-        let mut count = self.occ_samples[block][ch as usize] as usize;
-        for (j, &b) in self.bwt[block * OCC_SAMPLE..i].iter().enumerate() {
-            let pos = block * OCC_SAMPLE + j;
-            if b == ch && pos != self.sentinel_pos {
-                count += 1;
-            }
-        }
-        count
+        let block = &self.blocks[i / BLOCK_ROWS];
+        // Rows of this block below `i`, and among them those whose two bits
+        // spell `ch`: a plane is taken as is where `ch` has the bit set and
+        // inverted where it has not.
+        let below = (1u64 << (i % BLOCK_ROWS)) - 1;
+        let low = block.low ^ (u64::from(ch & 1) ^ 1).wrapping_neg();
+        let high = block.high ^ (u64::from(ch >> 1) ^ 1).wrapping_neg();
+        let count = block.before[ch as usize] as usize + (low & high & below).count_ones() as usize;
+        // The sentinel's row reads as an `A`, in the planes of its own block
+        // and in `before` of every later one.
+        count - usize::from(ch == 0 && i > self.sentinel_pos)
     }
 
     /// First BWT row whose suffix starts with `ch`.
@@ -132,7 +143,7 @@ impl FmIndex {
             return None;
         }
         let mut lo = 0usize;
-        let mut hi = self.bwt.len();
+        let mut hi = self.rows;
         for &b in pattern.iter().rev() {
             if !matches!(b, b'A' | b'C' | b'G' | b'T') {
                 return None;
@@ -154,22 +165,17 @@ impl FmIndex {
 
     /// Text positions of the SA interval (row space from
     /// [`FmIndex::backward_search`]), capped at `max` results.
-    pub fn locate(&self, lo: usize, hi: usize, max: usize) -> Vec<u32> {
-        let mut out = Vec::with_capacity((hi - lo).min(max));
-        for row in lo..hi.min(lo.saturating_add(max)) {
-            // Row 0 is the sentinel suffix; data rows are offset by one.
-            if row == 0 {
-                continue;
-            }
-            out.push(self.sa[row - 1]);
-        }
-        out
+    pub fn locate(&self, lo: usize, hi: usize, max: usize) -> &[u32] {
+        // Row 0 is the sentinel suffix; data rows are offset by one.
+        let first = lo.max(1);
+        let end = hi.min(lo.saturating_add(max)).max(first);
+        &self.sa[first - 1..end - 1]
     }
 
     /// Find up to `max` text positions where `pattern` occurs.
     pub fn find(&self, pattern: &[u8], max: usize) -> Vec<u32> {
         match self.backward_search(pattern) {
-            Some((lo, hi)) => self.locate(lo, hi, max),
+            Some((lo, hi)) => self.locate(lo, hi, max).to_vec(),
             None => Vec::new(),
         }
     }

@@ -13,6 +13,8 @@
 //!   (the scalar seed kernel survives as [`sw::reference::fit_align_ref`]);
 //! * [`myers`] — bit-parallel Myers edit distance, used as a sound
 //!   prefilter that lets candidate windows skip the affine DP entirely;
+//! * [`verify`] — candidate verification shared by the two aligners: an
+//!   exact-placement check, then the Myers prefilter, then the DP;
 //! * [`bwamem`] — the BWA-MEM-like aligner: exact-match seeding through the
 //!   FM-index, diagonal voting, banded extension, paired-end pairing with
 //!   mate rescue, MAPQ from score margins;
@@ -29,6 +31,7 @@ pub mod myers;
 pub mod snap;
 pub mod suffix;
 pub mod sw;
+pub mod verify;
 
 pub use bwamem::{AlignerOptions, BwaMemAligner};
 pub use fmindex::FmIndex;

@@ -17,11 +17,12 @@
 //! [`min_edit_cost`] score relative to a perfect column, so no path scores
 //! above `m·match − d·min_edit_cost`.
 
-/// Edit-distance state for one read/window pair, reusable across windows.
+/// Edit-distance state for one read/window pair, reusable across windows
+/// and, through [`MyersPattern::rebuild`], across reads.
 ///
 /// Holds the per-symbol pattern masks (`peq`) and the per-block vertical
-/// delta vectors. Rebuilt cheaply per read via [`MyersPattern::build`];
-/// scanning a window is allocation-free.
+/// delta vectors. Scanning a window is allocation-free, and so is
+/// re-indexing for a read no longer than one seen before.
 pub struct MyersPattern {
     /// Read length.
     m: usize,
@@ -40,26 +41,50 @@ pub struct MyersPattern {
     mv: Vec<u64>,
 }
 
+impl Default for MyersPattern {
+    /// The pattern of the empty read.
+    fn default() -> Self {
+        Self {
+            m: 0,
+            blocks: 1,
+            sym_index: [255u8; 256],
+            peq: Vec::new(),
+            nsyms: 0,
+            pv: vec![0],
+            mv: vec![0],
+        }
+    }
+}
+
 impl MyersPattern {
     /// Index the read's symbols into bit masks. Any byte values are
     /// accepted — equality is plain byte equality, exactly as
     /// [`crate::sw::fit_align`] compares rank arrays.
     pub fn build(read: &[u8]) -> Self {
-        let m = read.len();
-        let blocks = m.div_ceil(64).max(1);
-        let mut sym_index = [255u8; 256];
-        let mut peq: Vec<u64> = Vec::new();
-        let mut nsyms = 0usize;
+        let mut pattern = Self::default();
+        pattern.rebuild(read);
+        pattern
+    }
+
+    /// Re-index for another read, keeping the buffers.
+    pub fn rebuild(&mut self, read: &[u8]) {
+        let blocks = read.len().div_ceil(64).max(1);
+        self.m = read.len();
+        self.blocks = blocks;
+        self.sym_index.fill(255);
+        self.peq.clear();
+        self.nsyms = 0;
         for (i, &b) in read.iter().enumerate() {
-            if sym_index[b as usize] == 255 {
-                sym_index[b as usize] = nsyms as u8;
-                peq.extend(std::iter::repeat_n(0u64, blocks));
-                nsyms += 1;
+            if self.sym_index[b as usize] == 255 {
+                self.sym_index[b as usize] = self.nsyms as u8;
+                self.peq.extend(std::iter::repeat_n(0u64, blocks));
+                self.nsyms += 1;
             }
-            let s = sym_index[b as usize] as usize;
-            peq[s * blocks + (i / 64)] |= 1u64 << (i % 64);
+            let s = self.sym_index[b as usize] as usize;
+            self.peq[s * blocks + (i / 64)] |= 1u64 << (i % 64);
         }
-        Self { m, blocks, sym_index, peq, nsyms, pv: vec![0; blocks], mv: vec![0; blocks] }
+        self.pv.resize(blocks, 0);
+        self.mv.resize(blocks, 0);
     }
 
     /// Fitting edit distance of the read against `window`, abandoning early
@@ -133,6 +158,41 @@ impl MyersPattern {
         }
         if best <= k { Some(best) } else { None }
     }
+
+    /// Sound DP-skip test for score-thresholded candidate loops: `true` when
+    /// an alignment of the read against `window` might still reach
+    /// `min_score` under `sc` (run the DP), `false` when no path possibly
+    /// can (skip it).
+    ///
+    /// Skipping is *output-preserving*: every skipped window is one the
+    /// caller would have rejected after running [`crate::sw::fit_align`],
+    /// because the best achievable score `m·match − d·min_edit_cost` already
+    /// falls short of `min_score`. Callers that accept on
+    /// `score >= threshold` must pass `threshold.ceil()` when the threshold
+    /// is fractional.
+    ///
+    /// Counts each decision on the `align.prefilter.{hit,skip}` counter pair
+    /// when tracing is enabled.
+    pub fn allows(&mut self, window: &[u8], min_score: i64, sc: &crate::sw::Scoring) -> bool {
+        let pass = match max_edits_for_score(self.m, min_score, sc) {
+            // Degenerate scoring: edits can be free, no finite cutoff — the
+            // DP must decide.
+            None => true,
+            // Empty read: fitting distance is undefined; let the DP return
+            // its own None.
+            Some(_) if self.m == 0 => true,
+            Some(k) => self.distance_within(window, k).is_some(),
+        };
+        if gpf_trace::enabled() {
+            let name = if pass {
+                gpf_trace::names::ALIGN_PREFILTER_HIT
+            } else {
+                gpf_trace::names::ALIGN_PREFILTER_SKIP
+            };
+            gpf_trace::counter(name).add(1);
+        }
+        pass
+    }
 }
 
 /// One-shot fitting distance with a cutoff; see
@@ -170,42 +230,14 @@ pub fn max_edits_for_score(m: usize, min_score: i64, sc: &crate::sw::Scoring) ->
     Some(((perfect - min_score) / cost).min(u32::MAX as i64) as u32)
 }
 
-/// Sound DP-skip test for score-thresholded candidate loops: `true` when
-/// an alignment of `read` against `window` might still reach `min_score`
-/// under `sc` (run the DP), `false` when no path possibly can (skip it).
-///
-/// Skipping is *output-preserving*: every skipped window is one the caller
-/// would have rejected after running [`crate::sw::fit_align`], because the
-/// best achievable score `m·match − d·min_edit_cost` already falls short of
-/// `min_score`. Callers that accept on `score >= threshold` must pass
-/// `threshold.ceil()` when the threshold is fractional.
-///
-/// Counts each decision on the `align.prefilter.{hit,skip}` counter pair
-/// when tracing is enabled.
+/// One-shot [`MyersPattern::allows`].
 pub fn prefilter_allows(
     read: &[u8],
     window: &[u8],
     min_score: i64,
     sc: &crate::sw::Scoring,
 ) -> bool {
-    let pass = match max_edits_for_score(read.len(), min_score, sc) {
-        // Degenerate scoring: edits can be free, no finite cutoff — the
-        // DP must decide.
-        None => true,
-        // Empty read: fitting distance is undefined; let the DP return
-        // its own None.
-        Some(_) if read.is_empty() => true,
-        Some(k) => fitting_distance(read, window, k).is_some(),
-    };
-    if gpf_trace::enabled() {
-        let name = if pass {
-            gpf_trace::names::ALIGN_PREFILTER_HIT
-        } else {
-            gpf_trace::names::ALIGN_PREFILTER_SKIP
-        };
-        gpf_trace::counter(name).add(1);
-    }
-    pass
+    MyersPattern::build(read).allows(window, min_score, sc)
 }
 
 #[cfg(test)]

@@ -6,9 +6,10 @@
 //! directly. Persona uses it single-end; the paper's Figure 11(d) compares
 //! its throughput against GPF's paired-end BWA.
 
-use crate::sw::{fit_align, Scoring};
-use gpf_formats::base::{rank4, reverse_complement};
-use gpf_formats::sam::{SamFlags, SamRecord};
+use crate::sw::Scoring;
+use crate::verify::{rank_votes, verify_at, vote, OrientedRead, Placement};
+use gpf_formats::base::rank4;
+use gpf_formats::sam::SamRecord;
 use gpf_formats::ReferenceGenome;
 use std::collections::HashMap;
 
@@ -48,6 +49,7 @@ impl Default for SnapOptions {
 /// The hash-based aligner.
 pub struct SnapAligner {
     table: HashMap<u64, Vec<u32>>,
+    /// The concatenated genome as 0..=3 ranks (what verification compares).
     text: Vec<u8>,
     contig_offsets: Vec<u64>,
     contig_lengths: Vec<u64>,
@@ -75,7 +77,7 @@ impl SnapAligner {
 
     /// Build with explicit options.
     pub fn with_options(reference: &ReferenceGenome, opts: SnapOptions) -> Self {
-        let (text, contig_offsets) = reference.concatenated();
+        let (mut text, contig_offsets) = reference.concatenated();
         let contig_lengths = reference.dict().lengths();
         let mut table: HashMap<u64, Vec<u32>> = HashMap::new();
         let k = opts.seed_len;
@@ -89,6 +91,9 @@ impl SnapAligner {
             }
             pos += opts.index_stride;
         }
+        for b in &mut text {
+            *b = rank4(*b);
+        }
         Self { table, text, contig_offsets, contig_lengths, opts }
     }
 
@@ -101,136 +106,79 @@ impl SnapAligner {
     /// Align a single-end read.
     pub fn align_read(&self, name: &str, seq: &[u8], qual: &[u8]) -> SamRecord {
         let k = self.opts.seed_len;
-        let mut best: Option<(i32, u32, bool, gpf_formats::Cigar, u32, u64)> = None;
+        let mut read = OrientedRead::default();
+        let mut votes: Vec<(i64, u32)> = Vec::new();
+        let mut best: Option<Placement> = None;
         let mut second_score = i32::MIN;
-        for (reverse, oriented) in [(false, seq.to_vec()), (true, reverse_complement(seq))] {
-            if oriented.len() < k {
+        for reverse in [false, true] {
+            if seq.len() < k {
                 continue;
             }
+            read.load(seq, reverse);
             // Vote on diagonals from a few seeds.
-            let mut votes: HashMap<i64, u32> = HashMap::new();
-            let stride = ((oriented.len() - k) / self.opts.seeds_per_read.max(1)).max(1);
-            let mut off = 0usize;
-            while off + k <= oriented.len() {
-                if let Some(key) = pack_kmer(&oriented[off..off + k]) {
-                    if let Some(bucket) = self.table.get(&key) {
-                        if bucket.len() <= self.opts.max_bucket {
-                            for &hit in bucket {
-                                let diag = hit as i64 - off as i64;
-                                *votes.entry(diag - diag.rem_euclid(8)).or_insert(0) += 1;
-                            }
-                        }
+            votes.clear();
+            let stride = ((seq.len() - k) / self.opts.seeds_per_read.max(1)).max(1);
+            for off in (0..=seq.len() - k).step_by(stride) {
+                let key = pack_kmer(&read.seq()[off..off + k]);
+                let Some(bucket) = key.and_then(|key| self.table.get(&key)) else {
+                    continue;
+                };
+                if bucket.len() <= self.opts.max_bucket {
+                    for &hit in bucket {
+                        vote(&mut votes, hit, off);
                     }
                 }
-                off += stride;
             }
-            let mut ranked: Vec<(i64, u32)> = votes.into_iter().collect();
-            ranked.sort_by_key(|&(d, v)| (std::cmp::Reverse(v), d));
-            for &(diag, _) in ranked.iter().take(self.opts.max_candidates) {
-                if let Some((score, contig, pos, cigar, edit)) =
-                    self.verify(&oriented, diag.max(0) as u64)
-                {
-                    match &best {
-                        Some((bs, ..)) if score <= *bs => {
-                            second_score = second_score.max(score);
+            rank_votes(&mut votes);
+            for &(diag, _) in votes.iter().take(self.opts.max_candidates) {
+                let Some(cand) = self.verify(&mut read, diag.max(0) as u64, reverse) else {
+                    continue;
+                };
+                match &best {
+                    Some(b) if cand.aln.score <= b.aln.score => {
+                        second_score = second_score.max(cand.aln.score);
+                    }
+                    _ => {
+                        if let Some(b) = &best {
+                            second_score = second_score.max(b.aln.score);
                         }
-                        _ => {
-                            if let Some((bs, ..)) = &best {
-                                second_score = second_score.max(*bs);
-                            }
-                            best = Some((score, contig, reverse, cigar, edit, pos));
-                        }
+                        best = Some(cand);
                     }
                 }
             }
         }
-        let Some((score, contig, reverse, cigar, edit, pos)) = best else {
+        let Some(best) = best else {
             return SamRecord::unmapped(name, seq.to_vec(), qual.to_vec());
         };
         let mapq = if second_score == i32::MIN {
             60
         } else {
-            (((score - second_score) * 6).clamp(0, 60)) as u8
+            (((best.aln.score - second_score) * 6).clamp(0, 60)) as u8
         };
-        let (stored_seq, stored_qual) = if reverse {
-            let mut q = qual.to_vec();
-            q.reverse();
-            (reverse_complement(seq), q)
-        } else {
-            (seq.to_vec(), qual.to_vec())
-        };
-        let mut flags = SamFlags::default();
-        if reverse {
-            flags.set(SamFlags::REVERSE);
-        }
-        SamRecord {
-            name: name.to_string(),
-            flags,
-            contig,
-            pos,
-            mapq,
-            cigar,
-            mate_contig: gpf_formats::sam::NO_CONTIG,
-            mate_pos: 0,
-            tlen: 0,
-            seq: stored_seq,
-            qual: stored_qual,
-            read_group: 1,
-            edit_distance: edit as u16,
-        }
+        best.into_record(name, seq, qual, mapq)
     }
 
-    fn verify(
-        &self,
-        oriented: &[u8],
-        text_start: u64,
-    ) -> Option<(i32, u32, u64, gpf_formats::Cigar, u32)> {
+    fn verify(&self, read: &mut OrientedRead, text_start: u64, reverse: bool) -> Option<Placement> {
         // Resolve contig.
         let idx = self.contig_offsets.partition_point(|&o| o <= text_start) - 1;
-        let pos = text_start - self.contig_offsets[idx];
-        let clen = self.contig_lengths[idx];
-        let pad = 16u64;
-        let w_start = pos.saturating_sub(pad);
-        let w_end = (pos + oriented.len() as u64 + pad).min(clen);
-        if w_end <= w_start {
-            return None;
-        }
-        let base = self.contig_offsets[idx];
-        let window: Vec<u8> = self.text[(base + w_start) as usize..(base + w_end) as usize]
-            .iter()
-            .map(|&b| rank4(b))
-            .collect();
-        let ranks: Vec<u8> = oriented.iter().map(|&b| rank4(b)).collect();
-        let perfect = oriented.len() as i32 * self.opts.scoring.match_score;
-        let threshold = self.opts.min_score_frac * perfect as f64;
-        // Bit-parallel prefilter: skip the affine DP when no path can
-        // reach the acceptance threshold (output-preserving — see
-        // myers::prefilter_allows).
-        if !crate::myers::prefilter_allows(
-            &ranks,
-            &window,
-            threshold.ceil() as i64,
+        let base = self.contig_offsets[idx] as usize;
+        let contig_ranks = &self.text[base..base + self.contig_lengths[idx] as usize];
+        let (pos, aln) = verify_at(
+            read,
+            contig_ranks,
+            text_start as usize - base,
+            16,
+            self.opts.min_score_frac,
             &self.opts.scoring,
-        ) {
-            return None;
-        }
-        let aln = fit_align(&ranks, &window, (pos - w_start) as usize, &self.opts.scoring)?;
-        if (aln.score as f64) < threshold {
-            return None;
-        }
-        Some((
-            aln.score,
-            idx as u32,
-            w_start + aln.window_start as u64,
-            aln.cigar,
-            aln.edit_distance,
-        ))
+        )?;
+        Some(Placement { contig: idx as u32, pos, reverse, aln })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gpf_formats::base::reverse_complement;
     use gpf_formats::quality::phred_to_char;
 
     fn reference() -> ReferenceGenome {

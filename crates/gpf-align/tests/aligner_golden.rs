@@ -23,7 +23,9 @@ use gpf_workloads::refgen::ReferenceSpec;
 use gpf_workloads::variants::{DonorGenome, VariantSpec};
 
 fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| (h ^ b as u64).wrapping_mul(0x100_0000_01b3))
+    bytes
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325u64, |h, &b| (h ^ b as u64).wrapping_mul(0x100_0000_01b3))
 }
 
 fn world() -> (ReferenceGenome, Vec<FastqPair>) {

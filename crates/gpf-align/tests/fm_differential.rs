@@ -68,15 +68,19 @@ fn build(raw: &[u8]) -> (FmIndex, OracleFmIndex) {
 
 /// One pattern, every public answer.
 fn check(fm: &FmIndex, oracle: &OracleFmIndex, pattern: &[u8]) {
-    let shown = String::from_utf8_lossy(pattern).into_owned();
+    let head = String::from_utf8_lossy(&pattern[..pattern.len().min(40)]);
+    let shown = format!("{head} ({} bases)", pattern.len());
     let interval = oracle.backward_search(pattern);
     assert_eq!(fm.backward_search(pattern), interval, "interval of {shown:?}");
     assert_eq!(fm.count(pattern), oracle.count(pattern), "count of {shown:?}");
     for max in [0usize, 1, 3, 16, usize::MAX] {
         assert_eq!(fm.find(pattern, max), oracle.find(pattern, max), "find({shown:?}, {max})");
         if let Some((lo, hi)) = interval {
-            let got: Vec<u32> = fm.locate(lo, hi, max).iter().copied().collect();
-            assert_eq!(got, oracle.locate(lo, hi, max), "locate({lo}, {hi}, {max})");
+            assert_eq!(
+                fm.locate(lo, hi, max),
+                oracle.locate(lo, hi, max),
+                "locate({lo}, {hi}, {max})"
+            );
         }
     }
 }
@@ -159,8 +163,11 @@ fn sentinel_row_in_first_middle_and_last_block() {
     // The sentinel sits in the row of the whole text's own suffix, so the
     // text's first bases decide the block: a run of `A` longer than any in
     // the body sorts first, a run of `T` last, and `G…` lands in between.
-    let cases: [(&[u8], &str); 3] =
-        [(b"AAAAAAAAAAAAAAAAAAAAC", "first"), (b"GA", "middle"), (b"TTTTTTTTTTTTTTTTTTTTG", "last")];
+    let cases: [(&[u8], &str); 3] = [
+        (b"AAAAAAAAAAAAAAAAAAAAC", "first"),
+        (b"GA", "middle"),
+        (b"TTTTTTTTTTTTTTTTTTTTG", "last"),
+    ];
     for (prefix, which) in cases {
         let raw = [prefix, body.as_slice()].concat();
         let (fm, oracle) = build(&raw);
@@ -236,7 +243,11 @@ fn multi_contig_hits_resolve_alike() {
             let pattern = &raw[start..start + plen];
             check(&fm, &oracle, pattern);
             for hit in fm.find(pattern, usize::MAX) {
-                assert_eq!(fm.resolve(hit, plen), oracle.resolve(hit, plen), "hit {hit} len {plen}");
+                assert_eq!(
+                    fm.resolve(hit, plen),
+                    oracle.resolve(hit, plen),
+                    "hit {hit} len {plen}"
+                );
             }
         }
     }

@@ -7,7 +7,8 @@
 #
 # Usage:
 #   scripts/ci.sh          # build + test + clippy + bench smoke
-#   scripts/ci.sh quick    # build + test only (workspace and benchmark/)
+#   scripts/ci.sh quick    # build + test only (workspace and benchmark/),
+#                          # plus one short benchmark run for its checks
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -34,6 +35,17 @@ echo "== repo benchmark (its own workspace: build + unit tests, offline) =="
 # workspace, so nothing above notices when a signature change breaks it.
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
+
+echo "== repo benchmark (one short wgs-full child: digests, floors, budgets) =="
+# Every output digest and accuracy floor of the FASTQ-to-VCF run, checked
+# here rather than at measurement time: an aligner, cleaner or caller change
+# that moves a record fails CI. The timings of a 3-second run mean nothing.
+bench_line="$(benchmark/run.sh --workload wgs-full --seed 2018 --seconds 3 --trace 0 | tail -n 1)"
+if [[ "$bench_line" != *'"correct": true'* || "$bench_line" != *'"failed": 0,'* ]]; then
+    echo "benchmark wgs-full did not come back correct with no failures:" >&2
+    echo "${bench_line:0:400}" >&2
+    exit 1
+fi
 
 if [[ "${1:-}" == "quick" ]]; then
     exit 0
