@@ -33,6 +33,7 @@
 //! `--trace-overhead`.
 
 use crate::workload::SkewedWorkload;
+use gpf_caller::pairhmm::HmmJob;
 use gpf_compress::qualcodec::QualityCodec;
 use gpf_compress::reference::{compress_read_fields_ref, decompress_read_fields_ref};
 use gpf_compress::sequence::{
@@ -433,44 +434,75 @@ fn sw_cells(read_len: usize, window_len: usize, diag: usize, band: usize) -> u64
         .sum()
 }
 
-/// One pair-HMM "active region": a read with qualities plus the haplotype
-/// set the genotyper would evaluate it against (reference haplotype and a
-/// few single-base variants of it).
+/// One pair-HMM active region in the shape the pipeline's traffic was
+/// measured to have (seed 2018's first genome: 99 regions, 1,966 reads, 224
+/// haplotypes): two or three haplotypes that differ by a base or two near
+/// the middle, and some twenty 100-base reads placed along them.
 struct HmmRegion {
-    read: Vec<u8>,
-    qual: Vec<u8>,
     haps: Vec<Vec<u8>>,
+    /// Read bases, qualities, and the read's offset on the haplotypes.
+    reads: Vec<(Vec<u8>, Vec<u8>, usize)>,
 }
 
-fn gen_hmm_regions(n: usize, read_len: usize, hap_len: usize, nhaps: usize, seed: u64) -> Vec<HmmRegion> {
+/// Bases of haplotype either side of a read's placement that the genotyper
+/// evaluates it against: 100-base reads see 164-base windows.
+const HMM_WINDOW_PAD: usize = 32;
+
+impl HmmRegion {
+    /// The region's job list as the genotyper builds it: per read one job
+    /// per *distinct* haplotype window (a read that misses the variants
+    /// sees the same bytes in every haplotype and is evaluated once).
+    fn jobs(&self) -> Vec<HmmJob<'_>> {
+        let mut jobs: Vec<HmmJob<'_>> = Vec::new();
+        for (read, qual, off) in &self.reads {
+            let first = jobs.len();
+            for h in &self.haps {
+                let hap = &h[off - HMM_WINDOW_PAD..off + read.len() + HMM_WINDOW_PAD];
+                if !jobs[first..].iter().any(|j| j.hap == hap) {
+                    jobs.push(HmmJob { read, qual, hap });
+                }
+            }
+        }
+        jobs
+    }
+}
+
+fn gen_hmm_regions(n: usize, read_len: usize, seed: u64) -> Vec<HmmRegion> {
     let mut rng = SplitMix64::new(seed);
+    let hap_len = 3 * read_len + 2 * HMM_WINDOW_PAD;
     (0..n)
         .map(|_| {
             let base: Vec<u8> =
                 (0..hap_len).map(|_| b"ACGT"[(rng.next_u64() % 4) as usize]).collect();
-            let off = (rng.next_u64() as usize) % (hap_len - read_len);
-            let mut read = base[off..off + read_len].to_vec();
-            let mut qual = Vec::with_capacity(read_len);
-            let mut q = 60i64;
-            for b in read.iter_mut() {
-                let r = rng.next_u64();
-                if r % 100 == 0 {
-                    *b = b"ACGT"[(r >> 8) as usize % 4];
-                }
-                q = (q + (r >> 16) as i64 % 5 - 2).clamp(33, 73);
-                qual.push(q as u8);
-            }
-            let haps = (0..nhaps)
+            let haps: Vec<Vec<u8>> = (0..2 + (rng.next_u64() % 2) as usize)
                 .map(|k| {
                     let mut h = base.clone();
                     for _ in 0..k {
-                        let at = (rng.next_u64() as usize) % hap_len;
+                        let at = hap_len / 2 - 20 + (rng.next_u64() as usize) % 40;
                         h[at] = b"ACGT"[(rng.next_u64() % 4) as usize];
                     }
                     h
                 })
                 .collect();
-            HmmRegion { read, qual, haps }
+            let reads = (0..18 + (rng.next_u64() % 5) as usize)
+                .map(|_| {
+                    let off = HMM_WINDOW_PAD + (rng.next_u64() as usize) % (2 * read_len);
+                    let from = &haps[(rng.next_u64() as usize) % haps.len()];
+                    let mut read = from[off..off + read_len].to_vec();
+                    let mut qual = Vec::with_capacity(read_len);
+                    let mut q = 60i64;
+                    for b in read.iter_mut() {
+                        let r = rng.next_u64();
+                        if r % 100 == 0 {
+                            *b = b"ACGT"[(r >> 8) as usize % 4];
+                        }
+                        q = (q + (r >> 16) as i64 % 5 - 2).clamp(33, 73);
+                        qual.push(q as u8);
+                    }
+                    (read, qual, off)
+                })
+                .collect();
+            HmmRegion { haps, reads }
         })
         .collect()
 }
@@ -489,7 +521,7 @@ pub fn kernel_bench(smoke: bool) -> GateReport {
     use gpf_align::sw::{self, reference::fit_align_ref, Scoring};
     use gpf_caller::pairhmm::{log10_likelihood, HmmParams, PairHmmBatch};
 
-    let (sw_n, hmm_n, rounds) = if smoke { (200, 48, 9) } else { (800, 192, 15) };
+    let (sw_n, hmm_n, rounds) = if smoke { (200, 8, 9) } else { (800, 30, 15) };
     let (read_len, flank) = (150usize, 75usize);
     let sc = Scoring::default();
     let cases = gen_sw_cases(sw_n, read_len, flank, 0x5aa5_2018);
@@ -498,11 +530,16 @@ pub fn kernel_bench(smoke: bool) -> GateReport {
         .map(|c| sw_cells(c.read.len(), c.window.len(), c.diag, sc.band))
         .sum();
 
-    let (hmm_read_len, hap_len, nhaps) = (120usize, 250usize, 4usize);
-    let regions = gen_hmm_regions(hmm_n, hmm_read_len, hap_len, nhaps, 0x4a11_2018);
+    // Driven through `PairHmmBatch::run`, the region entry point the
+    // genotyper uses, over each region's whole job list.
+    let hmm_read_len = 100usize;
+    let hmm_window_len = hmm_read_len + 2 * HMM_WINDOW_PAD;
+    let regions = gen_hmm_regions(hmm_n, hmm_read_len, 0x4a11_2018);
+    let region_jobs: Vec<Vec<HmmJob<'_>>> = regions.iter().map(HmmRegion::jobs).collect();
+    let hmm_jobs: usize = region_jobs.iter().map(Vec::len).sum();
     let params = HmmParams::default();
     let hmm_cells_per_iter: u64 =
-        regions.iter().map(|r| (r.read.len() * r.haps.len() * hap_len) as u64).sum();
+        region_jobs.iter().flatten().map(|j| (j.read.len() * j.hap.len()) as u64).sum();
 
     let mut sw_new = Vec::with_capacity(rounds);
     let mut sw_ref = Vec::with_capacity(rounds);
@@ -542,10 +579,8 @@ pub fn kernel_bench(smoke: bool) -> GateReport {
         let mut time_hmm_new = |out: &mut Vec<u64>, timed: bool| {
             let t0 = gpf_trace::clock::now_ns();
             let mut sink = 0.0f64;
-            for r in &regions {
-                for l in batch.likelihoods(&r.read, &r.qual, r.haps.iter().map(|h| h.as_slice())) {
-                    sink += l;
-                }
+            for jobs in &region_jobs {
+                sink += batch.run(jobs).iter().sum::<f64>();
             }
             let dt = gpf_trace::clock::now_ns().saturating_sub(t0);
             black_box(sink);
@@ -556,10 +591,8 @@ pub fn kernel_bench(smoke: bool) -> GateReport {
         let time_hmm_ref = |out: &mut Vec<u64>, timed: bool| {
             let t0 = gpf_trace::clock::now_ns();
             let mut sink = 0.0f64;
-            for r in &regions {
-                for h in &r.haps {
-                    sink += log10_likelihood(&r.read, &r.qual, h, &params);
-                }
+            for j in region_jobs.iter().flatten() {
+                sink += log10_likelihood(j.read, j.qual, j.hap, &params);
             }
             let dt = gpf_trace::clock::now_ns().saturating_sub(t0);
             black_box(sink);
@@ -595,7 +628,7 @@ pub fn kernel_bench(smoke: bool) -> GateReport {
          \"sw_cells_per_iter\":{sw_cells_per_iter},\
          \"sw_new_mcells_s\":{:.1},\"sw_ref_mcells_s\":{:.1},\"sw_ratio\":{sw_ratio:.2},\
          \"hmm_regions\":{hmm_n},\"hmm_read_len\":{hmm_read_len},\
-         \"hmm_haps\":{nhaps},\"hmm_hap_len\":{hap_len},\
+         \"hmm_jobs\":{hmm_jobs},\"hmm_window_len\":{hmm_window_len},\
          \"hmm_cells_per_iter\":{hmm_cells_per_iter},\
          \"hmm_new_mcells_s\":{:.1},\"hmm_ref_mcells_s\":{:.1},\"hmm_ratio\":{hmm_ratio:.2},\
          \"floor\":{KERNEL_FLOOR},\"smoke\":{smoke}}}",

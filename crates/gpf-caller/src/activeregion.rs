@@ -5,7 +5,6 @@ use gpf_formats::cigar::CigarOp;
 use gpf_formats::genome::merge_intervals;
 use gpf_formats::sam::SamRecord;
 use gpf_formats::{GenomeInterval, ReferenceGenome};
-use std::collections::HashMap;
 
 /// Detection thresholds.
 #[derive(Debug, Clone)]
@@ -36,61 +35,83 @@ struct Pileup {
 }
 
 /// Find active regions over (sorted or unsorted) records.
-pub fn find_active_regions(
-    records: &[SamRecord],
+///
+/// The pileup is a dense window over the loci the sweep has not left yet:
+/// reads are taken in start order, every locus left of the current read's
+/// start is complete (no later read reaches it), so it is judged and
+/// dropped. The window therefore never outgrows the longest alignment.
+pub fn find_active_regions<'a>(
+    records: impl IntoIterator<Item = &'a SamRecord>,
     reference: &ReferenceGenome,
     opts: &ActiveRegionOptions,
 ) -> Vec<GenomeInterval> {
-    // Sparse pileup keyed by (contig, pos) — regions are rare, genomes big.
-    let mut pile: HashMap<(u32, u64), Pileup> = HashMap::new();
-    for r in records {
-        if !r.flags.is_mapped() || r.flags.is_duplicate() || !r.flags.is_primary() {
-            continue;
+    let mut reads: Vec<&SamRecord> = records
+        .into_iter()
+        .filter(|r| r.flags.is_mapped() && !r.flags.is_duplicate() && r.flags.is_primary())
+        .collect();
+    // Start order is all the sweep needs; on sorted input this is one pass.
+    reads.sort_by_key(|r| (r.contig, r.pos));
+
+    let mut active: Vec<GenomeInterval> = Vec::new();
+    // Judge and drop the first `n` loci of `pile`, which start at `base`.
+    let mut flush = |pile: &mut Vec<Pileup>, n: usize, contig: u32, base: u64| {
+        let clen = reference.dict().length_of(contig);
+        for (pos, p) in (base..).zip(pile.drain(..n)) {
+            let evidence = p.mismatches as f64 + 2.0 * p.indels as f64;
+            // A deletion can carry depth past the contig end; a locus more
+            // than `pad` out there has no interval on the contig.
+            if p.depth >= opts.min_depth
+                && evidence / p.depth as f64 >= opts.min_evidence_frac
+                && pos.saturating_sub(opts.pad) <= clen
+            {
+                active.push(GenomeInterval::new(contig, pos, pos + 1).padded(opts.pad, clen));
+            }
+        }
+    };
+    // `pile[i]` is locus `base + i` of `contig`.
+    let mut pile: Vec<Pileup> = Vec::new();
+    let (mut contig, mut base) = (0u32, 0u64);
+    for r in reads {
+        let done =
+            if r.contig == contig { pile.len().min((r.pos - base) as usize) } else { pile.len() };
+        flush(&mut pile, done, contig, base);
+        (contig, base) = (r.contig, r.pos);
+        // A trailing insertion counts at the locus after the last aligned one.
+        let reach = r.cigar.ref_span() as usize + 1;
+        if pile.len() < reach {
+            pile.resize(reach, Pileup::default());
         }
         let refseq = reference.contig_seq(r.contig);
         for block in r.cigar.walk() {
+            let at = block.ref_off as usize;
+            let span = &mut pile[at..];
             match block.op {
                 CigarOp::Match | CigarOp::Equal | CigarOp::Diff => {
-                    for k in 0..block.len as u64 {
-                        let ref_i = r.pos + block.ref_off + k;
-                        if ref_i as usize >= refseq.len() {
-                            break;
-                        }
-                        let read_b = r.seq[(block.read_off + k) as usize];
-                        let p = pile.entry((r.contig, ref_i)).or_default();
+                    // Zipping stops at the contig end (and at the end of a
+                    // `SEQ` shorter than its CIGAR claims).
+                    let ref_bases = refseq.get(r.pos as usize + at..).unwrap_or(&[]);
+                    let read_bases = r.seq.get(block.read_off as usize..).unwrap_or(&[]);
+                    let cols = span[..block.len as usize].iter_mut();
+                    for ((p, &read_b), &ref_b) in cols.zip(read_bases).zip(ref_bases) {
                         p.depth += 1;
-                        if read_b != b'N' && read_b != refseq[ref_i as usize] {
+                        if read_b != b'N' && read_b != ref_b {
                             p.mismatches += 1;
                         }
                     }
                 }
-                CigarOp::Ins | CigarOp::Del => {
-                    let ref_i = r.pos + block.ref_off;
-                    let p = pile.entry((r.contig, ref_i)).or_default();
-                    p.indels += 1;
-                    if block.op == CigarOp::Del {
-                        for k in 0..block.len as u64 {
-                            let p = pile.entry((r.contig, ref_i + k)).or_default();
-                            p.depth += 1;
-                        }
+                CigarOp::Ins => span[0].indels += 1,
+                CigarOp::Del => {
+                    span[0].indels += 1;
+                    for p in &mut span[..block.len as usize] {
+                        p.depth += 1;
                     }
                 }
                 _ => {}
             }
         }
     }
-
-    let mut active: Vec<GenomeInterval> = Vec::new();
-    for ((contig, pos), p) in &pile {
-        if p.depth < opts.min_depth {
-            continue;
-        }
-        let evidence = p.mismatches as f64 + 2.0 * p.indels as f64;
-        if evidence / p.depth as f64 >= opts.min_evidence_frac {
-            let clen = reference.dict().length_of(*contig);
-            active.push(GenomeInterval::new(*contig, *pos, pos + 1).padded(opts.pad, clen));
-        }
-    }
+    let left = pile.len();
+    flush(&mut pile, left, contig, base);
     let merged = merge_intervals(active);
 
     // Split oversized regions.

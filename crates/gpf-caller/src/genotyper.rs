@@ -6,7 +6,7 @@
 //! alternative haplotypes.
 
 use crate::assembly::{assemble, AssemblyOptions};
-use crate::pairhmm::{HmmParams, PairHmmBatch};
+use crate::pairhmm::{HmmJob, HmmParams, PairHmmBatch};
 use gpf_align::sw::{fit_align, Scoring};
 use gpf_formats::base::rank4;
 use gpf_formats::cigar::CigarOp;
@@ -158,33 +158,70 @@ pub fn call_region(
         return Vec::new();
     }
 
-    // Pair-HMM likelihood matrix. Each read is evaluated against the
-    // haplotype *window around its mapped position* rather than the whole
-    // haplotype — the free-start/free-end HMM gives identical likelihoods up
-    // to the windowing pad, at a fraction of the DP cost (the same
-    // observation production pair-HMMs exploit; the pad absorbs indel
-    // coordinate shifts).
-    const HMM_PAD: u64 = 32;
-    // One batch evaluator for the region: DP rows and per-read emission
-    // tables are reused across every (read, haplotype) pair, and each read
-    // is evaluated against all haplotype windows in one pass.
-    let mut hmm = PairHmmBatch::new(opts.hmm);
-    let lik: Vec<Vec<f64>> = usable
-        .iter()
-        .map(|r| {
-            let off = r.pos.saturating_sub(window.start);
-            hmm.likelihoods(
-                &r.seq,
-                &r.qual,
-                haps.iter().map(|h| {
-                    let lo = off.saturating_sub(HMM_PAD) as usize;
-                    let hi = ((off + r.seq.len() as u64 + HMM_PAD) as usize).min(h.len());
-                    if lo >= hi { h.as_slice() } else { &h[lo..hi] }
-                }),
-            )
-        })
-        .collect();
+    let lik = read_likelihoods(&usable, &haps, window.start, opts.hmm);
+    genotype(&usable, &haps, &lik, ref_window, window, opts)
+}
 
+/// The window of `hap` a read placed `off` bases into the region's window is
+/// evaluated against, rather than the whole haplotype — the
+/// free-start/free-end HMM gives identical likelihoods up to the windowing
+/// pad, at a fraction of the DP cost (the same observation production
+/// pair-HMMs exploit; the pad absorbs indel coordinate shifts).
+fn hap_window(hap: &[u8], off: u64, read_len: usize) -> &[u8] {
+    const HMM_PAD: u64 = 32;
+    let lo = off.saturating_sub(HMM_PAD) as usize;
+    let hi = ((off + read_len as u64 + HMM_PAD) as usize).min(hap.len());
+    if lo >= hi {
+        hap
+    } else {
+        &hap[lo..hi]
+    }
+}
+
+/// Pair-HMM likelihood matrix `[read][haplotype]`.
+///
+/// One job per distinct (read, window): haplotypes that differ only outside
+/// a read's window hand it the same bytes, so the same operations and the
+/// same bits — the first occurrence is evaluated and `slot` points the
+/// others at its result. The region's jobs run as one list, so the kernel
+/// fills its lanes across reads as well as across haplotypes.
+fn read_likelihoods(
+    usable: &[&SamRecord],
+    haps: &[Vec<u8>],
+    window_start: u64,
+    hmm: HmmParams,
+) -> Vec<Vec<f64>> {
+    let mut jobs: Vec<HmmJob<'_>> = Vec::new();
+    let mut slot: Vec<usize> = Vec::with_capacity(usable.len() * haps.len());
+    for r in usable {
+        let first = jobs.len();
+        for h in haps {
+            let hap = hap_window(h, r.pos.saturating_sub(window_start), r.seq.len());
+            let seen = jobs[first..].iter().position(|j| j.hap == hap);
+            slot.push(seen.map_or(jobs.len(), |p| first + p));
+            if seen.is_none() {
+                jobs.push(HmmJob { read: &r.seq, qual: &r.qual, hap });
+            }
+        }
+    }
+    if gpf_trace::enabled() {
+        let shared = (slot.len() - jobs.len()) as u64;
+        gpf_trace::counter(gpf_trace::names::PAIRHMM_SHARED_WINDOWS).add(shared);
+    }
+    let results = PairHmmBatch::new(hmm).run(&jobs);
+    slot.chunks(haps.len()).map(|row| row.iter().map(|&k| results[k]).collect()).collect()
+}
+
+/// Decompose the alternative haplotypes into variants and genotype each
+/// from the likelihood matrix `lik[read][haplotype]`.
+fn genotype(
+    usable: &[&SamRecord],
+    haps: &[Vec<u8>],
+    lik: &[Vec<f64>],
+    ref_window: &[u8],
+    window: GenomeInterval,
+    opts: &CallerOptions,
+) -> Vec<VcfRecord> {
     // Variants per alternative haplotype (haplotype 0 is the reference).
     let mut out: Vec<VcfRecord> = Vec::new();
     let mut seen: std::collections::HashSet<RawVariant> = std::collections::HashSet::new();
@@ -197,7 +234,7 @@ pub fn call_region(
             let mut gl_homref = 0.0f64;
             let mut gl_het = 0.0f64;
             let mut gl_homalt = 0.0f64;
-            for row in &lik {
+            for row in lik {
                 let l_ref = row[0];
                 let l_alt = row[hi];
                 gl_homref += l_ref;
@@ -220,7 +257,7 @@ pub fn call_region(
                 .filter(|r| r.pos <= v.pos && r.ref_end() > v.pos)
                 .count() as u32;
             out.push(VcfRecord {
-                contig: region.contig,
+                contig: window.contig,
                 pos: v.pos,
                 ref_allele: v.ref_allele,
                 alt_allele: v.alt_allele,
@@ -385,5 +422,47 @@ mod tests {
         let r = reference();
         let calls = call_region(&[], &r, region(), &CallerOptions::default());
         assert!(calls.is_empty());
+    }
+
+    #[test]
+    fn windows_shared_between_haplotypes_change_no_call() {
+        // Two SNVs 60 bases apart, one on every read and one on half of
+        // them: three haplotypes, and 40-base reads whose ±32-base windows
+        // reach one SNV, both or neither — so most reads see the same bytes
+        // in two or all three.
+        let r = reference();
+        let mut hom = r.contig_seq(0)[900..1100].to_vec();
+        hom[70] = if hom[70] == b'A' { b'G' } else { b'A' }; // ref pos 970
+        let mut both = hom.clone();
+        both[130] = if both[130] == b'C' { b'T' } else { b'C' }; // ref pos 1030
+        let mut records = tile(&hom, 900, 24, 40, "h");
+        records.extend(tile(&both, 900, 24, 40, "b"));
+        let reads: Vec<&SamRecord> = records.iter().collect();
+        let opts = CallerOptions::default();
+        let calls = call_region(&reads, &r, region(), &opts);
+        assert_eq!(calls.iter().map(|v| v.pos).collect::<Vec<_>>(), vec![970, 1030]);
+
+        // The same region with every (read, haplotype) pair evaluated on its
+        // own by the scalar reference.
+        let window = region().padded(opts.window_pad, 2000);
+        let seqs: Vec<&[u8]> = reads.iter().map(|r| r.seq.as_slice()).collect();
+        let haps = assemble(r.slice(window), &seqs, &opts.assembly);
+        assert!(haps.len() >= 3, "{} haplotypes", haps.len());
+        let windows = |rec: &SamRecord| -> Vec<&[u8]> {
+            haps.iter().map(|h| hap_window(h, rec.pos - window.start, rec.seq.len())).collect()
+        };
+        let shared =
+            reads.iter().filter(|rec| windows(rec)[1..].contains(&windows(rec)[0])).count();
+        assert!(shared >= 10, "only {shared} reads share a window between haplotypes");
+        let separately: Vec<Vec<f64>> = reads
+            .iter()
+            .map(|rec| {
+                windows(rec)
+                    .into_iter()
+                    .map(|w| crate::pairhmm::log10_likelihood(&rec.seq, &rec.qual, w, &opts.hmm))
+                    .collect()
+            })
+            .collect();
+        assert_eq!(calls, genotype(&reads, &haps, &separately, r.slice(window), window, &opts));
     }
 }

@@ -18,7 +18,7 @@
 //!    genotype likelihoods are computed, and confident non-reference calls
 //!    are emitted as VCF records.
 //!
-//! [`HaplotypeCaller`] wires the four together over a sorted record slice.
+//! [`HaplotypeCaller`] wires the four together over sorted, borrowed records.
 
 pub mod activeregion;
 pub mod assembly;
@@ -55,20 +55,35 @@ impl Default for HaplotypeCaller {
 }
 
 impl HaplotypeCaller {
-    /// Call variants over `records` (must be coordinate-sorted; duplicates,
-    /// unmapped reads and low-MAPQ reads are skipped internally). Returns
-    /// records sorted by position.
-    pub fn call(&self, records: &[SamRecord], reference: &ReferenceGenome) -> Vec<VcfRecord> {
-        let usable: Vec<SamRecord> = records
-            .iter()
+    /// Call variants over `records` (must be coordinate-sorted), borrowed:
+    /// `&[SamRecord]`, `&Vec<SamRecord>` and `Vec<&SamRecord>` all do.
+    /// Duplicates, unmapped reads and low-MAPQ reads are skipped internally,
+    /// and so is a record the walks below could not index — a start on no
+    /// contig of the reference, a CIGAR longer than `SEQ`, `QUAL` of another
+    /// length than `SEQ` (SAM text can carry all three): it is neither
+    /// evidence nor likelihood. Returns records sorted by position.
+    pub fn call<'a>(
+        &self,
+        records: impl IntoIterator<Item = &'a SamRecord>,
+        reference: &ReferenceGenome,
+    ) -> Vec<VcfRecord> {
+        let dict = reference.dict();
+        let usable: Vec<&SamRecord> = records
+            .into_iter()
             .filter(|r| r.flags.is_mapped() && !r.flags.is_duplicate() && r.mapq >= self.min_mapq)
-            .cloned()
+            .filter(|r| {
+                (r.contig as usize) < dict.len()
+                    && r.pos < dict.length_of(r.contig)
+                    && r.cigar.read_len() <= r.seq.len() as u64
+                    && r.seq.len() == r.qual.len()
+            })
             .collect();
-        let regions = find_active_regions(&usable, reference, &self.region_opts);
+        let regions = find_active_regions(usable.iter().copied(), reference, &self.region_opts);
         let mut out = Vec::new();
         for region in &regions {
             let overlapping: Vec<&SamRecord> = usable
                 .iter()
+                .copied()
                 .filter(|r| {
                     r.contig == region.contig
                         && r.pos < region.end

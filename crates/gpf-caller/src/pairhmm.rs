@@ -14,15 +14,17 @@
 //! Two entry points compute the same quantity. [`log10_likelihood`] is the
 //! scalar seed kernel, retained as the executable reference and still used
 //! by the differential proptests and the `--kernel-bench` gate.
-//! [`PairHmmBatch`] is the production path: it evaluates one read against
-//! *all* haplotypes of an active region in one pass, hoisting the per-read
-//! work — the quality→probability lookups (via the cached 256-entry table
-//! in `gpf_formats::quality`) and the per-row emission pair
-//! `(1−e, e/3)` — out of the per-haplotype DP, reusing row buffers across
-//! haplotypes and reads, and fusing the row-scaling max into the DP sweep.
-//! Every floating-point operation sequence per (read, haplotype) pair is
-//! kept identical to the reference, so batch results are bit-equal and the
-//! genotyper's output is byte-identical.
+//! [`PairHmmBatch::run`] is the production path. Its unit of work is one
+//! [`HmmJob`] — a read, its qualities and the haplotype window it is scored
+//! against — and it takes a region's whole job list, orders it by shape and
+//! runs it [`LANES`] jobs to a group, whichever reads and haplotypes they
+//! come from. Per job it hoists the quality→probability lookups (the cached
+//! 256-entry table in `gpf_formats::quality`) and the emission pair
+//! `(1−e, e/3)` out of the DP, reuses the row buffers across groups, and
+//! takes the row-scaling maximum inside the column sweep. Every job's DP
+//! executes the reference's floating-point operations in the reference's
+//! order, so results are bit-equal and the genotyper's output is
+//! byte-identical.
 
 use gpf_formats::quality::char_to_error_prob;
 
@@ -121,52 +123,67 @@ pub fn log10_likelihood(read: &[u8], qual: &[u8], haplotype: &[u8], params: &Hmm
     }
 }
 
-/// Lanes interleaved per DP column: up to this many haplotypes advance
-/// through the recurrence together in one sweep.
+/// Lanes interleaved per DP column: this many jobs advance through the
+/// recurrence together in one sweep.
 const LANES: usize = 4;
 
-/// Batched pair-HMM: one read against all haplotypes of an active region.
+/// One pair-HMM evaluation: `log10 P(read | hap)` with `qual` as the read's
+/// Phred+33 base qualities.
+#[derive(Debug, Clone, Copy)]
+pub struct HmmJob<'a> {
+    /// Read bases.
+    pub read: &'a [u8],
+    /// Read qualities, one per base.
+    pub qual: &'a [u8],
+    /// The haplotype (window) the read is scored against.
+    pub hap: &'a [u8],
+}
+
+/// Batched pair-HMM over a list of jobs.
 ///
 /// Construction is cheap; the value is in reuse and interleaving — one
-/// instance per region (or per worker) keeps the DP row buffers and the
-/// per-read emission rows warm across every evaluation, so the inner DP
-/// allocates nothing, and haplotypes are processed [`LANES`] at a time
-/// with their columns *interleaved* in memory (`row[j·LANES + lane]`).
-/// Interleaving is what buys the throughput: the in-row recurrence
+/// instance per region keeps the DP rows warm across every group, so the
+/// inner DP allocates nothing, and jobs run [`LANES`] at a time with their
+/// columns *interleaved* in memory (`row[j][lane]`). Interleaving is what
+/// buys the throughput: the in-row recurrence
 /// `Y(j) = go·M(j−1) + ge·Y(j−1)` is a serial multiply–add chain whose
-/// latency bounds any single-haplotype sweep, but the four lanes' chains
-/// are independent, so they pipeline and the sweep runs at ALU throughput
+/// latency bounds any single-job sweep, but the lanes' chains are
+/// independent, so they pipeline and the sweep runs at ALU throughput
 /// instead of chain latency.
 ///
-/// Results are **bit-identical** to [`log10_likelihood`]: per (read,
-/// haplotype) pair, the DP executes the same floating-point operations in
-/// the same order — interleaving reorders work *across* haplotypes, never
-/// within one — the emission pair `(1−e, e/3)` is hoisted (same IEEE
-/// operations, computed once per read base instead of once per cell), and
-/// the row-scaling max is taken per lane over exactly the scalar's value
-/// set (`f64::max` over non-NaN, non-negative values is order-insensitive).
-/// Lanes shorter than the longest haplotype of their group run with pad
-/// columns whose values never feed a live column, the row max, the row
-/// scaling, or the final sum.
+/// A lane is a whole job: the read base, the emission pair and the row
+/// count are held per lane, so a group fills from any four jobs of the list
+/// — the same read against four haplotypes, or four reads against one. Jobs
+/// are grouped in (window length, read length) order, which keeps the
+/// rectangle a group sweeps close to the cells its jobs own.
+///
+/// Results are **bit-identical** to [`log10_likelihood`]. Lanes never feed
+/// each other, and within a lane the DP executes the reference's
+/// floating-point operations in the reference's order: the emission pair
+/// `(1−e, e/3)` is the same IEEE operations computed once per read base
+/// instead of once per cell (a read `N` stores `e/3` in both arms, which is
+/// what the reference's `!= b'N'` test selects); the row maximum
+/// accumulates by compare-select over exactly the reference's column set —
+/// every value is finite and non-negative, so the result is the reference's
+/// `f64::max` fold in any order and can never be NaN; and a lane whose read
+/// is shorter than its group's takes its free-end sum at its own last row.
+/// Pad columns (a window shorter than the group's widest) and pad rows (a
+/// read shorter than the group's longest, emitting `0.0`) hold values that
+/// never reach a live cell, the row maximum, the row scaling or the sum.
 pub struct PairHmmBatch {
     params: HmmParams,
-    /// Per-read emission rows, hoisted across haplotypes:
-    /// `em[i] = 1 − e_i` (correct base), `mm[i] = e_i / 3` (miscall).
-    em: Vec<f64>,
-    mm: Vec<f64>,
-    /// `true` where the read base is `N` (emission forced to `mm`).
-    is_n: Vec<bool>,
+    /// Per read row and lane: the read base and its emission pair,
+    /// `em = 1 − e` (correct base, `e/3` for an `N`) and `mm = e/3`.
+    rb: Vec<[u8; LANES]>,
+    em: Vec<[f64; LANES]>,
+    mm: Vec<[f64; LANES]>,
     /// Haplotype bytes, lane-interleaved to match the row layout.
     hb: Vec<[u8; LANES]>,
-    // Lane-interleaved DP rows over haplotype positions — one [`LANES`]-wide
-    // bundle per column, so a column index pays one bounds check for all
-    // four lanes — reused across evaluations.
-    m_prev: Vec<[f64; LANES]>,
-    x_prev: Vec<[f64; LANES]>,
-    y_prev: Vec<[f64; LANES]>,
-    m_cur: Vec<[f64; LANES]>,
-    x_cur: Vec<[f64; LANES]>,
-    y_cur: Vec<[f64; LANES]>,
+    // Two DP rows for each of the M, X and Y states, lane-interleaved over
+    // haplotype positions — one [`LANES`]-wide bundle per column, so a
+    // column index pays one bounds check for all four lanes — reused across
+    // groups.
+    rows: [Vec<[f64; LANES]>; 6],
 }
 
 impl PairHmmBatch {
@@ -174,100 +191,97 @@ impl PairHmmBatch {
     pub fn new(params: HmmParams) -> Self {
         Self {
             params,
+            rb: Vec::new(),
             em: Vec::new(),
             mm: Vec::new(),
-            is_n: Vec::new(),
             hb: Vec::new(),
-            m_prev: Vec::new(),
-            x_prev: Vec::new(),
-            y_prev: Vec::new(),
-            m_cur: Vec::new(),
-            x_cur: Vec::new(),
-            y_cur: Vec::new(),
+            rows: Default::default(),
         }
     }
 
-    /// log10 P(read | h) for each haplotype, in iteration order.
-    ///
-    /// Total over hostile input: a read/qual length mismatch, an empty
-    /// read, or an empty haplotype yields `NEG_INFINITY` for the affected
-    /// entries — no panic, and no NaN (the scaled DP keeps probabilities
-    /// finite and non-negative).
+    /// log10 P(read | h) for each haplotype, in iteration order: one job
+    /// per haplotype through [`PairHmmBatch::run`].
     pub fn likelihoods<'h, I>(&mut self, read: &[u8], qual: &[u8], haps: I) -> Vec<f64>
     where
         I: IntoIterator<Item = &'h [u8]>,
     {
-        let hv: Vec<&[u8]> = haps.into_iter().collect();
-        let mut out = vec![f64::NEG_INFINITY; hv.len()];
-        if read.len() != qual.len() || read.is_empty() {
-            return out;
-        }
-        // Hoist the per-read emission rows once for the whole batch.
-        self.em.clear();
-        self.mm.clear();
-        self.is_n.clear();
-        for (&b, &q) in read.iter().zip(qual) {
-            let e = char_to_error_prob(q);
-            self.em.push(1.0 - e);
-            self.mm.push(e / 3.0);
-            self.is_n.push(b == b'N');
-        }
-        // Empty haplotypes keep their NEG_INFINITY; the rest run in
-        // interleaved groups of up to LANES.
-        let live: Vec<usize> = (0..hv.len()).filter(|&k| !hv[k].is_empty()).collect();
-        for group in live.chunks(LANES) {
-            self.group(read, &hv, group, &mut out);
+        let jobs: Vec<HmmJob<'_>> =
+            haps.into_iter().map(|hap| HmmJob { read, qual, hap }).collect();
+        self.run(&jobs)
+    }
+
+    /// log10 P(read | hap) for each job, in job order.
+    ///
+    /// Total over hostile input: a read/qual length mismatch, an empty
+    /// read, or an empty haplotype yields `NEG_INFINITY` for that job — no
+    /// panic, and no NaN (the scaled DP keeps probabilities finite and
+    /// non-negative).
+    pub fn run(&mut self, jobs: &[HmmJob<'_>]) -> Vec<f64> {
+        let mut out = vec![f64::NEG_INFINITY; jobs.len()];
+        let mut order: Vec<usize> = (0..jobs.len())
+            .filter(|&k| {
+                let job = &jobs[k];
+                job.read.len() == job.qual.len() && !job.read.is_empty() && !job.hap.is_empty()
+            })
+            .collect();
+        order.sort_unstable_by_key(|&k| (jobs[k].hap.len(), jobs[k].read.len(), k));
+        let mut lane_cells = 0u64;
+        for group in order.chunks(LANES) {
+            lane_cells += self.group(jobs, group, &mut out);
         }
         if gpf_trace::enabled() {
-            let cells = hv.iter().fold(0u64, |a, h| {
-                a.saturating_add((read.len() as u64).saturating_mul(h.len() as u64))
+            let cells = order.iter().fold(0u64, |a, &k| {
+                let job = &jobs[k];
+                a.saturating_add((job.read.len() as u64).saturating_mul(job.hap.len() as u64))
             });
             gpf_trace::counter(gpf_trace::names::PAIRHMM_CELLS).add(cells);
+            gpf_trace::counter(gpf_trace::names::PAIRHMM_LANE_CELLS).add(lane_cells);
         }
         out
     }
 
-    /// One interleaved pass of up to [`LANES`] (read, haplotype) DPs.
-    /// `group` holds indices into `hv`/`out` of non-empty haplotypes.
-    /// Mirrors the reference DP operation for operation per lane; see the
-    /// struct docs for why the hoists and interleaving preserve
-    /// bit-equality.
-    fn group(&mut self, read: &[u8], hv: &[&[u8]], group: &[usize], out: &mut [f64]) {
-        let m = read.len();
+    /// One interleaved pass of up to [`LANES`] jobs; `group` holds their
+    /// indices into `jobs`/`out`. Mirrors the reference DP operation for
+    /// operation per lane (see the struct docs) and returns the lane-cells
+    /// swept, padding included.
+    fn group(&mut self, jobs: &[HmmJob<'_>], group: &[usize], out: &mut [f64]) -> u64 {
         let lanes = group.len(); // 1..=LANES
+        let mut ms = [0usize; LANES];
         let mut ns = [0usize; LANES];
         for (l, &k) in group.iter().enumerate() {
-            ns[l] = hv[k].len();
+            ms[l] = jobs[k].read.len();
+            ns[l] = jobs[k].hap.len();
         }
+        let max_m = ms.iter().copied().fold(0, usize::max);
         let max_n = ns.iter().copied().fold(0, usize::max);
-        // Shortest live haplotype: columns 0..=min_n exist in every live
-        // lane, so that range reduces lane-parallel below.
+        // Shortest live window: columns 0..=min_n exist in every live lane,
+        // so that range needs no per-lane column test below.
         let min_n = ns[..lanes].iter().copied().fold(usize::MAX, usize::min);
         let width = max_n + 1; // in LANES-wide column bundles
 
-        for row in [
-            &mut self.m_prev,
-            &mut self.x_prev,
-            &mut self.y_prev,
-            &mut self.m_cur,
-            &mut self.x_cur,
-            &mut self.y_cur,
-        ] {
+        for row in &mut self.rows {
             row.clear();
             row.resize(width, [0.0; LANES]);
         }
-        // Free start anywhere on each haplotype; pad columns and missing
-        // lanes stay 0.0 so nothing enters the DP through them.
-        for (l, n_l) in ns[..lanes].iter().copied().enumerate() {
-            let start = 1.0 / n_l as f64;
-            for j in 0..=n_l {
-                self.y_prev[j][l] = start;
-            }
-        }
+        // Pad rows, pad columns and missing lanes stay zero: nothing enters
+        // the DP through them and a pad row emits nothing.
+        self.rb.clear();
+        self.rb.resize(max_m, [0; LANES]);
+        self.em.clear();
+        self.em.resize(max_m, [0.0; LANES]);
+        self.mm.clear();
+        self.mm.resize(max_m, [0.0; LANES]);
         self.hb.clear();
         self.hb.resize(max_n, [0; LANES]);
         for (l, &k) in group.iter().enumerate() {
-            for (j, &b) in hv[k].iter().enumerate() {
+            let job = &jobs[k];
+            for (i, (&b, &q)) in job.read.iter().zip(job.qual).enumerate() {
+                let e = char_to_error_prob(q);
+                self.rb[i][l] = b;
+                self.mm[i][l] = e / 3.0;
+                self.em[i][l] = if b == b'N' { e / 3.0 } else { 1.0 - e };
+            }
+            for (j, &b) in job.hap.iter().enumerate() {
                 self.hb[j][l] = b;
             }
         }
@@ -279,100 +293,109 @@ impl PairHmmBatch {
 
         // Local slice views: one bounds assertion each, then the hot-loop
         // indexing below stays in range by construction.
-        let em_row = &self.em[..m];
-        let mm_row = &self.mm[..m];
-        let n_row = &self.is_n[..m];
         let hb = &self.hb[..max_n];
-        let mut m_prev = &mut self.m_prev[..width];
-        let mut x_prev = &mut self.x_prev[..width];
-        let mut y_prev = &mut self.y_prev[..width];
-        let mut m_cur = &mut self.m_cur[..width];
-        let mut x_cur = &mut self.x_cur[..width];
-        let mut y_cur = &mut self.y_cur[..width];
+        let [m_prev, x_prev, y_prev, m_cur, x_cur, y_cur] = &mut self.rows;
+        let (mut m_prev, mut x_prev, mut y_prev) =
+            (&mut m_prev[..width], &mut x_prev[..width], &mut y_prev[..width]);
+        let (mut m_cur, mut x_cur, mut y_cur) =
+            (&mut m_cur[..width], &mut x_cur[..width], &mut y_cur[..width]);
+        // Free start anywhere on each haplotype.
+        for (l, &n) in ns[..lanes].iter().enumerate() {
+            let start = 1.0 / n as f64;
+            for bundle in &mut y_prev[..=n] {
+                bundle[l] = start;
+            }
+        }
 
         let mut log_scale = [0.0f64; LANES];
-        for i in 1..=m {
-            let rb = read[i - 1];
-            let force_mm = n_row[i - 1];
-            let em = em_row[i - 1];
-            let mm = mm_row[i - 1];
+        for i in 1..=max_m {
+            let rb = self.rb[i - 1];
+            let em = self.em[i - 1];
+            let mm = self.mm[i - 1];
             m_cur[0] = [0.0; LANES];
             x_cur[0] = [0.0; LANES];
             y_cur[0] = [0.0; LANES];
-            for j in 1..=max_n {
-                // Column bundles copy into registers: one bounds check per
-                // bundle, four lanes of arithmetic each.
-                let mp_d = m_prev[j - 1];
-                let xp_d = x_prev[j - 1];
-                let yp_d = y_prev[j - 1];
-                let mp = m_prev[j];
-                let xp = x_prev[j];
-                let mc_d = m_cur[j - 1];
-                let yc_d = y_cur[j - 1];
-                let hbj = hb[j - 1];
-                let mut mv = [0.0f64; LANES];
-                let mut xv = [0.0f64; LANES];
-                let mut yv = [0.0f64; LANES];
+            // Per-lane row maximum over exactly the scalar's value set:
+            // columns 0..=n_l, pad columns excluded (column 0 holds zeros).
+            let mut row_max = [0.0f64; LANES];
+            // One column of every lane; evaluates to each lane's largest
+            // state. Column bundles copy into registers: one bounds check
+            // per bundle, four lanes of arithmetic each. A macro, because a
+            // closure called from both loops below is left out of line, and
+            // a call per column costs more than the sweep's other savings.
+            macro_rules! column {
+                ($j:expr) => {{
+                    let j = $j;
+                    let mp_d = m_prev[j - 1];
+                    let xp_d = x_prev[j - 1];
+                    let yp_d = y_prev[j - 1];
+                    let mp = m_prev[j];
+                    let xp = x_prev[j];
+                    let mc_d = m_cur[j - 1];
+                    let yc_d = y_cur[j - 1];
+                    let hbj = hb[j - 1];
+                    let mut mv = [0.0f64; LANES];
+                    let mut xv = [0.0f64; LANES];
+                    let mut yv = [0.0f64; LANES];
+                    let mut top = [0.0f64; LANES];
+                    for l in 0..LANES {
+                        let emit = if rb[l] == hbj[l] { em[l] } else { mm[l] };
+                        mv[l] = emit * (t_mm * mp_d[l] + t_gm * (xp_d[l] + yp_d[l]));
+                        xv[l] = mp[l] * go + xp[l] * ge;
+                        yv[l] = mc_d[l] * go + yc_d[l] * ge;
+                        let mx = if xv[l] > mv[l] { xv[l] } else { mv[l] };
+                        top[l] = if yv[l] > mx { yv[l] } else { mx };
+                    }
+                    m_cur[j] = mv;
+                    x_cur[j] = xv;
+                    y_cur[j] = yv;
+                    top
+                }};
+            }
+            for j in 1..=min_n {
+                let top = column!(j);
                 for l in 0..LANES {
-                    let emit = if !force_mm && rb == hbj[l] { em } else { mm };
-                    mv[l] = emit * (t_mm * mp_d[l] + t_gm * (xp_d[l] + yp_d[l]));
-                    xv[l] = mp[l] * go + xp[l] * ge;
-                    yv[l] = mc_d[l] * go + yc_d[l] * ge;
+                    row_max[l] = if top[l] > row_max[l] { top[l] } else { row_max[l] };
                 }
-                m_cur[j] = mv;
-                x_cur[j] = xv;
-                y_cur[j] = yv;
             }
-            // Per-lane row max over exactly the scalar's value set (columns
-            // 0..=n_l — pad columns excluded). Twelve independent max
-            // chains (3 states × LANES lanes) keep the reduction
-            // pipelined instead of one serial chain.
-            let mut am = [0.0f64; LANES];
-            let mut ax = [0.0f64; LANES];
-            let mut ay = [0.0f64; LANES];
-            for j in 0..=min_n {
-                let mc = m_cur[j];
-                let xc = x_cur[j];
-                let yc = y_cur[j];
+            for j in min_n + 1..=max_n {
+                let top = column!(j);
                 for l in 0..LANES {
-                    am[l] = am[l].max(mc[l]);
-                    ax[l] = ax[l].max(xc[l]);
-                    ay[l] = ay[l].max(yc[l]);
+                    if j <= ns[l] && top[l] > row_max[l] {
+                        row_max[l] = top[l];
+                    }
                 }
             }
-            for (l, n_l) in ns[..lanes].iter().copied().enumerate() {
-                for j in min_n + 1..=n_l {
-                    am[l] = am[l].max(m_cur[j][l]);
-                    ax[l] = ax[l].max(x_cur[j][l]);
-                    ay[l] = ay[l].max(y_cur[j][l]);
+            for (l, &k) in group.iter().enumerate() {
+                if i > ms[l] {
+                    continue; // this lane's read has ended
                 }
-            }
-            for (l, n_l) in ns[..lanes].iter().copied().enumerate() {
-                let row_max = am[l].max(ax[l]).max(ay[l]);
+                let row_max = row_max[l];
                 if row_max > 0.0 && (row_max < 1e-280 || row_max > 1e280) {
                     let inv = 1.0 / row_max;
-                    for j in 0..=n_l {
+                    for j in 0..=ns[l] {
                         m_cur[j][l] *= inv;
                         x_cur[j][l] *= inv;
                         y_cur[j][l] *= inv;
                     }
                     log_scale[l] += row_max.log10();
                 }
+                if i == ms[l] {
+                    // Free end: sum this lane's last read row in the
+                    // scalar's column order.
+                    let mut total = 0.0f64;
+                    for j in 0..=ns[l] {
+                        total += m_cur[j][l] + x_cur[j][l];
+                    }
+                    out[k] =
+                        if total <= 0.0 { f64::NEG_INFINITY } else { total.log10() + log_scale[l] };
+                }
             }
             std::mem::swap(&mut m_prev, &mut m_cur);
             std::mem::swap(&mut x_prev, &mut x_cur);
             std::mem::swap(&mut y_prev, &mut y_cur);
         }
-
-        // Free end: per lane, sum the final read row in the scalar's
-        // column order.
-        for (l, &k) in group.iter().enumerate() {
-            let mut total = 0.0f64;
-            for j in 0..=ns[l] {
-                total += m_prev[j][l] + x_prev[j][l];
-            }
-            out[k] = if total <= 0.0 { f64::NEG_INFINITY } else { total.log10() + log_scale[l] };
-        }
+        (max_m * max_n * LANES) as u64
     }
 }
 

@@ -29,4 +29,4 @@ pub mod sort;
 pub use bqsr::{apply_recalibration, build_recal_table, RecalTable};
 pub use markdup::{mark_duplicates, DedupStats};
 pub use realign::{find_realign_intervals, realign_interval, RealignStats};
-pub use sort::{coordinate_key, coordinate_sort, is_coordinate_sorted};
+pub use sort::{coordinate_cmp, coordinate_key, coordinate_sort, is_coordinate_sorted};

@@ -6,21 +6,28 @@
 //! shuffles must be reproducible for the experiment tables.
 
 use gpf_formats::sam::{SamRecord, NO_CONTIG};
+use std::cmp::Ordering;
 
-/// Total sort key for coordinate order.
-pub fn coordinate_key(r: &SamRecord) -> (u32, u64, String, u16) {
+/// Total sort key for coordinate order, borrowed from the record.
+pub fn coordinate_key(r: &SamRecord) -> (u32, u64, &str, u16) {
     let contig = if r.flags.is_mapped() { r.contig } else { NO_CONTIG };
-    (contig, r.pos, r.name.clone(), r.flags.0)
+    (contig, r.pos, r.name.as_str(), r.flags.0)
+}
+
+/// Coordinate order of two records — the one comparison every coordinate
+/// sort and sortedness check in the workspace uses.
+pub fn coordinate_cmp(a: &SamRecord, b: &SamRecord) -> Ordering {
+    coordinate_key(a).cmp(&coordinate_key(b))
 }
 
 /// Sort records in place by coordinate.
 pub fn coordinate_sort(records: &mut [SamRecord]) {
-    records.sort_by(|a, b| coordinate_key(a).cmp(&coordinate_key(b)));
+    records.sort_by(coordinate_cmp);
 }
 
 /// Check coordinate order (unmapped-last included).
 pub fn is_coordinate_sorted(records: &[SamRecord]) -> bool {
-    records.windows(2).all(|w| coordinate_key(&w[0]) <= coordinate_key(&w[1]))
+    records.windows(2).all(|w| coordinate_cmp(&w[0], &w[1]).is_le())
 }
 
 #[cfg(test)]

@@ -28,7 +28,7 @@ use gpf_align::BwaMemAligner;
 use gpf_caller::CallerOptions;
 use gpf_cleaner::bqsr::{apply_recalibration, build_recal_table, RecalTable};
 use gpf_cleaner::realign::{find_realign_intervals, realign_interval};
-use gpf_cleaner::{coordinate_sort, mark_duplicates};
+use gpf_cleaner::{coordinate_cmp, mark_duplicates};
 use gpf_engine::{Dataset, EngineContext};
 use gpf_formats::sam::SamRecord;
 use gpf_formats::vcf::{Genotype, VcfRecord};
@@ -574,34 +574,40 @@ impl BundleStage for HaplotypeCallerProcess {
         let opts = self.opts.clone();
         let use_gvcf = self.use_gvcf;
         bundles.map(move |b| {
-            let mut out = b.clone();
-            coordinate_sort(&mut out.sams);
+            let mut sams: Vec<&SamRecord> = b.sams.iter().collect();
+            sams.sort_by(|x, y| coordinate_cmp(x, y));
             let caller = gpf_caller::HaplotypeCaller {
                 caller_opts: opts.clone(),
                 ..Default::default()
             };
-            let mut calls = caller.call(&out.sams, &reference);
+            let mut calls = caller.call(sams, &reference);
             // Only keep calls inside the (unpadded) region so overlapping
             // pads never double-call.
             calls.retain(|v| {
-                v.contig == out.region.contig
-                    && v.pos >= out.region.start
-                    && v.pos < out.region.end
+                v.contig == b.region.contig && v.pos >= b.region.start && v.pos < b.region.end
             });
-            if use_gvcf && calls.is_empty() && !out.sams.is_empty() {
+            if use_gvcf && calls.is_empty() && !b.sams.is_empty() {
                 // GVCF mode: one reference block per called-clean region.
                 calls.push(VcfRecord {
-                    contig: out.region.contig,
-                    pos: out.region.start,
+                    contig: b.region.contig,
+                    pos: b.region.start,
                     ref_allele: vec![b'N'],
                     alt_allele: vec![b'.'],
                     qual: 0.0,
                     genotype: Genotype::HomRef,
-                    depth: out.sams.len() as u32,
+                    depth: b.sams.len() as u32,
                 });
             }
-            out.calls = calls;
-            out
+            // The Caller is the last bundle stage: what leaves it is the
+            // region and its calls, not another copy of the reads.
+            RegionBundle {
+                partition_id: b.partition_id,
+                region: b.region,
+                fasta: Vec::new(),
+                sams: Vec::new(),
+                vcfs: Vec::new(),
+                calls,
+            }
         })
     }
 

@@ -549,6 +549,8 @@ pub const KNOWN_METRIC_NAMES: &[&str] = &[
     "mem.budget.spilled",
     "mem.budget.spilled_bytes",
     "pairhmm.cells",
+    "pairhmm.lane_cells",
+    "pairhmm.shared_windows",
     "par.busy_ns",
     "par.chunks",
     "par.idle_ns",

@@ -25,6 +25,12 @@ pub const ALIGN_PREFILTER_SKIP: &str = "align.prefilter.skip";
 pub const ALIGN_SW_CELLS: &str = "align.sw.cells";
 /// DP cells evaluated by the pair-HMM likelihood kernel.
 pub const PAIRHMM_CELLS: &str = "pairhmm.cells";
+/// Lane-cells the pair-HMM kernel swept, padding included:
+/// `pairhmm.cells / pairhmm.lane_cells` is its lane occupancy.
+pub const PAIRHMM_LANE_CELLS: &str = "pairhmm.lane_cells";
+/// (read, haplotype) evaluations answered by an identical window of the
+/// same read instead of a DP of their own.
+pub const PAIRHMM_SHARED_WINDOWS: &str = "pairhmm.shared_windows";
 
 /// Chunks claimed by the work-stealing pool.
 pub const PAR_CHUNKS: &str = "par.chunks";
@@ -157,6 +163,8 @@ pub const ALL_COUNTERS: &[&str] = &[
     MEM_BUDGET_SPILLED,
     MEM_BUDGET_SPILLED_BYTES,
     PAIRHMM_CELLS,
+    PAIRHMM_LANE_CELLS,
+    PAIRHMM_SHARED_WINDOWS,
     PAR_BUSY_NS,
     PAR_CHUNKS,
     PAR_IDLE_NS,

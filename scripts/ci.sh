@@ -9,6 +9,7 @@
 #   scripts/ci.sh          # build + test + clippy + bench smoke
 #   scripts/ci.sh quick    # build + test only (workspace and benchmark/),
 #                          # plus one short benchmark run for its checks
+#                          # and one child for the pinned VCF digest
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -44,6 +45,23 @@ bench_line="$(benchmark/run.sh --workload wgs-full --seed 2018 --seconds 3 --tra
 if [[ "$bench_line" != *'"correct": true'* || "$bench_line" != *'"failed": 0,'* ]]; then
     echo "benchmark wgs-full did not come back correct with no failures:" >&2
     echo "${bench_line:0:400}" >&2
+    exit 1
+fi
+
+echo "== repo benchmark (clean-call VCF digest of genome 6054, pinned across commits) =="
+# The run above only compares a commit with itself. This pins pipeline
+# output across commits: a kernel change that alters one VCF byte fails here
+# instead of at measurement time, and a change that means to move calls
+# updates the pin on purpose.
+clean_call_digest=242c4063708960b1
+bench_exe="${CARGO_TARGET_DIR:-benchmark/target}/release/gpf-benchmark"
+bench_inputs="$(mktemp -d -t gpf_bench_inputs_XXXX)"
+"$bench_exe" gen --dir "$bench_inputs" --seed 6054
+bench_line="$("$bench_exe" child --workload clean-call --dir "$bench_inputs" | tail -n 1)"
+rm -rf "$bench_inputs"
+if [[ "$bench_line" != *"\"digest\": \"$clean_call_digest\""* ]]; then
+    echo "clean-call on genome 6054 did not print digest $clean_call_digest:" >&2
+    echo "${bench_line:0:200}" >&2
     exit 1
 fi
 
