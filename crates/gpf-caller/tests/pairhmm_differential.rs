@@ -1,15 +1,19 @@
 //! Differential and hostile-input properties for the batched pair-HMM.
 //!
-//! `PairHmmBatch` is pinned to the scalar reference `log10_likelihood`:
-//! the batch hoists per-read work and runs four jobs to a sweep, but
-//! executes the same floating-point operations per (read, haplotype), so
-//! the results must agree not just to the 1e-9 acceptance bound but bit for
-//! bit — whichever reads and haplotypes share a sweep. The hostile
-//! properties hold the batch total: no panic and no NaN on any byte input,
-//! which is what keeps garbage out of the genotyper's posteriors.
+//! `PairHmmBatch` is pinned to the scalar `log10_likelihood` the library
+//! used to ship, kept test-side in `pairhmm_oracle/`: the batch hoists
+//! per-read work and runs four jobs to a sweep, but executes the same
+//! floating-point operations per (read, haplotype), so the results must
+//! agree not just to the 1e-9 acceptance bound but bit for bit — whichever
+//! reads and haplotypes share a sweep. The hostile properties hold the
+//! batch total: no panic and no NaN on any byte input, which is what keeps
+//! garbage out of the genotyper's posteriors.
 
-use gpf_caller::pairhmm::{log10_likelihood, HmmJob, HmmParams, PairHmmBatch};
+mod pairhmm_oracle;
+
+use gpf_caller::pairhmm::{HmmJob, HmmParams, PairHmmBatch};
 use gpf_support::proptest::prelude::*;
+use pairhmm_oracle::log10_likelihood;
 
 fn seq(max_len: usize) -> impl Strategy<Value = Vec<u8>> {
     proptest::collection::vec(

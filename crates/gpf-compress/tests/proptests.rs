@@ -1,11 +1,14 @@
 //! Property-based round-trip tests for the compression layer, plus the
 //! differential properties that hold the word-level/table-driven hot paths
-//! byte-identical to the retained scalar reference implementations.
+//! byte-identical to the seed's scalar codec, kept test-side in
+//! `codec_oracle/`.
+
+mod codec_oracle;
 
 use gpf_compress::bitio::{BitReader, BitWriter};
 use gpf_compress::huffman::HuffmanCodec;
 use gpf_compress::qualcodec::QualityCodec;
-use gpf_compress::reference::{
+use codec_oracle::{
     compress_read_fields_ref, decompress_read_fields_ref, RefBitReader, RefBitWriter,
 };
 use gpf_compress::sequence::{compress_read_fields, decompress_read_fields, CompressedRead};

@@ -5,20 +5,24 @@
 //! under {faults off, quiet plan, seeded plans} × {no budget, tight budget}
 //! × {sole-owner, shared shuffle input}.
 //!
-//! Every cell must reproduce the oracle's partition layout and records at
-//! every checkpoint, and the fault-free and quiet-plan cells must also
+//! Every cell must reproduce the plain cell's partition layout and records
+//! at every checkpoint, and the fault-free and quiet-plan cells must also
 //! reproduce its `JobRun` shape (stage labels and kinds, tasks per stage,
-//! shuffle write/read byte vectors). The oracle is the same job on a plain
-//! context with its explicit shuffle routed through the retained
-//! `partition_by_reference`. The engine's configuration axes select
-//! execution strategy (move vs clone vs stream, parallel vs serial restore,
-//! checksum-and-recompute), never results — this test pins that for the
-//! whole operator surface at once, where the chaos/budget/skew batteries
-//! pin it per mechanism.
+//! shuffle write/read byte vectors). The plain cell — no faults, no budget,
+//! sole-owned shuffle input — is itself held to the pure-function seed
+//! shuffle in `shuffle_oracle/`: its `partitionBy` checkpoint and that
+//! stage's two byte vectors are the oracle's. The engine's configuration
+//! axes select execution strategy (move vs clone vs stream, parallel vs
+//! serial restore, checksum-and-recompute), never results — this test pins
+//! that for the whole operator surface at once, where the
+//! chaos/budget/skew batteries pin it per mechanism.
+
+mod shuffle_oracle;
 
 use gpf_engine::{
     Dataset, EngineConfig, EngineContext, FaultConfig, FaultPlan, JobRun, RebalancePlan, StageKind,
 };
+use shuffle_oracle::shuffle_oracle;
 use std::sync::Arc;
 
 type Rec = (u64, u64);
@@ -65,18 +69,27 @@ fn input() -> Vec<Rec> {
         .collect()
 }
 
+/// Output partitions and router of the job's explicit shuffle.
+const SHUFFLE_PARTS: usize = 5;
+
+fn route(kv: &Rec) -> usize {
+    (kv.0 % SHUFFLE_PARTS as u64) as usize
+}
+
+/// The explicit shuffle's input: element-wise narrow ops over the evictable
+/// source (they stream spilled frames under a budget).
+fn shuffle_input(d: &Dataset<Rec>) -> Dataset<Rec> {
+    d.map(|kv| (kv.0 % 61, kv.1.rotate_left(7))).filter(|kv| kv.1 % 11 != 0)
+}
+
 /// The matrix job. `shared` keeps a second handle on the explicit shuffle's
-/// input alive (forcing the clone path where the sole-owner cell moves);
-/// `reference` routes that shuffle through `partition_by_reference`.
-fn job(ctx: &Arc<EngineContext>, data: &[Rec], shared: bool, reference: bool) -> Outcome {
+/// input alive (forcing the clone path where the sole-owner cell moves).
+fn job(ctx: &Arc<EngineContext>, data: &[Rec], shared: bool) -> Outcome {
     let d = Dataset::from_vec(Arc::clone(ctx), data.to_vec(), 4).evictable();
     let spilled_inputs = d.spilled_partitions();
-    // Element-wise narrow ops: stream spilled frames under a budget.
-    let m = d.map(|kv| (kv.0 % 61, kv.1.rotate_left(7))).filter(|kv| kv.1 % 11 != 0);
+    let m = shuffle_input(&d);
     let _keep = shared.then(|| m.clone());
-    let route = |kv: &Rec| (kv.0 % 5) as usize;
-    let p =
-        if reference { m.partition_by_reference(5, route) } else { m.into_partition_by(5, route) };
+    let p = m.into_partition_by(SHUFFLE_PARTS, route);
     // Whole-partition narrow op over a shuffle output (restores serially
     // under a budget).
     let w = p.map_partitions(|part| {
@@ -153,24 +166,45 @@ fn assert_same_output(cell: &str, got: &Outcome, want: &Outcome) {
     for (g, w) in got.checkpoints.iter().zip(&want.checkpoints) {
         assert_eq!(g.parts.len(), w.parts.len(), "[{cell}] {}: partition count", g.name);
         for (i, (gp, wp)) in g.parts.iter().zip(&w.parts).enumerate() {
-            assert!(gp == wp, "[{cell}] {}: partition {i} diverged from the oracle", g.name);
+            assert!(gp == wp, "[{cell}] {}: partition {i} diverged from the plain cell", g.name);
         }
     }
-    assert!(got.collected == want.collected, "[{cell}] collect() diverged from the oracle");
+    assert!(got.collected == want.collected, "[{cell}] collect() diverged from the plain cell");
+}
+
+/// The plain cell's explicit shuffle is the oracle's: the same records in
+/// every output partition, the same bytes per map task and per reduce task.
+fn assert_plain_cell_matches_oracle(data: &[Rec], plain: &Outcome, plain_shape: &[StageShape]) {
+    let ctx = EngineContext::new(EngineConfig::default().with_parallelism(4));
+    let m = shuffle_input(&Dataset::from_vec(Arc::clone(&ctx), data.to_vec(), 4));
+    let input: Vec<Vec<Rec>> = (0..m.num_partitions()).map(|i| m.partition(i).to_vec()).collect();
+    let want = shuffle_oracle(ctx.serializer(), &input, SHUFFLE_PARTS, route);
+
+    let got = &plain.checkpoints[0];
+    assert_eq!(got.name, "partitionBy");
+    let want_parts: Vec<String> = want.parts.iter().map(|p| format!("{p:?}")).collect();
+    assert!(got.parts == want_parts, "the plain cell's partitionBy diverged from the oracle");
+    // The explicit shuffle is the job's first: its map stage carries the
+    // write vector, the stage after it the read vector.
+    let at = plain_shape.iter().position(|s| s.kind == StageKind::Shuffle).unwrap();
+    assert_eq!(plain_shape[at].label, "partitionBy");
+    assert_eq!(plain_shape[at].shuffle_write, want.write_bytes, "bytes written per map task");
+    assert_eq!(plain_shape[at + 1].shuffle_read, want.read_bytes, "bytes read per reduce task");
 }
 
 #[test]
 fn every_operator_agrees_across_faults_budget_and_ownership() {
     let data = input();
-    let oracle_ctx = EngineContext::new(EngineConfig::default().with_parallelism(4));
-    let oracle = job(&oracle_ctx, &data, false, true);
-    let oracle_shape = shape(&oracle_ctx.take_run());
-    assert!(oracle.collected.len() > 1000, "the job must carry real volume to the end");
+    let plain_ctx = EngineContext::new(EngineConfig::default().with_parallelism(4));
+    let plain = job(&plain_ctx, &data, false);
+    let plain_shape = shape(&plain_ctx.take_run());
+    assert!(plain.collected.len() > 1000, "the job must carry real volume to the end");
     assert_eq!(
-        oracle_shape.iter().filter(|s| s.kind == StageKind::Shuffle).count(),
+        plain_shape.iter().filter(|s| s.kind == StageKind::Shuffle).count(),
         7,
-        "partitionBy, barrier, sortByKey, reduceByKey, join x2, adaptive: {oracle_shape:?}"
+        "partitionBy, barrier, sortByKey, reduceByKey, join x2, adaptive: {plain_shape:?}"
     );
+    assert_plain_cell_matches_oracle(&data, &plain, &plain_shape);
 
     // About a third of the widest intermediate's footprint: forces spills,
     // streamed maps and serial restores, yet fits the largest zip pair.
@@ -194,7 +228,7 @@ fn every_operator_agrees_across_faults_budget_and_ownership() {
                     cfg = cfg.with_memory_budget(bytes);
                 }
                 let ctx = EngineContext::new(cfg);
-                let got = job(&ctx, &data, shared, false);
+                let got = job(&ctx, &data, shared);
                 assert!(ctx.take_budget_breach().is_none(), "[{cell}] feasible budget breached");
                 assert!(ctx.take_failure().is_none(), "[{cell}] in-budget faults must recover");
                 assert_eq!(
@@ -202,10 +236,10 @@ fn every_operator_agrees_across_faults_budget_and_ownership() {
                     budget.is_some(),
                     "[{cell}] the tight budget (and only it) must force spills"
                 );
-                assert_same_output(&cell, &got, &oracle);
+                assert_same_output(&cell, &got, &plain);
                 let injects = plan.as_ref().is_some_and(|p| p.rate_permille > 0);
                 if !injects {
-                    assert_eq!(shape(&ctx.take_run()), oracle_shape, "[{cell}] JobRun shape");
+                    assert_eq!(shape(&ctx.take_run()), plain_shape, "[{cell}] JobRun shape");
                 }
             }
         }

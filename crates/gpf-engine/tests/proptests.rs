@@ -1,11 +1,64 @@
-//! Property-based tests for the engine: shuffle correctness and simulator
+//! Property-based tests for the engine: shuffle correctness (held to the
+//! pure-function seed shuffle in `shuffle_oracle/`) and simulator
 //! invariants.
 
+mod shuffle_oracle;
+
+use gpf_compress::GpfSerialize;
 use gpf_engine::{Dataset, EngineConfig, EngineContext, SimCluster, SimOptions};
 use gpf_support::proptest::prelude::*;
+use shuffle_oracle::shuffle_oracle;
+use std::fmt::Debug;
 
 fn ctx() -> std::sync::Arc<EngineContext> {
     EngineContext::new(EngineConfig::default())
+}
+
+/// Hold the engine's one shuffle to the oracle on both of its map-side
+/// paths — a borrowed input (every record cloned) and a consumed sole-owner
+/// input (every record moved): the same records partition for partition,
+/// and the same bytes per map task written and per reduce task read.
+fn check_shuffle_against_oracle<T>(
+    data: Vec<T>,
+    parts: usize,
+    nparts: usize,
+    route: impl Fn(&T) -> usize + Send + Sync + Copy,
+) -> Result<(), TestCaseError>
+where
+    T: GpfSerialize + Clone + Debug + PartialEq + Send + Sync + 'static,
+{
+    let c_new = ctx();
+    let d_new = Dataset::from_vec(std::sync::Arc::clone(&c_new), data.clone(), parts);
+    let input: Vec<Vec<T>> = (0..parts).map(|i| d_new.partition(i).to_vec()).collect();
+    let want = shuffle_oracle(c_new.serializer(), &input, nparts, route);
+    let p_new = d_new.partition_by(nparts, route);
+    let run_new = c_new.take_run();
+
+    let c_mv = ctx();
+    let d_mv = Dataset::from_vec(std::sync::Arc::clone(&c_mv), data, parts);
+    let p_mv = d_mv.into_partition_by(nparts, route);
+    let run_mv = c_mv.take_run();
+
+    prop_assert_eq!(p_new.num_partitions(), nparts);
+    prop_assert_eq!(p_mv.num_partitions(), nparts);
+    for t in 0..nparts {
+        prop_assert_eq!(&p_new.partition(t)[..], &want.parts[t][..], "clone path, partition {}", t);
+        prop_assert_eq!(&p_mv.partition(t)[..], &want.parts[t][..], "move path, partition {}", t);
+    }
+    for (path, run) in [("clone", &run_new), ("move", &run_mv)] {
+        prop_assert_eq!(run.num_stages(), 2, "{} path: a map stage and a read stage", path);
+        prop_assert_eq!(&run.stages[0].shuffle_write_bytes, &want.write_bytes, "{} path", path);
+        prop_assert_eq!(&run.stages[1].shuffle_read_bytes, &want.read_bytes, "{} path", path);
+    }
+    Ok(())
+}
+
+/// The fixed case the property cannot draw: string payloads (variable-length
+/// records), more input partitions than outputs.
+#[test]
+fn shuffle_paths_agree_with_reference() {
+    let data: Vec<(u64, String)> = (0u64..300).map(|i| (i % 11, format!("rec-{i:05}"))).collect();
+    check_shuffle_against_oracle(data, 6, 5, |kv| (kv.0 % 5) as usize).unwrap();
 }
 
 proptest! {
@@ -66,32 +119,7 @@ proptest! {
         parts in 1usize..8,
         nparts in 1usize..10,
     ) {
-        // Three shuffle flavors — the retained reference, the borrowed
-        // (clone-fallback) fast path, and the consuming (move) fast path —
-        // must agree partition-for-partition and byte-for-byte.
-        let c_ref = ctx();
-        let d_ref = Dataset::from_vec(std::sync::Arc::clone(&c_ref), data.clone(), parts);
-        let p_ref = d_ref.partition_by_reference(nparts, move |kv| (kv.0 % nparts as u64) as usize);
-        let bytes_ref = c_ref.take_run().total_shuffle_bytes();
-
-        let c_new = ctx();
-        let d_new = Dataset::from_vec(std::sync::Arc::clone(&c_new), data.clone(), parts);
-        let p_new = d_new.partition_by(nparts, move |kv| (kv.0 % nparts as u64) as usize);
-        let bytes_new = c_new.take_run().total_shuffle_bytes();
-
-        let c_mv = ctx();
-        let d_mv = Dataset::from_vec(std::sync::Arc::clone(&c_mv), data.clone(), parts);
-        let p_mv = d_mv.into_partition_by(nparts, move |kv| (kv.0 % nparts as u64) as usize);
-        let bytes_mv = c_mv.take_run().total_shuffle_bytes();
-
-        prop_assert_eq!(p_ref.num_partitions(), p_new.num_partitions());
-        prop_assert_eq!(p_ref.num_partitions(), p_mv.num_partitions());
-        for t in 0..p_ref.num_partitions() {
-            prop_assert_eq!(p_ref.partition(t), p_new.partition(t));
-            prop_assert_eq!(p_ref.partition(t), p_mv.partition(t));
-        }
-        prop_assert_eq!(bytes_ref, bytes_new);
-        prop_assert_eq!(bytes_ref, bytes_mv);
+        check_shuffle_against_oracle(data, parts, nparts, move |kv| (kv.0 % nparts as u64) as usize)?;
     }
 
     #[test]
