@@ -284,7 +284,7 @@ impl BwaMemAligner {
         while diag + mate_seq.len() / 2 < window.len() {
             if let Some(aln) = fit_align(read.ranks(), window, diag, sc) {
                 if (aln.score as f64) >= threshold
-                    && best.as_ref().map_or(true, |b| aln.score > b.aln.score)
+                    && best.as_ref().is_none_or(|b| aln.score > b.aln.score)
                 {
                     best = Some(Placement {
                         contig: anchor.contig,

@@ -10,7 +10,8 @@
 //! * [`fmindex`] — BWT + FM-index with backward search and O(1) locate;
 //! * [`sw`] — banded fitting alignment (Smith–Waterman style) with CIGAR
 //!   traceback, computed anti-diagonal-wise with packed 16-bit SWAR lanes
-//!   (the scalar seed kernel survives as [`sw::reference::fit_align_ref`]);
+//!   (the scalar kernel, [`sw::reference::fit_align_ref`], runs every
+//!   scoring outside the 16-bit envelope);
 //! * [`myers`] — bit-parallel Myers edit distance, used as a sound
 //!   prefilter that lets candidate windows skip the affine DP entirely;
 //! * [`verify`] — candidate verification shared by the two aligners: an

@@ -8,14 +8,18 @@
 //! preferred over the same bases split into several gaps — essential both
 //! for alignment quality and for unambiguous variant extraction downstream.
 //!
-//! Two kernels compute the same DP. [`swar`] packs four 16-bit band lanes
-//! into each u64 accumulator and fills a row per sweep; [`reference`] is the
-//! original cell-at-a-time seed kernel, retained verbatim. [`fit_align`]
-//! dispatches to the SWAR kernel whenever the scoring fits its 16-bit
-//! envelope ([`swar::in_envelope`]) and falls back to the reference
-//! otherwise, so results are identical on every input — the differential
-//! proptests in `tests/kernel_differential.rs` pin score, CIGAR,
-//! `window_start`, and edit distance to the reference bit for bit.
+//! Two kernels compute the same DP, each the only path on its own inputs.
+//! [`swar`] packs four 16-bit band lanes into each u64 accumulator and
+//! fills a row per sweep; [`reference`] is the cell-at-a-time kernel with
+//! full-width `i32` cells. [`fit_align`] picks from what it can observe: the
+//! SWAR kernel whenever the scoring fits its 16-bit envelope
+//! ([`swar::in_envelope`]), the reference for every other
+//! [`Scoring`] (`AlignerOptions::scoring` is public, so those are supported
+//! inputs, not a test hook). The reference is therefore both the
+//! out-of-envelope path and the tests' reference: the differential
+//! proptests in `tests/kernel_differential.rs` pin the SWAR kernel's score,
+//! CIGAR, `window_start`, and edit distance to it bit for bit, so results
+//! are identical whichever side of the envelope an input falls.
 
 pub mod reference;
 pub mod swar;

@@ -1,13 +1,13 @@
-//! The scalar seed kernel, retained verbatim as the executable reference.
+//! The scalar kernel: the out-of-envelope path and the tests' reference.
 //!
 //! [`fit_align_ref`] is the cell-at-a-time banded affine DP the workspace
-//! shipped with before the SWAR overhaul. It stays in-tree for three jobs:
-//! the differential proptests pin the fast kernel to it (identical score,
-//! CIGAR, and `window_start` over random inputs), the `--kernel-bench` gate
-//! measures the fast kernel's cell throughput against it, and
-//! [`super::fit_align`] falls back to it whenever a scoring or input shape
-//! falls outside the 16-bit SWAR envelope — so the public contract is
-//! exactly this function's behavior on every input.
+//! shipped with before the SWAR overhaul. It stays in the library because
+//! it runs: [`super::fit_align`] takes it for every scoring or input shape
+//! outside the 16-bit SWAR envelope, where it is the only implementation.
+//! That also makes it the reference — the public contract is exactly this
+//! function's behavior on every input, and the differential proptests pin
+//! the fast kernel to it (identical score, CIGAR, and `window_start` over
+//! random inputs).
 
 use super::{Alignment, Scoring, NEG, S_M, S_X, S_Y};
 use gpf_formats::cigar::{Cigar, CigarOp};
@@ -47,7 +47,7 @@ pub fn fit_align_ref(
         for j in lo(i)..hi(i) {
             let cell = at(i, j);
             // M: consume read[i-1] and window[j-1].
-            if j >= 1 && j - 1 >= lo(i - 1) && j - 1 < hi(i - 1) {
+            if j >= 1 && j > lo(i - 1) && j - 1 < hi(i - 1) {
                 let prev = at(i - 1, j - 1);
                 let sub = if read[i - 1] == window[j - 1] { sc.match_score } else { sc.mismatch };
                 let (mut best, mut from) = (NEG, 0u8);
@@ -76,7 +76,7 @@ pub fn fit_align_ref(
                 }
             }
             // Y: consume window[j-1] only (deletion from reference).
-            if j >= 1 && j - 1 >= lo(i) {
+            if j >= 1 && j > lo(i) {
                 let prev = at(i, j - 1);
                 let open = dp[S_M][prev].saturating_add(sc.gap_open + sc.gap_extend);
                 let extend = dp[S_Y][prev].saturating_add(sc.gap_extend);

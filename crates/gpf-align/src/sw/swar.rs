@@ -394,7 +394,7 @@ pub fn fit_align_swar(
     while i > 0 {
         let from: u8 = match s {
             S_M => {
-                if j >= 1 && j - 1 >= lo(i - 1) && j - 1 < hi(i - 1) {
+                if j >= 1 && j > lo(i - 1) && j - 1 < hi(i - 1) {
                     let cp = j - 1 - lo(i - 1);
                     let (mut b, mut f) = (neg, 0u8);
                     for ps in [S_M, S_X, S_Y] {
@@ -426,7 +426,7 @@ pub fn fit_align_swar(
                 }
             }
             _ => {
-                if j >= 1 && j - 1 >= lo(i) {
+                if j >= 1 && j > lo(i) {
                     let cp = j - 1 - lo(i);
                     let open = get(S_M, i, cp) + go_ge;
                     let extend = get(S_Y, i, cp) + ge;

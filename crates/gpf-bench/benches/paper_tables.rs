@@ -6,10 +6,10 @@
 //! use the `experiments` binary at `--scale 1.0` for fuller runs).
 
 fn main() {
-    let scale = std::env::var("GPF_SCALE")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0.35);
+    let scale = gpf_bench::env_scale(0.35).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    });
     println!("# GPF paper evaluation — full regeneration (scale {scale})\n");
     let t0 = std::time::Instant::now();
     for report in gpf_bench::experiments::all(scale) {

@@ -6,7 +6,7 @@
 //! experiments --smoke
 //! experiments --smoke --trace out.json     # traced WGS run -> Chrome JSON
 //! experiments --validate-trace out.json    # schema-check a trace file
-//! experiments --smoke --trace-overhead     # measure tracing cost (<5%)
+//! experiments --smoke --mem-report         # per-stage heap breakdown
 //! ```
 //!
 //! Ids: table1 table3 table4 table5 fig5 fig10 fig11a fig11b fig11c fig11d
@@ -21,20 +21,12 @@ use gpf_trace::sink::{self, console_err, console_out};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut scale = gpf_bench::env_scale();
+    let mut scale = gpf_bench::env_scale(1.0).unwrap_or_else(|e| die(&e));
     let mut smoke = false;
     let mut trace_path: Option<String> = None;
     let mut validate_path: Option<String> = None;
-    let mut trace_overhead = false;
     let mut mem_report = false;
-    let mut mem_gate = false;
-    let mut mem_budget_bench = false;
     let mut allow_drops = false;
-    let mut codec_gate = false;
-    let mut shuffle_gate = false;
-    let mut skew_gate = false;
-    let mut kernel_gate = false;
-    let mut chaos_seed: Option<u64> = None;
     let mut ids: Vec<String> = Vec::new();
     let mut i = 0;
     while i < args.len() {
@@ -58,25 +50,8 @@ fn main() {
                     args.get(i).cloned().unwrap_or_else(|| die("--validate-trace needs a path")),
                 );
             }
-            "--trace-overhead" => trace_overhead = true,
             "--mem-report" => mem_report = true,
-            "--mem-gate" => mem_gate = true,
-            "--mem-budget-bench" => mem_budget_bench = true,
             "--allow-drops" => allow_drops = true,
-            "--codec-bench" => codec_gate = true,
-            "--shuffle-bench" => shuffle_gate = true,
-            "--skew-bench" => skew_gate = true,
-            "--kernel-bench" => kernel_gate = true,
-            "--chaos" => {
-                // Optional numeric SEED next-arg; omitted -> default seed.
-                chaos_seed = Some(match args.get(i + 1).and_then(|s| s.parse().ok()) {
-                    Some(seed) => {
-                        i += 1;
-                        seed
-                    }
-                    None => 2018,
-                });
-            }
             "--help" | "-h" => {
                 eprintln!(
                     "usage: experiments <id>[,<id>...]|all [--scale X] [--smoke]\n\
@@ -88,32 +63,8 @@ fn main() {
                      --validate-trace PATH: schema-check a Chrome trace file; exit 2 on\n\
                                             failure or when events were dropped (ring\n\
                                             overflow) unless --allow-drops is also given\n\
-                     --trace-overhead: time the WGS run tracing-off vs tracing-on;\n\
-                                       writes BENCH_trace_overhead.json, exit 3 if >= 5%\n\
                      --mem-report: run the WGS pipeline with the tracking allocator on and\n\
-                                   print the per-stage heap breakdown + tag attribution\n\
-                     --mem-gate: time the traced WGS run heap-tracking-off vs -on;\n\
-                                 writes BENCH_mem.json (with per-stage peak bytes),\n\
-                                 exit 3 if overhead >= 5%\n\
-                     --mem-budget-bench: run the WGS pipeline under memory budgets at\n\
-                                         1/2, 1/4 and 1/8 of the materialized footprint;\n\
-                                         writes BENCH_memory.json, exit 3 unless every\n\
-                                         budgeted run completes byte-identically with\n\
-                                         ledger peak <= budget + 64 KiB slack\n\
-                     --codec-bench: fast vs reference read-field codec throughput;\n\
-                                    writes BENCH_codec.json, exit 3 if speedup < 2x\n\
-                     --shuffle-bench: clone-free vs reference shuffle records/s;\n\
-                                      writes BENCH_shuffle.json, exit 3 if speedup < 1.5x\n\
-                     --skew-bench: adaptive repartition vs static layout on the skewed\n\
-                                   workload; writes BENCH_skew.json, exit 3 if the\n\
-                                   straggler-tail cut < 1.3x or the outputs diverge\n\
-                     --kernel-bench: SWAR Smith-Waterman and batched pair-HMM cell\n\
-                                     throughput vs the scalar references; writes\n\
-                                     BENCH_kernels.json, exit 3 if either speedup < 2x\n\
-                     --chaos [SEED]: run the WGS pipeline under seeded fault plans and\n\
-                                     require byte-identical recovery; writes BENCH_chaos.json,\n\
-                                     exit 3 on divergence or an unexpected task failure\n\
-                     (--smoke shrinks the gate workloads but keeps real timing)"
+                                   print the per-stage heap breakdown + tag attribution"
                 );
                 return;
             }
@@ -133,28 +84,8 @@ fn main() {
         validate_trace_file(path, allow_drops);
         return;
     }
-    if trace_overhead {
-        measure_trace_overhead(scale);
-        return;
-    }
-    if mem_gate {
-        measure_mem_gate(scale);
-        return;
-    }
     if mem_report {
         run_mem_report(scale);
-        return;
-    }
-    if mem_budget_bench {
-        run_mem_budget_bench(scale);
-        return;
-    }
-    if codec_gate || shuffle_gate || skew_gate || kernel_gate {
-        run_perf_gates(codec_gate, shuffle_gate, skew_gate, kernel_gate, smoke);
-        return;
-    }
-    if let Some(seed) = chaos_seed {
-        run_chaos(scale, seed);
         return;
     }
     if let Some(path) = &trace_path {
@@ -257,46 +188,6 @@ fn parse_gpf_dropped(text: &str) -> Option<u64> {
     digits.parse().ok()
 }
 
-/// `--trace-overhead`: wall-clock the WGS run tracing-off vs tracing-on
-/// (min of 3 each, on-side includes the Chrome render), append the result
-/// to `BENCH_trace_overhead.json`, and exit 3 when overhead reaches 5%.
-fn measure_trace_overhead(scale: f64) {
-    use std::time::Instant;
-    let workload = gpf_bench::workload::WgsWorkload::build(scale, 2018);
-    let time_once = |traced: bool| -> f64 {
-        gpf_trace::set_enabled(traced);
-        let t0 = Instant::now();
-        let run = workload.run_gpf(true);
-        if traced {
-            let _ = sink::chrome_trace(&run.trace).len();
-        }
-        let dt = t0.elapsed().as_secs_f64();
-        gpf_trace::set_enabled(false);
-        dt
-    };
-    let min3 = |traced: bool| (0..3).map(|_| time_once(traced)).fold(f64::INFINITY, f64::min);
-    time_once(false); // warmup: page in the workload caches
-    let off_s = min3(false);
-    let on_s = min3(true);
-    let overhead_pct = (on_s / off_s - 1.0) * 100.0;
-    let line = format!(
-        "{{\"group\":\"trace_overhead\",\"bench\":\"smoke\",\"off_s\":{off_s:.4},\
-         \"on_s\":{on_s:.4},\"overhead_pct\":{overhead_pct:.2}}}"
-    );
-    use std::io::Write;
-    match std::fs::OpenOptions::new().create(true).append(true).open("BENCH_trace_overhead.json") {
-        Ok(mut f) => {
-            let _ = writeln!(f, "{line}");
-        }
-        Err(e) => console_err(&format!("cannot append BENCH_trace_overhead.json: {e}")),
-    }
-    console_out(&line);
-    if overhead_pct >= 5.0 {
-        console_err(&format!("trace overhead {overhead_pct:.2}% >= 5% budget"));
-        std::process::exit(3);
-    }
-}
-
 /// Render the per-stage heap columns of a derived run plus the global tag
 /// attribution the tracking allocator accumulated.
 fn mem_breakdown(run: &gpf_engine::JobRun) -> String {
@@ -365,308 +256,6 @@ fn run_mem_report(scale: f64) {
     console_out(&mem_breakdown(&run.run));
 }
 
-/// `--mem-gate`: wall-clock the *traced* WGS run with heap tracking off vs
-/// on (min of 3 each — the tracked side is the marginal allocator cost, not
-/// the tracing cost), append a summary with per-stage peak bytes to
-/// `BENCH_mem.json`, and exit 3 when tracking overhead reaches 5%.
-fn measure_mem_gate(scale: f64) {
-    use std::time::Instant;
-    let workload = gpf_bench::workload::WgsWorkload::build(scale, 2018);
-    let time_once = |tracked: bool| -> f64 {
-        gpf_trace::set_enabled(true);
-        gpf_trace::alloc::set_tracking(tracked);
-        let t0 = Instant::now();
-        let _run = workload.run_gpf(true);
-        let dt = t0.elapsed().as_secs_f64();
-        gpf_trace::alloc::set_tracking(false);
-        gpf_trace::set_enabled(false);
-        dt
-    };
-    let min3 = |tracked: bool| (0..3).map(|_| time_once(tracked)).fold(f64::INFINITY, f64::min);
-    time_once(false); // warmup: page in the workload caches
-    let off_s = min3(false);
-    let on_s = min3(true);
-    let overhead_pct = (on_s / off_s - 1.0) * 100.0;
-    // One final tracked run provides the per-stage heap profile.
-    gpf_trace::set_enabled(true);
-    gpf_trace::alloc::set_tracking(true);
-    let profile = workload.run_gpf(true);
-    gpf_trace::alloc::flush_thread_stats();
-    gpf_trace::alloc::set_tracking(false);
-    gpf_trace::set_enabled(false);
-    let stages: Vec<String> = profile
-        .run
-        .stages
-        .iter()
-        .map(|s| {
-            format!(
-                "{{\"id\":{},\"label\":\"{}\",\"peak_bytes\":{},\"live_bytes\":{},\
-                 \"task_peak_bytes\":{}}}",
-                s.id, s.label, s.heap_peak_bytes, s.heap_live_bytes, s.heap_task_peak_bytes
-            )
-        })
-        .collect();
-    let line = format!(
-        "{{\"group\":\"mem\",\"bench\":\"sim-wgs\",\"off_s\":{off_s:.4},\"on_s\":{on_s:.4},\
-         \"overhead_pct\":{overhead_pct:.2},\"stages\":[{}]}}",
-        stages.join(",")
-    );
-    use std::io::Write;
-    match std::fs::OpenOptions::new().create(true).append(true).open("BENCH_mem.json") {
-        Ok(mut f) => {
-            let _ = writeln!(f, "{line}");
-        }
-        Err(e) => console_err(&format!("cannot append BENCH_mem.json: {e}")),
-    }
-    console_out(&line);
-    console_out(&mem_breakdown(&profile.run));
-    if overhead_pct >= 5.0 {
-        console_err(&format!("heap tracking overhead {overhead_pct:.2}% >= 5% budget"));
-        std::process::exit(3);
-    }
-}
-
-/// `--mem-budget-bench`: the bounded-memory streaming gate. One run under
-/// an effectively unlimited budget measures the materialized footprint
-/// (the accountant's peak with nothing forced to spill); the identical WGS
-/// pipeline then re-runs at 1/2, 1/4 and 1/8 of that footprint. Every
-/// budgeted run must complete without a breach, emit byte-identical calls,
-/// and keep the ledger peak within budget + 64 KiB slack (driver-side
-/// buffers the ledger does not track). Appends one line per fraction to
-/// `BENCH_memory.json`; exits 3 on any violation.
-fn run_mem_budget_bench(scale: f64) {
-    use gpf_compress::serializer::{serialize_batch, SerializerKind};
-    use gpf_engine::EngineConfig;
-    use std::time::Instant;
-
-    const SLACK_BYTES: u64 = 64 * 1024;
-
-    let counter_total = |name: &str| -> u64 {
-        gpf_trace::counters_snapshot()
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, v)| *v)
-            .unwrap_or(0)
-    };
-
-    let workload = gpf_bench::workload::WgsWorkload::build(scale, 2018);
-    let cfg = |budget: u64| {
-        EngineConfig::gpf().with_parallelism(workload.fastq_parts).with_memory_budget(budget)
-    };
-    let t0 = Instant::now();
-    let baseline = match workload.run_gpf_cfg(true, cfg(u64::MAX)) {
-        Ok(run) => run,
-        Err(e) => die(&format!("unbudgeted WGS run failed: {e}")),
-    };
-    let base_s = t0.elapsed().as_secs_f64();
-    let materialized = baseline.ledger_peak_bytes.unwrap_or(0);
-    if materialized == 0 {
-        die("accountant recorded no materialized footprint; budget plumbing is broken");
-    }
-    let base_bytes = serialize_batch(SerializerKind::Gpf, &baseline.calls);
-    console_err(&format!(
-        "[mem-budget] materialized footprint {materialized} bytes; {} calls \
-         ({} bytes) in {base_s:.2}s",
-        baseline.calls.len(),
-        base_bytes.len(),
-    ));
-
-    let mut failed = false;
-    let mut lines = Vec::new();
-    for denom in [2u64, 4, 8] {
-        let budget = (materialized / denom).max(1);
-        let spilled0 = counter_total("mem.budget.spilled");
-        let spilled_bytes0 = counter_total("mem.budget.spilled_bytes");
-        let restored0 = counter_total("mem.budget.restored");
-        let t = Instant::now();
-        let run = match workload.run_gpf_cfg(true, cfg(budget)) {
-            Ok(run) => run,
-            Err(e) => {
-                console_err(&format!(
-                    "[mem-budget] budget {budget} (1/{denom} materialized): \
-                     pipeline failed: {e}"
-                ));
-                failed = true;
-                continue;
-            }
-        };
-        let run_s = t.elapsed().as_secs_f64();
-        let peak = run.ledger_peak_bytes.unwrap_or(u64::MAX);
-        let spilled = counter_total("mem.budget.spilled") - spilled0;
-        let spilled_bytes = counter_total("mem.budget.spilled_bytes") - spilled_bytes0;
-        let restored = counter_total("mem.budget.restored") - restored0;
-        let bytes = serialize_batch(SerializerKind::Gpf, &run.calls);
-        let identical = bytes == base_bytes;
-        if !identical {
-            console_err(&format!(
-                "[mem-budget] budget {budget} (1/{denom}): output diverged from the \
-                 unbudgeted run ({} vs {} bytes)",
-                bytes.len(),
-                base_bytes.len(),
-            ));
-            failed = true;
-        }
-        if peak > budget + SLACK_BYTES {
-            console_err(&format!(
-                "[mem-budget] budget {budget} (1/{denom}): ledger peak {peak} exceeds \
-                 budget + {SLACK_BYTES} slack"
-            ));
-            failed = true;
-        }
-        let line = format!(
-            "{{\"group\":\"mem_budget\",\"bench\":\"sim-wgs\",\"denom\":{denom},\
-             \"budget_bytes\":{budget},\"materialized_bytes\":{materialized},\
-             \"ledger_peak_bytes\":{peak},\"spilled\":{spilled},\
-             \"spilled_bytes\":{spilled_bytes},\"restored\":{restored},\
-             \"identical\":{identical},\"base_s\":{base_s:.4},\"run_s\":{run_s:.4}}}"
-        );
-        console_out(&line);
-        lines.push(line);
-    }
-    use std::io::Write;
-    match std::fs::OpenOptions::new().create(true).append(true).open("BENCH_memory.json") {
-        Ok(mut f) => {
-            for line in &lines {
-                let _ = writeln!(f, "{line}");
-            }
-        }
-        Err(e) => console_err(&format!("cannot append BENCH_memory.json: {e}")),
-    }
-    if failed {
-        std::process::exit(3);
-    }
-}
-
-/// `--codec-bench` / `--shuffle-bench` / `--skew-bench` / `--kernel-bench`:
-/// measure the hot-path codec, shuffle, and alignment/likelihood kernels
-/// against their retained reference implementations and the adaptive
-/// repartition against the static layout, append the summary lines to
-/// `BENCH_codec.json` / `BENCH_shuffle.json` / `BENCH_skew.json` /
-/// `BENCH_kernels.json`, and exit 3 when any ratio falls below its floor
-/// (codec 2x, shuffle 1.5x, skew straggler-tail 1.3x, kernels 2x — a skew
-/// ratio of 0.00 means the split run's output diverged from the unsplit
-/// run).
-fn run_perf_gates(codec: bool, shuffle: bool, skew: bool, kernels: bool, smoke: bool) {
-    let mut failed = false;
-    let mut check = |report: gpf_bench::perf::GateReport, what: &str| {
-        console_out(&report.json_line);
-        if !report.passed() {
-            console_err(&format!(
-                "{what} speedup {:.2}x < {:.1}x floor",
-                report.worst_ratio, report.floor
-            ));
-            failed = true;
-        }
-    };
-    if codec {
-        check(gpf_bench::perf::codec_bench(smoke), "codec");
-    }
-    if shuffle {
-        check(gpf_bench::perf::shuffle_bench(smoke), "shuffle");
-    }
-    if skew {
-        check(gpf_bench::perf::skew_bench(smoke), "skew straggler-tail");
-    }
-    if kernels {
-        check(gpf_bench::perf::kernel_bench(smoke), "kernel");
-    }
-    if failed {
-        std::process::exit(3);
-    }
-}
-
-/// `--chaos [SEED]`: run the WGS pipeline fault-free, then under seeded
-/// fault plans derived from SEED, and require every recovered run's calls
-/// to be byte-identical to the baseline. Appends a summary line to
-/// `BENCH_chaos.json`; exits 3 on divergence or an unexpected failure.
-/// Each plan's own seed is printed so a divergence replays exactly.
-fn run_chaos(scale: f64, seed: u64) {
-    use gpf_compress::serializer::{serialize_batch, SerializerKind};
-    use gpf_engine::{EngineConfig, FaultConfig, FaultPlan};
-    use gpf_support::rng::SplitMix64;
-    use std::time::Instant;
-
-    const PLANS: u64 = 3;
-    const RATE_PERMILLE: u32 = 25;
-
-    let counter_total = |name: &str| -> u64 {
-        gpf_trace::counters_snapshot()
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, v)| *v)
-            .unwrap_or(0)
-    };
-
-    let workload = gpf_bench::workload::WgsWorkload::build(scale, 2018);
-    let t0 = Instant::now();
-    let baseline = workload.run_gpf(true);
-    let base_s = t0.elapsed().as_secs_f64();
-    let base_bytes = serialize_batch(SerializerKind::Gpf, &baseline.calls);
-    console_err(&format!(
-        "[chaos] baseline: {} calls ({} bytes) in {base_s:.2}s; seed {seed}, \
-         {PLANS} plans at {RATE_PERMILLE} permille",
-        baseline.calls.len(),
-        base_bytes.len(),
-    ));
-
-    let faults0 = counter_total("fault.injected");
-    let retries0 = counter_total("task.retries");
-    let recomputed0 = counter_total("shuffle.recomputed");
-    let mut chaos_s = 0.0;
-    for k in 0..PLANS {
-        let plan_seed = SplitMix64::mix(seed, k);
-        let config = EngineConfig::gpf()
-            .with_parallelism(workload.fastq_parts)
-            .with_faults(FaultConfig::new(FaultPlan::seeded(plan_seed, RATE_PERMILLE)));
-        let t = Instant::now();
-        let run = match workload.run_gpf_cfg(true, config) {
-            Ok(run) => run,
-            Err(e) => {
-                console_err(&format!(
-                    "[chaos] plan {k} (seed {plan_seed}): unexpected failure: {e}\n\
-                     replay: experiments --chaos {seed}"
-                ));
-                std::process::exit(3);
-            }
-        };
-        chaos_s += t.elapsed().as_secs_f64();
-        let bytes = serialize_batch(SerializerKind::Gpf, &run.calls);
-        if bytes != base_bytes {
-            console_err(&format!(
-                "[chaos] plan {k} (seed {plan_seed}): output diverged from the fault-free \
-                 run ({} vs {} bytes)\nreplay: experiments --chaos {seed}",
-                bytes.len(),
-                base_bytes.len(),
-            ));
-            std::process::exit(3);
-        }
-        console_err(&format!("[chaos] plan {k} (seed {plan_seed}): recovered byte-identical"));
-    }
-    let faults = counter_total("fault.injected") - faults0;
-    let retries = counter_total("task.retries") - retries0;
-    let recomputed = counter_total("shuffle.recomputed") - recomputed0;
-    let recovery_overhead_pct = (chaos_s / (PLANS as f64 * base_s) - 1.0) * 100.0;
-    let line = format!(
-        "{{\"group\":\"chaos\",\"seed\":{seed},\"plans\":{PLANS},\"faults\":{faults},\
-         \"retries\":{retries},\"recomputed\":{recomputed},\"base_s\":{base_s:.4},\
-         \"chaos_s\":{chaos_s:.4},\"recovery_overhead_pct\":{recovery_overhead_pct:.2}}}"
-    );
-    use std::io::Write;
-    match std::fs::OpenOptions::new().create(true).append(true).open("BENCH_chaos.json") {
-        Ok(mut f) => {
-            let _ = writeln!(f, "{line}");
-        }
-        Err(e) => console_err(&format!("cannot append BENCH_chaos.json: {e}")),
-    }
-    console_out(&line);
-    if faults == 0 {
-        console_err(&format!(
-            "[chaos] warning: no faults fired under seed {seed}; the gate exercised \
-             nothing — raise the rate or change the seed"
-        ));
-    }
-}
-
 /// Print per-stage diagnostics of the optimized GPF run (not a paper
 /// artifact; a tool for understanding what bounds the simulated makespan).
 fn diagnose(lab: &Lab) {
@@ -717,7 +306,7 @@ fn diagnose(lab: &Lab) {
         }
         let mut sorted: Vec<(u64, usize)> =
             final_counts.iter().enumerate().map(|(i, &c)| (c, i)).collect();
-        sorted.sort_by(|a, b| b.0.cmp(&a.0));
+        sorted.sort_by_key(|&(count, _)| std::cmp::Reverse(count));
         println!(
             "final partitions {} mean {:.1}; top: {:?}",
             info.num_partitions(),

@@ -53,7 +53,7 @@ pub struct GpfRun {
     pub fused_chains: usize,
     /// Peak bytes the memory-budget accountant admitted, when the run's
     /// config installed one ([`EngineConfig::with_memory_budget`]) — the
-    /// figure the `--mem-budget-bench` gate bounds against the budget.
+    /// figure `tests/pipeline_gates.rs` bounds against the budget.
     pub ledger_peak_bytes: Option<u64>,
 }
 
@@ -141,8 +141,9 @@ impl WgsWorkload {
     }
 
     /// [`Self::run_gpf`] under a caller-supplied engine configuration —
-    /// the chaos gate uses this to re-run the identical pipeline with a
-    /// seeded fault plan and observe recovery (or a structured failure).
+    /// `tests/pipeline_gates.rs` re-runs the identical pipeline under a
+    /// seeded fault plan or a memory budget and observes recovery (or a
+    /// structured failure).
     pub fn run_gpf_cfg(
         &self,
         optimize: bool,
@@ -289,8 +290,9 @@ pub struct SkewedWorkload {
 
 /// Result of one [`SkewedWorkload::run`].
 pub struct SkewRun {
-    /// Engine-recorded job (the compute stage's task CPU distribution is
-    /// the straggler-tail input; feed the run to `sim` for makespans).
+    /// Engine-recorded job (the compute stage's per-task shuffle-read
+    /// bytes are the straggler-tail input; feed the run to `sim` for
+    /// makespans).
     pub run: JobRun,
     /// Per-base-partition canonical output bytes: final partitions grouped
     /// back to their base partition, concatenated, sorted, serialized.
@@ -434,8 +436,9 @@ impl SkewedWorkload {
         };
 
         // Pileup-shaped compute: a per-record hash chain, so a task's CPU
-        // time is proportional to partition depth — the quantity whose max
-        // over median is the straggler tail the gate holds.
+        // time is proportional to partition depth — as are its shuffle-read
+        // bytes, whose max over median is the straggler tail
+        // `tests/pipeline_gates.rs` holds.
         let computed = shuffled.narrow_op("pileup", |_, p| {
             p.iter()
                 .map(|&(k, v)| {

@@ -443,7 +443,8 @@ mod tests {
         assert_eq!(calls.iter().map(|v| v.pos).collect::<Vec<_>>(), vec![970, 1030]);
 
         // The same region with every (read, haplotype) pair evaluated on its
-        // own by the scalar reference.
+        // own: one job per `run` call, so no window is shared and no lane
+        // has a neighbour.
         let window = region().padded(opts.window_pad, 2000);
         let seqs: Vec<&[u8]> = reads.iter().map(|r| r.seq.as_slice()).collect();
         let haps = assemble(r.slice(window), &seqs, &opts.assembly);
@@ -454,12 +455,13 @@ mod tests {
         let shared =
             reads.iter().filter(|rec| windows(rec)[1..].contains(&windows(rec)[0])).count();
         assert!(shared >= 10, "only {shared} reads share a window between haplotypes");
+        let mut batch = PairHmmBatch::new(opts.hmm);
         let separately: Vec<Vec<f64>> = reads
             .iter()
             .map(|rec| {
                 windows(rec)
                     .into_iter()
-                    .map(|w| crate::pairhmm::log10_likelihood(&rec.seq, &rec.qual, w, &opts.hmm))
+                    .map(|hap| batch.run(&[HmmJob { read: &rec.seq, qual: &rec.qual, hap }])[0])
                     .collect()
             })
             .collect();

@@ -11,20 +11,19 @@
 //! are computationally intensive components ... in which CPU architecture
 //! and speed completely determine efficiency").
 //!
-//! Two entry points compute the same quantity. [`log10_likelihood`] is the
-//! scalar seed kernel, retained as the executable reference and still used
-//! by the differential proptests and the `--kernel-bench` gate.
-//! [`PairHmmBatch::run`] is the production path. Its unit of work is one
+//! [`PairHmmBatch::run`] is the one implementation. Its unit of work is one
 //! [`HmmJob`] — a read, its qualities and the haplotype window it is scored
 //! against — and it takes a region's whole job list, orders it by shape and
 //! runs it [`LANES`] jobs to a group, whichever reads and haplotypes they
 //! come from. Per job it hoists the quality→probability lookups (the cached
 //! 256-entry table in `gpf_formats::quality`) and the emission pair
 //! `(1−e, e/3)` out of the DP, reuses the row buffers across groups, and
-//! takes the row-scaling maximum inside the column sweep. Every job's DP
-//! executes the reference's floating-point operations in the reference's
-//! order, so results are bit-equal and the genotyper's output is
-//! byte-identical.
+//! takes the row-scaling maximum inside the column sweep. The scalar
+//! one-pair-per-call kernel it replaced survives as the test-side oracle
+//! `tests/pairhmm_oracle/`: every job's DP executes that kernel's
+//! floating-point operations in that kernel's order, so results are
+//! bit-equal to it (`tests/pairhmm_differential.rs`) and the genotyper's
+//! output is byte-identical.
 
 use gpf_formats::quality::char_to_error_prob;
 
@@ -41,85 +40,6 @@ impl Default for HmmParams {
     fn default() -> Self {
         // GATK defaults: gap open ~ Q45, extension ~ Q10.
         Self { gap_open: 10f64.powf(-4.5), gap_extend: 0.1 }
-    }
-}
-
-/// log10 P(read | haplotype).
-///
-/// `read`/`qual` must have equal lengths; `haplotype` is raw ACGT bytes.
-pub fn log10_likelihood(read: &[u8], qual: &[u8], haplotype: &[u8], params: &HmmParams) -> f64 {
-    assert_eq!(read.len(), qual.len());
-    let m = read.len();
-    let n = haplotype.len();
-    if m == 0 || n == 0 {
-        return f64::NEG_INFINITY;
-    }
-    let go = params.gap_open;
-    let ge = params.gap_extend;
-    let t_mm = 1.0 - 2.0 * go; // match -> match
-    let t_gm = 1.0 - ge; // gap -> match
-
-    // DP rows over haplotype positions 0..=n for states M, X (ins in read),
-    // Y (del from read / gap in read... conventions: X consumes read only,
-    // Y consumes haplotype only).
-    let width = n + 1;
-    let mut m_prev = vec![0.0f64; width];
-    let mut x_prev = vec![0.0f64; width];
-    let mut y_prev = vec![0.0f64; width];
-    let mut m_cur = vec![0.0f64; width];
-    let mut x_cur = vec![0.0f64; width];
-    let mut y_cur = vec![0.0f64; width];
-
-    // Free start anywhere on the haplotype: probability mass 1/n enters at
-    // each haplotype offset through the Y state of row 0.
-    let start = 1.0 / n as f64;
-    for j in 0..=n {
-        y_prev[j] = start;
-    }
-
-    let mut log_scale = 0.0f64;
-    for i in 1..=m {
-        m_cur[0] = 0.0;
-        x_cur[0] = 0.0;
-        y_cur[0] = 0.0;
-        let e = char_to_error_prob(qual[i - 1]);
-        for j in 1..=n {
-            let emit = if read[i - 1] == haplotype[j - 1] && read[i - 1] != b'N' {
-                1.0 - e
-            } else {
-                e / 3.0
-            };
-            m_cur[j] = emit
-                * (t_mm * m_prev[j - 1] + t_gm * (x_prev[j - 1] + y_prev[j - 1]));
-            // X: read insertion (consume read base, stay on haplotype col).
-            x_cur[j] = m_prev[j] * go + x_prev[j] * ge;
-            // Y: haplotype deletion (consume haplotype base, same read row).
-            y_cur[j] = m_cur[j - 1] * go + y_cur[j - 1] * ge;
-        }
-        // Scale the row to avoid underflow on long reads.
-        let row_max = m_cur
-            .iter()
-            .chain(x_cur.iter())
-            .chain(y_cur.iter())
-            .fold(0.0f64, |a, &b| a.max(b));
-        if row_max > 0.0 && (row_max < 1e-280 || row_max > 1e280) {
-            let inv = 1.0 / row_max;
-            for v in m_cur.iter_mut().chain(x_cur.iter_mut()).chain(y_cur.iter_mut()) {
-                *v *= inv;
-            }
-            log_scale += row_max.log10();
-        }
-        std::mem::swap(&mut m_prev, &mut m_cur);
-        std::mem::swap(&mut x_prev, &mut x_cur);
-        std::mem::swap(&mut y_prev, &mut y_cur);
-    }
-
-    // Free end: sum the final read row over all haplotype positions.
-    let total: f64 = (0..=n).map(|j| m_prev[j] + x_prev[j]).sum();
-    if total <= 0.0 {
-        f64::NEG_INFINITY
-    } else {
-        total.log10() + log_scale
     }
 }
 
@@ -157,7 +77,8 @@ pub struct HmmJob<'a> {
 /// are grouped in (window length, read length) order, which keeps the
 /// rectangle a group sweeps close to the cells its jobs own.
 ///
-/// Results are **bit-identical** to [`log10_likelihood`]. Lanes never feed
+/// Results are **bit-identical** to the scalar kernel kept in
+/// `tests/pairhmm_oracle/` — the reference below. Lanes never feed
 /// each other, and within a lane the DP executes the reference's
 /// floating-point operations in the reference's order: the emission pair
 /// `(1−e, e/3)` is the same IEEE operations computed once per read base
@@ -371,7 +292,7 @@ impl PairHmmBatch {
                     continue; // this lane's read has ended
                 }
                 let row_max = row_max[l];
-                if row_max > 0.0 && (row_max < 1e-280 || row_max > 1e280) {
+                if row_max > 0.0 && !(1e-280..=1e280).contains(&row_max) {
                     let inv = 1.0 / row_max;
                     for j in 0..=ns[l] {
                         m_cur[j][l] *= inv;
@@ -410,20 +331,25 @@ mod tests {
 
     const HAP: &[u8] = b"ACGTACGGTACGTTACGGATCCGATCGATTACGACGTACGGTACGTTACG";
 
+    /// log10 P(read | hap) of one pair through the batch.
+    fn lk(read: &[u8], qual: &[u8], hap: &[u8]) -> f64 {
+        PairHmmBatch::new(HmmParams::default()).likelihoods(read, qual, [hap])[0]
+    }
+
     #[test]
     fn perfect_read_beats_mismatched_read() {
         let read = &HAP[10..40];
-        let good = log10_likelihood(read, &q(30, 30), HAP, &HmmParams::default());
+        let good = lk(read, &q(30, 30), HAP);
         let mut bad = read.to_vec();
         bad[15] = if bad[15] == b'A' { b'C' } else { b'A' };
-        let worse = log10_likelihood(&bad, &q(30, 30), HAP, &HmmParams::default());
+        let worse = lk(&bad, &q(30, 30), HAP);
         assert!(good > worse + 1.0, "good {good} vs bad {worse}");
     }
 
     #[test]
     fn likelihood_is_a_probability() {
         let read = &HAP[5..35];
-        let l = log10_likelihood(read, &q(30, 30), HAP, &HmmParams::default());
+        let l = lk(read, &q(30, 30), HAP);
         assert!(l <= 0.0, "log10 prob must be ≤ 0: {l}");
         assert!(l.is_finite());
     }
@@ -433,9 +359,9 @@ mod tests {
         let mut read = HAP[10..40].to_vec();
         read[20] = if read[20] == b'G' { b'T' } else { b'G' };
         let mut quals = q(30, 35);
-        let high_q = log10_likelihood(&read, &quals, HAP, &HmmParams::default());
+        let high_q = lk(&read, &quals, HAP);
         quals[20] = phred_to_char(2); // the mismatching base is marked unreliable
-        let low_q = log10_likelihood(&read, &quals, HAP, &HmmParams::default());
+        let low_q = lk(&read, &quals, HAP);
         assert!(low_q > high_q, "low-q mismatch {low_q} vs high-q mismatch {high_q}");
     }
 
@@ -446,8 +372,8 @@ mod tests {
             .map(|&b| if b == b'A' { b'C' } else { b })
             .collect();
         let read = &HAP[10..40];
-        let own = log10_likelihood(read, &q(30, 30), HAP, &HmmParams::default());
-        let other = log10_likelihood(read, &q(30, 30), &hap_alt, &HmmParams::default());
+        let own = lk(read, &q(30, 30), HAP);
+        let other = lk(read, &q(30, 30), &hap_alt);
         assert!(own > other + 3.0);
     }
 
@@ -458,17 +384,17 @@ mod tests {
         read.extend_from_slice(&HAP[29..44]);
         let mut hap_del = HAP[..25].to_vec();
         hap_del.extend_from_slice(&HAP[29..]);
-        let on_ref = log10_likelihood(&read, &q(30, 30), HAP, &HmmParams::default());
-        let on_alt = log10_likelihood(&read, &q(30, 30), &hap_del, &HmmParams::default());
+        let on_ref = lk(&read, &q(30, 30), HAP);
+        let on_alt = lk(&read, &q(30, 30), &hap_del);
         assert!(on_alt > on_ref + 2.0, "alt {on_alt} vs ref {on_ref}");
     }
 
     #[test]
     fn n_bases_are_neutral() {
         let mut read = HAP[10..40].to_vec();
-        let clean = log10_likelihood(&read, &q(30, 30), HAP, &HmmParams::default());
+        let clean = lk(&read, &q(30, 30), HAP);
         read[5] = b'N';
-        let with_n = log10_likelihood(&read, &q(30, 30), HAP, &HmmParams::default());
+        let with_n = lk(&read, &q(30, 30), HAP);
         // An N costs roughly a mismatch emission but must not zero out.
         assert!(with_n.is_finite());
         assert!(with_n < clean);
@@ -479,42 +405,14 @@ mod tests {
     fn long_read_does_not_underflow() {
         let hap: Vec<u8> = HAP.iter().cycle().take(3000).copied().collect();
         let read = &hap[100..1100]; // 1000bp read
-        let l = log10_likelihood(read, &q(1000, 30), &hap, &HmmParams::default());
+        let l = lk(read, &q(1000, 30), &hap);
         assert!(l.is_finite(), "scaled DP survives 1000bp: {l}");
     }
 
     #[test]
     fn empty_inputs_are_impossible() {
-        assert_eq!(
-            log10_likelihood(b"", b"", HAP, &HmmParams::default()),
-            f64::NEG_INFINITY
-        );
-        assert_eq!(
-            log10_likelihood(b"ACGT", &q(4, 30), b"", &HmmParams::default()),
-            f64::NEG_INFINITY
-        );
-    }
-
-    #[test]
-    fn batch_is_bit_identical_to_scalar() {
-        let read = &HAP[10..40];
-        let quals = q(30, 30);
-        let hap_alt: Vec<u8> = HAP.iter().map(|&b| if b == b'C' { b'G' } else { b }).collect();
-        let haps: Vec<&[u8]> = vec![HAP, &hap_alt, &HAP[5..45]];
-        let mut batch = PairHmmBatch::new(HmmParams::default());
-        let got = batch.likelihoods(read, &quals, haps.iter().copied());
-        for (h, g) in haps.iter().zip(&got) {
-            let want = log10_likelihood(read, &quals, h, &HmmParams::default());
-            assert_eq!(g.to_bits(), want.to_bits(), "batch must be bit-equal");
-        }
-        // Reuse across reads keeps buffers clean.
-        let read2 = &HAP[0..25];
-        let quals2 = q(25, 20);
-        let got2 = batch.likelihoods(read2, &quals2, haps.iter().copied());
-        for (h, g) in haps.iter().zip(&got2) {
-            let want = log10_likelihood(read2, &quals2, h, &HmmParams::default());
-            assert_eq!(g.to_bits(), want.to_bits(), "reused buffers must stay clean");
-        }
+        assert_eq!(lk(b"", b"", HAP), f64::NEG_INFINITY);
+        assert_eq!(lk(b"ACGT", &q(4, 30), b""), f64::NEG_INFINITY);
     }
 
     #[test]

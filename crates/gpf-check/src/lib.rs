@@ -10,8 +10,8 @@
 //! The [`shim`] module exports the workspace's concurrency primitives
 //! (`Atomic*`, `Mutex`, `RwLock`, `Condvar`, `thread::spawn`/`scope`,
 //! yield points). Normally they compile to the real `std::sync` /
-//! `std::thread` items — zero cost, identical codegen — so the engine's
-//! perf gates are unaffected. Under `RUSTFLAGS="--cfg gpf_check"` every
+//! `std::thread` items — zero cost, identical codegen. Under
+//! `RUSTFLAGS="--cfg gpf_check"` every
 //! access instead routes through a cooperative scheduler ([`rt`]) that:
 //!
 //! - runs **one logical thread at a time** (baton passing over real OS

@@ -7,8 +7,8 @@
 //! Both ends are **word-level**: a `u64` accumulator buffers up to 64
 //! pending bits, and memory is touched once per 8-byte word instead of
 //! once per bit (the seed implementation pushed a single bit per loop
-//! iteration). The emitted byte stream is identical to the scalar
-//! reference retained in [`crate::reference`] — property tests in
+//! iteration). The emitted byte stream is identical to that scalar
+//! writer's, kept test-side in `tests/codec_oracle/` — property tests in
 //! `tests/proptests.rs` hold the two equal on random streams.
 
 use crate::error::CodecError;
@@ -147,8 +147,8 @@ impl<'a> BitReader<'a> {
         if self.nbits < n {
             self.refill();
             if self.nbits < n {
-                // Matches the scalar reference: the bits that do remain are
-                // consumed before the EOF is reported.
+                // As a bit-at-a-time reader would: the bits that do remain
+                // are consumed before the EOF is reported.
                 self.nbits = 0;
                 self.acc = 0;
                 self.byte_pos = self.buf.len();

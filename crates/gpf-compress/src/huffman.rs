@@ -126,8 +126,8 @@ impl HuffmanCodec {
     }
 
     /// The canonical `(code, length)` pair for `symbol`, or `None` when the
-    /// symbol has no code. Used by external bit sinks (e.g. the retained
-    /// reference encoder) that cannot go through [`HuffmanCodec::encode`].
+    /// symbol has no code. For bit sinks other than [`BitWriter`], which
+    /// cannot go through [`HuffmanCodec::encode`].
     pub fn code(&self, symbol: u32) -> Option<(u32, u8)> {
         let l = *self.lengths.get(symbol as usize)?;
         if l == 0 {
@@ -166,22 +166,20 @@ impl HuffmanCodec {
             }
             // The zero-padded peek matched a code longer than what actually
             // remains; fall through so the walk reports EOF exactly where
-            // the reference decoder would.
+            // a walk-only decoder would.
         }
         self.decode_canonical(r)
     }
 
     /// Decode one symbol by walking the canonical per-length tables one bit
-    /// at a time — the retained reference decoder, also used as the slow
-    /// path for codes longer than [`PRIMARY_BITS`] and for stream-end/error
-    /// handling.
+    /// at a time: the slow path of [`HuffmanCodec::decode`] for codes longer
+    /// than [`PRIMARY_BITS`] and for stream-end/error handling.
     pub fn decode_canonical(&self, r: &mut BitReader<'_>) -> Result<u32, CodecError> {
         self.decode_with(&mut || r.read_bit())
     }
 
     /// Canonical-walk decode over an arbitrary bit source (one call per
-    /// bit). This is the original seed algorithm, kept generic so the
-    /// reference bit reader in [`crate::reference`] can drive it too.
+    /// bit), for bit sources other than [`BitReader`].
     pub fn decode_with<F>(&self, next_bit: &mut F) -> Result<u32, CodecError>
     where
         F: FnMut() -> Result<bool, CodecError>,

@@ -31,15 +31,15 @@
 //! Kryo-vs-GPF comparisons are reproduced.
 
 //! The codec hot paths (bit I/O, Huffman decode, field pack/unpack) are
-//! word-level and table-driven; [`reference`] retains the original scalar
-//! implementations so differential tests and the CI perf gate can hold the
-//! fast paths byte-identical — and measurably faster.
+//! word-level and table-driven. The seed's bit-at-a-time codec survives
+//! only as the test-side oracle `tests/codec_oracle/`, which the
+//! differential properties in `tests/proptests.rs` hold these paths
+//! byte-identical to.
 
 pub mod bitio;
 pub mod error;
 pub mod huffman;
 pub mod qualcodec;
-pub mod reference;
 pub mod sequence;
 pub mod serializer;
 pub mod varint;

@@ -122,35 +122,6 @@ impl QualityCodec {
         self.huff.encode(EOF_SYMBOL, w)
     }
 
-    /// Delta-transform `qual` and emit each symbol's canonical `(code,
-    /// length)` pair through `emit` — the encode loop factored over an
-    /// arbitrary bit sink so the retained reference writer in
-    /// [`crate::reference`] provably shares the transform with
-    /// [`QualityCodec::encode`].
-    pub fn encode_with<F>(&self, qual: &[u8], mut emit: F) -> Result<(), CodecError>
-    where
-        F: FnMut(u32, u8) -> Result<(), CodecError>,
-    {
-        let mut prev = 0i32;
-        for &c in qual {
-            if !(MIN_QUAL_CHAR..=MAX_QUAL_CHAR).contains(&c) {
-                return Err(CodecError::SymbolOutOfRange { symbol: c as i32 });
-            }
-            let sym = delta_to_symbol(c as i32 - prev);
-            let (code, len) = self
-                .huff
-                .code(sym)
-                .ok_or(CodecError::SymbolOutOfRange { symbol: sym as i32 })?;
-            emit(code, len)?;
-            prev = c as i32;
-        }
-        let (code, len) = self
-            .huff
-            .code(EOF_SYMBOL)
-            .ok_or(CodecError::SymbolOutOfRange { symbol: EOF_SYMBOL as i32 })?;
-        emit(code, len)
-    }
-
     /// Decode one quality string (terminated by EOF).
     pub fn decode(&self, r: &mut BitReader<'_>) -> Result<Vec<u8>, CodecError> {
         let mut out = Vec::new();
@@ -165,28 +136,6 @@ impl QualityCodec {
         let mut prev = 0i32;
         loop {
             let sym = self.huff.decode(r)?;
-            if sym == EOF_SYMBOL {
-                return Ok(());
-            }
-            let v = prev + symbol_to_delta(sym);
-            if !(MIN_QUAL_CHAR as i32..=MAX_QUAL_CHAR as i32).contains(&v) {
-                return Err(CodecError::Corrupt(format!("decoded quality {v} out of range")));
-            }
-            out.push(v as u8);
-            prev = v;
-        }
-    }
-
-    /// Decode one quality string through an arbitrary bit source using the
-    /// canonical walk — the seed decode loop, kept for the reference path
-    /// in [`crate::reference`].
-    pub fn decode_with<F>(&self, mut next_bit: F, out: &mut Vec<u8>) -> Result<(), CodecError>
-    where
-        F: FnMut() -> Result<bool, CodecError>,
-    {
-        let mut prev = 0i32;
-        loop {
-            let sym = self.huff.decode_with(&mut next_bit)?;
             if sym == EOF_SYMBOL {
                 return Ok(());
             }

@@ -970,31 +970,6 @@ mod tests {
     }
 
     #[test]
-    fn gpf_wire_format_matches_reference_codec() {
-        // The Gpf batch stream must stay byte-identical to the seed
-        // encoder: reconstruct the expected bytes from the retained
-        // reference field codec plus varint framing.
-        let rec = fastq();
-        let buf = serialize_batch(SerializerKind::Gpf, std::slice::from_ref(&rec));
-        let c = crate::reference::compress_read_fields_ref(
-            &rec.seq,
-            &rec.qual,
-            default_quality_codec(),
-        )
-        .unwrap();
-        let mut expect = Vec::new();
-        varint::write_u64(&mut expect, 1); // batch count
-        varint::write_u64(&mut expect, rec.name.len() as u64);
-        expect.extend_from_slice(rec.name.as_bytes());
-        varint::write_u64(&mut expect, c.len as u64);
-        for field in [&c.packed_seq, &c.qual_stream, &c.n_quals] {
-            varint::write_u64(&mut expect, field.len() as u64);
-            expect.extend_from_slice(field);
-        }
-        assert_eq!(buf, expect);
-    }
-
-    #[test]
     fn resident_bytes_counts_heap_payloads() {
         // Primitives: inline size only.
         assert_eq!(7u64.resident_bytes(), 8);

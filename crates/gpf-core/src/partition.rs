@@ -31,8 +31,8 @@ pub struct SplitEntry {
 pub const MAX_SPLIT_PIECES: u32 = 64;
 
 /// Statistics of one [`PartitionInfo::with_splits_stats`] rebalance
-/// decision — what the engine's `repartition.*` trace counters and the
-/// skew-bench report surface.
+/// decision — what the engine's `repartition.*` trace counters and
+/// gpf-bench's `SkewRun` surface.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SplitStats {
     /// Base partitions that were split.
@@ -354,7 +354,7 @@ impl PartitionInfo {
 impl GpfSerialize for PartitionInfo {
     fn write(&self, w: &mut ByteWriter) {
         w.write_u64(self.partition_len);
-        self.contig_lengths.iter().copied().collect::<Vec<u64>>().write(w);
+        self.contig_lengths.write(w);
         let mut splits: Vec<(u32, u32, u32)> =
             self.splits.iter().map(|(&k, e)| (k, e.split_count, e.start_id)).collect();
         splits.sort();

@@ -14,21 +14,18 @@
 //!
 //! This module is the operator API and the partition representation
 //! ([`Parts`]). Every operator is a thin caller of the one task runner
-//! (`task.rs`) and the one shuffle (`shuffle.rs`); the retained
-//! `shuffle_reference` oracle lives here too.
+//! (`task.rs`) and the one shuffle (`shuffle.rs`).
 
 use crate::budget::{TrackedParts, TrackedStore};
-use crate::context::{EngineContext, TaskSample};
+use crate::context::EngineContext;
 use crate::fault::{corrupt_bit, damaged_read, FaultKind, FaultSurface};
 use crate::shuffle::{adaptive_shuffle, shuffle};
 use crate::task::{run_stage, Abort, Mode, Task, TaskRun};
-use crate::timing::TaskTimer;
 use gpf_compress::serializer::{deserialize_batch, serialize_batch};
 use gpf_compress::{GpfSerialize, SerializerKind};
 use gpf_support::par;
 use gpf_trace::alloc::AllocTag;
 use gpf_trace::clock::now_ns;
-use gpf_trace::current_tid;
 use gpf_trace::names as tn;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
@@ -726,21 +723,6 @@ impl<T: Send + Sync + 'static> Dataset<T> {
         shuffle(&ctx, parts, nparts, "partitionBy", route)
     }
 
-    /// [`Dataset::partition_by`] through the retained reference shuffle
-    /// (clone-per-record map side, per-bucket allocation, post-hoc byte
-    /// counting). Kept for differential tests and the CI perf gate; use
-    /// [`Dataset::partition_by`] everywhere else.
-    pub fn partition_by_reference(
-        &self,
-        nparts: usize,
-        route: impl Fn(&T) -> usize + Send + Sync,
-    ) -> Dataset<T>
-    where
-        T: GpfSerialize + Clone,
-    {
-        shuffle_reference(&self.ctx, &self.parts, nparts, "partitionBy", route)
-    }
-
     /// Adaptive repartition — the paper's §4.4 dynamic split, engine side.
     ///
     /// Counts records per *base* partition (a narrow pass recorded into the
@@ -879,7 +861,7 @@ where
         for pi in 0..self.parts.num() {
             self.parts.stream(pi, &mut |chunk| {
                 for (k, _) in chunk {
-                    if idx % step == 0 {
+                    if idx.is_multiple_of(step) {
                         sample.push(k.clone());
                     }
                     idx += 1;
@@ -933,117 +915,6 @@ where
             Some((k, v))
         })
         .collect()
-}
-
-/// The pre-optimization shuffle, retained verbatim: clones every record
-/// into its bucket, serializes each bucket into its own fresh buffer, and
-/// sizes transfers by re-reading buffer lengths. Differential property
-/// tests hold [`shuffle`] to this implementation's outputs and metrics, and
-/// the CI perf gate measures the speedup against it.
-fn shuffle_reference<T>(
-    ctx: &Arc<EngineContext>,
-    parts: &Parts<T>,
-    nparts: usize,
-    label: &str,
-    route: impl Fn(&T) -> usize + Send + Sync,
-) -> Dataset<T>
-where
-    T: GpfSerialize + Clone + Send + Sync + 'static,
-{
-    assert!(nparts > 0, "shuffle needs at least one output partition");
-    let kind = ctx.serializer();
-
-    // Map side: bucket and serialize.
-    let map_out: Vec<(Vec<Vec<u8>>, TaskSample, f64)> = par::map_range(parts.num(), |i| {
-        let start_ns = now_ns();
-        let t0 = TaskTimer::start();
-        let mut buckets: Vec<Vec<T>> = (0..nparts).map(|_| Vec::new()).collect();
-        parts.stream(i, &mut |chunk| {
-            for item in chunk {
-                let target = route(item);
-                assert!(target < nparts, "router produced partition {target} >= {nparts}");
-                buckets[target].push(item.clone());
-            }
-        });
-        let bucket_time = t0.elapsed_s();
-        let t1 = TaskTimer::start();
-        // Empty buckets produce zero bytes (Spark's shuffle index marks
-        // them with zero-length segments; no framing is written).
-        let ser: Vec<Vec<u8>> = buckets
-            .iter()
-            .map(|b| if b.is_empty() { Vec::new() } else { serialize_batch(kind, b) })
-            .collect();
-        let ser_time = t1.elapsed_s();
-        // The reference shuffle stays uninstrumented: it is the differential
-        // baseline, so its samples carry no heap columns.
-        let sample = TaskSample {
-            cpu_s: bucket_time + ser_time,
-            start_ns,
-            end_ns: now_ns(),
-            tid: current_tid(),
-            heap_peak_bytes: 0,
-            heap_alloc_bytes: 0,
-        };
-        (ser, sample, ser_time)
-    });
-
-    let map_samples: Vec<TaskSample> = map_out.iter().map(|(_, s, _)| *s).collect();
-    let ser_s: f64 = map_out.iter().map(|(_, _, s)| *s).sum();
-    let write_bytes: Vec<u64> = map_out
-        .iter()
-        .map(|(bufs, _, _)| bufs.iter().map(|b| b.len() as u64).sum())
-        .collect();
-    let read_bytes: Vec<u64> = (0..nparts)
-        .map(|t| map_out.iter().map(|(bufs, _, _)| bufs[t].len() as u64).sum())
-        .collect();
-    let records: u64 = (0..parts.num()).map(|i| parts.part_len(i) as u64).sum();
-    ctx.record_tasks(label, &map_samples, records, 0);
-    ctx.record_serde(ser_s);
-    ctx.close_stage_shuffle(label, write_bytes, read_bytes.clone());
-
-    // Reduce side: deserialize buckets in map order.
-    let reduce_out: Vec<(Vec<T>, TaskSample)> = par::map_range(nparts, |t| {
-        let start_ns = now_ns();
-        let t0 = TaskTimer::start();
-        let mut out: Vec<T> = Vec::new();
-        for (bufs, _, _) in &map_out {
-            if bufs[t].is_empty() {
-                continue;
-            }
-            let mut items: Vec<T> =
-                // gpf-lint: allow(no-panic): map-side serialize_batch
-                // produced this buffer in the same shuffle; a decode failure
-                // is engine corruption, not an input error.
-                deserialize_batch(kind, &bufs[t]).expect("engine-produced buffer is valid");
-            out.append(&mut items);
-        }
-        let cpu_s = t0.elapsed_s();
-        (
-            out,
-            TaskSample {
-                cpu_s,
-                start_ns,
-                end_ns: now_ns(),
-                tid: current_tid(),
-                heap_peak_bytes: 0,
-                heap_alloc_bytes: 0,
-            },
-        )
-    });
-    let de_samples: Vec<TaskSample> = reduce_out.iter().map(|(_, s)| *s).collect();
-    let de_s: f64 = de_samples.iter().map(|s| s.cpu_s).sum();
-    let out_records: u64 = reduce_out.iter().map(|(v, _)| v.len() as u64).sum();
-    // Deserialized shuffle data is fresh heap churn (the GC driver).
-    let churn: u64 = read_bytes.iter().sum::<u64>()
-        + out_records * ctx.config().per_record_overhead_bytes;
-    ctx.record_tasks(&format!("{label}(read)"), &de_samples, out_records, churn);
-    ctx.record_serde(de_s);
-    // The reference shuffle is the differential baseline: its output stays
-    // plain even under a budget, so comparisons read it without restores.
-    Dataset {
-        ctx: Arc::clone(ctx),
-        parts: Parts::Plain(Arc::new(reduce_out.into_iter().map(|(v, _)| v).collect())),
-    }
 }
 
 #[cfg(test)]
@@ -1251,35 +1122,6 @@ mod tests {
         let read = run.stages[1].total_shuffle_read();
         assert!(wrote > 0);
         assert_eq!(wrote, read, "everything written is read back");
-    }
-
-    #[test]
-    fn shuffle_paths_agree_with_reference() {
-        let data: Vec<(u64, String)> =
-            (0u64..300).map(|i| (i % 11, format!("rec-{i:05}"))).collect();
-        let route = |kv: &(u64, String)| (kv.0 % 5) as usize;
-
-        let c_ref = ctx();
-        let d_ref = Dataset::from_vec(Arc::clone(&c_ref), data.clone(), 6);
-        let p_ref = d_ref.partition_by_reference(5, route);
-        let bytes_ref = c_ref.take_run().total_shuffle_bytes();
-
-        let c_new = ctx();
-        let d_new = Dataset::from_vec(Arc::clone(&c_new), data.clone(), 6);
-        let p_new = d_new.partition_by(5, route);
-        let bytes_new = c_new.take_run().total_shuffle_bytes();
-
-        let c_mv = ctx();
-        let d_mv = Dataset::from_vec(Arc::clone(&c_mv), data.clone(), 6);
-        let p_mv = d_mv.into_partition_by(5, route);
-        let bytes_mv = c_mv.take_run().total_shuffle_bytes();
-
-        for t in 0..5 {
-            assert_eq!(p_ref.partition(t), p_new.partition(t), "clone path diverged at {t}");
-            assert_eq!(p_ref.partition(t), p_mv.partition(t), "move path diverged at {t}");
-        }
-        assert_eq!(bytes_ref, bytes_new, "shuffle byte accounting changed");
-        assert_eq!(bytes_ref, bytes_mv, "move path byte accounting changed");
     }
 
     #[test]

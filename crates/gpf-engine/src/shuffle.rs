@@ -11,9 +11,10 @@
 //!   every bucket segment is checksummed, and the reduce side recomputes
 //!   any segment that fails verification from its owning input partition.
 //!
-//! [`crate::dataset`]'s `shuffle_reference` is the retained
-//! pre-optimization implementation this one is differentially tested
-//! against.
+//! The pre-optimization shuffle (clone per record, a buffer per bucket)
+//! survives as a pure function in `tests/shuffle_oracle/`, which
+//! `tests/proptests.rs` and `tests/operator_matrix.rs` hold this one to:
+//! records partition for partition, bytes per map and per reduce task.
 
 use crate::context::EngineContext;
 use crate::dataset::{fnv64, output_parts, Dataset, Parts};
@@ -142,7 +143,8 @@ fn serialize_buckets<T: GpfSerialize>(
     let mut segs = Vec::with_capacity(buckets.len());
     // Bucket stats accumulate locally and merge into the registry once
     // per task: a smoke run serializes millions of buckets, and even an
-    // uncontended per-bucket `fetch_add` shows up in `--trace-overhead`.
+    // uncontended per-bucket `fetch_add` shows up in the traced run's wall
+    // time (the benchmark's `trace.overhead_pct`).
     let mut stats = if gpf_trace::enabled() {
         Some((gpf_trace::LocalHistogram::new(), gpf_trace::LocalHistogram::new()))
     } else {

@@ -29,7 +29,8 @@ where
 {
     let c_new = ctx();
     let d_new = Dataset::from_vec(std::sync::Arc::clone(&c_new), data.clone(), parts);
-    let input: Vec<Vec<T>> = (0..parts).map(|i| d_new.partition(i).to_vec()).collect();
+    let input: Vec<Vec<T>> =
+        (0..d_new.num_partitions()).map(|i| d_new.partition(i).to_vec()).collect();
     let want = shuffle_oracle(c_new.serializer(), &input, nparts, route);
     let p_new = d_new.partition_by(nparts, route);
     let run_new = c_new.take_run();

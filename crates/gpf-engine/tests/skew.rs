@@ -10,7 +10,8 @@
 //! gpf-engine cannot depend on gpf-core (the dependency points the other
 //! way), so these tests carry a minimal split table with the same piece
 //! math as `PartitionInfo`; the real table is covered by
-//! `gpf-core/tests/partition_props.rs` and the gpf-bench skew workload.
+//! `gpf-core/tests/partition_props.rs` and gpf-bench's `SkewedWorkload`
+//! (`crates/gpf-bench/tests/pipeline_gates.rs` holds its tail cut).
 
 use gpf_compress::serializer::{serialize_batch, SerializerKind};
 use gpf_engine::{

@@ -2,15 +2,14 @@
 //!
 //! The hermetic build substrate for the GPF workspace: everything the other
 //! crates used to pull from crates.io, reimplemented on `std` alone so the
-//! whole workspace builds, tests, and benches with the network unplugged.
+//! whole workspace builds and tests with the network unplugged.
 //!
 //! | module | replaces | provides |
 //! |---|---|---|
 //! | [`rng`] | `rand` + `rand_distr` | SplitMix64 seeding, xoshiro256++ core, `gen_range`/`gen_bool`/`fill_bytes`, Box–Muller [`rng::Normal`] |
-//! | [`par`] | `rayon` | scoped parallel map / parallel chunks with atomic work-stealing of chunk indices |
+//! | [`par`] | `rayon` | scoped, ordered parallel map with atomic work-stealing of chunk indices |
 //! | [`sync`] | `parking_lot` | `Mutex`/`RwLock` with non-poisoning `lock()` ergonomics |
 //! | [`proptest`] | `proptest` | strategy combinators, `proptest!` macro, fixed-seed corpus, halving shrinker |
-//! | [`bench`] | `criterion` | warmup + timed iters, median/p95, JSON-lines `BENCH_*.json` output |
 //! | [`chk`] | `loom` | concurrency shim: real `std` primitives normally, scheduler-instrumented doubles under `--cfg gpf_check` |
 //!
 //! Design constraints, in order:
@@ -23,7 +22,6 @@
 //! 3. **Mechanical migration.** The public surfaces mirror the crates they
 //!    replace closely enough that a port is mostly a `use`-line change.
 
-pub mod bench;
 pub mod par;
 pub mod proptest;
 pub mod rng;

@@ -1,7 +1,7 @@
 //! Scoped data parallelism over `std::thread::scope`.
 //!
 //! The replacement for the workspace's rayon usage: an ordered parallel map
-//! over index ranges, slices, and chunk lists. Work distribution is
+//! over index ranges and slices. Work distribution is
 //! **atomic work-stealing of chunk indices** — a shared counter that idle
 //! workers bump to claim the next chunk — so a straggler chunk (a hot
 //! genome partition, say) never serializes the whole map the way static
@@ -158,59 +158,6 @@ where
     map_range(items.len(), |i| f(&items[i]))
 }
 
-/// Parallel map over a slice with the element index.
-pub fn map_indexed<T, U, F>(items: &[T], f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(usize, &T) -> U + Sync,
-{
-    map_range(items.len(), |i| f(i, &items[i]))
-}
-
-/// Parallel map over contiguous chunks of `items` (each closure call sees
-/// one chunk of up to `chunk_len` elements); results are returned one per
-/// chunk, in chunk order.
-pub fn map_chunks<T, U, F>(items: &[T], chunk_len: usize, f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(&[T]) -> U + Sync,
-{
-    let chunk_len = chunk_len.max(1);
-    let nchunks = items.len().div_ceil(chunk_len);
-    map_range(nchunks, |c| {
-        let lo = c * chunk_len;
-        let hi = (lo + chunk_len).min(items.len());
-        f(&items[lo..hi])
-    })
-}
-
-/// Run `f` for every index in `0..n` in parallel (no results collected).
-pub fn for_each<F>(n: usize, f: F)
-where
-    F: Fn(usize) + Sync,
-{
-    let _ = map_range(n, f);
-}
-
-/// Fold every element of `items` in parallel, combining per-chunk partial
-/// folds with `combine`. `combine` must be associative for the result to
-/// be well-defined; chunk boundaries (and therefore the combine tree) are
-/// deterministic for a given input length and thread-count-independent.
-pub fn fold<T, A, F, C>(items: &[T], init: A, fold_one: F, combine: C) -> A
-where
-    T: Sync,
-    A: Send + Clone + Sync,
-    F: Fn(A, &T) -> A + Sync,
-    C: Fn(A, A) -> A,
-{
-    let partials = map_chunks(items, default_chunk(items.len()).max(1), |chunk| {
-        chunk.iter().fold(init.clone(), &fold_one)
-    });
-    partials.into_iter().fold(init, combine)
-}
-
 /// Default chunk grain: enough chunks for stealing to smooth stragglers
 /// (~8 per worker) without drowning small maps in coordination overhead.
 fn default_chunk(n: usize) -> usize {
@@ -229,12 +176,6 @@ mod tests {
     }
 
     #[test]
-    fn map_indexed_passes_indices() {
-        let items = vec![10u64, 20, 30];
-        assert_eq!(map_indexed(&items, |i, x| i as u64 + x), vec![10, 21, 32]);
-    }
-
-    #[test]
     fn map_range_empty_and_single() {
         assert_eq!(map_range(0, |i| i), Vec::<usize>::new());
         assert_eq!(map_range(1, |i| i + 7), vec![7]);
@@ -250,23 +191,6 @@ mod tests {
     }
 
     #[test]
-    fn map_chunks_sees_every_element_once() {
-        let items: Vec<u64> = (0..997).collect();
-        for chunk in [1usize, 10, 996, 997, 2000] {
-            let sums = map_chunks(&items, chunk, |c| c.iter().sum::<u64>());
-            assert_eq!(sums.len(), items.len().div_ceil(chunk));
-            assert_eq!(sums.iter().sum::<u64>(), items.iter().sum::<u64>(), "chunk {chunk}");
-        }
-    }
-
-    #[test]
-    fn fold_sums() {
-        let items: Vec<u64> = (1..=1000).collect();
-        let total = fold(&items, 0u64, |acc, x| acc + x, |a, b| a + b);
-        assert_eq!(total, 500_500);
-    }
-
-    #[test]
     #[should_panic(expected = "deliberate panic at 37")]
     fn panics_propagate_with_payload() {
         let _ = map_range(100, |i| {
@@ -275,17 +199,6 @@ mod tests {
             }
             i
         });
-    }
-
-    #[test]
-    fn for_each_runs_every_index() {
-        let hits: Vec<AtomicUsize> = (0..256).map(|_| AtomicUsize::new(0)).collect();
-        for_each(256, |i| {
-            // ordering: Relaxed — per-slot counts; the map's join orders them.
-            hits[i].fetch_add(1, Ordering::Relaxed);
-        });
-        // ordering: Relaxed — read after the join; no concurrent writers left.
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
     }
 
     #[test]

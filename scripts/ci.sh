@@ -5,11 +5,19 @@
 # dependencies (see crates/gpf-support), so a registry fetch here is a
 # regression, not a hiccup.
 #
+# No step's verdict depends on a timer. Speed is defended by the repo
+# benchmark against the parent commit (benchmark/README.md), measured on a
+# quiet host, not here; recovery, the memory budget and the skew split are
+# defended by plain tests (crates/gpf-bench/tests/pipeline_gates.rs) that
+# run with the workspace's.
+#
 # Usage:
-#   scripts/ci.sh          # build + test + clippy + bench smoke
-#   scripts/ci.sh quick    # build + test only (workspace and benchmark/),
-#                          # plus one short benchmark run for its checks
-#                          # and one child for the pinned VCF digest
+#   scripts/ci.sh          # quick + gpf-check model check + clippy +
+#                          # experiments smoke + trace export/schema check
+#   scripts/ci.sh quick    # -D warnings build + gpf-lint + tests (workspace
+#                          # and benchmark/), plus one short benchmark run
+#                          # for its checks and one child for the pinned
+#                          # VCF digest
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -83,18 +91,16 @@ RUSTFLAGS="${RUSTFLAGS:-} --cfg gpf_check" \
 GPF_CHECK_SCHEDULES="${GPF_CHECK_SCHEDULES:-10000}" \
     cargo test -q --offline -p gpf-check -- --test-threads=1
 
-echo "== clippy (best effort) =="
-# Clippy is advisory: warnings fail the step, but a missing clippy
-# component must not fail CI on minimal toolchains.
+echo "== clippy (blocking when installed) =="
+# A missing clippy component must not fail CI on minimal toolchains; an
+# installed one must come back clean on every crate.
 if cargo clippy --version >/dev/null 2>&1; then
-    cargo clippy --offline --workspace -- -D warnings || {
-        echo "clippy reported warnings (non-blocking)" >&2
-    }
+    cargo clippy --offline --workspace -- -D warnings
 else
     echo "clippy not installed; skipping" >&2
 fi
 
-echo "== bench smoke =="
+echo "== experiments smoke (every paper table/figure code path, tiny scale) =="
 cargo run --release --offline -p gpf-bench --bin experiments -- --smoke >/dev/null
 
 echo "== trace smoke (chrome export + schema check) =="
@@ -102,35 +108,5 @@ trace_out="$(mktemp -t gpf_trace_XXXX.json)"
 cargo run --release --offline -p gpf-bench --bin experiments -- --smoke --trace "$trace_out" >/dev/null
 cargo run --release --offline -p gpf-bench --bin experiments -- --validate-trace "$trace_out"
 rm -f "$trace_out"
-
-echo "== trace overhead (< 5% budget) =="
-rm -f BENCH_trace_overhead.json
-cargo run --release --offline -p gpf-bench --bin experiments -- --smoke --trace-overhead
-
-echo "== memory gate (heap tracking overhead < 5%, per-stage peaks) =="
-rm -f BENCH_mem.json
-cargo run --release --offline -p gpf-bench --bin experiments -- --smoke --mem-gate
-
-echo "== codec/shuffle perf gates (codec >= 2x, shuffle >= 1.5x vs reference) =="
-rm -f BENCH_codec.json BENCH_shuffle.json
-cargo run --release --offline -p gpf-bench --bin experiments -- --smoke --codec-bench --shuffle-bench
-
-echo "== skew gate (adaptive repartition: tail cut >= 1.3x, byte-identical) =="
-rm -f BENCH_skew.json
-cargo run --release --offline -p gpf-bench --bin experiments -- --smoke --skew-bench
-
-echo "== kernel gate (SWAR SW & batched pair-HMM >= 2x cell throughput) =="
-# Full-size (not --smoke): the ratio gate needs the larger workload's
-# timing stability; still ~10s wall-clock.
-rm -f BENCH_kernels.json
-cargo run --release --offline -p gpf-bench --bin experiments -- --kernel-bench
-
-echo "== chaos gate (seeded fault plans must recover byte-identically) =="
-rm -f BENCH_chaos.json
-cargo run --release --offline -p gpf-bench --bin experiments -- --smoke --chaos 2018
-
-echo "== mem-budget gate (sim-WGS at 1/2, 1/4, 1/8 materialized: byte-identical, ledger peak <= budget) =="
-rm -f BENCH_memory.json
-cargo run --release --offline -p gpf-bench --bin experiments -- --smoke --mem-budget-bench
 
 echo "CI OK"
