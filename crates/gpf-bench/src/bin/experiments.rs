@@ -223,12 +223,11 @@ fn mem_breakdown(run: &gpf_engine::JobRun) -> String {
     let _ = writeln!(
         out,
         "heap tags (MB allocated): task {:.2}  serde {:.2}  shuffle {:.2}  spill {:.2}  \
-         repartition {:.2}  untagged {:.2}",
+         untagged {:.2}",
         mb(total(tn::HEAP_TAG_TASK)),
         mb(total(tn::HEAP_TAG_SERDE)),
         mb(total(tn::HEAP_TAG_SHUFFLE)),
         mb(total(tn::HEAP_TAG_SPILL)),
-        mb(total(tn::HEAP_TAG_REPARTITION)),
         mb(total(tn::HEAP_TAG_UNTAGGED)),
     );
     let _ = writeln!(

@@ -255,7 +255,7 @@ impl WgsWorkload {
 }
 
 // ---------------------------------------------------------------------------
-// Skewed workload for the adaptive-repartition gate (paper §4.4)
+// Skewed workload for the dynamic-repartition gate (paper §4.4)
 // ---------------------------------------------------------------------------
 
 use gpf_core::partition::PartitionInfo;
@@ -354,86 +354,42 @@ impl SkewedWorkload {
         PartitionInfo::new(&self.contig_lengths, self.partition_len)
     }
 
-    /// Shuffle into genomic partitions (adaptive split table or static base
-    /// layout), run a pileup-shaped compute stage, and canonicalize the
-    /// output per base partition.
+    /// Shuffle into genomic partitions, run a pileup-shaped compute stage,
+    /// and canonicalize the output per base partition.
     ///
-    /// `adaptive` opts the engine config into
-    /// [`EngineConfig::with_adaptive_skew`] with the automatic threshold,
-    /// and the run routes through `Dataset::into_partition_by_adaptive`:
-    /// count pass, driver-side
-    /// [`PartitionInfo::with_splits_merges_stats`] (hotspots split,
-    /// underfull runs merged), split table broadcast, shuffle through
-    /// final ids.
-    pub fn run(&self, adaptive: bool) -> SkewRun {
+    /// With `split` the run does §4.4 in the open: count records per base
+    /// partition, build the table with
+    /// [`PartitionInfo::with_splits_merges_stats`] at half the mean load
+    /// (hotspots split, underfull runs merged), broadcast it, shuffle
+    /// through its final ids. Without, it shuffles into the base layout.
+    pub fn run(&self, split: bool) -> SkewRun {
         let base = self.base_info();
         let nbase = base.num_partitions() as usize;
-        let cfg = EngineConfig::gpf().with_parallelism(self.input_parts);
-        let cfg = if adaptive { cfg.with_adaptive_skew(0) } else { cfg };
-        let ctx = EngineContext::new(cfg);
+        let ctx = EngineContext::new(EngineConfig::gpf().with_parallelism(self.input_parts));
         let d = Dataset::from_vec(Arc::clone(&ctx), self.records.clone(), self.input_parts);
 
-        let mut stats = (0u64, 0u64, 0u64, 0u64);
-        let final_info: PartitionInfo;
-        let shuffled = match ctx.config().adaptive_skew {
-            Some(threshold_cfg) => {
-                let slot = Arc::new(gpf_support::sync::Mutex::new(None));
-                let slot_w = Arc::clone(&slot);
-                let base_c = base.clone();
-                let base_r = base.clone();
-                let ctx_b = Arc::clone(&ctx);
-                let out = d.into_partition_by_adaptive(
-                    nbase,
-                    move |kv: &(u64, u64)| base_c.partition_id(unpack_locus(kv.0)) as usize,
-                    move |counts| {
-                        let pairs: Vec<(u32, u64)> =
-                            counts.iter().enumerate().map(|(i, &c)| (i as u32, c)).collect();
-                        let threshold = if threshold_cfg == 0 {
-                            // Auto threshold from the recorded count pass;
-                            // the aggregated counts are the untraced
-                            // fallback (identical total).
-                            ctx_b.auto_skew_threshold(nbase).unwrap_or_else(|| {
-                                (counts.iter().sum::<u64>() / nbase as u64 / 2).max(1)
-                            })
-                        } else {
-                            threshold_cfg
-                        };
-                        // Piece-aware rebalance: split the hotspot *and*
-                        // merge runs of underfull partitions.
-                        let (info, s) = base_r.with_splits_merges_stats(&pairs, threshold);
-                        let _b = ctx_b.broadcast(info.clone());
-                        *slot_w.lock() = Some((info.clone(), s));
-                        gpf_engine::RebalancePlan {
-                            n_final: info.num_partitions() as usize,
-                            route: Box::new(move |kv: &(u64, u64)| {
-                                info.partition_id(unpack_locus(kv.0)) as usize
-                            }),
-                            splits: s.splits as u64,
-                            moved_records: s.moved_records,
-                            cap_hits: s.cap_hits as u64,
-                            merged: s.merged as u64,
-                        }
-                    },
-                );
-                let (info, s) = slot
-                    .lock()
-                    .take()
-                    // gpf-lint: allow(no-panic): the rebalance closure runs
-                    // synchronously inside into_partition_by_adaptive; an
-                    // empty slot is engine breakage, not a workload error.
-                    .expect("rebalance closure filled the split-table slot");
-                stats = (s.splits as u64, s.moved_records, s.cap_hits as u64, s.merged as u64);
-                final_info = info;
-                out
+        let (final_info, stats) = if split {
+            let mut counts: Vec<(u32, u64)> = (0..nbase as u32).map(|id| (id, 0)).collect();
+            for &(k, _) in &self.records {
+                counts[base.partition_id(unpack_locus(k)) as usize].1 += 1;
             }
-            None => {
-                let base_c = base.clone();
-                final_info = base.clone();
-                d.into_partition_by(nbase, move |kv: &(u64, u64)| {
-                    base_c.partition_id(unpack_locus(kv.0)) as usize
-                })
-            }
+            let threshold = (self.records.len() as u64 / nbase as u64 / 2).max(1);
+            let (info, stats) = base.with_splits_merges_stats(&counts, threshold);
+            ctx.record_repartition(
+                stats.splits as u64,
+                stats.moved_records,
+                stats.cap_hits as u64,
+                stats.merged as u64,
+            );
+            let _b = ctx.broadcast(info.clone());
+            (info, stats)
+        } else {
+            (base.clone(), Default::default())
         };
+        let route_info = final_info.clone();
+        let shuffled = d.into_partition_by(final_info.num_partitions() as usize, move |kv| {
+            route_info.partition_id(unpack_locus(kv.0)) as usize
+        });
 
         // Pileup-shaped compute: a per-record hash chain, so a task's CPU
         // time is proportional to partition depth — as are its shuffle-read
@@ -479,10 +435,10 @@ impl SkewedWorkload {
             run: ctx.take_run(),
             canonical,
             n_partitions: final_info.num_partitions() as usize,
-            splits: stats.0,
-            moved_records: stats.1,
-            cap_hits: stats.2,
-            merged: stats.3,
+            splits: stats.splits as u64,
+            moved_records: stats.moved_records,
+            cap_hits: stats.cap_hits as u64,
+            merged: stats.merged as u64,
         }
     }
 }
@@ -498,7 +454,7 @@ mod tests {
         assert_eq!(a.records, b.records, "same seed must reproduce records byte-identically");
         let c = SkewedWorkload::build(0.1, 0x2019);
         assert_ne!(a.records, c.records, "a different seed must actually change the workload");
-        // And the full adaptive run is deterministic end-to-end.
+        // And the full split run is deterministic end-to-end.
         let r1 = a.run(true);
         let r2 = b.run(true);
         assert_eq!(r1.canonical, r2.canonical);
@@ -507,14 +463,14 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_skew_run_splits_hotspot_and_preserves_output() {
+    fn split_run_splits_hotspot_and_preserves_output() {
         let w = SkewedWorkload::build(0.1, 7);
         let unsplit = w.run(false);
-        let adaptive = w.run(true);
+        let split = w.run(true);
         assert_eq!(unsplit.n_partitions, w.base_info().num_partitions() as usize);
-        assert!(adaptive.n_partitions > unsplit.n_partitions, "hotspot must split");
-        assert!(adaptive.splits >= 1);
-        assert!(adaptive.moved_records > 0);
-        assert_eq!(adaptive.canonical, unsplit.canonical, "split must change placement only");
+        assert!(split.n_partitions > unsplit.n_partitions, "hotspot must split");
+        assert!(split.splits >= 1);
+        assert!(split.moved_records > 0);
+        assert_eq!(split.canonical, unsplit.canonical, "split must change placement only");
     }
 }

@@ -431,7 +431,7 @@ mod tests {
         assert_eq!(wild[1], f64::NEG_INFINITY); // empty haplotype
         assert!(wild[0].is_finite() && !wild[0].is_nan());
         // All-N read stays finite (every base emits the miscall floor).
-        let all_n = batch.likelihoods(b"NNNN", &q(4, 30), [HAP].into_iter());
+        let all_n = batch.likelihoods(b"NNNN", &q(4, 30), [HAP]);
         assert!(all_n[0].is_finite());
     }
 }

@@ -1,6 +1,7 @@
-//! SAM text the parser accepts but the caller's walks cannot index: every
-//! hostile line sits between well-formed reads, whose calls must come out
-//! exactly as they do without it.
+//! SAM text the parser accepts (and one record it no longer does, built in
+//! code) but the caller's walks cannot index: every hostile record sits
+//! between well-formed reads, whose calls must come out exactly as they do
+//! without it.
 
 use gpf_caller::HaplotypeCaller;
 use gpf_formats::sam::{format_sam, parse_sam, SamFlags, SamHeaderInfo, SamRecord, NO_CONTIG};
@@ -62,9 +63,8 @@ fn hostile_sam_records_are_skipped_not_indexed() {
         "h2\t0\tchr1\t941\t60\t50M\t*\t0\t0\t*\t*\tRG:Z:rg1".to_string(),
         // QUAL `*` on a mapped read.
         format!("h3\t0\tchr1\t941\t60\t50M\t*\t0\t0\t{seq50}\t*\tRG:Z:rg1"),
-        // Mapped flag, no contig; and a start beyond the contig's end.
+        // Mapped flag, no contig.
         format!("h4\t0\t*\t941\t60\t50M\t*\t0\t0\t{seq50}\t{qual50}\tRG:Z:rg1"),
-        format!("h5\t0\tchr1\t18446744073709551615\t60\t50M\t*\t0\t0\t{seq50}\t{qual50}\tRG:Z:rg1"),
     ];
     // Four reads hanging 80 bases over the contig end and opening a deletion
     // out there: deep enough and with evidence enough for a locus that is
@@ -92,8 +92,11 @@ fn hostile_sam_records_are_skipped_not_indexed() {
         }
     }
     let (_, clean) = parse_sam(&clean_text).unwrap();
-    let (_, mixed) = parse_sam(&mixed_text).unwrap();
+    let (_, mut mixed) = parse_sam(&mixed_text).unwrap();
     assert_eq!(mixed.len(), clean.len() + hostile.len());
+    // A start beyond the contig's end is rejected by `parse_sam`, so the
+    // caller can only meet it on a record built in code.
+    mixed.insert(1, SamRecord { name: "h5".into(), pos: u64::MAX - 1, ..clean[0].clone() });
 
     let caller = HaplotypeCaller::default();
     let want = caller.call(&clean, &r);

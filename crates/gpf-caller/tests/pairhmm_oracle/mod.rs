@@ -9,6 +9,10 @@
 //! library's quality table, so the two sides cannot drift apart on a
 //! transition or an error probability.
 
+// Verbatim is the point: the oracle keeps the seed's loop and comparison
+// forms rather than clippy's.
+#![allow(clippy::needless_range_loop, clippy::manual_range_contains)]
+
 use gpf_caller::pairhmm::HmmParams;
 use gpf_formats::quality::char_to_error_prob;
 

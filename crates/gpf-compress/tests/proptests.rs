@@ -249,7 +249,7 @@ fn encoded_corpus() -> Vec<CompressedRead> {
             let seq: Vec<u8> = (0..len)
                 .map(|_| {
                     let r = rng.next_u64();
-                    if r % 16 == 0 {
+                    if r.is_multiple_of(16) {
                         b'N'
                     } else {
                         b"ACGT"[(r % 4) as usize]

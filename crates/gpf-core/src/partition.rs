@@ -108,15 +108,16 @@ impl PartitionInfo {
         self.total_final
     }
 
-    /// Figure 8: base partition id of a position.
+    /// Figure 8: base partition id of a position. An offset past the
+    /// contig's end lands in the contig's last partition, so every position
+    /// on a known contig has a partition.
     ///
     /// # Panics
     /// Panics when the contig id is out of range.
     pub fn base_partition_id(&self, pos: GenomePosition) -> u32 {
-        let base = self.contig_start_id[pos.contig as usize];
-        let offset = (pos.pos / self.partition_len) as u32;
-        debug_assert!(offset < self.contig_num_partitions[pos.contig as usize]);
-        base + offset
+        let contig = pos.contig as usize;
+        let last = (self.contig_num_partitions[contig] - 1) as u64;
+        self.contig_start_id[contig] + (pos.pos / self.partition_len).min(last) as u32
     }
 
     /// Figure 9: final partition id of a position (split table applied).
@@ -149,33 +150,15 @@ impl PartitionInfo {
     /// `repartition.moved_records` / `repartition.cap_hit` trace counters
     /// instead of truncating silently.
     pub fn with_splits_stats(&self, counts: &[(u32, u64)], threshold: u64) -> (Self, SplitStats) {
-        assert!(threshold > 0);
-        let n_base = self.num_base_partitions();
-        let mut split_count = vec![1u32; n_base as usize];
-        let mut stats = SplitStats::default();
-        for &(id, count) in counts {
-            if (id as usize) < split_count.len() && count > threshold {
-                let need = count.div_ceil(threshold);
-                stats.max_pieces_requested = stats.max_pieces_requested.max(need);
-                if need > MAX_SPLIT_PIECES as u64 {
-                    stats.cap_hits += 1;
-                }
-                split_count[id as usize] = need.min(MAX_SPLIT_PIECES as u64) as u32;
-                stats.splits += 1;
-                stats.moved_records += count;
-            }
-        }
-        let mut out = self.clone();
-        out.splits.clear();
-        let mut next = 0u32;
-        for (id, &sc) in split_count.iter().enumerate() {
-            if sc > 1 {
-                out.splits.insert(id as u32, SplitEntry { split_count: sc, start_id: next });
-            }
-            out.final_id_of_base[id] = next;
-            next += sc;
-        }
-        out.total_final = next;
+        self.split_dense(&self.dense_counts(counts), threshold)
+    }
+
+    /// [`PartitionInfo::with_splits_stats`] over a dense count vector
+    /// indexed by base partition id — the form the `ReadRepartitioner`
+    /// accumulates the driver's reduce into.
+    pub(crate) fn split_dense(&self, count_of: &[u64], threshold: u64) -> (Self, SplitStats) {
+        let (mut out, stats) = self.split_over_threshold(count_of, threshold);
+        out.rebuild_final_ids(&vec![1; count_of.len()]);
         (out, stats)
     }
 
@@ -193,36 +176,9 @@ impl PartitionInfo {
         counts: &[(u32, u64)],
         threshold: u64,
     ) -> (Self, SplitStats) {
-        assert!(threshold > 0);
-        let n_base = self.num_base_partitions() as usize;
-        let mut count_of = vec![0u64; n_base];
-        for &(id, c) in counts {
-            if (id as usize) < n_base {
-                count_of[id as usize] += c;
-            }
-        }
-        let mut split_count = vec![1u32; n_base];
-        let mut stats = SplitStats::default();
-        for (id, &count) in count_of.iter().enumerate() {
-            if count > threshold {
-                let need = count.div_ceil(threshold);
-                stats.max_pieces_requested = stats.max_pieces_requested.max(need);
-                if need > MAX_SPLIT_PIECES as u64 {
-                    stats.cap_hits += 1;
-                }
-                split_count[id] = need.min(MAX_SPLIT_PIECES as u64) as u32;
-                stats.splits += 1;
-                stats.moved_records += count;
-            }
-        }
-        let mut out = self.clone();
-        out.splits.clear();
-        for (id, &sc) in split_count.iter().enumerate() {
-            if sc > 1 {
-                // start_id is assigned by rebuild_final_ids below.
-                out.splits.insert(id as u32, SplitEntry { split_count: sc, start_id: 0 });
-            }
-        }
+        let count_of = self.dense_counts(counts);
+        let (mut out, mut stats) = self.split_over_threshold(&count_of, threshold);
+        let n_base = count_of.len();
         // Greedy merge pass: extend each run while the next base partition
         // is unsplit, lives in the same contig (a merged final partition
         // must cover one contiguous genomic interval), and fits under the
@@ -230,7 +186,7 @@ impl PartitionInfo {
         let mut merge_run_len = vec![1u32; n_base];
         let mut i = 0usize;
         while i < n_base {
-            if split_count[i] > 1 {
+            if out.splits.contains_key(&(i as u32)) {
                 i += 1;
                 continue;
             }
@@ -238,7 +194,7 @@ impl PartitionInfo {
             let mut j = i;
             let mut acc = 0u64;
             while j < n_base
-                && split_count[j] == 1
+                && !out.splits.contains_key(&(j as u32))
                 && self.contig_of_base(j as u32) == contig
                 && acc + count_of[j] <= threshold
             {
@@ -253,6 +209,45 @@ impl PartitionInfo {
             i = j;
         }
         out.rebuild_final_ids(&merge_run_len);
+        (out, stats)
+    }
+
+    /// Sum `(base partition id, reads)` pairs into one count per base
+    /// partition: an absent id counts 0, a repeated id adds up, an id past
+    /// the last base partition is ignored.
+    fn dense_counts(&self, counts: &[(u32, u64)]) -> Vec<u64> {
+        let mut count_of = vec![0u64; self.num_base_partitions() as usize];
+        for &(id, c) in counts {
+            if let Some(slot) = count_of.get_mut(id as usize) {
+                *slot += c;
+            }
+        }
+        count_of
+    }
+
+    /// The over-threshold pass every split entry point shares: a base
+    /// partition holding more than `threshold` reads gets a split-table entry
+    /// of `ceil(count / threshold)` pieces, capped at [`MAX_SPLIT_PIECES`].
+    /// The entries' `start_id`s are assigned by `rebuild_final_ids`.
+    fn split_over_threshold(&self, count_of: &[u64], threshold: u64) -> (Self, SplitStats) {
+        assert!(threshold > 0);
+        debug_assert_eq!(count_of.len(), self.final_id_of_base.len());
+        let mut out = self.clone();
+        out.splits.clear();
+        let mut stats = SplitStats::default();
+        for (id, &count) in count_of.iter().enumerate() {
+            if count > threshold {
+                let need = count.div_ceil(threshold);
+                stats.max_pieces_requested = stats.max_pieces_requested.max(need);
+                if need > MAX_SPLIT_PIECES as u64 {
+                    stats.cap_hits += 1;
+                }
+                let split_count = need.min(MAX_SPLIT_PIECES as u64) as u32;
+                out.splits.insert(id as u32, SplitEntry { split_count, start_id: 0 });
+                stats.splits += 1;
+                stats.moved_records += count;
+            }
+        }
         (out, stats)
     }
 
@@ -481,7 +476,7 @@ mod tests {
         assert_eq!(id_piece1, e.start_id + 1, "offset 345678 / 250000 = piece 1");
         // And unsplit partitions still map correctly.
         let before = split.partition_id(GenomePosition::new(3, 11_999_999));
-        assert_eq!(before, split.final_id_of_base[704 as usize]);
+        assert_eq!(before, split.final_id_of_base[704]);
     }
 
     #[test]

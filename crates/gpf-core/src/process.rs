@@ -127,14 +127,6 @@ pub fn build_bundles(
     sams: &Dataset<SamRecord>,
     known: Option<&Dataset<VcfRecord>>,
 ) -> Dataset<RegionBundle> {
-    // Adaptive skew path (§4.4 end-to-end): when the config opts in and the
-    // incoming layout is still unsplit, the SAM shuffle itself decides the
-    // split table from live counts instead of trusting a static one.
-    if let Some(threshold_cfg) = ctx.config().adaptive_skew {
-        if info.splits.is_empty() {
-            return build_bundles_adaptive(ctx, reference, info, sams, known, threshold_cfg);
-        }
-    }
     let nparts = info.num_partitions() as usize;
     let intervals = info.intervals();
 
@@ -169,122 +161,6 @@ pub fn build_bundles(
         vec![(
             pi as u32,
             sam_part.iter().map(|(_, r)| r.clone()).collect::<Vec<SamRecord>>(),
-            vcf_part.iter().map(|(_, v)| v.clone()).collect::<Vec<VcfRecord>>(),
-        )]
-    });
-    let intervals_arc = Arc::new(intervals);
-    with_vcf.zip_partitions(&fasta_ds, move |pi, svs, fasta_part| {
-        let (pid, sams, vcfs) = svs.first().cloned().unwrap_or((pi as u32, Vec::new(), Vec::new()));
-        let fasta = fasta_part.first().map(|(_, f)| f.clone()).unwrap_or_default();
-        vec![RegionBundle {
-            partition_id: pid,
-            region: intervals_arc[pi],
-            fasta,
-            sams,
-            vcfs,
-            calls: Vec::new(),
-        }]
-    })
-}
-
-/// Adaptive-skew [`build_bundles`] (paper §4.4, Figures 8–9 end-to-end).
-///
-/// The SAM shuffle runs through the engine's count → driver-rebalance →
-/// shuffle path: per-base-partition record counts are gathered during the
-/// map stage, the driver calls [`PartitionInfo::with_splits_stats`] to
-/// split over-threshold partitions mid-run, broadcasts the updated split
-/// table, and the map-side bucket writes route through the *final*
-/// (post-split) ids. The FASTA and VCF datasets are then keyed by the same
-/// final layout so the per-partition join lines up. `threshold_cfg = 0`
-/// selects the automatic threshold (half the mean partition load — the
-/// same margin the static [`crate::processes::ReadRepartitioner`] uses).
-fn build_bundles_adaptive(
-    ctx: &Arc<EngineContext>,
-    reference: &ReferenceGenome,
-    base: &PartitionInfo,
-    sams: &Dataset<SamRecord>,
-    known: Option<&Dataset<VcfRecord>>,
-    threshold_cfg: u64,
-) -> Dataset<RegionBundle> {
-    let nbase = base.num_partitions() as usize;
-    // The rebalance closure runs on the driver between the count pass and
-    // the shuffle; this slot hands the final table back out of it.
-    let slot: Arc<gpf_support::sync::Mutex<Option<PartitionInfo>>> =
-        Arc::new(gpf_support::sync::Mutex::new(None));
-    let route_base = {
-        let b = base.clone();
-        move |r: &SamRecord| route_record(r, &b) as usize
-    };
-    let ctx_b = Arc::clone(ctx);
-    let base_r = base.clone();
-    let slot_w = Arc::clone(&slot);
-    let sam_final = sams.partition_by_adaptive(nbase, route_base, move |counts| {
-        let pairs: Vec<(u32, u64)> =
-            counts.iter().enumerate().map(|(i, &c)| (i as u32, c)).collect();
-        let threshold = if threshold_cfg == 0 {
-            // Half the mean partition load, derived from the count pass the
-            // engine just recorded into the trace; when tracing is off the
-            // aggregated counts give the identical total.
-            ctx_b.auto_skew_threshold(nbase).unwrap_or_else(|| {
-                let total: u64 = counts.iter().sum();
-                (total / nbase as u64 / 2).max(1)
-            })
-        } else {
-            threshold_cfg
-        };
-        // Piece-aware rebalance: split the hotspots *and* merge runs of
-        // underfull partitions into shared final ids, so the adaptive
-        // layout fixes both skew pathologies in one decision.
-        let (final_info, stats) = base_r.with_splits_merges_stats(&pairs, threshold);
-        // §4.4's `SparkContext.broadcast(x)`: executors need the updated
-        // split table to route map-side bucket writes.
-        let _b = ctx_b.broadcast(final_info.clone());
-        *slot_w.lock() = Some(final_info.clone());
-        gpf_engine::RebalancePlan {
-            n_final: final_info.num_partitions() as usize,
-            route: Box::new(move |r: &SamRecord| route_record(r, &final_info) as usize),
-            splits: stats.splits as u64,
-            moved_records: stats.moved_records,
-            cap_hits: stats.cap_hits as u64,
-            merged: stats.merged as u64,
-        }
-    });
-    let info = slot
-        .lock()
-        .take()
-        // gpf-lint: allow(no-panic): the rebalance closure runs synchronously
-        // inside partition_by_adaptive, so the slot is filled by the time the
-        // call returns; an empty slot is engine breakage, not an input error.
-        .expect("rebalance closure filled the split-table slot");
-    let nparts = info.num_partitions() as usize;
-    let intervals = info.intervals();
-
-    // FASTA / VCF partition RDDs keyed by the final (post-split) layout —
-    // same shapes as the static path, different table.
-    let fasta_chunks: Vec<(u32, Vec<u8>)> = intervals
-        .iter()
-        .enumerate()
-        .map(|(id, iv)| (id as u32, reference.slice(*iv).to_vec()))
-        .collect();
-    let fasta_ds = Dataset::from_vec(Arc::clone(ctx), fasta_chunks, sams.num_partitions())
-        .partition_by_key(nparts, |pid: &u32| *pid as usize);
-
-    let info_v = info.clone();
-    let vcf_ds: Dataset<(u32, VcfRecord)> = match known {
-        Some(k) => k
-            .map(move |v| {
-                (info_v.partition_id(gpf_formats::GenomePosition::new(v.contig, v.pos)), v.clone())
-            })
-            .partition_by_key(nparts, |pid: &u32| *pid as usize),
-        None => Dataset::from_partitions(Arc::clone(ctx), vec![Vec::new(); nparts]),
-    };
-
-    // Join per partition. The adaptive SAM dataset holds plain records
-    // (it was routed directly, not keyed), so no unzip step is needed.
-    let with_vcf = sam_final.zip_partitions(&vcf_ds, |pi, sam_part, vcf_part| {
-        vec![(
-            pi as u32,
-            sam_part.to_vec(),
             vcf_part.iter().map(|(_, v)| v.clone()).collect::<Vec<VcfRecord>>(),
         )]
     });
@@ -398,12 +274,10 @@ mod tests {
         assert!(all[0].sams.iter().any(|s| s.name == "u"));
     }
 
-    #[test]
-    fn adaptive_bundles_split_hotspot_and_keep_every_record() {
-        // Hotspot: most reads pile onto one base partition.
-        let r = reference();
-        let info = PartitionInfo::new(&r.dict().lengths(), 250);
-        let records: Vec<SamRecord> = (0..300)
+    /// Hotspot profile: 270 of 300 reads pile onto chr1's first base
+    /// partition, the rest spread over chr2.
+    fn hotspot_records() -> Vec<SamRecord> {
+        (0..300)
             .map(|i| {
                 if i % 10 == 0 {
                     mapped(&format!("cold{i}"), 1, (i * 13) as u64 % 480)
@@ -411,88 +285,75 @@ mod tests {
                     mapped(&format!("hot{i}"), 0, (i % 240) as u64)
                 }
             })
-            .collect();
+            .collect()
+    }
 
-        let ctx_s = gpf_engine::EngineContext::new(EngineConfig::default());
-        let sams_s = Dataset::from_vec(Arc::clone(&ctx_s), records.clone(), 4);
-        let static_b = build_bundles(&ctx_s, &r, &info, &sams_s, None);
-
-        let ctx_a = gpf_engine::EngineContext::new(EngineConfig::default().with_adaptive_skew(0));
-        let sams_a = Dataset::from_vec(Arc::clone(&ctx_a), records.clone(), 4);
-        let adaptive_b = build_bundles(&ctx_a, &r, &info, &sams_a, None);
-
-        // The hotspot forced real splits: more final partitions than base.
-        assert!(
-            adaptive_b.len() > static_b.len(),
-            "adaptive {} should exceed base {}",
-            adaptive_b.len(),
-            static_b.len()
+    /// Run the `ReadRepartitioner` Process over `records` on 250-base
+    /// partitions and return the table it published.
+    fn published_table(
+        ctx: &Arc<EngineContext>,
+        r: &ReferenceGenome,
+        records: &[SamRecord],
+    ) -> PartitionInfo {
+        let header = SamHeaderInfo::unsorted_header(r.dict().clone());
+        let sams = Dataset::from_vec(Arc::clone(ctx), records.to_vec(), 4);
+        let output = PartitionInfoBundle::undefined("partitionInfo");
+        let p = crate::processes::ReadRepartitioner::new(
+            "Repartitioner",
+            vec![SamBundle::defined("aligned", header, sams)],
+            Arc::clone(&output),
+            r.dict().lengths(),
+            250,
         );
-        // Region-consistency invariants hold on the split layout too.
-        let all = adaptive_b.collect_local();
-        for b in &all {
-            assert_eq!(b.fasta.len() as u64, b.region.len());
-            for s in &b.sams {
-                if let Some(p) = s.position() {
-                    assert!(b.region.contains(p), "{} outside {:?}", s.name, b.region);
-                }
-            }
-        }
-        // Same records, exactly once, under both layouts.
-        let mut names_a: Vec<String> =
-            all.iter().flat_map(|b| b.sams.iter().map(|s| s.name.clone())).collect();
-        let mut names_s: Vec<String> = static_b
-            .collect_local()
-            .iter()
-            .flat_map(|b| b.sams.iter().map(|s| s.name.clone()))
-            .collect();
-        names_a.sort();
-        names_s.sort();
-        assert_eq!(names_a, names_s);
-        // The decision is visible in the trace.
-        let (_, trace) = ctx_a.take_run_traced();
-        assert!(trace.events.iter().any(|e| &*e.name == "repartition.split"));
+        p.execute(ctx);
+        output.info()
     }
 
     #[test]
     fn auto_threshold_pins_explicit_split_decisions() {
-        // Same hotspot profile as the split test: 300 records total, so
-        // the explicit half-mean-load threshold is known in closed form.
+        let ctx = gpf_engine::EngineContext::new(EngineConfig::default());
         let r = reference();
-        let info = PartitionInfo::new(&r.dict().lengths(), 250);
-        let records: Vec<SamRecord> = (0..300)
-            .map(|i| {
-                if i % 10 == 0 {
-                    mapped(&format!("cold{i}"), 1, (i * 13) as u64 % 480)
-                } else {
-                    mapped(&format!("hot{i}"), 0, (i % 240) as u64)
-                }
-            })
-            .collect();
-        let nbase = info.num_partitions() as u64;
-        let explicit = (300 / nbase / 2).max(1);
+        let records = hotspot_records();
+        let published = published_table(&ctx, &r, &records);
 
-        let layout = |threshold: u64| {
-            let ctx = gpf_engine::EngineContext::new(
-                EngineConfig::default().with_adaptive_skew(threshold),
-            );
-            let sams = Dataset::from_vec(Arc::clone(&ctx), records.clone(), 4);
-            build_bundles(&ctx, &r, &info, &sams, None)
-                .collect_local()
-                .iter()
-                .map(|b| {
-                    let mut names: Vec<String> =
-                        b.sams.iter().map(|s| s.name.clone()).collect();
-                    names.sort();
-                    (b.partition_id, format!("{:?}", b.region), names)
-                })
-                .collect::<Vec<_>>()
-        };
+        let base = PartitionInfo::new(&r.dict().lengths(), 250);
+        let nbase = base.num_base_partitions();
+        assert!(published.num_partitions() > nbase, "the hotspot must split");
+        // 300 records, so the half-mean-load threshold is known in closed
+        // form; the counts are taken here, not from the Process.
+        let mut counts: Vec<(u32, u64)> = (0..nbase).map(|id| (id, 0)).collect();
+        for rec in &records {
+            counts[route_record(rec, &base) as usize].1 += 1;
+        }
+        assert_eq!(published, base.with_splits(&counts, (300 / nbase as u64 / 2).max(1)));
+        // The decision is visible in the trace.
+        let (_, trace) = ctx.take_run_traced();
+        assert!(trace.events.iter().any(|e| &*e.name == "repartition.split"));
+    }
 
-        // Threshold 0 selects the auto path (half mean load derived from
-        // the count pass's `repartition.count` trace instant); it must
-        // make exactly the split decisions of the explicit formula.
-        assert_eq!(layout(0), layout(explicit), "auto threshold must pin the explicit layout");
+    #[test]
+    fn bundles_over_the_published_table_keep_every_record() {
+        let ctx = gpf_engine::EngineContext::new(EngineConfig::default());
+        let r = reference();
+        let records = hotspot_records();
+        let info = published_table(&ctx, &r, &records);
+        let sams = Dataset::from_vec(Arc::clone(&ctx), records.clone(), 4);
+        let all = build_bundles(&ctx, &r, &info, &sams, None).collect_local();
+        assert_eq!(all.len(), info.num_partitions() as usize);
+        for b in &all {
+            assert_eq!(b.fasta.len() as u64, b.region.len());
+            for s in &b.sams {
+                let p = s.position().expect("every hotspot record is mapped");
+                assert!(b.region.contains(p), "{} outside {:?}", s.name, b.region);
+            }
+        }
+        // Every record survived exactly once.
+        let mut got: Vec<&str> =
+            all.iter().flat_map(|b| b.sams.iter().map(|s| s.name.as_str())).collect();
+        let mut want: Vec<&str> = records.iter().map(|s| s.name.as_str()).collect();
+        got.sort_unstable();
+        want.sort_unstable();
+        assert_eq!(got, want);
     }
 
     #[test]

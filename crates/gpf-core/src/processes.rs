@@ -178,9 +178,6 @@ pub struct ReadRepartitioner {
     output: Arc<PartitionInfoBundle>,
     reference_lengths: Vec<u64>,
     advised_partition_length: u64,
-    /// Reads per partition above which a partition is split; `None` uses
-    /// 2× the mean count.
-    threshold: Option<u64>,
 }
 
 impl ReadRepartitioner {
@@ -198,21 +195,7 @@ impl ReadRepartitioner {
             output,
             reference_lengths,
             advised_partition_length,
-            threshold: None,
         })
-    }
-
-    /// Override the split threshold.
-    ///
-    /// # Panics
-    /// Panics when called after the process was shared (added to a
-    /// pipeline) — configuration is builder-style, before `add_process`.
-    pub fn with_threshold(mut self: Arc<Self>, threshold: u64) -> Arc<Self> {
-        // gpf-lint: allow(no-panic): documented builder contract — the Arc is
-        // uniquely held until add_process, and a silent no-op would hide a
-        // misconfigured threshold.
-        Arc::get_mut(&mut self).expect("configure before sharing").threshold = Some(threshold);
-        self
     }
 }
 
@@ -231,18 +214,9 @@ impl Process for ReadRepartitioner {
 
     fn execute(&self, ctx: &Arc<EngineContext>) {
         let base = PartitionInfo::new(&self.reference_lengths, self.advised_partition_length);
-        // Under adaptive skew the split decision moves into the shuffle
-        // itself (`build_bundles` counts live data mid-run), so the static
-        // pre-pass would be paid twice for a table that gets recomputed
-        // anyway: publish the unsplit base layout and stop here.
-        if ctx.config().adaptive_skew.is_some() {
-            let _b = ctx.broadcast(base.clone());
-            self.output.define(base);
-            return;
-        }
         // Tuple (partition id, 1), reduced and collected to the driver —
         // §4.4's second step verbatim.
-        let mut counts: std::collections::HashMap<u32, u64> = std::collections::HashMap::new();
+        let mut count_of = vec![0u64; base.num_base_partitions() as usize];
         for bundle in &self.inputs {
             let ds = bundle.dataset();
             let base_b = base.clone();
@@ -251,19 +225,16 @@ impl Process for ReadRepartitioner {
                 .reduce_by_key(ds.num_partitions(), |a, b| a + b)
                 .collect();
             for (id, c) in pairs {
-                *counts.entry(id).or_default() += c;
+                count_of[id as usize] += c;
             }
         }
-        let count_vec: Vec<(u32, u64)> = counts.into_iter().collect();
-        // Default segmentation threshold: half the mean partition load, so
-        // hotspot partitions split into pieces comfortably *below* the mean —
-        // the load-balance margin that keeps the caller's deepest pileup
-        // from becoming the straggler task (§4.4).
-        let threshold = self.threshold.unwrap_or_else(|| {
-            let total: u64 = count_vec.iter().map(|&(_, c)| c).sum();
-            (total / base.num_base_partitions().max(1) as u64 / 2).max(1)
-        });
-        let (info, stats) = base.with_splits_stats(&count_vec, threshold);
+        // Segmentation threshold: half the mean partition load, so hotspot
+        // partitions split into pieces comfortably *below* the mean — the
+        // load-balance margin that keeps the caller's deepest pileup from
+        // becoming the straggler task (§4.4).
+        let total: u64 = count_of.iter().sum();
+        let threshold = (total / (count_of.len() as u64).max(1) / 2).max(1);
+        let (info, stats) = base.split_dense(&count_of, threshold);
         ctx.record_repartition(
             stats.splits as u64,
             stats.moved_records,

@@ -1,11 +1,13 @@
 //! Property battery for [`PartitionInfo`]'s split machinery (paper §4.4,
-//! Figures 8–9) — the invariants the adaptive skew engine leans on.
+//! Figures 8–9) — the invariants the dynamic repartition leans on.
 //!
 //! Covered here:
 //! * piece-boundary math of `partition_id` when `partition_len` is *not*
 //!   divisible by `split_count` (the last piece absorbs the remainder);
 //! * the 64-piece cap, and that [`SplitStats`] reports it instead of
 //!   truncating silently;
+//! * a base id reported in several pairs counts as their sum, in the
+//!   split-only and the split-and-merge entry points alike;
 //! * dense renumbering is a bijection: `final_range_of_base` tiles
 //!   `0..num_partitions()` exactly;
 //! * `GpfSerialize` round-trips a populated split table byte-identically.
@@ -90,6 +92,30 @@ proptest! {
         if count > threshold {
             prop_assert_eq!(stats.splits, 1);
             prop_assert_eq!(stats.moved_records, count);
+        }
+    }
+
+    /// A base id reported more than once (one pair per input, in any order)
+    /// counts as the sum of its pairs: same table and same stats as the one
+    /// pre-summed pair, from both entry points.
+    #[test]
+    fn repeated_base_ids_sum(
+        a in 0u64..5_000,
+        b in 0u64..5_000,
+        other in 0u64..5_000,
+        threshold in 1u64..2_000,
+    ) {
+        let base = PartitionInfo::new(&[10_000], 1_000);
+        let summed = [(3, a + b), (7, other)];
+        for repeated in [[(3, a), (7, other), (3, b)], [(3, b), (3, a), (7, other)]] {
+            prop_assert_eq!(
+                base.with_splits_stats(&repeated, threshold),
+                base.with_splits_stats(&summed, threshold)
+            );
+            prop_assert_eq!(
+                base.with_splits_merges_stats(&repeated, threshold),
+                base.with_splits_merges_stats(&summed, threshold)
+            );
         }
     }
 

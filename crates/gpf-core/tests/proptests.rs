@@ -1,6 +1,8 @@
 //! Property tests for GPF's partitioning and scheduling invariants.
 
 use gpf_core::partition::PartitionInfo;
+use gpf_core::process::route_record;
+use gpf_formats::sam::{SamFlags, SamRecord};
 use gpf_formats::GenomePosition;
 use gpf_support::proptest::prelude::*;
 
@@ -30,6 +32,34 @@ proptest! {
                 let iv = info.partition_interval(id);
                 prop_assert!(iv.contains(p), "{p:?} not in {iv:?} (id {id})");
             }
+        }
+    }
+
+    /// `route_record` is total: a record built in code — no parser held
+    /// its coordinates to the contig — routes to an existing final
+    /// partition from any position on an in-range contig, mapped or
+    /// following its mate, with and without splits.
+    #[test]
+    fn route_record_is_total_for_in_range_contigs(
+        lens in proptest::collection::vec(100u64..5_000, 1..5),
+        plen in 50u64..1_500,
+        hot in proptest::collection::vec((0u32..40, 1u64..100_000), 0..6),
+        threshold in 1u64..10_000,
+        pos in 0u64..u64::MAX / 2,
+    ) {
+        let base = PartitionInfo::new(&lens, plen);
+        let counts: Vec<(u32, u64)> = hot
+            .into_iter()
+            .map(|(id, c)| (id % base.num_base_partitions(), c))
+            .collect();
+        let info = base.with_splits(&counts, threshold);
+        for contig in 0..lens.len() as u32 {
+            let mut r = SamRecord::unmapped("r", b"ACGT".to_vec(), b"IIII".to_vec());
+            (r.mate_contig, r.mate_pos) = (contig, pos);
+            prop_assert!(route_record(&r, &info) < info.num_partitions(), "mate at {pos}");
+            r.flags = SamFlags::default();
+            (r.contig, r.pos) = (contig, pos);
+            prop_assert!(route_record(&r, &info) < info.num_partitions(), "mapped at {pos}");
         }
     }
 

@@ -1,6 +1,7 @@
 //! Full GPF WGS pipeline integration: Aligner → Cleaner → Caller through the
 //! Pipeline runtime, with and without the §4.3 redundancy elimination.
 
+use gpf_compress::serializer::{serialize_batch, SerializerKind};
 use gpf_core::prelude::*;
 use gpf_engine::{EngineConfig, EngineContext, JobRun};
 use gpf_formats::vcf::VcfRecord;
@@ -45,8 +46,17 @@ fn setup() -> Setup {
     Setup { reference, donor, pairs, known_vcf }
 }
 
-/// Build and run the full pipeline; returns (calls, engine run, fused chains).
-fn run_pipeline(s: &Setup, optimize: bool) -> (Vec<VcfRecord>, JobRun, usize) {
+/// What one run's `ReadRepartitioner` decided (§4.4).
+struct Repartition {
+    /// The published `PartitionInfo`, serialized.
+    table: Vec<u8>,
+    /// `repartition.split` instants in the session trace.
+    instants: usize,
+}
+
+/// Build and run the full pipeline; returns (calls, engine run, fused
+/// chains, repartition decision).
+fn run_pipeline(s: &Setup, optimize: bool) -> (Vec<VcfRecord>, JobRun, usize, Repartition) {
     let ctx = EngineContext::new(EngineConfig::gpf().with_parallelism(6));
     let mut pipeline = Pipeline::new("wgs", Arc::clone(&ctx));
     pipeline.set_optimize(optimize);
@@ -114,7 +124,7 @@ fn run_pipeline(s: &Setup, optimize: bool) -> (Vec<VcfRecord>, JobRun, usize) {
         "MyHaplotypeCaller",
         Arc::clone(&s.reference),
         Some(dbsnp),
-        pinfo,
+        Arc::clone(&pinfo),
         recaled,
         Arc::clone(&vcf_out),
         false,
@@ -123,7 +133,12 @@ fn run_pipeline(s: &Setup, optimize: bool) -> (Vec<VcfRecord>, JobRun, usize) {
     pipeline.run().expect("pipeline executes");
     let fused = pipeline.fused_chains().len();
     let calls = vcf_out.dataset().collect_local();
-    (calls, ctx.take_run(), fused)
+    let (run, trace) = ctx.take_run_traced();
+    let repartition = Repartition {
+        table: serialize_batch(SerializerKind::Gpf, &[pinfo.info()]),
+        instants: trace.events.iter().filter(|e| &*e.name == "repartition.split").count(),
+    };
+    (calls, run, fused, repartition)
 }
 
 /// Calls of `setup()`'s seed, and a floor just under their measured
@@ -134,7 +149,7 @@ const PRECISION_FLOOR: f64 = 0.95;
 #[test]
 fn full_pipeline_recovers_planted_variants() {
     let s = setup();
-    let (calls, _run, _) = run_pipeline(&s, true);
+    let (calls, ..) = run_pipeline(&s, true);
     assert!(!calls.is_empty(), "pipeline produced calls");
     let near = |c: &VcfRecord, t: &gpf_workloads::variants::PlantedVariant| {
         c.contig == t.pos.contig && c.pos.abs_diff(t.pos.pos) <= 1
@@ -163,8 +178,8 @@ fn full_pipeline_recovers_planted_variants() {
 #[test]
 fn fusion_preserves_output_and_cuts_stages() {
     let s = setup();
-    let (calls_opt, run_opt, fused) = run_pipeline(&s, true);
-    let (calls_raw, run_raw, fused_raw) = run_pipeline(&s, false);
+    let (calls_opt, run_opt, fused, repartition_opt) = run_pipeline(&s, true);
+    let (calls_raw, run_raw, fused_raw, repartition_raw) = run_pipeline(&s, false);
 
     assert!(fused >= 1, "optimizer fused at least one chain");
     assert_eq!(fused_raw, 0, "optimizer disabled fuses nothing");
@@ -177,6 +192,11 @@ fn fusion_preserves_output_and_cuts_stages() {
         assert_eq!(a.alt_allele, b.alt_allele);
         assert_eq!(a.genotype, b.genotype);
     }
+
+    // One §4.4 decision per pipeline, and the same one: fusion changes who
+    // builds the bundles, never the table they are built from.
+    assert_eq!((repartition_opt.instants, repartition_raw.instants), (1, 1));
+    assert!(repartition_opt.table == repartition_raw.table, "published PartitionInfos differ");
 
     // Table 4 direction: fewer stages, less shuffle data.
     assert!(
@@ -196,7 +216,7 @@ fn fusion_preserves_output_and_cuts_stages() {
 #[test]
 fn pipeline_records_three_phases() {
     let s = setup();
-    let (_, run, _) = run_pipeline(&s, true);
+    let (_, run, ..) = run_pipeline(&s, true);
     let phases = run.phases();
     assert!(phases.contains(&"aligner".to_string()), "{phases:?}");
     assert!(phases.contains(&"cleaner".to_string()), "{phases:?}");

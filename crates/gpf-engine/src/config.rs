@@ -29,14 +29,6 @@ pub struct EngineConfig {
     /// whole fault path — no injection, no checksums, no retry machinery —
     /// so pipelines that don't opt in pay nothing.
     pub faults: Option<FaultConfig>,
-    /// Adaptive skew mitigation (the paper's §4.4 dynamic repartition).
-    /// `None` (the default) keeps every shuffle on its static layout.
-    /// `Some(n)` enables the count-pass + split-table path on adaptive
-    /// shuffles: a partition holding more than `n` records is split.
-    /// `Some(0)` means "auto": the threshold becomes half the mean
-    /// partition load, the same heuristic the static `ReadRepartitioner`
-    /// uses.
-    pub adaptive_skew: Option<u64>,
     /// Memory budget for resident partition bytes, in bytes. `None` (the
     /// default) runs fully in-memory, exactly as before. `Some(bytes)`
     /// installs a [`crate::BudgetAccountant`] on the context: datasets
@@ -77,15 +69,6 @@ impl EngineConfig {
         self
     }
 
-    /// Enable adaptive skew mitigation: shuffles routed through the
-    /// adaptive path count records per base partition and split partitions
-    /// holding more than `threshold` records. `0` selects the automatic
-    /// threshold (half the mean partition load).
-    pub fn with_adaptive_skew(mut self, threshold: u64) -> Self {
-        self.adaptive_skew = Some(threshold);
-        self
-    }
-
     /// Cap resident partition bytes at `bytes`: install the memory-budget
     /// accountant and enable graceful degradation (eviction to checksummed
     /// spill, chunked streaming scans) when a stage would breach it.
@@ -104,7 +87,6 @@ impl Default for EngineConfig {
             gc_seconds_per_byte: 25.0 / (1u64 << 30) as f64,
             per_record_overhead_bytes: 48,
             faults: None,
-            adaptive_skew: None,
             memory_budget: None,
         }
     }
@@ -131,15 +113,6 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn zero_parallelism_rejected() {
         let _ = EngineConfig::default().with_parallelism(0);
-    }
-
-    #[test]
-    fn adaptive_skew_default_off_and_opt_in() {
-        assert!(EngineConfig::default().adaptive_skew.is_none());
-        let auto = EngineConfig::gpf().with_adaptive_skew(0);
-        assert_eq!(auto.adaptive_skew, Some(0));
-        let fixed = EngineConfig::gpf().with_adaptive_skew(5000);
-        assert_eq!(fixed.adaptive_skew, Some(5000));
     }
 
     #[test]

@@ -377,26 +377,6 @@ impl EngineContext {
         self.trace.push(ev);
     }
 
-    /// Derive the adaptive-skew split threshold — "half the mean per-base
-    /// load" — from the trace instead of a caller-side formula: reads the
-    /// `records` total of the latest `repartition.count` op instant in the
-    /// session log. Returns `None` until a count pass has been recorded
-    /// (callers fall back to their local counts).
-    pub fn auto_skew_threshold(&self, nbase: usize) -> Option<u64> {
-        let mut total: Option<u64> = None;
-        self.trace.for_each(|e| {
-            if e.kind == EventKind::Instant
-                && e.cat == Category::Compute
-                && &*e.name == names::REPARTITION_COUNT
-            {
-                if let Some(r) = e.counter(names::RECORDS) {
-                    total = Some(r);
-                }
-            }
-        });
-        total.map(|t| (t / (nbase.max(1) as u64) / 2).max(1))
-    }
-
     /// Stage index for fault-site addressing (0 until the first stage
     /// closes).
     pub fn current_stage(&self) -> u32 {
@@ -507,15 +487,17 @@ impl EngineContext {
         self.trace.push(ev);
     }
 
-    /// Record one adaptive-repartition decision (the paper's §4.4 dynamic
-    /// split). Bumps the global `repartition.splits` /
-    /// `repartition.moved_records` counters (and `repartition.cap_hit` when
-    /// the 64-piece cap actually bound), and drops one scheduler instant
-    /// into the session trace so the timeline shows *when* the driver
-    /// rebalanced. Counters are unconditional for the same reason as
-    /// [`EngineContext::record_fault_event`]: this path only runs when
-    /// `adaptive_skew` is configured, so tests read them without toggling
-    /// ambient tracing.
+    /// Record one repartition decision (the paper's §4.4 dynamic split),
+    /// made by whoever built the split table — in a pipeline, the
+    /// `ReadRepartitioner` Process, once per run. Bumps the global
+    /// `repartition.splits` / `repartition.moved_records` counters (and
+    /// `repartition.cap_hit` when the 64-piece cap actually bound,
+    /// `repartition.merged` when the table merges underfull partitions),
+    /// and drops one scheduler instant into the session trace so the
+    /// timeline shows *when* the driver rebalanced. Counters are
+    /// unconditional, like [`EngineContext::record_fault_event`]'s: one
+    /// call per decision costs nothing, and tests read them without
+    /// toggling ambient tracing.
     pub fn record_repartition(&self, splits: u64, moved_records: u64, cap_hits: u64, merged: u64) {
         gpf_trace::counter(gpf_trace::names::REPARTITION_SPLITS).add(splits);
         gpf_trace::counter(gpf_trace::names::REPARTITION_MOVED).add(moved_records);

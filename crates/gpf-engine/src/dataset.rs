@@ -19,7 +19,7 @@
 use crate::budget::{TrackedParts, TrackedStore};
 use crate::context::EngineContext;
 use crate::fault::{corrupt_bit, damaged_read, FaultKind, FaultSurface};
-use crate::shuffle::{adaptive_shuffle, shuffle};
+use crate::shuffle::shuffle;
 use crate::task::{run_stage, Abort, Mode, Task, TaskRun};
 use gpf_compress::serializer::{deserialize_batch, serialize_batch};
 use gpf_compress::{GpfSerialize, SerializerKind};
@@ -29,8 +29,6 @@ use gpf_trace::clock::now_ns;
 use gpf_trace::names as tn;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
-
-pub use crate::shuffle::RebalancePlan;
 
 /// Deterministic FNV-1a hasher used for hash partitioning, so shuffles
 /// produce identical layouts across runs (important for reproducible
@@ -722,42 +720,6 @@ impl<T: Send + Sync + 'static> Dataset<T> {
         let Dataset { ctx, parts } = self;
         shuffle(&ctx, parts, nparts, "partitionBy", route)
     }
-
-    /// Adaptive repartition — the paper's §4.4 dynamic split, engine side.
-    ///
-    /// Counts records per *base* partition (a narrow pass recorded into the
-    /// same stage as the shuffle map that follows, the Spark-AQE "map
-    /// statistics" shape), hands the aggregated counts to `rebalance` on
-    /// the driver, then runs the real shuffle through the final
-    /// (post-split) routing the returned [`RebalancePlan`] carries. The
-    /// plan's split stats land in the `repartition.*` trace counters.
-    pub fn partition_by_adaptive(
-        &self,
-        nbase: usize,
-        route_base: impl Fn(&T) -> usize + Send + Sync,
-        rebalance: impl FnOnce(&[u64]) -> RebalancePlan<T>,
-    ) -> Dataset<T>
-    where
-        T: GpfSerialize + Clone,
-    {
-        adaptive_shuffle(&self.ctx, self.parts.clone(), nbase, route_base, rebalance)
-    }
-
-    /// Consuming [`Dataset::partition_by_adaptive`]: the count pass still
-    /// borrows the partitions, but the shuffle that follows moves records
-    /// into buckets when this handle held the last reference.
-    pub fn into_partition_by_adaptive(
-        self,
-        nbase: usize,
-        route_base: impl Fn(&T) -> usize + Send + Sync,
-        rebalance: impl FnOnce(&[u64]) -> RebalancePlan<T>,
-    ) -> Dataset<T>
-    where
-        T: GpfSerialize + Clone,
-    {
-        let Dataset { ctx, parts } = self;
-        adaptive_shuffle(&ctx, parts, nbase, route_base, rebalance)
-    }
 }
 
 impl<K, V> Dataset<(K, V)>
@@ -1122,78 +1084,6 @@ mod tests {
         let read = run.stages[1].total_shuffle_read();
         assert!(wrote > 0);
         assert_eq!(wrote, read, "everything written is read back");
-    }
-
-    #[test]
-    fn adaptive_shuffle_counts_then_routes_final_ids() {
-        // 4 base partitions; base 1 is hot. The rebalance splits it in two:
-        // final ids become [0, 1..3, 4, 5] for bases [0, 1, 2, 3].
-        let data: Vec<u64> = (0u64..400).map(|i| if i % 2 == 0 { 1 } else { i % 4 }).collect();
-        let c = ctx();
-        let d = Dataset::from_vec(Arc::clone(&c), data.clone(), 4);
-        let seen = Arc::new(gpf_support::sync::Mutex::new(Vec::new()));
-        let seen2 = Arc::clone(&seen);
-        let out = d.partition_by_adaptive(
-            4,
-            |x| (*x % 4) as usize,
-            move |counts| {
-                seen2.lock().extend_from_slice(counts);
-                RebalancePlan {
-                    n_final: 6,
-                    route: Box::new(|x: &u64| match *x % 4 {
-                        0 => 0,
-                        1 => 1 + (*x as usize / 4) % 3,
-                        2 => 4,
-                        _ => 5,
-                    }),
-                    splits: 1,
-                    moved_records: 250,
-                    merged: 0,
-                    cap_hits: 0,
-                }
-            },
-        );
-        // The driver saw the true per-base histogram.
-        let hot = data.iter().filter(|x| **x % 4 == 1).count() as u64;
-        assert_eq!(seen.lock().as_slice(), &[
-            data.iter().filter(|x| **x % 4 == 0).count() as u64,
-            hot,
-            data.iter().filter(|x| **x % 4 == 2).count() as u64,
-            data.iter().filter(|x| **x % 4 == 3).count() as u64,
-        ]);
-        // Records landed in their *final* partitions, none lost.
-        assert_eq!(out.num_partitions(), 6);
-        assert_eq!(out.len(), data.len());
-        let split_total: usize = (1..4).map(|t| out.partition(t).len()).sum();
-        assert_eq!(split_total as u64, hot, "hot base split across final ids 1..3");
-        // The count pass shares a stage with the shuffle map: same stage
-        // count as a plain partition_by, and the repartition instant shows.
-        let (run, trace) = c.take_run_traced();
-        assert_eq!(run.num_stages(), 2);
-        assert!(trace.events.iter().any(|e| &*e.name == "repartition.split"));
-        assert!(trace.events.iter().any(|e| &*e.name == "repartition.count"));
-    }
-
-    #[test]
-    fn adaptive_identity_plan_matches_plain_shuffle() {
-        let data: Vec<(u64, u64)> = (0u64..300).map(|i| (i * 17 % 23, i)).collect();
-        let route = |kv: &(u64, u64)| (kv.0 % 5) as usize;
-        let plain = Dataset::from_vec(ctx(), data.clone(), 6).into_partition_by(5, route);
-        let adaptive = Dataset::from_vec(ctx(), data, 6).into_partition_by_adaptive(
-            5,
-            route,
-            |_| RebalancePlan {
-                n_final: 5,
-                route: Box::new(route),
-                splits: 0,
-                moved_records: 0,
-                cap_hits: 0,
-                merged: 0,
-            },
-        );
-        for t in 0..5 {
-            assert_eq!(plain.partition(t), adaptive.partition(t), "identity plan diverged at {t}");
-        }
     }
 
     #[test]

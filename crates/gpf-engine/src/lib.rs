@@ -56,7 +56,7 @@ pub use broadcast::Broadcast;
 pub use budget::{BudgetAccountant, BudgetBreach};
 pub use config::EngineConfig;
 pub use context::EngineContext;
-pub use dataset::{Dataset, PartRef, RebalancePlan};
+pub use dataset::{Dataset, PartRef};
 pub use fault::{AttemptRecord, EngineError, FaultConfig, FaultKind, FaultPlan, FaultSite};
 pub use metrics::{JobRun, StageKind, StageMetrics};
 pub use sim::{BlockedTimeReport, SimCluster, SimOptions, SimResult};

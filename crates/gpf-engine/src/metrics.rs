@@ -59,9 +59,6 @@ pub(crate) mod names {
     pub const HEAP_TASK_PEAK: &str = "h_peak";
     /// Per-task allocated heap bytes (sibling of `h_peak`).
     pub const HEAP_TASK_ALLOC: &str = "h_alloc";
-    /// Label of the adaptive-skew count pass; its `records` counter is the
-    /// total the trace-derived split threshold is computed from.
-    pub const REPARTITION_COUNT: &str = "repartition.count";
 }
 
 /// What closed a stage.

@@ -350,93 +350,3 @@ where
     let outs = reduce_out.into_iter().map(|(v, _, _)| v).collect();
     Dataset { ctx: Arc::clone(ctx), parts: output_parts(ctx, outs) }
 }
-
-/// A driver-side rebalance decision: the final (post-split) layout an
-/// adaptive shuffle routes through, plus the decision stats the engine
-/// reports via the `repartition.*` trace counters.
-///
-/// Produced by the `rebalance` callback of
-/// [`Dataset::partition_by_adaptive`] from the aggregated per-base-partition
-/// record counts. The engine stays split-table-agnostic on purpose: callers
-/// (gpf-core, the bench workloads, tests) build the routing from
-/// `PartitionInfo::with_splits_stats` or any equivalent table, and the
-/// engine only needs the final partition count and a routing closure.
-pub struct RebalancePlan<T> {
-    /// Number of final (post-split) partitions the shuffle writes to.
-    pub n_final: usize,
-    /// Routes a record to its final partition id in `0..n_final`.
-    pub route: Box<dyn Fn(&T) -> usize + Send + Sync>,
-    /// Base partitions the decision split.
-    pub splits: u64,
-    /// Records living in split partitions (their id changed vs the base
-    /// layout).
-    pub moved_records: u64,
-    /// Partitions whose requested piece count was truncated by the
-    /// 64-piece cap — surfaced so a too-hot-to-fix partition never
-    /// truncates silently.
-    pub cap_hits: u64,
-    /// Underfull base partitions the decision *merged* into shared final
-    /// partitions (piece-aware merging of the rebalance plan): their
-    /// records change partition id without being split. Reported via the
-    /// `repartition.merged` trace counter.
-    pub merged: u64,
-}
-
-/// Adaptive shuffle (paper §4.4): count → driver rebalance → shuffle.
-///
-/// The count pass is recorded as a narrow op into the *open* stage, so the
-/// statistics cost shows up in the same stage as the shuffle map tasks —
-/// mirroring where Spark's AQE pays for its map statistics. Driver
-/// aggregation between the two passes is a plain vector sum. The data
-/// movement itself is [`shuffle`] with the plan's final routing, so lineage
-/// recompute under faults resolves *final* partition ids — a corrupted
-/// bucket on a split piece recomputes exactly that piece.
-pub(crate) fn adaptive_shuffle<T>(
-    ctx: &Arc<EngineContext>,
-    parts: Parts<T>,
-    nbase: usize,
-    route_base: impl Fn(&T) -> usize + Send + Sync,
-    rebalance: impl FnOnce(&[u64]) -> RebalancePlan<T>,
-) -> Dataset<T>
-where
-    T: GpfSerialize + Clone + Send + Sync + 'static,
-{
-    assert!(nbase > 0, "adaptive shuffle needs at least one base partition");
-    let records = parts.total_len() as u64;
-    // Count pass: per-map-partition histograms over base ids, streamed so an
-    // evicted partition never has to rematerialize just to be counted.
-    let count_task = |i: usize| -> Vec<u64> {
-        let mut h = vec![0u64; nbase];
-        parts.stream(i, &mut |chunk| {
-            for item in chunk {
-                let r = route_base(item);
-                assert!(r < nbase, "base route {r} out of range ({nbase} base partitions)");
-                h[r] += 1;
-            }
-        });
-        h
-    };
-    let Some(hists) = run_stage(
-        ctx,
-        crate::metrics::names::REPARTITION_COUNT,
-        None,
-        parts.num(),
-        Mode::Parallel,
-        |i, task| task.run(AllocTag::Repartition, || count_task(i)),
-        |_| (records, 0),
-    ) else {
-        return Dataset::failed(ctx, nbase);
-    };
-    // Driver side: aggregate the histograms and let the caller decide the
-    // final layout from them.
-    let mut counts = vec![0u64; nbase];
-    for h in &hists {
-        for (c, &v) in counts.iter_mut().zip(h) {
-            *c += v;
-        }
-    }
-    let plan = rebalance(&counts);
-    assert!(plan.n_final > 0, "rebalance produced an empty final layout");
-    ctx.record_repartition(plan.splits, plan.moved_records, plan.cap_hits, plan.merged);
-    shuffle(ctx, parts, plan.n_final, "partitionByAdaptive", plan.route)
-}

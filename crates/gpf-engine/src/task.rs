@@ -2,7 +2,7 @@
 //! recorded.
 //!
 //! Every parallel stage in the engine — narrow operators, both shuffle
-//! sides, the barrier read-back, the adaptive count pass — goes through
+//! sides, the barrier read-back — goes through
 //! [`run_stage`], and every task body through [`Task::run`], which is plain
 //! [`timed`] when faults are off and the bounded retry loop when they are
 //! on. Fault tolerance therefore costs a fault-free run three `Option`

@@ -3,12 +3,10 @@
 //! to the unbudgeted run — degradation (spill, streamed maps, recompute)
 //! may cost time, never correctness. The property test sweeps budgets at
 //! 1/2, 1/4 and 1/8 of the materialized size crossed with seeded fault
-//! plans and adaptive-skew routing on/off; directed tests pin ledger-peak
+//! plans and split-table routing on/off; directed tests pin ledger-peak
 //! bounding, infeasible-budget structured errors, and the breach message.
 
-use gpf_engine::{
-    Dataset, EngineConfig, EngineContext, FaultConfig, FaultPlan, RebalancePlan,
-};
+use gpf_engine::{Dataset, EngineConfig, EngineContext, FaultConfig, FaultPlan};
 use gpf_support::proptest::prelude::*;
 use std::sync::Arc;
 
@@ -20,45 +18,28 @@ fn materialized_bytes(data: &[(u64, u64)]) -> u64 {
 }
 
 /// The job every identity check runs: evictable input → streamed narrow
-/// ops → (optionally adaptive) shuffle. Read-back streams tracked
-/// partitions, so it is feasible under any budget; layout identity is
-/// `partition_sizes` + the concatenated stream.
+/// ops → shuffle (optionally through a split table). Read-back streams
+/// tracked partitions, so it is feasible under any budget; layout identity
+/// is `partition_sizes` + the concatenated stream.
 fn job(
     ctx: &Arc<EngineContext>,
     data: &[(u64, u64)],
     parts: usize,
     nparts: usize,
-    adaptive: bool,
+    split: bool,
 ) -> (Vec<usize>, Vec<(u64, u64)>) {
     let d = Dataset::from_vec(Arc::clone(ctx), data.to_vec(), parts).evictable();
     let m = d.map(|kv| (kv.0, kv.1.rotate_left(7))).filter(|kv| kv.1 % 97 != 0);
-    let route_base = move |kv: &(u64, u64)| (kv.0 % nparts as u64) as usize;
-    let out = if adaptive {
-        // Deterministic plan: split base 0 by value parity. The same plan
-        // drives the unbudgeted baseline, so identity covers the adaptive
-        // routing machinery under memory pressure.
-        m.into_partition_by_adaptive(nparts, route_base, |counts| {
-            let moved = counts.first().copied().unwrap_or(0);
-            let n = nparts;
-            RebalancePlan {
-                n_final: n + 1,
-                route: Box::new(move |kv: &(u64, u64)| {
-                    let base = (kv.0 % n as u64) as usize;
-                    if base == 0 && kv.1 & 1 == 1 {
-                        n
-                    } else {
-                        base
-                    }
-                }),
-                splits: 1,
-                moved_records: moved,
-                cap_hits: 0,
-                merged: 0,
-            }
-        })
-    } else {
-        m.into_partition_by(nparts, route_base)
-    };
+    // Deterministic split table: base 0 splits by value parity into one
+    // extra final partition. The same table drives the unbudgeted baseline.
+    let out = m.into_partition_by(nparts + split as usize, move |kv: &(u64, u64)| {
+        let base = (kv.0 % nparts as u64) as usize;
+        if split && base == 0 && kv.1 & 1 == 1 {
+            nparts
+        } else {
+            base
+        }
+    });
     (out.partition_sizes(), out.collect_local())
 }
 
@@ -66,7 +47,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Headline invariant: budgets at 1/2, 1/4 and 1/8 of the materialized
-    /// input size — crossed with seeded fault plans and adaptive routing —
+    /// input size — crossed with seeded fault plans and split-table routing —
     /// produce output identical to the unbudgeted, fault-free run, with no
     /// terminal failure and no breach (every stage of this job streams, so
     /// every budget fraction is feasible).
@@ -80,10 +61,10 @@ proptest! {
         knobs in 0usize..6,
     ) {
         let denom_idx = knobs % 3;
-        let adaptive = knobs >= 3;
+        let split = knobs >= 3;
         let baseline = {
             let ctx = EngineContext::new(EngineConfig::default().with_parallelism(4));
-            job(&ctx, &data, parts, nparts, adaptive)
+            job(&ctx, &data, parts, nparts, split)
         };
         let denom = [2u64, 4, 8][denom_idx];
         let budget = (materialized_bytes(&data) / denom).max(1);
@@ -93,7 +74,7 @@ proptest! {
                 .with_memory_budget(budget)
                 .with_faults(FaultConfig::new(FaultPlan::seeded(seed, rate))),
         );
-        let budgeted = job(&ctx, &data, parts, nparts, adaptive);
+        let budgeted = job(&ctx, &data, parts, nparts, split);
         prop_assert_eq!(budgeted, baseline, "budget {} must not change output", budget);
         prop_assert!(ctx.take_failure().is_none(), "degradation is never terminal");
         prop_assert!(ctx.take_budget_breach().is_none(), "streaming schedules never breach");

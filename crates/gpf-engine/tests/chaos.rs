@@ -199,8 +199,8 @@ fn corrupt_spill_recomputes_partition() {
         Dataset::from_vec(Arc::clone(&ctx), data, 3).barrier_via_disk("checkpoint").collect_local();
     assert_eq!(back, baseline);
     assert!(ctx.take_failure().is_none());
-    assert!(counter("shuffle.recomputed") >= recomputed0 + 1);
-    assert!(counter("fault.injected") >= injected0 + 1);
+    assert!(counter("shuffle.recomputed") > recomputed0);
+    assert!(counter("fault.injected") > injected0);
 }
 
 #[test]
@@ -261,8 +261,8 @@ fn straggler_triggers_speculation_and_duplicate_wins() {
     let out = d.map(|x| x.wrapping_mul(31)).collect_local();
     assert_eq!(out, (0u64..400).map(|x| x.wrapping_mul(31)).collect::<Vec<_>>());
     assert!(ctx.take_failure().is_none());
-    assert!(counter("spec.launched") >= launched0 + 1, "straggler launches a duplicate");
-    assert!(counter("spec.won") >= won0 + 1, "clean duplicate beats a 500ms straggler");
+    assert!(counter("spec.launched") > launched0, "straggler launches a duplicate");
+    assert!(counter("spec.won") > won0, "clean duplicate beats a 500ms straggler");
 }
 
 #[test]

@@ -1,7 +1,7 @@
 //! Operator-matrix differential test: one job touching every operator
 //! family — element-wise narrow, whole-partition narrow over a shuffle
 //! output, `join` (two shuffles + `zip_partitions`), `sort_by_key`,
-//! `reduce_by_key`, `barrier_via_disk`, adaptive shuffle, `collect` — run
+//! `reduce_by_key`, `barrier_via_disk`, a split-table shuffle, `collect` — run
 //! under {faults off, quiet plan, seeded plans} × {no budget, tight budget}
 //! × {sole-owner, shared shuffle input}.
 //!
@@ -20,7 +20,7 @@
 mod shuffle_oracle;
 
 use gpf_engine::{
-    Dataset, EngineConfig, EngineContext, FaultConfig, FaultPlan, JobRun, RebalancePlan, StageKind,
+    Dataset, EngineConfig, EngineContext, FaultConfig, FaultPlan, JobRun, StageKind,
 };
 use shuffle_oracle::shuffle_oracle;
 use std::sync::Arc;
@@ -103,26 +103,15 @@ fn job(ctx: &Arc<EngineContext>, data: &[Rec], shared: bool) -> Outcome {
     let tags = s.filter(|kv| kv.1 % 4 == 0).map(|kv| (kv.0, format!("t{}", kv.1 % 1000)));
     let j = r.join(&tags, 3);
     let jc = checkpoint("join", &j);
-    // Adaptive shuffle with a fixed plan: base 0 splits by tag length.
-    let a = j.into_partition_by_adaptive(
-        3,
-        |kv| (kv.0 % 3) as usize,
-        |counts| RebalancePlan {
-            n_final: 4,
-            route: Box::new(|kv: &(u64, (u64, String))| {
-                let base = (kv.0 % 3) as usize;
-                if base == 0 && kv.1 .1.len() % 2 == 1 {
-                    3
-                } else {
-                    base
-                }
-            }),
-            splits: 1,
-            moved_records: counts[0],
-            cap_hits: 0,
-            merged: 0,
-        },
-    );
+    // Shuffle through a fixed split table: base 0 splits by tag length.
+    let a = j.into_partition_by(4, |kv: &(u64, (u64, String))| {
+        let base = (kv.0 % 3) as usize;
+        if base == 0 && kv.1 .1.len() % 2 == 1 {
+            3
+        } else {
+            base
+        }
+    });
     let out = a.map(|kv| (kv.0, kv.1 .0 ^ kv.1 .1.len() as u64));
     let collected = out.collect();
     let checkpoints = vec![
@@ -132,7 +121,7 @@ fn job(ctx: &Arc<EngineContext>, data: &[Rec], shared: bool) -> Outcome {
         checkpoint("sortByKey", &s),
         checkpoint("reduceByKey", &r),
         jc,
-        checkpoint("adaptive", &a),
+        checkpoint("splitTable", &a),
         checkpoint("map", &out),
     ];
     Outcome { checkpoints, collected, spilled_inputs }
@@ -202,7 +191,7 @@ fn every_operator_agrees_across_faults_budget_and_ownership() {
     assert_eq!(
         plain_shape.iter().filter(|s| s.kind == StageKind::Shuffle).count(),
         7,
-        "partitionBy, barrier, sortByKey, reduceByKey, join x2, adaptive: {plain_shape:?}"
+        "partitionBy, barrier, sortByKey, reduceByKey, join x2, split table: {plain_shape:?}"
     );
     assert_plain_cell_matches_oracle(&data, &plain, &plain_shape);
 

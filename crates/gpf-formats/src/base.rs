@@ -131,7 +131,7 @@ mod tests {
 
     #[test]
     fn rank4_round_trip_and_n_collapse() {
-        for &b in &[b'A', b'C', b'G', b'T'] {
+        for &b in b"ACGT" {
             assert_eq!(unrank4(rank4(b)), b);
         }
         assert_eq!(rank4(b'N'), 0);

@@ -291,6 +291,17 @@ impl SamRecord {
             name => dict.require_id(name)?,
         };
         let mpos1: u64 = fields[7].parse().map_err(|e| err(format!("bad PNEXT: {e}")))?;
+        // A record that exists has its coordinates on its contig: downstream
+        // routing divides them into a partition table sized by contig length.
+        for (field, id, at1) in [("POS", contig, pos1), ("PNEXT", mate_contig, mpos1)] {
+            if id != NO_CONTIG && at1 > dict.length_of(id) {
+                return Err(err(format!(
+                    "{field} {at1} is beyond the end of {} ({} bases)",
+                    dict.name_of(id),
+                    dict.length_of(id)
+                )));
+            }
+        }
         let tlen: i64 = fields[8].parse().map_err(|e| err(format!("bad TLEN: {e}")))?;
         let seq = if fields[9] == "*" { Vec::new() } else { fields[9].as_bytes().to_vec() };
         let qual = if fields[10] == "*" { Vec::new() } else { fields[10].as_bytes().to_vec() };
@@ -503,6 +514,31 @@ mod tests {
         let d = dict();
         let line = "r\t0\tchr1\t100\t60\t4M\t*\t0\t0\tACGT\tII";
         assert!(SamRecord::parse_sam_line(line, &d, 1).is_err());
+    }
+
+    #[test]
+    fn parse_rejects_coordinates_beyond_the_contig_end() {
+        let header = SamHeaderInfo::sorted_header(dict()).to_sam_string();
+        let good = record().to_sam_line(&dict());
+        // chr1 is 10,000 bases, chr2 5,000: its last base parses, one past
+        // it does not — as POS, as PNEXT under `=`, and as PNEXT on a named
+        // mate contig; `*` names no contig, so its coordinate is held to none.
+        for (hostile, ok) in [
+            ("h\t0\tchr1\t10000\t60\t4M\t=\t10000\t0\tACGT\tIIII", true),
+            ("h\t0\tchr1\t1000000000\t60\t4M\t*\t0\t0\tACGT\tIIII", false),
+            ("h\t0\tchr1\t100\t60\t4M\t=\t10001\t0\tACGT\tIIII", false),
+            ("h\t4\t*\t0\t0\t*\tchr2\t5001\t0\tACGT\tIIII", false),
+            ("h\t4\t*\t7000\t0\t*\t*\t7000\t0\tACGT\tIIII", true),
+        ] {
+            match parse_sam(&format!("{header}{good}\n{hostile}\n{good}\n")) {
+                Ok((_, records)) => assert!(ok && records.len() == 3, "{hostile}"),
+                // Four header lines (@HD, two @SQ, @RG), one record, then it.
+                Err(e) => assert!(
+                    !ok && matches!(e, FormatError::Sam { line: 6, .. }),
+                    "{hostile}: {e}"
+                ),
+            }
+        }
     }
 
     #[test]

@@ -536,7 +536,6 @@ pub const KNOWN_METRIC_NAMES: &[&str] = &[
     "heap.alloc.count",
     "heap.freed.bytes",
     "heap.size_class",
-    "heap.tag.repartition",
     "heap.tag.serde",
     "heap.tag.shuffle",
     "heap.tag.spill",

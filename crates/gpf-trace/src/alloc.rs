@@ -64,12 +64,10 @@ pub enum AllocTag {
     Shuffle = 3,
     /// Barrier-via-disk spill and reload.
     Spill = 4,
-    /// Adaptive repartition planning.
-    Repartition = 5,
 }
 
 /// Number of [`AllocTag`] variants (array sizing).
-const N_TAGS: usize = 6;
+const N_TAGS: usize = 5;
 
 /// Registry counter charged per tag, indexed by `AllocTag as u8`.
 const TAG_COUNTERS: [&str; N_TAGS] = [
@@ -78,7 +76,6 @@ const TAG_COUNTERS: [&str; N_TAGS] = [
     names::HEAP_TAG_SERDE,
     names::HEAP_TAG_SHUFFLE,
     names::HEAP_TAG_SPILL,
-    names::HEAP_TAG_REPARTITION,
 ];
 
 /// Scopes deeper than this inherit the 16th tag (saturation, not UB).

@@ -52,7 +52,7 @@ pub const CODEC_DESERIALIZE_BYTES: &str = "codec.deserialize.bytes";
 /// Records read by batch deserialization.
 pub const CODEC_DESERIALIZE_RECORDS: &str = "codec.deserialize.records";
 
-/// Partition splits decided by adaptive repartition.
+/// Partition splits decided by the §4.4 dynamic repartition.
 pub const REPARTITION_SPLITS: &str = "repartition.splits";
 /// Records moved off their base partition by a split.
 pub const REPARTITION_MOVED: &str = "repartition.moved_records";
@@ -98,8 +98,6 @@ pub const HEAP_TAG_SERDE: &str = "heap.tag.serde";
 pub const HEAP_TAG_SHUFFLE: &str = "heap.tag.shuffle";
 /// Bytes charged to spill (barrier-via-disk) scopes.
 pub const HEAP_TAG_SPILL: &str = "heap.tag.spill";
-/// Bytes charged to adaptive-repartition scopes.
-pub const HEAP_TAG_REPARTITION: &str = "heap.tag.repartition";
 
 /// Budget breaches: the accountant could not admit a charge even after
 /// exhausting every eviction victim (surfaces as a structured error).
@@ -150,7 +148,6 @@ pub const ALL_COUNTERS: &[&str] = &[
     HEAP_ALLOC_BYTES,
     HEAP_ALLOC_COUNT,
     HEAP_FREED_BYTES,
-    HEAP_TAG_REPARTITION,
     HEAP_TAG_SERDE,
     HEAP_TAG_SHUFFLE,
     HEAP_TAG_SPILL,

@@ -344,7 +344,7 @@ mod tests {
         instant("invisible-instant-gated", Category::Other);
         let t = global().snapshot();
         assert!(
-            !t.events.iter().any(|e| (&*e.name).contains("invisible")),
+            !t.events.iter().any(|e| e.name.contains("invisible")),
             "gated events must not reach the global log (len before {before})"
         );
     }

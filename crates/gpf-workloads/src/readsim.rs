@@ -406,7 +406,7 @@ mod tests {
         let pairs = ReadSimulator::new(&r, &d, c).simulate();
         // Bin read starts on chr1 into 2kb windows; the max window should be
         // far above the median (the paper's 10000x-in-50x skew, scaled).
-        let mut bins = vec![0u64; 40_000 / 1 + 1];
+        let mut bins = vec![0u64; 40_000 + 1];
         let mut nbins = 0usize;
         let binsize = 2_000u64;
         for p in &pairs {

@@ -24,7 +24,7 @@ fn main() {
     let codec = QualityCodec::default_codec();
     let c = compress_read_fields(seq, qual, &codec).expect("valid read");
     println!("Figure 4 example:");
-    println!("  sequence {} + quality {}", "GGTTNCCTA", "CCCB#FFFF");
+    println!("  sequence GGTTNCCTA + quality CCCB#FFFF");
     println!(
         "  packed bits: {:08b} {:08b} {:08b}  (2-bit codes, N escaped through quality)",
         c.packed_seq[0], c.packed_seq[1], c.packed_seq[2]

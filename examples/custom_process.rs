@@ -129,10 +129,7 @@ fn main() {
         input: Arc::clone(&aligned),
         output: Arc::clone(&coverage_out),
     }));
-    for p in [pipeline] {
-        // Move the aligner process over (demo convenience).
-        drop(p);
-    }
+    drop(pipeline);
     reordered.add_process(BwaMemProcess::pair_end(
         "Align",
         Arc::clone(&reference),

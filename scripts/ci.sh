@@ -93,9 +93,10 @@ GPF_CHECK_SCHEDULES="${GPF_CHECK_SCHEDULES:-10000}" \
 
 echo "== clippy (blocking when installed) =="
 # A missing clippy component must not fail CI on minimal toolchains; an
-# installed one must come back clean on every crate.
+# installed one must come back clean on every crate and every target —
+# tests, examples and benches included.
 if cargo clippy --version >/dev/null 2>&1; then
-    cargo clippy --offline --workspace -- -D warnings
+    cargo clippy --offline --workspace --all-targets -- -D warnings
 else
     echo "clippy not installed; skipping" >&2
 fi
