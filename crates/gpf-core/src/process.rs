@@ -137,7 +137,7 @@ pub fn build_bundles(
         .map(|(id, iv)| (id as u32, reference.slice(*iv).to_vec()))
         .collect();
     let fasta_ds = Dataset::from_vec(Arc::clone(ctx), fasta_chunks, sams.num_partitions())
-        .partition_by_key(nparts, |pid: &u32| *pid as usize);
+        .into_partition_by_key(nparts, |pid: &u32| *pid as usize);
 
     // VCF partition RDD.
     let info_v = info.clone();
@@ -146,28 +146,32 @@ pub fn build_bundles(
             .map(move |v| {
                 (info_v.partition_id(gpf_formats::GenomePosition::new(v.contig, v.pos)), v.clone())
             })
-            .partition_by_key(nparts, |pid: &u32| *pid as usize),
+            .into_partition_by_key(nparts, |pid: &u32| *pid as usize),
         None => Dataset::from_partitions(Arc::clone(ctx), vec![Vec::new(); nparts]),
     };
 
-    // SAM partition RDD.
+    // SAM partition RDD. Keying copies each record once off the (shared)
+    // input; from here to the bundle the keyed, shuffled and zipped
+    // datasets are temporaries of this function and are consumed, so the
+    // records move.
     let info_s = info.clone();
     let sam_ds = sams
         .map(move |r| (route_record(r, &info_s), r.clone()))
-        .partition_by_key(nparts, |pid: &u32| *pid as usize);
+        .into_partition_by_key(nparts, |pid: &u32| *pid as usize);
 
     // Join per partition into the bundle RDD.
-    let with_vcf = sam_ds.zip_partitions(&vcf_ds, |pi, sam_part, vcf_part| {
+    let with_vcf = sam_ds.into_zip_partitions(vcf_ds, |pi, sam_part, vcf_part| {
         vec![(
             pi as u32,
-            sam_part.iter().map(|(_, r)| r.clone()).collect::<Vec<SamRecord>>(),
-            vcf_part.iter().map(|(_, v)| v.clone()).collect::<Vec<VcfRecord>>(),
+            sam_part.into_iter().map(|(_, r)| r).collect::<Vec<SamRecord>>(),
+            vcf_part.into_iter().map(|(_, v)| v).collect::<Vec<VcfRecord>>(),
         )]
     });
     let intervals_arc = Arc::new(intervals);
-    with_vcf.zip_partitions(&fasta_ds, move |pi, svs, fasta_part| {
-        let (pid, sams, vcfs) = svs.first().cloned().unwrap_or((pi as u32, Vec::new(), Vec::new()));
-        let fasta = fasta_part.first().map(|(_, f)| f.clone()).unwrap_or_default();
+    with_vcf.into_zip_partitions(fasta_ds, move |pi, svs, fasta_part| {
+        let (pid, sams, vcfs) =
+            svs.into_iter().next().unwrap_or((pi as u32, Vec::new(), Vec::new()));
+        let fasta = fasta_part.into_iter().next().map(|(_, f)| f).unwrap_or_default();
         vec![RegionBundle {
             partition_id: pid,
             region: intervals_arc[pi],

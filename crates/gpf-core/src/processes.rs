@@ -153,11 +153,13 @@ impl Process for MarkDuplicateProcess {
             let key = own.min(mate);
             ((key.0 as u64) << 40 | key.1, r.clone())
         });
-        let partitioned = keyed.partition_by_key(nparts, move |k: &u64| {
+        // `keyed` and `partitioned` are this Process's own temporaries, so
+        // the records move through the shuffle and out of their keys.
+        let partitioned = keyed.into_partition_by_key(nparts, move |k: &u64| {
             (gpf_engine::dataset::stable_hash(k) % nparts as u64) as usize
         });
-        let marked = partitioned.map_partitions(|part| {
-            let mut records: Vec<SamRecord> = part.iter().map(|(_, r)| r.clone()).collect();
+        let marked = partitioned.into_map_partitions(|part| {
+            let mut records: Vec<SamRecord> = part.into_iter().map(|(_, r)| r).collect();
             mark_duplicates(&mut records);
             records
         });
@@ -350,13 +352,12 @@ impl BundleStage for IndelRealignProcess {
     ) -> Dataset<RegionBundle> {
         ctx.set_phase("cleaner");
         let reference = self.io.reference.clone();
-        bundles.map(move |b| {
-            let mut out = b.clone();
-            let intervals = find_realign_intervals(&out.sams, &out.vcfs, &reference);
+        bundles.into_map(move |mut b| {
+            let intervals = find_realign_intervals(&b.sams, &b.vcfs, &reference);
             for iv in &intervals {
-                realign_interval(&mut out.sams, &reference, iv, &out.vcfs);
+                realign_interval(&mut b.sams, &reference, iv, &b.vcfs);
             }
-            out
+            b
         })
     }
 
@@ -453,10 +454,9 @@ impl BundleStage for BaseRecalibrationProcess {
         // mask table" of §5.2.2 — here it is proportionally sized).
         let table = ctx.broadcast(merged);
         // Apply.
-        bundles.map(move |b| {
-            let mut out = b.clone();
-            apply_recalibration(&mut out.sams, table.value());
-            out
+        bundles.into_map(move |mut b| {
+            apply_recalibration(&mut b.sams, table.value());
+            b
         })
     }
 
@@ -552,8 +552,10 @@ impl BundleStage for HaplotypeCallerProcess {
                 ..Default::default()
             };
             let mut calls = caller.call(sams, &reference);
-            // Only keep calls inside the (unpadded) region so overlapping
-            // pads never double-call.
+            // A read overhanging the region boundary can produce a call
+            // outside the region; the partition that owns that locus makes
+            // the call, so drop it here. (Regions are not padded today —
+            // ROADMAP item 2 adds the halo.)
             calls.retain(|v| {
                 v.contig == b.region.contig && v.pos >= b.region.start && v.pos < b.region.end
             });

@@ -8,7 +8,11 @@ use gpf_formats::vcf::VcfRecord;
 use gpf_workloads::readsim::{simulate_fastq_pairs, SimulatorConfig};
 use gpf_workloads::refgen::ReferenceSpec;
 use gpf_workloads::variants::{DonorGenome, VariantSpec};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
+
+/// One pipeline at a time: `shuffle_move_accounting…` reads process-global
+/// counters exactly while ambient tracing is on.
+static ONE_PIPELINE: Mutex<()> = Mutex::new(());
 
 struct Setup {
     reference: Arc<gpf_formats::ReferenceGenome>,
@@ -48,6 +52,8 @@ fn setup() -> Setup {
 
 /// What one run's `ReadRepartitioner` decided (§4.4).
 struct Repartition {
+    /// Final partitions of the published table.
+    partitions: u64,
     /// The published `PartitionInfo`, serialized.
     table: Vec<u8>,
     /// `repartition.split` instants in the session trace.
@@ -57,6 +63,11 @@ struct Repartition {
 /// Build and run the full pipeline; returns (calls, engine run, fused
 /// chains, repartition decision).
 fn run_pipeline(s: &Setup, optimize: bool) -> (Vec<VcfRecord>, JobRun, usize, Repartition) {
+    let _one = ONE_PIPELINE.lock().unwrap_or_else(|e| e.into_inner());
+    run_pipeline_unlocked(s, optimize)
+}
+
+fn run_pipeline_unlocked(s: &Setup, optimize: bool) -> (Vec<VcfRecord>, JobRun, usize, Repartition) {
     let ctx = EngineContext::new(EngineConfig::gpf().with_parallelism(6));
     let mut pipeline = Pipeline::new("wgs", Arc::clone(&ctx));
     pipeline.set_optimize(optimize);
@@ -135,6 +146,7 @@ fn run_pipeline(s: &Setup, optimize: bool) -> (Vec<VcfRecord>, JobRun, usize, Re
     let calls = vcf_out.dataset().collect_local();
     let (run, trace) = ctx.take_run_traced();
     let repartition = Repartition {
+        partitions: pinfo.info().num_partitions() as u64,
         table: serialize_batch(SerializerKind::Gpf, &[pinfo.info()]),
         instants: trace.events.iter().filter(|e| &*e.name == "repartition.split").count(),
     };
@@ -221,4 +233,33 @@ fn pipeline_records_three_phases() {
     assert!(phases.contains(&"aligner".to_string()), "{phases:?}");
     assert!(phases.contains(&"cleaner".to_string()), "{phases:?}");
     assert!(phases.contains(&"caller".to_string()), "{phases:?}");
+}
+
+/// Faults off and no budget: every shuffle whose input is a temporary of
+/// the Process that runs it — MarkDuplicate's keyed reads, the
+/// Repartitioner's map-side combine, `build_bundles`' keyed FASTA, VCF and
+/// SAM — *moves* its partitions. No shuffle in this pipeline reads a
+/// Resource-held dataset directly, so the only one left cloning is the
+/// `sortByKey` of the calls in `HaplotypeCallerProcess::finalize`: it stays
+/// on the borrowed operator (its input is a few dozen keyed `VcfRecord`s,
+/// one partition per final partition).
+#[test]
+fn shuffle_move_accounting_clones_only_the_call_sort() {
+    let s = setup();
+    let count = |name: &str| {
+        gpf_trace::counters_snapshot().iter().find(|(n, _)| *n == name).map_or(0, |(_, v)| *v)
+    };
+    let _one = ONE_PIPELINE.lock().unwrap_or_else(|e| e.into_inner());
+    gpf_trace::set_enabled(true);
+    let before =
+        (count(gpf_trace::names::SHUFFLE_PARTITIONS_MOVED), count(gpf_trace::names::SHUFFLE_PARTITIONS_CLONED));
+    let (calls, _, fused, repartition) = run_pipeline_unlocked(&s, true);
+    let moved = count(gpf_trace::names::SHUFFLE_PARTITIONS_MOVED) - before.0;
+    let cloned = count(gpf_trace::names::SHUFFLE_PARTITIONS_CLONED) - before.1;
+    gpf_trace::set_enabled(false);
+    assert_eq!(fused, 1);
+    assert_eq!(calls.len(), PINNED_CALLS);
+    // Five moved shuffles, each over the six input partitions.
+    assert_eq!(moved, 5 * 6, "partitionByKey x4 and reduceByKey move their input");
+    assert_eq!(cloned, repartition.partitions, "only sortByKey's input is cloned");
 }

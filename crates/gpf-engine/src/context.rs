@@ -195,6 +195,11 @@ impl EngineContext {
         let phase = self.phase_tag();
         let name: Arc<str> = Arc::from(label);
         let spans_on = gpf_trace::enabled();
+        // Counter names are shared by every task's event, not rebuilt per
+        // task: this loop is serial driver time, once per task.
+        let part_key: Arc<str> = Arc::from(names::PART);
+        let cpu_ns_key: Arc<str> = Arc::from(names::CPU_NS);
+        let cpu_bits_key: Arc<str> = Arc::from(names::CPU_BITS);
         let mut batch = Vec::with_capacity(samples.len() * 2 + 1);
         for (part, s) in samples.iter().enumerate() {
             if spans_on {
@@ -211,9 +216,9 @@ impl EngineContext {
                 });
             }
             let mut counters = vec![
-                (Arc::from(names::PART), part as u64),
-                (Arc::from(names::CPU_NS), (s.cpu_s * 1e9) as u64),
-                (Arc::from(names::CPU_BITS), s.cpu_s.to_bits()),
+                (Arc::clone(&part_key), part as u64),
+                (Arc::clone(&cpu_ns_key), (s.cpu_s * 1e9) as u64),
+                (Arc::clone(&cpu_bits_key), s.cpu_s.to_bits()),
             ];
             // Per-task heap attribution, only when the tracking allocator
             // measured something (keeps untracked traces byte-identical).

@@ -24,6 +24,7 @@ use crate::task::{run_stage, Abort, Mode, Task, TaskRun};
 use gpf_compress::serializer::{deserialize_batch, serialize_batch};
 use gpf_compress::{GpfSerialize, SerializerKind};
 use gpf_support::par;
+use gpf_support::sync::Mutex;
 use gpf_trace::alloc::AllocTag;
 use gpf_trace::clock::now_ns;
 use gpf_trace::names as tn;
@@ -153,6 +154,78 @@ fn restore_mode(any_tracked: bool) -> Mode {
     }
 }
 
+/// A stage's input taken *by value* — the one place that decides whether
+/// a consuming operator moves its records or clones them, for the shuffle
+/// and the `into_*` narrow operators alike.
+///
+/// It observes two things. **Ownership**: only a plain input whose `Arc`
+/// this was the last handle to can be taken apart. **Faults**: with a fault
+/// plan configured a task may run again (a retry, a speculative duplicate)
+/// and a shuffle keeps its input as lineage, so the input must still be
+/// there afterwards. Sole-owned, plain and faults off ⇒ `Owned`: each
+/// partition sits in a cell that exactly one task invocation empties.
+/// Anything else — shared, budget-tracked, or faults on — ⇒ `Shared`: tasks
+/// borrow, stream or restore exactly as the borrowed operators do and clone
+/// what they keep, so a tracked restore keeps [`restore_mode`]'s
+/// one-at-a-time admission.
+pub(crate) enum TaskSource<T> {
+    Owned(Vec<Mutex<Vec<T>>>),
+    Shared(Parts<T>),
+}
+
+impl<T: Clone> TaskSource<T> {
+    pub(crate) fn new(ctx: &EngineContext, parts: Parts<T>) -> Self {
+        match parts {
+            Parts::Plain(arc) if ctx.faults().is_none() => match Arc::try_unwrap(arc) {
+                Ok(owned) => TaskSource::Owned(owned.into_iter().map(Mutex::new).collect()),
+                Err(shared) => TaskSource::Shared(Parts::Plain(shared)),
+            },
+            retained => TaskSource::Shared(retained),
+        }
+    }
+
+    pub(crate) fn is_owned(&self) -> bool {
+        matches!(self, TaskSource::Owned(_))
+    }
+
+    /// Partition `i` by value, chunk by chunk and never restored: the whole
+    /// partition handed over when owned, a clone of each streamed chunk
+    /// (one per spill frame of an evicted partition) otherwise.
+    pub(crate) fn for_each_chunk(&self, i: usize, f: &mut dyn FnMut(Vec<T>)) {
+        match self {
+            TaskSource::Owned(cells) => f(std::mem::take(&mut *cells[i].lock())),
+            TaskSource::Shared(parts) => parts.stream(i, &mut |chunk| f(chunk.to_vec())),
+        }
+    }
+
+    /// Partition `i` whole, for a task body to turn into a vector with
+    /// [`TaskPart::take_or_clone`]. A tracked partition is restored here —
+    /// outside the task body, where an infeasible restore can abort the
+    /// stage with a structured breach.
+    fn part(&self, i: usize) -> Result<TaskPart<'_, T>, (u64, u64)> {
+        match self {
+            TaskSource::Owned(cells) => Ok(TaskPart::Cell(&cells[i])),
+            TaskSource::Shared(parts) => parts.get(i).map(TaskPart::Ref),
+        }
+    }
+}
+
+/// One task's whole input partition: the cell to empty, or a borrowed /
+/// restored view to clone (which a retried attempt finds still there).
+enum TaskPart<'a, T> {
+    Cell(&'a Mutex<Vec<T>>),
+    Ref(PartRef<'a, T>),
+}
+
+impl<T: Clone> TaskPart<'_, T> {
+    fn take_or_clone(&self) -> Vec<T> {
+        match self {
+            TaskPart::Cell(cell) => std::mem::take(&mut *cell.lock()),
+            TaskPart::Ref(part) => part.to_vec(),
+        }
+    }
+}
+
 /// Wrap freshly produced output partitions: budget-tracked (evictable)
 /// when the context has a memory-budget accountant installed, plain
 /// otherwise. Shuffle and barrier outputs route through this, so under a
@@ -215,6 +288,28 @@ impl<T: PartialEq> PartialEq<Vec<T>> for PartRef<'_, T> {
 impl<T: std::fmt::Debug> std::fmt::Debug for PartRef<'_, T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         (**self).fmt(f)
+    }
+}
+
+/// One narrow stage of `n` tasks: `body` runs task `i` through the task
+/// runner, outputs become a plain dataset, and the op is recorded with its
+/// output record count and estimated churn.
+fn narrow_stage<U: Send + Sync + 'static>(
+    ctx: &Arc<EngineContext>,
+    n: usize,
+    label: &str,
+    mode: Mode,
+    body: impl Fn(usize, &Task<'_>) -> Result<TaskRun<Vec<U>>, Abort> + Sync,
+) -> Dataset<U> {
+    let overhead = ctx.config().per_record_overhead_bytes;
+    let surface = Some(FaultSurface::NarrowTask);
+    let outs = run_stage(ctx, label, surface, n, mode, body, |outs| {
+        let records: u64 = outs.iter().map(|v| v.len() as u64).sum();
+        (records, records * overhead)
+    });
+    match outs {
+        Some(outs) => Dataset { ctx: Arc::clone(ctx), parts: Parts::Plain(Arc::new(outs)) },
+        None => Dataset::failed(ctx, n),
     }
 }
 
@@ -345,30 +440,6 @@ impl<T: Send + Sync + 'static> Dataset<T> {
         }
     }
 
-    /// One narrow stage over this dataset's partitions: `body` runs task
-    /// `i` through the task runner, outputs become a plain dataset, and the
-    /// op is recorded with its output record count and estimated churn.
-    fn narrow_stage<U: Send + Sync + 'static>(
-        &self,
-        label: &str,
-        mode: Mode,
-        body: impl Fn(usize, &Task<'_>) -> Result<TaskRun<Vec<U>>, Abort> + Sync,
-    ) -> Dataset<U> {
-        let n = self.parts.num();
-        let overhead = self.ctx.config().per_record_overhead_bytes;
-        let surface = Some(FaultSurface::NarrowTask);
-        let outs = run_stage(&self.ctx, label, surface, n, mode, body, |outs| {
-            let records: u64 = outs.iter().map(|v| v.len() as u64).sum();
-            (records, records * overhead)
-        });
-        match outs {
-            Some(outs) => {
-                Dataset { ctx: Arc::clone(&self.ctx), parts: Parts::Plain(Arc::new(outs)) }
-            }
-            None => Dataset::failed(&self.ctx, n),
-        }
-    }
-
     /// Core narrow operation: per-partition transform with metric
     /// recording. `f` receives `(partition_index, records)`.
     ///
@@ -385,7 +456,8 @@ impl<T: Send + Sync + 'static> Dataset<T> {
         label: &str,
         f: impl Fn(usize, &[T]) -> Vec<U> + Send + Sync,
     ) -> Dataset<U> {
-        self.narrow_stage(label, restore_mode(self.parts.is_tracked()), |i, task| {
+        let mode = restore_mode(self.parts.is_tracked());
+        narrow_stage(&self.ctx, self.parts.num(), label, mode, |i, task| {
             let part = self.parts.get(i)?;
             task.run(AllocTag::Task, || f(i, &part))
         })
@@ -401,7 +473,7 @@ impl<T: Send + Sync + 'static> Dataset<T> {
         label: &str,
         f: impl Fn(&[T]) -> Vec<U> + Send + Sync,
     ) -> Dataset<U> {
-        self.narrow_stage(label, Mode::Parallel, |i, task| {
+        narrow_stage(&self.ctx, self.parts.num(), label, Mode::Parallel, |i, task| {
             task.run(AllocTag::Task, || {
                 let mut out = Vec::new();
                 self.parts.stream(i, &mut |chunk| {
@@ -505,7 +577,7 @@ impl<T: Send + Sync + 'static> Dataset<T> {
             "zip_partitions requires equal partition counts"
         );
         let mode = restore_mode(self.parts.is_tracked() || other.parts.is_tracked());
-        self.narrow_stage("zipPartitions", mode, |i, task| {
+        narrow_stage(&self.ctx, self.parts.num(), "zipPartitions", mode, |i, task| {
             let (left, right) = (self.parts.get(i)?, other.parts.get(i)?);
             task.run(AllocTag::Task, || f(i, &left, &right))
         })
@@ -720,6 +792,79 @@ impl<T: Send + Sync + 'static> Dataset<T> {
         let Dataset { ctx, parts } = self;
         shuffle(&ctx, parts, nparts, "partitionBy", route)
     }
+
+    /// Consuming [`Dataset::map`]: `f` receives each record by value —
+    /// moved when this handle holds the last reference to its partitions,
+    /// a clone otherwise ([`TaskSource`] decides). Same stage label, fault
+    /// surface and accounting as `map`, and like it an evicted partition is
+    /// streamed one spill frame at a time, never restored.
+    pub fn into_map<U: Send + Sync + 'static>(
+        self,
+        f: impl Fn(T) -> U + Send + Sync,
+    ) -> Dataset<U>
+    where
+        T: Clone,
+    {
+        let Dataset { ctx, parts } = self;
+        let n = parts.num();
+        let source = TaskSource::new(&ctx, parts);
+        narrow_stage(&ctx, n, "map", Mode::Parallel, |i, task| {
+            task.run(AllocTag::Task, || {
+                let mut out = Vec::new();
+                source.for_each_chunk(i, &mut |chunk| out.extend(chunk.into_iter().map(&f)));
+                out
+            })
+        })
+    }
+
+    /// Consuming [`Dataset::map_partitions`]: `f` receives each partition
+    /// as an owned vector — the partition itself when this handle holds the
+    /// last reference, a clone of the borrowed (or, under a budget,
+    /// serially restored) partition otherwise.
+    pub fn into_map_partitions<U: Send + Sync + 'static>(
+        self,
+        f: impl Fn(Vec<T>) -> Vec<U> + Send + Sync,
+    ) -> Dataset<U>
+    where
+        T: Clone,
+    {
+        let Dataset { ctx, parts } = self;
+        let (n, mode) = (parts.num(), restore_mode(parts.is_tracked()));
+        let source = TaskSource::new(&ctx, parts);
+        narrow_stage(&ctx, n, "mapPartitions", mode, |i, task| {
+            let part = source.part(i)?;
+            task.run(AllocTag::Task, || f(part.take_or_clone()))
+        })
+    }
+
+    /// Consuming [`Dataset::zip_partitions`]: both sides by value, each
+    /// moved or cloned on its own ownership. With either side
+    /// budget-tracked the zip runs pairwise-serially, like its borrowed
+    /// twin.
+    pub fn into_zip_partitions<U, V>(
+        self,
+        other: Dataset<U>,
+        f: impl Fn(usize, Vec<T>, Vec<U>) -> Vec<V> + Send + Sync,
+    ) -> Dataset<V>
+    where
+        T: Clone,
+        U: Clone + Send + Sync + 'static,
+        V: Send + Sync + 'static,
+    {
+        assert_eq!(
+            self.num_partitions(),
+            other.num_partitions(),
+            "zip_partitions requires equal partition counts"
+        );
+        let Dataset { ctx, parts } = self;
+        let n = parts.num();
+        let mode = restore_mode(parts.is_tracked() || other.parts.is_tracked());
+        let (left, right) = (TaskSource::new(&ctx, parts), TaskSource::new(&ctx, other.parts));
+        narrow_stage(&ctx, n, "zipPartitions", mode, |i, task| {
+            let (l, r) = (left.part(i)?, right.part(i)?);
+            task.run(AllocTag::Task, || f(i, l.take_or_clone(), r.take_or_clone()))
+        })
+    }
 }
 
 impl<K, V> Dataset<(K, V)>
@@ -807,6 +952,18 @@ where
         shuffle(&self.ctx, self.parts.clone(), nparts, "partitionByKey", move |kv: &(K, V)| {
             route(&kv.0)
         })
+    }
+
+    /// Consuming [`Dataset::partition_by_key`]: records are moved through
+    /// the map side when this handle holds the last reference to its
+    /// partitions.
+    pub fn into_partition_by_key(
+        self,
+        nparts: usize,
+        route: impl Fn(&K) -> usize + Send + Sync,
+    ) -> Dataset<(K, V)> {
+        let Dataset { ctx, parts } = self;
+        shuffle(&ctx, parts, nparts, "partitionByKey", move |kv: &(K, V)| route(&kv.0))
     }
 
     /// Range-partition by key and sort each partition — Spark's
@@ -1110,6 +1267,52 @@ mod tests {
         // shuffle while tracing is on.
         assert!(moved1 >= moved0 + 4, "sole-owner shuffle should take the move path");
         assert!(cloned1 >= cloned0 + 4, "shared partitions must fall back to cloning");
+    }
+
+    /// A record that counts its clones.
+    struct Counted(u64, Arc<std::sync::atomic::AtomicUsize>);
+
+    impl Clone for Counted {
+        fn clone(&self) -> Self {
+            self.1.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+            Counted(self.0, Arc::clone(&self.1))
+        }
+    }
+
+    #[test]
+    fn consuming_narrow_ops_move_a_sole_owned_input_and_clone_a_shared_one() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let clones = Arc::new(AtomicUsize::new(0));
+        let build = |c: &Arc<EngineContext>| {
+            let items: Vec<Counted> = (0u64..40).map(|i| Counted(i, Arc::clone(&clones))).collect();
+            Dataset::from_vec(Arc::clone(c), items, 4)
+        };
+        type Op = fn(Dataset<Counted>, Dataset<Counted>) -> Vec<u64>;
+        let ops: [(&str, Op); 3] = [
+            ("into_map", |d, _| d.into_map(|c| c.0).collect_local()),
+            ("into_map_partitions", |d, _| {
+                d.into_map_partitions(|p| p.into_iter().map(|c| c.0).collect()).collect_local()
+            }),
+            ("into_zip_partitions", |d, e| {
+                d.into_zip_partitions(e, |_, l, r| l.iter().zip(&r).map(|(a, b)| a.0 + b.0).collect())
+                    .collect_local()
+            }),
+        ];
+        for (name, op) in ops {
+            let c = ctx();
+            let before = clones.load(Ordering::SeqCst);
+            let moved = op(build(&c), build(&c));
+            assert_eq!(clones.load(Ordering::SeqCst), before, "{name}: a sole owner clones nothing");
+            // A second handle on the left input: its 40 records are cloned,
+            // the sole-owned right input still moves.
+            let left = build(&c);
+            let keep = left.clone();
+            let before = clones.load(Ordering::SeqCst);
+            let cloned = op(left, build(&c));
+            assert_eq!(clones.load(Ordering::SeqCst), before + 40, "{name}: one clone per record");
+            assert_eq!(cloned, moved, "{name}");
+            assert_eq!(keep.len(), 40, "{name}: the kept handle still holds its records");
+        }
     }
 
     #[test]

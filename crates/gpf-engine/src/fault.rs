@@ -49,7 +49,7 @@ pub enum FaultKind {
 pub enum FaultSurface {
     /// A narrow-op task (`narrow_op` and everything built on it).
     NarrowTask,
-    /// A shuffle map task (route + scatter + serialize).
+    /// A shuffle map task (route + order by bucket + serialize).
     ShuffleMap,
     /// One map partition's serialized bucket buffer.
     ShuffleBucket,

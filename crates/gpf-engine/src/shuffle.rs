@@ -1,15 +1,24 @@
-//! The shuffle: route, scatter, serialize, exchange, deserialize.
+//! The shuffle: route, order by bucket, serialize runs, exchange,
+//! deserialize.
 //!
 //! One implementation serves every configuration. What varies is decided
 //! from what the code can observe, not from a second code path:
 //!
-//! * a sole-owned plain input *moves* its records into buckets; a shared or
+//! * a sole-owned plain input *moves* its records; a shared or
 //!   budget-tracked input streams and clones them (a tracked partition one
-//!   spill frame at a time, never rematerialized whole);
-//! * with faults configured the input is retained as *lineage* — which is
-//!   also what makes it shared, so the clone path follows without a flag —
-//!   every bucket segment is checksummed, and the reduce side recomputes
-//!   any segment that fails verification from its owning input partition.
+//!   spill frame at a time, never restored whole) — decided once, by
+//!   [`TaskSource`], for the shuffle and the consuming narrow operators
+//!   alike;
+//! * with faults configured the input is retained as *lineage* (and
+//!   `TaskSource` never takes it), every segment is checksummed, and the
+//!   reduce side recomputes any segment that fails verification from its
+//!   owning input partition.
+//!
+//! Cost follows the records, not the geometry. A map task orders its
+//! records by target bucket and writes one segment per *run*, so it emits
+//! only its non-empty segments; the driver transposes those lists once into
+//! a per-reduce index ([`ReduceIndex`]). Nothing here is sized
+//! `nmaps x nparts`, and nothing a map task does is sized `nparts`.
 //!
 //! The pre-optimization shuffle (clone per record, a buffer per bucket)
 //! survives as a pure function in `tests/shuffle_oracle/`, which
@@ -17,7 +26,7 @@
 //! records partition for partition, bytes per map and per reduce task.
 
 use crate::context::EngineContext;
-use crate::dataset::{fnv64, output_parts, Dataset, Parts};
+use crate::dataset::{fnv64, output_parts, Dataset, Parts, TaskSource};
 use crate::fault::{corrupt_bit, FaultConfig, FaultKind, FaultSurface};
 use crate::task::{run_stage, Mode};
 use crate::timing::TaskTimer;
@@ -28,13 +37,13 @@ use gpf_trace::alloc::{self, AllocTag};
 use gpf_trace::names as tn;
 use std::sync::{Arc, OnceLock};
 
-/// One serialized bucket inside a map task's output buffer.
+/// One serialized non-empty bucket inside a map task's output buffer.
 ///
 /// Offsets, lengths and record counts are recorded *while writing*, so
 /// nothing re-traverses the serialized data afterwards: shuffle-write bytes
-/// come from the buffer length, shuffle-read bytes from summing one segment
-/// column, and the reduce side pre-sizes its output from the record counts.
-#[derive(Clone, Copy)]
+/// come from the buffer length, shuffle-read bytes and the reduce side's
+/// pre-sizing from the transposed index.
+#[derive(Clone, Copy, Default)]
 struct BucketSeg {
     offset: usize,
     len: usize,
@@ -45,12 +54,50 @@ struct BucketSeg {
     checksum: u64,
 }
 
-/// Output of one map-side shuffle task: every bucket serialized
-/// back-to-back into a single pooled buffer, indexed by [`BucketSeg`]s.
+/// Output of one map-side shuffle task: its non-empty buckets serialized
+/// back-to-back into a single pooled buffer, listed as `(reduce id,
+/// segment)` in ascending reduce id.
 struct MapTaskOut {
     data: Vec<u8>,
-    segs: Vec<BucketSeg>,
+    segs: Vec<(usize, BucketSeg)>,
     ser_s: f64,
+}
+
+/// The map outputs' segment lists transposed once, driver-side: for each
+/// reduce task, its `(map id, segment)`s in map order. Built in
+/// O(non-empty segments + nparts); `read_bytes`, the reduce task's
+/// pre-sizing and its decode loop all read it.
+struct ReduceIndex {
+    /// `segs[starts[t]..starts[t + 1]]` belong to reduce task `t`.
+    starts: Vec<usize>,
+    segs: Vec<(usize, BucketSeg)>,
+}
+
+impl ReduceIndex {
+    fn transpose(map_out: &[MapTaskOut], nparts: usize) -> Self {
+        let mut starts = vec![0usize; nparts + 1];
+        for m in map_out {
+            for &(t, _) in &m.segs {
+                starts[t + 1] += 1;
+            }
+        }
+        for t in 0..nparts {
+            starts[t + 1] += starts[t];
+        }
+        let mut next = starts.clone();
+        let mut segs = vec![(0, BucketSeg::default()); starts[nparts]];
+        for (mi, m) in map_out.iter().enumerate() {
+            for &(t, seg) in &m.segs {
+                segs[next[t]] = (mi, seg);
+                next[t] += 1;
+            }
+        }
+        Self { starts, segs }
+    }
+
+    fn of(&self, t: usize) -> &[(usize, BucketSeg)] {
+        &self.segs[self.starts[t]..self.starts[t + 1]]
+    }
 }
 
 /// Cap on pooled map-side serialization buffers. Bounds idle memory while
@@ -81,87 +128,91 @@ fn scratch_take() -> Vec<u8> {
 fn scratch_put(mut buf: Vec<u8>) {
     buf.clear();
     let mut pool = scratch_pool().lock();
-    if pool.len() < SCRATCH_POOL_CAP {
+    // An empty map task's output never grew: nothing worth a pool slot.
+    if buf.capacity() > 0 && pool.len() < SCRATCH_POOL_CAP {
         pool.push(buf);
     }
 }
 
-/// Map-side input. `Owned` cells are built only for a sole-owned plain
-/// input, which excludes faults (lineage would share it), so each cell is
-/// taken by exactly one task invocation.
-enum MapSource<T> {
-    Owned(Vec<Mutex<Vec<T>>>),
-    Shared(Parts<T>),
-}
-
-/// Compute every record's target bucket in one routing pass, plus the
-/// per-bucket counts used to pre-size the scatter.
-fn plan_routes<T>(
-    chunk: &[T],
+/// Route every record and reorder `items` by target bucket — stably, so
+/// the per-source order inside a bucket is unchanged. Returns, per record in
+/// the new order, `(target, position)`; equal targets are adjacent, which is
+/// what [`serialize_runs`] cuts segments from.
+fn order_by_bucket<T>(
+    items: &mut [T],
     nparts: usize,
     route: &(impl Fn(&T) -> usize + Send + Sync),
-) -> (Vec<u32>, Vec<usize>) {
-    let mut routes = Vec::with_capacity(chunk.len());
-    let mut counts = vec![0usize; nparts];
-    for item in chunk {
-        let target = route(item);
-        assert!(target < nparts, "router produced partition {target} >= {nparts}");
-        counts[target] += 1;
-        routes.push(target as u32);
+) -> Vec<(usize, usize)> {
+    let mut order: Vec<(usize, usize)> = items
+        .iter()
+        .enumerate()
+        .map(|(i, item)| {
+            let target = route(item);
+            assert!(target < nparts, "router produced partition {target} >= {nparts}");
+            (target, i)
+        })
+        .collect();
+    if order.is_sorted() {
+        return order;
     }
-    (routes, counts)
+    // Positions are distinct, so the unstable sort is a stable one.
+    order.sort_unstable();
+    // `order[k].1` names the record that belongs at `k`: apply that
+    // permutation in place, one swap per displaced record, marking a slot
+    // placed by pointing it at itself.
+    for start in 0..order.len() {
+        let mut k = start;
+        loop {
+            let src = std::mem::replace(&mut order[k].1, k);
+            if src == start {
+                break;
+            }
+            items.swap(k, src);
+            k = src;
+        }
+    }
+    order
 }
 
-/// Move `items` into their planned buckets, reserving each bucket's share
-/// first — no bucket reallocates mid-chunk, and a plain partition is
-/// exactly one chunk.
-fn scatter<T>(
-    buckets: &mut [Vec<T>],
-    (routes, counts): (Vec<u32>, Vec<usize>),
-    items: impl Iterator<Item = T>,
-) {
-    for (b, &c) in buckets.iter_mut().zip(&counts) {
-        b.reserve(c);
-    }
-    for (item, r) in items.zip(routes) {
-        buckets[r as usize].push(item);
-    }
-}
-
-/// Serialize every bucket back-to-back into one pooled buffer, recording a
-/// [`BucketSeg`] per bucket as it is written.
-fn serialize_buckets<T: GpfSerialize>(
+/// Serialize each run of equal targets in `items` (ordered by
+/// [`order_by_bucket`]) back-to-back into one pooled buffer, recording a
+/// [`BucketSeg`] per run as it is written.
+fn serialize_runs<T: GpfSerialize>(
     kind: SerializerKind,
-    buckets: &[Vec<T>],
+    items: &[T],
+    order: &[(usize, usize)],
     with_checksum: bool,
-) -> (Vec<u8>, Vec<BucketSeg>) {
+) -> (Vec<u8>, Vec<(usize, BucketSeg)>) {
+    // A map task with no records writes nothing and borrows no buffer.
+    if items.is_empty() {
+        return (Vec::new(), Vec::new());
+    }
     let mut data = scratch_take();
     // Serialization allocations (scratch growth, codec temporaries) charge
     // the serde heap tag; one scope per map task keeps this off the
-    // per-bucket hot path.
+    // per-segment hot path.
     let _serde_scope = alloc::scope(AllocTag::Serde);
-    let mut segs = Vec::with_capacity(buckets.len());
-    // Bucket stats accumulate locally and merge into the registry once
-    // per task: a smoke run serializes millions of buckets, and even an
-    // uncontended per-bucket `fetch_add` shows up in the traced run's wall
-    // time (the benchmark's `trace.overhead_pct`).
+    let mut segs = Vec::new();
+    // Segment stats accumulate locally and merge into the registry once
+    // per task: even an uncontended per-segment `fetch_add` shows up in the
+    // traced run's wall time (the benchmark's `trace.overhead_pct`).
     let mut stats = if gpf_trace::enabled() {
         Some((gpf_trace::LocalHistogram::new(), gpf_trace::LocalHistogram::new()))
     } else {
         None
     };
-    for b in buckets {
+    let mut at = 0usize;
+    for run in order.chunk_by(|a, b| a.0 == b.0) {
+        let bucket = &items[at..at + run.len()];
+        at += run.len();
         let offset = data.len();
-        // Empty buckets produce zero bytes (Spark's shuffle index marks
-        // them with zero-length segments; no framing is written).
-        let len = if b.is_empty() { 0 } else { serialize_batch_into(kind, b, &mut data) };
+        let len = serialize_batch_into(kind, bucket, &mut data);
         if let Some((by, recs)) = &mut stats {
             by.record(len as u64);
-            recs.record(b.len() as u64);
+            recs.record(bucket.len() as u64);
         }
-        let checksum =
-            if with_checksum && len > 0 { fnv64(&data[offset..offset + len]) } else { 0 };
-        segs.push(BucketSeg { offset, len, records: b.len(), checksum });
+        let checksum = if with_checksum { fnv64(&data[offset..offset + len]) } else { 0 };
+        segs.push((run[0].0, BucketSeg { offset, len, records: bucket.len(), checksum }));
     }
     if let Some((by, recs)) = &stats {
         gpf_trace::histogram(tn::SHUFFLE_BUCKET_BYTES).merge(by);
@@ -185,12 +236,13 @@ fn inject_bucket_corruption(
         {
             continue;
         }
-        let nonempty: Vec<BucketSeg> = m.segs.iter().copied().filter(|s| s.len > 0).collect();
-        if nonempty.is_empty() {
+        // Every listed segment is non-empty and they are in bucket order,
+        // so a salt picks the segment it always picked.
+        if m.segs.is_empty() {
             continue;
         }
         let salt = fc.plan.corruption_salt(stage, i as u32);
-        let seg = nonempty[(salt % nonempty.len() as u64) as usize];
+        let (_, seg) = m.segs[(salt % m.segs.len() as u64) as usize];
         if corrupt_bit(&mut m.data[seg.offset..seg.offset + seg.len], salt) {
             ctx.record_fault_event(tn::FAULT_INJECTED, stage, i as u32, 1);
         }
@@ -202,8 +254,8 @@ fn inject_bucket_corruption(
 /// Takes the partitions by value: when the caller held the only reference
 /// (consuming APIs like [`Dataset::into_partition_by`] or internal
 /// intermediates like `reduceByKey`'s map-side combine) and faults are off,
-/// records are *moved* into their buckets; otherwise each record is cloned
-/// exactly once.
+/// records are *moved* through the map side; otherwise each record is
+/// cloned exactly once.
 pub(crate) fn shuffle<T>(
     ctx: &Arc<EngineContext>,
     parts: Parts<T>,
@@ -221,38 +273,32 @@ where
     let n_in = parts.num();
     let records = parts.total_len() as u64;
     // Lineage = the routing closure + the input, which stays resident for
-    // exactly this. Holding it is also what forces the clone path below:
-    // the move optimization is deliberately traded away while faults are on.
+    // exactly this; `TaskSource` borrows rather than takes while faults are
+    // on, so the move optimization is deliberately traded away.
     let lineage: Option<Parts<T>> = faults.map(|_| parts.clone());
-    let source = match parts {
-        Parts::Plain(arc) => match Arc::try_unwrap(arc) {
-            Ok(owned) => MapSource::Owned(owned.into_iter().map(Mutex::new).collect()),
-            Err(shared) => MapSource::Shared(Parts::Plain(shared)),
-        },
-        tracked => MapSource::Shared(tracked),
-    };
+    let source = TaskSource::new(ctx, parts);
     if gpf_trace::enabled() {
-        let counter = match &source {
-            MapSource::Owned(_) => tn::SHUFFLE_PARTITIONS_MOVED,
-            MapSource::Shared(_) => tn::SHUFFLE_PARTITIONS_CLONED,
+        let counter = if source.is_owned() {
+            tn::SHUFFLE_PARTITIONS_MOVED
+        } else {
+            tn::SHUFFLE_PARTITIONS_CLONED
         };
         gpf_trace::counter(counter).add(n_in as u64);
     }
 
     let map_task = |i: usize| -> MapTaskOut {
-        let mut buckets: Vec<Vec<T>> = (0..nparts).map(|_| Vec::new()).collect();
-        match &source {
-            MapSource::Owned(cells) => {
-                let p = std::mem::take(&mut *cells[i].lock());
-                scatter(&mut buckets, plan_routes(&p, nparts, &route), p.into_iter());
+        let mut items: Vec<T> = Vec::new();
+        source.for_each_chunk(i, &mut |mut chunk| {
+            // A plain partition is exactly one chunk and is adopted as is.
+            if items.is_empty() {
+                items = chunk;
+            } else {
+                items.append(&mut chunk);
             }
-            MapSource::Shared(shared) => shared.stream(i, &mut |chunk| {
-                let plan = plan_routes(chunk, nparts, &route);
-                scatter(&mut buckets, plan, chunk.iter().cloned());
-            }),
-        }
+        });
+        let order = order_by_bucket(&mut items, nparts, &route);
         let t1 = TaskTimer::start();
-        let (data, segs) = serialize_buckets(kind, &buckets, lineage.is_some());
+        let (data, segs) = serialize_runs(kind, &items, &order, lineage.is_some());
         MapTaskOut { data, segs, ser_s: t1.elapsed_s() }
     };
     let failed = || Dataset::failed(ctx, nparts);
@@ -272,16 +318,17 @@ where
     }
     // Transfer sizes come straight from the segment index recorded while
     // writing — no second traversal of the serialized buffers.
+    let index = ReduceIndex::transpose(&map_out, nparts);
     let write_bytes: Vec<u64> = map_out.iter().map(|m| m.data.len() as u64).collect();
     let read_bytes: Vec<u64> =
-        (0..nparts).map(|t| map_out.iter().map(|m| m.segs[t].len as u64).sum()).collect();
+        (0..nparts).map(|t| index.of(t).iter().map(|(_, seg)| seg.len as u64).sum()).collect();
     let read_total: u64 = read_bytes.iter().sum();
     ctx.record_serde(map_out.iter().map(|m| m.ser_s).sum());
     ctx.close_stage_shuffle(label, write_bytes, read_bytes);
     let read_stage = ctx.current_stage();
 
-    // Reduce side: deserialize segments in map order into one output vector
-    // pre-sized from the per-bucket record counts. Under faults each
+    // Reduce side: deserialize this task's segments in map order into one
+    // output vector pre-sized from their record counts. Under faults each
     // segment is verify → decode → count-checked, and a failure discards
     // its partial output and recomputes its records from the owning input
     // partition (same routing closure, same order, so the recovered
@@ -289,16 +336,13 @@ where
     // `(records, segments recomputed, decode seconds)`.
     let reduce_task = |t: usize| -> (Vec<T>, u64, f64) {
         let t0 = TaskTimer::start();
-        let expected: usize = map_out.iter().map(|m| m.segs[t].records).sum();
+        let segs = index.of(t);
+        let expected: usize = segs.iter().map(|(_, seg)| seg.records).sum();
         let mut out: Vec<T> = Vec::with_capacity(expected);
         let mut recomputed = 0u64;
-        for (mi, m) in map_out.iter().enumerate() {
-            let seg = m.segs[t];
-            if seg.len == 0 {
-                continue;
-            }
+        for &(mi, seg) in segs {
             let base = out.len();
-            let bytes = &m.data[seg.offset..seg.offset + seg.len];
+            let bytes = &map_out[mi].data[seg.offset..seg.offset + seg.len];
             // The pre-sizing above trusted the segment index; the decoded
             // count is checked against it instead of silently mis-sizing.
             let verified = lineage.is_none() || fnv64(bytes) == seg.checksum;

@@ -3,13 +3,18 @@
 //! map job return the global live-byte gauge to its pre-run baseline (to
 //! within the documented per-thread flush quantum), and the job's output
 //! stays byte-identical to an untracked run — the accounting observes the
-//! workload, never perturbs it.
+//! workload, never perturbs it. And an allocation bound: a wide, almost
+//! empty shuffle allocates by its records, not by its geometry.
 
 use gpf_compress::serializer::{deserialize_batch, serialize_batch};
 use gpf_compress::SerializerKind;
 use gpf_engine::{Dataset, EngineConfig, EngineContext};
 use gpf_support::proptest::prelude::*;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
+
+/// The heap gauges and tag counters are process-global: the tests here read
+/// them exactly, so they run one at a time.
+static TRACKING: Mutex<()> = Mutex::new(());
 
 /// Live-gauge slack: each pool worker may hold an unflushed pending delta
 /// below the 64 KiB quantum, and pool/registry bookkeeping allocated
@@ -63,6 +68,7 @@ proptest! {
         parts in 1usize..5,
         nparts in 1usize..5,
     ) {
+        let _one_at_a_time = TRACKING.lock().unwrap_or_else(|e| e.into_inner());
         // Untracked baseline for byte-identity.
         let baseline = job(&ctx(), &data, parts, nparts);
 
@@ -99,4 +105,50 @@ proptest! {
             "live gauge did not return to baseline: {live0} -> {live1}"
         );
     }
+}
+
+/// Bytes allocated so far under the `shuffle` and `serde` heap tags — what
+/// the shuffle's map and reduce tasks allocate.
+fn shuffle_and_serde_bytes() -> u64 {
+    gpf_trace::counters_snapshot()
+        .iter()
+        .filter(|(name, _)| ["heap.tag.shuffle", "heap.tag.serde"].contains(name))
+        .map(|(_, v)| *v)
+        .sum()
+}
+
+/// 64 records through a 2048 -> 2048 shuffle: 4,194,304 (map, bucket) cells
+/// of which 64 hold a record. A per-cell segment index alone is 128 MiB;
+/// the tasks must allocate for their records only, and — every task's
+/// allocations being a function of its records — the same bytes every run.
+#[test]
+fn wide_sparse_shuffle_allocates_by_records_not_geometry() {
+    const WIDTH: usize = 2048;
+    let _one_at_a_time = TRACKING.lock().unwrap_or_else(|e| e.into_inner());
+    gpf_trace::set_enabled(true);
+    gpf_trace::alloc::set_tracking(true);
+    assert!(gpf_trace::alloc::tracking_active(), "hooks must be live for this test");
+    let run = || {
+        // One record in each of 64 scattered input partitions, each to its
+        // own bucket; the high bit keeps every encoded record the same size.
+        let mut input: Vec<Vec<(u64, u64)>> = vec![Vec::new(); WIDTH];
+        for j in 0..64u64 {
+            input[j as usize * 31 % WIDTH].push(((1 << 63) | j, (1 << 63) | (j * j)));
+        }
+        let d = Dataset::from_partitions(ctx(), input);
+        let before = shuffle_and_serde_bytes();
+        let p = d.partition_by(WIDTH, |kv| (kv.0 & 0xffff) as usize * 37 % WIDTH);
+        let allocated = shuffle_and_serde_bytes() - before;
+        assert_eq!(p.len(), 64);
+        assert_eq!(p.partition_sizes().iter().filter(|&&n| n == 1).count(), 64);
+        allocated
+    };
+    // The first run grows the pooled scratch buffers and registers the
+    // pool-miss counter; the second, reusing them, registers the pool-hit
+    // counter. From the third on nothing is first-use.
+    run();
+    run();
+    let (first, second) = (run(), run());
+    assert!(first < 1 << 20, "a 64-record shuffle allocated {first} bytes in its tasks");
+    assert_eq!(first, second, "task allocations must repeat exactly");
 }

@@ -234,3 +234,164 @@ fn every_operator_agrees_across_faults_budget_and_ownership() {
         }
     }
 }
+
+/// The consuming operators, each beside the borrowed twin it must agree
+/// with. `e` is the zip's right-hand side; the other operators ignore it.
+#[derive(Clone, Copy, Debug)]
+enum Twin {
+    PartitionByKey,
+    Map,
+    MapPartitions,
+    ZipPartitions,
+}
+
+const TWIN_PARTS: usize = 16;
+
+fn key_route(k: &u64) -> usize {
+    (*k % 5) as usize
+}
+
+fn zip_pair(a: &Rec, b: &Rec) -> Rec {
+    (a.0 ^ b.0, a.1.wrapping_add(b.1))
+}
+
+/// Runs `twin` and calls `tick` once per user-closure invocation, so a cell
+/// can make the first invocation fail.
+fn run_borrowed(twin: Twin, d: &Dataset<Rec>, e: &Dataset<Rec>, tick: &(dyn Fn() + Sync)) -> Dataset<Rec> {
+    match twin {
+        Twin::PartitionByKey => d.partition_by_key(5, |k| {
+            tick();
+            key_route(k)
+        }),
+        Twin::Map => d.map(|kv| {
+            tick();
+            (kv.0, kv.1.rotate_left(3))
+        }),
+        Twin::MapPartitions => d.map_partitions(|p| {
+            tick();
+            p.iter().rev().copied().collect()
+        }),
+        Twin::ZipPartitions => d.zip_partitions(e, |_, l, r| {
+            tick();
+            l.iter().zip(r).map(|(a, b)| zip_pair(a, b)).collect()
+        }),
+    }
+}
+
+fn run_consuming(twin: Twin, d: Dataset<Rec>, e: Dataset<Rec>, tick: &(dyn Fn() + Sync)) -> Dataset<Rec> {
+    match twin {
+        Twin::PartitionByKey => d.into_partition_by_key(5, |k| {
+            tick();
+            key_route(k)
+        }),
+        Twin::Map => d.into_map(|kv| {
+            tick();
+            (kv.0, kv.1.rotate_left(3))
+        }),
+        Twin::MapPartitions => d.into_map_partitions(|p| {
+            tick();
+            p.into_iter().rev().collect()
+        }),
+        Twin::ZipPartitions => d.into_zip_partitions(e, |_, l, r| {
+            tick();
+            l.iter().zip(&r).map(|(a, b)| zip_pair(a, b)).collect()
+        }),
+    }
+}
+
+fn twin_inputs(ctx: &Arc<EngineContext>, data: &[Rec]) -> (Dataset<Rec>, Dataset<Rec>) {
+    let right: Vec<Rec> = data.iter().map(|kv| (kv.1, kv.0)).collect();
+    (
+        Dataset::from_vec(Arc::clone(ctx), data.to_vec(), TWIN_PARTS).evictable(),
+        Dataset::from_vec(Arc::clone(ctx), right, TWIN_PARTS).evictable(),
+    )
+}
+
+/// One operator-matrix cell per consuming operator: its output (placement,
+/// order, stage shape) is its borrowed twin's with a sole owner, with a
+/// second handle alive, under a quarter budget and under a plan that makes
+/// the first attempt fail; an infeasible budget is a structured breach for
+/// the whole-partition operators and no obstacle for the streamed ones.
+#[test]
+fn consuming_operators_agree_with_their_borrowed_twins() {
+    use std::sync::atomic::{AtomicU32, Ordering};
+    let data = input();
+    let footprint = data.len() as u64 * 16;
+    let quiet = || {};
+    for twin in [Twin::PartitionByKey, Twin::Map, Twin::MapPartitions, Twin::ZipPartitions] {
+        let want_ctx = EngineContext::new(EngineConfig::default().with_parallelism(4));
+        let (d, e) = twin_inputs(&want_ctx, &data);
+        let want = checkpoint("borrowed", &run_borrowed(twin, &d, &e, &quiet));
+        let want_shape = shape(&want_ctx.take_run());
+        let same = |cell: &str, got: &Dataset<Rec>| {
+            let got = checkpoint("consuming", got);
+            assert!(got.parts == want.parts, "[{twin:?}, {cell}] diverged from the borrowed twin");
+        };
+
+        // Sole owner, and a second handle kept alive across the operator.
+        for shared in [false, true] {
+            let cell = format!("shared {shared}");
+            let ctx = EngineContext::new(EngineConfig::default().with_parallelism(4));
+            let (d, e) = twin_inputs(&ctx, &data);
+            let keep = shared.then(|| (d.clone(), e.clone()));
+            same(&cell, &run_consuming(twin, d, e, &quiet));
+            assert_eq!(shape(&ctx.take_run()), want_shape, "[{twin:?}, {cell}] JobRun shape");
+            if let Some((d, _)) = keep {
+                assert!(d.collect_local() == data, "[{twin:?}, {cell}] the kept handle lost records");
+            }
+        }
+
+        // A quarter of the input's footprint: inputs spill at build, the
+        // streamed operators stream, the whole-partition ones restore one
+        // task at a time, and a sixteenth-sized partition (or a pair) fits.
+        {
+            let cfg = EngineConfig::default().with_parallelism(4).with_memory_budget(footprint / 4);
+            let ctx = EngineContext::new(cfg);
+            let (d, e) = twin_inputs(&ctx, &data);
+            assert!(d.spilled_partitions() > 0, "[{twin:?}] budget 1/4 must force spills");
+            same("budget 1/4", &run_consuming(twin, d, e, &quiet));
+            assert!(ctx.take_budget_breach().is_none(), "[{twin:?}] feasible budget breached");
+            assert_eq!(shape(&ctx.take_run()), want_shape, "[{twin:?}, budget 1/4] JobRun shape");
+        }
+
+        // Far below one partition: restoring is infeasible, streaming is not.
+        {
+            let cfg = EngineConfig::default().with_parallelism(4).with_memory_budget(64);
+            let ctx = EngineContext::new(cfg);
+            let (d, e) = twin_inputs(&ctx, &data);
+            let got = run_consuming(twin, d, e, &quiet);
+            let breach = ctx.take_budget_breach();
+            match twin {
+                Twin::PartitionByKey | Twin::Map => {
+                    assert!(breach.is_none(), "[{twin:?}] a streamed operator never restores");
+                    same("budget 64 B", &got);
+                }
+                Twin::MapPartitions | Twin::ZipPartitions => {
+                    let breach = breach.expect("an infeasible restore is a structured breach");
+                    assert_eq!(breach.operator, want_shape[0].label, "[{twin:?}]");
+                    assert!(got.is_empty(), "[{twin:?}] a breached stage yields no records");
+                }
+            }
+        }
+
+        // Faults on, and the user closure panics the first time it runs —
+        // after its task obtained the input. The retry must find the input
+        // still there.
+        {
+            let calls = AtomicU32::new(0);
+            let flaky = || {
+                if calls.fetch_add(1, Ordering::SeqCst) == 0 {
+                    panic!("flaky first attempt");
+                }
+            };
+            let fc = FaultConfig::new(FaultPlan::seeded(0, 0));
+            let ctx = EngineContext::new(EngineConfig::default().with_parallelism(4).with_faults(fc));
+            let (d, e) = twin_inputs(&ctx, &data);
+            same("retry", &run_consuming(twin, d, e, &flaky));
+            assert!(ctx.take_failure().is_none(), "[{twin:?}] one panic is inside the retry budget");
+            let (_, trace) = ctx.take_run_traced();
+            let retried = trace.events.iter().filter(|ev| &*ev.name == "task.retries").count();
+            assert_eq!(retried, 1, "[{twin:?}] exactly the flaky task retried");
+        }
+    }
+}

@@ -116,9 +116,12 @@ pub const MEM_BUDGET_SPILLED_BYTES: &str = "mem.budget.spilled_bytes";
 
 /// Allocation-size distribution (log₂ size classes).
 pub const HEAP_SIZE_CLASS: &str = "heap.size_class";
-/// Serialized shuffle bucket sizes in bytes.
+/// Sizes in bytes of the shuffle segments *written*: one sample per
+/// non-empty (map task, bucket) pair. Empty buckets write nothing and are
+/// not sampled (until PR 21 every bucket was, so most samples were 0).
 pub const SHUFFLE_BUCKET_BYTES: &str = "shuffle.bucket.bytes";
-/// Records per serialized shuffle bucket.
+/// Records per written (non-empty) shuffle segment; same sampling as
+/// [`SHUFFLE_BUCKET_BYTES`].
 pub const SHUFFLE_BUCKET_RECORDS: &str = "shuffle.bucket.records";
 
 /// Trace *event* name of the Perfetto heap counter track sampled at span

@@ -16,8 +16,8 @@
 #                          # experiments smoke + trace export/schema check
 #   scripts/ci.sh quick    # -D warnings build + gpf-lint + tests (workspace
 #                          # and benchmark/), plus one short benchmark run
-#                          # for its checks and one child for the pinned
-#                          # VCF digest
+#                          # for its checks and three children for the
+#                          # pinned VCF digests
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -56,22 +56,28 @@ if [[ "$bench_line" != *'"correct": true'* || "$bench_line" != *'"failed": 0,'* 
     exit 1
 fi
 
-echo "== repo benchmark (clean-call VCF digest of genome 6054, pinned across commits) =="
+echo "== repo benchmark (VCF digests of genome 6054, pinned across commits) =="
 # The run above only compares a commit with itself. This pins pipeline
 # output across commits: a kernel change that alters one VCF byte fails here
 # instead of at measurement time, and a change that means to move calls
-# updates the pin on purpose.
-clean_call_digest=242c4063708960b1
+# updates the pin on purpose. The same generated genome goes through three
+# children: the fine geometry has its own pin (partition-dependent calls are
+# ROADMAP item 2), and a memory budget must not change a byte of clean-call.
 bench_exe="${CARGO_TARGET_DIR:-benchmark/target}/release/gpf-benchmark"
 bench_inputs="$(mktemp -d -t gpf_bench_inputs_XXXX)"
 "$bench_exe" gen --dir "$bench_inputs" --seed 6054
-bench_line="$("$bench_exe" child --workload clean-call --dir "$bench_inputs" | tail -n 1)"
+for pin in clean-call:242c4063708960b1 clean-call-fine:b3cdabcc53910815 \
+    clean-call-tight-mem:242c4063708960b1; do
+    workload="${pin%%:*}" digest="${pin##*:}"
+    bench_line="$("$bench_exe" child --workload "$workload" --dir "$bench_inputs" | tail -n 1)"
+    if [[ "$bench_line" != *"\"digest\": \"$digest\""* ]]; then
+        rm -rf "$bench_inputs"
+        echo "$workload on genome 6054 did not print digest $digest:" >&2
+        echo "${bench_line:0:200}" >&2
+        exit 1
+    fi
+done
 rm -rf "$bench_inputs"
-if [[ "$bench_line" != *"\"digest\": \"$clean_call_digest\""* ]]; then
-    echo "clean-call on genome 6054 did not print digest $clean_call_digest:" >&2
-    echo "${bench_line:0:200}" >&2
-    exit 1
-fi
 
 if [[ "${1:-}" == "quick" ]]; then
     exit 0
