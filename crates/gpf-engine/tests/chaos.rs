@@ -247,6 +247,74 @@ fn damaged_spill_reads_recover_byte_identically() {
     );
 }
 
+/// Frame battery: `barrier_via_disk` output ≡ input, partition for
+/// partition, for every serializer × partition sizes straddling the frame
+/// boundary × {faults off, damage at rest, the two read-side damages} ×
+/// {no budget, a budget that spills every output partition}. Each
+/// faulted cell reads its own run's trace: every non-empty partition's
+/// injection fired and was recovered.
+#[test]
+fn barrier_round_trips_every_serializer_size_fault_and_budget() {
+    const SIZES: [usize; 6] = [0, 1, 1023, 1024, 1025, 3000];
+    type Rec = (u64, String);
+    let input: Vec<Vec<Rec>> = SIZES
+        .iter()
+        .enumerate()
+        .map(|(p, &n)| {
+            (0..n as u64).map(|i| (i.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 20, format!("p{p}r{i}"))).collect()
+        })
+        .collect();
+    let want: Vec<Rec> = input.concat();
+    // Explicit sites only fire on their kind's surface, so blanketing the
+    // write stage (0) and the read stage (1) is safe.
+    let blanket = |kind: FaultKind| -> Vec<FaultSite> {
+        (0..2u32)
+            .flat_map(|stage| {
+                (0..SIZES.len() as u32).map(move |partition| FaultSite { stage, partition, attempt: 0, kind })
+            })
+            .collect()
+    };
+    let modes: [(&str, Option<FaultKind>); 4] = [
+        ("faults off", None),
+        ("CorruptSpill at rest", Some(FaultKind::CorruptSpill)),
+        ("CorruptSpillRead", Some(FaultKind::CorruptSpillRead)),
+        ("TruncateSpill", Some(FaultKind::TruncateSpill)),
+    ];
+    for base in [EngineConfig::gpf(), EngineConfig::kryo(), EngineConfig::java()] {
+        for (mode, kind) in modes {
+            for budget in [None, Some(1u64)] {
+                let cell = format!("{:?}, {mode}, budget {budget:?}", base.serializer);
+                let mut cfg = base.clone().with_parallelism(4);
+                if let Some(kind) = kind {
+                    cfg = cfg.with_faults(FaultConfig::new(FaultPlan::explicit(blanket(kind))));
+                }
+                if let Some(bytes) = budget {
+                    cfg = cfg.with_memory_budget(bytes);
+                }
+                let ctx = EngineContext::new(cfg);
+                let out = Dataset::from_partitions(Arc::clone(&ctx), input.clone()).barrier_via_disk("frames");
+                assert_eq!(out.partition_sizes(), SIZES, "[{cell}] partition layout");
+                if budget.is_some() {
+                    assert_eq!(out.spilled_partitions(), SIZES.len(), "[{cell}] every output partition spills");
+                }
+                // One streamed concatenation: feasible under any budget.
+                assert!(out.collect_local() == want, "[{cell}] records diverged from the input");
+                assert!(ctx.take_failure().is_none(), "[{cell}] frame damage is never terminal");
+                assert!(ctx.take_budget_breach().is_none(), "[{cell}] streaming never breaches");
+                let (_, trace) = ctx.take_run_traced();
+                let seen = |name: &str, part: usize| {
+                    trace.events.iter().any(|e| &*e.name == name && e.counter("part") == Some(part as u64))
+                };
+                for (p, _) in SIZES.iter().enumerate().filter(|(_, &n)| n > 0) {
+                    let recovered = seen("task.retries", p) || seen("shuffle.recomputed", p);
+                    assert_eq!(seen("fault.injected", p), kind.is_some(), "[{cell}] partition {p} injection");
+                    assert_eq!(recovered, kind.is_some(), "[{cell}] partition {p} recovery");
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn straggler_triggers_speculation_and_duplicate_wins() {
     // 500 ms of injected delay dwarfs any real task jitter, so the clean
