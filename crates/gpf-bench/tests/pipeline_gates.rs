@@ -14,7 +14,7 @@
 
 use gpf_bench::workload::{GpfRun, SkewedWorkload, WgsWorkload};
 use gpf_compress::serializer::{serialize_batch, SerializerKind};
-use gpf_engine::{EngineConfig, FaultConfig, FaultPlan, JobRun};
+use gpf_engine::{EngineConfig, FaultPlan, JobRun};
 use gpf_support::rng::SplitMix64;
 use gpf_trace::names as tn;
 use std::sync::OnceLock;
@@ -55,7 +55,7 @@ fn seeded_fault_plans_recover_byte_identical_calls() {
     const RATE_PERMILLE: u32 = 25;
     for k in 0..3 {
         let plan_seed = SplitMix64::mix(SEED, k);
-        let cfg = config().with_faults(FaultConfig::new(FaultPlan::seeded(plan_seed, RATE_PERMILLE)));
+        let cfg = config().with_faults(FaultPlan::seeded(plan_seed, RATE_PERMILLE));
         let run = workload()
             .run_gpf_cfg(true, cfg)
             .unwrap_or_else(|e| panic!("plan {k} (seed {plan_seed}): in-budget faults must recover: {e}"));

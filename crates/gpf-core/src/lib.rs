@@ -65,7 +65,7 @@
 //! # Ok(()) }
 //! ```
 
-pub mod loader;
+mod loader;
 pub mod partition;
 pub mod pipeline;
 pub mod process;
@@ -76,7 +76,7 @@ pub mod validate;
 pub use loader::FileLoader;
 pub use partition::PartitionInfo;
 pub use pipeline::{Pipeline, PipelineError};
-pub use process::{Process, ProcessState};
+pub use process::Process;
 pub use resource::{
     FastqPairBundle, PartitionInfoBundle, ResourceAny, ResourceKind, ResourceState, SamBundle,
     VcfBundle,

@@ -141,11 +141,6 @@ impl Pipeline {
         }
     }
 
-    /// Pipeline name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// Enable/disable the §4.3 redundancy elimination (on by default).
     /// Disabling it reproduces the paper's Table 4 "Original" column.
     pub fn set_optimize(&mut self, optimize: bool) {
@@ -470,14 +465,14 @@ mod tests {
 
     #[test]
     fn task_failure_surfaces_process_and_site_detail() {
-        use gpf_engine::{FaultConfig, FaultKind, FaultPlan, FaultSite};
+        use gpf_engine::{FaultKind, FaultPlan, FaultSite};
         // Explicit panics at (stage 0, partition 0) on every attempt defeat
         // the default 3-retry budget.
         let sites = (0..=3)
             .map(|a| FaultSite { stage: 0, partition: 0, attempt: a, kind: FaultKind::TaskPanic })
             .collect();
         let ctx = EngineContext::new(
-            EngineConfig::default().with_faults(FaultConfig::new(FaultPlan::explicit(sites))),
+            EngineConfig::default().with_faults(FaultPlan::explicit(sites)),
         );
         let a = bundle("a");
         let b = bundle("b");

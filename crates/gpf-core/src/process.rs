@@ -22,19 +22,6 @@ use gpf_formats::vcf::VcfRecord;
 use gpf_formats::{GenomeInterval, ReferenceGenome};
 use std::sync::Arc;
 
-/// Process states (Figure 2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ProcessState {
-    /// Has at least one Undefined input Resource.
-    Blocked,
-    /// All input Resources Defined; can be issued.
-    Ready,
-    /// Currently executing.
-    Running,
-    /// Finished; outputs Defined.
-    Ended,
-}
-
 /// A schedulable unit of work.
 pub trait Process: Send + Sync {
     /// Process name (for reports and error messages).
@@ -52,15 +39,6 @@ pub trait Process: Send + Sync {
     /// Downcast to a fusable bundle-stage Process (§4.3), if applicable.
     fn as_bundle_stage(&self) -> Option<&dyn BundleStage> {
         None
-    }
-}
-
-/// Current schedulable state of a process (derived from its inputs).
-pub fn process_state(p: &dyn Process) -> ProcessState {
-    if p.input_resources().iter().all(|r| r.is_defined()) {
-        ProcessState::Ready
-    } else {
-        ProcessState::Blocked
     }
 }
 
@@ -420,9 +398,11 @@ mod tests {
         let input = SamBundle::undefined("in", SamHeaderInfo::unsorted_header(dict.clone()));
         let output = SamBundle::undefined("out", SamHeaderInfo::unsorted_header(dict));
         let p = Dummy { input: input.clone(), output };
-        assert_eq!(process_state(&p), ProcessState::Blocked);
+        // Ready (Figure 2) = every input Resource Defined.
+        let ready = |p: &Dummy| p.input_resources().iter().all(|r| r.is_defined());
+        assert!(!ready(&p));
         input.define(Dataset::from_vec(Arc::clone(&ctx), vec![], 1));
-        assert_eq!(process_state(&p), ProcessState::Ready);
+        assert!(ready(&p));
         p.execute(&ctx);
         assert!(p.output_resources()[0].is_defined());
     }

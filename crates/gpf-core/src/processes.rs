@@ -592,3 +592,68 @@ impl BundleStage for HaplotypeCallerProcess {
         self.output.define(sorted.map(|(_, v)| v.clone()));
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gpf_engine::EngineConfig;
+    use gpf_formats::sam::{SamFlags, SamHeaderInfo, NO_CONTIG};
+    use gpf_formats::vcf::VcfHeaderInfo;
+    use gpf_formats::Cigar;
+
+    /// `use_gvcf = true` adds one `HomRef` block for a read-bearing region
+    /// the caller found nothing in; a region without reads gets none.
+    #[test]
+    fn gvcf_mode_emits_one_homref_block_per_clean_read_bearing_region() {
+        let seq: Vec<u8> = (0..1000).map(|i| b"ACGT"[i % 4]).collect();
+        let reference = Arc::new(ReferenceGenome::from_contigs(vec![("chr1", seq)]));
+        let dict = reference.dict().clone();
+        // Reference-perfect reads, all inside the first of two 500-base
+        // regions.
+        let reads: Vec<SamRecord> = (0..20usize)
+            .map(|i| SamRecord {
+                name: format!("r{i}"),
+                flags: SamFlags::default(),
+                contig: 0,
+                pos: (40 + 8 * i) as u64,
+                mapq: 60,
+                cigar: Cigar::parse("40M").unwrap(),
+                mate_contig: NO_CONTIG,
+                mate_pos: 0,
+                tlen: 0,
+                seq: reference.contig_seq(0)[40 + 8 * i..][..40].to_vec(),
+                qual: vec![b'I'; 40],
+                read_group: 1,
+                edit_distance: 0,
+            })
+            .collect();
+        for (use_gvcf, want) in [(false, 0), (true, 1)] {
+            let ctx = EngineContext::new(EngineConfig::default());
+            let input = SamBundle::defined(
+                "reads",
+                SamHeaderInfo::unsorted_header(dict.clone()),
+                Dataset::from_vec(Arc::clone(&ctx), reads.clone(), 2),
+            );
+            let output = VcfBundle::undefined("calls", VcfHeaderInfo::new_header(dict.clone(), vec![]));
+            let regions = PartitionInfoBundle::undefined("regions");
+            regions.define(PartitionInfo::new(&dict.lengths(), 500));
+            let caller = HaplotypeCallerProcess::new(
+                "caller",
+                Arc::clone(&reference),
+                None,
+                regions,
+                input,
+                Arc::clone(&output),
+                use_gvcf,
+            );
+            caller.execute(&ctx);
+            let calls = output.dataset().collect_local();
+            assert_eq!(calls.len(), want, "use_gvcf = {use_gvcf}");
+            if let Some(block) = calls.first() {
+                assert_eq!((block.contig, block.pos, block.depth), (0, 0, 20));
+                assert_eq!(block.genotype, Genotype::HomRef);
+                assert_eq!((block.ref_allele.as_slice(), block.alt_allele.as_slice()), (&b"N"[..], &b"."[..]));
+            }
+        }
+    }
+}

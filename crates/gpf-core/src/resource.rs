@@ -79,11 +79,6 @@ pub struct DataBundle<T> {
 }
 
 impl<T: Send + Sync + 'static> DataBundle<T> {
-    /// A Defined bundle holding `data`.
-    pub fn defined(name: impl Into<String>, data: Dataset<T>) -> Arc<Self> {
-        Arc::new(Self { name: name.into(), data: Mutex::new(Some(data)) })
-    }
-
     /// An Undefined bundle to be filled by a Process.
     pub fn undefined(name: impl Into<String>) -> Arc<Self> {
         Arc::new(Self { name: name.into(), data: Mutex::new(None) })
@@ -102,14 +97,8 @@ impl<T: Send + Sync + 'static> DataBundle<T> {
     /// guarantees Processes only read Defined inputs.
     pub fn dataset(&self) -> Dataset<T> {
         // gpf-lint: allow(no-panic): documented panic; Pipeline::check()/run()
-        // guarantee Processes only read Defined inputs, and try_dataset() is
-        // the non-panicking alternative.
+        // guarantee Processes only read Defined inputs.
         self.data.lock().as_ref().expect("resource read while Undefined").clone()
-    }
-
-    /// Non-panicking read.
-    pub fn try_dataset(&self) -> Option<Dataset<T>> {
-        self.data.lock().as_ref().cloned()
     }
 }
 
@@ -137,18 +126,8 @@ impl FastqPairBundle {
         Arc::new(Self { inner: DataBundle { name: name.into(), data: Mutex::new(Some(data)) } })
     }
 
-    /// Undefined bundle.
-    pub fn undefined(name: impl Into<String>) -> Arc<Self> {
-        Arc::new(Self { inner: DataBundle { name: name.into(), data: Mutex::new(None) } })
-    }
-
-    /// Fill the bundle.
-    pub fn define(&self, data: Dataset<FastqPair>) {
-        self.inner.define(data);
-    }
-
     /// Read the dataset (panics when Undefined).
-    pub fn dataset(&self) -> Dataset<FastqPair> {
+    pub(crate) fn dataset(&self) -> Dataset<FastqPair> {
         self.inner.dataset()
     }
 }
@@ -203,11 +182,6 @@ impl SamBundle {
     pub fn dataset(&self) -> Dataset<SamRecord> {
         self.inner.dataset()
     }
-
-    /// Non-panicking read.
-    pub fn try_dataset(&self) -> Option<Dataset<SamRecord>> {
-        self.inner.try_dataset()
-    }
 }
 
 impl ResourceAny for SamBundle {
@@ -251,7 +225,7 @@ impl VcfBundle {
     }
 
     /// Fill the bundle.
-    pub fn define(&self, data: Dataset<VcfRecord>) {
+    pub(crate) fn define(&self, data: Dataset<VcfRecord>) {
         self.inner.define(data);
     }
 
@@ -280,18 +254,13 @@ pub struct PartitionInfoBundle {
 }
 
 impl PartitionInfoBundle {
-    /// Defined bundle.
-    pub fn defined(name: impl Into<String>, info: PartitionInfo) -> Arc<Self> {
-        Arc::new(Self { name: name.into(), info: Mutex::new(Some(info)) })
-    }
-
     /// Undefined bundle to be produced by a `ReadRepartitioner`.
     pub fn undefined(name: impl Into<String>) -> Arc<Self> {
         Arc::new(Self { name: name.into(), info: Mutex::new(None) })
     }
 
     /// Fill the bundle.
-    pub fn define(&self, info: PartitionInfo) {
+    pub(crate) fn define(&self, info: PartitionInfo) {
         *self.info.lock() = Some(info);
     }
 
@@ -330,7 +299,6 @@ mod tests {
         let b: Arc<DataBundle<u64>> = DataBundle::undefined("x");
         assert_eq!(b.state(), ResourceState::Undefined);
         assert!(!b.is_defined());
-        assert!(b.try_dataset().is_none());
         b.define(Dataset::from_vec(ctx, vec![1, 2, 3], 2));
         assert_eq!(b.state(), ResourceState::Defined);
         assert_eq!(b.dataset().len(), 3);

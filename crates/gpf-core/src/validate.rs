@@ -221,11 +221,6 @@ impl ValidationReport {
         self.diagnostics.iter().filter(|d| d.severity == Severity::Warning).collect()
     }
 
-    /// Info-severity findings (the fusion report).
-    pub fn infos(&self) -> Vec<&Diagnostic> {
-        self.diagnostics.iter().filter(|d| d.severity == Severity::Info).collect()
-    }
-
     /// `true` when the pipeline would execute (no errors; warnings allowed).
     pub fn is_ok(&self) -> bool {
         self.diagnostics.iter().all(|d| d.severity != Severity::Error)

@@ -14,38 +14,29 @@
 //! * a **clean** resident partition (its spill ticket already exists)
 //!   is *dropped* — recomputing it later is a checksummed re-read, the
 //!   cheap-lineage case ([`mem.budget.dropped_clean`][c1]);
-//! * a **dirty** resident partition is *spilled* — serialized into
-//!   checksummed [`SpillFrame`]s first, the expensive-lineage case
+//! * a **dirty** resident partition is *spilled* — serialized into a
+//!   checksummed [`SpillTicket`] first, the expensive-lineage case
 //!   ([`mem.budget.spilled`][c2]).
 //!
-//! Spill frames model write-verified durable storage as in-memory buffers
-//! (the same simulation stance as `barrier_via_disk`; [`crate::fsmodel`]
-//! prices the IO analytically). Frames are therefore pristine at rest —
-//! read-back faults ([`crate::fault::damaged_read`]) damage only the
-//! transient copy handed to the decoder, the checksum detects it, and a
-//! bounded retry re-reads pristine bytes: a tracked-store read never
-//! panics and never returns corrupt data. The only way a read fails is a
+//! The spill image and its read-back are [`crate::frame`]'s: frames are
+//! pristine at rest, a read-back fault damages only the transient copy, the
+//! checksum detects it and a bounded re-read recovers — a tracked-store
+//! read never returns corrupt data. A read fails in two ways only: a
 //! genuinely infeasible budget (restoring one partition alone breaches),
-//! which surfaces as a structured [`BudgetBreach`].
+//! which surfaces as a structured [`BudgetBreach`], and a frame damaged at
+//! rest, which a store has no lineage to recompute and reports by
+//! panicking with the frame's coordinates.
 //!
 //! [c1]: gpf_trace::names::MEM_BUDGET_DROPPED_CLEAN
 //! [c2]: gpf_trace::names::MEM_BUDGET_SPILLED
 
-use crate::dataset::fnv64;
-use crate::fault::{damaged_read, FaultPlan};
-use gpf_compress::serializer::{
-    deserialize_batch_into, serialize_batch, GpfSerialize, SerializerKind,
-};
+use crate::fault::FaultPlan;
+use crate::frame::{DamagedAtRest, FrameReader, SpillTicket};
+use gpf_compress::serializer::{GpfSerialize, SerializerKind};
 use gpf_support::chk::atomic::{AtomicU64, Ordering};
 use gpf_support::sync::{Mutex, RwLock};
-use gpf_trace::alloc::{self, AllocTag};
 use gpf_trace::names as tn;
 use std::sync::{Arc, Weak};
-
-/// Records per spill frame: the unit of chunked streaming. Map stages over
-/// a spilled partition decode one frame at a time, so their transient
-/// footprint is bounded by the frame, not the partition.
-pub(crate) const FRAME_RECORDS: usize = 1024;
 
 /// Bump a registry counter. Unconditional — not gated on ambient tracing —
 /// for the same reason as `record_fault_event`: these fire only on budget
@@ -112,7 +103,7 @@ pub struct BudgetAccountant {
 
 impl BudgetAccountant {
     /// A fresh accountant with `budget` bytes of headroom.
-    pub fn new(budget: u64) -> Self {
+    pub(crate) fn new(budget: u64) -> Self {
         Self {
             budget,
             ledger: Mutex::new(Ledger { used: 0, peak: 0 }),
@@ -120,18 +111,13 @@ impl BudgetAccountant {
         }
     }
 
-    /// The installed budget in bytes.
-    pub fn budget(&self) -> u64 {
-        self.budget
-    }
-
     /// Bytes currently charged to the ledger.
-    pub fn used(&self) -> u64 {
+    pub(crate) fn used(&self) -> u64 {
         self.ledger.lock().used
     }
 
     /// High-water mark of the ledger. Only successful admissions move it,
-    /// so `peak() <= budget()` holds by construction.
+    /// so `peak() <= budget` holds by construction.
     pub fn peak(&self) -> u64 {
         self.ledger.lock().peak
     }
@@ -191,83 +177,6 @@ impl BudgetAccountant {
     }
 }
 
-/// One checksummed spill frame: a serialized chunk of ≤ [`FRAME_RECORDS`]
-/// records.
-pub(crate) struct SpillFrame {
-    bytes: Vec<u8>,
-    records: u32,
-    checksum: u64,
-}
-
-impl SpillFrame {
-    /// The raw stored bytes, **not** checksum-verified. Every consumer
-    /// must verify [`fnv64`] of this payload against `self.checksum`
-    /// before decoding — enforced by gpf-lint's `spill-read-checksum`
-    /// rule, which flags any call site without a nearby `fnv64` check.
-    pub(crate) fn payload_unverified(&self) -> &[u8] {
-        &self.bytes
-    }
-}
-
-/// The spill image of one partition: checksummed frames plus the
-/// serializer that wrote them.
-pub(crate) struct SpillTicket {
-    frames: Vec<SpillFrame>,
-    kind: SerializerKind,
-}
-
-impl SpillTicket {
-    /// Serialize `data` into checksummed frames.
-    fn write<T: GpfSerialize>(kind: SerializerKind, data: &[T]) -> Self {
-        let _scope = alloc::scope(AllocTag::Spill);
-        let mut frames = Vec::with_capacity(data.len().div_ceil(FRAME_RECORDS).max(1));
-        if data.is_empty() {
-            return Self { frames, kind };
-        }
-        for chunk in data.chunks(FRAME_RECORDS) {
-            let bytes = serialize_batch(kind, chunk);
-            let checksum = fnv64(&bytes);
-            frames.push(SpillFrame { bytes, records: chunk.len() as u32, checksum });
-        }
-        Self { frames, kind }
-    }
-
-    /// Serialized size across all frames (the bytes `fsmodel` prices).
-    pub(crate) fn spilled_bytes(&self) -> u64 {
-        self.frames.iter().map(|f| f.bytes.len() as u64).sum()
-    }
-}
-
-/// Verify + decode one frame from `payload` (a candidate byte image of
-/// `frame`). `None` when the checksum, the decode, or the record count
-/// disagrees — i.e. the payload is damaged.
-fn try_decode_frame<T: GpfSerialize>(
-    kind: SerializerKind,
-    frame: &SpillFrame,
-    payload: &[u8],
-    out: &mut Vec<T>,
-) -> bool {
-    if fnv64(payload) != frame.checksum {
-        return false;
-    }
-    let before = out.len();
-    match deserialize_batch_into(kind, payload, out) {
-        Ok(n) if n == frame.records as usize => true,
-        _ => {
-            out.truncate(before);
-            false
-        }
-    }
-}
-
-/// Read-side fault injection state for a tracked store, captured at build
-/// time from the engine's fault config.
-#[derive(Clone)]
-struct ReadFaults {
-    plan: FaultPlan,
-    max_retries: u32,
-}
-
 /// One partition slot of a [`TrackedStore`].
 enum Slot<T> {
     /// Materialized in memory, charged to the ledger. `ticket` present
@@ -305,7 +214,9 @@ pub(crate) struct TrackedStore<T> {
     kind: SerializerKind,
     stage: u32,
     acct: Arc<BudgetAccountant>,
-    faults: Option<ReadFaults>,
+    /// Read-side fault plan, captured at build time from the engine's
+    /// configuration.
+    faults: Option<FaultPlan>,
     counts: Vec<usize>,
     slots: Vec<RwLock<Slot<T>>>,
     /// Per-slot last-touch generation (LRU clock for victim selection).
@@ -323,9 +234,8 @@ impl<T: GpfSerialize + Send + Sync + 'static> TrackedStore<T> {
         kind: SerializerKind,
         stage: u32,
         acct: Arc<BudgetAccountant>,
-        faults: Option<(FaultPlan, u32)>,
+        faults: Option<FaultPlan>,
     ) -> Arc<Self> {
-        let faults = faults.map(|(plan, max_retries)| ReadFaults { plan, max_retries });
         let counts: Vec<usize> = parts.iter().map(Vec::len).collect();
         let n = parts.len();
         let mut slots = Vec::with_capacity(n);
@@ -369,6 +279,24 @@ impl<T: GpfSerialize + Send + Sync + 'static> TrackedStore<T> {
         // gpf-lint: allow(relaxed-ordering): same heuristic clock as above.
         self.touch[i].store(gen, Ordering::Relaxed);
     }
+
+    /// Run `decode` over a reader for partition `i` and fold what the plan
+    /// did to it into the registry. Unconditional like `record_fault_event`:
+    /// a read is only damaged under configured faults, and chaos tests read
+    /// the counters without tracing on.
+    fn read_frames(&self, i: usize, decode: impl FnOnce(&mut FrameReader<'_>) -> Result<(), DamagedAtRest>) {
+        let mut reader = FrameReader::new(self.faults.as_ref(), self.stage, i);
+        let read = decode(&mut reader);
+        note(tn::FAULT_INJECTED, reader.damaged_reads);
+        note(tn::TASK_RETRIES, reader.damaged_reads);
+        if let Err(damaged) = read {
+            // gpf-lint: allow(no-panic): nothing damages a frame this store
+            // wrote and still holds; stored bytes that fail their checksum
+            // are engine corruption, not an input error, and an evicted
+            // partition has no lineage to recompute from.
+            panic!("{damaged:?}: a tracked store has no lineage to recompute it from");
+        }
+    }
 }
 
 impl<T: GpfSerialize + Send + Sync + 'static> TrackedParts<T> for TrackedStore<T> {
@@ -393,12 +321,7 @@ impl<T: GpfSerialize + Send + Sync + 'static> TrackedParts<T> for TrackedStore<T
         };
         self.acct.admit(bytes)?;
         let mut out = Vec::with_capacity(self.counts[i]);
-        TicketFrames { frames: &ticket.frames, kind: ticket.kind }.decode_all(
-            self.stage,
-            i,
-            self.faults.as_ref(),
-            &mut out,
-        );
+        self.read_frames(i, |reader| reader.read_all(&ticket, &mut out));
         let data = Arc::new(out);
         let mut slot = self.slots[i].write();
         match &*slot {
@@ -436,12 +359,14 @@ impl<T: GpfSerialize + Send + Sync + 'static> TrackedParts<T> for TrackedStore<T
         // Decode frame-by-frame: transient footprint is one frame, not the
         // partition, and nothing is charged to the ledger.
         let mut chunk: Vec<T> = Vec::new();
-        for frame in &ticket.frames {
-            chunk.clear();
-            TicketFrames { frames: std::slice::from_ref(frame), kind: ticket.kind }
-                .decode_all(self.stage, i, self.faults.as_ref(), &mut chunk);
-            f(&chunk);
-        }
+        self.read_frames(i, |reader| {
+            (0..ticket.num_frames()).try_for_each(|idx| {
+                chunk.clear();
+                reader.read(&ticket, idx, &mut chunk)?;
+                f(&chunk);
+                Ok(())
+            })
+        });
     }
 
     fn is_spilled(&self, i: usize) -> bool {
@@ -456,61 +381,6 @@ impl<T: GpfSerialize + Send + Sync + 'static> TrackedParts<T> for TrackedStore<T
                 Slot::Resident { .. } => 0,
             })
             .sum()
-    }
-}
-
-/// Borrowed-frame decoder shared by the full-restore and chunked-streaming
-/// paths: verifies each frame's checksum, survives injected read-back
-/// damage (a transient copy is damaged, the checksum detects it, the retry
-/// re-reads), and never panics — stored frames are pristine, so the
-/// pristine attempt always verifies.
-struct TicketFrames<'a> {
-    frames: &'a [SpillFrame],
-    kind: SerializerKind,
-}
-
-impl TicketFrames<'_> {
-    fn decode_all<T: GpfSerialize>(
-        &self,
-        stage: u32,
-        part: usize,
-        faults: Option<&ReadFaults>,
-        out: &mut Vec<T>,
-    ) {
-        let _scope = alloc::scope(AllocTag::Spill);
-        for frame in self.frames {
-            let mut attempt = 0u32;
-            loop {
-                let damaged = faults.filter(|f| attempt <= f.max_retries).and_then(|f| {
-                    // gpf-lint: allow(spill-read-checksum): the damaged copy
-                    // goes straight into try_decode_frame's fnv64 verify.
-                    let stored = frame.payload_unverified();
-                    damaged_read(&f.plan, stage, part as u32, attempt, stored)
-                });
-                let ok = match damaged {
-                    Some(copy) => {
-                        // Unconditional like `record_fault_event`: this
-                        // branch only runs under configured faults, and
-                        // chaos tests read the counter without tracing on.
-                        gpf_trace::counter(tn::FAULT_INJECTED).add(1);
-                        try_decode_frame(self.kind, frame, &copy, out)
-                    }
-                    None => {
-                        let payload = frame.payload_unverified();
-                        debug_assert_eq!(fnv64(payload), frame.checksum);
-                        try_decode_frame(self.kind, frame, payload, out)
-                    }
-                };
-                if ok {
-                    break;
-                }
-                attempt += 1;
-                // Unconditional for the same reason as the injection
-                // counter above: a frame only fails to verify under
-                // injected damage.
-                gpf_trace::counter(tn::TASK_RETRIES).add(1);
-            }
-        }
     }
 }
 
@@ -583,11 +453,12 @@ impl<T: GpfSerialize + Send + Sync + 'static> Shed for TrackedStore<T> {
 mod tests {
     use super::*;
     use crate::fault::{FaultKind, FaultSite};
+    use crate::frame::FRAME_RECORDS;
 
     fn store_with(
         budget: u64,
         parts: Vec<Vec<u64>>,
-        faults: Option<(FaultPlan, u32)>,
+        faults: Option<FaultPlan>,
     ) -> (Arc<BudgetAccountant>, Arc<TrackedStore<u64>>) {
         let acct = Arc::new(BudgetAccountant::new(budget));
         let store =
@@ -617,7 +488,7 @@ mod tests {
         for (i, want) in parts.iter().enumerate() {
             assert_eq!(&*store.read(i).unwrap(), want, "partition {i}");
         }
-        assert!(acct.peak() <= acct.budget(), "ledger peak may never pass the budget");
+        assert!(acct.peak() <= acct.budget, "ledger peak may never pass the budget");
     }
 
     #[test]
@@ -659,10 +530,44 @@ mod tests {
             FaultSite { stage: 0, partition: 0, attempt: 0, kind: FaultKind::CorruptSpillRead },
             FaultSite { stage: 0, partition: 0, attempt: 1, kind: FaultKind::TruncateSpill },
         ]);
-        let (_acct, store) = store_with(one / 2, parts.clone(), Some((plan, 3)));
+        let (_acct, store) = store_with(one / 2, parts.clone(), Some(plan));
         let mut seen = Vec::new();
         store.stream(0, &mut |chunk| seen.extend_from_slice(chunk));
         assert_eq!(seen, parts[0], "damaged read-backs must recover byte-identically");
+    }
+
+    /// Stored bytes that fail verification end the re-read loop at once:
+    /// the barrier recomputes that partition from lineage, a store — which
+    /// has none — panics naming the frame.
+    #[test]
+    fn a_frame_damaged_at_rest_is_recomputed_by_the_barrier_and_fatal_in_a_store() {
+        use crate::{Dataset, EngineConfig, EngineContext};
+        let site = FaultSite { stage: 0, partition: 1, attempt: 0, kind: FaultKind::CorruptSpill };
+        let ctx = EngineContext::new(EngineConfig::default().with_faults(FaultPlan::explicit(vec![site])));
+        let d = Dataset::from_vec(Arc::clone(&ctx), (0u64..6000).collect(), 2);
+        assert_eq!(d.barrier_via_disk("spill").collect_local(), d.collect_local());
+        let (_, trace) = ctx.take_run_traced();
+        let recomputed: Vec<Option<u64>> = trace
+            .events
+            .iter()
+            .filter(|e| &*e.name == tn::SHUFFLE_RECOMPUTED)
+            .map(|e| e.counter("part"))
+            .collect();
+        assert_eq!(recomputed, vec![Some(1)], "exactly the damaged partition is recomputed");
+
+        let parts: Vec<Vec<u64>> = vec![(0..3000).collect()];
+        let one = parts[0].resident_bytes() as u64;
+        let (_acct, store) = store_with(one / 2, parts, None);
+        {
+            let mut slot = store.slots[0].write();
+            let Slot::Spilled { ticket, .. } = &mut *slot else { panic!("the slot starts spilled") };
+            let ticket = Arc::get_mut(ticket).expect("no reader holds the ticket yet");
+            assert!(ticket.corrupt_at_rest(1), "salt 1 picks frame 1 of 3");
+        }
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| store.stream(0, &mut |_| {})));
+        let payload = caught.expect_err("a frame damaged at rest must not be read");
+        let message = payload.downcast_ref::<String>().expect("a formatted panic message");
+        assert!(message.contains("stage: 0, partition: 0, frame: 1"), "{message}");
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Engine configuration.
 
-use crate::fault::FaultConfig;
+use crate::fault::FaultPlan;
 use gpf_compress::SerializerKind;
 
 /// Engine-wide configuration — the analogue of a `SparkConf`.
@@ -25,10 +25,10 @@ pub struct EngineConfig {
     /// Fixed per-record heap-churn estimate (object headers, boxing) in
     /// bytes, on top of payload bytes.
     pub per_record_overhead_bytes: u64,
-    /// Fault-tolerance configuration. `None` (the default) disables the
-    /// whole fault path — no injection, no checksums, no retry machinery —
-    /// so pipelines that don't opt in pay nothing.
-    pub faults: Option<FaultConfig>,
+    /// The fault plan. `None` (the default) disables the whole fault path —
+    /// no injection, no checksums, no retry machinery — so pipelines that
+    /// don't opt in pay nothing.
+    pub faults: Option<FaultPlan>,
     /// Memory budget for resident partition bytes, in bytes. `None` (the
     /// default) runs fully in-memory, exactly as before. `Some(bytes)`
     /// installs a [`crate::BudgetAccountant`] on the context: datasets
@@ -62,10 +62,11 @@ impl EngineConfig {
         self
     }
 
-    /// Enable fault tolerance (injection, checksums, retry, speculation)
-    /// under the given configuration.
-    pub fn with_faults(mut self, faults: FaultConfig) -> Self {
-        self.faults = Some(faults);
+    /// Enable fault tolerance — checksummed segments and spill frames,
+    /// bounded task retry, lineage recompute — with `plan` deciding what is
+    /// injected ([`FaultPlan::seeded`]`(seed, 0)` injects nothing).
+    pub fn with_faults(mut self, plan: FaultPlan) -> Self {
+        self.faults = Some(plan);
         self
     }
 
@@ -131,8 +132,7 @@ mod tests {
     #[test]
     fn faults_default_off_and_opt_in() {
         assert!(EngineConfig::default().faults.is_none());
-        let fc = FaultConfig::new(crate::fault::FaultPlan::seeded(9, 100));
-        let c = EngineConfig::gpf().with_faults(fc);
-        assert_eq!(c.faults.as_ref().map(|f| f.plan.seed), Some(9));
+        let c = EngineConfig::gpf().with_faults(FaultPlan::seeded(9, 100));
+        assert_eq!(c.faults.as_ref().map(|plan| plan.seed), Some(9));
     }
 }

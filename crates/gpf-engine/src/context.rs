@@ -11,8 +11,7 @@
 use crate::broadcast::Broadcast;
 use crate::budget::{BudgetAccountant, BudgetBreach};
 use crate::config::EngineConfig;
-use crate::dataset::Dataset;
-use crate::fault::{EngineError, FaultConfig};
+use crate::fault::{EngineError, FaultPlan};
 use crate::metrics::{derive_job_run, names, JobRun};
 use gpf_compress::{serializer::serialize_batch, GpfSerialize, SerializerKind};
 use gpf_support::chk::atomic::{AtomicBool, AtomicU32, Ordering};
@@ -43,7 +42,7 @@ pub struct EngineContext {
     phase: Mutex<Arc<str>>,
     /// Stage index used to address fault sites: incremented at every stage
     /// close so `(stage, partition, attempt)` coordinates are stable and
-    /// cheap to read (unlike `stages_so_far`, which replays the trace).
+    /// cheap to read (no replay of the trace).
     stage_counter: AtomicU32,
     /// Set once a task exhausts its retry budget; datasets short-circuit to
     /// empty results after this so the failure propagates without panics.
@@ -95,13 +94,8 @@ impl EngineContext {
         })
     }
 
-    /// Context with default (GPF) configuration.
-    pub fn default_ctx() -> Arc<Self> {
-        Self::new(EngineConfig::default())
-    }
-
     /// The configuration.
-    pub fn config(&self) -> &EngineConfig {
+    pub(crate) fn config(&self) -> &EngineConfig {
         &self.config
     }
 
@@ -154,16 +148,6 @@ impl EngineContext {
         self.trace.push(ev);
     }
 
-    /// Distribute `items` into `parts` partitions (round-robin chunks) — the
-    /// `sc.parallelize` analogue.
-    pub fn parallelize<T: Send + Sync + Clone + 'static>(
-        self: &Arc<Self>,
-        items: Vec<T>,
-        parts: usize,
-    ) -> Dataset<T> {
-        Dataset::from_vec(Arc::clone(self), items, parts)
-    }
-
     /// Broadcast a value to every simulated node.
     ///
     /// The serialized size is charged to the current stage as broadcast
@@ -178,7 +162,7 @@ impl EngineContext {
             vec![(Arc::from(names::BYTES), bytes)],
         );
         self.trace.push(ev);
-        Broadcast::new(value, bytes)
+        Broadcast::new(value)
     }
 
     /// Record one narrow operation's per-task measurements into the open
@@ -256,6 +240,7 @@ impl EngineContext {
     /// Record one narrow operation from per-partition CPU seconds alone
     /// (no measured wall windows): task spans are synthesized back-to-back
     /// from the current clock.
+    #[cfg(test)]
     pub(crate) fn record_narrow(
         &self,
         label: &str,
@@ -384,7 +369,7 @@ impl EngineContext {
 
     /// Stage index for fault-site addressing (0 until the first stage
     /// closes).
-    pub fn current_stage(&self) -> u32 {
+    pub(crate) fn current_stage(&self) -> u32 {
         self.stage_counter.load(Ordering::SeqCst)
     }
 
@@ -392,8 +377,8 @@ impl EngineContext {
         self.stage_counter.fetch_add(1, Ordering::SeqCst);
     }
 
-    /// The fault-tolerance configuration, if enabled.
-    pub(crate) fn faults(&self) -> Option<&FaultConfig> {
+    /// The fault plan, if fault tolerance is enabled.
+    pub(crate) fn faults(&self) -> Option<&FaultPlan> {
         self.config.faults.as_ref()
     }
 
@@ -542,16 +527,6 @@ impl EngineContext {
         self.stage_counter.store(0, Ordering::SeqCst);
         (run, trace)
     }
-
-    /// Peek at the number of stages recorded so far (open stage included).
-    pub fn stages_so_far(&self) -> usize {
-        derive_job_run(&self.trace.snapshot().events).num_stages()
-    }
-
-    /// GC seconds charged for `bytes` of heap churn under this config.
-    pub fn gc_seconds(&self, bytes: u64) -> f64 {
-        bytes as f64 * self.config.gc_seconds_per_byte
-    }
 }
 
 #[cfg(test)]
@@ -559,13 +534,16 @@ mod tests {
     use super::*;
     use crate::metrics::StageKind;
 
+    fn default_ctx() -> Arc<EngineContext> {
+        EngineContext::new(EngineConfig::default())
+    }
+
     #[test]
     fn stages_accumulate_and_close() {
-        let ctx = EngineContext::default_ctx();
+        let ctx = default_ctx();
         ctx.set_phase("aligner");
         ctx.record_narrow("map", &[0.1, 0.2], 100, 1000);
         ctx.record_narrow("filter", &[0.1, 0.1], 80, 500);
-        assert_eq!(ctx.stages_so_far(), 1);
         ctx.close_stage_shuffle("groupBy", vec![10, 10], vec![20]);
         ctx.record_narrow("map2", &[0.3], 40, 100);
         let run = ctx.take_run();
@@ -584,7 +562,7 @@ mod tests {
 
     #[test]
     fn take_run_resets() {
-        let ctx = EngineContext::default_ctx();
+        let ctx = default_ctx();
         ctx.record_narrow("op", &[0.1], 1, 1);
         let run1 = ctx.take_run();
         assert_eq!(run1.num_stages(), 1);
@@ -594,17 +572,19 @@ mod tests {
 
     #[test]
     fn broadcast_charges_current_stage() {
-        let ctx = EngineContext::default_ctx();
-        let b = ctx.broadcast(vec![1u64; 100]);
-        assert!(b.bytes() > 0);
+        let ctx = default_ctx();
+        let value = vec![1u64; 100];
+        let bytes = serialize_batch(ctx.serializer(), std::slice::from_ref(&value)).len() as u64;
+        let _b = ctx.broadcast(value);
         let run = ctx.take_run();
         assert_eq!(run.stages.len(), 1);
-        assert_eq!(run.stages[0].broadcast_bytes, b.bytes());
+        assert!(bytes > 0);
+        assert_eq!(run.stages[0].broadcast_bytes, bytes);
     }
 
     #[test]
     fn collect_close_is_serial_kind() {
-        let ctx = EngineContext::default_ctx();
+        let ctx = default_ctx();
         ctx.record_narrow("op", &[0.1], 1, 1);
         ctx.close_stage_collect("collect", vec![4096]);
         let run = ctx.take_run();
@@ -613,15 +593,8 @@ mod tests {
     }
 
     #[test]
-    fn gc_seconds_scales_linearly() {
-        let ctx = EngineContext::default_ctx();
-        let one_gib = ctx.gc_seconds(1 << 30);
-        assert!((one_gib - 25.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn take_run_traced_exposes_the_event_stream() {
-        let ctx = EngineContext::default_ctx();
+        let ctx = default_ctx();
         ctx.set_phase("cleaner");
         ctx.record_narrow("dedup", &[0.25, 0.5], 10, 64);
         ctx.record_serde(0.125);
@@ -662,7 +635,7 @@ mod tests {
             .find(|(n, _)| *n == "repartition.merged")
             .map(|(_, v)| *v)
             .unwrap_or(0);
-        let ctx = EngineContext::default_ctx();
+        let ctx = default_ctx();
         ctx.record_repartition(3, 12_000, 0, 0);
         ctx.record_repartition(1, 500, 2, 5);
         let (_, trace) = ctx.take_run_traced();
@@ -718,7 +691,7 @@ mod tests {
 
     #[test]
     fn phase_changes_stamp_events() {
-        let ctx = EngineContext::default_ctx();
+        let ctx = default_ctx();
         ctx.set_phase("aligner");
         ctx.record_narrow("a", &[0.1], 1, 0);
         ctx.set_phase("caller");

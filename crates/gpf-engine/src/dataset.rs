@@ -18,10 +18,11 @@
 
 use crate::budget::{TrackedParts, TrackedStore};
 use crate::context::EngineContext;
-use crate::fault::{corrupt_bit, damaged_read, FaultKind, FaultSurface};
+use crate::fault::{FaultKind, FaultSurface};
+use crate::frame::{FrameReader, SpillTicket};
 use crate::shuffle::shuffle;
 use crate::task::{run_stage, Abort, Mode, Task, TaskRun};
-use gpf_compress::serializer::{deserialize_batch, serialize_batch};
+use gpf_compress::serializer::serialize_batch;
 use gpf_compress::{GpfSerialize, SerializerKind};
 use gpf_support::par;
 use gpf_support::sync::Mutex;
@@ -35,7 +36,7 @@ use std::sync::Arc;
 /// produce identical layouts across runs (important for reproducible
 /// experiment tables).
 #[derive(Default)]
-pub struct Fnv1a(u64);
+pub(crate) struct Fnv1a(u64);
 
 impl Hasher for Fnv1a {
     fn finish(&self) -> u64 {
@@ -55,13 +56,6 @@ impl Hasher for Fnv1a {
 pub fn stable_hash<K: Hash>(key: &K) -> u64 {
     let mut h = Fnv1a::default();
     key.hash(&mut h);
-    h.finish()
-}
-
-/// FNV-1a over a byte buffer — the shuffle-segment / spill checksum.
-pub(crate) fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h = Fnv1a::default();
-    h.write(bytes);
     h.finish()
 }
 
@@ -131,8 +125,8 @@ impl<T> Parts<T> {
     }
 
     /// Materialize one partition as an owned vector by streaming (transient
-    /// copy; never charges the ledger). Used for lineage recompute and the
-    /// few operators that genuinely concatenate partitions.
+    /// copy; never charges the ledger). Used by the barrier: its lineage
+    /// recompute, and its ticket writes over a tracked input.
     fn part_to_vec(&self, i: usize) -> Vec<T>
     where
         T: Clone,
@@ -160,10 +154,10 @@ fn restore_mode(any_tracked: bool) -> Mode {
 ///
 /// It observes two things. **Ownership**: only a plain input whose `Arc`
 /// this was the last handle to can be taken apart. **Faults**: with a fault
-/// plan configured a task may run again (a retry, a speculative duplicate)
-/// and a shuffle keeps its input as lineage, so the input must still be
-/// there afterwards. Sole-owned, plain and faults off ⇒ `Owned`: each
-/// partition sits in a cell that exactly one task invocation empties.
+/// plan configured a task may run again (a retry) and a shuffle keeps its
+/// input as lineage, so the input must still be there afterwards.
+/// Sole-owned, plain and faults off ⇒ `Owned`: each partition sits in a
+/// cell that exactly one task invocation empties.
 /// Anything else — shared, budget-tracked, or faults on — ⇒ `Shared`: tasks
 /// borrow, stream or restore exactly as the borrowed operators do and clone
 /// what they keep, so a tracked restore keeps [`restore_mode`]'s
@@ -235,16 +229,13 @@ pub(crate) fn output_parts<T: GpfSerialize + Send + Sync + 'static>(
     parts: Vec<Vec<T>>,
 ) -> Parts<T> {
     match ctx.accountant() {
-        Some(acct) => {
-            let faults = ctx.faults().map(|fc| (fc.plan.clone(), fc.max_task_retries));
-            Parts::Tracked(TrackedStore::build(
-                parts,
-                ctx.serializer(),
-                ctx.current_stage(),
-                Arc::clone(acct),
-                faults,
-            ))
-        }
+        Some(acct) => Parts::Tracked(TrackedStore::build(
+            parts,
+            ctx.serializer(),
+            ctx.current_stage(),
+            Arc::clone(acct),
+            ctx.faults().cloned(),
+        )),
         None => Parts::Plain(Arc::new(parts)),
     }
 }
@@ -359,11 +350,6 @@ impl<T: Send + Sync + 'static> Dataset<T> {
         Self { ctx, parts: Parts::Plain(Arc::new(parts)) }
     }
 
-    /// The engine context.
-    pub fn ctx(&self) -> &Arc<EngineContext> {
-        &self.ctx
-    }
-
     /// Number of partitions.
     pub fn num_partitions(&self) -> usize {
         self.parts.num()
@@ -403,18 +389,18 @@ impl<T: Send + Sync + 'static> Dataset<T> {
         }
     }
 
-    /// Serialize every partition as one batch buffer. Tracked partitions
-    /// stage through a transient streamed copy (nothing is admitted), built
-    /// serially one partition at a time, so the buffers are byte-identical
+    /// Write every partition's spill ticket. Tracked partitions stage
+    /// through a transient streamed copy (nothing is admitted), built
+    /// serially one partition at a time, so the frames are byte-identical
     /// to the plain representation's under any budget.
-    fn serialize_partitions(&self, kind: SerializerKind) -> Vec<Vec<u8>>
+    fn write_tickets(&self, kind: SerializerKind) -> Vec<SpillTicket>
     where
         T: GpfSerialize + Clone,
     {
         match &self.parts {
-            Parts::Plain(v) => par::map(v, |p| serialize_batch(kind, p)),
+            Parts::Plain(v) => par::map(v, |p| SpillTicket::write(kind, p)),
             Parts::Tracked(_) => (0..self.parts.num())
-                .map(|i| serialize_batch(kind, &self.parts.part_to_vec(i)))
+                .map(|i| SpillTicket::write(kind, &self.parts.part_to_vec(i)))
                 .collect(),
         }
     }
@@ -530,59 +516,6 @@ impl<T: Send + Sync + 'static> Dataset<T> {
         self.narrow_op("mapPartitionsWithIndex", f)
     }
 
-    /// Attach a key to every record.
-    pub fn key_by<K: Send + Sync + 'static>(
-        &self,
-        f: impl Fn(&T) -> K + Send + Sync,
-    ) -> Dataset<(K, T)>
-    where
-        T: Clone,
-    {
-        self.narrow_op_chunked("keyBy", move |p| p.iter().map(|t| (f(t), t.clone())).collect())
-    }
-
-    /// Concatenate two datasets' partition lists (narrow, like Spark union).
-    pub fn union(&self, other: &Dataset<T>) -> Dataset<T>
-    where
-        T: Clone,
-    {
-        let mut parts: Vec<Vec<T>> = Vec::with_capacity(self.parts.num() + other.parts.num());
-        for i in 0..self.parts.num() {
-            parts.push(self.parts.part_to_vec(i));
-        }
-        for i in 0..other.parts.num() {
-            parts.push(other.parts.part_to_vec(i));
-        }
-        let records = parts.iter().map(|p| p.len() as u64).sum();
-        self.ctx.record_narrow("union", &[], records, 0);
-        Dataset { ctx: Arc::clone(&self.ctx), parts: Parts::Plain(Arc::new(parts)) }
-    }
-
-    /// Pairwise partition zip (both datasets must have equal partition
-    /// counts) — the primitive behind bundled RDDs (paper Figure 7(b)).
-    ///
-    /// With either side budget-tracked the zip runs pairwise-*serially*: at
-    /// most one left/right partition pair is resident at a time, so the
-    /// working set is bounded by the largest pair — not the whole
-    /// right-hand dataset, which is what pinning every restore up front
-    /// would cost.
-    pub fn zip_partitions<U: Send + Sync + 'static, V: Send + Sync + 'static>(
-        &self,
-        other: &Dataset<U>,
-        f: impl Fn(usize, &[T], &[U]) -> Vec<V> + Send + Sync,
-    ) -> Dataset<V> {
-        assert_eq!(
-            self.num_partitions(),
-            other.num_partitions(),
-            "zip_partitions requires equal partition counts"
-        );
-        let mode = restore_mode(self.parts.is_tracked() || other.parts.is_tracked());
-        narrow_stage(&self.ctx, self.parts.num(), "zipPartitions", mode, |i, task| {
-            let (left, right) = (self.parts.get(i)?, other.parts.get(i)?);
-            task.run(AllocTag::Task, || f(i, &left, &right))
-        })
-    }
-
     /// Collect every record to the driver — an *action* that closes the
     /// stage and charges the serialized result size as driver traffic.
     pub fn collect(&self) -> Vec<T>
@@ -622,22 +555,21 @@ impl<T: Send + Sync + 'static> Dataset<T> {
         self.serialized_part_bytes(kind).into_iter().sum()
     }
 
-    /// Materialize the dataset through "disk": every partition is serialized
-    /// and read back, closing the stage with the full dataset volume as both
-    /// shuffle-write and shuffle-read bytes.
+    /// Materialize the dataset through "disk": every partition is written
+    /// as a checksummed spill ticket and read back, closing the stage with
+    /// the full framed volume as both shuffle-write and shuffle-read bytes.
     ///
     /// This models classic file-based pipelines (Churchill, HugeSeq,
     /// GATK-Queue) whose steps hand intermediate SAM/BAM files to each other
     /// through the filesystem — the I/O pattern the paper's Table 1 blames
     /// for their poor scaling.
     ///
-    /// With faults configured every spill buffer is checksummed when
-    /// written; on read-back a checksum, decode, or record-count mismatch
-    /// recomputes the partition from the in-memory lineage (`self` still
-    /// holds the pre-spill partitions) instead of trusting the corrupt
-    /// bytes. The read side additionally observes
-    /// [`FaultSurface::SpillRead`] damage ([`damaged_read`]), which the same
-    /// checksum path must catch.
+    /// The read-back is [`FrameReader`]'s: a read the plan damaged
+    /// ([`FaultSurface::SpillRead`]) fails its checksum and is re-read. A
+    /// frame damaged *at rest* ([`FaultKind::CorruptSpill`], injected here
+    /// after the checksums were taken) cannot be re-read into shape, so its
+    /// partition is recomputed from the in-memory lineage — `self` still
+    /// holds the pre-spill partitions.
     pub fn barrier_via_disk(&self, label: &str) -> Dataset<T>
     where
         T: GpfSerialize + Clone,
@@ -646,58 +578,43 @@ impl<T: Send + Sync + 'static> Dataset<T> {
         if self.ctx.has_failed() {
             return Dataset::failed(&self.ctx, n);
         }
-        let kind = self.ctx.serializer();
         let faults = self.ctx.faults();
         let stage = self.ctx.current_stage();
         let t0 = now_ns();
-        let mut bufs: Vec<Vec<u8>> = self.serialize_partitions(kind);
-        let sums: Option<Vec<u64>> = faults.map(|_| bufs.iter().map(|b| fnv64(b)).collect());
+        let mut tickets = self.write_tickets(self.ctx.serializer());
         // (wall time acceptable here: it feeds the aggregate serde metric,
         // not per-task durations)
         self.ctx.record_serde(now_ns().saturating_sub(t0) as f64 * 1e-9);
-        if let Some(fc) = faults {
-            // Inject spill corruption driver-side, after the checksums were
-            // taken over the correct bytes — detection must fire even when
-            // the flipped bit would still decode.
-            for (i, buf) in bufs.iter_mut().enumerate() {
-                if fc.plan.decide(stage, i as u32, 0, FaultSurface::Spill)
-                    == Some(FaultKind::CorruptSpill)
-                    && corrupt_bit(buf, fc.plan.corruption_salt(stage, i as u32))
+        if let Some(plan) = faults {
+            for (i, ticket) in tickets.iter_mut().enumerate() {
+                if plan.decide(stage, i as u32, 0, FaultSurface::Spill) == Some(FaultKind::CorruptSpill)
+                    && ticket.corrupt_at_rest(plan.corruption_salt(stage, i as u32))
                 {
                     self.ctx.record_fault_event(tn::FAULT_INJECTED, stage, i as u32, 1);
                 }
             }
         }
-        let bytes: Vec<u64> = bufs.iter().map(|b| b.len() as u64).collect();
+        let bytes: Vec<u64> = tickets.iter().map(SpillTicket::spilled_bytes).collect();
         let spilled: u64 = bytes.iter().sum();
         self.ctx.close_stage_shuffle(label, bytes.clone(), bytes);
         let read_stage = self.ctx.current_stage();
         let t1 = now_ns();
-        // One read-back: `(records, read damage injected, recomputed)`.
-        let read_back = |i: usize| -> (Vec<T>, bool, bool) {
-            let damaged =
-                faults.and_then(|fc| damaged_read(&fc.plan, read_stage, i as u32, 0, &bufs[i]));
-            let read: &[u8] = damaged.as_deref().unwrap_or(&bufs[i]);
-            let intact = sums.as_ref().is_none_or(|s| fnv64(read) == s[i]);
-            let decoded = match intact.then(|| deserialize_batch::<T>(kind, read)) {
-                Some(Ok(items)) if items.len() == self.parts.part_len(i) => Some(items),
-                _ => None,
+        // One read-back: `(records, damaged reads re-read, recomputed)`.
+        let read_back = |i: usize| -> (Vec<T>, u64, bool) {
+            let mut items = Vec::with_capacity(self.parts.part_len(i));
+            let mut reader = FrameReader::new(faults, read_stage, i);
+            let Err(damaged) = reader.read_all(&tickets[i], &mut items) else {
+                return (items, reader.damaged_reads, false);
             };
-            let recomputed = decoded.is_none();
-            let items = match decoded {
-                Some(items) => items,
-                // Lineage recompute: the pre-spill partition is still
-                // resident, so a lost spill costs one clone, not a rerun.
-                None if faults.is_some() => self.parts.part_to_vec(i),
-                None => {
-                    // gpf-lint: allow(no-panic): with faults off nothing can
-                    // damage a buffer serialize_batch produced a few lines
-                    // above; a decode failure is engine corruption, not an
-                    // input error.
-                    panic!("barrier buffer {i} did not decode")
-                }
-            };
-            (items, damaged.is_some(), recomputed)
+            if faults.is_none() {
+                // gpf-lint: allow(no-panic): with faults off nothing can
+                // damage a frame written a few lines above; a decode failure
+                // is engine corruption, not an input error.
+                panic!("barrier `{label}`: {damaged:?}");
+            }
+            // Lineage recompute: the pre-spill partition is still resident,
+            // so a lost spill costs one clone, not a rerun.
+            (self.parts.part_to_vec(i), reader.damaged_reads, true)
         };
         let overhead = self.ctx.config().per_record_overhead_bytes;
         let Some(read) = run_stage(
@@ -714,9 +631,10 @@ impl<T: Send + Sync + 'static> Dataset<T> {
         ) else {
             return Dataset::failed(&self.ctx, n);
         };
-        for (i, (_, injected, recomputed)) in read.iter().enumerate() {
-            if *injected {
-                self.ctx.record_fault_event(tn::FAULT_INJECTED, read_stage, i as u32, 1);
+        for (i, (_, damaged_reads, recomputed)) in read.iter().enumerate() {
+            if *damaged_reads > 0 {
+                self.ctx.record_fault_event(tn::FAULT_INJECTED, read_stage, i as u32, *damaged_reads);
+                self.ctx.record_fault_event(tn::TASK_RETRIES, read_stage, i as u32, *damaged_reads);
             }
             if *recomputed {
                 self.ctx.record_fault_event(tn::SHUFFLE_RECOMPUTED, read_stage, i as u32, 1);
@@ -837,10 +755,16 @@ impl<T: Send + Sync + 'static> Dataset<T> {
         })
     }
 
-    /// Consuming [`Dataset::zip_partitions`]: both sides by value, each
-    /// moved or cloned on its own ownership. With either side
-    /// budget-tracked the zip runs pairwise-serially, like its borrowed
-    /// twin.
+    /// Pairwise partition zip (both datasets must have equal partition
+    /// counts) — the primitive behind bundled RDDs (paper Figure 7(b)).
+    /// Both sides are taken by value, each moved or cloned on its own
+    /// ownership ([`TaskSource`] decides).
+    ///
+    /// With either side budget-tracked the zip runs pairwise-*serially*: at
+    /// most one left/right partition pair is resident at a time, so the
+    /// working set is bounded by the largest pair — not the whole
+    /// right-hand dataset, which is what pinning every restore up front
+    /// would cost.
     pub fn into_zip_partitions<U, V>(
         self,
         other: Dataset<U>,
@@ -925,13 +849,13 @@ where
         let right = shuffle(&other.ctx, other.parts.clone(), nparts, "join(right)", |kv: &(K, W)| {
             (stable_hash(&kv.0) % nparts as u64) as usize
         });
-        left.zip_partitions(&right, |_, l, r| {
+        left.into_zip_partitions(right, |_, l, r| {
             let mut table: std::collections::HashMap<&K, Vec<&V>> = std::collections::HashMap::new();
-            for (k, v) in l {
+            for (k, v) in &l {
                 table.entry(k).or_default().push(v);
             }
             let mut out = Vec::new();
-            for (k, w) in r {
+            for (k, w) in &r {
                 if let Some(vs) = table.get(k) {
                     for v in vs {
                         out.push((k.clone(), ((*v).clone(), w.clone())));
@@ -1161,8 +1085,8 @@ mod tests {
         let c = ctx();
         let a = Dataset::from_vec(Arc::clone(&c), (0u64..10).collect(), 2);
         let b = Dataset::from_vec(Arc::clone(&c), (100u64..110).collect(), 2);
-        let z = a.zip_partitions(&b, |_, x, y| {
-            x.iter().zip(y).map(|(a, b)| a + b).collect::<Vec<u64>>()
+        let z = a.into_zip_partitions(b, |_, x, y| {
+            x.iter().zip(&y).map(|(a, b)| a + b).collect::<Vec<u64>>()
         });
         assert_eq!(z.collect_local(), (0u64..10).map(|i| i + 100 + i).collect::<Vec<_>>());
     }
@@ -1173,17 +1097,7 @@ mod tests {
         let c = ctx();
         let a = Dataset::from_vec(Arc::clone(&c), (0u64..10).collect(), 2);
         let b = Dataset::from_vec(Arc::clone(&c), (0u64..10).collect(), 3);
-        let _ = a.zip_partitions(&b, |_, x, _| x.to_vec());
-    }
-
-    #[test]
-    fn union_concatenates() {
-        let c = ctx();
-        let a = Dataset::from_vec(Arc::clone(&c), vec![1u64, 2], 2);
-        let b = Dataset::from_vec(Arc::clone(&c), vec![3u64], 1);
-        let u = a.union(&b);
-        assert_eq!(u.num_partitions(), 3);
-        assert_eq!(u.collect_local(), vec![1, 2, 3]);
+        let _ = a.into_zip_partitions(b, |_, x, _| x);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Deterministic fault injection and the structured errors recovery
 //! surfaces — GPF's stand-in for the task failures Spark treats as routine
-//! at WGS scale (lost executors, corrupt shuffle files, stragglers).
+//! at WGS scale (lost executors, corrupt shuffle files).
 //!
 //! The model is a [`FaultPlan`]: a pure function from a *fault site* —
 //! `(stage, partition, attempt, surface)` — to an optional [`FaultKind`].
@@ -10,12 +10,13 @@
 //! exact same fault schedule on every run — a failing chaos test prints its
 //! seed and the whole schedule is reproducible from it.
 //!
-//! Recovery itself lives in `task.rs` (retry, speculation), `shuffle.rs`
-//! and [`crate::dataset`] (checksummed segments and spills, lineage
-//! recompute) and [`crate::context`] (the failure slot
-//! [`crate::EngineContext::fail`] that [`gpf_core`]'s `Pipeline::run` maps
-//! to `PipelineError::TaskFailed`). This module only holds the plan, the
-//! configuration knobs, and the [`EngineError`] those layers exchange.
+//! Recovery itself lives in `task.rs` (retry), `frame.rs` (the checksum
+//! verify and the bounded re-read), `shuffle.rs` and [`crate::dataset`]
+//! (lineage recompute of a segment or a spilled partition) and
+//! [`crate::context`] (the failure slot [`crate::EngineContext::fail`] that
+//! [`gpf_core`]'s `Pipeline::run` maps to `PipelineError::TaskFailed`). This
+//! module only holds the plan, the two recovery constants, and the
+//! [`EngineError`] those layers exchange.
 
 use gpf_support::rng::SplitMix64;
 use std::fmt;
@@ -28,34 +29,31 @@ pub enum FaultKind {
     /// One serialized shuffle bucket has a bit flipped after the map side
     /// checksummed it (detected by the reduce-side verify).
     CorruptBucket,
-    /// One serialized spill buffer of `barrier_via_disk` has a bit flipped
-    /// after checksumming (detected on read-back).
+    /// One spill frame of a `barrier_via_disk` partition has a bit flipped
+    /// at rest, after checksumming (detected on read-back).
     CorruptSpill,
     /// A spill *read* returns a truncated buffer (the stored bytes are
     /// intact; the read path saw a short copy — detected by checksum /
-    /// record-count verification, recovered by re-read or lineage).
+    /// record-count verification, recovered by re-read).
     TruncateSpill,
     /// A spill *read* returns a bit-flipped copy of an intact buffer
     /// (detected by checksum verification on read-back).
     CorruptSpillRead,
-    /// The task completes but its measured duration is inflated by
-    /// [`FaultConfig::straggler_extra_ns`] — the speculation trigger.
-    Straggler,
 }
 
 /// Where in the engine a fault decision is being made. Each surface admits
 /// only the kinds that are physically meaningful there.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultSurface {
+pub(crate) enum FaultSurface {
     /// A narrow-op task (`narrow_op` and everything built on it).
     NarrowTask,
     /// A shuffle map task (route + order by bucket + serialize).
     ShuffleMap,
     /// One map partition's serialized bucket buffer.
     ShuffleBucket,
-    /// One partition's `barrier_via_disk` spill buffer.
+    /// One partition's `barrier_via_disk` spill frames, at rest.
     Spill,
-    /// One partition's spill buffer on *read-back* (barrier read side and
+    /// One partition's spill frames on *read-back* (barrier read side and
     /// budget-evicted partition restore). Faults here model transient read
     /// errors: the stored bytes stay intact, only the copy handed to the
     /// reader is damaged.
@@ -66,9 +64,7 @@ impl FaultSurface {
     /// Kinds a probabilistic plan may inject at this surface.
     fn kinds(self) -> &'static [FaultKind] {
         match self {
-            FaultSurface::NarrowTask | FaultSurface::ShuffleMap => {
-                &[FaultKind::TaskPanic, FaultKind::Straggler]
-            }
+            FaultSurface::NarrowTask | FaultSurface::ShuffleMap => &[FaultKind::TaskPanic],
             FaultSurface::ShuffleBucket => &[FaultKind::CorruptBucket],
             FaultSurface::Spill => &[FaultKind::CorruptSpill],
             FaultSurface::SpillRead => &[FaultKind::TruncateSpill, FaultKind::CorruptSpillRead],
@@ -101,6 +97,11 @@ pub struct FaultSite {
 }
 
 /// A replayable fault schedule: explicit sites plus a seeded injection rate.
+///
+/// This is the whole fault-tolerance configuration
+/// ([`crate::EngineConfig::faults`]): `None` there skips every fault path —
+/// the zero-overhead default — and a plan that injects nothing
+/// ([`FaultPlan::seeded`]`(seed, 0)`) still turns checksums and recovery on.
 ///
 /// The probabilistic path only ever fires on attempt 0, so any schedule it
 /// produces is recoverable within a one-retry budget; schedules that must
@@ -137,7 +138,7 @@ impl FaultPlan {
     }
 
     /// Decide what (if anything) to inject at a site.
-    pub fn decide(
+    pub(crate) fn decide(
         &self,
         stage: u32,
         partition: u32,
@@ -175,7 +176,7 @@ impl FaultPlan {
 
 /// Flip one seeded bit of `bytes`. Returns `false` (and does nothing) when
 /// the buffer is empty.
-pub fn corrupt_bit(bytes: &mut [u8], salt: u64) -> bool {
+pub(crate) fn corrupt_bit(bytes: &mut [u8], salt: u64) -> bool {
     if bytes.is_empty() {
         return false;
     }
@@ -185,83 +186,23 @@ pub fn corrupt_bit(bytes: &mut [u8], salt: u64) -> bool {
     true
 }
 
-/// Read-side injection ([`FaultSurface::SpillRead`]): the damaged
-/// *transient copy* a faulted read observes — truncated or with one bit
-/// flipped — or `None` when the plan leaves this read alone. The stored
-/// bytes stay pristine, so a caller's checksum verify detects the damage
-/// and a re-read (or lineage recompute) recovers byte-identically. Shared by
-/// the barrier read-back and the budget store's frame decoder.
-pub(crate) fn damaged_read(
-    plan: &FaultPlan,
-    stage: u32,
-    partition: u32,
-    attempt: u32,
-    stored: &[u8],
-) -> Option<Vec<u8>> {
-    let kind = plan.decide(stage, partition, attempt, FaultSurface::SpillRead)?;
-    let salt = plan.corruption_salt(stage, partition);
-    let mut copy = stored.to_vec();
-    if kind == FaultKind::TruncateSpill {
-        copy.truncate((salt % copy.len().max(1) as u64) as usize);
+/// Retries allowed per task after its first attempt: a task failing
+/// `1 + MAX_TASK_RETRIES` times surfaces an [`EngineError`], and a plan may
+/// damage a spill read on attempts `0..=MAX_TASK_RETRIES` only.
+pub(crate) const MAX_TASK_RETRIES: u32 = 3;
+
+/// Base of the exponential per-attempt backoff *accounting*.
+const BACKOFF_BASE_NS: u64 = 1_000_000;
+
+/// Backoff charged to attempt `attempt` (`BACKOFF_BASE_NS << (attempt - 1)`;
+/// the first attempt is charged nothing). Recorded, never slept: the engine
+/// is in-memory and deterministic, so the cost model charges the wait
+/// instead of paying it in wall-clock.
+pub(crate) fn backoff_ns(attempt: u32) -> u64 {
+    if attempt == 0 {
+        0
     } else {
-        corrupt_bit(&mut copy, salt);
-    }
-    Some(copy)
-}
-
-/// Fault-tolerance configuration, carried by
-/// [`crate::EngineConfig::faults`]. `None` there means every fault path in
-/// the engine is compiled in but skipped — the zero-overhead default.
-#[derive(Debug, Clone)]
-pub struct FaultConfig {
-    /// The injection schedule (use [`FaultPlan::seeded`]`(seed, 0)` for a
-    /// plan that injects nothing but still enables checksums + recovery).
-    pub plan: FaultPlan,
-    /// Retries allowed per task after its first attempt; a task failing
-    /// `1 + max_task_retries` times surfaces an [`EngineError`].
-    pub max_task_retries: u32,
-    /// Base of the exponential per-attempt backoff *accounting*
-    /// (`base << (attempt - 1)` ns). Recorded, never slept: the engine is
-    /// in-memory and deterministic, so the cost model charges the wait
-    /// instead of paying it in wall-clock.
-    pub backoff_base_ns: u64,
-    /// Enable speculative duplicates for straggler tasks.
-    pub speculation: bool,
-    /// A task is a straggler when its duration exceeds this multiple of
-    /// the stage's median task duration.
-    pub speculation_multiplier: f64,
-    /// Artificial duration added to a task hit by [`FaultKind::Straggler`].
-    pub straggler_extra_ns: u64,
-}
-
-impl FaultConfig {
-    /// Defaults: 3 retries, 1 ms backoff base, speculation at 4× median,
-    /// 20 ms injected straggler delay.
-    pub fn new(plan: FaultPlan) -> Self {
-        Self {
-            plan,
-            max_task_retries: 3,
-            backoff_base_ns: 1_000_000,
-            speculation: true,
-            speculation_multiplier: 4.0,
-            straggler_extra_ns: 20_000_000,
-        }
-    }
-
-    /// Override the retry budget.
-    pub fn with_max_task_retries(mut self, retries: u32) -> Self {
-        self.max_task_retries = retries;
-        self
-    }
-
-    /// Backoff accounting charged to attempt `attempt` (0 = first attempt,
-    /// charged nothing).
-    pub fn backoff_ns(&self, attempt: u32) -> u64 {
-        if attempt == 0 {
-            0
-        } else {
-            self.backoff_base_ns.saturating_mul(1u64 << (attempt - 1).min(20))
-        }
+        BACKOFF_BASE_NS.saturating_mul(1u64 << (attempt - 1).min(20))
     }
 }
 
@@ -411,10 +352,9 @@ mod tests {
 
     #[test]
     fn backoff_doubles_per_attempt() {
-        let fc = FaultConfig::new(FaultPlan::seeded(0, 0));
-        assert_eq!(fc.backoff_ns(0), 0);
-        assert_eq!(fc.backoff_ns(1), fc.backoff_base_ns);
-        assert_eq!(fc.backoff_ns(3), fc.backoff_base_ns * 4);
+        assert_eq!(backoff_ns(0), 0);
+        assert_eq!(backoff_ns(1), BACKOFF_BASE_NS);
+        assert_eq!(backoff_ns(3), BACKOFF_BASE_NS * 4);
     }
 
     #[test]

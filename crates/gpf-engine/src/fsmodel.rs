@@ -50,7 +50,7 @@ impl SharedFs {
 
     /// Effective bandwidth available to *each* of `clients` concurrent
     /// clients, bytes/s.
-    pub fn per_client_effective_bw(&self, clients: usize) -> f64 {
+    pub(crate) fn per_client_effective_bw(&self, clients: usize) -> f64 {
         assert!(clients > 0);
         let degraded =
             self.aggregate_bw_bps * (1.0 - self.contention_loss * (clients as f64 - 1.0)).max(0.2);
@@ -58,7 +58,7 @@ impl SharedFs {
     }
 
     /// Seconds for one client to move `bytes` while `clients` are active.
-    pub fn transfer_seconds(&self, bytes: u64, clients: usize) -> f64 {
+    pub(crate) fn transfer_seconds(&self, bytes: u64, clients: usize) -> f64 {
         bytes as f64 / self.per_client_effective_bw(clients)
     }
 }
@@ -97,7 +97,7 @@ impl IoCpuShare {
 /// a maximal 3-fold speedup being achieved with 48 cores, and no additional
 /// increase beyond 48 cores" — the classic pipeline of Table 1 does not use
 /// more than ~16 cores effectively per sample.
-pub const CLASSIC_EFFECTIVE_CORES: usize = 16;
+pub(crate) const CLASSIC_EFFECTIVE_CORES: usize = 16;
 
 /// Model a classic file-based WGS pipeline (the paper's Table 1 setup):
 /// every stage writes its intermediate SAM/BAM files back to the shared
@@ -118,32 +118,6 @@ pub fn classic_pipeline_share(
     let cpu_s = cpu_core_seconds_per_sample / effective as f64;
     let io_s = fs.transfer_seconds(bytes_per_sample, samples);
     IoCpuShare { fs: fs.name, samples, cores: samples * cores_per_sample, io_s, cpu_s }
-}
-
-/// Analytic cost of one spill round trip (write at eviction time + read at
-/// restore time) for a partition of `bytes` while `clients` concurrent
-/// clients share the filesystem.
-///
-/// This prices the *spill* side of the engine's spill-vs-recompute victim
-/// policy (see `gpf-engine::budget`): a partition with cheap lineage is
-/// dropped and recomputed, one with expensive lineage is spilled with
-/// checksummed frames. The crossover is where recompute core-seconds equal
-/// the round-trip transfer time below.
-pub fn spill_round_trip_seconds(fs: &SharedFs, bytes: u64, clients: usize) -> f64 {
-    2.0 * fs.transfer_seconds(bytes, clients)
-}
-
-/// Spill-vs-recompute verdict for one eviction candidate: `true` when
-/// recomputing the partition from lineage (`recompute_core_seconds`) is
-/// cheaper than spilling `bytes` and reading them back under the current
-/// filesystem contention.
-pub fn prefer_recompute(
-    fs: &SharedFs,
-    bytes: u64,
-    clients: usize,
-    recompute_core_seconds: f64,
-) -> bool {
-    recompute_core_seconds < spill_round_trip_seconds(fs, bytes, clients)
 }
 
 /// The Table 1 workload profile: one 100 Gb+ WGS sample moves ~780 GB of
@@ -196,27 +170,6 @@ mod tests {
         assert!((n1.io_percent() - 25.0).abs() < 4.0, "nfs 1: {:.1}%", n1.io_percent());
         assert!((n30.io_percent() - 74.0).abs() < 6.0, "nfs 30: {:.1}%", n30.io_percent());
         assert!(n30.io_percent() > l30.io_percent(), "NFS saturates before Lustre");
-    }
-
-    #[test]
-    fn spill_round_trip_prices_write_plus_read() {
-        let fs = SharedFs::lustre();
-        let one_way = fs.transfer_seconds(1 << 30, 8);
-        let rt = spill_round_trip_seconds(&fs, 1 << 30, 8);
-        assert!((rt - 2.0 * one_way).abs() < 1e-9);
-        // Contention makes the same spill more expensive.
-        assert!(spill_round_trip_seconds(&fs, 1 << 30, 30) > rt);
-    }
-
-    #[test]
-    fn recompute_preferred_when_lineage_is_cheap() {
-        let fs = SharedFs::nfs();
-        let bytes = 8u64 << 30; // an 8 GiB partition
-        let rt = spill_round_trip_seconds(&fs, bytes, 30);
-        // A map-only lineage replays in well under the round trip: recompute.
-        assert!(prefer_recompute(&fs, bytes, 30, rt * 0.1));
-        // A pair-HMM-grade lineage costs far more than the transfer: spill.
-        assert!(!prefer_recompute(&fs, bytes, 30, rt * 10.0));
     }
 
     #[test]

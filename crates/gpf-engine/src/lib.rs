@@ -45,18 +45,19 @@ pub mod config;
 pub mod context;
 pub mod dataset;
 pub mod fault;
+mod frame;
 pub mod fsmodel;
 pub mod metrics;
 mod shuffle;
 pub mod sim;
 mod task;
-pub mod timing;
+mod timing;
 
 pub use broadcast::Broadcast;
 pub use budget::{BudgetAccountant, BudgetBreach};
 pub use config::EngineConfig;
 pub use context::EngineContext;
 pub use dataset::{Dataset, PartRef};
-pub use fault::{AttemptRecord, EngineError, FaultConfig, FaultKind, FaultPlan, FaultSite};
+pub use fault::{AttemptRecord, EngineError, FaultKind, FaultPlan, FaultSite};
 pub use metrics::{JobRun, StageKind, StageMetrics};
 pub use sim::{BlockedTimeReport, SimCluster, SimOptions, SimResult};

@@ -30,35 +30,35 @@ use gpf_trace::{Category, Event, EventKind};
 /// human-readable sinks and are never used in derivation.
 pub(crate) mod names {
     /// Serde instant (category `Serde`).
-    pub const SERDE: &str = "serde";
+    pub(crate) const SERDE: &str = "serde";
     /// Per-map-partition shuffle bytes written (category `Shuffle`).
-    pub const SHUFFLE_WRITE: &str = "shuffle.write";
+    pub(crate) const SHUFFLE_WRITE: &str = "shuffle.write";
     /// Per-reduce-partition shuffle bytes read (category `Shuffle`).
-    pub const SHUFFLE_READ: &str = "shuffle.read";
+    pub(crate) const SHUFFLE_READ: &str = "shuffle.read";
     /// Driver-to-cluster broadcast bytes (category `Io`).
-    pub const BROADCAST: &str = "broadcast";
+    pub(crate) const BROADCAST: &str = "broadcast";
     /// Task partition index (on task `End` events).
-    pub const PART: &str = "part";
+    pub(crate) const PART: &str = "part";
     /// Task CPU nanoseconds (display only).
-    pub const CPU_NS: &str = "cpu_ns";
+    pub(crate) const CPU_NS: &str = "cpu_ns";
     /// Task CPU seconds as `f64::to_bits` (derivation).
-    pub const CPU_BITS: &str = "cpu_bits";
+    pub(crate) const CPU_BITS: &str = "cpu_bits";
     /// Records flowing out of an operation.
-    pub const RECORDS: &str = "records";
+    pub(crate) const RECORDS: &str = "records";
     /// Estimated heap churn in bytes.
-    pub const ALLOC: &str = "alloc";
+    pub(crate) const ALLOC: &str = "alloc";
     /// A byte count; repeated entries encode per-partition vectors in
     /// partition order.
-    pub const BYTES: &str = "b";
+    pub(crate) const BYTES: &str = "b";
     /// Duration in nanoseconds (display only).
-    pub const NS: &str = "ns";
+    pub(crate) const NS: &str = "ns";
     /// Duration in seconds as `f64::to_bits` (derivation).
-    pub const SECONDS_BITS: &str = "s_bits";
+    pub(crate) const SECONDS_BITS: &str = "s_bits";
     /// Per-task peak heap bytes measured by the tracking allocator (on
     /// task `End` events, only while tracking is active).
-    pub const HEAP_TASK_PEAK: &str = "h_peak";
+    pub(crate) const HEAP_TASK_PEAK: &str = "h_peak";
     /// Per-task allocated heap bytes (sibling of `h_peak`).
-    pub const HEAP_TASK_ALLOC: &str = "h_alloc";
+    pub(crate) const HEAP_TASK_ALLOC: &str = "h_alloc";
 }
 
 /// What closed a stage.
@@ -224,11 +224,6 @@ impl JobRun {
     /// Total CPU seconds over all tasks.
     pub fn total_cpu_s(&self) -> f64 {
         self.stages.iter().map(|s| s.total_cpu_s()).sum()
-    }
-
-    /// Total estimated heap churn.
-    pub fn total_alloc_bytes(&self) -> u64 {
-        self.stages.iter().map(|s| s.alloc_bytes).sum()
     }
 
     /// Total serialization/deserialization seconds.
@@ -499,16 +494,13 @@ mod tests {
         let mut run = JobRun::default();
         let mut a = StageMetrics::new(0, "aligner".into());
         a.shuffle_write_bytes = vec![10, 20];
-        a.alloc_bytes = 100;
         let mut b = StageMetrics::new(1, "cleaner".into());
         b.shuffle_read_bytes = vec![30];
         b.shuffle_write_bytes = vec![5];
-        b.alloc_bytes = 50;
         run.stages.push(a);
         run.stages.push(b);
         assert_eq!(run.num_stages(), 2);
         assert_eq!(run.total_shuffle_bytes(), 35);
-        assert_eq!(run.total_alloc_bytes(), 150);
         assert_eq!(run.phases(), vec!["aligner".to_string(), "cleaner".to_string()]);
         assert_eq!(run.stages_in_phase("cleaner").count(), 1);
     }

@@ -26,11 +26,12 @@
 //! records partition for partition, bytes per map and per reduce task.
 
 use crate::context::EngineContext;
-use crate::dataset::{fnv64, output_parts, Dataset, Parts, TaskSource};
-use crate::fault::{corrupt_bit, FaultConfig, FaultKind, FaultSurface};
+use crate::dataset::{output_parts, Dataset, Parts, TaskSource};
+use crate::fault::{corrupt_bit, FaultKind, FaultPlan, FaultSurface};
+use crate::frame::{fnv64, verify_decode};
 use crate::task::{run_stage, Mode};
 use crate::timing::TaskTimer;
-use gpf_compress::serializer::{deserialize_batch_into, serialize_batch_into};
+use gpf_compress::serializer::serialize_batch_into;
 use gpf_compress::{GpfSerialize, SerializerKind};
 use gpf_support::sync::Mutex;
 use gpf_trace::alloc::{self, AllocTag};
@@ -49,9 +50,9 @@ struct BucketSeg {
     len: usize,
     records: usize,
     /// FNV-1a over the segment's bytes when the shuffle runs under fault
-    /// tolerance; 0 (and unchecked) otherwise, so a fault-free run never
-    /// pays for hashing (DESIGN.md §11 documents this trade).
-    checksum: u64,
+    /// tolerance; `None` (and unchecked) otherwise, so a fault-free run
+    /// never pays for hashing (DESIGN.md §11 documents this trade).
+    checksum: Option<u64>,
 }
 
 /// Output of one map-side shuffle task: its non-empty buckets serialized
@@ -211,7 +212,7 @@ fn serialize_runs<T: GpfSerialize>(
             by.record(len as u64);
             recs.record(bucket.len() as u64);
         }
-        let checksum = if with_checksum { fnv64(&data[offset..offset + len]) } else { 0 };
+        let checksum = with_checksum.then(|| fnv64(&data[offset..offset + len]));
         segs.push((run[0].0, BucketSeg { offset, len, records: bucket.len(), checksum }));
     }
     if let Some((by, recs)) = &stats {
@@ -226,12 +227,12 @@ fn serialize_runs<T: GpfSerialize>(
 /// the flipped bit would still decode to something.
 fn inject_bucket_corruption(
     ctx: &EngineContext,
-    fc: &FaultConfig,
+    plan: &FaultPlan,
     stage: u32,
     map_out: &mut [MapTaskOut],
 ) {
     for (i, m) in map_out.iter_mut().enumerate() {
-        if fc.plan.decide(stage, i as u32, 0, FaultSurface::ShuffleBucket)
+        if plan.decide(stage, i as u32, 0, FaultSurface::ShuffleBucket)
             != Some(FaultKind::CorruptBucket)
         {
             continue;
@@ -241,7 +242,7 @@ fn inject_bucket_corruption(
         if m.segs.is_empty() {
             continue;
         }
-        let salt = fc.plan.corruption_salt(stage, i as u32);
+        let salt = plan.corruption_salt(stage, i as u32);
         let (_, seg) = m.segs[(salt % m.segs.len() as u64) as usize];
         if corrupt_bit(&mut m.data[seg.offset..seg.offset + seg.len], salt) {
             ctx.record_fault_event(tn::FAULT_INJECTED, stage, i as u32, 1);
@@ -313,8 +314,8 @@ where
     ) else {
         return failed();
     };
-    if let Some(fc) = faults {
-        inject_bucket_corruption(ctx, fc, stage, &mut map_out);
+    if let Some(plan) = faults {
+        inject_bucket_corruption(ctx, plan, stage, &mut map_out);
     }
     // Transfer sizes come straight from the segment index recorded while
     // writing — no second traversal of the serialized buffers.
@@ -328,11 +329,12 @@ where
     let read_stage = ctx.current_stage();
 
     // Reduce side: deserialize this task's segments in map order into one
-    // output vector pre-sized from their record counts. Under faults each
-    // segment is verify → decode → count-checked, and a failure discards
-    // its partial output and recomputes its records from the owning input
-    // partition (same routing closure, same order, so the recovered
-    // records are identical to the lost ones). One task yields
+    // output vector pre-sized from their record counts. The pre-sizing
+    // trusted the segment index, so `verify_decode` checks the decoded
+    // count against it (and, under faults, the checksum first); a damaged
+    // segment's records are recomputed from the owning input partition
+    // (same routing closure, same order, so the recovered records are
+    // identical to the lost ones). One task yields
     // `(records, segments recomputed, decode seconds)`.
     let reduce_task = |t: usize| -> (Vec<T>, u64, f64) {
         let t0 = TaskTimer::start();
@@ -341,14 +343,8 @@ where
         let mut out: Vec<T> = Vec::with_capacity(expected);
         let mut recomputed = 0u64;
         for &(mi, seg) in segs {
-            let base = out.len();
             let bytes = &map_out[mi].data[seg.offset..seg.offset + seg.len];
-            // The pre-sizing above trusted the segment index; the decoded
-            // count is checked against it instead of silently mis-sizing.
-            let verified = lineage.is_none() || fnv64(bytes) == seg.checksum;
-            let intact = verified
-                && matches!(deserialize_batch_into(kind, bytes, &mut out), Ok(n) if n == seg.records);
-            if intact {
+            if verify_decode(kind, bytes, seg.checksum, seg.records, &mut out) {
                 continue;
             }
             let Some(lineage) = &lineage else {
@@ -358,7 +354,6 @@ where
                 // input error, and there is no lineage to recover from.
                 panic!("shuffle segment {mi}->{t}: {} records did not decode", seg.records);
             };
-            out.truncate(base);
             lineage.stream(mi, &mut |chunk| {
                 out.extend(chunk.iter().filter(|item| route(item) == t).cloned());
             });

@@ -55,7 +55,7 @@ impl SimCluster {
     }
 
     /// Total cores.
-    pub fn cores(&self) -> usize {
+    pub(crate) fn cores(&self) -> usize {
         self.nodes * self.cores_per_node
     }
 

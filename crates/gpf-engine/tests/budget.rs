@@ -6,7 +6,7 @@
 //! plans and split-table routing on/off; directed tests pin ledger-peak
 //! bounding, infeasible-budget structured errors, and the breach message.
 
-use gpf_engine::{Dataset, EngineConfig, EngineContext, FaultConfig, FaultPlan};
+use gpf_engine::{Dataset, EngineConfig, EngineContext, FaultPlan};
 use gpf_support::proptest::prelude::*;
 use std::sync::Arc;
 
@@ -72,7 +72,7 @@ proptest! {
             EngineConfig::default()
                 .with_parallelism(4)
                 .with_memory_budget(budget)
-                .with_faults(FaultConfig::new(FaultPlan::seeded(seed, rate))),
+                .with_faults(FaultPlan::seeded(seed, rate)),
         );
         let budgeted = job(&ctx, &data, parts, nparts, split);
         prop_assert_eq!(budgeted, baseline, "budget {} must not change output", budget);

@@ -4,11 +4,12 @@
 //! correctness. Property tests drive seeded `FaultPlan`s over a
 //! map → spill → shuffle → map job (failing cases print a
 //! `GPF_PROPTEST_REPLAY` seed); directed tests pin each recovery mechanism
-//! (retry, lineage recompute for corrupt buckets and spills, speculation,
-//! budget exhaustion) and the MockClock determinism of the whole trace.
+//! (retry, lineage recompute for corrupt buckets and spills, the bounded
+//! re-read of a damaged spill read, budget exhaustion) and the MockClock
+//! determinism of the whole trace. No test here depends on wall time.
 
 use gpf_engine::{
-    Dataset, EngineConfig, EngineContext, FaultConfig, FaultKind, FaultPlan, FaultSite,
+    Dataset, EngineConfig, EngineContext, FaultKind, FaultPlan, FaultSite,
 };
 use gpf_support::proptest::prelude::*;
 use std::sync::Arc;
@@ -17,8 +18,8 @@ fn plain_ctx() -> Arc<EngineContext> {
     EngineContext::new(EngineConfig::default().with_parallelism(4))
 }
 
-fn chaos_ctx(fc: FaultConfig) -> Arc<EngineContext> {
-    EngineContext::new(EngineConfig::default().with_parallelism(4).with_faults(fc))
+fn chaos_ctx(plan: FaultPlan) -> Arc<EngineContext> {
+    EngineContext::new(EngineConfig::default().with_parallelism(4).with_faults(plan))
 }
 
 /// The job every chaos-identity check runs: narrow map → spill barrier →
@@ -62,7 +63,7 @@ proptest! {
         let base_ctx = plain_ctx();
         let baseline = job(&base_ctx, &data, parts, nparts);
 
-        let ctx = chaos_ctx(FaultConfig::new(FaultPlan::seeded(seed, rate)));
+        let ctx = chaos_ctx(FaultPlan::seeded(seed, rate));
         let chaotic = job(&ctx, &data, parts, nparts);
 
         prop_assert!(
@@ -87,7 +88,7 @@ fn exhausted_retry_budget_surfaces_structured_error() {
     let sites = (0..=3)
         .map(|a| FaultSite { stage: 0, partition: 1, attempt: a, kind: FaultKind::TaskPanic })
         .collect();
-    let ctx = chaos_ctx(FaultConfig::new(FaultPlan::explicit(sites)));
+    let ctx = chaos_ctx(FaultPlan::explicit(sites));
     let d = Dataset::from_vec(Arc::clone(&ctx), (0u64..64).collect(), 4);
     let out = d.map(|x| x + 1);
     // The failed op degrades to an empty dataset (partition count kept) so
@@ -123,7 +124,7 @@ fn injected_panics_within_budget_recover_with_identical_output() {
     ];
     let retries0 = counter("task.retries");
     let injected0 = counter("fault.injected");
-    let ctx = chaos_ctx(FaultConfig::new(FaultPlan::explicit(sites)));
+    let ctx = chaos_ctx(FaultPlan::explicit(sites));
     let d = Dataset::from_vec(Arc::clone(&ctx), (0u64..64).collect(), 4);
     let out = d.map(|x| x * 7).collect_local();
     assert_eq!(out, (0u64..64).map(|x| x * 7).collect::<Vec<_>>());
@@ -139,7 +140,7 @@ fn real_panics_are_caught_and_retried() {
     // cause, never propagate.
     use std::sync::atomic::{AtomicU32, Ordering};
     let calls = AtomicU32::new(0);
-    let ctx = chaos_ctx(FaultConfig::new(FaultPlan::seeded(0, 0)));
+    let ctx = chaos_ctx(FaultPlan::seeded(0, 0));
     let d = Dataset::from_vec(Arc::clone(&ctx), (0u64..8).collect(), 1);
     let out = d
         .map_partitions(|p| {
@@ -169,7 +170,7 @@ fn corrupt_shuffle_bucket_recomputes_from_lineage() {
         FaultSite { stage: 0, partition: 0, attempt: 0, kind: FaultKind::CorruptBucket },
         FaultSite { stage: 0, partition: 3, attempt: 0, kind: FaultKind::CorruptBucket },
     ];
-    let ctx = chaos_ctx(FaultConfig::new(FaultPlan::explicit(sites)));
+    let ctx = chaos_ctx(FaultPlan::explicit(sites));
     let d = Dataset::from_vec(Arc::clone(&ctx), data, 4);
     let p = d.partition_by(5, route);
     let chaotic = (0..5).map(|i| p.partition(i).to_vec()).collect::<Vec<_>>();
@@ -194,7 +195,7 @@ fn corrupt_spill_recomputes_partition() {
     let injected0 = counter("fault.injected");
     let sites =
         vec![FaultSite { stage: 0, partition: 1, attempt: 0, kind: FaultKind::CorruptSpill }];
-    let ctx = chaos_ctx(FaultConfig::new(FaultPlan::explicit(sites)));
+    let ctx = chaos_ctx(FaultPlan::explicit(sites));
     let back =
         Dataset::from_vec(Arc::clone(&ctx), data, 3).barrier_via_disk("checkpoint").collect_local();
     assert_eq!(back, baseline);
@@ -234,7 +235,7 @@ fn damaged_spill_reads_recover_byte_identically() {
         EngineConfig::default()
             .with_parallelism(4)
             .with_memory_budget(8 * 1024)
-            .with_faults(FaultConfig::new(FaultPlan::explicit(sites))),
+            .with_faults(FaultPlan::explicit(sites)),
     );
     let (spilled, chaotic) = run(&ctx);
     assert!(spilled > 0, "the budget must actually force spills");
@@ -286,7 +287,7 @@ fn barrier_round_trips_every_serializer_size_fault_and_budget() {
                 let cell = format!("{:?}, {mode}, budget {budget:?}", base.serializer);
                 let mut cfg = base.clone().with_parallelism(4);
                 if let Some(kind) = kind {
-                    cfg = cfg.with_faults(FaultConfig::new(FaultPlan::explicit(blanket(kind))));
+                    cfg = cfg.with_faults(FaultPlan::explicit(blanket(kind)));
                 }
                 if let Some(bytes) = budget {
                     cfg = cfg.with_memory_budget(bytes);
@@ -315,42 +316,6 @@ fn barrier_round_trips_every_serializer_size_fault_and_budget() {
     }
 }
 
-#[test]
-fn straggler_triggers_speculation_and_duplicate_wins() {
-    // 500 ms of injected delay dwarfs any real task jitter, so the clean
-    // duplicate deterministically beats the straggler.
-    let sites = vec![FaultSite { stage: 0, partition: 2, attempt: 0, kind: FaultKind::Straggler }];
-    let mut fc = FaultConfig::new(FaultPlan::explicit(sites));
-    fc.straggler_extra_ns = 500_000_000;
-    let launched0 = counter("spec.launched");
-    let won0 = counter("spec.won");
-    let ctx = chaos_ctx(fc);
-    let d = Dataset::from_vec(Arc::clone(&ctx), (0u64..400).collect(), 4);
-    let out = d.map(|x| x.wrapping_mul(31)).collect_local();
-    assert_eq!(out, (0u64..400).map(|x| x.wrapping_mul(31)).collect::<Vec<_>>());
-    assert!(ctx.take_failure().is_none());
-    assert!(counter("spec.launched") > launched0, "straggler launches a duplicate");
-    assert!(counter("spec.won") > won0, "clean duplicate beats a 500ms straggler");
-}
-
-#[test]
-fn speculation_can_be_disabled() {
-    let sites = vec![FaultSite { stage: 0, partition: 1, attempt: 0, kind: FaultKind::Straggler }];
-    let mut fc = FaultConfig::new(FaultPlan::explicit(sites));
-    fc.straggler_extra_ns = 500_000_000;
-    fc.speculation = false;
-    let ctx = chaos_ctx(fc);
-    let d = Dataset::from_vec(Arc::clone(&ctx), (0u64..64).collect(), 4);
-    let out = d.map(|x| x + 9).collect_local();
-    assert_eq!(out, (9u64..73).collect::<Vec<_>>());
-    // Read this run's own trace, not the process-global counter: the
-    // straggler test above launches a duplicate while this one sleeps, and
-    // an exact comparison of the shared counter sees it.
-    let (_, trace) = ctx.take_run_traced();
-    let launched = trace.events.iter().filter(|e| &*e.name == "spec.launched").count();
-    assert_eq!(launched, 0, "no duplicates when speculation is off");
-}
-
 /// One full traced chaos run under a fresh MockClock: single-partition
 /// datasets keep every clock read on the mocked thread (multi-partition par
 /// ops would read the real clock from workers), and the explicit sites
@@ -366,7 +331,7 @@ fn traced_chaos_run(seed: u64) -> String {
         FaultSite { stage: 0, partition: 0, attempt: 0, kind: FaultKind::CorruptSpill },
         FaultSite { stage: 1, partition: 0, attempt: 0, kind: FaultKind::CorruptBucket },
     ];
-    let ctx = chaos_ctx(FaultConfig::new(plan));
+    let ctx = chaos_ctx(plan);
     let data: Vec<(u64, u64)> = (0u64..40).map(|i| (i % 7, i)).collect();
     let parts = job(&ctx, &data, 1, 1);
     assert_eq!(parts.len(), 1);
@@ -396,7 +361,7 @@ fn fault_free_chaos_config_changes_nothing() {
     // fires).
     let data: Vec<(u64, u64)> = (0u64..150).map(|i| (i % 9, i * i)).collect();
     let baseline = job(&plain_ctx(), &data, 4, 3);
-    let ctx = chaos_ctx(FaultConfig::new(FaultPlan::seeded(1, 0)));
+    let ctx = chaos_ctx(FaultPlan::seeded(1, 0));
     let quiet = job(&ctx, &data, 4, 3);
     assert_eq!(quiet, baseline);
     assert!(ctx.take_failure().is_none());

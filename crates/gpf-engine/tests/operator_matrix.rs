@@ -1,6 +1,6 @@
 //! Operator-matrix differential test: one job touching every operator
 //! family — element-wise narrow, whole-partition narrow over a shuffle
-//! output, `join` (two shuffles + `zip_partitions`), `sort_by_key`,
+//! output, `join` (two shuffles + `into_zip_partitions`), `sort_by_key`,
 //! `reduce_by_key`, `barrier_via_disk`, a split-table shuffle, `collect` — run
 //! under {faults off, quiet plan, seeded plans} × {no budget, tight budget}
 //! × {sole-owner, shared shuffle input}.
@@ -20,7 +20,7 @@
 mod shuffle_oracle;
 
 use gpf_engine::{
-    Dataset, EngineConfig, EngineContext, FaultConfig, FaultPlan, JobRun, StageKind,
+    Dataset, EngineConfig, EngineContext, FaultPlan, JobRun, StageKind,
 };
 use shuffle_oracle::shuffle_oracle;
 use std::sync::Arc;
@@ -211,7 +211,7 @@ fn every_operator_agrees_across_faults_budget_and_ownership() {
                 let cell = format!("{plan_name}, budget {budget:?}, shared {shared}");
                 let mut cfg = EngineConfig::default().with_parallelism(4);
                 if let Some(plan) = plan {
-                    cfg = cfg.with_faults(FaultConfig::new(plan.clone()));
+                    cfg = cfg.with_faults(plan.clone());
                 }
                 if let Some(bytes) = budget {
                     cfg = cfg.with_memory_budget(bytes);
@@ -236,7 +236,8 @@ fn every_operator_agrees_across_faults_budget_and_ownership() {
 }
 
 /// The consuming operators, each beside the borrowed twin it must agree
-/// with. `e` is the zip's right-hand side; the other operators ignore it.
+/// with (the zip: beside itself on shared handles). `e` is the zip's
+/// right-hand side; the other operators ignore it.
 #[derive(Clone, Copy, Debug)]
 enum Twin {
     PartitionByKey,
@@ -271,9 +272,11 @@ fn run_borrowed(twin: Twin, d: &Dataset<Rec>, e: &Dataset<Rec>, tick: &(dyn Fn()
             tick();
             p.iter().rev().copied().collect()
         }),
-        Twin::ZipPartitions => d.zip_partitions(e, |_, l, r| {
+        // The zip has no borrowed twin: its reference is itself on shared
+        // handles (`d` and `e` stay alive), the clone path.
+        Twin::ZipPartitions => d.clone().into_zip_partitions(e.clone(), |_, l, r| {
             tick();
-            l.iter().zip(r).map(|(a, b)| zip_pair(a, b)).collect()
+            l.iter().zip(&r).map(|(a, b)| zip_pair(a, b)).collect()
         }),
     }
 }
@@ -384,8 +387,8 @@ fn consuming_operators_agree_with_their_borrowed_twins() {
                     panic!("flaky first attempt");
                 }
             };
-            let fc = FaultConfig::new(FaultPlan::seeded(0, 0));
-            let ctx = EngineContext::new(EngineConfig::default().with_parallelism(4).with_faults(fc));
+            let quiet_plan = FaultPlan::seeded(0, 0);
+            let ctx = EngineContext::new(EngineConfig::default().with_parallelism(4).with_faults(quiet_plan));
             let (d, e) = twin_inputs(&ctx, &data);
             same("retry", &run_consuming(twin, d, e, &flaky));
             assert!(ctx.take_failure().is_none(), "[{twin:?}] one panic is inside the retry budget");

@@ -187,7 +187,7 @@ fn sparse_geometries_agree_with_the_oracle_under_a_quarter_budget() {
 /// from lineage, and the records are the oracle's.
 #[test]
 fn corrupt_bucket_hits_the_salted_nonempty_segment_and_recovers() {
-    use gpf_engine::{FaultConfig, FaultKind, FaultPlan, FaultSite};
+    use gpf_engine::{FaultKind, FaultPlan, FaultSite};
     let cells: [(usize, usize, usize, Route); 7] = [
         (1, 7, 1, Route::Spread),
         (7, 7, 600, Route::OneBucket),
@@ -213,7 +213,7 @@ fn corrupt_bucket_hits_the_salted_nonempty_segment_and_recovers() {
                 FaultSite { stage: 0, partition: m as u32, attempt: 0, kind: FaultKind::CorruptBucket };
             let plan = FaultPlan::explicit(vec![site]);
             let hit = nonempty[(plan.corruption_salt(0, m as u32) % nonempty.len() as u64) as usize];
-            let cfg = base.clone().with_faults(FaultConfig::new(plan));
+            let cfg = base.clone().with_faults(plan);
             let want = shuffle_oracle(cfg.serializer, &input, nparts, route_fn);
             for consume in [false, true] {
                 let cell = format!(

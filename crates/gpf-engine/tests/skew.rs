@@ -15,7 +15,7 @@
 
 use gpf_compress::serializer::{serialize_batch, SerializerKind};
 use gpf_engine::{
-    Dataset, EngineConfig, EngineContext, FaultConfig, FaultKind, FaultPlan, FaultSite,
+    Dataset, EngineConfig, EngineContext, FaultKind, FaultPlan, FaultSite,
 };
 use gpf_support::proptest::prelude::*;
 use gpf_support::rng::{Rng, SeedableRng, StdRng};
@@ -196,7 +196,7 @@ proptest! {
         let ctx = EngineContext::new(
             EngineConfig::default()
                 .with_parallelism(4)
-                .with_faults(FaultConfig::new(FaultPlan::seeded(seed, rate))),
+                .with_faults(FaultPlan::seeded(seed, rate)),
         );
         let (split, _) = split_canonical(&ctx, &data, parts, nbase, plen, threshold);
         prop_assert!(
@@ -238,7 +238,7 @@ fn corrupt_bucket_on_split_partition_recovers_byte_identically() {
     let ctx = EngineContext::new(
         EngineConfig::default()
             .with_parallelism(4)
-            .with_faults(FaultConfig::new(FaultPlan::explicit(sites))),
+            .with_faults(FaultPlan::explicit(sites)),
     );
     let (split, ms) = split_canonical(&ctx, &data, 4, nbase, plen, 60);
     assert_eq!(ms.n_final, 4, "the hot partition split into 4 pieces");

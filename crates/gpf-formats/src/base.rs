@@ -9,14 +9,14 @@ pub const BASES: [u8; 4] = [b'A', b'G', b'C', b'T'];
 
 /// Returns `true` for the four canonical upper-case bases `A`, `C`, `G`, `T`.
 #[inline]
-pub fn is_canonical(b: u8) -> bool {
+pub(crate) fn is_canonical(b: u8) -> bool {
     matches!(b, b'A' | b'C' | b'G' | b'T')
 }
 
 /// Returns `true` for any IUPAC nucleotide code we accept in sequence fields
 /// (canonical bases plus the ambiguity code `N`).
 #[inline]
-pub fn is_valid_seq_char(b: u8) -> bool {
+pub(crate) fn is_valid_seq_char(b: u8) -> bool {
     is_canonical(b) || b == b'N'
 }
 
@@ -47,7 +47,7 @@ pub fn decode2(code: u8) -> u8 {
 
 /// Watson–Crick complement; `N` maps to `N`.
 #[inline]
-pub fn complement(b: u8) -> u8 {
+pub(crate) fn complement(b: u8) -> u8 {
     match b {
         b'A' => b'T',
         b'T' => b'A',

@@ -33,7 +33,7 @@ pub enum CigarOp {
 
 impl CigarOp {
     /// The SAM character for this op.
-    pub fn as_char(self) -> char {
+    pub(crate) fn as_char(self) -> char {
         match self {
             CigarOp::Match => 'M',
             CigarOp::Ins => 'I',
@@ -48,7 +48,7 @@ impl CigarOp {
     }
 
     /// Parse a SAM CIGAR op character.
-    pub fn from_char(c: char) -> Option<Self> {
+    pub(crate) fn from_char(c: char) -> Option<Self> {
         Some(match c {
             'M' => CigarOp::Match,
             'I' => CigarOp::Ins,
@@ -164,7 +164,7 @@ impl Cigar {
     }
 
     /// Leading clip length (`S`/`H` ops before the first aligned base).
-    pub fn leading_clip(&self) -> u64 {
+    pub(crate) fn leading_clip(&self) -> u64 {
         self.0
             .iter()
             .take_while(|(_, op)| matches!(op, CigarOp::SoftClip | CigarOp::HardClip))
@@ -173,7 +173,7 @@ impl Cigar {
     }
 
     /// Trailing clip length.
-    pub fn trailing_clip(&self) -> u64 {
+    pub(crate) fn trailing_clip(&self) -> u64 {
         self.0
             .iter()
             .rev()
@@ -191,11 +191,6 @@ impl Cigar {
     /// Iterate `(read_offset, ref_offset, op)` for every op block.
     pub fn walk(&self) -> CigarWalk<'_> {
         CigarWalk { ops: &self.0, idx: 0, read_off: 0, ref_off: 0 }
-    }
-
-    /// `true` when the CIGAR is `*`.
-    pub fn is_unavailable(&self) -> bool {
-        self.0.is_empty()
     }
 }
 
@@ -264,7 +259,7 @@ mod tests {
     #[test]
     fn unavailable_round_trip() {
         let c = Cigar::parse("*").unwrap();
-        assert!(c.is_unavailable());
+        assert!(c.0.is_empty());
         assert_eq!(c.to_string(), "*");
     }
 

@@ -64,12 +64,6 @@ impl FastqRecord {
         self.seq.is_empty()
     }
 
-    /// Approximate in-memory size in bytes (used by the engine's memory and
-    /// GC accounting).
-    pub fn heap_bytes(&self) -> usize {
-        self.name.len() + self.seq.len() + self.qual.len()
-    }
-
     /// Format as the canonical four FASTQ lines (with trailing newline).
     pub fn to_fastq_string(&self) -> String {
         let mut s = String::with_capacity(self.name.len() + 2 * self.seq.len() + 8);

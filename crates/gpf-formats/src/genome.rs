@@ -31,7 +31,7 @@ pub struct ContigDict {
 
 impl ContigDict {
     /// Create an empty dictionary.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -53,7 +53,7 @@ impl ContigDict {
     /// # Panics
     /// Panics if the name is already present — duplicate `@SQ` entries are a
     /// malformed header and callers are expected to validate first.
-    pub fn push(&mut self, name: String, length: u64) -> u32 {
+    pub(crate) fn push(&mut self, name: String, length: u64) -> u32 {
         assert!(
             !self.by_name.contains_key(&name),
             "duplicate contig `{name}` in dictionary"
@@ -75,19 +75,14 @@ impl ContigDict {
     }
 
     /// Look up a contig id by name.
-    pub fn id_of(&self, name: &str) -> Option<u32> {
+    pub(crate) fn id_of(&self, name: &str) -> Option<u32> {
         self.by_name.get(name).copied()
     }
 
     /// Look up a contig id by name, erroring with [`FormatError::UnknownContig`].
-    pub fn require_id(&self, name: &str) -> Result<u32, FormatError> {
+    pub(crate) fn require_id(&self, name: &str) -> Result<u32, FormatError> {
         self.id_of(name)
             .ok_or_else(|| FormatError::UnknownContig { name: name.to_string() })
-    }
-
-    /// Contig info by id.
-    pub fn get(&self, id: u32) -> Option<&ContigInfo> {
-        self.contigs.get(id as usize)
     }
 
     /// Name of contig `id`.
@@ -107,12 +102,12 @@ impl ContigDict {
     }
 
     /// Iterate contigs in id order.
-    pub fn iter(&self) -> impl Iterator<Item = &ContigInfo> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &ContigInfo> {
         self.contigs.iter()
     }
 
     /// Total genome length (sum of contig lengths).
-    pub fn genome_length(&self) -> u64 {
+    pub(crate) fn genome_length(&self) -> u64 {
         self.contigs.iter().map(|c| c.length).sum()
     }
 
@@ -202,7 +197,7 @@ impl GenomeInterval {
     }
 
     /// Merge two overlapping-or-adjacent intervals on the same contig.
-    pub fn merge(&self, other: &GenomeInterval) -> Option<GenomeInterval> {
+    pub(crate) fn merge(&self, other: &GenomeInterval) -> Option<GenomeInterval> {
         if self.contig != other.contig {
             return None;
         }

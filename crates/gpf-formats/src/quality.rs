@@ -6,7 +6,7 @@
 //! quality *score* 0 (character `!`) as the escape marker for `N` bases.
 
 /// ASCII offset of the Phred+33 encoding.
-pub const PHRED_OFFSET: u8 = 33;
+pub(crate) const PHRED_OFFSET: u8 = 33;
 
 /// Highest legal Phred+33 character (`~`).
 pub const MAX_QUAL_CHAR: u8 = 126;
@@ -77,7 +77,7 @@ pub fn error_prob_to_phred(p: f64) -> u8 {
 
 /// Sum of Phred scores of a quality string — the Picard criterion used by
 /// MarkDuplicate to pick the representative read among duplicates.
-pub fn phred_sum(qual: &[u8]) -> u64 {
+pub(crate) fn phred_sum(qual: &[u8]) -> u64 {
     qual.iter().map(|&c| char_to_phred(c) as u64).sum()
 }
 

@@ -117,13 +117,8 @@ impl SamHeaderInfo {
         Self { dict, sort_order: SortOrder::Unsorted, read_groups: vec!["rg1".to_string()] }
     }
 
-    /// A coordinate-sorted header over `dict`.
-    pub fn sorted_header(dict: ContigDict) -> Self {
-        Self { dict, sort_order: SortOrder::Coordinate, read_groups: vec!["rg1".to_string()] }
-    }
-
     /// Render the header text (`@HD`, `@SQ`, `@RG` lines).
-    pub fn to_sam_string(&self) -> String {
+    pub(crate) fn to_sam_string(&self) -> String {
         let so = match self.sort_order {
             SortOrder::Unsorted => "unsorted",
             SortOrder::QueryName => "queryname",
@@ -225,13 +220,8 @@ impl SamRecord {
         phred_sum(&self.qual)
     }
 
-    /// Approximate heap bytes occupied by the record (memory accounting).
-    pub fn heap_bytes(&self) -> usize {
-        self.name.len() + self.seq.len() + self.qual.len() + self.cigar.0.len() * 8 + 48
-    }
-
     /// Render as one SAM text line (no trailing newline).
-    pub fn to_sam_line(&self, dict: &ContigDict) -> String {
+    pub(crate) fn to_sam_line(&self, dict: &ContigDict) -> String {
         let rname = if self.contig == NO_CONTIG { "*" } else { dict.name_of(self.contig) };
         let rnext = if self.mate_contig == NO_CONTIG {
             "*".to_string()
@@ -271,7 +261,7 @@ impl SamRecord {
     }
 
     /// Parse one SAM text line (header lines must be filtered out upstream).
-    pub fn parse_sam_line(line: &str, dict: &ContigDict, lineno: usize) -> Result<Self, FormatError> {
+    pub(crate) fn parse_sam_line(line: &str, dict: &ContigDict, lineno: usize) -> Result<Self, FormatError> {
         let fields: Vec<&str> = line.split('\t').collect();
         if fields.len() < 11 {
             return Err(FormatError::Sam {
@@ -416,6 +406,10 @@ mod tests {
         ContigDict::from_pairs([("chr1", 10_000u64), ("chr2", 5_000)])
     }
 
+    fn sorted_header() -> SamHeaderInfo {
+        SamHeaderInfo { sort_order: SortOrder::Coordinate, ..SamHeaderInfo::unsorted_header(dict()) }
+    }
+
     fn record() -> SamRecord {
         SamRecord {
             name: "read1".into(),
@@ -445,7 +439,7 @@ mod tests {
 
     #[test]
     fn full_sam_round_trip_with_header() {
-        let header = SamHeaderInfo::sorted_header(dict());
+        let header = sorted_header();
         let records = vec![record()];
         let text = format_sam(&header, &records);
         let (h2, r2) = parse_sam(&text).unwrap();
@@ -518,7 +512,7 @@ mod tests {
 
     #[test]
     fn parse_rejects_coordinates_beyond_the_contig_end() {
-        let header = SamHeaderInfo::sorted_header(dict()).to_sam_string();
+        let header = sorted_header().to_sam_string();
         let good = record().to_sam_line(&dict());
         // chr1 is 10,000 bases, chr2 5,000: its last base parses, one past
         // it does not — as POS, as PNEXT under `=`, and as PNEXT on a named

@@ -2,7 +2,7 @@
 //! databases (dbSNP analogue consumed by BQSR and IndelRealignment).
 
 use crate::error::FormatError;
-use crate::genome::{ContigDict, GenomePosition};
+use crate::genome::ContigDict;
 use std::fmt::Write as _;
 
 /// Diploid genotype call.
@@ -19,7 +19,7 @@ pub enum Genotype {
 
 impl Genotype {
     /// VCF `GT` field text.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             Genotype::Het => "0/1",
             Genotype::HomAlt => "1/1",
@@ -28,7 +28,7 @@ impl Genotype {
     }
 
     /// Parse a `GT` field (accepts `|` or `/` separators).
-    pub fn parse(s: &str) -> Option<Self> {
+    pub(crate) fn parse(s: &str) -> Option<Self> {
         match s.replace('|', "/").as_str() {
             "0/1" | "1/0" => Some(Genotype::Het),
             "1/1" => Some(Genotype::HomAlt),
@@ -58,23 +58,13 @@ pub struct VcfRecord {
 }
 
 impl VcfRecord {
-    /// Position as a [`GenomePosition`].
-    pub fn position(&self) -> GenomePosition {
-        GenomePosition::new(self.contig, self.pos)
-    }
-
     /// `true` for single-nucleotide variants.
     pub fn is_snv(&self) -> bool {
         self.ref_allele.len() == 1 && self.alt_allele.len() == 1
     }
 
-    /// `true` for insertions or deletions.
-    pub fn is_indel(&self) -> bool {
-        !self.is_snv()
-    }
-
     /// Render as one VCF data line.
-    pub fn to_vcf_line(&self, dict: &ContigDict) -> String {
+    pub(crate) fn to_vcf_line(&self, dict: &ContigDict) -> String {
         format!(
             "{}\t{}\t.\t{}\t{}\t{:.2}\tPASS\tDP={}\tGT\t{}",
             dict.name_of(self.contig),
@@ -88,7 +78,7 @@ impl VcfRecord {
     }
 
     /// Parse one VCF data line.
-    pub fn parse_vcf_line(line: &str, dict: &ContigDict, lineno: usize) -> Result<Self, FormatError> {
+    pub(crate) fn parse_vcf_line(line: &str, dict: &ContigDict, lineno: usize) -> Result<Self, FormatError> {
         let fields: Vec<&str> = line.split('\t').collect();
         if fields.len() < 8 {
             return Err(FormatError::Vcf {
@@ -145,7 +135,7 @@ impl VcfHeaderInfo {
     }
 
     /// Render the header text.
-    pub fn to_vcf_string(&self) -> String {
+    pub(crate) fn to_vcf_string(&self) -> String {
         let mut s = String::from("##fileformat=VCFv4.2\n");
         for c in self.dict.iter() {
             let _ = writeln!(s, "##contig=<ID={},length={}>", c.name, c.length);
@@ -268,7 +258,7 @@ mod tests {
     fn snv_vs_indel_classification() {
         assert!(snv().is_snv());
         let del = VcfRecord { ref_allele: b"AT".to_vec(), ..snv() };
-        assert!(del.is_indel());
+        assert!(!del.is_snv());
     }
 
     #[test]

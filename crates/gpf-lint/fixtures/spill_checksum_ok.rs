@@ -1,15 +1,7 @@
-// Verified read: the fnv64 check sits within the 10-line window.
-pub fn restore(frame: &Frame, out: &mut Vec<u8>) -> bool {
-    let payload = frame.payload_unverified();
-    if fnv64(payload) != frame.checksum {
-        return false;
-    }
-    out.extend_from_slice(payload);
-    true
-}
-
-pub fn damage_for_test(frame: &Frame) -> Vec<u8> {
-    // gpf-lint: allow(spill-read-checksum): the damaged copy feeds a
-    // decoder whose own verify is the thing under test.
-    frame.payload_unverified().to_vec()
+// The one consumer: the stored bytes (or the damaged copy a faulted read
+// sees) go straight into `verify_decode`, inside the 10-line window.
+pub fn read(frame: &Frame, damaged: Option<Vec<u8>>, out: &mut Vec<u64>) -> bool {
+    let stored = frame.payload_unverified();
+    let read = damaged.as_deref().unwrap_or(stored);
+    verify_decode(frame.kind, read, Some(frame.checksum), frame.records, out)
 }

@@ -78,8 +78,9 @@ pub enum Rule {
     /// a name from the `gpf_trace::names` registry; unregistered names
     /// accumulate into metrics no report reads.
     CounterNameRegistry,
-    /// Every `.payload_unverified()` spill-frame read needs a `fnv64`
-    /// checksum verification within ±10 lines: spilled partitions are the
+    /// Every `.payload_unverified()` spill-frame read must reach
+    /// `verify_decode` — the engine's one checksum compare — within ±10
+    /// lines: spilled partitions are the
     /// one place engine data leaves tracked memory, and an unverified
     /// decode would let read-back corruption flow silently into results.
     SpillReadChecksum,
@@ -565,8 +566,6 @@ pub const KNOWN_METRIC_NAMES: &[&str] = &[
     "shuffle.recomputed",
     "shuffle.scratch.allocated",
     "shuffle.scratch.reused",
-    "spec.launched",
-    "spec.won",
     "task.retries",
     "trace.dropped",
 ];
@@ -793,13 +792,13 @@ pub fn lint_source(file: &str, source: &str) -> Vec<Finding> {
             let lo = idx.saturating_sub(10);
             let hi = (idx + 11).min(masked.code.len());
             let verified =
-                (lo..hi).any(|l| !token_positions(&masked.code[l], "fnv64").is_empty());
+                (lo..hi).any(|l| !token_positions(&masked.code[l], "verify_decode").is_empty());
             if !verified {
                 findings.push(Finding {
                     rule: Rule::SpillReadChecksum,
                     file: file.to_string(),
                     line: lineno,
-                    message: "`.payload_unverified()` without a `fnv64` checksum verify \
+                    message: "`.payload_unverified()` without a `verify_decode` call \
                               within 10 lines; spill read-backs must verify every frame \
                               before decoding (or annotate \
                               `// gpf-lint: allow(spill-read-checksum): <why>`)"

@@ -277,12 +277,13 @@ fn spill_read_checksum_positive() {
     assert_eq!(rules_hit(&f), vec![Rule::SpillReadChecksum]);
     assert_eq!(f.len(), 1, "{f:?}");
     assert_eq!(f[0].line, 3);
-    assert!(f[0].message.contains("fnv64"), "{f:?}");
+    assert!(f[0].message.contains("verify_decode"), "{f:?}");
 }
 
 #[test]
 fn spill_read_checksum_negative() {
-    // A verified read and an annotated test helper both pass clean.
+    // The frame reader's shape — stored bytes or a damaged copy of them,
+    // straight into `verify_decode` — passes clean.
     let f = lint_source(
         "crates/gpf-engine/src/budget.rs",
         include_str!("../fixtures/spill_checksum_ok.rs"),

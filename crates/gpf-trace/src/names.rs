@@ -64,14 +64,10 @@ pub const REPARTITION_MERGED: &str = "repartition.merged";
 
 /// Faults injected by the active fault plan.
 pub const FAULT_INJECTED: &str = "fault.injected";
-/// Task attempts beyond the first.
+/// Task attempts beyond the first, and damaged spill reads re-read.
 pub const TASK_RETRIES: &str = "task.retries";
-/// Shuffle segments recomputed from lineage.
+/// Shuffle segments and barrier partitions recomputed from lineage.
 pub const SHUFFLE_RECOMPUTED: &str = "shuffle.recomputed";
-/// Speculative duplicates launched for stragglers.
-pub const SPEC_LAUNCHED: &str = "spec.launched";
-/// Speculative duplicates that beat the original.
-pub const SPEC_WON: &str = "spec.won";
 
 /// Shuffle scratch buffers reused from the pool.
 pub const SHUFFLE_SCRATCH_REUSED: &str = "shuffle.scratch.reused";
@@ -178,8 +174,6 @@ pub const ALL_COUNTERS: &[&str] = &[
     SHUFFLE_RECOMPUTED,
     SHUFFLE_SCRATCH_ALLOCATED,
     SHUFFLE_SCRATCH_REUSED,
-    SPEC_LAUNCHED,
-    SPEC_WON,
     TASK_RETRIES,
     TRACE_DROPPED,
 ];

@@ -5,7 +5,10 @@
 # dependencies (see crates/gpf-support), so a registry fetch here is a
 # regression, not a hiccup.
 #
-# No step's verdict depends on a timer. Speed is defended by the repo
+# No step's verdict depends on a timer, and neither does any test: the
+# engine makes no decision from a clock, so the chaos battery
+# (crates/gpf-engine/tests/chaos.rs) injects no delay and sleeps nowhere.
+# Speed is defended by the repo
 # benchmark against the parent commit (benchmark/README.md), measured on a
 # quiet host, not here; recovery, the memory budget and the skew split are
 # defended by plain tests (crates/gpf-bench/tests/pipeline_gates.rs) that
