@@ -20,7 +20,7 @@
 mod shuffle_oracle;
 
 use gpf_engine::{
-    Dataset, EngineConfig, EngineContext, FaultPlan, JobRun, StageKind,
+    Dataset, EngineConfig, EngineContext, FaultKind, FaultPlan, FaultSite, JobRun, StageKind,
 };
 use shuffle_oracle::shuffle_oracle;
 use std::sync::Arc;
@@ -395,6 +395,49 @@ fn consuming_operators_agree_with_their_borrowed_twins() {
             let (_, trace) = ctx.take_run_traced();
             let retried = trace.events.iter().filter(|ev| &*ev.name == "task.retries").count();
             assert_eq!(retried, 1, "[{twin:?}] exactly the flaky task retried");
+        }
+    }
+}
+
+/// A shared plain input through the borrowed `partition_by` — the shuffle a
+/// Resource-held dataset takes: for every serializer kind the input is
+/// untouched (same records, same places) and still readable afterwards, the
+/// output and the bytes per map and per reduce task are the oracle's, and
+/// with a segment of every map task corrupted the output is recomputed from
+/// that very input.
+#[test]
+fn a_shared_plain_input_is_shuffled_where_it_sits() {
+    let data = input();
+    for cfg in [EngineConfig::java(), EngineConfig::kryo(), EngineConfig::gpf()] {
+        let kind = cfg.serializer;
+        let parts = |d: &Dataset<Rec>| -> Vec<Vec<Rec>> {
+            (0..d.num_partitions()).map(|i| d.partition(i).to_vec()).collect()
+        };
+        let corrupt_every_map =
+            (0..4).map(|partition| FaultSite { stage: 0, partition, attempt: 0, kind: FaultKind::CorruptBucket });
+        for plan in [None, Some(FaultPlan::explicit(corrupt_every_map.collect()))] {
+            let cell = format!("{kind:?}, faults {}", plan.is_some());
+            let mut cfg = cfg.clone().with_parallelism(4);
+            if let Some(plan) = &plan {
+                cfg = cfg.with_faults(plan.clone());
+            }
+            let ctx = EngineContext::new(cfg);
+            let d = Dataset::from_vec(Arc::clone(&ctx), data.clone(), 4);
+            let before = parts(&d);
+            let want = shuffle_oracle(kind, &before, SHUFFLE_PARTS, route);
+
+            let p = d.partition_by(SHUFFLE_PARTS, route);
+            assert!(ctx.take_failure().is_none(), "[{cell}] a corrupt segment is recoverable");
+            assert!(parts(&p) == want.parts, "[{cell}] output diverged from the oracle");
+            assert!(parts(&d) == before, "[{cell}] the shuffle disturbed its input");
+            // Still an operand: a second shuffle of the same handle agrees.
+            assert!(parts(&d.partition_by(SHUFFLE_PARTS, route)) == want.parts, "[{cell}] second read");
+
+            let (run, trace) = ctx.take_run_traced();
+            assert_eq!(run.stages[0].shuffle_write_bytes, want.write_bytes, "[{cell}] bytes per map task");
+            assert_eq!(run.stages[1].shuffle_read_bytes, want.read_bytes, "[{cell}] bytes per reduce task");
+            let recomputed = trace.events.iter().filter(|ev| &*ev.name == "shuffle.recomputed").count();
+            assert_eq!(recomputed > 0, plan.is_some(), "[{cell}] lineage recompute");
         }
     }
 }
