@@ -670,8 +670,10 @@ mod tests {
         LUT_BUILDS.with(|n| n.get())
     }
 
-    /// One job: partition tables merged at the driver, finished once, then
-    /// applied to many bundles on many threads.
+    /// One job: partition tables merged — one after another, or in groups
+    /// on workers whose partial sums are then merged, as
+    /// `Dataset::aggregate` does it — finished once, then applied to many
+    /// bundles on many threads.
     #[test]
     fn lut_is_built_once_per_merged_table() {
         let r = reference();
@@ -679,9 +681,27 @@ mod tests {
             .map(|b| (0..4).map(|i| read_at(&r, (b * 5 + i * 30) % 1900, 50, &[7], 35)).collect())
             .collect();
         let before = lut_builds();
-        let mut merged = RecalTable::default();
-        for b in &bundles {
-            merged.merge(&build_recal_table(b, &r, &[]));
+        let merge_all = |bundles: &[Vec<SamRecord>]| {
+            let mut merged = RecalTable::default();
+            for b in bundles {
+                merged.merge(&build_recal_table(b, &r, &[]));
+            }
+            merged
+        };
+        let mut merged = merge_all(&bundles);
+        for group in [1, 79, 158, 315] {
+            let by_groups: RecalTable = std::thread::scope(|s| {
+                let partials: Vec<_> =
+                    bundles.chunks(group).map(|chunk| s.spawn(|| merge_all(chunk))).collect();
+                partials.into_iter().map(|w| w.join().expect("worker panicked")).fold(
+                    RecalTable::default(),
+                    |mut acc, partial| {
+                        acc.merge(&partial);
+                        acc
+                    },
+                )
+            });
+            assert_eq!(by_groups, merged, "groups of {group}");
         }
         assert_eq!(lut_builds(), before, "gathering and merging build nothing");
         merged.finish();

@@ -27,6 +27,8 @@ pub mod realign;
 pub mod sort;
 
 pub use bqsr::{apply_recalibration, build_recal_table, RecalTable};
-pub use markdup::{mark_duplicates, DedupStats};
+pub use markdup::{
+    duplicate_sources, mark_duplicates, set_duplicate_flag, DedupStats, FragmentSignature,
+};
 pub use realign::{find_realign_intervals, realign_interval, RealignStats};
 pub use sort::{coordinate_cmp, coordinate_key, coordinate_sort, is_coordinate_sorted};

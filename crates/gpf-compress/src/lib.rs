@@ -52,6 +52,6 @@ pub use sequence::{
     decompress_read_fields_into, CompressedParts, CompressedRead, ReadCodecScratch,
 };
 pub use serializer::{
-    deserialize_batch_into, serialize_batch_into, ByteReader, ByteWriter, GpfSerialize,
+    deserialize_batch_into, ByteReader, ByteWriter, GpfSerialize,
     SerializerKind,
 };

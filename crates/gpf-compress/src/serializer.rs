@@ -63,7 +63,38 @@ pub struct ByteWriter {
 impl ByteWriter {
     /// Create a writer for `kind`.
     pub fn new(kind: SerializerKind) -> Self {
-        Self { buf: Vec::new(), kind, codec_scratch: None }
+        Self::appending(kind, Vec::new())
+    }
+
+    /// A writer that appends to `buf` (take the bytes back from
+    /// [`ByteWriter::buf`]). A shuffle map task holds one over its pooled
+    /// buffer for all of its segments, so the codec scratch is built once
+    /// per task, not once per segment.
+    pub fn appending(kind: SerializerKind, buf: Vec<u8>) -> Self {
+        Self { buf, kind, codec_scratch: None }
+    }
+
+    /// Append one count-prefixed batch — the unit [`deserialize_batch_into`]
+    /// reads back — of records taken by reference, from wherever they sit.
+    /// Returns the number of bytes appended.
+    pub fn write_batch<'a, T: GpfSerialize + 'a>(
+        &mut self,
+        items: impl ExactSizeIterator<Item = &'a T>,
+    ) -> usize {
+        let start = self.buf.len();
+        let records = items.len();
+        varint::write_u64(&mut self.buf, records as u64);
+        for item in items {
+            item.write(self);
+        }
+        let written = self.buf.len() - start;
+        note_codec_throughput(
+            gpf_trace::names::CODEC_SERIALIZE_BYTES,
+            gpf_trace::names::CODEC_SERIALIZE_RECORDS,
+            written,
+            records,
+        );
+        written
     }
 
     /// The active serializer kind.
@@ -318,41 +349,14 @@ fn note_codec_throughput(bytes_name: &'static str, records_name: &'static str, b
 
 /// Serialize a batch of records (count-prefixed) under `kind`.
 pub fn serialize_batch<T: GpfSerialize>(kind: SerializerKind, items: &[T]) -> Vec<u8> {
-    // Heap attribution: batch-level codec work charges the serde tag. The
-    // per-bucket `_into` variants are left unscoped — their callers hold a
-    // scope per task, keeping TLS pushes off the per-bucket hot path.
+    // Heap attribution: batch-level codec work charges the serde tag.
+    // `ByteWriter::write_batch` itself is left unscoped — a shuffle map task
+    // holds one scope for all of its segments, keeping TLS pushes off the
+    // per-segment hot path.
     let _scope = gpf_trace::alloc::scope(gpf_trace::alloc::AllocTag::Serde);
-    let mut out = Vec::new();
-    serialize_batch_into(kind, items, &mut out);
-    out
-}
-
-/// [`serialize_batch`] appending onto a caller-owned buffer (shuffle map
-/// tasks serialize many buckets back-to-back into one reused scratch
-/// buffer). Returns the number of bytes appended.
-pub fn serialize_batch_into<T: GpfSerialize>(
-    kind: SerializerKind,
-    items: &[T],
-    out: &mut Vec<u8>,
-) -> usize {
-    let start = out.len();
     let mut w = ByteWriter::new(kind);
-    // Write through the caller's buffer directly — swap it into the writer
-    // for the duration so no intermediate Vec exists.
-    std::mem::swap(&mut w.buf, out);
-    varint::write_u64(&mut w.buf, items.len() as u64);
-    for item in items {
-        item.write(&mut w);
-    }
-    std::mem::swap(&mut w.buf, out);
-    let written = out.len() - start;
-    note_codec_throughput(
-        gpf_trace::names::CODEC_SERIALIZE_BYTES,
-        gpf_trace::names::CODEC_SERIALIZE_RECORDS,
-        written,
-        items.len(),
-    );
-    written
+    w.write_batch(items.iter());
+    w.buf
 }
 
 /// Deserialize a batch written by [`serialize_batch`].
@@ -955,11 +959,15 @@ mod tests {
         for kind in KINDS {
             let items = vec![sam(), sam()];
             let plain = serialize_batch(kind, &items);
-            let mut buf = vec![0xEE, 0xFF];
-            let n = serialize_batch_into(kind, &items, &mut buf);
-            assert_eq!(n, plain.len());
-            assert_eq!(&buf[..2], &[0xEE, 0xFF], "prefix must survive");
-            assert_eq!(&buf[2..], &plain[..], "appended bytes must match plain serialize");
+            // One writer, two batches, the second gathered by reference out
+            // of order: each is byte for byte what `serialize_batch` writes.
+            let mut w = ByteWriter::appending(kind, vec![0xEE, 0xFF]);
+            let n = w.write_batch(items.iter());
+            let n_rev = w.write_batch([&items[1], &items[0]].into_iter());
+            assert_eq!((n, n_rev), (plain.len(), plain.len()));
+            assert_eq!(&w.buf[..2], &[0xEE, 0xFF], "prefix must survive");
+            assert_eq!(&w.buf[2..2 + n], &plain[..], "appended bytes must match plain serialize");
+            assert_eq!(&w.buf[2 + n..], &plain[..], "a second batch reuses the writer");
 
             let mut out: Vec<SamRecord> = vec![sam()];
             let n2 = deserialize_batch_into(kind, &plain, &mut out).unwrap();

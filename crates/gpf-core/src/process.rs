@@ -117,34 +117,23 @@ pub fn build_bundles(
     let fasta_ds = Dataset::from_vec(Arc::clone(ctx), fasta_chunks, sams.num_partitions())
         .into_partition_by_key(nparts, |pid: &u32| *pid as usize);
 
-    // VCF partition RDD.
+    // VCF and SAM partition RDDs: records are routed from where they sit —
+    // the inputs belong to Resources, and the shuffle reads them by
+    // reference.
     let info_v = info.clone();
-    let vcf_ds: Dataset<(u32, VcfRecord)> = match known {
-        Some(k) => k
-            .map(move |v| {
-                (info_v.partition_id(gpf_formats::GenomePosition::new(v.contig, v.pos)), v.clone())
-            })
-            .into_partition_by_key(nparts, |pid: &u32| *pid as usize),
+    let vcf_ds: Dataset<VcfRecord> = match known {
+        Some(k) => k.partition_by(nparts, move |v| {
+            info_v.partition_id(gpf_formats::GenomePosition::new(v.contig, v.pos)) as usize
+        }),
         None => Dataset::from_partitions(Arc::clone(ctx), vec![Vec::new(); nparts]),
     };
-
-    // SAM partition RDD. Keying copies each record once off the (shared)
-    // input; from here to the bundle the keyed, shuffled and zipped
-    // datasets are temporaries of this function and are consumed, so the
-    // records move.
     let info_s = info.clone();
-    let sam_ds = sams
-        .map(move |r| (route_record(r, &info_s), r.clone()))
-        .into_partition_by_key(nparts, |pid: &u32| *pid as usize);
+    let sam_ds = sams.partition_by(nparts, move |r| route_record(r, &info_s) as usize);
 
-    // Join per partition into the bundle RDD.
-    let with_vcf = sam_ds.into_zip_partitions(vcf_ds, |pi, sam_part, vcf_part| {
-        vec![(
-            pi as u32,
-            sam_part.into_iter().map(|(_, r)| r).collect::<Vec<SamRecord>>(),
-            vcf_part.into_iter().map(|(_, v)| v).collect::<Vec<VcfRecord>>(),
-        )]
-    });
+    // Join per partition into the bundle RDD. The shuffled datasets are
+    // temporaries of this function and are consumed, so the records move.
+    let with_vcf =
+        sam_ds.into_zip_partitions(vcf_ds, |pi, sams, vcfs| vec![(pi as u32, sams, vcfs)]);
     let intervals_arc = Arc::new(intervals);
     with_vcf.into_zip_partitions(fasta_ds, move |pi, svs, fasta_part| {
         let (pid, sams, vcfs) =

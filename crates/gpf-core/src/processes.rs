@@ -28,7 +28,7 @@ use gpf_align::BwaMemAligner;
 use gpf_caller::CallerOptions;
 use gpf_cleaner::bqsr::{apply_recalibration, build_recal_table, RecalTable};
 use gpf_cleaner::realign::{find_realign_intervals, realign_interval};
-use gpf_cleaner::{coordinate_cmp, mark_duplicates};
+use gpf_cleaner::{coordinate_cmp, duplicate_sources, set_duplicate_flag, FragmentSignature};
 use gpf_engine::{Dataset, EngineContext};
 use gpf_formats::sam::SamRecord;
 use gpf_formats::vcf::{Genotype, VcfRecord};
@@ -142,26 +142,37 @@ impl Process for MarkDuplicateProcess {
 
     fn execute(&self, ctx: &Arc<EngineContext>) {
         ctx.set_phase("cleaner");
-        let ds = self.input.dataset();
-        let nparts = ds.num_partitions();
+        let reads = self.input.dataset();
+        let nparts = reads.num_partitions();
+        // The decision reads coordinates, flags, a name and a quality sum:
+        // that — a signature naming where its read sits — is what gets
+        // shuffled, and the reads stay where they are.
+        let signatures = reads.flat_map_indexed(|part, index, r| {
+            FragmentSignature::of(r, (part as u32, index as u32))
+        });
         // Co-locate whole fragments: both mates (and any duplicate fragment
         // with identical coordinates) share the fragment's leftmost raw
         // coordinate.
-        let keyed = ds.map(|r| {
-            let own = (r.contig, r.pos);
-            let mate = (r.mate_contig, r.mate_pos);
-            let key = own.min(mate);
-            ((key.0 as u64) << 40 | key.1, r.clone())
+        let colocated = signatures.into_partition_by(nparts, move |s| {
+            (gpf_engine::dataset::stable_hash(&s.colocation) % nparts as u64) as usize
         });
-        // `keyed` and `partitioned` are this Process's own temporaries, so
-        // the records move through the shuffle and out of their keys.
-        let partitioned = keyed.into_partition_by_key(nparts, move |k: &u64| {
-            (gpf_engine::dataset::stable_hash(k) % nparts as u64) as usize
-        });
-        let marked = partitioned.into_map_partitions(|part| {
-            let mut records: Vec<SamRecord> = part.into_iter().map(|(_, r)| r).collect();
-            mark_duplicates(&mut records);
-            records
+        // Only the duplicates' positions travel back: to the driver, then
+        // to every task as one small table (GATK4's Spark MarkDuplicates
+        // returns its verdict the same way).
+        let mut duplicates: Vec<Vec<u32>> = vec![Vec::new(); nparts];
+        for (part, index) in colocated.into_map_partitions(|s| duplicate_sources(&s)).collect() {
+            // Positions came through a shuffle; one that names no input
+            // partition (or, below, no read) flags nothing.
+            if let Some(indices) = duplicates.get_mut(part as usize) {
+                indices.push(index);
+            }
+        }
+        duplicates.iter_mut().for_each(|indices| indices.sort_unstable());
+        let duplicates = ctx.broadcast(duplicates);
+        let marked = reads.flat_map_indexed(move |part, index, r| {
+            let mut r = r.clone();
+            set_duplicate_flag(&mut r, duplicates[part].binary_search(&(index as u32)).is_ok());
+            Some(r)
         });
         self.output.define(marked);
     }
@@ -368,9 +379,10 @@ impl BundleStage for IndelRealignProcess {
 
 /// `BaseRecalibrationProcess` — adjust quality scores (Cleaner stage).
 ///
-/// Gather pass per partition → table merge at the driver (`Collect`, the
-/// serial step §5.2.2 blames for BQSR's efficiency loss) → broadcast →
-/// apply pass per partition.
+/// Gather pass per partition → table merge (`Collect`, the step §5.2.2
+/// blames for BQSR's efficiency loss; here the partition tables are folded
+/// in parallel groups and only the partials meet at the driver) → broadcast
+/// → apply pass per partition.
 pub struct BaseRecalibrationProcess {
     name: String,
     io: BundleStageIo,
@@ -442,12 +454,10 @@ impl BundleStage for BaseRecalibrationProcess {
         let reference = self.io.reference.clone();
         // Gather: per-partition covariate tables.
         let tables = bundles.map(move |b| build_recal_table(&b.sams, &reference, &b.vcfs));
-        // Collect to the driver (serial step) and merge.
-        let collected = tables.collect();
-        let mut merged = RecalTable::default();
-        for t in &collected {
-            merged.merge(t);
-        }
+        // The driver-bound step §5.2.2 names, without its serial part: the
+        // tables are integer counts, so groups of them merge on the pool
+        // and the driver is left the few partial sums.
+        let merged = tables.aggregate(RecalTable::default, RecalTable::merge, |a, b| a.merge(&b));
         // One lookup table per job, computed here rather than per bundle.
         merged.finish();
         // Broadcast the mask table to every node (the "multiple gigabyte
@@ -544,7 +554,9 @@ impl BundleStage for HaplotypeCallerProcess {
         let reference = self.io.reference.clone();
         let opts = self.opts.clone();
         let use_gvcf = self.use_gvcf;
-        bundles.map(move |b| {
+        // Consumed, so each task frees its region's reads as it finishes
+        // rather than the driver freeing every region's after the wave.
+        bundles.into_map(move |b| {
             let mut sams: Vec<&SamRecord> = b.sams.iter().collect();
             sams.sort_by(|x, y| coordinate_cmp(x, y));
             let caller = gpf_caller::HaplotypeCaller {

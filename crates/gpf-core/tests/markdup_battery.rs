@@ -8,8 +8,9 @@
 //! secondary and supplementary copies of participating reads, and input
 //! records that already carry 0x400. Every cell — 1 and many partitions ×
 //! the three serializer kinds × faults off / a seeded plan × no budget / a
-//! quarter of the input's footprint — must leave every record with exactly
-//! the flags the oracle gives it over the collected whole.
+//! quarter of the input's footprint — must leave every record in the
+//! partition and place it came in, with exactly the flags the oracle gives
+//! it over the collected whole.
 //!
 //! Reads are generated where co-location is exact (the leftmost end of a
 //! fragment is never soft-clipped and mates do not overlap), so "duplicates
@@ -41,8 +42,8 @@ impl Gen {
         self.rng.next_u64() % n
     }
 
-    /// One record; `tlen` is its serial number, the identity the battery
-    /// follows it by through any repartitioning.
+    /// One record; `tlen` is its serial number, which the oracle's verdict
+    /// over the collected whole is looked up by.
     fn push(&mut self, name: &str, flags: u16, own: (u32, u64), mate: (u32, u64), cigar: &str, qual: u8) {
         let serial = self.out.len() as i64;
         self.out.push(SamRecord {
@@ -195,14 +196,18 @@ fn run_process(cfg: EngineConfig, input: &[Vec<SamRecord>], cell: &str) -> Vec<V
         .collect()
 }
 
-fn assert_flags(cell: &str, got: &[Vec<SamRecord>], want: &[SamFlags]) {
-    let mut seen = vec![false; want.len()];
-    for r in got.iter().flatten() {
-        let id = serial(r);
-        assert!(!std::mem::replace(&mut seen[id], true), "[{cell}] record {id} came out twice");
-        assert_eq!(r.flags, want[id], "[{cell}] record {id} ({}) flags", r.name);
+/// Every record where it was — same partition, same place — and nothing
+/// about it changed but 0x400, which is the oracle's.
+fn assert_flags(cell: &str, got: &[Vec<SamRecord>], input: &[Vec<SamRecord>], want: &[SamFlags]) {
+    assert_eq!(got.len(), input.len(), "[{cell}] partition count");
+    for (p, (got, input)) in got.iter().zip(input).enumerate() {
+        assert_eq!(got.len(), input.len(), "[{cell}] partition {p} gained or lost records");
+        for (g, i) in got.iter().zip(input) {
+            let mut expected = i.clone();
+            expected.flags = want[serial(i)];
+            assert!(*g == expected, "[{cell}] partition {p}: {g:?}, expected {expected:?}");
+        }
     }
-    assert!(seen.iter().all(|s| *s), "[{cell}] a record was lost");
 }
 
 #[test]
@@ -220,20 +225,20 @@ fn whole_slice_mark_duplicates_is_the_oracle() {
 
 #[test]
 fn the_process_flags_every_record_as_the_oracle_does_over_the_whole() {
-    let configs: [(&str, fn() -> EngineConfig); 3] =
-        [("java", EngineConfig::java), ("kryo", EngineConfig::kryo), ("gpf", EngineConfig::gpf)];
+    let configs = [EngineConfig::java(), EngineConfig::kryo(), EngineConfig::gpf()];
     for (nparts, sites) in [(1usize, 40usize), (12, 160)] {
         let input = read_set(0x2018 + nparts as u64, sites, nparts);
         let want = oracle_flags(&input);
         let footprint: u64 = input.iter().map(|p| p.resident_bytes() as u64).sum();
-        for (kind, cfg) in configs {
+        for base in &configs {
+            let kind = base.serializer;
             for plan in [None, Some(FaultPlan::seeded(0xd0b1e, 100))] {
                 // One partition is one whole-partition restore: only the
                 // many-partition geometry has a quarter budget that fits.
                 let budgets: &[Option<u64>] = if nparts == 1 { &[None] } else { &[None, Some(footprint / 4)] };
                 for &budget in budgets {
-                    let cell = format!("{nparts} parts, {kind}, faults {}, budget {budget:?}", plan.is_some());
-                    let mut cfg = cfg().with_parallelism(nparts);
+                    let cell = format!("{nparts} parts, {kind:?}, faults {}, budget {budget:?}", plan.is_some());
+                    let mut cfg = base.clone().with_parallelism(nparts);
                     if let Some(plan) = &plan {
                         cfg = cfg.with_faults(plan.clone());
                     }
@@ -241,7 +246,7 @@ fn the_process_flags_every_record_as_the_oracle_does_over_the_whole() {
                         cfg = cfg.with_memory_budget(bytes);
                     }
                     let got = run_process(cfg, &input, &cell);
-                    assert_flags(&cell, &got, &want);
+                    assert_flags(&cell, &got, &input, &want);
                 }
             }
         }

@@ -236,30 +236,33 @@ fn pipeline_records_three_phases() {
 }
 
 /// Faults off and no budget: every shuffle whose input is a temporary of
-/// the Process that runs it — MarkDuplicate's keyed reads, the
-/// Repartitioner's map-side combine, `build_bundles`' keyed FASTA, VCF and
-/// SAM — *moves* its partitions. No shuffle in this pipeline reads a
-/// Resource-held dataset directly, so the only one left cloning is the
-/// `sortByKey` of the calls in `HaplotypeCallerProcess::finalize`: it stays
-/// on the borrowed operator (its input is a few dozen keyed `VcfRecord`s,
-/// one partition per final partition).
+/// the Process that runs it — MarkDuplicate's signatures, the Repartitioner's
+/// map-side combine, `build_bundles`' keyed FASTA — *moves* its partitions
+/// (each map task frees the one it serialized). The shuffles that read a
+/// Resource-held dataset — `build_bundles`' known sites and reads, routed
+/// directly, and the `sortByKey` of the calls — *borrow* it where it sits.
+/// No read is shuffled to be de-duplicated, and no shuffle copies a record
+/// to key or route it.
 #[test]
-fn shuffle_move_accounting_clones_only_the_call_sort() {
+fn shuffle_move_accounting_moves_temporaries_and_borrows_resources() {
     let s = setup();
     let count = |name: &str| {
         gpf_trace::counters_snapshot().iter().find(|(n, _)| *n == name).map_or(0, |(_, v)| *v)
     };
+    use gpf_trace::names::{
+        SHUFFLE_PARTITIONS_BORROWED as BORROWED, SHUFFLE_PARTITIONS_CLONED as CLONED,
+        SHUFFLE_PARTITIONS_MOVED as MOVED,
+    };
     let _one = ONE_PIPELINE.lock().unwrap_or_else(|e| e.into_inner());
     gpf_trace::set_enabled(true);
-    let before =
-        (count(gpf_trace::names::SHUFFLE_PARTITIONS_MOVED), count(gpf_trace::names::SHUFFLE_PARTITIONS_CLONED));
+    let before = [MOVED, BORROWED, CLONED].map(count);
     let (calls, _, fused, repartition) = run_pipeline_unlocked(&s, true);
-    let moved = count(gpf_trace::names::SHUFFLE_PARTITIONS_MOVED) - before.0;
-    let cloned = count(gpf_trace::names::SHUFFLE_PARTITIONS_CLONED) - before.1;
+    let [moved, borrowed, cloned] = [MOVED, BORROWED, CLONED].map(count);
     gpf_trace::set_enabled(false);
     assert_eq!(fused, 1);
     assert_eq!(calls.len(), PINNED_CALLS);
-    // Five moved shuffles, each over the six input partitions.
-    assert_eq!(moved, 5 * 6, "partitionByKey x4 and reduceByKey move their input");
-    assert_eq!(cloned, repartition.partitions, "only sortByKey's input is cloned");
+    // Each over the six input partitions.
+    assert_eq!(moved - before[0], 3 * 6, "the signatures, the combined counts and the keyed FASTA");
+    assert_eq!(borrowed - before[1], 2 * 6 + repartition.partitions, "known sites, reads, calls");
+    assert_eq!(cloned - before[2], 0, "only a budget-tracked input is gathered by cloning");
 }

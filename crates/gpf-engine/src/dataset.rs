@@ -148,9 +148,9 @@ fn restore_mode(any_tracked: bool) -> Mode {
     }
 }
 
-/// A stage's input taken *by value* — the one place that decides whether
-/// a consuming operator moves its records or clones them, for the shuffle
-/// and the `into_*` narrow operators alike.
+/// A stage's input taken *by value* — the one place that decides how a
+/// consuming operator reaches its records, for the shuffle and the `into_*`
+/// narrow operators alike.
 ///
 /// It observes two things. **Ownership**: only a plain input whose `Arc`
 /// this was the last handle to can be taken apart. **Faults**: with a fault
@@ -159,9 +159,10 @@ fn restore_mode(any_tracked: bool) -> Mode {
 /// Sole-owned, plain and faults off ⇒ `Owned`: each partition sits in a
 /// cell that exactly one task invocation empties.
 /// Anything else — shared, budget-tracked, or faults on — ⇒ `Shared`: tasks
-/// borrow, stream or restore exactly as the borrowed operators do and clone
-/// what they keep, so a tracked restore keeps [`restore_mode`]'s
-/// one-at-a-time admission.
+/// borrow, stream or restore exactly as the borrowed operators do, so a
+/// tracked restore keeps [`restore_mode`]'s one-at-a-time admission. An
+/// operator that hands records on by value clones them; the shuffle, which
+/// only reads them, does not.
 pub(crate) enum TaskSource<T> {
     Owned(Vec<Mutex<Vec<T>>>),
     Shared(Parts<T>),
@@ -178,8 +179,30 @@ impl<T: Clone> TaskSource<T> {
         }
     }
 
-    pub(crate) fn is_owned(&self) -> bool {
-        matches!(self, TaskSource::Owned(_))
+    /// The `shuffle.partitions.*` counter naming how [`TaskSource::with_part`]
+    /// reaches a partition: taken and freed, read in place, or gathered
+    /// from a budget-tracked store's chunks.
+    pub(crate) fn access_counter(&self) -> &'static str {
+        match self {
+            TaskSource::Owned(_) => tn::SHUFFLE_PARTITIONS_MOVED,
+            TaskSource::Shared(Parts::Plain(_)) => tn::SHUFFLE_PARTITIONS_BORROWED,
+            TaskSource::Shared(Parts::Tracked(_)) => tn::SHUFFLE_PARTITIONS_CLONED,
+        }
+    }
+
+    /// Run `f` over partition `i` as one slice, read by reference. An owned
+    /// partition is taken out of its cell and dropped when `f` returns; a
+    /// shared plain one is borrowed where it sits. A tracked partition is
+    /// gathered from its streamed chunks — a chunk is a spill frame decoded
+    /// into a buffer the next frame reuses, so it cannot be borrowed past
+    /// the callback, and restoring the partition instead would charge the
+    /// ledger and serialize the stage.
+    pub(crate) fn with_part<R>(&self, i: usize, f: impl FnOnce(&[T]) -> R) -> R {
+        match self {
+            TaskSource::Owned(cells) => f(&std::mem::take(&mut *cells[i].lock())),
+            TaskSource::Shared(Parts::Plain(v)) => f(&v[i]),
+            TaskSource::Shared(tracked) => f(&tracked.part_to_vec(i)),
+        }
     }
 
     /// Partition `i` by value, chunk by chunk and never restored: the whole
@@ -453,17 +476,20 @@ impl<T: Send + Sync + 'static> Dataset<T> {
     /// outputs and is applied once per partition for plain (or resident)
     /// partitions but once per spill frame for evicted ones — a map stage
     /// over an evicted partition never materializes it, charges nothing to
-    /// the ledger, and so stays parallel under any budget.
+    /// the ledger, and so stays parallel under any budget. `f` receives
+    /// `(partition, offset of the chunk within it, chunk)`.
     fn narrow_op_chunked<U: Send + Sync + 'static>(
         &self,
         label: &str,
-        f: impl Fn(&[T]) -> Vec<U> + Send + Sync,
+        f: impl Fn(usize, usize, &[T]) -> Vec<U> + Send + Sync,
     ) -> Dataset<U> {
         narrow_stage(&self.ctx, self.parts.num(), label, Mode::Parallel, |i, task| {
             task.run(AllocTag::Task, || {
                 let mut out = Vec::new();
+                let mut offset = 0usize;
                 self.parts.stream(i, &mut |chunk| {
-                    let mut mapped = f(chunk);
+                    let mut mapped = f(i, offset, chunk);
+                    offset += chunk.len();
                     // A one-chunk partition hands its output over as is.
                     if out.is_empty() {
                         out = mapped;
@@ -481,7 +507,7 @@ impl<T: Send + Sync + 'static> Dataset<T> {
         &self,
         f: impl Fn(&T) -> U + Send + Sync,
     ) -> Dataset<U> {
-        self.narrow_op_chunked("map", move |p| p.iter().map(&f).collect())
+        self.narrow_op_chunked("map", move |_, _, p| p.iter().map(&f).collect())
     }
 
     /// Element-to-many transform.
@@ -489,7 +515,21 @@ impl<T: Send + Sync + 'static> Dataset<T> {
         &self,
         f: impl Fn(&T) -> I + Send + Sync,
     ) -> Dataset<U> {
-        self.narrow_op_chunked("flatMap", move |p| p.iter().flat_map(&f).collect())
+        self.narrow_op_chunked("flatMap", move |_, _, p| p.iter().flat_map(&f).collect())
+    }
+
+    /// [`Dataset::flat_map`] whose `f` also learns where each record sits:
+    /// `f(partition, index within the partition, record)`. Element-wise like
+    /// `flat_map` — an evicted partition is streamed, never restored — so a
+    /// stage can name records by position for a later stage over the same
+    /// dataset to find again, without moving them.
+    pub fn flat_map_indexed<U: Send + Sync + 'static, I: IntoIterator<Item = U>>(
+        &self,
+        f: impl Fn(usize, usize, &T) -> I + Send + Sync,
+    ) -> Dataset<U> {
+        self.narrow_op_chunked("flatMap", move |part, offset, p| {
+            p.iter().enumerate().flat_map(|(k, t)| f(part, offset + k, t)).collect()
+        })
     }
 
     /// Keep records matching the predicate.
@@ -497,7 +537,7 @@ impl<T: Send + Sync + 'static> Dataset<T> {
     where
         T: Clone,
     {
-        self.narrow_op_chunked("filter", move |p| p.iter().filter(|t| f(t)).cloned().collect())
+        self.narrow_op_chunked("filter", move |_, _, p| p.iter().filter(|t| f(t)).cloned().collect())
     }
 
     /// Whole-partition transform.
@@ -516,6 +556,18 @@ impl<T: Send + Sync + 'static> Dataset<T> {
         self.narrow_op("mapPartitionsWithIndex", f)
     }
 
+    /// Close the open stage as a driver-bound action, charging every
+    /// partition's serialized size as driver traffic.
+    fn close_stage_to_driver(&self)
+    where
+        T: GpfSerialize,
+    {
+        let t0 = now_ns();
+        let per_partition = self.serialized_part_bytes(self.ctx.serializer());
+        self.ctx.record_serde(now_ns().saturating_sub(t0) as f64 * 1e-9);
+        self.ctx.close_stage_collect("collect", per_partition);
+    }
+
     /// Collect every record to the driver — an *action* that closes the
     /// stage and charges the serialized result size as driver traffic.
     pub fn collect(&self) -> Vec<T>
@@ -525,11 +577,43 @@ impl<T: Send + Sync + 'static> Dataset<T> {
         if self.ctx.has_failed() {
             return Vec::new();
         }
-        let t0 = now_ns();
-        let per_partition = self.serialized_part_bytes(self.ctx.serializer());
-        self.ctx.record_serde(now_ns().saturating_sub(t0) as f64 * 1e-9);
-        self.ctx.close_stage_collect("collect", per_partition);
+        self.close_stage_to_driver();
         self.collect_local()
+    }
+
+    /// [`Dataset::collect`] for a result that is one value folded from every
+    /// record — Spark's `aggregate`: the same action with the same
+    /// accounting, but no record is copied to the driver. Contiguous groups
+    /// of partitions are folded in parallel (`fold` must be associative and
+    /// commutative over the records for the grouping not to show), one
+    /// accumulator per worker, and the driver merges those few.
+    pub fn aggregate<A: Send>(
+        &self,
+        zero: impl Fn() -> A + Sync,
+        fold: impl Fn(&mut A, &T) + Sync,
+        merge: impl Fn(&mut A, A),
+    ) -> A
+    where
+        T: GpfSerialize,
+    {
+        if self.ctx.has_failed() {
+            return zero();
+        }
+        self.close_stage_to_driver();
+        let n = self.parts.num();
+        let groups = par::max_threads().min(n).max(1);
+        let partials = par::map_range(groups, |g| {
+            let mut acc = zero();
+            for i in g * n / groups..(g + 1) * n / groups {
+                self.parts.stream(i, &mut |chunk| chunk.iter().for_each(|t| fold(&mut acc, t)));
+            }
+            acc
+        });
+        let merged = partials.into_iter().reduce(|mut acc, partial| {
+            merge(&mut acc, partial);
+            acc
+        });
+        merged.unwrap_or_else(zero)
     }
 
     /// Concatenate all partitions without any accounting (test/diagnostic
@@ -696,9 +780,11 @@ impl<T: Send + Sync + 'static> Dataset<T> {
     }
 
     /// Consuming [`Dataset::partition_by`]: when this handle holds the last
-    /// reference to its partitions, every record is *moved* into its shuffle
-    /// bucket instead of cloned. Use it when the source dataset is not
-    /// needed afterwards (the common case for pipeline intermediates).
+    /// reference to its partitions, each map task frees its input partition
+    /// as soon as it has serialized it, instead of the whole input living
+    /// until the shuffle ends. Use it when the source dataset is not needed
+    /// afterwards (the common case for pipeline intermediates). Neither
+    /// form copies a record of a plain input.
     pub fn into_partition_by(
         self,
         nparts: usize,
@@ -830,7 +916,7 @@ where
         let combined = self.narrow_op("mapSideCombine", |_, p| fold_by_key(p, &f));
         // `combined` is a freshly built intermediate nobody else references,
         // so destructuring it hands the shuffle sole ownership of the
-        // partitions and the map side moves records instead of cloning.
+        // partitions and each map task frees the one it serialized.
         let Dataset { ctx, parts } = combined;
         let shuffled = shuffle(&ctx, parts, nparts, "reduceByKey", |kv: &(K, V)| {
             (stable_hash(&kv.0) % nparts as u64) as usize
@@ -878,9 +964,9 @@ where
         })
     }
 
-    /// Consuming [`Dataset::partition_by_key`]: records are moved through
-    /// the map side when this handle holds the last reference to its
-    /// partitions.
+    /// Consuming [`Dataset::partition_by_key`]: input partitions are freed
+    /// by the map tasks that serialized them when this handle holds the
+    /// last reference to them.
     pub fn into_partition_by_key(
         self,
         nparts: usize,
@@ -1169,18 +1255,19 @@ mod tests {
         let p = d.into_partition_by(4, |x| (*x % 4) as usize);
         assert_eq!(p.len(), 64);
         let moved1 = get("shuffle.partitions.moved");
-        // A shared handle forces the clone fallback.
-        let cloned0 = get("shuffle.partitions.cloned");
+        // A shared handle is read where it sits.
+        let borrowed0 = get("shuffle.partitions.borrowed");
         let d2 = Dataset::from_vec(ctx(), (0u64..64).collect(), 4);
-        let _keep = d2.clone();
+        let keep = d2.clone();
         let p2 = d2.into_partition_by(4, |x| (*x % 4) as usize);
         assert_eq!(p2.len(), 64);
-        let cloned1 = get("shuffle.partitions.cloned");
+        let borrowed1 = get("shuffle.partitions.borrowed");
         gpf_trace::set_enabled(false);
         // Deltas are >= because other concurrently running tests may also
         // shuffle while tracing is on.
-        assert!(moved1 >= moved0 + 4, "sole-owner shuffle should take the move path");
-        assert!(cloned1 >= cloned0 + 4, "shared partitions must fall back to cloning");
+        assert!(moved1 >= moved0 + 4, "sole-owner shuffle should take its partitions");
+        assert!(borrowed1 >= borrowed0 + 4, "shared partitions are borrowed");
+        assert_eq!(keep.collect_local(), (0u64..64).collect::<Vec<_>>(), "and left as they were");
     }
 
     /// A record that counts its clones.
@@ -1190,6 +1277,71 @@ mod tests {
         fn clone(&self) -> Self {
             self.1.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
             Counted(self.0, Arc::clone(&self.1))
+        }
+    }
+
+    impl GpfSerialize for Counted {
+        fn write(&self, w: &mut gpf_compress::ByteWriter) {
+            w.write_u64(self.0);
+        }
+        fn read(r: &mut gpf_compress::ByteReader<'_>) -> Result<Self, gpf_compress::CodecError> {
+            Ok(Counted(r.read_u64()?, Arc::default()))
+        }
+    }
+
+    #[test]
+    fn a_plain_shuffle_input_is_serialized_by_reference_owned_or_shared() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let clones = Arc::new(AtomicUsize::new(0));
+        for shared in [false, true] {
+            let items: Vec<Counted> = (0u64..40).rev().map(|i| Counted(i, Arc::clone(&clones))).collect();
+            let d = Dataset::from_vec(ctx(), items, 4);
+            let keep = shared.then(|| d.clone());
+            let p = d.into_partition_by(3, |c| (c.0 % 3) as usize);
+            assert_eq!(clones.load(Ordering::SeqCst), 0, "shared {shared}: no record is copied to be routed");
+            for t in 0..3 {
+                let got: Vec<u64> = p.partition(t).iter().map(|c| c.0).collect();
+                let want: Vec<u64> = (0u64..40).rev().filter(|i| i % 3 == t as u64).collect();
+                assert_eq!(got, want, "shared {shared}: bucket {t} keeps source order");
+            }
+            if let Some(keep) = keep {
+                let left: Vec<u64> = (0..4).flat_map(|i| keep.partition(i).iter().map(|c| c.0).collect::<Vec<_>>()).collect();
+                assert_eq!(left, (0u64..40).rev().collect::<Vec<_>>(), "the input is not permuted");
+            }
+        }
+    }
+
+    #[test]
+    fn flat_map_indexed_names_positions_across_streamed_frames() {
+        // Two 3000-record partitions under a budget far below one: both
+        // spill at build and stream back in three frames each.
+        let c = EngineContext::new(EngineConfig::default().with_memory_budget(64));
+        let d = Dataset::from_vec(Arc::clone(&c), (0u64..6000).collect(), 2).evictable();
+        assert_eq!(d.spilled_partitions(), 2);
+        let at = d.flat_map_indexed(|part, index, x| (x % 2 == 0).then_some((part, index, *x)));
+        assert!(c.take_budget_breach().is_none(), "an element-wise operator never restores");
+        let want: Vec<(usize, usize, u64)> =
+            (0u64..6000).filter(|x| x % 2 == 0).map(|x| ((x / 3000) as usize, (x % 3000) as usize, x)).collect();
+        assert_eq!(at.collect_local(), want);
+    }
+
+    #[test]
+    fn aggregate_folds_every_record_with_collects_accounting() {
+        let (c1, c2) = (ctx(), ctx());
+        let data: Vec<u64> = (0u64..1000).collect();
+        // More partitions than workers, as many or fewer, one, and none
+        // that hold a record.
+        for parts in [37, 2, 1] {
+            let d = Dataset::from_vec(Arc::clone(&c1), data.clone(), parts);
+            let sum = d.aggregate(|| 0u64, |acc, x| *acc += x, |acc, other| *acc += other);
+            assert_eq!(sum, data.iter().sum::<u64>(), "{parts} partitions");
+            assert_eq!(Dataset::from_vec(Arc::clone(&c2), data.clone(), parts).collect(), data);
+        }
+        let empty = Dataset::from_vec(Arc::clone(&c1), Vec::<u64>::new(), 3);
+        assert_eq!(empty.aggregate(|| 0u64, |acc, x| *acc += x, |acc, other| *acc += other), 0);
+        let (aggregated, collected) = (c1.take_run(), c2.take_run());
+        for (a, b) in aggregated.stages.iter().zip(&collected.stages) {
+            assert_eq!((a.kind, &a.label, &a.shuffle_write_bytes), (b.kind, &b.label, &b.shuffle_write_bytes));
         }
     }
 

@@ -4,21 +4,24 @@
 //! One implementation serves every configuration. What varies is decided
 //! from what the code can observe, not from a second code path:
 //!
-//! * a sole-owned plain input *moves* its records; a shared or
-//!   budget-tracked input streams and clones them (a tracked partition one
-//!   spill frame at a time, never restored whole) — decided once, by
-//!   [`TaskSource`], for the shuffle and the consuming narrow operators
+//! * the map side serializes its input *by reference*, wherever the records
+//!   sit: a shared plain input is borrowed in place, a sole-owned one is
+//!   taken and dropped by the task that serialized it, and a budget-tracked
+//!   one is gathered from its streamed chunks (one spill frame at a time,
+//!   never restored, so nothing is charged to the ledger) — decided once,
+//!   by [`TaskSource`], for the shuffle and the consuming narrow operators
 //!   alike;
 //! * with faults configured the input is retained as *lineage* (and
 //!   `TaskSource` never takes it), every segment is checksummed, and the
 //!   reduce side recomputes any segment that fails verification from its
 //!   owning input partition.
 //!
-//! Cost follows the records, not the geometry. A map task orders its
-//! records by target bucket and writes one segment per *run*, so it emits
-//! only its non-empty segments; the driver transposes those lists once into
-//! a per-reduce index ([`ReduceIndex`]). Nothing here is sized
-//! `nmaps x nparts`, and nothing a map task does is sized `nparts`.
+//! Cost follows the records, not the geometry. A map task orders
+//! `(target, index)` pairs — never the records — by target bucket and
+//! writes one segment per *run*, so it emits only its non-empty segments;
+//! the driver transposes those lists once into a per-reduce index
+//! ([`ReduceIndex`]). Nothing here is sized `nmaps x nparts`, and nothing a
+//! map task does is sized `nparts`.
 //!
 //! The pre-optimization shuffle (clone per record, a buffer per bucket)
 //! survives as a pure function in `tests/shuffle_oracle/`, which
@@ -31,8 +34,7 @@ use crate::fault::{corrupt_bit, FaultKind, FaultPlan, FaultSurface};
 use crate::frame::{fnv64, verify_decode};
 use crate::task::{run_stage, Mode};
 use crate::timing::TaskTimer;
-use gpf_compress::serializer::serialize_batch_into;
-use gpf_compress::{GpfSerialize, SerializerKind};
+use gpf_compress::{ByteWriter, GpfSerialize, SerializerKind};
 use gpf_support::sync::Mutex;
 use gpf_trace::alloc::{self, AllocTag};
 use gpf_trace::names as tn;
@@ -135,12 +137,12 @@ fn scratch_put(mut buf: Vec<u8>) {
     }
 }
 
-/// Route every record and reorder `items` by target bucket — stably, so
-/// the per-source order inside a bucket is unchanged. Returns, per record in
-/// the new order, `(target, position)`; equal targets are adjacent, which is
-/// what [`serialize_runs`] cuts segments from.
+/// Route every record of `items` and return `(target, index)` pairs ordered
+/// by target bucket — stably, so the per-source order inside a bucket is
+/// unchanged. Equal targets are adjacent, which is what [`serialize_runs`]
+/// cuts segments from; the records themselves stay where they are.
 fn order_by_bucket<T>(
-    items: &mut [T],
+    items: &[T],
     nparts: usize,
     route: &(impl Fn(&T) -> usize + Send + Sync),
 ) -> Vec<(usize, usize)> {
@@ -153,31 +155,17 @@ fn order_by_bucket<T>(
             (target, i)
         })
         .collect();
-    if order.is_sorted() {
-        return order;
-    }
-    // Positions are distinct, so the unstable sort is a stable one.
-    order.sort_unstable();
-    // `order[k].1` names the record that belongs at `k`: apply that
-    // permutation in place, one swap per displaced record, marking a slot
-    // placed by pointing it at itself.
-    for start in 0..order.len() {
-        let mut k = start;
-        loop {
-            let src = std::mem::replace(&mut order[k].1, k);
-            if src == start {
-                break;
-            }
-            items.swap(k, src);
-            k = src;
-        }
+    if !order.is_sorted() {
+        // Indices are distinct, so the unstable sort is a stable one.
+        order.sort_unstable();
     }
     order
 }
 
-/// Serialize each run of equal targets in `items` (ordered by
-/// [`order_by_bucket`]) back-to-back into one pooled buffer, recording a
-/// [`BucketSeg`] per run as it is written.
+/// Serialize each run of equal targets in `order` (from
+/// [`order_by_bucket`]) back-to-back into one pooled buffer, each record
+/// written from where it sits in `items`, recording a [`BucketSeg`] per run
+/// as it is written. One writer serves every run of the task.
 fn serialize_runs<T: GpfSerialize>(
     kind: SerializerKind,
     items: &[T],
@@ -188,11 +176,11 @@ fn serialize_runs<T: GpfSerialize>(
     if items.is_empty() {
         return (Vec::new(), Vec::new());
     }
-    let mut data = scratch_take();
     // Serialization allocations (scratch growth, codec temporaries) charge
     // the serde heap tag; one scope per map task keeps this off the
     // per-segment hot path.
     let _serde_scope = alloc::scope(AllocTag::Serde);
+    let mut w = ByteWriter::appending(kind, scratch_take());
     let mut segs = Vec::new();
     // Segment stats accumulate locally and merge into the registry once
     // per task: even an uncontended per-segment `fetch_add` shows up in the
@@ -202,24 +190,21 @@ fn serialize_runs<T: GpfSerialize>(
     } else {
         None
     };
-    let mut at = 0usize;
     for run in order.chunk_by(|a, b| a.0 == b.0) {
-        let bucket = &items[at..at + run.len()];
-        at += run.len();
-        let offset = data.len();
-        let len = serialize_batch_into(kind, bucket, &mut data);
+        let offset = w.buf.len();
+        let len = w.write_batch(run.iter().map(|&(_, i)| &items[i]));
         if let Some((by, recs)) = &mut stats {
             by.record(len as u64);
-            recs.record(bucket.len() as u64);
+            recs.record(run.len() as u64);
         }
-        let checksum = with_checksum.then(|| fnv64(&data[offset..offset + len]));
-        segs.push((run[0].0, BucketSeg { offset, len, records: bucket.len(), checksum }));
+        let checksum = with_checksum.then(|| fnv64(&w.buf[offset..offset + len]));
+        segs.push((run[0].0, BucketSeg { offset, len, records: run.len(), checksum }));
     }
     if let Some((by, recs)) = &stats {
         gpf_trace::histogram(tn::SHUFFLE_BUCKET_BYTES).merge(by);
         gpf_trace::histogram(tn::SHUFFLE_BUCKET_RECORDS).merge(recs);
     }
-    (data, segs)
+    (w.buf, segs)
 }
 
 /// Bucket corruption is injected driver-side, after the map side
@@ -255,8 +240,8 @@ fn inject_bucket_corruption(
 /// Takes the partitions by value: when the caller held the only reference
 /// (consuming APIs like [`Dataset::into_partition_by`] or internal
 /// intermediates like `reduceByKey`'s map-side combine) and faults are off,
-/// records are *moved* through the map side; otherwise each record is
-/// cloned exactly once.
+/// each map task frees its input partition as soon as it is serialized; a
+/// shared input is read where it sits. No record is copied either way.
 pub(crate) fn shuffle<T>(
     ctx: &Arc<EngineContext>,
     parts: Parts<T>,
@@ -279,28 +264,16 @@ where
     let lineage: Option<Parts<T>> = faults.map(|_| parts.clone());
     let source = TaskSource::new(ctx, parts);
     if gpf_trace::enabled() {
-        let counter = if source.is_owned() {
-            tn::SHUFFLE_PARTITIONS_MOVED
-        } else {
-            tn::SHUFFLE_PARTITIONS_CLONED
-        };
-        gpf_trace::counter(counter).add(n_in as u64);
+        gpf_trace::counter(source.access_counter()).add(n_in as u64);
     }
 
     let map_task = |i: usize| -> MapTaskOut {
-        let mut items: Vec<T> = Vec::new();
-        source.for_each_chunk(i, &mut |mut chunk| {
-            // A plain partition is exactly one chunk and is adopted as is.
-            if items.is_empty() {
-                items = chunk;
-            } else {
-                items.append(&mut chunk);
-            }
-        });
-        let order = order_by_bucket(&mut items, nparts, &route);
-        let t1 = TaskTimer::start();
-        let (data, segs) = serialize_runs(kind, &items, &order, lineage.is_some());
-        MapTaskOut { data, segs, ser_s: t1.elapsed_s() }
+        source.with_part(i, |items| {
+            let order = order_by_bucket(items, nparts, &route);
+            let t1 = TaskTimer::start();
+            let (data, segs) = serialize_runs(kind, items, &order, lineage.is_some());
+            MapTaskOut { data, segs, ser_s: t1.elapsed_s() }
+        })
     };
     let failed = || Dataset::failed(ctx, nparts);
     let Some(mut map_out) = run_stage(

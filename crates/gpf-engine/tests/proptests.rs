@@ -14,9 +14,10 @@ fn ctx() -> std::sync::Arc<EngineContext> {
     EngineContext::new(EngineConfig::default())
 }
 
-/// Hold the engine's one shuffle to the oracle on both of its map-side
-/// paths — a borrowed input (every record cloned) and a consumed sole-owner
-/// input (every record moved): the same records partition for partition,
+/// Hold the engine's one shuffle to the oracle through both of its entry
+/// points — a borrowed input (serialized where it sits) and a consumed
+/// sole-owner input (each partition freed by the task that serialized it):
+/// the same records partition for partition,
 /// and the same bytes per map task written and per reduce task read.
 /// `evictable` puts the input under `cfg`'s memory budget first, so the map
 /// side streams spill frames and the output is read back by streaming.
@@ -47,7 +48,7 @@ where
     let p_mv = dataset(&c_mv).into_partition_by(nparts, route);
     let run_mv = c_mv.take_run();
 
-    for (path, c, p, run) in [("clone", &c_new, &p_new, &run_new), ("move", &c_mv, &p_mv, &run_mv)] {
+    for (path, c, p, run) in [("borrowed", &c_new, &p_new, &run_new), ("consumed", &c_mv, &p_mv, &run_mv)] {
         prop_assert!(c.take_budget_breach().is_none(), "{} path: a streamed shuffle breached", path);
         prop_assert!(c.take_failure().is_none(), "{} path: the shuffle failed", path);
         prop_assert_eq!(p.num_partitions(), nparts);
@@ -130,8 +131,8 @@ fn router(route: Route, nparts: usize) -> impl Fn(&Rec) -> usize + Send + Sync +
 
 /// The geometries a dense `nmaps x nparts` segment index made too costly to
 /// sweep: every width pair, with entirely empty maps, every record in one
-/// bucket and one record per bucket, for each serializer kind, on the move
-/// path and the clone path.
+/// bucket and one record per bucket, for each serializer kind, borrowed
+/// and consumed.
 #[test]
 fn sparse_geometries_agree_with_the_oracle() {
     for cfg in serializer_configs() {
@@ -155,9 +156,9 @@ fn sparse_geometries_agree_with_the_oracle() {
 }
 
 /// The same geometries with the input under a budget of a quarter of its
-/// footprint: the map side streams spill frames (a tracked input is never
-/// moved), the output is tracked too, and nothing about records or bytes
-/// may change.
+/// footprint: the map side gathers streamed spill frames (a tracked input
+/// is never taken apart), the output is tracked too, and nothing about
+/// records or bytes may change.
 #[test]
 fn sparse_geometries_agree_with_the_oracle_under_a_quarter_budget() {
     for cfg in serializer_configs() {

@@ -561,6 +561,7 @@ pub const KNOWN_METRIC_NAMES: &[&str] = &[
     "repartition.splits",
     "shuffle.bucket.bytes",
     "shuffle.bucket.records",
+    "shuffle.partitions.borrowed",
     "shuffle.partitions.cloned",
     "shuffle.partitions.moved",
     "shuffle.recomputed",

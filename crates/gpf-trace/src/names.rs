@@ -73,9 +73,14 @@ pub const SHUFFLE_RECOMPUTED: &str = "shuffle.recomputed";
 pub const SHUFFLE_SCRATCH_REUSED: &str = "shuffle.scratch.reused";
 /// Shuffle scratch buffers freshly allocated.
 pub const SHUFFLE_SCRATCH_ALLOCATED: &str = "shuffle.scratch.allocated";
-/// Partitions scattered by move (sole owner).
+/// Shuffle input partitions taken by the map task that serialized them and
+/// freed there (sole owner).
 pub const SHUFFLE_PARTITIONS_MOVED: &str = "shuffle.partitions.moved";
-/// Partitions scattered by clone (shared input).
+/// Shuffle input partitions serialized where they sit (shared plain input,
+/// or any plain input kept as lineage under a fault plan).
+pub const SHUFFLE_PARTITIONS_BORROWED: &str = "shuffle.partitions.borrowed";
+/// Shuffle input partitions gathered, record by record, from a
+/// budget-tracked store's streamed chunks.
 pub const SHUFFLE_PARTITIONS_CLONED: &str = "shuffle.partitions.cloned";
 
 /// Bytes allocated while heap tracking was active (all threads).
@@ -169,6 +174,7 @@ pub const ALL_COUNTERS: &[&str] = &[
     REPARTITION_MERGED,
     REPARTITION_MOVED,
     REPARTITION_SPLITS,
+    SHUFFLE_PARTITIONS_BORROWED,
     SHUFFLE_PARTITIONS_CLONED,
     SHUFFLE_PARTITIONS_MOVED,
     SHUFFLE_RECOMPUTED,

@@ -12,7 +12,8 @@
 # benchmark against the parent commit (benchmark/README.md), measured on a
 # quiet host, not here; recovery, the memory budget and the skew split are
 # defended by plain tests (crates/gpf-bench/tests/pipeline_gates.rs) that
-# run with the workspace's.
+# run with the workspace's, as do the differential batteries (the shuffle,
+# MarkDuplicate, codec, kernel and BQSR oracles under crates/*/tests/).
 #
 # Usage:
 #   scripts/ci.sh          # quick + gpf-check model check + clippy +
@@ -20,7 +21,7 @@
 #   scripts/ci.sh quick    # -D warnings build + gpf-lint + tests (workspace
 #                          # and benchmark/), plus one short benchmark run
 #                          # for its checks and three children for the
-#                          # pinned VCF digests
+#                          # pinned VCF digests, shuffle bytes and stages
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -59,26 +60,33 @@ if [[ "$bench_line" != *'"correct": true'* || "$bench_line" != *'"failed": 0,'* 
     exit 1
 fi
 
-echo "== repo benchmark (VCF digests of genome 6054, pinned across commits) =="
+echo "== repo benchmark (genome 6054: VCF digests, shuffle bytes and stage count, pinned across commits) =="
 # The run above only compares a commit with itself. This pins pipeline
 # output across commits: a kernel change that alters one VCF byte fails here
 # instead of at measurement time, and a change that means to move calls
 # updates the pin on purpose. The same generated genome goes through three
 # children: the fine geometry has its own pin (partition-dependent calls are
-# ROADMAP item 2), and a memory budget must not change a byte of clean-call.
+# ROADMAP item 2), and a memory budget must not change a byte of clean-call
+# — nor a shuffled byte nor a stage of it. The dataflow is pinned beside
+# the answer: `engine.shuffle_mb` and `engine.stages` repeat exactly, so a
+# change that shuffles more (or adds a stage) says so here by moving them.
 bench_exe="${CARGO_TARGET_DIR:-benchmark/target}/release/gpf-benchmark"
 bench_inputs="$(mktemp -d -t gpf_bench_inputs_XXXX)"
 "$bench_exe" gen --dir "$bench_inputs" --seed 6054
-for pin in clean-call:242c4063708960b1 clean-call-fine:b3cdabcc53910815 \
-    clean-call-tight-mem:242c4063708960b1; do
-    workload="${pin%%:*}" digest="${pin##*:}"
+for pin in clean-call:242c4063708960b1:4.523387908935547 \
+    clean-call-fine:b3cdabcc53910815:6.022452354431152 \
+    clean-call-tight-mem:242c4063708960b1:4.523387908935547; do
+    IFS=: read -r workload digest shuffle_mb <<<"$pin"
     bench_line="$("$bench_exe" child --workload "$workload" --dir "$bench_inputs" | tail -n 1)"
-    if [[ "$bench_line" != *"\"digest\": \"$digest\""* ]]; then
-        rm -rf "$bench_inputs"
-        echo "$workload on genome 6054 did not print digest $digest:" >&2
-        echo "${bench_line:0:200}" >&2
-        exit 1
-    fi
+    for want in "\"digest\": \"$digest\"" "\"engine.shuffle_mb\": $shuffle_mb," \
+        "\"engine.stages\": 10,"; do
+        if [[ "$bench_line" != *"$want"* ]]; then
+            rm -rf "$bench_inputs"
+            echo "$workload on genome 6054 did not print $want:" >&2
+            echo "$bench_line" | tr ',' '\n' | grep -E 'digest|engine\.(shuffle_mb|stages)' >&2
+            exit 1
+        fi
+    done
 done
 rm -rf "$bench_inputs"
 
