@@ -8,7 +8,7 @@ use gpf_cleaner::bqsr::{apply_recalibration, build_recal_table, RecalTable};
 use gpf_cleaner::mark_duplicates;
 use gpf_cleaner::realign::{find_realign_intervals, realign_interval};
 use gpf_core::partition::PartitionInfo;
-use gpf_core::process::{build_bundles, flatten_sams};
+use gpf_core::process::build_bundles;
 use gpf_engine::{Dataset, EngineContext, JobRun};
 use gpf_formats::sam::SamRecord;
 use gpf_formats::vcf::VcfRecord;
@@ -110,7 +110,7 @@ pub fn run_bqsr(flavor: Flavor, input: &KernelInput) -> JobRun {
         apply_recalibration(&mut out.sams, table.value());
         out
     });
-    let out = flatten_sams(&recal);
+    let out = recal.flat_map(|b| b.sams.clone());
     input.finish(&ctx, flavor, out)
 }
 
@@ -131,7 +131,7 @@ pub fn run_realign(flavor: Flavor, input: &KernelInput) -> JobRun {
         }
         out
     });
-    let out = flatten_sams(&realigned);
+    let out = realigned.flat_map(|b| b.sams.clone());
     input.finish(&ctx, flavor, out)
 }
 

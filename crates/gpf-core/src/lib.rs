@@ -9,8 +9,10 @@
 //! ## Programming model (§3)
 //!
 //! * [`resource`] — a **Resource** is the abstraction of data (RDDs,
-//!   numbers, headers), moving between *Undefined* and *Defined* states
-//!   (Figure 2). Concrete resources are the bundles: [`FastqPairBundle`],
+//!   numbers, headers), *Undefined* until filled, *Defined* while readable
+//!   (Figure 2), and *Released* once the last step that reads it has run —
+//!   the plan, not the user, decides lifetimes. Concrete resources are the
+//!   bundles: [`FastqPairBundle`],
 //!   [`SamBundle`], [`VcfBundle`], [`PartitionInfoBundle`].
 //! * [`process`] — a **Process** is an execution instance consuming input
 //!   Resources and defining output Resources. It is *Blocked* until every

@@ -14,6 +14,13 @@
 //! bundled RDD: FASTA/VCF partition RDDs are built once, and the
 //! merge → repartition → join round-trips between links disappear.
 //!
+//! The plan also decides Resource lifetimes: the last step that lists a
+//! Resource among its inputs is handed it (its `consume()` gets the bundle's
+//! own handle, so the operators downstream can move records instead of
+//! copying them), and the Resource is released when that step has run. A
+//! run therefore holds one copy of the reads at a time, not one per
+//! Resource; what no step reads — a result — stays Defined.
+//!
 //! Since PR 2, the scheduling decisions are made *statically*:
 //! [`Pipeline::check`] (backed by [`crate::validate`]) analyzes the
 //! Process/Resource graph up front, reports every defect at once, and —
@@ -22,10 +29,13 @@
 //! `run()` return [`PipelineError::Invalid`] before any dataset work
 //! starts, instead of stalling mid-flight.
 
-use crate::process::{build_bundles, Process};
+use crate::process::{build_bundles_owned, Process};
+use crate::resource::ResourceAny;
 use crate::validate::{self, Diagnostic, Severity, ValidationReport};
 use gpf_engine::EngineContext;
+use gpf_trace::names as tn;
 use gpf_trace::{instant_in, span_in, Category, TraceLog};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::Arc;
 
@@ -179,6 +189,12 @@ impl Pipeline {
     /// Validates first: a defective graph returns
     /// [`PipelineError::Invalid`] carrying every error-severity diagnostic
     /// before any dataset work starts.
+    ///
+    /// A run spends its inputs: every Resource a step reads is
+    /// [`crate::ResourceState::Released`] afterwards (only results stay
+    /// Defined), so a second `run()` over the same inputs is `Invalid` too —
+    /// [`crate::DiagnosticKind::ReleasedInput`] — unless they are defined
+    /// again first.
     pub fn run(&mut self) -> Result<(), PipelineError> {
         self.executed.clear();
         self.fused_chains.clear();
@@ -218,48 +234,57 @@ impl Pipeline {
             }
         }
 
+        // The plan decides lifetimes too: the last step that lists a
+        // Resource among its inputs is handed it, and once that step has run
+        // the Resource is released — so a run holds one copy of the reads,
+        // not one per Resource. A Resource no step reads (a result) is
+        // never released.
+        let mut last_reader: BTreeMap<String, usize> = BTreeMap::new();
+        for (k, chain) in plan.iter().enumerate() {
+            for r in chain.iter().flat_map(|&j| self.processes[j].input_resources()) {
+                last_reader.insert(r.name().to_string(), k);
+            }
+        }
+
         // The plan lists execution steps in dependency order; each step is a
         // §4.3 fusion chain (singletons run alone).
-        for chain in &plan {
-            let step_label: String = if chain.len() > 1 {
-                chain
-                    .iter()
-                    .map(|&j| self.processes[j].name())
-                    .collect::<Vec<_>>()
-                    .join("+")
-            } else {
-                chain.first().map(|&i| self.processes[i].name().to_string()).unwrap_or_default()
-            };
-            if chain.len() > 1 {
-                let members: Vec<String> =
-                    chain.iter().map(|&j| self.processes[j].name().to_string()).collect();
-                let label = members.join("+");
-                for name in &members {
-                    state_event(&log, name, state::READY);
-                    state_event(&log, name, state::RUNNING);
-                }
-                {
-                    let mut chain_span =
-                        span_in(&log, &format!("proc:{label}"), Category::Scheduler);
-                    chain_span.add_counter("fused", chain.len() as u64);
+        for (k, chain) in plan.iter().enumerate() {
+            let last_read_here: Vec<Arc<dyn ResourceAny>> = chain
+                .iter()
+                .flat_map(|&j| self.processes[j].input_resources())
+                .filter(|r| last_reader.get(r.name()) == Some(&k))
+                .collect();
+            let members: Vec<String> =
+                chain.iter().map(|&j| self.processes[j].name().to_string()).collect();
+            let step_label = members.join("+");
+            for name in &members {
+                state_event(&log, name, state::READY);
+                state_event(&log, name, state::RUNNING);
+            }
+            {
+                let mut proc_span =
+                    span_in(&log, &format!("proc:{step_label}"), Category::Scheduler);
+                last_read_here.iter().for_each(|r| r.hand_to(&step_label));
+                if let [i] = chain[..] {
+                    self.processes[i].execute(&self.ctx);
+                } else {
+                    proc_span.add_counter("fused", chain.len() as u64);
                     self.execute_fused(chain);
                 }
-                for name in &members {
-                    state_event(&log, name, state::DONE);
+                // Released whether or not the step consumed them — and
+                // whether or not it failed: nothing later reads them.
+                last_read_here.iter().for_each(|r| r.release(&step_label));
+                if gpf_trace::enabled() {
+                    self.note_resident(&mut proc_span);
                 }
-                self.fused_chains.push(members.clone());
-                self.executed.extend(members);
-            } else if let Some(&i) = chain.first() {
-                let name = self.processes[i].name().to_string();
-                state_event(&log, &name, state::READY);
-                state_event(&log, &name, state::RUNNING);
-                {
-                    let _proc_span = span_in(&log, &format!("proc:{name}"), Category::Scheduler);
-                    self.processes[i].execute(&self.ctx);
-                }
-                state_event(&log, &name, state::DONE);
-                self.executed.push(name);
             }
+            for name in &members {
+                state_event(&log, name, state::DONE);
+            }
+            if members.len() > 1 {
+                self.fused_chains.push(members.clone());
+            }
+            self.executed.extend(members);
             // A budget breach is the more specific failure: it may also have
             // aborted the task layer, so check it before the generic channel
             // and surface the operator/bytes detail instead of a retry tale.
@@ -292,32 +317,56 @@ impl Pipeline {
             return;
         };
         let info = first.partition_info().info();
-        let known = first.rod().map(|r| r.dataset());
+        let known = first.rod().map(|r| r.consume());
         let mut bundles = {
             let _build_span =
                 span_in(self.ctx.trace_log(), "bundles:build", Category::Scheduler);
-            build_bundles(
+            build_bundles_owned(
                 &self.ctx,
                 &first.reference(),
                 &info,
-                &first.input_sam().dataset(),
-                known.as_ref(),
+                first.input_sam().consume(),
+                known,
             )
             // Fused-chain bundles are the largest live allocation of the
             // WGS pipeline — under a memory budget they must be evictable
             // or no budget below the materialized size is feasible.
             .evictable()
         };
-        for (k, &i) in chain.iter().enumerate() {
+        let mut last = first;
+        for &i in chain {
             let Some(stage) = self.processes[i].as_bundle_stage() else {
                 debug_assert!(false, "fused chain member is not a bundle stage");
                 continue;
             };
             bundles = stage.run_on_bundles(&self.ctx, bundles);
-            // Intermediate SAM merges are exactly the redundancy the fusion
-            // removes — only the last link materializes outputs.
-            if k + 1 == chain.len() {
-                stage.finalize(&self.ctx, &bundles);
+            last = stage;
+        }
+        // Intermediate SAM merges are exactly the redundancy the fusion
+        // removes — only the last link materializes outputs.
+        last.finalize(&self.ctx, bundles);
+    }
+
+    /// Close a `proc:*` span with what is resident now that its step has
+    /// run: the process's resident set size, the live heap when allocation
+    /// tracking is on, and every Defined Resource with its record count
+    /// (`res:<name>`). Traced runs only — an untraced run reads nothing.
+    fn note_resident(&self, span: &mut gpf_trace::SpanGuard) {
+        if let Some(kb) = gpf_trace::alloc::rss_kb() {
+            span.add_counter(tn::RSS_KB, kb);
+        }
+        if gpf_trace::alloc::tracking_active() {
+            gpf_trace::alloc::flush_thread_stats();
+            span.add_counter(tn::HEAP_LIVE_TRACK, gpf_trace::alloc::live_bytes());
+        }
+        let mut seen: BTreeSet<String> = BTreeSet::new();
+        for p in &self.processes {
+            for r in p.input_resources().into_iter().chain(p.output_resources()) {
+                if let Some(records) = r.held_records() {
+                    if seen.insert(r.name().to_string()) {
+                        span.add_counter(&format!("{}{}", tn::RESIDENT_PREFIX, r.name()), records);
+                    }
+                }
             }
         }
     }

@@ -98,12 +98,30 @@ pub fn route_record(r: &SamRecord, info: &PartitionInfo) -> u32 {
 /// VCF, and the SAM records by [`PartitionInfo`], then join them per
 /// partition (Figure 7(a)'s `groupBy` × 3 + `join`). Three shuffles — this
 /// is exactly the work the §4.3 fusion avoids repeating.
+///
+/// Borrowing caller of `build_bundles_owned`: the caller keeps `sams` and
+/// `known`, so both are routed from where they sit.
 pub fn build_bundles(
     ctx: &Arc<EngineContext>,
     reference: &ReferenceGenome,
     info: &PartitionInfo,
     sams: &Dataset<SamRecord>,
     known: Option<&Dataset<VcfRecord>>,
+) -> Dataset<RegionBundle> {
+    build_bundles_owned(ctx, reference, info, sams.clone(), known.cloned())
+}
+
+/// [`build_bundles`] over inputs taken by value — what a bundle stage gets
+/// when it `consume()`s its Resources. A handle that is the last one to its
+/// records gives them up: each shuffle map task frees the input partition
+/// it serialized, so the reads are resident once, as bundles, when this
+/// returns. A shared handle (or faults, or a budget) is read in place.
+pub(crate) fn build_bundles_owned(
+    ctx: &Arc<EngineContext>,
+    reference: &ReferenceGenome,
+    info: &PartitionInfo,
+    sams: Dataset<SamRecord>,
+    known: Option<Dataset<VcfRecord>>,
 ) -> Dataset<RegionBundle> {
     let nparts = info.num_partitions() as usize;
     let intervals = info.intervals();
@@ -117,18 +135,16 @@ pub fn build_bundles(
     let fasta_ds = Dataset::from_vec(Arc::clone(ctx), fasta_chunks, sams.num_partitions())
         .into_partition_by_key(nparts, |pid: &u32| *pid as usize);
 
-    // VCF and SAM partition RDDs: records are routed from where they sit —
-    // the inputs belong to Resources, and the shuffle reads them by
-    // reference.
+    // VCF and SAM partition RDDs: records are routed directly, never keyed.
     let info_v = info.clone();
     let vcf_ds: Dataset<VcfRecord> = match known {
-        Some(k) => k.partition_by(nparts, move |v| {
+        Some(k) => k.into_partition_by(nparts, move |v| {
             info_v.partition_id(gpf_formats::GenomePosition::new(v.contig, v.pos)) as usize
         }),
         None => Dataset::from_partitions(Arc::clone(ctx), vec![Vec::new(); nparts]),
     };
     let info_s = info.clone();
-    let sam_ds = sams.partition_by(nparts, move |r| route_record(r, &info_s) as usize);
+    let sam_ds = sams.into_partition_by(nparts, move |r| route_record(r, &info_s) as usize);
 
     // Join per partition into the bundle RDD. The shuffled datasets are
     // temporaries of this function and are consumed, so the records move.
@@ -151,9 +167,10 @@ pub fn build_bundles(
 }
 
 /// Flatten a bundled RDD back to a plain SAM dataset (Figure 7(a)'s
-/// "FlatMap to cleaned SAM records" merge step).
-pub fn flatten_sams(bundles: &Dataset<RegionBundle>) -> Dataset<SamRecord> {
-    bundles.flat_map(|b| b.sams.clone())
+/// "FlatMap to cleaned SAM records" merge step). The bundles are spent:
+/// their reads move into the output.
+pub fn flatten_sams(bundles: Dataset<RegionBundle>) -> Dataset<SamRecord> {
+    bundles.into_flat_map(|b| b.sams)
 }
 
 /// A Process that operates on the bundled RDD — the fusion target of §4.3.
@@ -181,8 +198,9 @@ pub trait BundleStage: Send + Sync {
         bundles: Dataset<RegionBundle>,
     ) -> Dataset<RegionBundle>;
 
-    /// Write this stage's final outputs from the transformed bundles.
-    fn finalize(&self, ctx: &Arc<EngineContext>, bundles: &Dataset<RegionBundle>);
+    /// Write this stage's final outputs from the transformed bundles, which
+    /// nothing reads afterwards: their records move into the outputs.
+    fn finalize(&self, ctx: &Arc<EngineContext>, bundles: Dataset<RegionBundle>);
 }
 
 #[cfg(test)]
@@ -336,7 +354,7 @@ mod tests {
             (0..50).map(|i| mapped(&format!("r{i}"), (i % 2) as u32, (i * 17) as u64 % 480)).collect();
         let sams = Dataset::from_vec(Arc::clone(&ctx), records.clone(), 4);
         let bundles = build_bundles(&ctx, &r, &info, &sams, None);
-        let flat = flatten_sams(&bundles);
+        let flat = flatten_sams(bundles);
         let mut names: Vec<String> = flat.collect_local().into_iter().map(|r| r.name).collect();
         names.sort();
         let mut expect: Vec<String> = records.into_iter().map(|r| r.name).collect();

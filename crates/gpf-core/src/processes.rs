@@ -19,7 +19,7 @@
 
 use crate::partition::PartitionInfo;
 use crate::process::{
-    build_bundles, flatten_sams, BundleStage, Process, RegionBundle,
+    build_bundles_owned, flatten_sams, BundleStage, Process, RegionBundle,
 };
 use crate::resource::{
     FastqPairBundle, PartitionInfoBundle, ResourceAny, SamBundle, VcfBundle,
@@ -96,7 +96,9 @@ impl Process for BwaMemProcess {
     fn execute(&self, ctx: &Arc<EngineContext>) {
         ctx.set_phase("aligner");
         let aligner = self.get_aligner();
-        let pairs = self.input.dataset();
+        // The pairs are not needed past this stage: consumed, they are
+        // dropped when it ends rather than held beside their alignments.
+        let pairs = self.input.consume();
         let aligned = pairs.flat_map(move |p| {
             let (a, b) = aligner.align_pair(p);
             [a, b]
@@ -142,7 +144,7 @@ impl Process for MarkDuplicateProcess {
 
     fn execute(&self, ctx: &Arc<EngineContext>) {
         ctx.set_phase("cleaner");
-        let reads = self.input.dataset();
+        let reads = self.input.consume();
         let nparts = reads.num_partitions();
         // The decision reads coordinates, flags, a name and a quality sum:
         // that — a signature naming where its read sits — is what gets
@@ -169,10 +171,11 @@ impl Process for MarkDuplicateProcess {
         }
         duplicates.iter_mut().for_each(|indices| indices.sort_unstable());
         let duplicates = ctx.broadcast(duplicates);
-        let marked = reads.flat_map_indexed(move |part, index, r| {
-            let mut r = r.clone();
+        // The last read of the input: a sole-owned one is marked where it
+        // sits and handed on, not copied to set a bit.
+        let marked = reads.into_map_indexed(move |part, index, mut r| {
             set_duplicate_flag(&mut r, duplicates[part].binary_search(&(index as u32)).is_ok());
-            Some(r)
+            r
         });
         self.output.define(marked);
     }
@@ -287,8 +290,8 @@ impl BundleStageIo {
     /// (Figure 7(a) — every Process repartitions and joins for itself).
     fn own_bundles(&self, ctx: &Arc<EngineContext>) -> Dataset<RegionBundle> {
         let info = self.partition_info.info();
-        let known = self.rod.as_ref().map(|r| r.dataset());
-        build_bundles(ctx, &self.reference, &info, &self.input.dataset(), known.as_ref())
+        let known = self.rod.as_ref().map(|r| r.consume());
+        build_bundles_owned(ctx, &self.reference, &info, self.input.consume(), known)
     }
 }
 
@@ -332,7 +335,7 @@ impl Process for IndelRealignProcess {
         ctx.set_phase("cleaner");
         let bundles = self.io.own_bundles(ctx);
         let out = self.run_on_bundles(ctx, bundles);
-        self.finalize(ctx, &out);
+        self.finalize(ctx, out);
     }
     fn as_bundle_stage(&self) -> Option<&dyn BundleStage> {
         Some(self)
@@ -372,7 +375,7 @@ impl BundleStage for IndelRealignProcess {
         })
     }
 
-    fn finalize(&self, _ctx: &Arc<EngineContext>, bundles: &Dataset<RegionBundle>) {
+    fn finalize(&self, _ctx: &Arc<EngineContext>, bundles: Dataset<RegionBundle>) {
         self.output.define(flatten_sams(bundles));
     }
 }
@@ -421,7 +424,7 @@ impl Process for BaseRecalibrationProcess {
         ctx.set_phase("cleaner");
         let bundles = self.io.own_bundles(ctx);
         let out = self.run_on_bundles(ctx, bundles);
-        self.finalize(ctx, &out);
+        self.finalize(ctx, out);
     }
     fn as_bundle_stage(&self) -> Option<&dyn BundleStage> {
         Some(self)
@@ -452,12 +455,18 @@ impl BundleStage for BaseRecalibrationProcess {
     ) -> Dataset<RegionBundle> {
         ctx.set_phase("cleaner");
         let reference = self.io.reference.clone();
-        // Gather: per-partition covariate tables.
-        let tables = bundles.map(move |b| build_recal_table(&b.sams, &reference, &b.vcfs));
-        // The driver-bound step §5.2.2 names, without its serial part: the
-        // tables are integer counts, so groups of them merge on the pool
-        // and the driver is left the few partial sums.
-        let merged = tables.aggregate(RecalTable::default, RecalTable::merge, |a, b| a.merge(&b));
+        // Gather: a covariate table per bundle, folded as it is produced.
+        // This is the driver-bound step §5.2.2 names — each table is still
+        // charged to the `collect` at its serialized size — without its
+        // serial part and without its footprint: the tables are integer
+        // counts, so each task adds its own into its group's sum and drops
+        // it, and the driver is left the few partial sums.
+        let merged = bundles.map_fold(
+            move |b| build_recal_table(&b.sams, &reference, &b.vcfs),
+            RecalTable::default,
+            RecalTable::merge,
+            |a, b| a.merge(&b),
+        );
         // One lookup table per job, computed here rather than per bundle.
         merged.finish();
         // Broadcast the mask table to every node (the "multiple gigabyte
@@ -470,7 +479,7 @@ impl BundleStage for BaseRecalibrationProcess {
         })
     }
 
-    fn finalize(&self, _ctx: &Arc<EngineContext>, bundles: &Dataset<RegionBundle>) {
+    fn finalize(&self, _ctx: &Arc<EngineContext>, bundles: Dataset<RegionBundle>) {
         self.output.define(flatten_sams(bundles));
     }
 }
@@ -521,7 +530,7 @@ impl Process for HaplotypeCallerProcess {
         ctx.set_phase("caller");
         let bundles = self.io.own_bundles(ctx);
         let out = self.run_on_bundles(ctx, bundles);
-        self.finalize(ctx, &out);
+        self.finalize(ctx, out);
     }
     fn as_bundle_stage(&self) -> Option<&dyn BundleStage> {
         Some(self)
@@ -596,12 +605,13 @@ impl BundleStage for HaplotypeCallerProcess {
         })
     }
 
-    fn finalize(&self, _ctx: &Arc<EngineContext>, bundles: &Dataset<RegionBundle>) {
+    fn finalize(&self, _ctx: &Arc<EngineContext>, bundles: Dataset<RegionBundle>) {
         // Merge calls and globally sort by locus.
-        let flat = bundles.flat_map(|b| b.calls.clone());
-        let keyed = flat.map(|v| ((v.contig as u64) << 40 | v.pos, v.clone()));
-        let sorted = keyed.sort_by_key(bundles.num_partitions().max(1));
-        self.output.define(sorted.map(|(_, v)| v.clone()));
+        let nparts = bundles.num_partitions().max(1);
+        let flat = bundles.into_flat_map(|b| b.calls);
+        let keyed = flat.into_map(|v| ((v.contig as u64) << 40 | v.pos, v));
+        let sorted = keyed.sort_by_key(nparts);
+        self.output.define(sorted.into_map(|(_, v)| v));
     }
 }
 

@@ -10,7 +10,7 @@
 //! * **cycles**, reported as the actual cycle path
 //!   (Process → Resource → Process → …);
 //! * **undefined inputs** — a Process reads a Resource that no Process
-//!   produces and no loader defined;
+//!   produces and no loader defined (or that an earlier run released);
 //! * **duplicate producers** — two Processes claim the same output Resource;
 //! * **aliased resources** — one name bound to several distinct Resource
 //!   objects (the producer fills one object while the consumer waits on
@@ -26,7 +26,7 @@
 //! fusion report is by construction identical to what `run()` does.
 
 use crate::process::Process;
-use crate::resource::{ResourceAny, ResourceKind};
+use crate::resource::{ResourceAny, ResourceKind, ResourceState};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::Arc;
@@ -68,6 +68,14 @@ pub enum DiagnosticKind {
         /// The blocked Process.
         process: String,
         /// The input Resource nobody defines.
+        resource: String,
+    },
+    /// `process` reads `resource`, but an earlier `run()` handed it to its
+    /// last consumer and released it, and no Process produces it again.
+    ReleasedInput {
+        /// The blocked Process.
+        process: String,
+        /// The input Resource that is gone.
         resource: String,
     },
     /// Two or more Processes claim the same output Resource.
@@ -162,6 +170,11 @@ impl fmt::Display for Diagnostic {
                 f,
                 "process `{process}` reads resource `{resource}`, which no process produces \
                  and no loader defined"
+            ),
+            DiagnosticKind::ReleasedInput { process, resource } => write!(
+                f,
+                "process `{process}` reads resource `{resource}`, which an earlier run released \
+                 after its last consumer and no process produces again"
             ),
             DiagnosticKind::DuplicateProducer { resource, producers } => write!(
                 f,
@@ -357,13 +370,12 @@ pub(crate) fn analyze(processes: &[Arc<dyn Process>], optimize: bool) -> Analysi
             }
             let produced = uses.get(r.name()).map(|u| !u.producers.is_empty()).unwrap_or(false);
             if !produced {
-                diagnostics.push(Diagnostic::new(
-                    Severity::Error,
-                    DiagnosticKind::UndefinedInput {
-                        process: pname(i),
-                        resource: r.name().to_string(),
-                    },
-                ));
+                let (process, resource) = (pname(i), r.name().to_string());
+                let kind = match r.state() {
+                    ResourceState::Released => DiagnosticKind::ReleasedInput { process, resource },
+                    _ => DiagnosticKind::UndefinedInput { process, resource },
+                };
+                diagnostics.push(Diagnostic::new(Severity::Error, kind));
             }
         }
     }

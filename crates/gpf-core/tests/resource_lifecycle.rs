@@ -9,6 +9,13 @@
 //! the VCF text of the two runs is the same, byte for byte, in every cell
 //! of {fused, unfused} × {faults off, a seeded `FaultPlan`} × {no budget, a
 //! quarter of the footprint} × the three serializer kinds.
+//!
+//! Beside it, the lifecycle itself: after `run()` every Resource a step read
+//! is Released and only what nothing reads — the result, and `partInfo`'s
+//! driver-side table — is Defined; of two steps that read one Resource only
+//! the later is handed it; a Process executed outside a pipeline leaves its
+//! input Defined; reading a Released bundle panics naming the bundle and
+//! the step that consumed it; a second `run()` is `PipelineError::Invalid`.
 
 use gpf_core::prelude::*;
 use gpf_core::{Process, ResourceAny, ResourceState};
@@ -233,13 +240,17 @@ impl Wgs {
 
 /// Run to completion and render the result as VCF text.
 fn vcf_text(w: &mut Wgs, cell: &str) -> String {
-    use ResourceState::{Defined, Undefined};
+    use ResourceState::{Defined, Released, Undefined};
     let before: Vec<ResourceState> = w.states().into_iter().map(|(_, state)| state).collect();
     assert_eq!(before, [Defined, Defined, Undefined, Undefined, Undefined, Undefined, Undefined, Undefined]);
     let fused = w.pipeline.check().fusion_chains().len();
     w.pipeline.run().unwrap_or_else(|e| panic!("[{cell}] {e}"));
     assert_eq!(w.pipeline.fused_chains().len(), fused, "[{cell}] run() follows the checked plan");
-    assert_eq!(w.result.state(), Defined, "[{cell}]");
+    // What a step read is gone — consumed or merely held, the plan released
+    // it after its last reader; a fused chain never defined its links.
+    let link = if fused == 1 { Undefined } else { Released };
+    let after: Vec<ResourceState> = w.states().into_iter().map(|(_, state)| state).collect();
+    assert_eq!(after, [Released, Released, Released, Released, Defined, link, link, Defined], "[{cell}]");
     let calls = w.result.dataset().collect_local();
     assert!(calls.len() >= 10, "[{cell}] the workload must call variants: {}", calls.len());
     format_vcf(&w.result.header, &calls)
@@ -293,4 +304,86 @@ fn consuming_a_resource_is_borrowing_it_in_every_cell() {
     }
     // And none of the axes is an input to the answer.
     assert!(texts.windows(2).all(|w| w[0] == w[1]), "a configuration axis moved the calls");
+}
+
+/// What `consume()` left of its bundle, as the consuming Process saw it.
+struct Reader {
+    name: &'static str,
+    input: Arc<SamBundle>,
+    output: Arc<SamBundle>,
+    saw: Mutex<Option<ResourceState>>,
+}
+
+impl Process for Reader {
+    fn name(&self) -> &str {
+        self.name
+    }
+    fn input_resources(&self) -> Vec<Arc<dyn ResourceAny>> {
+        vec![self.input.clone()]
+    }
+    fn output_resources(&self) -> Vec<Arc<dyn ResourceAny>> {
+        vec![self.output.clone()]
+    }
+    fn execute(&self, _ctx: &Arc<EngineContext>) {
+        let data = self.input.consume();
+        *self.saw.lock().unwrap() = Some(self.input.state());
+        self.output.define(data.into_map(|r| r));
+    }
+}
+
+#[test]
+fn of_two_readers_only_the_later_is_handed_the_resource() {
+    let dict = setup().reference.dict().clone();
+    let sam = |name: &str| SamBundle::undefined(name, SamHeaderInfo::unsorted_header(dict.clone()));
+    let ctx = EngineContext::new(EngineConfig::default());
+    let root = sam("root");
+    root.define(Dataset::from_vec(Arc::clone(&ctx), vec![SamRecord::unmapped("r", b"ACGT".to_vec(), b"IIII".to_vec())], 1));
+    let reader = |name, output| Arc::new(Reader { name, input: Arc::clone(&root), output, saw: Mutex::new(None) });
+    let (left, right) = (reader("left", sam("l")), reader("right", sam("r")));
+    let mut pipeline = Pipeline::new("diamond", Arc::clone(&ctx));
+    pipeline.add_process(left.clone());
+    pipeline.add_process(right.clone());
+    pipeline.run().expect("a diamond is a valid plan");
+    assert_eq!(pipeline.executed(), ["left", "right"]);
+    assert_eq!(*left.saw.lock().unwrap(), Some(ResourceState::Defined), "the earlier reader got a second handle");
+    assert_eq!(*right.saw.lock().unwrap(), Some(ResourceState::Released), "the later reader got the bundle's own");
+    assert_eq!(root.state(), ResourceState::Released);
+    // Both outputs are results: nothing reads them, so nothing released them.
+    assert_eq!((left.output.dataset().len(), right.output.dataset().len()), (1, 1));
+
+    // The same Process outside a pipeline: nobody handed it anything.
+    root.define(Dataset::from_vec(Arc::clone(&ctx), Vec::new(), 1));
+    right.execute(&ctx);
+    assert_eq!(*right.saw.lock().unwrap(), Some(ResourceState::Defined));
+    assert_eq!(root.state(), ResourceState::Defined, "a standalone execute leaves its input Defined");
+}
+
+#[test]
+fn a_released_resource_says_who_consumed_it_and_a_second_run_is_invalid() {
+    let _one = ONE_PIPELINE.lock().unwrap_or_else(|e| e.into_inner());
+    let mut w = wgs(EngineConfig::gpf(), true, false);
+    vcf_text(&mut w, "first run");
+
+    let read = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| w.aligned.dataset()));
+    let payload = read.err().expect("a Released bundle has nothing to read");
+    let message = payload.downcast_ref::<String>().expect("a formatted panic message");
+    assert!(message.contains("`alignedSam`") && message.contains("`MarkDuplicate`"), "{message}");
+    let chain = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| w.deduped.consume()));
+    let payload = chain.err().expect("consume() reads too");
+    let message = payload.downcast_ref::<String>().expect("a formatted panic message");
+    assert!(message.contains("`dedupedSam`") && message.contains("`IndelRealign+BQSR+HaplotypeCaller`"), "{message}");
+
+    // The inputs are gone and nothing produces them: structured, not a panic.
+    let err = w.pipeline.run().expect_err("the FASTQ pairs were consumed by the first run");
+    let gpf_core::PipelineError::Invalid(diagnostics) = &err else { panic!("unexpected {err}") };
+    let released: Vec<(&str, &str)> = diagnostics
+        .iter()
+        .filter_map(|d| match d.kind() {
+            gpf_core::DiagnosticKind::ReleasedInput { process, resource } => Some((process.as_str(), resource.as_str())),
+            _ => None,
+        })
+        .collect();
+    assert!(released.contains(&("BwaMapping", "fastqPair")), "{err}");
+    assert!(released.contains(&("HaplotypeCaller", "dbsnp")), "{err}");
+    assert!(err.to_string().contains("an earlier run released"), "{err}");
 }

@@ -235,16 +235,16 @@ fn pipeline_records_three_phases() {
     assert!(phases.contains(&"caller".to_string()), "{phases:?}");
 }
 
-/// Faults off and no budget: every shuffle whose input is a temporary of
-/// the Process that runs it — MarkDuplicate's signatures, the Repartitioner's
-/// map-side combine, `build_bundles`' keyed FASTA — *moves* its partitions
-/// (each map task frees the one it serialized). The shuffles that read a
-/// Resource-held dataset — `build_bundles`' known sites and reads, routed
-/// directly, and the `sortByKey` of the calls — *borrow* it where it sits.
-/// No read is shuffled to be de-duplicated, and no shuffle copies a record
-/// to key or route it.
+/// Faults off and no budget: every shuffle whose input nobody reads
+/// afterwards *moves* its partitions (each map task frees the one it
+/// serialized) — the temporaries of the Process that runs it (MarkDuplicate's
+/// signatures, the Repartitioner's map-side combine, the bundle build's
+/// keyed FASTA) and the Resources the fused chain is the last reader of
+/// (`dbsnp`'s known sites and `dedupedSam`'s reads, handed over by
+/// `consume()`). Only the `sortByKey` of the calls, which takes `&self`,
+/// borrows. No shuffle copies a record.
 #[test]
-fn shuffle_move_accounting_moves_temporaries_and_borrows_resources() {
+fn shuffle_move_accounting_moves_temporaries_and_consumed_resources() {
     let s = setup();
     let count = |name: &str| {
         gpf_trace::counters_snapshot().iter().find(|(n, _)| *n == name).map_or(0, |(_, v)| *v)
@@ -262,7 +262,11 @@ fn shuffle_move_accounting_moves_temporaries_and_borrows_resources() {
     assert_eq!(fused, 1);
     assert_eq!(calls.len(), PINNED_CALLS);
     // Each over the six input partitions.
-    assert_eq!(moved - before[0], 3 * 6, "the signatures, the combined counts and the keyed FASTA");
-    assert_eq!(borrowed - before[1], 2 * 6 + repartition.partitions, "known sites, reads, calls");
+    assert_eq!(
+        moved - before[0],
+        5 * 6,
+        "the signatures, the combined counts, the keyed FASTA, the known sites and the reads"
+    );
+    assert_eq!(borrowed - before[1], repartition.partitions, "the calls");
     assert_eq!(cloned - before[2], 0, "only a budget-tracked input is gathered by cloning");
 }

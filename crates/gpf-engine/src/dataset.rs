@@ -22,6 +22,7 @@ use crate::fault::{FaultKind, FaultSurface};
 use crate::frame::{FrameReader, SpillTicket};
 use crate::shuffle::shuffle;
 use crate::task::{run_stage, Abort, Mode, Task, TaskRun};
+use crate::timing::TaskTimer;
 use gpf_compress::serializer::serialize_batch;
 use gpf_compress::{GpfSerialize, SerializerKind};
 use gpf_support::par;
@@ -243,6 +244,35 @@ impl<T: Clone> TaskPart<'_, T> {
     }
 }
 
+/// [`Dataset::map_fold`]'s accumulators: one per contiguous group of
+/// partitions, as many groups as workers, each behind its own lock. A task
+/// folds into its partition's group; the driver merges the groups in order
+/// once every task is done.
+pub(crate) struct FoldGroups<A> {
+    accs: Vec<Mutex<A>>,
+    nparts: usize,
+}
+
+impl<A> FoldGroups<A> {
+    pub(crate) fn new(nparts: usize, zero: impl Fn() -> A) -> Self {
+        let groups = par::max_threads().min(nparts).max(1);
+        Self { accs: (0..groups).map(|_| Mutex::new(zero())).collect(), nparts }
+    }
+
+    /// Run `f` on the accumulator of partition `i`'s group.
+    pub(crate) fn fold(&self, i: usize, f: impl FnOnce(&mut A)) {
+        f(&mut self.accs[i * self.accs.len() / self.nparts].lock());
+    }
+
+    /// Every group's accumulator merged into the first, in group order.
+    pub(crate) fn merged(self, merge: impl Fn(&mut A, A)) -> Option<A> {
+        self.accs.into_iter().map(Mutex::into_inner).reduce(|mut acc, next| {
+            merge(&mut acc, next);
+            acc
+        })
+    }
+}
+
 /// Wrap freshly produced output partitions: budget-tracked (evictable)
 /// when the context has a memory-budget accountant installed, plain
 /// otherwise. Shuffle and barrier outputs route through this, so under a
@@ -302,6 +332,16 @@ impl<T: PartialEq> PartialEq<Vec<T>> for PartRef<'_, T> {
 impl<T: std::fmt::Debug> std::fmt::Debug for PartRef<'_, T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         (**self).fmt(f)
+    }
+}
+
+/// Add one mapped chunk to an element-wise task's output. A one-chunk
+/// partition — every plain one — hands its output over as is.
+fn append_chunk<U>(out: &mut Vec<U>, mut mapped: Vec<U>) {
+    if out.is_empty() {
+        *out = mapped;
+    } else {
+        out.append(&mut mapped);
     }
 }
 
@@ -488,14 +528,8 @@ impl<T: Send + Sync + 'static> Dataset<T> {
                 let mut out = Vec::new();
                 let mut offset = 0usize;
                 self.parts.stream(i, &mut |chunk| {
-                    let mut mapped = f(i, offset, chunk);
+                    append_chunk(&mut out, f(i, offset, chunk));
                     offset += chunk.len();
-                    // A one-chunk partition hands its output over as is.
-                    if out.is_empty() {
-                        out = mapped;
-                    } else {
-                        out.append(&mut mapped);
-                    }
                 });
                 out
             })
@@ -581,39 +615,63 @@ impl<T: Send + Sync + 'static> Dataset<T> {
         self.collect_local()
     }
 
-    /// [`Dataset::collect`] for a result that is one value folded from every
-    /// record — Spark's `aggregate`: the same action with the same
-    /// accounting, but no record is copied to the driver. Contiguous groups
-    /// of partitions are folded in parallel (`fold` must be associative and
-    /// commutative over the records for the grouping not to show), one
-    /// accumulator per worker, and the driver merges those few.
-    pub fn aggregate<A: Send>(
+    /// `map(f)` followed by Spark's `aggregate`, as one operator that never
+    /// holds the mapped dataset: the same `map` tasks (label, fault surface,
+    /// streamed under a budget), then the same driver-bound `collect` close
+    /// charging every partition's values at their serialized size — but each
+    /// task measures its own values, folds them into the accumulator of its
+    /// contiguous group of partitions and drops them, so what is alive at
+    /// once is one accumulator per worker and one partition's values per
+    /// running task, not a value per record. `fold` must be associative and
+    /// commutative over the values for the grouping (and the order tasks
+    /// finish in) not to show; the driver merges the few accumulators in
+    /// group order. A retried task's values are folded once.
+    pub fn map_fold<U, A: Send>(
         &self,
+        f: impl Fn(&T) -> U + Send + Sync,
         zero: impl Fn() -> A + Sync,
-        fold: impl Fn(&mut A, &T) + Sync,
+        fold: impl Fn(&mut A, &U) + Sync,
         merge: impl Fn(&mut A, A),
     ) -> A
     where
-        T: GpfSerialize,
+        U: GpfSerialize,
     {
-        if self.ctx.has_failed() {
-            return zero();
-        }
-        self.close_stage_to_driver();
         let n = self.parts.num();
-        let groups = par::max_threads().min(n).max(1);
-        let partials = par::map_range(groups, |g| {
-            let mut acc = zero();
-            for i in g * n / groups..(g + 1) * n / groups {
-                self.parts.stream(i, &mut |chunk| chunk.iter().for_each(|t| fold(&mut acc, t)));
-            }
-            acc
-        });
-        let merged = partials.into_iter().reduce(|mut acc, partial| {
-            merge(&mut acc, partial);
-            acc
-        });
-        merged.unwrap_or_else(zero)
+        let kind = self.ctx.serializer();
+        let groups = FoldGroups::new(n, &zero);
+        let overhead = self.ctx.config().per_record_overhead_bytes;
+        // One task yields `(values, their serialized bytes, seconds spent
+        // measuring)`.
+        let Some(done) = run_stage(
+            &self.ctx,
+            "map",
+            Some(FaultSurface::NarrowTask),
+            n,
+            Mode::Parallel,
+            |i, task| {
+                let run = task.run(AllocTag::Task, || {
+                    let mut values: Vec<U> = Vec::with_capacity(self.parts.part_len(i));
+                    self.parts.stream(i, &mut |chunk| values.extend(chunk.iter().map(&f)));
+                    values
+                })?;
+                Ok(run.map(|values| {
+                    let t0 = TaskTimer::start();
+                    let bytes = serialize_batch(kind, &values).len() as u64;
+                    let ser_s = t0.elapsed_s();
+                    groups.fold(i, |acc| values.iter().for_each(|v| fold(acc, v)));
+                    (values.len() as u64, bytes, ser_s)
+                }))
+            },
+            |outs| {
+                let records: u64 = outs.iter().map(|(records, _, _)| records).sum();
+                (records, records * overhead)
+            },
+        ) else {
+            return zero();
+        };
+        self.ctx.record_serde(done.iter().map(|(_, _, ser_s)| ser_s).sum());
+        self.ctx.close_stage_collect("collect", done.iter().map(|&(_, bytes, _)| bytes).collect());
+        groups.merged(merge).unwrap_or_else(zero)
     }
 
     /// Concatenate all partitions without any accounting (test/diagnostic
@@ -745,18 +803,22 @@ impl<T: Send + Sync + 'static> Dataset<T> {
     /// configured budget ([`crate::EngineConfig::with_memory_budget`]) its
     /// partitions become spill-vs-recompute victims and map stages over
     /// evicted partitions stream chunk-by-chunk. A no-op when no budget is
-    /// installed or the dataset is already tracked.
-    pub fn evictable(&self) -> Dataset<T>
+    /// installed or the dataset is already tracked. Takes the dataset: a
+    /// sole-owned one moves into the store, record for record where it
+    /// sits (only a shared one is copied).
+    pub fn evictable(self) -> Dataset<T>
     where
         T: GpfSerialize + Clone,
     {
-        match (&self.parts, self.ctx.accountant()) {
-            (Parts::Plain(v), Some(_)) => {
-                let parts: Vec<Vec<T>> = v.as_ref().clone();
-                Dataset { ctx: Arc::clone(&self.ctx), parts: output_parts(&self.ctx, parts) }
+        let Dataset { ctx, parts } = self;
+        let parts = match parts {
+            Parts::Plain(v) if ctx.accountant().is_some() => {
+                let owned = Arc::try_unwrap(v).unwrap_or_else(|shared| shared.as_ref().clone());
+                output_parts(&ctx, owned)
             }
-            _ => self.clone(),
-        }
+            as_is => as_is,
+        };
+        Dataset { ctx, parts }
     }
 
     /// Number of partitions currently evicted to checksummed spill frames.
@@ -797,14 +859,17 @@ impl<T: Send + Sync + 'static> Dataset<T> {
         shuffle(&ctx, parts, nparts, "partitionBy", route)
     }
 
-    /// Consuming [`Dataset::map`]: `f` receives each record by value —
-    /// moved when this handle holds the last reference to its partitions,
-    /// a clone otherwise ([`TaskSource`] decides). Same stage label, fault
-    /// surface and accounting as `map`, and like it an evicted partition is
-    /// streamed one spill frame at a time, never restored.
-    pub fn into_map<U: Send + Sync + 'static>(
+    /// Consuming twin of [`Dataset::narrow_op_chunked`]: `f` receives each
+    /// chunk by value — the partition itself when this handle holds the
+    /// last reference to it, a clone of each streamed chunk otherwise
+    /// ([`TaskSource`] decides) — as `(partition, offset of the chunk
+    /// within it, chunk)`. Element-wise, so an evicted partition is
+    /// streamed one spill frame at a time, never restored, and the stage
+    /// stays parallel under any budget.
+    fn into_narrow_op_chunked<U: Send + Sync + 'static>(
         self,
-        f: impl Fn(T) -> U + Send + Sync,
+        label: &str,
+        f: impl Fn(usize, usize, Vec<T>) -> Vec<U> + Send + Sync,
     ) -> Dataset<U>
     where
         T: Clone,
@@ -812,13 +877,63 @@ impl<T: Send + Sync + 'static> Dataset<T> {
         let Dataset { ctx, parts } = self;
         let n = parts.num();
         let source = TaskSource::new(&ctx, parts);
-        narrow_stage(&ctx, n, "map", Mode::Parallel, |i, task| {
+        narrow_stage(&ctx, n, label, Mode::Parallel, |i, task| {
             task.run(AllocTag::Task, || {
                 let mut out = Vec::new();
-                source.for_each_chunk(i, &mut |chunk| out.extend(chunk.into_iter().map(&f)));
+                let mut offset = 0usize;
+                source.for_each_chunk(i, &mut |chunk| {
+                    let len = chunk.len();
+                    append_chunk(&mut out, f(i, offset, chunk));
+                    offset += len;
+                });
                 out
             })
         })
+    }
+
+    /// Consuming [`Dataset::map`]: `f` receives each record by value —
+    /// moved when this handle holds the last reference to its partitions,
+    /// a clone otherwise ([`TaskSource`] decides). Same stage label, fault
+    /// surface and accounting as `map`, and like it an evicted partition is
+    /// streamed one spill frame at a time, never restored. Each chunk is
+    /// collected straight off its own iterator, so when `T` and `U` share a
+    /// layout (`RegionBundle -> RegionBundle`) the output is the input's
+    /// allocation, rewritten in place.
+    pub fn into_map<U: Send + Sync + 'static>(
+        self,
+        f: impl Fn(T) -> U + Send + Sync,
+    ) -> Dataset<U>
+    where
+        T: Clone,
+    {
+        self.into_narrow_op_chunked("map", move |_, _, chunk| chunk.into_iter().map(&f).collect())
+    }
+
+    /// [`Dataset::into_map`] whose `f` also learns where each record sat:
+    /// `f(partition, index within the partition, record)` — the positions
+    /// [`Dataset::flat_map_indexed`] names.
+    pub fn into_map_indexed<U: Send + Sync + 'static>(
+        self,
+        f: impl Fn(usize, usize, T) -> U + Send + Sync,
+    ) -> Dataset<U>
+    where
+        T: Clone,
+    {
+        self.into_narrow_op_chunked("map", move |part, offset, chunk| {
+            chunk.into_iter().enumerate().map(|(k, t)| f(part, offset + k, t)).collect()
+        })
+    }
+
+    /// Consuming [`Dataset::flat_map`]: `f` receives each record by value,
+    /// moved or cloned as for [`Dataset::into_map`].
+    pub fn into_flat_map<U: Send + Sync + 'static, I: IntoIterator<Item = U>>(
+        self,
+        f: impl Fn(T) -> I + Send + Sync,
+    ) -> Dataset<U>
+    where
+        T: Clone,
+    {
+        self.into_narrow_op_chunked("flatMap", move |_, _, chunk| chunk.into_iter().flat_map(&f).collect())
     }
 
     /// Consuming [`Dataset::map_partitions`]: `f` receives each partition
@@ -1326,22 +1441,28 @@ mod tests {
     }
 
     #[test]
-    fn aggregate_folds_every_record_with_collects_accounting() {
+    fn map_fold_folds_every_value_with_map_and_collects_accounting() {
         let (c1, c2) = (ctx(), ctx());
         let data: Vec<u64> = (0u64..1000).collect();
+        let sum = |d: &Dataset<u64>| d.map_fold(|x| x * 3, || 0u64, |acc, v| *acc += v, |acc, other| *acc += other);
         // More partitions than workers, as many or fewer, one, and none
         // that hold a record.
         for parts in [37, 2, 1] {
-            let d = Dataset::from_vec(Arc::clone(&c1), data.clone(), parts);
-            let sum = d.aggregate(|| 0u64, |acc, x| *acc += x, |acc, other| *acc += other);
-            assert_eq!(sum, data.iter().sum::<u64>(), "{parts} partitions");
-            assert_eq!(Dataset::from_vec(Arc::clone(&c2), data.clone(), parts).collect(), data);
+            assert_eq!(
+                sum(&Dataset::from_vec(Arc::clone(&c1), data.clone(), parts)),
+                data.iter().map(|x| x * 3).sum::<u64>(),
+                "{parts} partitions"
+            );
+            let mapped = Dataset::from_vec(Arc::clone(&c2), data.clone(), parts).map(|x| x * 3);
+            assert_eq!(mapped.collect().len(), data.len());
         }
-        let empty = Dataset::from_vec(Arc::clone(&c1), Vec::<u64>::new(), 3);
-        assert_eq!(empty.aggregate(|| 0u64, |acc, x| *acc += x, |acc, other| *acc += other), 0);
-        let (aggregated, collected) = (c1.take_run(), c2.take_run());
-        for (a, b) in aggregated.stages.iter().zip(&collected.stages) {
-            assert_eq!((a.kind, &a.label, &a.shuffle_write_bytes), (b.kind, &b.label, &b.shuffle_write_bytes));
+        assert_eq!(sum(&Dataset::from_vec(Arc::clone(&c1), Vec::new(), 3)), 0);
+        let (folded, collected) = (c1.take_run(), c2.take_run());
+        for (a, b) in folded.stages.iter().zip(&collected.stages) {
+            assert_eq!(
+                (a.kind, &a.label, a.records_out, a.task_cpu_s.len(), &a.shuffle_write_bytes),
+                (b.kind, &b.label, b.records_out, b.task_cpu_s.len(), &b.shuffle_write_bytes)
+            );
         }
     }
 

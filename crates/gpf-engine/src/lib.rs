@@ -48,6 +48,8 @@ pub mod fault;
 mod frame;
 pub mod fsmodel;
 pub mod metrics;
+#[cfg(all(test, gpf_check))]
+mod models;
 mod shuffle;
 pub mod sim;
 mod task;

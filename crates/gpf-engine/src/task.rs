@@ -54,6 +54,16 @@ pub(crate) struct TaskRun<R> {
     injected: u32,
 }
 
+impl<R> TaskRun<R> {
+    /// Finish a completed task's output on the worker that ran it: `g` runs
+    /// once however many attempts the body took, outside the measured
+    /// window — where a side effect on shared state (a fold into an
+    /// accumulator) belongs, since a retried body must not repeat it.
+    pub(crate) fn map<S>(self, g: impl FnOnce(R) -> S) -> TaskRun<S> {
+        TaskRun { out: g(self.out), sample: self.sample, attempts: self.attempts, injected: self.injected }
+    }
+}
+
 /// Why a stage stops early: the pipeline's two structured failures.
 pub(crate) enum Abort {
     /// A tracked restore does not fit the memory budget.

@@ -16,6 +16,9 @@
 //! serial restore, checksum-and-recompute), never results — this test pins
 //! that for the whole operator surface at once, where the
 //! chaos/budget/skew batteries pin it per mechanism.
+//!
+//! Beside the job: every consuming operator against its borrowed twin, and
+//! `map_fold` against `map` + `collect` + a fold.
 
 mod shuffle_oracle;
 
@@ -242,8 +245,28 @@ fn every_operator_agrees_across_faults_budget_and_ownership() {
 enum Twin {
     PartitionByKey,
     Map,
+    MapIndexed,
+    FlatMap,
     MapPartitions,
     ZipPartitions,
+}
+
+impl Twin {
+    /// Element-wise operators stream an evicted partition and never restore
+    /// it; the whole-partition ones restore, one task at a time.
+    fn streams(self) -> bool {
+        !matches!(self, Twin::MapPartitions | Twin::ZipPartitions)
+    }
+}
+
+/// A record stamped with where it sat, so a wrong position shows.
+fn stamp(part: usize, index: usize, kv: &Rec) -> Rec {
+    (kv.0 ^ (part as u64) << 32, kv.1.wrapping_add(index as u64))
+}
+
+/// One record to none, one or two.
+fn fan_out(kv: &Rec) -> Vec<Rec> {
+    (0..kv.1 % 3).map(|k| (kv.0, kv.1 ^ k)).collect()
 }
 
 const TWIN_PARTS: usize = 16;
@@ -268,6 +291,15 @@ fn run_borrowed(twin: Twin, d: &Dataset<Rec>, e: &Dataset<Rec>, tick: &(dyn Fn()
             tick();
             (kv.0, kv.1.rotate_left(3))
         }),
+        // The indexed map's borrowed twin is the indexed flat-map of one.
+        Twin::MapIndexed => d.flat_map_indexed(|part, index, kv| {
+            tick();
+            Some(stamp(part, index, kv))
+        }),
+        Twin::FlatMap => d.flat_map(|kv| {
+            tick();
+            fan_out(kv)
+        }),
         Twin::MapPartitions => d.map_partitions(|p| {
             tick();
             p.iter().rev().copied().collect()
@@ -290,6 +322,14 @@ fn run_consuming(twin: Twin, d: Dataset<Rec>, e: Dataset<Rec>, tick: &(dyn Fn() 
         Twin::Map => d.into_map(|kv| {
             tick();
             (kv.0, kv.1.rotate_left(3))
+        }),
+        Twin::MapIndexed => d.into_map_indexed(|part, index, kv| {
+            tick();
+            stamp(part, index, &kv)
+        }),
+        Twin::FlatMap => d.into_flat_map(|kv| {
+            tick();
+            fan_out(&kv)
         }),
         Twin::MapPartitions => d.into_map_partitions(|p| {
             tick();
@@ -321,11 +361,17 @@ fn consuming_operators_agree_with_their_borrowed_twins() {
     let data = input();
     let footprint = data.len() as u64 * 16;
     let quiet = || {};
-    for twin in [Twin::PartitionByKey, Twin::Map, Twin::MapPartitions, Twin::ZipPartitions] {
+    let twins =
+        [Twin::PartitionByKey, Twin::Map, Twin::MapIndexed, Twin::FlatMap, Twin::MapPartitions, Twin::ZipPartitions];
+    for twin in twins {
         let want_ctx = EngineContext::new(EngineConfig::default().with_parallelism(4));
         let (d, e) = twin_inputs(&want_ctx, &data);
         let want = checkpoint("borrowed", &run_borrowed(twin, &d, &e, &quiet));
-        let want_shape = shape(&want_ctx.take_run());
+        let mut want_shape = shape(&want_ctx.take_run());
+        if let Twin::MapIndexed = twin {
+            // A map is labelled one; its twin here is a flat-map of `Some`.
+            want_shape.iter_mut().for_each(|stage| stage.label = stage.label.replace("flatMap", "map"));
+        }
         let same = |cell: &str, got: &Dataset<Rec>| {
             let got = checkpoint("consuming", got);
             assert!(got.parts == want.parts, "[{twin:?}, {cell}] diverged from the borrowed twin");
@@ -364,16 +410,13 @@ fn consuming_operators_agree_with_their_borrowed_twins() {
             let (d, e) = twin_inputs(&ctx, &data);
             let got = run_consuming(twin, d, e, &quiet);
             let breach = ctx.take_budget_breach();
-            match twin {
-                Twin::PartitionByKey | Twin::Map => {
-                    assert!(breach.is_none(), "[{twin:?}] a streamed operator never restores");
-                    same("budget 64 B", &got);
-                }
-                Twin::MapPartitions | Twin::ZipPartitions => {
-                    let breach = breach.expect("an infeasible restore is a structured breach");
-                    assert_eq!(breach.operator, want_shape[0].label, "[{twin:?}]");
-                    assert!(got.is_empty(), "[{twin:?}] a breached stage yields no records");
-                }
+            if twin.streams() {
+                assert!(breach.is_none(), "[{twin:?}] a streamed operator never restores");
+                same("budget 64 B", &got);
+            } else {
+                let breach = breach.expect("an infeasible restore is a structured breach");
+                assert_eq!(breach.operator, want_shape[0].label, "[{twin:?}]");
+                assert!(got.is_empty(), "[{twin:?}] a breached stage yields no records");
             }
         }
 
@@ -439,5 +482,97 @@ fn a_shared_plain_input_is_shuffled_where_it_sits() {
             let recomputed = trace.events.iter().filter(|ev| &*ev.name == "shuffle.recomputed").count();
             assert_eq!(recomputed > 0, plan.is_some(), "[{cell}] lineage recompute");
         }
+    }
+}
+
+/// A small dense table: what `map_fold` folds in BQSR's place.
+type Table = Vec<u64>;
+
+fn table_of(kv: &Rec) -> Table {
+    let mut t = vec![0u64; 16];
+    t[(kv.0 % 16) as usize] += 1;
+    t[(kv.1 % 16) as usize] += kv.0;
+    t
+}
+
+fn add_into(acc: &mut Table, t: &Table) {
+    if acc.is_empty() {
+        acc.resize(t.len(), 0);
+    }
+    acc.iter_mut().zip(t).for_each(|(a, b)| *a = a.wrapping_add(*b));
+}
+
+fn map_fold_tables(d: &Dataset<Rec>, tick: &(dyn Fn() + Sync)) -> Table {
+    d.map_fold(
+        |kv| {
+            tick();
+            table_of(kv)
+        },
+        Table::new,
+        add_into,
+        |acc, other| add_into(acc, &other),
+    )
+}
+
+/// `map_fold` is `map` + `collect` + a fold of what arrived: the same value
+/// and the same stage — `map` tasks closed by a `collect` charged each
+/// partition's values at their serialized size — for every serializer kind,
+/// under a quarter budget and under one a partition cannot fit in (it is
+/// element-wise: an evicted partition is streamed, never restored, so no
+/// budget breaches), with a seeded fault plan, and with a task whose first
+/// attempt panics: its values are folded once.
+#[test]
+fn map_fold_is_map_then_collect_then_fold() {
+    use std::sync::atomic::{AtomicU32, Ordering};
+    let data = input();
+    let footprint = data.len() as u64 * 16;
+    let quiet = || {};
+    for base in [EngineConfig::java(), EngineConfig::kryo(), EngineConfig::gpf()] {
+        let kind = base.serializer;
+        let base = base.with_parallelism(4);
+        let want_ctx = EngineContext::new(base.clone());
+        let (d, _) = twin_inputs(&want_ctx, &data);
+        let mut want = Table::new();
+        d.map(table_of).collect().iter().for_each(|t| add_into(&mut want, t));
+        let want_shape = shape(&want_ctx.take_run());
+        assert_eq!((want_shape.len(), want_shape[0].kind), (1, StageKind::Collect));
+        assert!(want_shape[0].shuffle_write.iter().all(|&bytes| bytes > 0), "every partition sends its tables");
+
+        let cells: [(&str, EngineConfig); 4] = [
+            ("plain", base.clone()),
+            ("budget 1/4", base.clone().with_memory_budget(footprint / 4)),
+            ("budget 64 B", base.clone().with_memory_budget(64)),
+            ("seeded plan", base.clone().with_faults(FaultPlan::seeded(0x2018, 250))),
+        ];
+        for (cell, cfg) in cells {
+            let (budgeted, faulted) = (cfg.memory_budget.is_some(), cfg.faults.is_some());
+            let ctx = EngineContext::new(cfg);
+            let (d, _) = twin_inputs(&ctx, &data);
+            assert_eq!(d.spilled_partitions() > 0, budgeted, "[{kind:?}, {cell}] a budget (and only one) must force spills");
+            assert!(map_fold_tables(&d, &quiet) == want, "[{kind:?}, {cell}] folded value");
+            assert!(ctx.take_budget_breach().is_none(), "[{kind:?}, {cell}] a streamed operator never restores");
+            assert!(ctx.take_failure().is_none(), "[{kind:?}, {cell}] in-budget faults must recover");
+            let (run, trace) = ctx.take_run_traced();
+            assert_eq!(shape(&run), want_shape, "[{kind:?}, {cell}] JobRun shape");
+            let injected = trace.events.iter().any(|ev| &*ev.name == "fault.injected");
+            assert_eq!(injected, faulted, "[{kind:?}, {cell}] the seeded plan (and only it) must inject");
+        }
+
+        // The user closure panics the first time it runs: that task's body
+        // runs again, and what it produced is folded once.
+        let calls = AtomicU32::new(0);
+        let flaky = || {
+            if calls.fetch_add(1, Ordering::SeqCst) == 0 {
+                panic!("flaky first attempt");
+            }
+        };
+        let ctx = EngineContext::new(base.with_faults(FaultPlan::seeded(0, 0)));
+        let (d, _) = twin_inputs(&ctx, &data);
+        assert!(map_fold_tables(&d, &flaky) == want, "[{kind:?}, retry] a retried task folds once");
+        assert!(ctx.take_failure().is_none(), "[{kind:?}] one panic is inside the retry budget");
+        let (run, trace) = ctx.take_run_traced();
+        assert_eq!(shape(&run), want_shape, "[{kind:?}, retry] JobRun shape");
+        let retried = trace.events.iter().filter(|ev| &*ev.name == "task.retries").count();
+        assert_eq!(retried, 1, "[{kind:?}] exactly the flaky task retried");
     }
 }

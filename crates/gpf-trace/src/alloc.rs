@@ -333,6 +333,19 @@ pub fn tracking_active() -> bool {
     ACTIVE.load(Ordering::Relaxed)
 }
 
+/// The process's resident set size in KiB (`VmRSS` of
+/// `/proc/self/status`) — what the allocator still holds, not only what is
+/// live. `None` where there is no procfs, and under a
+/// [`crate::clock::MockClock`] (the value differs from run to run).
+pub fn rss_kb() -> Option<u64> {
+    if crate::clock::mocked() {
+        return None;
+    }
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find_map(|l| l.strip_prefix("VmRSS:"))?;
+    line.split_whitespace().next()?.parse().ok()
+}
+
 /// Global live heap bytes (clamped at zero). Exact to within one
 /// [`FLUSH_PENDING_BYTES`] quantum per thread with unflushed scopes.
 pub fn live_bytes() -> u64 {

@@ -83,6 +83,13 @@ fn mock_now_ns() -> Option<u64> {
     })
 }
 
+/// Whether this thread runs under a [`MockClock`] — a run that asked for a
+/// reproducible trace, so host measurements other than the clocks stay out
+/// of it too.
+pub fn mocked() -> bool {
+    MOCK.with(|m| m.get().is_some())
+}
+
 /// Monotonic wall-clock nanoseconds (mock-aware).
 ///
 /// The absolute value is only meaningful relative to other `now_ns` calls

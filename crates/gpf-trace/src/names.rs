@@ -138,6 +138,13 @@ pub const HEAP_PEAK_KEY: &str = "peak";
 /// installed).
 pub const BUDGET_LEDGER_KEY: &str = "ledger";
 
+/// Counter key on a `proc:*` span's end: the process's resident set size in
+/// KiB once the step had run (traced runs only).
+pub const RSS_KB: &str = "rss_kb";
+/// Prefix of the counter keys on a `proc:*` span's end that name the
+/// Resources Defined once the step had run (`res:<name>` = records held).
+pub const RESIDENT_PREFIX: &str = "res:";
+
 /// Every registered counter name (sorted), for the registry cross-check.
 pub const ALL_COUNTERS: &[&str] = &[
     ALIGN_PREFILTER_HIT,

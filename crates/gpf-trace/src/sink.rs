@@ -162,7 +162,8 @@ fn fmt_s(ns: u64) -> String {
 /// Render a terminal text report over a [`Trace`].
 ///
 /// Sections: totals, top-`top_n` slowest spans, per-phase CPU utilization,
-/// the Figure-12-style blocked-time breakdown, and the global
+/// the Figure-12-style blocked-time breakdown, the heap track, what was
+/// resident after each Process of a traced pipeline, and the global
 /// counter/histogram registries.
 pub fn text_report(trace: &Trace, top_n: usize) -> String {
     let mut out = String::new();
@@ -294,6 +295,36 @@ pub fn text_report(trace: &Trace, top_n: usize) -> String {
         let _ = writeln!(out, "peak      {:>14} B", heap_max_peak.max(heap_max_live));
         let _ = writeln!(out, "max live  {heap_max_live:>14} B");
         let _ = writeln!(out, "end live  {heap_last_live:>14} B");
+    }
+
+    // Where the memory is: what was resident once each Process had run,
+    // from the `proc:*` span ends of a traced pipeline.
+    let steps: Vec<&Event> = trace
+        .sorted_events()
+        .into_iter()
+        .filter(|ev| ev.kind == EventKind::End && ev.name.starts_with("proc:"))
+        .filter(|ev| ev.counter(crate::names::RSS_KB).is_some())
+        .collect();
+    if !steps.is_empty() {
+        let mib = |bytes: u64| bytes as f64 / (1u64 << 20) as f64;
+        let _ = writeln!(out, "\n-- resident after each Process --");
+        let _ = writeln!(out, "{:<44} {:>9} {:>9}  resources defined (records)", "step", "rss MiB", "live MiB");
+        for ev in steps {
+            let rss = mib(ev.counter(crate::names::RSS_KB).unwrap_or(0) * 1024);
+            let live = match ev.counter(crate::names::HEAP_LIVE_TRACK) {
+                Some(bytes) => format!("{:.1}", mib(bytes)),
+                None => "-".to_string(),
+            };
+            let held: Vec<String> = ev
+                .counters
+                .iter()
+                .filter_map(|(key, records)| {
+                    key.strip_prefix(crate::names::RESIDENT_PREFIX).map(|name| format!("{name} ({records})"))
+                })
+                .collect();
+            let step = ev.name.trim_start_matches("proc:");
+            let _ = writeln!(out, "{step:<44} {rss:>9.1} {live:>9}  {}", held.join(", "));
+        }
     }
 
     // Global registries.

@@ -21,7 +21,8 @@
 #   scripts/ci.sh quick    # -D warnings build + gpf-lint + tests (workspace
 #                          # and benchmark/), plus one short benchmark run
 #                          # for its checks and three children for the
-#                          # pinned VCF digests, shuffle bytes and stages
+#                          # pinned VCF digests, shuffle bytes, stages and
+#                          # peak-RSS ceilings
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -60,7 +61,7 @@ if [[ "$bench_line" != *'"correct": true'* || "$bench_line" != *'"failed": 0,'* 
     exit 1
 fi
 
-echo "== repo benchmark (genome 6054: VCF digests, shuffle bytes and stage count, pinned across commits) =="
+echo "== repo benchmark (genome 6054: VCF digests, shuffle bytes, stage count and a peak-RSS ceiling, pinned across commits) =="
 # The run above only compares a commit with itself. This pins pipeline
 # output across commits: a kernel change that alters one VCF byte fails here
 # instead of at measurement time, and a change that means to move calls
@@ -70,13 +71,17 @@ echo "== repo benchmark (genome 6054: VCF digests, shuffle bytes and stage count
 # — nor a shuffled byte nor a stage of it. The dataflow is pinned beside
 # the answer: `engine.shuffle_mb` and `engine.stages` repeat exactly, so a
 # change that shuffles more (or adds a stage) says so here by moving them.
+# And the footprint beside the dataflow: each child's `peak_rss_mb` has a
+# ceiling 15-20% over what it measures (40.7 / 44.4 / 48.6 MiB; it repeats
+# within 1%), so one more resident copy of the reads (12 MiB or more) fails
+# here and allocator noise does not.
 bench_exe="${CARGO_TARGET_DIR:-benchmark/target}/release/gpf-benchmark"
 bench_inputs="$(mktemp -d -t gpf_bench_inputs_XXXX)"
 "$bench_exe" gen --dir "$bench_inputs" --seed 6054
-for pin in clean-call:242c4063708960b1:4.523387908935547 \
-    clean-call-fine:b3cdabcc53910815:6.022452354431152 \
-    clean-call-tight-mem:242c4063708960b1:4.523387908935547; do
-    IFS=: read -r workload digest shuffle_mb <<<"$pin"
+for pin in clean-call:242c4063708960b1:4.523387908935547:48 \
+    clean-call-fine:b3cdabcc53910815:6.022452354431152:52 \
+    clean-call-tight-mem:242c4063708960b1:4.523387908935547:60; do
+    IFS=: read -r workload digest shuffle_mb rss_ceiling <<<"$pin"
     bench_line="$("$bench_exe" child --workload "$workload" --dir "$bench_inputs" | tail -n 1)"
     for want in "\"digest\": \"$digest\"" "\"engine.shuffle_mb\": $shuffle_mb," \
         "\"engine.stages\": 10,"; do
@@ -87,6 +92,12 @@ for pin in clean-call:242c4063708960b1:4.523387908935547 \
             exit 1
         fi
     done
+    peak_rss_mb="$(sed -E 's/.*"peak_rss_mb": ([0-9.]+).*/\1/' <<<"$bench_line")"
+    if ! awk -v got="$peak_rss_mb" -v max="$rss_ceiling" 'BEGIN { exit !(got > 0 && got <= max) }'; then
+        rm -rf "$bench_inputs"
+        echo "$workload on genome 6054: peak_rss_mb $peak_rss_mb is over its ceiling of $rss_ceiling MiB" >&2
+        exit 1
+    fi
 done
 rm -rf "$bench_inputs"
 
@@ -100,13 +111,19 @@ echo "== model check (gpf-check: schedule explorer + race detector) =="
 # on the next plain cargo invocation. Serial (--test-threads=1) so the
 # schedule budget below is the only knob governing wall-clock.
 # The battery tests assert the checker still FLAGS every seeded bug; the
-# model tests assert the real pool/locks/ring/counters pass every explored
-# schedule. GPF_CHECK_SCHEDULES pins the per-model budget (CI time box);
-# a failure prints a GPF_CHECK_REPLAY token that reruns the exact schedule.
+# model tests assert the real pool/locks/ring/counters — and, in
+# gpf-engine's own `models` module, the consuming operators' move cells and
+# `map_fold`'s group accumulators — pass every explored schedule.
+# GPF_CHECK_SCHEDULES pins the per-model budget (CI time box); a failure
+# prints a GPF_CHECK_REPLAY token that reruns the exact schedule.
 CARGO_TARGET_DIR=target/gpf-check \
 RUSTFLAGS="${RUSTFLAGS:-} --cfg gpf_check" \
 GPF_CHECK_SCHEDULES="${GPF_CHECK_SCHEDULES:-10000}" \
     cargo test -q --offline -p gpf-check -- --test-threads=1
+CARGO_TARGET_DIR=target/gpf-check \
+RUSTFLAGS="${RUSTFLAGS:-} --cfg gpf_check" \
+GPF_CHECK_SCHEDULES="${GPF_CHECK_SCHEDULES:-10000}" \
+    cargo test -q --offline -p gpf-engine --lib models:: -- --test-threads=1
 
 echo "== clippy (blocking when installed) =="
 # A missing clippy component must not fail CI on minimal toolchains; an
