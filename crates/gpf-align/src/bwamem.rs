@@ -5,20 +5,25 @@
 //!
 //! 1. **Seeding** — exact-match seeds of length `seed_len` taken at a stride
 //!    across the read (both orientations) are located through FM-index
-//!    backward search; over-repetitive seeds are dropped, exactly like
+//!    backward search on the read's 0..=3 ranks (a seed over a base that is
+//!    not `ACGT` is skipped); over-repetitive seeds are dropped, exactly like
 //!    bwa-mem's `max_occ` filter.
 //! 2. **Chaining/voting** — seed hits vote for alignment *diagonals*
 //!    (text position − read offset, bucketed to tolerate indels).
-//! 3. **Extension** — the best diagonals are verified by banded fitting
-//!    alignment ([`crate::sw`]) against a padded reference window.
+//! 3. **Extension** — the best diagonals are verified against a padded
+//!    reference window ([`crate::verify`]): by a verbatim or one-mismatch
+//!    placement where that provably is the DP's answer, else by banded
+//!    fitting alignment ([`crate::sw`]).
 //! 4. **Scoring** — MAPQ derives from the margin between best and
 //!    second-best alignment scores; reads without an acceptable alignment
 //!    come back unmapped.
 //! 5. **Pairing** — mates are aligned independently, combined with a
 //!    proper-pair insert/orientation check, and a failed mate is *rescued*
-//!    by a banded search in the window implied by its partner.
+//!    by a banded search in the window implied by its partner, behind the
+//!    Myers prefilter ([`crate::myers`]) — its one use in the aligner.
 
 use crate::fmindex::FmIndex;
+use crate::myers::MyersPattern;
 use crate::sw::{fit_align, Scoring};
 use crate::verify::{rank_votes, verify_at, vote, OrientedRead, Placement};
 use gpf_formats::base::reverse_complement;
@@ -77,6 +82,8 @@ struct Scratch {
     votes: Vec<(i64, u32)>,
     /// Verified candidates of the current read, both strands.
     cands: Vec<Placement>,
+    /// The rescued mate's Myers masks, built only when a rescue runs.
+    pattern: MyersPattern,
 }
 
 /// The aligner: FM-index plus options.
@@ -117,11 +124,11 @@ impl BwaMemAligner {
 
         // Mate rescue: one mapped, one not -> banded search near the mate.
         if r1.flags.is_mapped() && !r2.flags.is_mapped() {
-            if let Some(res) = self.rescue(&r1, &pair.r2.seq, &mut scratch.read) {
+            if let Some(res) = self.rescue(&r1, &pair.r2.seq, &mut scratch) {
                 self.apply_rescue(&mut r2, res, &pair.r2.seq, &pair.r2.qual);
             }
         } else if r2.flags.is_mapped() && !r1.flags.is_mapped() {
-            if let Some(res) = self.rescue(&r2, &pair.r1.seq, &mut scratch.read) {
+            if let Some(res) = self.rescue(&r2, &pair.r1.seq, &mut scratch) {
                 self.apply_rescue(&mut r1, res, &pair.r1.seq, &pair.r1.qual);
             }
         }
@@ -184,7 +191,7 @@ impl BwaMemAligner {
     /// Seed both orientations and verify the best diagonals into
     /// `scratch.cands`.
     fn candidates(&self, seq: &[u8], scratch: &mut Scratch) {
-        let Scratch { read, votes, cands } = scratch;
+        let Scratch { read, votes, cands, .. } = scratch;
         cands.clear();
         let sl = self.opts.seed_len;
         // No seed length means no seeds; no stride means every offset.
@@ -195,11 +202,14 @@ impl BwaMemAligner {
         let tail = seq.len() - sl;
         for reverse in [false, true] {
             read.load(seq, reverse);
-            // Seeds every `stride` bases, plus one flush with the read's end.
+            // Seeds every `stride` bases, plus one flush with the read's end,
+            // searched as the ranks `load` computed; a seed over a base that
+            // is not `ACGT` is skipped, as `backward_search` would refuse it.
             votes.clear();
             for off in (0..=tail).step_by(stride).chain((!tail.is_multiple_of(stride)).then_some(tail)) {
-                let pattern = &read.seq()[off..off + sl];
-                if let Some((lo, hi)) = self.index.backward_search(pattern) {
+                let hits =
+                    read.seed(off, sl).and_then(|seed| self.index.backward_search_ranks(seed));
+                if let Some((lo, hi)) = hits {
                     if hi - lo > self.opts.max_seed_hits {
                         continue; // repeat region
                     }
@@ -217,7 +227,7 @@ impl BwaMemAligner {
     }
 
     /// Banded extension of an oriented read at a candidate text diagonal.
-    fn extend(&self, read: &mut OrientedRead, text_start: u64, reverse: bool) -> Option<Placement> {
+    fn extend(&self, read: &OrientedRead, text_start: u64, reverse: bool) -> Option<Placement> {
         let (contig, pos) = self.index.resolve(text_start as u32, 1)?;
         let whole = GenomeInterval::new(contig, 0, self.index.contig_len(contig));
         let (pos, aln) = verify_at(
@@ -251,8 +261,9 @@ impl BwaMemAligner {
         &self,
         anchor: &SamRecord,
         mate_seq: &[u8],
-        read: &mut OrientedRead,
+        scratch: &mut Scratch,
     ) -> Option<Placement> {
+        let Scratch { read, pattern, .. } = scratch;
         let sc = &self.opts.scoring;
         let clen = self.index.contig_len(anchor.contig);
         let span = (self.opts.insert_mean + 4.0 * self.opts.insert_sd) as u64;
@@ -272,8 +283,10 @@ impl BwaMemAligner {
         // One bit-parallel prefilter covers the whole diagonal scan: the
         // fitting distance is diagonal-independent, so if no path anywhere
         // in the window can reach the threshold, every banded attempt
-        // below would be rejected too.
-        if !read.may_reach(window, threshold, sc) {
+        // below would be rejected too. Rescue is the aligner's one caller
+        // of Myers, so the masks are built here.
+        pattern.rebuild(read.ranks());
+        if !pattern.allows(window, threshold.ceil() as i64, sc) {
             return None;
         }
         // A wide band is unnecessary: scan the window by trying several

@@ -139,16 +139,33 @@ impl FmIndex {
     /// Backward-search `pattern` (ASCII ACGT; other characters abort with
     /// `None`). Returns the SA interval `[lo, hi)` in BWT row space.
     pub fn backward_search(&self, pattern: &[u8]) -> Option<(usize, usize)> {
-        if pattern.is_empty() {
+        if !pattern.iter().all(|b| matches!(b, b'A' | b'C' | b'G' | b'T')) {
+            return None;
+        }
+        self.search(pattern.iter().map(|&b| rank4(b)))
+    }
+
+    /// [`FmIndex::backward_search`] of a pattern already in 0..=3 ranks
+    /// (the aligner's seeds: `verify::OrientedRead::seed`), with no ASCII
+    /// to validate or rank; a value above 3 aborts with `None`.
+    pub fn backward_search_ranks(&self, ranks: &[u8]) -> Option<(usize, usize)> {
+        self.search(ranks.iter().copied())
+    }
+
+    /// The one backward-search loop, over the pattern's ranks.
+    fn search(
+        &self,
+        ranks: impl DoubleEndedIterator<Item = u8> + ExactSizeIterator,
+    ) -> Option<(usize, usize)> {
+        if ranks.len() == 0 {
             return None;
         }
         let mut lo = 0usize;
         let mut hi = self.rows;
-        for &b in pattern.iter().rev() {
-            if !matches!(b, b'A' | b'C' | b'G' | b'T') {
+        for ch in ranks.rev() {
+            if ch > 3 {
                 return None;
             }
-            let ch = rank4(b);
             lo = self.c_of(ch) + self.occ(ch, lo);
             hi = self.c_of(ch) + self.occ(ch, hi);
             if lo >= hi {
@@ -271,6 +288,15 @@ mod tests {
         assert_eq!(idx.count(b"AAAAAAAA"), 0);
         assert_eq!(idx.count(b"ACNT"), 0, "N aborts the search");
         assert_eq!(idx.count(b""), 0);
+    }
+
+    #[test]
+    fn rank_patterns_search_like_their_ascii() {
+        let idx = index(b"ACGTACGTTGCA");
+        assert_eq!(idx.backward_search_ranks(&[0, 1, 2, 3]), idx.backward_search(b"ACGT"));
+        assert_eq!(idx.backward_search_ranks(&[2, 1, 0]), idx.backward_search(b"GCA"));
+        assert_eq!(idx.backward_search_ranks(&[0, 4, 1]), None, "4 is no rank");
+        assert_eq!(idx.backward_search_ranks(&[]), None);
     }
 
     #[test]

@@ -1,4 +1,6 @@
-//! Myers bit-parallel edit distance — the candidate-window prefilter.
+//! Myers bit-parallel edit distance — the wide-window prefilter of mate
+//! rescue and indel realignment (seed candidates are verified without it:
+//! [`crate::verify`]).
 //!
 //! [`fitting_distance`] computes the *fitting* (semi-global) unit-cost edit
 //! distance of a read against a reference window — the read is consumed in
@@ -8,7 +10,7 @@
 //!
 //! Its job here is not alignment but *pruning*: [`prefilter_allows`] turns
 //! the measured distance into a sound upper bound on the score any affine
-//! banded alignment ([`crate::sw::fit_align`]) could reach, so candidate
+//! banded alignment ([`crate::sw::fit_align`]) could reach, so window
 //! loops can skip the expensive DP outright when even the bound falls below
 //! their acceptance threshold. Soundness argument (DESIGN.md §15): the
 //! fitting unit-cost distance `d` is a lower bound on the number of edits

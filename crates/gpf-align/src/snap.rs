@@ -131,7 +131,7 @@ impl SnapAligner {
             }
             rank_votes(&mut votes);
             for &(diag, _) in votes.iter().take(self.opts.max_candidates) {
-                let Some(cand) = self.verify(&mut read, diag.max(0) as u64, reverse) else {
+                let Some(cand) = self.verify(&read, diag.max(0) as u64, reverse) else {
                     continue;
                 };
                 match &best {
@@ -158,7 +158,7 @@ impl SnapAligner {
         best.into_record(name, seq, qual, mapq)
     }
 
-    fn verify(&self, read: &mut OrientedRead, text_start: u64, reverse: bool) -> Option<Placement> {
+    fn verify(&self, read: &OrientedRead, text_start: u64, reverse: bool) -> Option<Placement> {
         // Resolve contig.
         let idx = self.contig_offsets.partition_point(|&o| o <= text_start) - 1;
         let base = self.contig_offsets[idx] as usize;

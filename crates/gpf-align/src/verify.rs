@@ -5,19 +5,29 @@
 //! reaches the acceptance threshold becomes a candidate. This module owns
 //! that tail — the per-orientation read state ([`OrientedRead`]), the vote
 //! table ([`vote`], [`rank_votes`]) and the check itself
-//! ([`verify_candidate`]), which decides as cheaply as it soundly can:
+//! ([`verify_candidate`]), which names the DP's answer without running it
+//! wherever it can prove what that answer is, and otherwise runs it:
 //!
 //! 1. [`exact_placement`] — the read occurs verbatim at exactly one in-band
-//!    window offset: that *is* the DP's answer, no DP needed;
-//! 2. the Myers prefilter — no path can reach the threshold: rejected, no DP
-//!    needed either;
-//! 3. [`fit_align`] — everything else.
+//!    window offset: that *is* the DP's answer;
+//! 2. [`one_mismatch_placement`] — no in-band offset is verbatim and exactly
+//!    one differs from the read in one base, under a scoring where one
+//!    mismatch beats any gap: that is the DP's answer too;
+//! 3. [`fit_align`] — everything else;
+//!
+//! then the threshold. Each rung counts itself on `align.verify.{exact,
+//! one_mismatch, dp}` when tracing is on. The Myers prefilter is not on this
+//! path: a seed-voted window is almost never hopeless (on benchmark genome
+//! 6054 it spared 1 DP of 9,043 and cost a Myers scan for each), so it stays
+//! where windows are wide and blind — mate rescue ([`crate::bwamem`]).
 
-use crate::myers::{self, MyersPattern};
+use crate::myers;
 use crate::sw::{fit_align, Alignment, Scoring};
 use gpf_formats::base::{rank4, reverse_complement_in_place};
 use gpf_formats::cigar::{Cigar, CigarOp};
 use gpf_formats::sam::{SamFlags, SamRecord, NO_CONTIG};
+use gpf_trace::names;
+use std::ops::RangeInclusive;
 
 /// One read in one orientation, in every form verification needs. A caller
 /// keeps one of these per `align_read`/`align_pair` call and
@@ -27,7 +37,9 @@ use gpf_formats::sam::{SamFlags, SamRecord, NO_CONTIG};
 pub struct OrientedRead {
     seq: Vec<u8>,
     ranks: Vec<u8>,
-    pattern: MyersPattern,
+    /// Offsets, ascending, of the bases that are not `ACGT`. Their rank is
+    /// `A`'s, so a seed covering one is not searched ([`OrientedRead::seed`]).
+    non_acgt: Vec<usize>,
 }
 
 impl OrientedRead {
@@ -40,7 +52,10 @@ impl OrientedRead {
         }
         self.ranks.clear();
         self.ranks.extend(self.seq.iter().map(|&b| rank4(b)));
-        self.pattern.rebuild(&self.ranks);
+        self.non_acgt.clear();
+        self.non_acgt.extend(
+            (0..self.seq.len()).filter(|&i| !matches!(self.seq[i], b'A' | b'C' | b'G' | b'T')),
+        );
     }
 
     /// The oriented bases (ASCII).
@@ -53,17 +68,44 @@ impl OrientedRead {
         &self.ranks
     }
 
+    /// The ranks of the seed `[off, off + len)`, ready for
+    /// [`crate::FmIndex::backward_search_ranks`]; `None` when the seed
+    /// covers a base that is not `ACGT` (which `backward_search` would
+    /// refuse) or runs past the read.
+    pub fn seed(&self, off: usize, len: usize) -> Option<&[u8]> {
+        let next = self.non_acgt.partition_point(|&p| p < off);
+        if self.non_acgt.get(next).is_some_and(|&p| p < off + len) {
+            return None;
+        }
+        self.ranks.get(off..off + len)
+    }
+
     /// The score an alignment must reach to be accepted: `min_score_frac`
     /// of the perfect score.
     pub fn threshold(&self, min_score_frac: f64, sc: &Scoring) -> f64 {
         min_score_frac * (self.seq.len() as i32 * sc.match_score) as f64
     }
+}
 
-    /// Bit-parallel prefilter: `false` when no alignment against `window`
-    /// can reach `threshold`, so a score-thresholded DP may be skipped
-    /// (output-preserving — see [`MyersPattern::allows`]).
-    pub fn may_reach(&mut self, window: &[u8], threshold: f64, sc: &Scoring) -> bool {
-        self.pattern.allows(window, threshold.ceil() as i64, sc)
+/// `true` when every edit strictly costs under `sc` and no gap open pays:
+/// the precondition of both shortcuts.
+fn edits_cost(sc: &Scoring) -> bool {
+    sc.match_score > 0 && sc.gap_open <= 0 && myers::min_edit_cost(sc).is_some()
+}
+
+/// The window offsets whose ungapped path the band around `diag_offset`
+/// covers whole: `|off − diag_offset| ≤ band` and `off + m ≤ n` (`m ≤ n`).
+fn in_band(m: usize, n: usize, diag_offset: usize, band: usize) -> RangeInclusive<usize> {
+    diag_offset.saturating_sub(band)..=diag_offset.saturating_add(band).min(n - m)
+}
+
+/// The ungapped `mM` alignment at `off` with `edits` mismatches.
+fn ungapped(m: usize, off: usize, edits: u32, sc: &Scoring) -> Alignment {
+    Alignment {
+        score: (m as i32 - edits as i32) * sc.match_score + edits as i32 * sc.mismatch,
+        window_start: off,
+        cigar: Cigar::from_ops(vec![(m as u32, CigarOp::Match)]),
+        edit_distance: edits,
     }
 }
 
@@ -86,44 +128,83 @@ pub fn exact_placement(
     sc: &Scoring,
 ) -> Option<Alignment> {
     let (m, n) = (read.len(), window.len());
-    let edits_cost = sc.match_score > 0 && sc.gap_open <= 0 && myers::min_edit_cost(sc).is_some();
-    if m == 0 || m > n || !edits_cost {
+    if m == 0 || m > n || !edits_cost(sc) {
         return None;
     }
-    let first = diag_offset.saturating_sub(sc.band);
-    let last = diag_offset.saturating_add(sc.band).min(n - m);
-    let mut occurrences = (first..=last).filter(|&off| window[off..off + m] == *read);
+    let mut occurrences =
+        in_band(m, n, diag_offset, sc.band).filter(|&off| window[off..off + m] == *read);
     let off = occurrences.next()?;
     if occurrences.next().is_some() {
         return None;
     }
-    Some(Alignment {
-        score: m as i32 * sc.match_score,
-        window_start: off,
-        cigar: Cigar::from_ops(vec![(m as u32, CigarOp::Match)]),
-        edit_distance: 0,
-    })
+    Some(ungapped(m, off, 0, sc))
+}
+
+/// The alignment of `read` against `window` when it is the read with one
+/// base substituted: no offset [`exact_placement`] scans holds the read
+/// verbatim and exactly one holds it with one mismatch, under its scoring
+/// preconditions plus `(m−1)·match + mismatch > m·match + gap_open +
+/// gap_extend`. `None` means "ask [`fit_align`]", never "no alignment".
+///
+/// Soundness (DESIGN.md §15a, "One-mismatch certificate"): an ungapped path
+/// at an in-band offset with `k` mismatches scores `m·match − k·(match −
+/// mismatch)`, so with no `k = 0` offset the single `k = 1` offset beats
+/// every other ungapped path. A path with a gap has at most `m` aligned
+/// read bases, at least one gap open and at least one gap base, so it
+/// scores at most `m·match + gap_open + gap_extend` (an inserted read base
+/// also forgoes its match), which the inequality puts strictly below. The
+/// offset is the banded DP's unique optimum and the traceback can only
+/// return it. Two one-mismatch offsets (a tandem repeat) tie, and a verbatim
+/// offset outranks; both decline, as does a scoring that fails the
+/// inequality (a gap cheap enough to beat the mismatch).
+pub fn one_mismatch_placement(
+    read: &[u8],
+    window: &[u8],
+    diag_offset: usize,
+    sc: &Scoring,
+) -> Option<Alignment> {
+    let (m, n) = (read.len(), window.len());
+    let mismatch_beats_a_gap = i64::from(sc.mismatch) - i64::from(sc.match_score)
+        > i64::from(sc.gap_open) + i64::from(sc.gap_extend);
+    if m == 0 || m > n || !edits_cost(sc) || !mismatch_beats_a_gap {
+        return None;
+    }
+    let mut found = None;
+    for off in in_band(m, n, diag_offset, sc.band) {
+        let mut diffs = read.iter().zip(&window[off..off + m]).filter(|(r, w)| r != w);
+        match (diffs.next(), diffs.next()) {
+            (None, _) => return None,
+            (Some(_), None) if found.is_some() => return None,
+            (Some(_), None) => found = Some(off),
+            (Some(_), Some(_)) => {}
+        }
+    }
+    found.map(|off| ungapped(m, off, 1, sc))
 }
 
 /// Align `read` against `window` around `diag_offset` and accept the result
 /// only if it scores at least `threshold`. Exactly
-/// `fit_align(..).filter(|a| a.score >= threshold)`, reached the cheapest
-/// sound way (module docs).
+/// `fit_align(..).filter(|a| a.score >= threshold)`, without the DP
+/// wherever its answer is proven (module docs).
 pub fn verify_candidate(
-    read: &mut OrientedRead,
+    read: &OrientedRead,
     window: &[u8],
     diag_offset: usize,
     threshold: f64,
     sc: &Scoring,
 ) -> Option<Alignment> {
-    let aln = match exact_placement(&read.ranks, window, diag_offset, sc) {
-        Some(aln) => aln,
-        None if read.may_reach(window, threshold, sc) => {
-            fit_align(&read.ranks, window, diag_offset, sc)?
-        }
-        None => return None,
+    let ranks = &read.ranks;
+    let (decided_by, aln) = match exact_placement(ranks, window, diag_offset, sc) {
+        Some(aln) => (names::ALIGN_VERIFY_EXACT, Some(aln)),
+        None => match one_mismatch_placement(ranks, window, diag_offset, sc) {
+            Some(aln) => (names::ALIGN_VERIFY_ONE_MISMATCH, Some(aln)),
+            None => (names::ALIGN_VERIFY_DP, fit_align(ranks, window, diag_offset, sc)),
+        },
     };
-    (aln.score as f64 >= threshold).then_some(aln)
+    if gpf_trace::enabled() {
+        gpf_trace::counter(decided_by).add(1);
+    }
+    aln.filter(|a| a.score as f64 >= threshold)
 }
 
 /// Record one seed hit: `hit` is where the seed taken at read offset `off`
@@ -151,7 +232,7 @@ pub(crate) fn rank_votes(votes: &mut Vec<(i64, u32)>) {
 /// that pads the read's span at `pos` by `pad` on both sides, clipped to the
 /// contig. Returns the accepted alignment with its position on the contig.
 pub fn verify_at(
-    read: &mut OrientedRead,
+    read: &OrientedRead,
     contig_ranks: &[u8],
     pos: usize,
     pad: usize,

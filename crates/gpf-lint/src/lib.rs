@@ -527,6 +527,9 @@ pub const KNOWN_METRIC_NAMES: &[&str] = &[
     "align.prefilter.hit",
     "align.prefilter.skip",
     "align.sw.cells",
+    "align.verify.dp",
+    "align.verify.exact",
+    "align.verify.one_mismatch",
     "codec.bases",
     "codec.deserialize.bytes",
     "codec.deserialize.records",

@@ -17,12 +17,23 @@
 /// Events dropped by bounded trace rings (bumped on overflow).
 pub const TRACE_DROPPED: &str = "trace.dropped";
 
-/// Candidate windows where the Myers prefilter admitted the banded DP.
+/// Windows where the Myers prefilter admitted the banded DP — mate-rescue
+/// and realignment windows only: seed candidates are decided by
+/// `align.verify.*` and never reach the prefilter (PR 25).
 pub const ALIGN_PREFILTER_HIT: &str = "align.prefilter.hit";
-/// Candidate windows the Myers prefilter proved unalignable (DP skipped).
+/// Windows the Myers prefilter proved unalignable (DP skipped); same scope
+/// as [`ALIGN_PREFILTER_HIT`].
 pub const ALIGN_PREFILTER_SKIP: &str = "align.prefilter.skip";
 /// Band cells evaluated by the Smith–Waterman fitting alignment.
 pub const ALIGN_SW_CELLS: &str = "align.sw.cells";
+/// Seed-candidate verifications decided by running the banded DP.
+pub const ALIGN_VERIFY_DP: &str = "align.verify.dp";
+/// Seed-candidate verifications decided by a unique verbatim in-band
+/// occurrence (no DP).
+pub const ALIGN_VERIFY_EXACT: &str = "align.verify.exact";
+/// Seed-candidate verifications decided by the one-mismatch certificate
+/// (no DP).
+pub const ALIGN_VERIFY_ONE_MISMATCH: &str = "align.verify.one_mismatch";
 /// DP cells evaluated by the pair-HMM likelihood kernel.
 pub const PAIRHMM_CELLS: &str = "pairhmm.cells";
 /// Lane-cells the pair-HMM kernel swept, padding included:
@@ -150,6 +161,9 @@ pub const ALL_COUNTERS: &[&str] = &[
     ALIGN_PREFILTER_HIT,
     ALIGN_PREFILTER_SKIP,
     ALIGN_SW_CELLS,
+    ALIGN_VERIFY_DP,
+    ALIGN_VERIFY_EXACT,
+    ALIGN_VERIFY_ONE_MISMATCH,
     CODEC_BASES,
     CODEC_DESERIALIZE_BYTES,
     CODEC_DESERIALIZE_RECORDS,

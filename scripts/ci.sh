@@ -20,9 +20,10 @@
 #                          # experiments smoke + trace export/schema check
 #   scripts/ci.sh quick    # -D warnings build + gpf-lint + tests (workspace
 #                          # and benchmark/), plus one short benchmark run
-#                          # for its checks and three children for the
-#                          # pinned VCF digests, shuffle bytes, stages and
-#                          # peak-RSS ceilings
+#                          # for its checks, four children for the pinned
+#                          # VCF digests, shuffle bytes, stages and peak-RSS
+#                          # ceilings, and one traced child for the
+#                          # aligner's DP-cell ceiling
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -61,24 +62,28 @@ if [[ "$bench_line" != *'"correct": true'* || "$bench_line" != *'"failed": 0,'* 
     exit 1
 fi
 
-echo "== repo benchmark (genome 6054: VCF digests, shuffle bytes, stage count and a peak-RSS ceiling, pinned across commits) =="
+echo "== repo benchmark (genome 6054: VCF digests, shuffle bytes, stage count, a peak-RSS ceiling and the aligner's DP cells, pinned across commits) =="
 # The run above only compares a commit with itself. This pins pipeline
 # output across commits: a kernel change that alters one VCF byte fails here
 # instead of at measurement time, and a change that means to move calls
-# updates the pin on purpose. The same generated genome goes through three
-# children: the fine geometry has its own pin (partition-dependent calls are
+# updates the pin on purpose. The same generated genome goes through four
+# children: wgs-full from its FASTQ must call what clean-call calls from its
+# SAM, the fine geometry has its own pin (partition-dependent calls are
 # ROADMAP item 2), and a memory budget must not change a byte of clean-call
 # — nor a shuffled byte nor a stage of it. The dataflow is pinned beside
 # the answer: `engine.shuffle_mb` and `engine.stages` repeat exactly, so a
 # change that shuffles more (or adds a stage) says so here by moving them.
 # And the footprint beside the dataflow: each child's `peak_rss_mb` has a
-# ceiling 15-20% over what it measures (40.7 / 44.4 / 48.6 MiB; it repeats
-# within 1%), so one more resident copy of the reads (12 MiB or more) fails
-# here and allocator noise does not.
+# ceiling 15-20% over what it measures (37.8 / 40.7 / 44.4 / 48.6 MiB for
+# wgs-full / clean-call / -fine / -tight-mem; it repeats within 1%), so one
+# more resident copy of the reads (12 MiB or more) fails here and allocator
+# noise does not. wgs-full runs the aligner on the same genome, so its
+# digest also pins aligner output end to end.
 bench_exe="${CARGO_TARGET_DIR:-benchmark/target}/release/gpf-benchmark"
 bench_inputs="$(mktemp -d -t gpf_bench_inputs_XXXX)"
 "$bench_exe" gen --dir "$bench_inputs" --seed 6054
-for pin in clean-call:242c4063708960b1:4.523387908935547:48 \
+for pin in wgs-full:242c4063708960b1:4.523370742797852:44 \
+    clean-call:242c4063708960b1:4.523387908935547:48 \
     clean-call-fine:b3cdabcc53910815:6.022452354431152:52 \
     clean-call-tight-mem:242c4063708960b1:4.523387908935547:60; do
     IFS=: read -r workload digest shuffle_mb rss_ceiling <<<"$pin"
@@ -99,7 +104,18 @@ for pin in clean-call:242c4063708960b1:4.523387908935547:48 \
         exit 1
     fi
 done
+# The aligner's DP work: one traced wgs-full child counts the banded-SW
+# cells evaluated (`align.sw_cells`, exact and repeatable: 17,307,941 on
+# this genome, 35,495,891 before verification decided exact and
+# one-mismatch placements without the DP). Certified placements drifting
+# back to the DP fail here.
+bench_line="$("$bench_exe" child --workload wgs-full --dir "$bench_inputs" --trace-kernels | tail -n 1)"
 rm -rf "$bench_inputs"
+sw_cells="$(sed -E 's/.*"align.sw_cells": ([0-9.]+).*/\1/' <<<"$bench_line")"
+if ! awk -v got="$sw_cells" 'BEGIN { exit !(got > 0 && got <= 20000000) }'; then
+    echo "wgs-full on genome 6054: align.sw_cells $sw_cells is over its ceiling of 20,000,000" >&2
+    exit 1
+fi
 
 if [[ "${1:-}" == "quick" ]]; then
     exit 0
