@@ -30,15 +30,20 @@ impl ReferenceGenome {
     /// Parse FASTA text into a reference genome.
     ///
     /// Sequences are upper-cased; any character outside `{A,C,G,T,N}` is an
-    /// error (we do not accept extended IUPAC codes in the reference).
+    /// error (we do not accept extended IUPAC codes in the reference). So is
+    /// a contig with no bases, reported at its header, and a file with no
+    /// contig, reported one line past its end: there would be nothing to
+    /// index or call against.
     pub fn parse_fasta(text: &str) -> Result<Self, FormatError> {
         let mut contigs: Vec<(String, Vec<u8>)> = Vec::new();
+        let mut header_line = 0;
         for (lineno, line) in text.lines().enumerate() {
             let line = line.trim_end();
             if line.is_empty() {
                 continue;
             }
             if let Some(header) = line.strip_prefix('>') {
+                reject_empty_last_contig(&contigs, header_line)?;
                 let name = header.split_whitespace().next().unwrap_or("").to_string();
                 if name.is_empty() {
                     return Err(FormatError::Fasta {
@@ -53,6 +58,7 @@ impl ReferenceGenome {
                     });
                 }
                 contigs.push((name, Vec::new()));
+                header_line = lineno + 1;
             } else {
                 let (_, seq) = contigs.last_mut().ok_or_else(|| FormatError::Fasta {
                     line: lineno + 1,
@@ -69,6 +75,13 @@ impl ReferenceGenome {
                     seq.push(up);
                 }
             }
+        }
+        reject_empty_last_contig(&contigs, header_line)?;
+        if contigs.is_empty() {
+            return Err(FormatError::Fasta {
+                line: text.lines().count() + 1,
+                msg: "no contig: expected a `>` header followed by sequence".into(),
+            });
         }
         Ok(Self::from_contigs(contigs))
     }
@@ -128,6 +141,21 @@ impl ReferenceGenome {
     }
 }
 
+/// `Err` when the last contig parsed so far, whose header is on
+/// `header_line`, has no bases.
+fn reject_empty_last_contig(
+    contigs: &[(String, Vec<u8>)],
+    header_line: usize,
+) -> Result<(), FormatError> {
+    match contigs.last() {
+        Some((name, seq)) if seq.is_empty() => Err(FormatError::Fasta {
+            line: header_line,
+            msg: format!("contig `{name}` has no sequence"),
+        }),
+        _ => Ok(()),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -177,6 +205,31 @@ mod tests {
     #[test]
     fn rejects_duplicate_contig() {
         assert!(ReferenceGenome::parse_fasta(">c\nAC\n>c\nGT\n").is_err());
+    }
+
+    fn fasta_error_line(text: &str) -> usize {
+        match ReferenceGenome::parse_fasta(text) {
+            Err(FormatError::Fasta { line, .. }) => line,
+            other => panic!("{text:?} parsed to {other:?}"),
+        }
+    }
+
+    #[test]
+    fn rejects_contig_without_sequence() {
+        assert_eq!(fasta_error_line(">chr1\n"), 1);
+        assert_eq!(fasta_error_line(">chr1"), 1);
+        assert_eq!(fasta_error_line(">a\nAC\n>b\n>c\nGT\n"), 3, "an empty contig between two");
+        assert_eq!(fasta_error_line(">a\nAC\n\n>b\n\n"), 4, "an empty last contig");
+        let err = ReferenceGenome::parse_fasta(">a\nAC\n>b\n").unwrap_err();
+        assert!(err.to_string().contains("`b` has no sequence"), "{err}");
+    }
+
+    #[test]
+    fn rejects_file_without_contig() {
+        assert_eq!(fasta_error_line(""), 1);
+        assert_eq!(fasta_error_line("\n\n"), 3);
+        let err = ReferenceGenome::parse_fasta("  \n").unwrap_err();
+        assert!(err.to_string().contains("line 2: no contig"), "{err}");
     }
 
     #[test]
