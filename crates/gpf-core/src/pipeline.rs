@@ -7,12 +7,15 @@
 //! iteration finds no runnable Process while work remains, the dependency
 //! graph is circular and the run aborts.
 //!
-//! Before executing a runnable *partition Process* (a [`crate::process::BundleStage`]), the
+//! Before executing a runnable *partition Process* (a [`BundleStage`]), the
 //! scheduler looks for the Figure 7 fusion pattern — a chain of bundle
-//! stages where each link's SAM output feeds exactly the next link — and,
-//! when optimization is enabled, executes the whole chain over a single
-//! bundled RDD: FASTA/VCF partition RDDs are built once, and the
-//! merge → repartition → join round-trips between links disappear.
+//! stages where each link's SAM output feeds exactly the next link, over
+//! the same PartitionInfo and the same known sites — and, when optimization
+//! is enabled, hands the whole chain to `process::run_bundle_chain`,
+//! which runs it over a single bundled RDD: FASTA/VCF partition RDDs are
+//! built once, and the merge → repartition → join round-trips between links
+//! disappear. A bundle stage run alone goes through the same executor as a
+//! chain of one.
 //!
 //! The plan also decides Resource lifetimes: the last step that lists a
 //! Resource among its inputs is handed it (its `consume()` gets the bundle's
@@ -29,7 +32,7 @@
 //! `run()` return [`PipelineError::Invalid`] before any dataset work
 //! starts, instead of stalling mid-flight.
 
-use crate::process::{build_bundles_owned, Process};
+use crate::process::{run_bundle_chain, BundleStage, Process};
 use crate::resource::ResourceAny;
 use crate::validate::{self, Diagnostic, Severity, ValidationReport};
 use gpf_engine::EngineContext;
@@ -179,7 +182,7 @@ impl Pipeline {
     /// Process → Resource → Process path), inputs nobody produces, duplicate
     /// producers, bundle-kind mismatches, aliased resource names, dead
     /// outputs — plus the Figure 7 fusion-eligibility report showing which
-    /// [`crate::process::BundleStage`] chains will fuse under `optimize`.
+    /// [`BundleStage`] chains will fuse under `optimize`.
     pub fn check(&self) -> ValidationReport {
         ValidationReport::new(validate::analyze(&self.processes, self.optimize).diagnostics)
     }
@@ -269,7 +272,10 @@ impl Pipeline {
                     self.processes[i].execute(&self.ctx);
                 } else {
                     proc_span.add_counter("fused", chain.len() as u64);
-                    self.execute_fused(chain);
+                    // The planner fuses bundle stages only.
+                    let stages: Vec<&dyn BundleStage> =
+                        chain.iter().filter_map(|&j| self.processes[j].as_bundle_stage()).collect();
+                    run_bundle_chain(&self.ctx, &stages);
                 }
                 // Released whether or not the step consumed them — and
                 // whether or not it failed: nothing later reads them.
@@ -305,46 +311,6 @@ impl Pipeline {
             }
         }
         Ok(())
-    }
-
-    /// Execute a fused chain (Figure 7(b)): build the bundled RDD once, map
-    /// each stage over it, finalize every link's outputs.
-    fn execute_fused(&self, chain: &[usize]) {
-        // The planner only emits multi-member chains of bundle stages, so
-        // the let-else arms below are unreachable on planner output.
-        let Some(first) = chain.first().and_then(|&i| self.processes[i].as_bundle_stage()) else {
-            debug_assert!(false, "fused chain head is not a bundle stage");
-            return;
-        };
-        let info = first.partition_info().info();
-        let known = first.rod().map(|r| r.consume());
-        let mut bundles = {
-            let _build_span =
-                span_in(self.ctx.trace_log(), "bundles:build", Category::Scheduler);
-            build_bundles_owned(
-                &self.ctx,
-                &first.reference(),
-                &info,
-                first.input_sam().consume(),
-                known,
-            )
-            // Fused-chain bundles are the largest live allocation of the
-            // WGS pipeline — under a memory budget they must be evictable
-            // or no budget below the materialized size is feasible.
-            .evictable()
-        };
-        let mut last = first;
-        for &i in chain {
-            let Some(stage) = self.processes[i].as_bundle_stage() else {
-                debug_assert!(false, "fused chain member is not a bundle stage");
-                continue;
-            };
-            bundles = stage.run_on_bundles(&self.ctx, bundles);
-            last = stage;
-        }
-        // Intermediate SAM merges are exactly the redundancy the fusion
-        // removes — only the last link materializes outputs.
-        last.finalize(&self.ctx, bundles);
     }
 
     /// Close a `proc:*` span with what is resident now that its step has

@@ -12,6 +12,12 @@
 //! that element type; [`build_bundles`] performs the partition + join that
 //! constructs it (three shuffles); the [`BundleStage`] trait is what the
 //! §4.3 redundancy elimination fuses across consecutive Processes.
+//!
+//! A bundle stage declares its inputs ([`BundleStageIo`]), its output, its
+//! phase, its per-bundle work and how it finalizes; everything else is one
+//! blanket [`Process`] impl. `run_bundle_chain` is the one executor: a
+//! stage run alone is a chain of one, a fused chain is longer, and both
+//! build their bundles in the same place.
 
 use crate::partition::PartitionInfo;
 use crate::resource::{PartitionInfoBundle, ResourceAny, SamBundle, VcfBundle};
@@ -20,6 +26,7 @@ use gpf_engine::{Dataset, EngineContext};
 use gpf_formats::sam::SamRecord;
 use gpf_formats::vcf::VcfRecord;
 use gpf_formats::{GenomeInterval, ReferenceGenome};
+use gpf_trace::{span_in, Category};
 use std::sync::Arc;
 
 /// A schedulable unit of work.
@@ -116,7 +123,7 @@ pub fn build_bundles(
 /// records gives them up: each shuffle map task frees the input partition
 /// it serialized, so the reads are resident once, as bundles, when this
 /// returns. A shared handle (or faults, or a budget) is read in place.
-pub(crate) fn build_bundles_owned(
+fn build_bundles_owned(
     ctx: &Arc<EngineContext>,
     reference: &ReferenceGenome,
     info: &PartitionInfo,
@@ -173,22 +180,42 @@ pub fn flatten_sams(bundles: Dataset<RegionBundle>) -> Dataset<SamRecord> {
     bundles.into_flat_map(|b| b.sams)
 }
 
-/// A Process that operates on the bundled RDD — the fusion target of §4.3.
-pub trait BundleStage: Send + Sync {
-    /// The PartitionInfo resource used to build the bundles.
-    fn partition_info(&self) -> Arc<PartitionInfoBundle>;
-
-    /// The SAM bundle consumed.
-    fn input_sam(&self) -> Arc<SamBundle>;
-
-    /// The SAM bundle produced (`None` for the Caller, which produces VCF).
-    fn output_sam(&self) -> Option<Arc<SamBundle>>;
-
-    /// The known-sites resource (dbSNP analogue), if used.
-    fn rod(&self) -> Option<Arc<VcfBundle>>;
-
+/// What a bundle stage reads — Table 2's constructor arguments shared by
+/// `IndelRealignProcess`, `BaseRecalibrationProcess` and
+/// `HaplotypeCallerProcess`.
+pub struct BundleStageIo {
+    /// Process name (for reports and error messages).
+    pub(crate) name: String,
     /// Reference genome the stage computes against.
-    fn reference(&self) -> Arc<ReferenceGenome>;
+    pub(crate) reference: Arc<ReferenceGenome>,
+    /// The known-sites resource (the paper's `rodMap`, a dbSNP analogue).
+    pub(crate) rod: Option<Arc<VcfBundle>>,
+    /// The PartitionInfo the bundles are built over.
+    pub(crate) partition_info: Arc<PartitionInfoBundle>,
+    /// The reads the bundles are built from.
+    pub(crate) input: Arc<SamBundle>,
+}
+
+/// The Resource a bundle stage defines.
+pub enum StageOutput {
+    /// Reads handed on — the Resource a fused chain links through.
+    Sam(Arc<SamBundle>),
+    /// Calls: the Caller, which ends a chain.
+    Vcf(Arc<VcfBundle>),
+}
+
+/// A *partition Process*: it operates on the bundled RDD and is the fusion
+/// target of §4.3. This is its whole contract — the one [`Process`] impl
+/// below serves every stage, and `run_bundle_chain` runs it.
+pub trait BundleStage: Send + Sync {
+    /// What the stage reads.
+    fn io(&self) -> &BundleStageIo;
+
+    /// What the stage defines.
+    fn output(&self) -> StageOutput;
+
+    /// The engine phase its tasks are charged to.
+    fn phase(&self) -> &'static str;
 
     /// Transform the bundled RDD (per-partition compute plus any global
     /// gather/broadcast steps the algorithm needs).
@@ -199,8 +226,74 @@ pub trait BundleStage: Send + Sync {
     ) -> Dataset<RegionBundle>;
 
     /// Write this stage's final outputs from the transformed bundles, which
-    /// nothing reads afterwards: their records move into the outputs.
-    fn finalize(&self, ctx: &Arc<EngineContext>, bundles: Dataset<RegionBundle>);
+    /// nothing reads afterwards: their records move into the outputs. A
+    /// stage that hands reads on flattens them into its output SAM.
+    fn finalize(&self, _ctx: &Arc<EngineContext>, bundles: Dataset<RegionBundle>) {
+        if let StageOutput::Sam(output) = self.output() {
+            output.define(flatten_sams(bundles));
+        }
+    }
+}
+
+impl<S: BundleStage> Process for S {
+    fn name(&self) -> &str {
+        &self.io().name
+    }
+
+    fn input_resources(&self) -> Vec<Arc<dyn ResourceAny>> {
+        let io = self.io();
+        let mut v: Vec<Arc<dyn ResourceAny>> = vec![io.input.clone(), io.partition_info.clone()];
+        if let Some(rod) = &io.rod {
+            v.push(rod.clone());
+        }
+        v
+    }
+
+    fn output_resources(&self) -> Vec<Arc<dyn ResourceAny>> {
+        match self.output() {
+            StageOutput::Sam(sam) => vec![sam],
+            StageOutput::Vcf(vcf) => vec![vcf],
+        }
+    }
+
+    /// Unfused (Figure 7(a)): a chain of one, so this stage repartitions and
+    /// joins for itself.
+    fn execute(&self, ctx: &Arc<EngineContext>) {
+        run_bundle_chain(ctx, &[self]);
+    }
+
+    fn as_bundle_stage(&self) -> Option<&dyn BundleStage> {
+        Some(self)
+    }
+}
+
+/// Run a chain of bundle stages — one stage alone, or a §4.3 fused chain
+/// (Figure 7(b)): build the bundled RDD once from the head's inputs, map
+/// each stage over it, and let the last stage define its outputs. Every
+/// bundle build of a bundle stage, fused or not, happens here.
+pub(crate) fn run_bundle_chain(ctx: &Arc<EngineContext>, chain: &[&dyn BundleStage]) {
+    let (Some(head), Some(last)) = (chain.first(), chain.last()) else {
+        return;
+    };
+    ctx.set_phase(head.phase());
+    let io = head.io();
+    let info = io.partition_info.info();
+    let known = io.rod.as_ref().map(|r| r.consume());
+    let mut bundles = {
+        let _build_span = span_in(ctx.trace_log(), "bundles:build", Category::Scheduler);
+        build_bundles_owned(ctx, &io.reference, &info, io.input.consume(), known)
+            // The bundles are the largest live allocation of the WGS
+            // pipeline — under a memory budget they must be evictable or no
+            // budget below the materialized size is feasible.
+            .evictable()
+    };
+    for stage in chain {
+        ctx.set_phase(stage.phase());
+        bundles = stage.run_on_bundles(ctx, bundles);
+    }
+    // Intermediate SAM merges are exactly the redundancy the fusion
+    // removes — only the last link materializes outputs.
+    last.finalize(ctx, bundles);
 }
 
 #[cfg(test)]

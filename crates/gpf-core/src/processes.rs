@@ -9,8 +9,10 @@
 //! | `HaplotypeCallerProcess(..., outputVCFBundle, useGVCF)` | [`HaplotypeCallerProcess::new`] |
 //! | `ReadRepartitioner(name, inputSAMBundleList, outputPartitionInfo, referenceLength, advisedPartitionLength)` | [`ReadRepartitioner::new`] |
 //!
-//! The three Cleaner/Caller stages implement [`BundleStage`], making them
-//! fusion candidates for the §4.3 redundancy elimination. A paper-fidelity
+//! The three Cleaner/Caller stages implement [`BundleStage`] — their
+//! inputs, output, phase and per-bundle work — and nothing else: the one
+//! blanket `Process` impl in [`crate::process`] runs each of them alone or
+//! as a link of a §4.3 fused chain. A paper-fidelity
 //! note recorded in DESIGN.md: bundles carry the real FASTA/VCF partition
 //! payloads (so shuffle volumes are honest), while the per-partition compute
 //! reads the reference through a driver-held `Arc` for coordinate
@@ -18,14 +20,11 @@
 //! reference.
 
 use crate::partition::PartitionInfo;
-use crate::process::{
-    build_bundles_owned, flatten_sams, BundleStage, Process, RegionBundle,
-};
+use crate::process::{BundleStage, BundleStageIo, Process, RegionBundle, StageOutput};
 use crate::resource::{
     FastqPairBundle, PartitionInfoBundle, ResourceAny, SamBundle, VcfBundle,
 };
 use gpf_align::BwaMemAligner;
-use gpf_caller::CallerOptions;
 use gpf_cleaner::bqsr::{apply_recalibration, build_recal_table, RecalTable};
 use gpf_cleaner::realign::{find_realign_intervals, realign_interval};
 use gpf_cleaner::{coordinate_cmp, duplicate_sources, set_duplicate_flag, FragmentSignature};
@@ -268,36 +267,8 @@ impl Process for ReadRepartitioner {
 // Bundle stages: IndelRealign, BaseRecalibration, HaplotypeCaller
 // ---------------------------------------------------------------------------
 
-/// Shared plumbing for the three bundle stages.
-struct BundleStageIo {
-    reference: Arc<ReferenceGenome>,
-    rod: Option<Arc<VcfBundle>>,
-    partition_info: Arc<PartitionInfoBundle>,
-    input: Arc<SamBundle>,
-}
-
-impl BundleStageIo {
-    fn input_resources(&self) -> Vec<Arc<dyn ResourceAny>> {
-        let mut v: Vec<Arc<dyn ResourceAny>> =
-            vec![self.input.clone(), self.partition_info.clone()];
-        if let Some(rod) = &self.rod {
-            v.push(rod.clone());
-        }
-        v
-    }
-
-    /// Unfused execution prologue: build this stage's own bundled RDD
-    /// (Figure 7(a) — every Process repartitions and joins for itself).
-    fn own_bundles(&self, ctx: &Arc<EngineContext>) -> Dataset<RegionBundle> {
-        let info = self.partition_info.info();
-        let known = self.rod.as_ref().map(|r| r.consume());
-        build_bundles_owned(ctx, &self.reference, &info, self.input.consume(), known)
-    }
-}
-
 /// `IndelRealignProcess` — adjust alignments around indels (Cleaner stage).
 pub struct IndelRealignProcess {
-    name: String,
     io: BundleStageIo,
     output: Arc<SamBundle>,
 }
@@ -313,58 +284,27 @@ impl IndelRealignProcess {
         input: Arc<SamBundle>,
         output: Arc<SamBundle>,
     ) -> Arc<Self> {
-        Arc::new(Self {
-            name: name.into(),
-            io: BundleStageIo { reference, rod, partition_info, input },
-            output,
-        })
-    }
-}
-
-impl Process for IndelRealignProcess {
-    fn name(&self) -> &str {
-        &self.name
-    }
-    fn input_resources(&self) -> Vec<Arc<dyn ResourceAny>> {
-        self.io.input_resources()
-    }
-    fn output_resources(&self) -> Vec<Arc<dyn ResourceAny>> {
-        vec![self.output.clone()]
-    }
-    fn execute(&self, ctx: &Arc<EngineContext>) {
-        ctx.set_phase("cleaner");
-        let bundles = self.io.own_bundles(ctx);
-        let out = self.run_on_bundles(ctx, bundles);
-        self.finalize(ctx, out);
-    }
-    fn as_bundle_stage(&self) -> Option<&dyn BundleStage> {
-        Some(self)
+        let io = BundleStageIo { name: name.into(), reference, rod, partition_info, input };
+        Arc::new(Self { io, output })
     }
 }
 
 impl BundleStage for IndelRealignProcess {
-    fn partition_info(&self) -> Arc<PartitionInfoBundle> {
-        self.io.partition_info.clone()
+    fn io(&self) -> &BundleStageIo {
+        &self.io
     }
-    fn input_sam(&self) -> Arc<SamBundle> {
-        self.io.input.clone()
+    fn output(&self) -> StageOutput {
+        StageOutput::Sam(self.output.clone())
     }
-    fn output_sam(&self) -> Option<Arc<SamBundle>> {
-        Some(self.output.clone())
-    }
-    fn rod(&self) -> Option<Arc<VcfBundle>> {
-        self.io.rod.clone()
-    }
-    fn reference(&self) -> Arc<ReferenceGenome> {
-        self.io.reference.clone()
+    fn phase(&self) -> &'static str {
+        "cleaner"
     }
 
     fn run_on_bundles(
         &self,
-        ctx: &Arc<EngineContext>,
+        _ctx: &Arc<EngineContext>,
         bundles: Dataset<RegionBundle>,
     ) -> Dataset<RegionBundle> {
-        ctx.set_phase("cleaner");
         let reference = self.io.reference.clone();
         bundles.into_map(move |mut b| {
             let intervals = find_realign_intervals(&b.sams, &b.vcfs, &reference);
@@ -373,10 +313,6 @@ impl BundleStage for IndelRealignProcess {
             }
             b
         })
-    }
-
-    fn finalize(&self, _ctx: &Arc<EngineContext>, bundles: Dataset<RegionBundle>) {
-        self.output.define(flatten_sams(bundles));
     }
 }
 
@@ -387,7 +323,6 @@ impl BundleStage for IndelRealignProcess {
 /// in parallel groups and only the partials meet at the driver) → broadcast
 /// → apply pass per partition.
 pub struct BaseRecalibrationProcess {
-    name: String,
     io: BundleStageIo,
     output: Arc<SamBundle>,
 }
@@ -402,50 +337,20 @@ impl BaseRecalibrationProcess {
         input: Arc<SamBundle>,
         output: Arc<SamBundle>,
     ) -> Arc<Self> {
-        Arc::new(Self {
-            name: name.into(),
-            io: BundleStageIo { reference, rod, partition_info, input },
-            output,
-        })
-    }
-}
-
-impl Process for BaseRecalibrationProcess {
-    fn name(&self) -> &str {
-        &self.name
-    }
-    fn input_resources(&self) -> Vec<Arc<dyn ResourceAny>> {
-        self.io.input_resources()
-    }
-    fn output_resources(&self) -> Vec<Arc<dyn ResourceAny>> {
-        vec![self.output.clone()]
-    }
-    fn execute(&self, ctx: &Arc<EngineContext>) {
-        ctx.set_phase("cleaner");
-        let bundles = self.io.own_bundles(ctx);
-        let out = self.run_on_bundles(ctx, bundles);
-        self.finalize(ctx, out);
-    }
-    fn as_bundle_stage(&self) -> Option<&dyn BundleStage> {
-        Some(self)
+        let io = BundleStageIo { name: name.into(), reference, rod, partition_info, input };
+        Arc::new(Self { io, output })
     }
 }
 
 impl BundleStage for BaseRecalibrationProcess {
-    fn partition_info(&self) -> Arc<PartitionInfoBundle> {
-        self.io.partition_info.clone()
+    fn io(&self) -> &BundleStageIo {
+        &self.io
     }
-    fn input_sam(&self) -> Arc<SamBundle> {
-        self.io.input.clone()
+    fn output(&self) -> StageOutput {
+        StageOutput::Sam(self.output.clone())
     }
-    fn output_sam(&self) -> Option<Arc<SamBundle>> {
-        Some(self.output.clone())
-    }
-    fn rod(&self) -> Option<Arc<VcfBundle>> {
-        self.io.rod.clone()
-    }
-    fn reference(&self) -> Arc<ReferenceGenome> {
-        self.io.reference.clone()
+    fn phase(&self) -> &'static str {
+        "cleaner"
     }
 
     fn run_on_bundles(
@@ -453,7 +358,6 @@ impl BundleStage for BaseRecalibrationProcess {
         ctx: &Arc<EngineContext>,
         bundles: Dataset<RegionBundle>,
     ) -> Dataset<RegionBundle> {
-        ctx.set_phase("cleaner");
         let reference = self.io.reference.clone();
         // Gather: a covariate table per bundle, folded as it is produced.
         // This is the driver-bound step §5.2.2 names — each table is still
@@ -478,20 +382,14 @@ impl BundleStage for BaseRecalibrationProcess {
             b
         })
     }
-
-    fn finalize(&self, _ctx: &Arc<EngineContext>, bundles: Dataset<RegionBundle>) {
-        self.output.define(flatten_sams(bundles));
-    }
 }
 
 /// `HaplotypeCallerProcess` — call variants via local de-novo assembly of
 /// haplotypes in active regions with the pair-HMM (Caller stage).
 pub struct HaplotypeCallerProcess {
-    name: String,
     io: BundleStageIo,
     output: Arc<VcfBundle>,
     use_gvcf: bool,
-    opts: CallerOptions,
 }
 
 impl HaplotypeCallerProcess {
@@ -506,73 +404,35 @@ impl HaplotypeCallerProcess {
         output: Arc<VcfBundle>,
         use_gvcf: bool,
     ) -> Arc<Self> {
-        Arc::new(Self {
-            name: name.into(),
-            io: BundleStageIo { reference, rod, partition_info, input },
-            output,
-            use_gvcf,
-            opts: CallerOptions::default(),
-        })
-    }
-}
-
-impl Process for HaplotypeCallerProcess {
-    fn name(&self) -> &str {
-        &self.name
-    }
-    fn input_resources(&self) -> Vec<Arc<dyn ResourceAny>> {
-        self.io.input_resources()
-    }
-    fn output_resources(&self) -> Vec<Arc<dyn ResourceAny>> {
-        vec![self.output.clone()]
-    }
-    fn execute(&self, ctx: &Arc<EngineContext>) {
-        ctx.set_phase("caller");
-        let bundles = self.io.own_bundles(ctx);
-        let out = self.run_on_bundles(ctx, bundles);
-        self.finalize(ctx, out);
-    }
-    fn as_bundle_stage(&self) -> Option<&dyn BundleStage> {
-        Some(self)
+        let io = BundleStageIo { name: name.into(), reference, rod, partition_info, input };
+        Arc::new(Self { io, output, use_gvcf })
     }
 }
 
 impl BundleStage for HaplotypeCallerProcess {
-    fn partition_info(&self) -> Arc<PartitionInfoBundle> {
-        self.io.partition_info.clone()
+    fn io(&self) -> &BundleStageIo {
+        &self.io
     }
-    fn input_sam(&self) -> Arc<SamBundle> {
-        self.io.input.clone()
+    fn output(&self) -> StageOutput {
+        StageOutput::Vcf(self.output.clone())
     }
-    fn output_sam(&self) -> Option<Arc<SamBundle>> {
-        None
-    }
-    fn rod(&self) -> Option<Arc<VcfBundle>> {
-        self.io.rod.clone()
-    }
-    fn reference(&self) -> Arc<ReferenceGenome> {
-        self.io.reference.clone()
+    fn phase(&self) -> &'static str {
+        "caller"
     }
 
     fn run_on_bundles(
         &self,
-        ctx: &Arc<EngineContext>,
+        _ctx: &Arc<EngineContext>,
         bundles: Dataset<RegionBundle>,
     ) -> Dataset<RegionBundle> {
-        ctx.set_phase("caller");
         let reference = self.io.reference.clone();
-        let opts = self.opts.clone();
         let use_gvcf = self.use_gvcf;
         // Consumed, so each task frees its region's reads as it finishes
         // rather than the driver freeing every region's after the wave.
         bundles.into_map(move |b| {
             let mut sams: Vec<&SamRecord> = b.sams.iter().collect();
             sams.sort_by(|x, y| coordinate_cmp(x, y));
-            let caller = gpf_caller::HaplotypeCaller {
-                caller_opts: opts.clone(),
-                ..Default::default()
-            };
-            let mut calls = caller.call(sams, &reference);
+            let mut calls = gpf_caller::HaplotypeCaller::default().call(sams, &reference);
             // A read overhanging the region boundary can produce a call
             // outside the region; the partition that owns that locus makes
             // the call, so drop it here. (Regions are not padded today —
