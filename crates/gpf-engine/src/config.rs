@@ -15,13 +15,6 @@ pub struct EngineConfig {
     /// Default number of partitions for `parallelize` and wide operations
     /// when the caller does not specify one.
     pub default_parallelism: usize,
-    /// Estimated garbage-collection cost per byte of heap churn, in seconds.
-    ///
-    /// Deserialized shuffle data and freshly built records churn the heap;
-    /// the paper's Table 4 shows GC time dropping when shuffle volume drops.
-    /// The default (~25 s per GiB) is calibrated so a WGS-scale run spends
-    /// a Table-4-like share of its core hours in GC.
-    pub gc_seconds_per_byte: f64,
     /// Fixed per-record heap-churn estimate (object headers, boxing) in
     /// bytes, on top of payload bytes.
     pub per_record_overhead_bytes: u64,
@@ -85,7 +78,6 @@ impl Default for EngineConfig {
         Self {
             serializer: SerializerKind::Gpf,
             default_parallelism: 8,
-            gc_seconds_per_byte: 25.0 / (1u64 << 30) as f64,
             per_record_overhead_bytes: 48,
             faults: None,
             memory_budget: None,
