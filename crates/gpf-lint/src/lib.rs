@@ -2,8 +2,9 @@
 //!
 //! Mechanical enforcement of the workspace invariants PR 1 established —
 //! the checks a reviewer would otherwise have to re-verify on every change.
-//! Std-only, like `gpf-support`: the linter itself must build with
-//! `--offline` from a clean checkout.
+//! Its one dependency is `gpf-trace`, a workspace path crate, for the
+//! metric-name registry the `counter-name-registry` rule reads; the linter
+//! itself must build with `--offline` from a clean checkout.
 //!
 //! ## Rules
 //!
@@ -518,61 +519,13 @@ const PANIC_TOKENS: [(&str, &str); 6] = [
 /// `print!` does not also fire inside `println!` or `eprint!`).
 const PRINT_TOKENS: [&str; 4] = ["println!", "eprintln!", "print!", "eprint!"];
 
-/// Registered metric names for the `counter-name-registry` rule —
-/// gpf-lint's dependency-free copy of `gpf_trace::names::ALL_COUNTERS` and
-/// `ALL_HISTOGRAMS` merged. A cross-check test in this crate's test suite
-/// (which may use dev-dependencies) keeps the copy in sync with the
-/// registry.
-pub const KNOWN_METRIC_NAMES: &[&str] = &[
-    "align.prefilter.hit",
-    "align.prefilter.skip",
-    "align.sw.cells",
-    "align.verify.dp",
-    "align.verify.exact",
-    "align.verify.one_mismatch",
-    "codec.bases",
-    "codec.deserialize.bytes",
-    "codec.deserialize.records",
-    "codec.serialize.bytes",
-    "codec.serialize.records",
-    "fault.injected",
-    "heap.alloc.bytes",
-    "heap.alloc.count",
-    "heap.freed.bytes",
-    "heap.size_class",
-    "heap.tag.serde",
-    "heap.tag.shuffle",
-    "heap.tag.spill",
-    "heap.tag.task",
-    "heap.tag.untagged",
-    "mem.budget.breach",
-    "mem.budget.dropped_clean",
-    "mem.budget.restored",
-    "mem.budget.restored_bytes",
-    "mem.budget.spilled",
-    "mem.budget.spilled_bytes",
-    "pairhmm.cells",
-    "pairhmm.lane_cells",
-    "pairhmm.shared_windows",
-    "par.busy_ns",
-    "par.chunks",
-    "par.idle_ns",
-    "par.steals",
-    "repartition.cap_hit",
-    "repartition.merged",
-    "repartition.moved_records",
-    "repartition.splits",
-    "shuffle.bucket.bytes",
-    "shuffle.bucket.records",
-    "shuffle.partitions.borrowed",
-    "shuffle.partitions.cloned",
-    "shuffle.partitions.moved",
-    "shuffle.recomputed",
-    "shuffle.scratch.allocated",
-    "shuffle.scratch.reused",
-    "task.retries",
-    "trace.dropped",
-];
+/// Whether `name` is registered for the `counter-name-registry` rule: the
+/// rule reads the registry itself, `gpf_trace::names::ALL_COUNTERS` and
+/// `ALL_HISTOGRAMS`.
+fn is_registered_metric(name: &str) -> bool {
+    use gpf_trace::names::{ALL_COUNTERS, ALL_HISTOGRAMS};
+    ALL_COUNTERS.iter().chain(ALL_HISTOGRAMS).any(|&known| known == name)
+}
 
 /// Literal first arguments of `counter("...")` / `histogram("...")`
 /// registration calls on one line. `code` is the masked view (comments and
@@ -813,7 +766,7 @@ pub fn lint_source(file: &str, source: &str) -> Vec<Finding> {
         let raw = raw_lines.get(idx).copied().unwrap_or("");
         for fn_name in ["counter", "histogram"] {
             for lit in metric_literal_args(code, raw, fn_name) {
-                if !KNOWN_METRIC_NAMES.contains(&lit.as_str())
+                if !is_registered_metric(&lit)
                     && !is_allowed(&masked, idx, Rule::CounterNameRegistry)
                 {
                     findings.push(Finding {

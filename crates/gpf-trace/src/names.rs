@@ -5,9 +5,8 @@
 //! used to register (and silently accumulate into) a fresh counter nobody
 //! reads; gpf-lint's `counter-name-registry` rule now flags any
 //! `counter("...")` / `histogram("...")` call site whose string literal is
-//! not in this registry, and a cross-check test in gpf-lint keeps the
-//! linter's copy of the list in sync with [`ALL_COUNTERS`] /
-//! [`ALL_HISTOGRAMS`].
+//! not in this registry — it reads [`ALL_COUNTERS`] / [`ALL_HISTOGRAMS`]
+//! themselves.
 //!
 //! The `heap.*` names belong to the tracking allocator ([`crate::alloc`]);
 //! [`HEAP_LIVE_TRACK`] is a trace *event* name (the Perfetto counter
