@@ -27,7 +27,6 @@ use crate::myers::MyersPattern;
 use crate::sw::{fit_align, Scoring};
 use crate::verify::{rank_votes, verify_at, vote, OrientedRead, Placement};
 use gpf_formats::base::reverse_complement;
-use gpf_formats::cigar::{Cigar, CigarOp};
 use gpf_formats::fastq::FastqPair;
 use gpf_formats::sam::{SamFlags, SamRecord};
 use gpf_formats::{GenomeInterval, ReferenceGenome};
@@ -328,11 +327,6 @@ impl BwaMemAligner {
         rec.cigar = res.aln.cigar;
         rec.edit_distance = res.aln.edit_distance as u16;
     }
-}
-
-/// Count soft-clippable low-score tails — exposed for tests of CIGAR shape.
-pub fn has_only_mid(cigar: &Cigar) -> bool {
-    cigar.0.iter().all(|(_, op)| matches!(op, CigarOp::Match | CigarOp::Ins | CigarOp::Del))
 }
 
 #[cfg(test)]

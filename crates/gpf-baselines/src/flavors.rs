@@ -56,12 +56,6 @@ impl Flavor {
         }
     }
 
-    /// Whether the flavor rebuilds its bundled inputs for every kernel (no
-    /// §4.3 fusion) — true for everything but GPF.
-    pub fn rebuilds_bundles(self) -> bool {
-        !matches!(self, Flavor::Gpf)
-    }
-
     /// Whether the flavor pays a storage-format conversion around each
     /// kernel (ADAM's Parquet-style columnar conversion).
     pub fn converts_format(self) -> bool {
@@ -96,8 +90,6 @@ mod tests {
     fn serializer_choices() {
         assert_eq!(Flavor::Gpf.engine_config().serializer, SerializerKind::Gpf);
         assert_eq!(Flavor::AdamLike.engine_config().serializer, SerializerKind::KryoSim);
-        assert!(!Flavor::Gpf.rebuilds_bundles());
-        assert!(Flavor::AdamLike.rebuilds_bundles());
         assert!(Flavor::AdamLike.converts_format());
         assert!(!Flavor::Gatk4Like.converts_format());
     }

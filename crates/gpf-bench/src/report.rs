@@ -79,11 +79,6 @@ impl ExperimentReport {
     }
 }
 
-/// Format seconds as `MM:SS`-style minutes string.
-pub fn fmt_minutes(seconds: f64) -> String {
-    format!("{:.1} min", seconds / 60.0)
-}
-
 /// Format a byte count with a binary unit.
 pub fn fmt_bytes(bytes: u64) -> String {
     const UNITS: [&str; 5] = ["B", "KiB", "MiB", "GiB", "TiB"];

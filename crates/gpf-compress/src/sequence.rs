@@ -274,13 +274,6 @@ pub fn decompress_read_fields_into(
     Ok(())
 }
 
-/// Compression ratio achieved on the raw two fields (`(seq+qual bytes) /
-/// compressed payload bytes`) — Figure 4's "improves storage by
-/// approximately four times" claim is about the sequence part of this.
-pub fn field_compression_ratio(seq_len: usize, read: &CompressedRead) -> f64 {
-    (2 * seq_len) as f64 / read.payload_bytes().max(1) as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -358,7 +351,8 @@ mod tests {
         let c = compress_read_fields(&seq, &qual, &codec()).unwrap();
         // Sequence: 100 bases -> 25 bytes (4x). Quality: ~1-2 bits/char.
         assert_eq!(c.packed_seq.len(), 25);
-        let ratio = field_compression_ratio(100, &c);
+        // (seq + qual bytes) / compressed payload bytes.
+        let ratio = 200.0 / c.payload_bytes() as f64;
         assert!(ratio > 3.0, "ratio = {ratio}");
     }
 

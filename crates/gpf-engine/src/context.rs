@@ -518,7 +518,7 @@ impl EngineContext {
     }
 
     /// Finish recording, returning both the derived [`JobRun`] and the raw
-    /// [`Trace`] it was derived from (for the Chrome/JSONL/text sinks).
+    /// [`Trace`] it was derived from (for the Chrome/text sinks).
     pub fn take_run_traced(&self) -> (JobRun, Trace) {
         let trace = self.trace.drain();
         let run = derive_job_run(&trace.events);

@@ -633,58 +633,6 @@ fn shrink_failure<S: Strategy>(
     (current, message, steps)
 }
 
-/// Generators for genomic data shapes, shared across the workspace's
-/// property suites (sequences, quality strings, CIGARs, partition maps).
-pub mod genomic {
-    use super::collection::{vec, SizeRange, VecStrategy};
-    use super::*;
-
-    /// Read sequences over `{A, C, G, T}` with ~3% `N`s.
-    pub fn dna_seq(size: impl Into<SizeRange>) -> impl Strategy<Value = Vec<u8>> {
-        let base = Union::new(vec![
-            (8, Union::arm(Just(b'A'))),
-            (8, Union::arm(Just(b'C'))),
-            (8, Union::arm(Just(b'G'))),
-            (8, Union::arm(Just(b'T'))),
-            (1, Union::arm(Just(b'N'))),
-        ]);
-        vec(base, size)
-    }
-
-    /// Phred+33 quality strings over the full legal byte range.
-    pub fn quality_string(size: impl Into<SizeRange>) -> VecStrategy<core::ops::RangeInclusive<u8>> {
-        vec(33u8..=126, size)
-    }
-
-    /// A `(sequence, same-length quality)` pair.
-    pub fn read_pair(max_len: usize) -> impl Strategy<Value = (Vec<u8>, Vec<u8>)> {
-        dna_seq(0..max_len.max(1)).prop_flat_map(|seq| {
-            let len = seq.len();
-            (Just(seq), quality_string(len..=len))
-        })
-    }
-
-    /// CIGAR op lists `(count, op-char)` over the full SAM alphabet.
-    pub fn cigar_ops(max_ops: usize) -> impl Strategy<Value = Vec<(u32, char)>> {
-        let op = Union::new(
-            ['M', 'I', 'D', 'S', 'H', 'N', 'P', '=', 'X']
-                .into_iter()
-                .map(|c| (1u32, Union::arm(Just(c))))
-                .collect(),
-        );
-        vec((1u32..500, op), 1..max_ops.max(2))
-    }
-
-    /// Per-partition record counts `(partition id, count)` — the input
-    /// shape of the dynamic-repartition planner.
-    pub fn partition_map(
-        max_parts: u32,
-        max_count: u64,
-    ) -> impl Strategy<Value = Vec<(u32, u64)>> {
-        vec((0..max_parts.max(1), 0..max_count.max(1)), 0..32)
-    }
-}
-
 /// Names the harness re-exports for a mechanical `use ...::prelude::*` port.
 pub mod prelude {
     pub use super::{
@@ -908,22 +856,6 @@ mod tests {
         });
     }
 
-    #[test]
-    fn genomic_generators_produce_valid_shapes() {
-        let mut rng = StdRng::seed_from_u64(8);
-        for _ in 0..50 {
-            let seq = genomic::dna_seq(0..100).generate(&mut rng);
-            assert!(seq.iter().all(|b| b"ACGTN".contains(b)));
-            let (s, q) = genomic::read_pair(80).generate(&mut rng);
-            assert_eq!(s.len(), q.len());
-            let ops = genomic::cigar_ops(10).generate(&mut rng);
-            assert!(!ops.is_empty());
-            assert!(ops.iter().all(|&(n, c)| n >= 1 && "MIDSHNP=X".contains(c)));
-            let pm = genomic::partition_map(16, 1000).generate(&mut rng);
-            assert!(pm.iter().all(|&(p, c)| p < 16 && c < 1000));
-        }
-    }
-
     // The macro forms, exercised end to end.
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
@@ -936,7 +868,10 @@ mod tests {
 
         #[test]
         fn macro_multi_param_with_pattern(
-            (seq, qual) in genomic::read_pair(60),
+            (seq, qual) in collection::vec(0u8..4, 0..60).prop_flat_map(|seq| {
+                let len = seq.len();
+                (Just(seq), collection::vec(33u8..=126, len..=len))
+            }),
             parts in 1usize..8,
         ) {
             prop_assert_eq!(seq.len(), qual.len());

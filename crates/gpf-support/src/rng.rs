@@ -141,25 +141,6 @@ impl StdRng {
         result
     }
 
-    /// Jump function: advances the stream by 2^128 steps, yielding a
-    /// generator whose future output is independent of the original's next
-    /// 2^128 values — cheap decorrelated sub-streams for parallel workers.
-    pub fn jump(&mut self) {
-        const JUMP: [u64; 4] =
-            [0x180e_c6d3_3cfd_0aba, 0xd5a6_1266_f0c9_392c, 0xa958_6979_6ec1_b18b, 0x39ab_dc45_29b1_661c];
-        let mut acc = [0u64; 4];
-        for j in JUMP {
-            for bit in 0..64 {
-                if (j >> bit) & 1 == 1 {
-                    for (a, s) in acc.iter_mut().zip(self.s) {
-                        *a ^= s;
-                    }
-                }
-                self.step();
-            }
-        }
-        self.s = acc;
-    }
 }
 
 impl Rng for StdRng {
@@ -317,11 +298,6 @@ impl Normal {
     pub fn mean(&self) -> f64 {
         self.mean
     }
-
-    /// The standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.sd
-    }
 }
 
 impl Distribution<f64> for Normal {
@@ -445,15 +421,6 @@ mod tests {
         assert!(Normal::new(0.0, f64::NAN).is_err());
         assert!(Normal::new(f64::INFINITY, 1.0).is_err());
         assert!(Normal::new(0.0, 0.0).is_ok(), "degenerate sd 0 is allowed");
-    }
-
-    #[test]
-    fn jump_decorrelates() {
-        let mut a = StdRng::seed_from_u64(3);
-        let mut b = a.clone();
-        b.jump();
-        let equal = (0..64).filter(|_| a.next_u64() == b.next_u64()).count();
-        assert_eq!(equal, 0, "jumped stream must not collide");
     }
 
     #[test]

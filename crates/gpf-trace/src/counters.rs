@@ -35,12 +35,6 @@ impl Counter {
         // worker's bumps already synchronize with that worker (scope join).
         self.0.load(Ordering::Relaxed)
     }
-
-    fn reset(&self) {
-        // ordering: Relaxed — test/bench isolation only, never concurrent
-        // with meaningful accumulation.
-        self.0.store(0, Ordering::Relaxed);
-    }
 }
 
 pub(crate) const BUCKETS: usize = 65;
@@ -139,13 +133,6 @@ impl Histogram {
     pub fn p99(&self) -> u64 {
         self.quantile(0.99)
     }
-
-    fn reset(&self) {
-        for b in &self.buckets {
-            // ordering: Relaxed — test/bench isolation only.
-            b.store(0, Ordering::Relaxed);
-        }
-    }
 }
 
 type CounterMap = BTreeMap<&'static str, &'static Counter>;
@@ -228,16 +215,6 @@ pub fn histograms_snapshot() -> Vec<(&'static str, HistogramSummary)> {
             (*n, HistogramSummary { count: h.count(), p50: h.p50(), p95: h.p95(), p99: h.p99() })
         })
         .collect()
-}
-
-/// Zero every registered counter and histogram (test / bench isolation).
-pub fn reset_all() {
-    for (_, c) in lock(counter_registry()).iter() {
-        c.reset();
-    }
-    for (_, h) in lock(histogram_registry()).iter() {
-        h.reset();
-    }
 }
 
 #[cfg(test)]

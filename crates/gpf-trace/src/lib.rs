@@ -23,8 +23,8 @@
 //!   clock reads and an amortized fraction of one mutex acquisition.
 //! - [`counters`] — a global registry of named atomic counters and
 //!   log-bucketed latency histograms (p50/p95/p99).
-//! - [`sink`] — three exporters over a [`Trace`] snapshot: Chrome
-//!   `chrome://tracing` JSON (loadable in Perfetto), JSON-lines, and a
+//! - [`sink`] — two exporters over a [`Trace`] snapshot: Chrome
+//!   `chrome://tracing` JSON (loadable in Perfetto) and a
 //!   terminal text report (top-N slowest spans, per-phase utilization,
 //!   Figure-12-style blocked-time breakdown). The sink module is also the
 //!   only place in the workspace allowed to call `println!`/`eprintln!`

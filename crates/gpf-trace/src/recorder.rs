@@ -164,11 +164,6 @@ impl SpanGuard {
         }
     }
 
-    /// Whether this guard is actually recording (false for a gated-off
-    /// ambient span).
-    pub fn is_recording(&self) -> bool {
-        self.active.is_some()
-    }
 }
 
 impl Drop for SpanGuard {
@@ -338,7 +333,6 @@ mod tests {
         let before = global().len();
         {
             let mut g = span("invisible-span-gated", Category::Other);
-            assert!(!g.is_recording());
             g.add_counter("x", 1);
         }
         instant("invisible-instant-gated", Category::Other);

@@ -1,11 +1,9 @@
 //! Trace exporters and the sanctioned console.
 //!
-//! Three views over a [`Trace`] snapshot:
+//! Two views over a [`Trace`] snapshot:
 //!
 //! - [`chrome_trace`] — Chrome trace-event JSON (`chrome://tracing` /
 //!   [Perfetto](https://ui.perfetto.dev)).
-//! - [`jsonl`] — one JSON object per event, full fidelity (span ids,
-//!   repeated counter keys), for machine diffing.
 //! - [`text_report`] — terminal report: slowest spans, per-phase CPU
 //!   utilization, and the Figure-12-style blocked-time breakdown
 //!   (compute vs shuffle vs serde vs scheduler).
@@ -47,8 +45,8 @@ fn ts_us(ts_ns: u64) -> String {
 
 fn chrome_args(ev: &Event) -> String {
     // Chrome's `args` is an object, so repeated counter keys (the engine's
-    // per-partition byte vectors) are summed into one entry; the jsonl sink
-    // keeps full fidelity.
+    // per-partition byte vectors) are summed into one entry; the `Trace`
+    // itself keeps them apart.
     let mut keys: Vec<&str> = Vec::new();
     let mut sums: Vec<u64> = Vec::new();
     for (k, v) in &ev.counters {
@@ -118,40 +116,6 @@ pub fn chrome_trace(trace: &Trace) -> String {
         out.push('}');
     }
     out.push_str("]}");
-    out
-}
-
-/// Render a [`Trace`] as JSON-lines: one object per event, full fidelity
-/// (span ids, parent links, repeated counter keys in order).
-pub fn jsonl(trace: &Trace) -> String {
-    let mut out = String::new();
-    for ev in trace.sorted_events() {
-        let _ = write!(
-            out,
-            "{{\"ph\":\"{}\",\"name\":\"{}\",\"cat\":\"{}\",\"phase\":\"{}\",\"ts_ns\":{},\"tid\":{},\"id\":{},\"parent\":{}",
-            ev.kind.code(),
-            json_escape(&ev.name),
-            ev.cat.name(),
-            json_escape(&ev.phase),
-            ev.ts_ns,
-            ev.tid,
-            ev.id,
-            ev.parent,
-        );
-        if !ev.counters.is_empty() {
-            out.push_str(",\"counters\":[");
-            let mut first = true;
-            for (k, v) in &ev.counters {
-                if !first {
-                    out.push(',');
-                }
-                first = false;
-                let _ = write!(out, "[\"{}\",{}]", json_escape(k), v);
-            }
-            out.push(']');
-        }
-        out.push_str("}\n");
-    }
     out
 }
 
@@ -540,14 +504,6 @@ mod tests {
         // Instants carry a scope.
         assert!(json.contains("\"s\":\"t\""));
         assert_eq!(validate_chrome_trace(&json), Ok(4));
-    }
-
-    #[test]
-    fn jsonl_keeps_full_fidelity() {
-        let text = jsonl(&sample_trace());
-        assert_eq!(text.lines().count(), 4);
-        assert!(text.contains("[\"b\",10],[\"b\",20]"), "{text}");
-        assert!(text.contains("\"phase\":\"aligner\""));
     }
 
     #[test]

@@ -23,8 +23,8 @@
 //!   **coverage hotspots** (the paper notes 10 000×-deep pileups inside a
 //!   50× dataset in §4.4 — the load imbalance its dynamic repartitioner
 //!   exists to fix);
-//! * [`profiles`] — bundled workload presets (WGS / WES / GenePanel scale
-//!   models used by the Figure 12 per-workload analysis).
+//! * [`profiles`] — bundled workload presets (a WGS scale model and a tiny
+//!   test profile).
 //!
 //! Everything is deterministic given a seed.
 

@@ -2,7 +2,8 @@
 //!
 //! The paper's §5.3.1 analyses three workload classes — WGS (whole genome),
 //! WES (exome), GenePanel — which differ in genome footprint and coverage
-//! depth. These presets are laptop-scale models keeping those ratios.
+//! depth. The experiments here run the WGS class, as a laptop-scale model
+//! at any scale, plus a `tiny` profile for tests.
 
 use crate::quality::QualityProfile;
 use crate::readsim::SimulatorConfig;
@@ -12,7 +13,7 @@ use crate::variants::VariantSpec;
 /// A complete workload description: reference + variants + read simulation.
 #[derive(Debug, Clone)]
 pub struct WorkloadProfile {
-    /// Workload name ("WGS", "WES", "GenePanel", ...).
+    /// Workload name ("WGS", "tiny").
     pub name: &'static str,
     /// Reference genome spec.
     pub reference: ReferenceSpec,
@@ -48,25 +49,6 @@ impl WorkloadProfile {
         }
     }
 
-    /// Whole-exome: ~2 % of the genome at high coverage.
-    pub fn wes(scale: f64, seed: u64) -> Self {
-        let mut p = Self::wgs(scale * 0.1, seed);
-        p.name = "WES";
-        p.reads.coverage = 100.0;
-        p.reads.hotspot_count = 4;
-        p
-    }
-
-    /// Gene panel: a small targeted region at very deep coverage.
-    pub fn gene_panel(scale: f64, seed: u64) -> Self {
-        let mut p = Self::wgs(scale * 0.02, seed);
-        p.name = "GenePanel";
-        p.reads.coverage = 500.0;
-        p.reads.hotspot_count = 6;
-        p.reads.hotspot_multiplier = 20.0;
-        p
-    }
-
     /// A tiny profile for fast unit/integration tests.
     pub fn tiny(seed: u64) -> Self {
         Self {
@@ -94,15 +76,11 @@ mod tests {
 
     #[test]
     fn profiles_scale_sensibly() {
-        let wgs = WorkloadProfile::wgs(1.0, 1);
-        let wes = WorkloadProfile::wes(1.0, 1);
-        let panel = WorkloadProfile::gene_panel(1.0, 1);
-        assert!(wgs.genome_bases() > wes.genome_bases());
-        assert!(wes.genome_bases() > panel.genome_bases());
-        assert!(panel.reads.coverage > wes.reads.coverage);
-        assert!(wes.reads.coverage > wgs.reads.coverage);
-        // Sequenced volume: WGS still biggest despite lower coverage.
-        assert!(wgs.sequenced_bases() > panel.sequenced_bases());
+        let full = WorkloadProfile::wgs(1.0, 1);
+        let tenth = WorkloadProfile::wgs(0.1, 1);
+        assert!(full.genome_bases() > tenth.genome_bases());
+        assert_eq!(full.reads.coverage, tenth.reads.coverage);
+        assert!(full.sequenced_bases() > tenth.sequenced_bases());
     }
 
     #[test]

@@ -83,16 +83,6 @@ impl QualityProfile {
         out
     }
 
-    /// Histogram of raw quality characters over sampled reads — Figure 5(a).
-    pub fn quality_histogram(&self, reads: usize, len: usize, rng: &mut StdRng) -> Vec<u64> {
-        let mut hist = vec![0u64; 128];
-        for _ in 0..reads {
-            for c in self.sample(len, rng) {
-                hist[c as usize] += 1;
-            }
-        }
-        hist
-    }
 }
 
 #[cfg(test)]
@@ -178,12 +168,5 @@ mod tests {
             late += q[80..].iter().map(|&c| c as f64).sum::<f64>() / 20.0;
         }
         assert!(early > late, "early {early} late {late}");
-    }
-
-    #[test]
-    fn histogram_sums_to_sample_count() {
-        let p = QualityProfile::srr622461_like();
-        let h = p.quality_histogram(10, 50, &mut rng());
-        assert_eq!(h.iter().sum::<u64>(), 500);
     }
 }
