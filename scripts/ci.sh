@@ -23,7 +23,9 @@
 #                          # and benchmark/), plus one short benchmark run
 #                          # for its checks, four children for the pinned
 #                          # VCF digests, shuffle bytes, stages and peak-RSS
-#                          # ceilings, and one traced child for the
+#                          # ceilings, one unfused child for the same digest
+#                          # and its own stages and shuffle bytes, and one
+#                          # traced child for the
 #                          # aligner's DP-cell ceiling; the two wgs-full
 #                          # children also bound the index build
 set -euo pipefail
@@ -112,6 +114,22 @@ for pin in wgs-full:242c4063708960b1:4.523370742797852:44 \
     if ! awk -v got="$peak_rss_mb" -v max="$rss_ceiling" 'BEGIN { exit !(got > 0 && got <= max) }'; then
         rm -rf "$bench_inputs"
         echo "$workload on genome 6054: peak_rss_mb $peak_rss_mb is over its ceiling of $rss_ceiling MiB" >&2
+        exit 1
+    fi
+done
+# The unfused path (`--no-optimize`, Table 4's "Original" column): each
+# bundle stage builds its own bundles, through the same chain executor the
+# fused chain runs, so it must call exactly what the fused children call.
+# Its dataflow is Table 4's unfused row — 16 stages against 10, 10.83 MiB
+# shuffled against 4.52 — and repeats exactly, so a change to what a lone
+# stage builds or shuffles shows here.
+bench_line="$("$bench_exe" child --workload clean-call --dir "$bench_inputs" --no-optimize | tail -n 1)"
+for want in '"digest": "242c4063708960b1"' '"engine.shuffle_mb": 10.830526351928711,' \
+    '"engine.stages": 16,'; do
+    if [[ "$bench_line" != *"$want"* ]]; then
+        rm -rf "$bench_inputs"
+        echo "clean-call --no-optimize on genome 6054 did not print $want:" >&2
+        echo "$bench_line" | tr ',' '\n' | grep -E 'digest|engine\.(shuffle_mb|stages)' >&2
         exit 1
     fi
 done
