@@ -41,6 +41,9 @@ pub const PAIRHMM_LANE_CELLS: &str = "pairhmm.lane_cells";
 /// (read, haplotype) evaluations answered by an identical window of the
 /// same read instead of a DP of their own.
 pub const PAIRHMM_SHARED_WINDOWS: &str = "pairhmm.shared_windows";
+/// Pair-HMM groups (up to four jobs) whose column sweeps ran at AVX2 width;
+/// 0 on a host without AVX2, where every group takes the portable sweep.
+pub const PAIRHMM_WIDE_GROUPS: &str = "pairhmm.wide_groups";
 
 /// Chunks claimed by the work-stealing pool.
 pub const PAR_CHUNKS: &str = "par.chunks";
@@ -186,6 +189,7 @@ pub const ALL_COUNTERS: &[&str] = &[
     PAIRHMM_CELLS,
     PAIRHMM_LANE_CELLS,
     PAIRHMM_SHARED_WINDOWS,
+    PAIRHMM_WIDE_GROUPS,
     PAR_BUSY_NS,
     PAR_CHUNKS,
     PAR_IDLE_NS,
