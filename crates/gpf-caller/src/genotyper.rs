@@ -267,7 +267,7 @@ fn genotype(
             });
         }
     }
-    out.sort_by_key(|v| (v.pos, v.alt_allele.clone()));
+    out.sort_by(|a, b| (a.pos, &a.alt_allele).cmp(&(b.pos, &b.alt_allele)));
     out
 }
 
