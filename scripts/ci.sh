@@ -26,7 +26,8 @@
 #                          # ceilings, one unfused child for the same digest
 #                          # and its own stages and shuffle bytes, and one
 #                          # traced child for the
-#                          # aligner's DP-cell ceiling; the two wgs-full
+#                          # aligner's DP-cell ceiling and the pair-HMM's
+#                          # exact cell count; the two wgs-full
 #                          # children also bound the index build
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -66,7 +67,7 @@ if [[ "$bench_line" != *'"correct": true'* || "$bench_line" != *'"failed": 0,'* 
     exit 1
 fi
 
-echo "== repo benchmark (genome 6054: VCF digests, shuffle bytes, stage count, a peak-RSS ceiling, the aligner's DP cells and its index build, pinned across commits) =="
+echo "== repo benchmark (genome 6054: VCF digests, shuffle bytes, stage count, a peak-RSS ceiling, the aligner's and the pair-HMM's DP cells and the index build, pinned across commits) =="
 # The run above only compares a commit with itself. This pins pipeline
 # output across commits: a kernel change that alters one VCF byte fails here
 # instead of at measurement time, and a change that means to move calls
@@ -133,16 +134,23 @@ for want in '"digest": "242c4063708960b1"' '"engine.shuffle_mb": 10.830526351928
         exit 1
     fi
 done
-# The aligner's DP work: one traced wgs-full child counts the banded-SW
+# The kernels' DP work: one traced wgs-full child counts the banded-SW
 # cells evaluated (`align.sw_cells`, exact and repeatable: 17,307,941 on
 # this genome, 35,495,891 before verification decided exact and
-# one-mismatch placements without the DP). Certified placements drifting
-# back to the DP fail here.
+# one-mismatch placements without the DP) and the pair-HMM's
+# (`caller.pairhmm_cells`, exactly 62,066,800 and repeatable). Certified
+# placements drifting back to the DP fail here, and so does a change to the
+# Caller's grouping, windowing or job dedup hiding inside a faster kernel.
 bench_line="$("$bench_exe" child --workload wgs-full --dir "$bench_inputs" --trace-kernels | tail -n 1)"
 rm -rf "$bench_inputs"
 sw_cells="$(sed -E 's/.*"align.sw_cells": ([0-9.]+).*/\1/' <<<"$bench_line")"
 if ! awk -v got="$sw_cells" 'BEGIN { exit !(got > 0 && got <= 20000000) }'; then
     echo "wgs-full on genome 6054: align.sw_cells $sw_cells is over its ceiling of 20,000,000" >&2
+    exit 1
+fi
+pairhmm_cells="$(sed -E 's/.*"caller.pairhmm_cells": ([0-9.]+).*/\1/' <<<"$bench_line")"
+if [[ "$pairhmm_cells" != 62066800 ]]; then
+    echo "wgs-full on genome 6054: caller.pairhmm_cells $pairhmm_cells is not 62,066,800" >&2
     exit 1
 fi
 setup_s_traced="$(sed -E 's/.*"setup_s": ([0-9.e-]+).*/\1/' <<<"$bench_line")"
