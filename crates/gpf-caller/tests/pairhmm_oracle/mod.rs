@@ -5,7 +5,9 @@
 //! call, six freshly allocated DP rows, the emission and the row maximum
 //! recomputed per cell. It lives under `tests/` only, so the library
 //! carries one pair-HMM and `pairhmm_differential.rs` pins that one to
-//! this, `to_bits`-equal. It takes the library's `HmmParams` and the
+//! this, `to_bits`-equal; the library's `pairhmm::sweep_battery` unit
+//! tests include this file by path to pin each column sweep by name. It
+//! takes the library's `HmmParams` and the
 //! library's quality table, so the two sides cannot drift apart on a
 //! transition or an error probability.
 
