@@ -76,18 +76,36 @@ pub struct PartitionInfo {
 
 impl PartitionInfo {
     /// Equal-length base partitioning of a genome.
+    ///
+    /// # Panics
+    /// Panics when `partition_len` is 0, or when a contig's or the genome's
+    /// partition count does not fit `u32`.
     pub fn new(contig_lengths: &[u64], partition_len: u64) -> Self {
         assert!(partition_len > 0, "partition length must be positive");
-        let contig_num_partitions: Vec<u32> =
-            contig_lengths.iter().map(|&l| l.div_ceil(partition_len).max(1) as u32).collect();
+        match Self::layout(contig_lengths, partition_len) {
+            Some(info) => info,
+            // gpf-lint: allow(no-panic): documented above; `read` returns `Err` for the same layout.
+            None => panic!("more than u32::MAX partitions at length {partition_len}"),
+        }
+    }
+
+    /// [`PartitionInfo::new`] without the panics: `None` when a contig's or
+    /// the genome's partition count does not fit `u32`. `partition_len` must
+    /// be positive.
+    fn layout(contig_lengths: &[u64], partition_len: u64) -> Option<Self> {
+        let mut contig_num_partitions = Vec::with_capacity(contig_lengths.len());
         let mut contig_start_id = Vec::with_capacity(contig_lengths.len());
         let mut acc = 0u32;
-        for &n in &contig_num_partitions {
+        for &l in contig_lengths {
+            let Ok(n) = u32::try_from(l.div_ceil(partition_len).max(1)) else {
+                return None;
+            };
+            contig_num_partitions.push(n);
             contig_start_id.push(acc);
-            acc += n;
+            acc = acc.checked_add(n)?;
         }
         let final_id_of_base: Vec<u32> = (0..acc).collect();
-        Self {
+        Some(Self {
             partition_len,
             contig_num_partitions,
             contig_start_id,
@@ -95,7 +113,7 @@ impl PartitionInfo {
             final_id_of_base,
             total_final: acc,
             contig_lengths: contig_lengths.to_vec(),
-        }
+        })
     }
 
     /// Number of base (pre-split) partitions.
@@ -388,8 +406,16 @@ impl GpfSerialize for PartitionInfo {
             return Err(CodecError::Corrupt("zero partition length".into()));
         }
         let contig_lengths: Vec<u64> = Vec::read(r)?;
-        let mut base = PartitionInfo::new(&contig_lengths, partition_len);
-        let n = r.read_u64()? as usize;
+        let Some(mut base) = PartitionInfo::layout(&contig_lengths, partition_len) else {
+            return Err(CodecError::Corrupt("partition count does not fit u32".into()));
+        };
+        // Each entry splits a distinct base partition; checked before the
+        // count sizes anything.
+        let n = r.read_u64()?;
+        if n > base.num_base_partitions() as u64 {
+            return Err(CodecError::Corrupt("more split entries than base partitions".into()));
+        }
+        let n = n as usize;
         let mut counts: Vec<(u32, u64)> = Vec::with_capacity(n);
         let mut entries = Vec::with_capacity(n);
         for _ in 0..n {
@@ -432,6 +458,7 @@ impl GpfSerialize for PartitionInfo {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gpf_compress::serializer::SerializerKind;
 
     /// The paper's Figure 8 configuration: 1 Mbp partitions, contigs of
     /// 250/244/199/192/181/172/160 partitions.
@@ -543,6 +570,35 @@ mod tests {
             let buf = serialize_batch(kind, std::slice::from_ref(&pi));
             let out: Vec<PartitionInfo> = deserialize_batch(kind, &buf).unwrap();
             assert_eq!(out[0], pi);
+        }
+    }
+
+    fn read_bytes(w: ByteWriter) -> Result<PartitionInfo, CodecError> {
+        PartitionInfo::read(&mut ByteReader::new(SerializerKind::Gpf, &w.buf))
+    }
+
+    #[test]
+    fn a_split_count_past_the_base_partitions_is_corrupt() {
+        // A valid header (10 base partitions), then 2^62 split entries: the
+        // count must be refused before it sizes an allocation.
+        let mut w = ByteWriter::new(SerializerKind::Gpf);
+        w.write_u64(100);
+        vec![1000u64].write(&mut w);
+        w.write_u64(1 << 62);
+        assert!(matches!(read_bytes(w), Err(CodecError::Corrupt(_))));
+    }
+
+    #[test]
+    fn a_partition_count_past_u32_is_corrupt() {
+        // One contig of 2^33 bases at length 1, then two contigs whose
+        // counts fit `u32` but whose total does not.
+        for lengths in [vec![1u64 << 33], vec![3 << 30, 3 << 30]] {
+            let mut w = ByteWriter::new(SerializerKind::Gpf);
+            w.write_u64(1);
+            lengths.write(&mut w);
+            w.write_u64(0);
+            w.write_u64(0);
+            assert!(matches!(read_bytes(w), Err(CodecError::Corrupt(_))), "{lengths:?}");
         }
     }
 
