@@ -4,7 +4,7 @@
 //! diagonals are checked against a padded reference window, and a check that
 //! reaches the acceptance threshold becomes a candidate. This module owns
 //! that tail — the per-orientation read state ([`OrientedRead`]), the vote
-//! table ([`vote`], [`rank_votes`]) and the check itself
+//! table (`vote`, `rank_votes`) and the check itself
 //! ([`verify_candidate`]), which names the DP's answer without running it
 //! wherever it can prove what that answer is, and otherwise runs it:
 //!

@@ -278,7 +278,7 @@ fn unpack_locus(key: u64) -> gpf_formats::GenomePosition {
 /// distillation of read routing, cheap enough to shuffle repeatedly yet
 /// skewed exactly like the pileup the caller sees.
 pub struct SkewedWorkload {
-    /// `(packed locus, payload)` records (see [`pack_locus`]).
+    /// `(packed locus, payload)` records (see `pack_locus`).
     pub records: Vec<(u64, u64)>,
     /// Contig lengths of the synthetic genome.
     pub contig_lengths: Vec<u64>,

@@ -14,7 +14,7 @@
 //! [`PairHmmBatch::run`] is the one implementation. Its unit of work is one
 //! [`HmmJob`] — a read, its qualities and the haplotype window it is scored
 //! against — and it takes a region's whole job list, orders it by shape and
-//! runs it [`LANES`] jobs to a group, whichever reads and haplotypes they
+//! runs it `LANES` jobs to a group, whichever reads and haplotypes they
 //! come from. Per job it hoists the quality→probability lookups (the cached
 //! 256-entry table in `gpf_formats::quality`) and the emission pair
 //! `(1−e, e/3)` out of the DP, reuses the row buffers across groups, and
@@ -65,7 +65,7 @@ pub struct HmmJob<'a> {
 ///
 /// Construction is cheap; the value is in reuse and interleaving — one
 /// instance per region keeps the DP rows warm across every group, so the
-/// inner DP allocates nothing, and jobs run [`LANES`] at a time with their
+/// inner DP allocates nothing, and jobs run `LANES` at a time with their
 /// columns *interleaved* in memory (`row[j][lane]`). Interleaving is what
 /// buys the throughput: the in-row recurrence
 /// `Y(j) = go·M(j−1) + ge·Y(j−1)` is a serial multiply–add chain whose

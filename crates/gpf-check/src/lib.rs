@@ -12,12 +12,12 @@
 //! yield points). Normally they compile to the real `std::sync` /
 //! `std::thread` items — zero cost, identical codegen. Under
 //! `RUSTFLAGS="--cfg gpf_check"` every
-//! access instead routes through a cooperative scheduler ([`rt`]) that:
+//! access instead routes through a cooperative scheduler (`rt`) that:
 //!
 //! - runs **one logical thread at a time** (baton passing over real OS
 //!   threads, so TLS and borrows behave exactly as in production code);
 //! - turns every primitive access into an explicit **scheduling point**
-//!   whose successor is chosen by the active [`explore::Explorer`];
+//!   whose successor is chosen by the active `explore::Explorer`;
 //! - keeps a **per-location store history**, so a `Relaxed` load may
 //!   observe a stale value unless a release/acquire (or SeqCst) edge
 //!   forbids it — wrong orderings *actually fail* under exploration;
@@ -63,5 +63,5 @@ pub mod rt;
 pub mod explore;
 
 /// `true` when the workspace was compiled with `--cfg gpf_check` (the
-/// instrumented scheduler is active and [`explore`] is available).
+/// instrumented scheduler is active and `explore` is available).
 pub const ACTIVE: bool = cfg!(gpf_check);

@@ -150,7 +150,7 @@ impl HuffmanCodec {
     }
 
     /// Decode one symbol: a single primary-table load for codes of length
-    /// ≤ [`PRIMARY_BITS`] (the overwhelmingly common case), with the
+    /// ≤ `PRIMARY_BITS` (the overwhelmingly common case), with the
     /// canonical walk as the chained fallback for longer codes — and for
     /// truncated/invalid streams, so error behavior is bit-for-bit the same
     /// as the walk-only decoder.
@@ -173,7 +173,7 @@ impl HuffmanCodec {
 
     /// Decode one symbol by walking the canonical per-length tables one bit
     /// at a time: the slow path of [`HuffmanCodec::decode`] for codes longer
-    /// than [`PRIMARY_BITS`] and for stream-end/error handling.
+    /// than `PRIMARY_BITS` and for stream-end/error handling.
     pub fn decode_canonical(&self, r: &mut BitReader<'_>) -> Result<u32, CodecError> {
         self.decode_with(&mut || r.read_bit())
     }

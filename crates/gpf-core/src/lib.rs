@@ -33,7 +33,7 @@
 //!   `MarkDuplicateProcess`, `IndelRealignProcess`,
 //!   `BaseRecalibrationProcess`, `HaplotypeCallerProcess`, and
 //!   `ReadRepartitioner`.
-//! * [`loader`] — `FileLoader`, the Figure 3 input helpers.
+//! * `loader` — `FileLoader`, the Figure 3 input helpers.
 //! * [`validate`] — the static analysis layer: [`Pipeline::check`] builds
 //!   the full Process/Resource graph up front and reports every defect at
 //!   once (cycle paths, undefined inputs, duplicate producers, bundle-kind

@@ -6,7 +6,7 @@
 //! [`BudgetAccountant`] is a single ledger of exactly-accounted resident
 //! partition bytes (via [`GpfSerialize::resident_bytes`]); every partition
 //! materialization *admits* its charge, and when a charge would breach the
-//! budget the accountant reclaims from registered [`TrackedStore`]s —
+//! budget the accountant reclaims from registered `TrackedStore`s —
 //! oldest-touched victims first — before giving up.
 //!
 //! The eviction policy is spill-vs-recompute by lineage cost:
@@ -15,10 +15,10 @@
 //!   is *dropped* — recomputing it later is a checksummed re-read, the
 //!   cheap-lineage case ([`mem.budget.dropped_clean`][c1]);
 //! * a **dirty** resident partition is *spilled* — serialized into a
-//!   checksummed [`SpillTicket`] first, the expensive-lineage case
+//!   checksummed `SpillTicket` first, the expensive-lineage case
 //!   ([`mem.budget.spilled`][c2]).
 //!
-//! The spill image and its read-back are [`crate::frame`]'s: frames are
+//! The spill image and its read-back are `crate::frame`'s: frames are
 //! pristine at rest, a read-back fault damages only the transient copy, the
 //! checksum detects it and a bounded re-read recovers — a tracked-store
 //! read never returns corrupt data. A read fails in two ways only: a
@@ -51,7 +51,7 @@ fn note(name: &'static str, n: u64) {
 
 /// A structured budget breach: the accountant exhausted every eviction
 /// victim and the charge still did not fit. Carried through
-/// [`crate::EngineContext::fail_budget`] to `PipelineError::MemoryBudgetExceeded`.
+/// `crate::EngineContext::fail_budget` to `PipelineError::MemoryBudgetExceeded`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BudgetBreach {
     /// Stage index at the failing operation's entry.

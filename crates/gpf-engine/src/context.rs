@@ -485,7 +485,7 @@ impl EngineContext {
     /// `repartition.merged` when the table merges underfull partitions),
     /// and drops one scheduler instant into the session trace so the
     /// timeline shows *when* the driver rebalanced. Counters are
-    /// unconditional, like [`EngineContext::record_fault_event`]'s: one
+    /// unconditional, like `EngineContext::record_fault_event`'s: one
     /// call per decision costs nothing, and tests read them without
     /// toggling ambient tracing.
     pub fn record_repartition(&self, splits: u64, moved_records: u64, cap_hits: u64, merged: u64) {

@@ -13,7 +13,7 @@
 //! Figure 7) can be reused by many downstream processes without copying.
 //!
 //! This module is the operator API and the partition representation
-//! ([`Parts`]). Every operator is a thin caller of the one task runner
+//! (`Parts`). Every operator is a thin caller of the one task runner
 //! (`task.rs`) and the one shuffle (`shuffle.rs`).
 
 use crate::budget::{TrackedParts, TrackedStore};
@@ -499,7 +499,7 @@ impl<T: Send + Sync + 'static> Dataset<T> {
     /// deliberately trades parallelism for a bounded footprint (graceful
     /// degradation), and an infeasible restore surfaces as a structured
     /// budget breach. Element-wise operators avoid even the restore via
-    /// [`Dataset::narrow_op_chunked`].
+    /// `Dataset::narrow_op_chunked`.
     pub fn narrow_op<U: Send + Sync + 'static>(
         &self,
         label: &str,
@@ -706,8 +706,8 @@ impl<T: Send + Sync + 'static> Dataset<T> {
     /// through the filesystem — the I/O pattern the paper's Table 1 blames
     /// for their poor scaling.
     ///
-    /// The read-back is [`FrameReader`]'s: a read the plan damaged
-    /// ([`FaultSurface::SpillRead`]) fails its checksum and is re-read. A
+    /// The read-back is `FrameReader`'s: a read the plan damaged
+    /// (`FaultSurface::SpillRead`) fails its checksum and is re-read. A
     /// frame damaged *at rest* ([`FaultKind::CorruptSpill`], injected here
     /// after the checksums were taken) cannot be re-read into shape, so its
     /// partition is recomputed from the in-memory lineage — `self` still
@@ -893,7 +893,7 @@ impl<T: Send + Sync + 'static> Dataset<T> {
 
     /// Consuming [`Dataset::map`]: `f` receives each record by value —
     /// moved when this handle holds the last reference to its partitions,
-    /// a clone otherwise ([`TaskSource`] decides). Same stage label, fault
+    /// a clone otherwise (`TaskSource` decides). Same stage label, fault
     /// surface and accounting as `map`, and like it an evicted partition is
     /// streamed one spill frame at a time, never restored. Each chunk is
     /// collected straight off its own iterator, so when `T` and `U` share a
@@ -959,7 +959,7 @@ impl<T: Send + Sync + 'static> Dataset<T> {
     /// Pairwise partition zip (both datasets must have equal partition
     /// counts) — the primitive behind bundled RDDs (paper Figure 7(b)).
     /// Both sides are taken by value, each moved or cloned on its own
-    /// ownership ([`TaskSource`] decides).
+    /// ownership (`TaskSource` decides).
     ///
     /// With either side budget-tracked the zip runs pairwise-*serially*: at
     /// most one left/right partition pair is resident at a time, so the

@@ -13,8 +13,8 @@
 //! Recovery itself lives in `task.rs` (retry), `frame.rs` (the checksum
 //! verify and the bounded re-read), `shuffle.rs` and [`crate::dataset`]
 //! (lineage recompute of a segment or a spilled partition) and
-//! [`crate::context`] (the failure slot [`crate::EngineContext::fail`] that
-//! [`gpf_core`]'s `Pipeline::run` maps to `PipelineError::TaskFailed`). This
+//! [`crate::context`] (the failure slot `crate::EngineContext::fail` that
+//! `gpf_core`'s `Pipeline::run` maps to `PipelineError::TaskFailed`). This
 //! module only holds the plan, the two recovery constants, and the
 //! [`EngineError`] those layers exchange.
 
@@ -86,7 +86,7 @@ impl FaultSurface {
 /// match and `kind` is admissible at the queried surface.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultSite {
-    /// Stage index ([`crate::EngineContext::current_stage`] at op entry).
+    /// Stage index (`crate::EngineContext::current_stage` at op entry).
     pub stage: u32,
     /// Partition (task) index within the stage.
     pub partition: u32,

@@ -104,7 +104,7 @@ pub(crate) const CLASSIC_EFFECTIVE_CORES: usize = 16;
 /// filesystem and the next stage reads them. `bytes_per_sample` is the
 /// total intermediate volume moved per sample across the pipeline;
 /// `cpu_core_seconds_per_sample` the compute work per sample. Per-sample
-/// compute parallelism saturates at [`CLASSIC_EFFECTIVE_CORES`].
+/// compute parallelism saturates at `CLASSIC_EFFECTIVE_CORES`.
 pub fn classic_pipeline_share(
     fs: &SharedFs,
     samples: usize,

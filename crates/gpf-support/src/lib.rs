@@ -9,7 +9,7 @@
 //! | [`rng`] | `rand` + `rand_distr` | SplitMix64 seeding, xoshiro256++ core, `gen_range`/`gen_bool`/`fill_bytes`, Box–Muller [`rng::Normal`] |
 //! | [`par`] | `rayon` | scoped, ordered parallel map with atomic work-stealing of chunk indices |
 //! | [`sync`] | `parking_lot` | `Mutex`/`RwLock` with non-poisoning `lock()` ergonomics |
-//! | [`proptest`] | `proptest` | strategy combinators, `proptest!` macro, fixed-seed corpus, halving shrinker |
+//! | [`proptest`](mod@proptest) | `proptest` | strategy combinators, `proptest!` macro, fixed-seed corpus, halving shrinker |
 //! | [`chk`] | `loom` | concurrency shim: real `std` primitives normally, scheduler-instrumented doubles under `--cfg gpf_check` |
 //!
 //! Design constraints, in order:

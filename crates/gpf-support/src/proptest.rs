@@ -425,7 +425,7 @@ impl<V: Debug + Clone> Strategy for Union<V> {
 pub mod collection {
     use super::*;
 
-    /// Element-count bounds for [`vec`].
+    /// Element-count bounds for [`vec`](fn@vec).
     #[derive(Debug, Clone, Copy)]
     pub struct SizeRange {
         lo: usize,
@@ -469,7 +469,7 @@ pub mod collection {
         VecStrategy { element, size: size.into() }
     }
 
-    /// Strategy returned by [`vec`].
+    /// Strategy returned by [`vec`](fn@vec).
     pub struct VecStrategy<S> {
         element: S,
         size: SizeRange,

@@ -12,13 +12,13 @@
 //! ## Fast path and gating
 //!
 //! The only per-allocation cost while *untracked* is one `Relaxed` load of
-//! the derived [`ACTIVE`] flag (`tracking requested && recorder enabled`);
+//! the derived `ACTIVE` flag (`tracking requested && recorder enabled`);
 //! the flag is recomputed on [`set_tracking`] and on every
 //! [`crate::set_enabled`] flip, never on the allocation path. While
 //! tracked, accounting is pure thread-local `Cell` arithmetic — **zero
 //! atomics** on the common path. Per-thread live deltas buffer in a
-//! `pending` cell and publish to the global [`LIVE`]/[`PEAK`] gauges only
-//! when they exceed [`FLUSH_PENDING_BYTES`] (and at scope exit / thread
+//! `pending` cell and publish to the global `LIVE`/`PEAK` gauges only
+//! when they exceed `FLUSH_PENDING_BYTES` (and at scope exit / thread
 //! exit), so the global gauges are exact to within one flush quantum per
 //! thread and the shared cache line is touched rarely.
 //!
@@ -27,8 +27,8 @@
 //! The allocator hooks may run *inside* any allocation, including the ones
 //! std makes to register TLS destructors. Two defenses: all hook state is
 //! `Cell`-based (no borrows held across calls), and a dedicated no-`Drop`
-//! [`IN_HOOK`] guard cell short-circuits recursive entry, so the one-time
-//! destructor registration for [`HEAP`] (which itself allocates) cannot
+//! `IN_HOOK` guard cell short-circuits recursive entry, so the one-time
+//! destructor registration for `HEAP` (which itself allocates) cannot
 //! recurse. TLS access uses `try_with` throughout: allocations during
 //! thread teardown are silently uncounted (see "known gaps" in DESIGN.md
 //! §14).
@@ -207,7 +207,7 @@ fn flush_heap(h: &ThreadHeap) {
 
 /// Account one allocation of `size` bytes on this thread.
 ///
-/// Unconditional (the [`ACTIVE`] gate lives in the [`GlobalAlloc`] hooks)
+/// Unconditional (the `ACTIVE` gate lives in the [`GlobalAlloc`] hooks)
 /// so tests and gpf-check models can drive the machinery directly.
 pub fn note_alloc(size: usize) {
     let _ = IN_HOOK.try_with(|g| {
@@ -347,7 +347,7 @@ pub fn rss_kb() -> Option<u64> {
 }
 
 /// Global live heap bytes (clamped at zero). Exact to within one
-/// [`FLUSH_PENDING_BYTES`] quantum per thread with unflushed scopes.
+/// `FLUSH_PENDING_BYTES` quantum per thread with unflushed scopes.
 pub fn live_bytes() -> u64 {
     // ordering: Relaxed — gauge read; see publish_pending.
     (LIVE.load(Ordering::Relaxed) as i64).max(0) as u64

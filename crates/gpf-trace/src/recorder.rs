@@ -2,7 +2,7 @@
 //!
 //! Every thread keeps a span stack (for parent linkage) and a pending
 //! event buffer. Events append to the buffer and flush to the target
-//! [`TraceLog`] in batches — when the buffer reaches [`FLUSH_THRESHOLD`]
+//! [`TraceLog`] in batches — when the buffer reaches `FLUSH_THRESHOLD`
 //! events, when the thread's span stack empties, or when a different log
 //! becomes the target — so the steady-state cost of a span is two clock
 //! reads plus an amortized fraction of one mutex acquisition.

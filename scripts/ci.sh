@@ -19,8 +19,9 @@
 # Usage:
 #   scripts/ci.sh          # quick + gpf-check model check + clippy +
 #                          # experiments smoke + trace export/schema check
-#   scripts/ci.sh quick    # -D warnings build + gpf-lint + tests (workspace
-#                          # and benchmark/), plus one short benchmark run
+#   scripts/ci.sh quick    # -D warnings build + gpf-lint + rustdoc with
+#                          # -D warnings + tests (workspace and
+#                          # benchmark/), plus one short benchmark run
 #                          # for its checks, four children for the pinned
 #                          # VCF digests, shuffle bytes, stages and peak-RSS
 #                          # ceilings, one unfused child for the same digest
@@ -46,6 +47,11 @@ if ! cargo run --release --offline -q -p gpf-lint -- --root .; then
     echo "(annotate intentional sites with '// gpf-lint: allow(<rule>): <reason>')" >&2
     exit 1
 fi
+
+echo "== rustdoc (every crate, warnings are errors) =="
+# A public doc that links a private item, or an item that no longer exists,
+# is a warning rustdoc prints and nothing else reads; here it fails.
+RUSTDOCFLAGS="${RUSTDOCFLAGS:-} -D warnings" cargo doc --offline --no-deps --workspace
 
 echo "== test (workspace, offline) =="
 cargo test -q --offline --workspace
