@@ -31,7 +31,8 @@ use gpf_formats::fastq::FastqPair;
 use gpf_formats::sam::{SamFlags, SamRecord};
 use gpf_formats::{GenomeInterval, ReferenceGenome};
 
-/// Aligner tuning parameters.
+/// The aligner's tuning values: one table, built once by
+/// [`BwaMemAligner::new`] from [`Default`].
 #[derive(Debug, Clone)]
 pub struct AlignerOptions {
     /// Exact-match seed length.
@@ -94,12 +95,7 @@ pub struct BwaMemAligner {
 impl BwaMemAligner {
     /// Build the index and aligner for a reference genome.
     pub fn new(reference: &ReferenceGenome) -> Self {
-        Self::with_options(reference, AlignerOptions::default())
-    }
-
-    /// Build with explicit options.
-    pub fn with_options(reference: &ReferenceGenome, opts: AlignerOptions) -> Self {
-        Self { index: FmIndex::build(reference), opts }
+        Self { index: FmIndex::build(reference), opts: AlignerOptions::default() }
     }
 
     /// Access the underlying FM-index.
@@ -192,12 +188,10 @@ impl BwaMemAligner {
     fn candidates(&self, seq: &[u8], scratch: &mut Scratch) {
         let Scratch { read, votes, cands, .. } = scratch;
         cands.clear();
-        let sl = self.opts.seed_len;
-        // No seed length means no seeds; no stride means every offset.
-        if sl == 0 || seq.len() < sl {
+        let (sl, stride) = (self.opts.seed_len, self.opts.seed_stride);
+        if seq.len() < sl {
             return;
         }
-        let stride = self.opts.seed_stride.max(1);
         let tail = seq.len() - sl;
         for reverse in [false, true] {
             read.load(seq, reverse);
@@ -474,37 +468,6 @@ mod tests {
             assert_eq!(b.contig, 0);
             assert!(b.pos.abs_diff(1780) < 40, "rescued at {}", b.pos);
         }
-    }
-
-    #[test]
-    fn zero_seed_stride_seeds_every_offset() {
-        // A zero stride used to panic inside `step_by(0)`.
-        let r = reference();
-        let opts = AlignerOptions { seed_stride: 0, ..Default::default() };
-        let aligner = BwaMemAligner::with_options(&r, opts);
-        let read = r.contig_seq(0)[500..600].to_vec();
-        let rec = aligner.align_read("r", &read, &quals(100));
-        assert!(rec.flags.is_mapped());
-        assert_eq!((rec.contig, rec.pos), (0, 500));
-    }
-
-    #[test]
-    fn zero_seed_len_means_no_seeds() {
-        // Used to run an empty-pattern search per base. No seeds, no votes:
-        // nothing maps, and a pair has no mapped mate to anchor a rescue on.
-        let r = reference();
-        let opts = AlignerOptions { seed_len: 0, ..Default::default() };
-        let aligner = BwaMemAligner::with_options(&r, opts);
-        let frag = &r.contig_seq(0)[800..1180];
-        let rec = aligner.align_read("r", &frag[..100], &quals(100));
-        assert!(!rec.flags.is_mapped());
-        let pair = FastqPair::new(
-            fastq_record_new("p/1", &frag[..100]),
-            fastq_record_new("p/2", &reverse_complement(&frag[280..380])),
-        )
-        .unwrap();
-        let (a, b) = aligner.align_pair(&pair);
-        assert!(!a.flags.is_mapped() && !b.flags.is_mapped());
     }
 
     #[test]

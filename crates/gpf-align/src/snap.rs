@@ -13,38 +13,18 @@ use gpf_formats::sam::SamRecord;
 use gpf_formats::ReferenceGenome;
 use std::collections::HashMap;
 
-/// SNAP-style aligner options.
-#[derive(Debug, Clone)]
-pub struct SnapOptions {
-    /// Seed (k-mer) length; SNAP's default is 20.
-    pub seed_len: usize,
-    /// Stride between indexed genome positions.
-    pub index_stride: usize,
-    /// Seeds looked up per read.
-    pub seeds_per_read: usize,
-    /// Hash buckets larger than this are skipped (repeat filter).
-    pub max_bucket: usize,
-    /// Candidate locations verified per read.
-    pub max_candidates: usize,
-    /// Extension scoring.
-    pub scoring: Scoring,
-    /// Minimum fraction of the perfect score to accept.
-    pub min_score_frac: f64,
-}
-
-impl Default for SnapOptions {
-    fn default() -> Self {
-        Self {
-            seed_len: 20,
-            index_stride: 1,
-            seeds_per_read: 8,
-            max_bucket: 32,
-            max_candidates: 6,
-            scoring: Scoring::default(),
-            min_score_frac: 0.4,
-        }
-    }
-}
+/// Seed (k-mer) length; SNAP's default is 20. Every genome position is
+/// indexed.
+const SEED_LEN: usize = 20;
+/// Seeds looked up per read.
+const SEEDS_PER_READ: usize = 8;
+/// Hash buckets larger than this are skipped (repeat filter).
+const MAX_BUCKET: usize = 32;
+/// Candidate locations verified per read.
+const MAX_CANDIDATES: usize = 6;
+/// Minimum fraction of the perfect score to accept; extension scores with
+/// [`Scoring::default`].
+const MIN_SCORE_FRAC: f64 = 0.4;
 
 /// The hash-based aligner.
 pub struct SnapAligner {
@@ -53,7 +33,6 @@ pub struct SnapAligner {
     text: Vec<u8>,
     contig_offsets: Vec<u64>,
     contig_lengths: Vec<u64>,
-    opts: SnapOptions,
 }
 
 /// Pack a k-mer (ACGT only) into a u64; `None` if it contains other bases.
@@ -72,29 +51,21 @@ fn pack_kmer(kmer: &[u8]) -> Option<u64> {
 impl SnapAligner {
     /// Build the seed table over the reference.
     pub fn new(reference: &ReferenceGenome) -> Self {
-        Self::with_options(reference, SnapOptions::default())
-    }
-
-    /// Build with explicit options.
-    pub fn with_options(reference: &ReferenceGenome, opts: SnapOptions) -> Self {
         let (mut text, contig_offsets) = reference.concatenated();
         let contig_lengths = reference.dict().lengths();
         let mut table: HashMap<u64, Vec<u32>> = HashMap::new();
-        let k = opts.seed_len;
-        let mut pos = 0usize;
-        while pos + k <= text.len() {
-            if let Some(key) = pack_kmer(&text[pos..pos + k]) {
+        for (pos, kmer) in text.windows(SEED_LEN).enumerate() {
+            if let Some(key) = pack_kmer(kmer) {
                 let bucket = table.entry(key).or_default();
-                if bucket.len() <= opts.max_bucket {
+                if bucket.len() <= MAX_BUCKET {
                     bucket.push(pos as u32);
                 }
             }
-            pos += opts.index_stride;
         }
         for b in &mut text {
             *b = rank4(*b);
         }
-        Self { table, text, contig_offsets, contig_lengths, opts }
+        Self { table, text, contig_offsets, contig_lengths }
     }
 
     /// Approximate index memory footprint in bytes (SNAP's hash index is
@@ -105,32 +76,31 @@ impl SnapAligner {
 
     /// Align a single-end read.
     pub fn align_read(&self, name: &str, seq: &[u8], qual: &[u8]) -> SamRecord {
-        let k = self.opts.seed_len;
         let mut read = OrientedRead::default();
         let mut votes: Vec<(i64, u32)> = Vec::new();
         let mut best: Option<Placement> = None;
         let mut second_score = i32::MIN;
         for reverse in [false, true] {
-            if seq.len() < k {
+            if seq.len() < SEED_LEN {
                 continue;
             }
             read.load(seq, reverse);
             // Vote on diagonals from a few seeds.
             votes.clear();
-            let stride = ((seq.len() - k) / self.opts.seeds_per_read.max(1)).max(1);
-            for off in (0..=seq.len() - k).step_by(stride) {
-                let key = pack_kmer(&read.seq()[off..off + k]);
+            let stride = ((seq.len() - SEED_LEN) / SEEDS_PER_READ).max(1);
+            for off in (0..=seq.len() - SEED_LEN).step_by(stride) {
+                let key = pack_kmer(&read.seq()[off..off + SEED_LEN]);
                 let Some(bucket) = key.and_then(|key| self.table.get(&key)) else {
                     continue;
                 };
-                if bucket.len() <= self.opts.max_bucket {
+                if bucket.len() <= MAX_BUCKET {
                     for &hit in bucket {
                         vote(&mut votes, hit, off);
                     }
                 }
             }
             rank_votes(&mut votes);
-            for &(diag, _) in votes.iter().take(self.opts.max_candidates) {
+            for &(diag, _) in votes.iter().take(MAX_CANDIDATES) {
                 let Some(cand) = self.verify(&read, diag.max(0) as u64, reverse) else {
                     continue;
                 };
@@ -168,8 +138,8 @@ impl SnapAligner {
             contig_ranks,
             text_start as usize - base,
             16,
-            self.opts.min_score_frac,
-            &self.opts.scoring,
+            MIN_SCORE_FRAC,
+            &Scoring::default(),
         )?;
         Some(Placement { contig: idx as u32, pos, reverse, aln })
     }

@@ -124,7 +124,7 @@ impl ChurchillPipeline {
         let calls_ds = recal.map_partitions_with_index(move |pi, part| {
             let mut records: Vec<SamRecord> = part.to_vec();
             coordinate_sort(&mut records);
-            let calls = HaplotypeCaller::default().call(&records, &reference);
+            let calls = HaplotypeCaller.call(&records, &reference);
             let region = intervals[pi.min(intervals.len() - 1)];
             calls
                 .into_iter()

@@ -22,29 +22,28 @@ use gpf_formats::sam::SamRecord;
 use gpf_formats::ReferenceGenome;
 use std::sync::Arc;
 
+/// FASTQ → AGD import rate, bytes/s (Persona paper: 360 MB/s).
+const AGD_IMPORT_BPS: f64 = 360.0e6;
+/// AGD → BAM export rate, bytes/s (Persona paper: 82 MB/s).
+const AGD_EXPORT_BPS: f64 = 82.0e6;
+
 /// Persona deployment parameters.
 #[derive(Debug, Clone)]
 pub struct PersonaConfig {
-    /// FASTQ → AGD import rate, bytes/s (Persona paper: 360 MB/s).
-    pub agd_import_bps: f64,
-    /// AGD → BAM export rate, bytes/s (Persona paper: 82 MB/s).
-    pub agd_export_bps: f64,
     /// Engine partitions.
     pub nparts: usize,
 }
 
 impl Default for PersonaConfig {
     fn default() -> Self {
-        Self { agd_import_bps: 360.0e6, agd_export_bps: 82.0e6, nparts: 8 }
+        Self { nparts: 8 }
     }
 }
 
-impl PersonaConfig {
-    /// Seconds of AGD format conversion around one job: importing
-    /// `fastq_bytes` and exporting `bam_bytes`.
-    pub fn conversion_seconds(&self, fastq_bytes: u64, bam_bytes: u64) -> f64 {
-        fastq_bytes as f64 / self.agd_import_bps + bam_bytes as f64 / self.agd_export_bps
-    }
+/// Seconds of AGD format conversion around one job: importing `fastq_bytes`
+/// and exporting `bam_bytes`.
+pub fn conversion_seconds(fastq_bytes: u64, bam_bytes: u64) -> f64 {
+    fastq_bytes as f64 / AGD_IMPORT_BPS + bam_bytes as f64 / AGD_EXPORT_BPS
 }
 
 /// Result of a Persona-style alignment run.
@@ -113,11 +112,10 @@ mod tests {
 
     #[test]
     fn conversion_costs_match_paper_rates() {
-        let cfg = PersonaConfig::default();
         // 430 GB FASTQ in, 125 GB BAM out — §5.2.3's example: ~1194 s import
         // + ~1524 s export ≈ 2700+ s, i.e. the ~3300 s the paper quotes for
         // the platinum genome is the right order.
-        let secs = cfg.conversion_seconds(430_000_000_000, 125_000_000_000);
+        let secs = conversion_seconds(430_000_000_000, 125_000_000_000);
         assert!((2000.0..4500.0).contains(&secs), "{secs}");
     }
 
@@ -137,7 +135,7 @@ mod tests {
         // Persona uses single-end: take mate 1 only.
         let reads: Vec<FastqRecord> = pairs.iter().map(|p| p.pair.r1.clone()).collect();
         let snap = SnapAligner::new(&reference);
-        let cfg = PersonaConfig { nparts: 3, ..Default::default() };
+        let cfg = PersonaConfig { nparts: 3 };
         let aligned = run_snap_align(&reference, &snap, &reads, &cfg);
         assert_eq!(aligned.records.len(), reads.len());
         assert!(aligned.bases > 0);

@@ -306,10 +306,7 @@ fn fig11_kernel(
 pub fn fig11a(lab: &Lab) -> ExperimentReport {
     let input = lab.kernel_input();
     let persona = stable_kernel_run(&|| {
-        persona::run_markdup(
-            &input.records,
-            &PersonaConfig { nparts: input.nparts, ..Default::default() },
-        )
+        persona::run_markdup(&input.records, &PersonaConfig { nparts: input.nparts })
     });
     fig11_kernel(
         "fig11a",
@@ -370,10 +367,10 @@ pub fn fig11d(lab: &Lab) -> ExperimentReport {
 
     // Persona: SNAP single-end on the same reads (mate 1 only).
     let reads: Vec<gpf_formats::FastqRecord> = half.iter().map(|p| p.r1.clone()).collect();
-    let cfg = PersonaConfig { nparts: w.fastq_parts, ..Default::default() };
+    let cfg = PersonaConfig { nparts: w.fastq_parts };
     let snap = w.snap();
     let persona = persona::run_snap_align(&w.reference, &snap, &reads, &cfg);
-    let conversion_s = cfg.conversion_seconds(persona.fastq_bytes, persona.bam_bytes);
+    let conversion_s = persona::conversion_seconds(persona.fastq_bytes, persona.bam_bytes);
 
     let mut r = ExperimentReport::new(
         "fig11d",
@@ -661,7 +658,7 @@ pub fn table5(lab: &Lab) -> ExperimentReport {
     let w = lab.workload();
     let reads: Vec<gpf_formats::FastqRecord> =
         w.pairs.iter().take(w.pairs.len() / 2).map(|p| p.r1.clone()).collect();
-    let cfg = PersonaConfig { nparts: w.fastq_parts, ..Default::default() };
+    let cfg = PersonaConfig { nparts: w.fastq_parts };
     let snap = w.snap();
     let persona = persona::run_snap_align(&w.reference, &snap, &reads, &cfg);
     r.row(vec![

@@ -6,25 +6,15 @@ use gpf_formats::genome::merge_intervals;
 use gpf_formats::sam::SamRecord;
 use gpf_formats::{GenomeInterval, ReferenceGenome};
 
-/// Detection thresholds.
-#[derive(Debug, Clone)]
-pub struct ActiveRegionOptions {
-    /// Minimum read depth to consider a locus.
-    pub min_depth: u32,
-    /// Minimum fraction of non-reference evidence (mismatches weighted 1,
-    /// indel ops weighted 2) to mark a locus active.
-    pub min_evidence_frac: f64,
-    /// Padding around active loci.
-    pub pad: u64,
-    /// Maximum region length (longer evidence clusters are split).
-    pub max_region_len: u64,
-}
-
-impl Default for ActiveRegionOptions {
-    fn default() -> Self {
-        Self { min_depth: 4, min_evidence_frac: 0.15, pad: 60, max_region_len: 400 }
-    }
-}
+/// Minimum read depth to consider a locus.
+pub const MIN_DEPTH: u32 = 4;
+/// Minimum fraction of non-reference evidence (mismatches weighted 1, indel
+/// ops weighted 2) to mark a locus active.
+pub const MIN_EVIDENCE_FRAC: f64 = 0.15;
+/// Padding around active loci.
+pub const PAD: u64 = 60;
+/// Maximum region length (longer evidence clusters are split).
+pub const MAX_REGION_LEN: u64 = 400;
 
 /// Per-locus pileup counters.
 #[derive(Debug, Clone, Copy, Default)]
@@ -43,7 +33,6 @@ struct Pileup {
 pub fn find_active_regions<'a>(
     records: impl IntoIterator<Item = &'a SamRecord>,
     reference: &ReferenceGenome,
-    opts: &ActiveRegionOptions,
 ) -> Vec<GenomeInterval> {
     let mut reads: Vec<&SamRecord> = records
         .into_iter()
@@ -59,12 +48,12 @@ pub fn find_active_regions<'a>(
         for (pos, p) in (base..).zip(pile.drain(..n)) {
             let evidence = p.mismatches as f64 + 2.0 * p.indels as f64;
             // A deletion can carry depth past the contig end; a locus more
-            // than `pad` out there has no interval on the contig.
-            if p.depth >= opts.min_depth
-                && evidence / p.depth as f64 >= opts.min_evidence_frac
-                && pos.saturating_sub(opts.pad) <= clen
+            // than `PAD` out there has no interval on the contig.
+            if p.depth >= MIN_DEPTH
+                && evidence / p.depth as f64 >= MIN_EVIDENCE_FRAC
+                && pos.saturating_sub(PAD) <= clen
             {
-                active.push(GenomeInterval::new(contig, pos, pos + 1).padded(opts.pad, clen));
+                active.push(GenomeInterval::new(contig, pos, pos + 1).padded(PAD, clen));
             }
         }
     };
@@ -117,12 +106,12 @@ pub fn find_active_regions<'a>(
     // Split oversized regions.
     let mut out = Vec::with_capacity(merged.len());
     for iv in merged {
-        if iv.len() <= opts.max_region_len {
+        if iv.len() <= MAX_REGION_LEN {
             out.push(iv);
         } else {
             let mut s = iv.start;
             while s < iv.end {
-                let e = (s + opts.max_region_len).min(iv.end);
+                let e = (s + MAX_REGION_LEN).min(iv.end);
                 out.push(GenomeInterval::new(iv.contig, s, e));
                 s = e;
             }
@@ -174,7 +163,7 @@ mod tests {
     fn clean_reads_produce_no_regions() {
         let r = reference();
         let records: Vec<SamRecord> = (0..20).map(|i| read(&r, i * 100, 100, &[])).collect();
-        assert!(find_active_regions(&records, &r, &ActiveRegionOptions::default()).is_empty());
+        assert!(find_active_regions(&records, &r).is_empty());
     }
 
     #[test]
@@ -182,7 +171,7 @@ mod tests {
         let r = reference();
         // 10 reads covering position 1000, each mismatching at ref pos 1050.
         let records: Vec<SamRecord> = (0..10).map(|_| read(&r, 1000, 100, &[50])).collect();
-        let regions = find_active_regions(&records, &r, &ActiveRegionOptions::default());
+        let regions = find_active_regions(&records, &r);
         assert_eq!(regions.len(), 1);
         assert!(regions[0].contains(gpf_formats::GenomePosition::new(0, 1050)));
     }
@@ -193,7 +182,7 @@ mod tests {
         // 20 reads, each with one error at a *different* position: per-locus
         // evidence is 1/20 = 5% < threshold.
         let records: Vec<SamRecord> = (0..20).map(|i| read(&r, 1000, 100, &[i * 5])).collect();
-        let regions = find_active_regions(&records, &r, &ActiveRegionOptions::default());
+        let regions = find_active_regions(&records, &r);
         assert!(regions.is_empty(), "{regions:?}");
     }
 
@@ -205,7 +194,7 @@ mod tests {
         for rec in records.iter_mut().take(2) {
             rec.cigar = Cigar::parse("50M3D47M").unwrap();
         }
-        let regions = find_active_regions(&records, &r, &ActiveRegionOptions::default());
+        let regions = find_active_regions(&records, &r);
         assert_eq!(regions.len(), 1);
         assert!(regions[0].contains(gpf_formats::GenomePosition::new(0, 550)));
     }
@@ -213,9 +202,9 @@ mod tests {
     #[test]
     fn low_depth_loci_are_skipped() {
         let r = reference();
-        // Only 2 reads (below min_depth=4), both mismatching.
+        // Only 2 reads (below `MIN_DEPTH`), both mismatching.
         let records: Vec<SamRecord> = (0..2).map(|_| read(&r, 100, 100, &[10])).collect();
-        assert!(find_active_regions(&records, &r, &ActiveRegionOptions::default()).is_empty());
+        assert!(find_active_regions(&records, &r).is_empty());
     }
 
     #[test]
@@ -225,7 +214,7 @@ mod tests {
         for rec in records.iter_mut() {
             rec.flags.set(SamFlags::DUPLICATE);
         }
-        assert!(find_active_regions(&records, &r, &ActiveRegionOptions::default()).is_empty());
+        assert!(find_active_regions(&records, &r).is_empty());
     }
 
     #[test]
@@ -238,9 +227,8 @@ mod tests {
                 records.push(read(&r, start, 100, &[25]));
             }
         }
-        let opts = ActiveRegionOptions { max_region_len: 400, ..Default::default() };
-        let regions = find_active_regions(&records, &r, &opts);
+        let regions = find_active_regions(&records, &r);
         assert!(regions.len() > 2);
-        assert!(regions.iter().all(|iv| iv.len() <= 400));
+        assert!(regions.iter().all(|iv| iv.len() <= MAX_REGION_LEN));
     }
 }

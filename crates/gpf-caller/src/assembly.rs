@@ -8,24 +8,14 @@
 
 use std::collections::HashMap;
 
-/// Assembly parameters.
-#[derive(Debug, Clone)]
-pub struct AssemblyOptions {
-    /// k-mer size.
-    pub k: usize,
-    /// Minimum read support for a non-reference edge.
-    pub min_edge_weight: u32,
-    /// Maximum number of haplotypes returned.
-    pub max_haplotypes: usize,
-    /// Maximum haplotype length as a multiple of the window length.
-    pub max_len_factor: f64,
-}
-
-impl Default for AssemblyOptions {
-    fn default() -> Self {
-        Self { k: 21, min_edge_weight: 2, max_haplotypes: 8, max_len_factor: 1.5 }
-    }
-}
+/// k-mer size.
+const K: usize = 21;
+/// Minimum read support for a non-reference edge.
+const MIN_EDGE_WEIGHT: u32 = 2;
+/// Maximum number of haplotypes returned, the reference included.
+const MAX_HAPLOTYPES: usize = 8;
+/// Maximum haplotype length as a multiple of the window length.
+const MAX_LEN_FACTOR: f64 = 1.5;
 
 /// Pack a k-mer into a u64 (requires k ≤ 31 and ACGT only).
 fn pack(kmer: &[u8]) -> Option<u64> {
@@ -43,10 +33,10 @@ fn pack(kmer: &[u8]) -> Option<u64> {
     Some(v)
 }
 
-/// Append one base to a packed k-mer, dropping the oldest base.
-fn roll(packed: u64, k: usize, base_code: u64) -> u64 {
-    let mask = (1u64 << (2 * k)) - 1;
-    let guard = 1u64 << (2 * k);
+/// Append one base to a packed [`K`]-mer, dropping the oldest base.
+fn roll(packed: u64, base_code: u64) -> u64 {
+    let mask = (1u64 << (2 * K)) - 1;
+    let guard = 1u64 << (2 * K);
     (((packed << 2) | base_code) & mask) | guard
 }
 
@@ -56,14 +46,12 @@ pub struct DeBruijnGraph {
     edges: HashMap<u64, [u32; 4]>,
     /// Edges present in the reference path (always traversable).
     ref_edges: HashMap<u64, [bool; 4]>,
-    k: usize,
 }
 
 impl DeBruijnGraph {
     /// Build a graph from the reference window and read sequences.
-    pub fn build(ref_window: &[u8], reads: &[&[u8]], opts: &AssemblyOptions) -> Self {
-        let k = opts.k;
-        let mut g = Self { edges: HashMap::new(), ref_edges: HashMap::new(), k };
+    pub fn build(ref_window: &[u8], reads: &[&[u8]]) -> Self {
+        let mut g = Self { edges: HashMap::new(), ref_edges: HashMap::new() };
         g.add_sequence(ref_window, true);
         for read in reads {
             g.add_sequence(read, false);
@@ -72,18 +60,17 @@ impl DeBruijnGraph {
     }
 
     fn add_sequence(&mut self, seq: &[u8], is_ref: bool) {
-        let k = self.k;
-        if seq.len() <= k {
+        if seq.len() <= K {
             return;
         }
-        let mut cur = match pack(&seq[..k]) {
+        let mut cur = match pack(&seq[..K]) {
             Some(p) => p,
             None => {
                 // Skip ahead past invalid characters.
                 return self.add_sequence_skipping(seq, is_ref);
             }
         };
-        for &b in &seq[k..] {
+        for &b in &seq[K..] {
             let code = match b {
                 b'A' => 0u64,
                 b'C' => 1,
@@ -96,15 +83,14 @@ impl DeBruijnGraph {
             if is_ref {
                 self.ref_edges.entry(cur).or_insert([false; 4])[code as usize] = true;
             }
-            cur = roll(cur, k, code);
+            cur = roll(cur, code);
         }
     }
 
     /// Slow path for sequences containing N: add each clean k+1 window.
     fn add_sequence_skipping(&mut self, seq: &[u8], is_ref: bool) {
-        let k = self.k;
-        for win in seq.windows(k + 1) {
-            if let (Some(cur), Some(code)) = (pack(&win[..k]), match win[k] {
+        for win in seq.windows(K + 1) {
+            if let (Some(cur), Some(code)) = (pack(&win[..K]), match win[K] {
                 b'A' => Some(0u64),
                 b'C' => Some(1),
                 b'G' => Some(2),
@@ -122,22 +108,21 @@ impl DeBruijnGraph {
 
     /// Enumerate haplotypes: paths from the window's first k-mer to its last
     /// k-mer. The reference haplotype (if traversable) is always first.
-    pub fn haplotypes(&self, ref_window: &[u8], opts: &AssemblyOptions) -> Vec<Vec<u8>> {
-        let k = self.k;
-        if ref_window.len() <= k {
+    pub fn haplotypes(&self, ref_window: &[u8]) -> Vec<Vec<u8>> {
+        if ref_window.len() <= K {
             return vec![ref_window.to_vec()];
         }
-        let Some(start) = pack(&ref_window[..k]) else {
+        let Some(start) = pack(&ref_window[..K]) else {
             return vec![ref_window.to_vec()];
         };
-        let Some(end) = pack(&ref_window[ref_window.len() - k..]) else {
+        let Some(end) = pack(&ref_window[ref_window.len() - K..]) else {
             return vec![ref_window.to_vec()];
         };
-        let max_len = (ref_window.len() as f64 * opts.max_len_factor) as usize;
+        let max_len = (ref_window.len() as f64 * MAX_LEN_FACTOR) as usize;
 
         let mut out: Vec<Vec<u8>> = Vec::new();
         // Bounded DFS: stack of (node, sequence-so-far).
-        let mut stack: Vec<(u64, Vec<u8>)> = vec![(start, ref_window[..k].to_vec())];
+        let mut stack: Vec<(u64, Vec<u8>)> = vec![(start, ref_window[..K].to_vec())];
         // Expansion budget: a clean window needs ~window_len expansions; the
         // cap only binds in cyclic repeat tangles, where unbounded DFS would
         // burn tens of milliseconds per region cloning partial paths.
@@ -145,10 +130,10 @@ impl DeBruijnGraph {
         let mut expansions = 0usize;
         while let Some((node, seq)) = stack.pop() {
             expansions += 1;
-            if expansions > budget || out.len() >= opts.max_haplotypes {
+            if expansions > budget || out.len() >= MAX_HAPLOTYPES {
                 break;
             }
-            if node == end && seq.len() > k {
+            if node == end && seq.len() > K {
                 out.push(seq.clone());
                 // Keep exploring: longer paths through `end` are rare and
                 // usually cyclic; stop this branch here.
@@ -160,12 +145,11 @@ impl DeBruijnGraph {
             let weights = self.edges.get(&node).copied().unwrap_or([0; 4]);
             let refs = self.ref_edges.get(&node).copied().unwrap_or([false; 4]);
             for code in 0..4u64 {
-                let supported = weights[code as usize] >= opts.min_edge_weight
-                    || refs[code as usize];
+                let supported = weights[code as usize] >= MIN_EDGE_WEIGHT || refs[code as usize];
                 if supported {
                     let mut next_seq = seq.clone();
                     next_seq.push(b"ACGT"[code as usize]);
-                    stack.push((roll(node, k, code), next_seq));
+                    stack.push((roll(node, code), next_seq));
                 }
             }
         }
@@ -174,7 +158,7 @@ impl DeBruijnGraph {
         out.retain(|h| h != &ref_vec);
         out.sort();
         out.dedup();
-        out.truncate(opts.max_haplotypes.saturating_sub(1));
+        out.truncate(MAX_HAPLOTYPES - 1);
         let mut result = vec![ref_vec];
         result.extend(out);
         result
@@ -182,8 +166,8 @@ impl DeBruijnGraph {
 }
 
 /// Convenience: assemble haplotypes for a region.
-pub fn assemble(ref_window: &[u8], reads: &[&[u8]], opts: &AssemblyOptions) -> Vec<Vec<u8>> {
-    DeBruijnGraph::build(ref_window, reads, opts).haplotypes(ref_window, opts)
+pub fn assemble(ref_window: &[u8], reads: &[&[u8]]) -> Vec<Vec<u8>> {
+    DeBruijnGraph::build(ref_window, reads).haplotypes(ref_window)
 }
 
 #[cfg(test)]
@@ -214,7 +198,7 @@ mod tests {
         let w = window();
         let reads = reads_from(&w, 12, 60);
         let read_refs: Vec<&[u8]> = reads.iter().map(|r| r.as_slice()).collect();
-        let haps = assemble(&w, &read_refs, &AssemblyOptions::default());
+        let haps = assemble(&w, &read_refs);
         assert_eq!(haps[0], w);
         assert_eq!(haps.len(), 1, "no spurious haplotypes: {}", haps.len());
     }
@@ -227,7 +211,7 @@ mod tests {
         let mut reads = reads_from(&w, 10, 60);
         reads.extend(reads_from(&alt, 10, 60));
         let read_refs: Vec<&[u8]> = reads.iter().map(|r| r.as_slice()).collect();
-        let haps = assemble(&w, &read_refs, &AssemblyOptions::default());
+        let haps = assemble(&w, &read_refs);
         assert!(haps.contains(&alt), "alt haplotype found ({} haps)", haps.len());
         assert_eq!(haps[0], w, "reference is first");
     }
@@ -240,7 +224,7 @@ mod tests {
         let mut reads = reads_from(&w, 8, 60);
         reads.extend(reads_from(&alt, 8, 60));
         let read_refs: Vec<&[u8]> = reads.iter().map(|r| r.as_slice()).collect();
-        let haps = assemble(&w, &read_refs, &AssemblyOptions::default());
+        let haps = assemble(&w, &read_refs);
         assert!(haps.contains(&alt), "deletion haplotype found");
     }
 
@@ -253,7 +237,7 @@ mod tests {
         let mut reads = reads_from(&w, 8, 60);
         reads.extend(reads_from(&alt, 8, 60));
         let read_refs: Vec<&[u8]> = reads.iter().map(|r| r.as_slice()).collect();
-        let haps = assemble(&w, &read_refs, &AssemblyOptions::default());
+        let haps = assemble(&w, &read_refs);
         assert!(haps.contains(&alt), "insertion haplotype found");
     }
 
@@ -262,11 +246,11 @@ mod tests {
         let w = window();
         let mut noisy = w.clone();
         noisy[40] = if noisy[40] == b'G' { b'T' } else { b'G' };
-        // Only ONE read supports the error (min_edge_weight = 2).
+        // Only ONE read supports the error (`MIN_EDGE_WEIGHT` is 2).
         let mut reads = reads_from(&w, 10, 60);
         reads.push(noisy[20..80].to_vec());
         let read_refs: Vec<&[u8]> = reads.iter().map(|r| r.as_slice()).collect();
-        let haps = assemble(&w, &read_refs, &AssemblyOptions::default());
+        let haps = assemble(&w, &read_refs);
         assert_eq!(haps.len(), 1, "error path pruned");
     }
 
@@ -274,18 +258,25 @@ mod tests {
     fn haplotype_cap_is_respected() {
         let w = window();
         let mut reads = reads_from(&w, 6, 60);
-        // Create many alt haplotypes.
-        for i in 0..12 {
+        // Five SNVs more than `K` apart, each carried by two reads: every
+        // subset of them spells a supported path, 32 in all. Each alt base
+        // is a `T` over a reference base that is not, and the search tries
+        // the highest base first, so the reference path is not among the
+        // first `MAX_HAPLOTYPES` found: the cap holds its place.
+        for start in [25usize, 50, 75, 100, 125] {
+            let p = (start..).find(|&p| w[p] != b'T').unwrap();
             let mut alt = w.clone();
-            let p = 30 + i * 9;
-            alt[p] = if alt[p] == b'A' { b'C' } else { b'A' };
-            reads.extend(reads_from(&alt, 3, 60));
+            alt[p] = b'T';
+            reads.extend([alt[p - 25..p + 25].to_vec(), alt[p - 24..p + 26].to_vec()]);
         }
         let read_refs: Vec<&[u8]> = reads.iter().map(|r| r.as_slice()).collect();
-        let opts = AssemblyOptions { max_haplotypes: 5, ..Default::default() };
-        let haps = assemble(&w, &read_refs, &opts);
-        assert!(haps.len() <= 5);
+        let haps = assemble(&w, &read_refs);
+        assert_eq!(haps.len(), MAX_HAPLOTYPES);
         assert_eq!(haps[0], w);
+        let mut distinct = haps.clone();
+        distinct.sort();
+        distinct.dedup();
+        assert_eq!(distinct.len(), MAX_HAPLOTYPES);
     }
 
     #[test]
@@ -294,14 +285,14 @@ mod tests {
         let mut read = w[10..70].to_vec();
         read[30] = b'N';
         let binding = [read.as_slice()];
-        let haps = assemble(&w, &binding, &AssemblyOptions::default());
+        let haps = assemble(&w, &binding);
         assert_eq!(haps[0], w);
     }
 
     #[test]
     fn tiny_window_returns_ref() {
         let w = b"ACGTACGT".to_vec();
-        let haps = assemble(&w, &[], &AssemblyOptions::default());
+        let haps = assemble(&w, &[]);
         assert_eq!(haps, vec![w]);
     }
 }

@@ -5,7 +5,7 @@
 //! diploidly from the pair-HMM read likelihoods of the reference and
 //! alternative haplotypes.
 
-use crate::assembly::{assemble, AssemblyOptions};
+use crate::assembly::assemble;
 use crate::pairhmm::{HmmJob, HmmParams, PairHmmBatch};
 use gpf_align::sw::{fit_align, Scoring};
 use gpf_formats::base::rank4;
@@ -14,36 +14,15 @@ use gpf_formats::sam::SamRecord;
 use gpf_formats::vcf::{Genotype, VcfRecord};
 use gpf_formats::{GenomeInterval, ReferenceGenome};
 
-/// Caller options.
-#[derive(Debug, Clone)]
-pub struct CallerOptions {
-    /// Assembly parameters.
-    pub assembly: AssemblyOptions,
-    /// Pair-HMM parameters.
-    pub hmm: HmmParams,
-    /// Minimum Phred-scaled call quality to emit.
-    pub min_call_qual: f64,
-    /// Window padding around the active region.
-    pub window_pad: u64,
-    /// Cap on reads fed to the pair-HMM per region (deep pileups are
-    /// downsampled, as GATK does).
-    pub max_reads: usize,
-}
-
-impl Default for CallerOptions {
-    fn default() -> Self {
-        Self {
-            assembly: AssemblyOptions::default(),
-            hmm: HmmParams::default(),
-            min_call_qual: 30.0,
-            window_pad: 70,
-            // GATK similarly downsamples deep pileups (maxReadsPerAlignmentStart
-            // / region downsampling); 120 reads are ample for diploid calls and
-            // bound the pair-HMM cost of 10000x hotspot pileups (§4.4).
-            max_reads: 120,
-        }
-    }
-}
+/// Minimum Phred-scaled call quality to emit.
+const MIN_CALL_QUAL: f64 = 30.0;
+/// Window padding around the active region.
+pub const WINDOW_PAD: u64 = 70;
+/// Cap on reads fed to the pair-HMM per region. GATK similarly downsamples
+/// deep pileups (maxReadsPerAlignmentStart / region downsampling); 120 reads
+/// are ample for diploid calls and bound the pair-HMM cost of 10000x hotspot
+/// pileups (§4.4).
+pub const MAX_READS: usize = 120;
 
 /// A variant extracted from a haplotype-vs-reference alignment.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -136,10 +115,9 @@ pub fn call_region(
     reads: &[&SamRecord],
     reference: &ReferenceGenome,
     region: GenomeInterval,
-    opts: &CallerOptions,
 ) -> Vec<VcfRecord> {
     let clen = reference.dict().length_of(region.contig);
-    let window = region.padded(opts.window_pad, clen);
+    let window = region.padded(WINDOW_PAD, clen);
     let ref_window = reference.slice(window);
 
     // Assemble candidate haplotypes from the (downsampled) reads.
@@ -147,19 +125,19 @@ pub fn call_region(
         .iter()
         .copied()
         .filter(|r| !r.seq.is_empty() && r.seq.len() == r.qual.len())
-        .take(opts.max_reads)
+        .take(MAX_READS)
         .collect();
     if usable.is_empty() {
         return Vec::new();
     }
     let seqs: Vec<&[u8]> = usable.iter().map(|r| r.seq.as_slice()).collect();
-    let haps = assemble(ref_window, &seqs, &opts.assembly);
+    let haps = assemble(ref_window, &seqs);
     if haps.len() < 2 {
         return Vec::new();
     }
 
-    let lik = read_likelihoods(&usable, &haps, window.start, opts.hmm);
-    genotype(&usable, &haps, &lik, ref_window, window, opts)
+    let lik = read_likelihoods(&usable, &haps, window.start);
+    genotype(&usable, &haps, &lik, ref_window, window)
 }
 
 /// The window of `hap` a read placed `off` bases into the region's window is
@@ -185,12 +163,7 @@ fn hap_window(hap: &[u8], off: u64, read_len: usize) -> &[u8] {
 /// same bits — the first occurrence is evaluated and `slot` points the
 /// others at its result. The region's jobs run as one list, so the kernel
 /// fills its lanes across reads as well as across haplotypes.
-fn read_likelihoods(
-    usable: &[&SamRecord],
-    haps: &[Vec<u8>],
-    window_start: u64,
-    hmm: HmmParams,
-) -> Vec<Vec<f64>> {
+fn read_likelihoods(usable: &[&SamRecord], haps: &[Vec<u8>], window_start: u64) -> Vec<Vec<f64>> {
     let mut jobs: Vec<HmmJob<'_>> = Vec::new();
     let mut slot: Vec<usize> = Vec::with_capacity(usable.len() * haps.len());
     for r in usable {
@@ -208,7 +181,7 @@ fn read_likelihoods(
         let shared = (slot.len() - jobs.len()) as u64;
         gpf_trace::counter(gpf_trace::names::PAIRHMM_SHARED_WINDOWS).add(shared);
     }
-    let results = PairHmmBatch::new(hmm).run(&jobs);
+    let results = PairHmmBatch::new(HmmParams::default()).run(&jobs);
     slot.chunks(haps.len()).map(|row| row.iter().map(|&k| results[k]).collect()).collect()
 }
 
@@ -220,7 +193,6 @@ fn genotype(
     lik: &[Vec<f64>],
     ref_window: &[u8],
     window: GenomeInterval,
-    opts: &CallerOptions,
 ) -> Vec<VcfRecord> {
     // Variants per alternative haplotype (haplotype 0 is the reference).
     let mut out: Vec<VcfRecord> = Vec::new();
@@ -249,7 +221,7 @@ fn genotype(
             .max_by(|a, b| a.0.total_cmp(&b.0))
             .unwrap_or((gl_het, Genotype::Het));
             let qual = 10.0 * (best_gl - gl_homref);
-            if qual < opts.min_call_qual || best_gl <= gl_homref {
+            if qual < MIN_CALL_QUAL || best_gl <= gl_homref {
                 continue;
             }
             let depth = usable
@@ -335,13 +307,13 @@ mod tests {
         hap[100] = if hap[100] == b'A' { b'G' } else { b'A' }; // ref pos 1000
         let records = tile(&hap, 900, 20, 80, "h");
         let reads: Vec<&SamRecord> = records.iter().collect();
-        let calls = call_region(&reads, &r, region(), &CallerOptions::default());
+        let calls = call_region(&reads, &r, region());
         assert_eq!(calls.len(), 1, "calls: {calls:?}");
         let v = &calls[0];
         assert_eq!(v.pos, 1000);
         assert_eq!(v.alt_allele, vec![hap[100]]);
         assert_eq!(v.genotype, Genotype::HomAlt);
-        assert!(v.qual >= 30.0);
+        assert!(v.qual >= MIN_CALL_QUAL);
         assert!(v.depth > 5);
     }
 
@@ -354,7 +326,7 @@ mod tests {
         let mut records = tile(&refhap, 900, 12, 80, "r");
         records.extend(tile(&althap, 900, 12, 80, "a"));
         let reads: Vec<&SamRecord> = records.iter().collect();
-        let calls = call_region(&reads, &r, region(), &CallerOptions::default());
+        let calls = call_region(&reads, &r, region());
         assert_eq!(calls.len(), 1, "calls: {calls:?}");
         assert_eq!(calls[0].genotype, Genotype::Het);
         assert_eq!(calls[0].pos, 1000);
@@ -368,7 +340,7 @@ mod tests {
         hap.extend_from_slice(&refseq[1005..1105]); // 5bp deletion at 1000
         let records = tile(&hap, 900, 20, 80, "d");
         let reads: Vec<&SamRecord> = records.iter().collect();
-        let calls = call_region(&reads, &r, region(), &CallerOptions::default());
+        let calls = call_region(&reads, &r, region());
         assert_eq!(calls.len(), 1, "calls: {calls:?}");
         let v = &calls[0];
         assert_eq!(v.pos, 999, "anchor base before the deletion");
@@ -386,7 +358,7 @@ mod tests {
         hap.extend_from_slice(&refseq[1000..1100]);
         let records = tile(&hap, 900, 20, 80, "i");
         let reads: Vec<&SamRecord> = records.iter().collect();
-        let calls = call_region(&reads, &r, region(), &CallerOptions::default());
+        let calls = call_region(&reads, &r, region());
         assert_eq!(calls.len(), 1, "calls: {calls:?}");
         let v = &calls[0];
         assert_eq!(v.pos, 999);
@@ -400,7 +372,7 @@ mod tests {
         let hap = r.contig_seq(0)[900..1100].to_vec();
         let records = tile(&hap, 900, 16, 80, "c");
         let reads: Vec<&SamRecord> = records.iter().collect();
-        let calls = call_region(&reads, &r, region(), &CallerOptions::default());
+        let calls = call_region(&reads, &r, region());
         assert!(calls.is_empty(), "{calls:?}");
     }
 
@@ -413,14 +385,14 @@ mod tests {
         noisy[40] = if noisy[40] == b'G' { b'A' } else { b'G' };
         records.push(read_from("noise", noisy, 960));
         let reads: Vec<&SamRecord> = records.iter().collect();
-        let calls = call_region(&reads, &r, region(), &CallerOptions::default());
+        let calls = call_region(&reads, &r, region());
         assert!(calls.is_empty(), "singleton error must be pruned: {calls:?}");
     }
 
     #[test]
     fn empty_region_returns_nothing() {
         let r = reference();
-        let calls = call_region(&[], &r, region(), &CallerOptions::default());
+        let calls = call_region(&[], &r, region());
         assert!(calls.is_empty());
     }
 
@@ -438,16 +410,15 @@ mod tests {
         let mut records = tile(&hom, 900, 24, 40, "h");
         records.extend(tile(&both, 900, 24, 40, "b"));
         let reads: Vec<&SamRecord> = records.iter().collect();
-        let opts = CallerOptions::default();
-        let calls = call_region(&reads, &r, region(), &opts);
+        let calls = call_region(&reads, &r, region());
         assert_eq!(calls.iter().map(|v| v.pos).collect::<Vec<_>>(), vec![970, 1030]);
 
         // The same region with every (read, haplotype) pair evaluated on its
         // own: one job per `run` call, so no window is shared and no lane
         // has a neighbour.
-        let window = region().padded(opts.window_pad, 2000);
+        let window = region().padded(WINDOW_PAD, 2000);
         let seqs: Vec<&[u8]> = reads.iter().map(|r| r.seq.as_slice()).collect();
-        let haps = assemble(r.slice(window), &seqs, &opts.assembly);
+        let haps = assemble(r.slice(window), &seqs);
         assert!(haps.len() >= 3, "{} haplotypes", haps.len());
         let windows = |rec: &SamRecord| -> Vec<&[u8]> {
             haps.iter().map(|h| hap_window(h, rec.pos - window.start, rec.seq.len())).collect()
@@ -455,7 +426,7 @@ mod tests {
         let shared =
             reads.iter().filter(|rec| windows(rec)[1..].contains(&windows(rec)[0])).count();
         assert!(shared >= 10, "only {shared} reads share a window between haplotypes");
-        let mut batch = PairHmmBatch::new(opts.hmm);
+        let mut batch = PairHmmBatch::new(HmmParams::default());
         let separately: Vec<Vec<f64>> = reads
             .iter()
             .map(|rec| {
@@ -465,6 +436,6 @@ mod tests {
                     .collect()
             })
             .collect();
-        assert_eq!(calls, genotype(&reads, &haps, &separately, r.slice(window), window, &opts));
+        assert_eq!(calls, genotype(&reads, &haps, &separately, r.slice(window), window));
     }
 }

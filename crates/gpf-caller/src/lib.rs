@@ -30,34 +30,21 @@ pub mod pairhmm;
 #[cfg(test)]
 extern crate self as gpf_caller;
 
-pub use activeregion::{find_active_regions, ActiveRegionOptions};
-pub use genotyper::{call_region, CallerOptions};
+pub use activeregion::find_active_regions;
+pub use genotyper::call_region;
 
 use gpf_formats::sam::SamRecord;
 use gpf_formats::vcf::VcfRecord;
 use gpf_formats::ReferenceGenome;
 
-/// End-to-end caller over a (coordinate-sorted) record collection.
-pub struct HaplotypeCaller {
-    /// Active-region detection options.
-    pub region_opts: ActiveRegionOptions,
-    /// Genotyping options.
-    pub caller_opts: CallerOptions,
-    /// Reads below this mapping quality are ignored (GATK's
-    /// MappingQualityReadFilter defaults to 20): ambiguous repeat placements
-    /// otherwise flood the assembler with junk active regions.
-    pub min_mapq: u8,
-}
+/// Reads below this mapping quality are ignored (GATK's
+/// MappingQualityReadFilter defaults to 20): ambiguous repeat placements
+/// otherwise flood the assembler with junk active regions.
+pub const MIN_MAPQ: u8 = 20;
 
-impl Default for HaplotypeCaller {
-    fn default() -> Self {
-        Self {
-            region_opts: ActiveRegionOptions::default(),
-            caller_opts: CallerOptions::default(),
-            min_mapq: 20,
-        }
-    }
-}
+/// End-to-end caller over a (coordinate-sorted) record collection.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct HaplotypeCaller;
 
 impl HaplotypeCaller {
     /// Call variants over `records` (must be coordinate-sorted), borrowed:
@@ -75,7 +62,7 @@ impl HaplotypeCaller {
         let dict = reference.dict();
         let usable: Vec<&SamRecord> = records
             .into_iter()
-            .filter(|r| r.flags.is_mapped() && !r.flags.is_duplicate() && r.mapq >= self.min_mapq)
+            .filter(|r| r.flags.is_mapped() && !r.flags.is_duplicate() && r.mapq >= MIN_MAPQ)
             .filter(|r| {
                 (r.contig as usize) < dict.len()
                     && r.pos < dict.length_of(r.contig)
@@ -83,7 +70,7 @@ impl HaplotypeCaller {
                     && r.seq.len() == r.qual.len()
             })
             .collect();
-        let regions = find_active_regions(usable.iter().copied(), reference, &self.region_opts);
+        let regions = find_active_regions(usable.iter().copied(), reference);
         let mut out = Vec::new();
         for region in &regions {
             let overlapping: Vec<&SamRecord> = usable
@@ -95,7 +82,7 @@ impl HaplotypeCaller {
                         && r.ref_end() > region.start
                 })
                 .collect();
-            out.extend(call_region(&overlapping, reference, *region, &self.caller_opts));
+            out.extend(call_region(&overlapping, reference, *region));
         }
         sort_and_dedup(&mut out);
         out

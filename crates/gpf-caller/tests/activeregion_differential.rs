@@ -7,13 +7,17 @@
 //! wrong and a hash map cannot: input that is not sorted, several contigs,
 //! loci only a deletion or a trailing insertion touches, alignments that run
 //! past the contig end, reads that must not count at all, and loci sitting
-//! exactly on the depth and evidence thresholds.
+//! exactly on the depth and evidence thresholds. The thresholds are the
+//! library's constants, so the cases below are built from them: a cluster
+//! longer than `MAX_REGION_LEN` that splits, `PAD` clamped at both ends of a
+//! contig, and loci exactly on `MIN_DEPTH` and `MIN_EVIDENCE_FRAC`.
 
 // Verbatim means verbatim: keep rustfmt off it too.
 #[rustfmt::skip]
 mod activeregion_oracle;
 
-use gpf_caller::{find_active_regions, ActiveRegionOptions};
+use gpf_caller::activeregion::{MAX_REGION_LEN, MIN_DEPTH, MIN_EVIDENCE_FRAC, PAD};
+use gpf_caller::find_active_regions;
 use gpf_formats::cigar::CigarOp;
 use gpf_formats::sam::{SamFlags, SamRecord, NO_CONTIG};
 use gpf_formats::{Cigar, GenomeInterval, ReferenceGenome};
@@ -185,22 +189,12 @@ fn shuffle(rng: &mut StdRng, records: &mut [SamRecord]) {
     }
 }
 
-fn option_sets() -> Vec<ActiveRegionOptions> {
-    vec![
-        ActiveRegionOptions::default(),
-        ActiveRegionOptions { min_depth: 1, min_evidence_frac: 0.5, pad: 0, max_region_len: 7 },
-        ActiveRegionOptions { min_depth: 2, min_evidence_frac: 0.05, pad: 15, max_region_len: 90 },
-        ActiveRegionOptions { min_depth: 8, min_evidence_frac: 1.0, pad: 200, max_region_len: 64 },
-    ]
-}
-
 /// Library and oracle agree on `records` as given, sorted and shuffled.
-/// Returns the regions under the first option set.
+/// Returns the regions.
 fn assert_agree(
     rng: &mut StdRng,
     records: &mut [SamRecord],
     reference: &ReferenceGenome,
-    opts: &[ActiveRegionOptions],
     what: &str,
 ) -> Vec<GenomeInterval> {
     let mut first = None;
@@ -210,14 +204,10 @@ fn assert_agree(
             "shuffled" => shuffle(rng, records),
             _ => {}
         }
-        for (k, o) in opts.iter().enumerate() {
-            let want = activeregion_oracle::find_active_regions(records, reference, o);
-            let got = find_active_regions(&*records, reference, o);
-            assert_eq!(got, want, "{what}, {order}, option set {k}");
-            if first.is_none() {
-                first = Some(got);
-            }
-        }
+        let want = activeregion_oracle::find_active_regions(records, reference);
+        let got = find_active_regions(&*records, reference);
+        assert_eq!(got, want, "{what}, {order}");
+        first.get_or_insert(got);
     }
     first.unwrap_or_default()
 }
@@ -232,13 +222,7 @@ fn random_read_sets_give_the_oracles_regions() {
         let reference = reference(&mut rng, &lengths);
         let n = rng.gen_range(0..400usize);
         let mut records = random_reads(&mut rng, &reference, n);
-        let regions = assert_agree(
-            &mut rng,
-            &mut records,
-            &reference,
-            &option_sets(),
-            &format!("case {case}"),
-        );
+        let regions = assert_agree(&mut rng, &mut records, &reference, &format!("case {case}"));
         with_regions += usize::from(!regions.is_empty());
     }
     assert!(with_regions >= 20, "only {with_regions} of 60 read sets had an active region");
@@ -247,7 +231,7 @@ fn random_read_sets_give_the_oracles_regions() {
 #[test]
 fn deep_pileups_and_long_clusters_give_the_oracles_regions() {
     // Evidence every 50 bases over 1,500: the merged cluster is far longer
-    // than `max_region_len` and must split at the same offsets.
+    // than `MAX_REGION_LEN` and must split at the same offsets.
     let mut rng = StdRng::seed_from_u64(77);
     let reference = reference(&mut rng, &[2200, 300]);
     let mut records = Vec::new();
@@ -264,16 +248,21 @@ fn deep_pileups_and_long_clusters_give_the_oracles_regions() {
             ));
         }
     }
-    let regions = assert_agree(&mut rng, &mut records, &reference, &option_sets(), "long cluster");
-    assert!(regions.len() > 3, "{regions:?}");
-    assert!(regions.iter().all(|iv| iv.len() <= 400));
+    let regions = assert_agree(&mut rng, &mut records, &reference, "long cluster");
+    // One cluster, cut into `MAX_REGION_LEN` pieces and a shorter tail.
+    let cluster = GenomeInterval::new(0, 125 - PAD, 1575 + 1 + PAD);
+    assert!(cluster.len() > 3 * MAX_REGION_LEN);
+    let starts: Vec<u64> = regions.iter().map(|iv| iv.start).collect();
+    let want: Vec<u64> = (cluster.start..cluster.end).step_by(MAX_REGION_LEN as usize).collect();
+    assert_eq!(starts, want, "{regions:?}");
+    assert!(regions.iter().all(|iv| iv.contig == 0 && iv.len() <= MAX_REGION_LEN));
+    assert_eq!(regions.last().map(|iv| iv.end), Some(cluster.end));
 }
 
 #[test]
 fn loci_exactly_on_a_threshold_give_the_oracles_regions() {
     let mut rng = StdRng::seed_from_u64(5);
     let reference = reference(&mut rng, &[1000]);
-    let opts = [ActiveRegionOptions::default()]; // depth 4, evidence 0.15
     let pile = |depth: usize, carriers: usize, site: u64| -> Vec<SamRecord> {
         (0..depth)
             .map(|i| {
@@ -282,23 +271,32 @@ fn loci_exactly_on_a_threshold_give_the_oracles_regions() {
             })
             .collect()
     };
-    // Depth exactly `min_depth` is deep enough, one less is not.
-    let at = assert_agree(&mut rng, &mut pile(4, 4, 500), &reference, &opts, "depth 4");
-    assert_eq!(at, vec![GenomeInterval::new(0, 440, 561)]);
-    let below = assert_agree(&mut rng, &mut pile(3, 3, 500), &reference, &opts, "depth 3");
+    let padded = vec![GenomeInterval::new(0, 500 - PAD, 501 + PAD)];
+    // Depth exactly `MIN_DEPTH` is deep enough, one less is not.
+    let d = MIN_DEPTH as usize;
+    let at = assert_agree(&mut rng, &mut pile(d, d, 500), &reference, "depth at the floor");
+    assert_eq!(at, padded);
+    let below = assert_agree(&mut rng, &mut pile(d - 1, d - 1, 500), &reference, "depth below");
     assert!(below.is_empty());
-    // 3 of 20 is exactly 0.15 and `>=` admits it; 2 of 20 stays out.
-    let at = assert_agree(&mut rng, &mut pile(20, 3, 500), &reference, &opts, "3 of 20");
-    assert_eq!(at, vec![GenomeInterval::new(0, 440, 561)]);
-    let below = assert_agree(&mut rng, &mut pile(20, 2, 500), &reference, &opts, "2 of 20");
+    // At depth 20 the fewest carriers `>=` admits sit exactly on the
+    // fraction; one fewer stays out.
+    let c = (1..=20).find(|&c| c as f64 / 20.0 >= MIN_EVIDENCE_FRAC).unwrap();
+    assert_eq!(c as f64 / 20.0, MIN_EVIDENCE_FRAC, "{c} of 20 is not exactly on the threshold");
+    let at = assert_agree(&mut rng, &mut pile(20, c, 500), &reference, "carriers on the fraction");
+    assert_eq!(at, padded);
+    let below = assert_agree(&mut rng, &mut pile(20, c - 1, 500), &reference, "one carrier fewer");
     assert!(below.is_empty());
-    // One indel in 14 reads is 2/14 < 0.15, in 13 it is 2/13 >= 0.15. The
-    // deletion itself adds to the depth of the locus it starts at.
-    for (depth, active) in [(14usize, false), (13, true)] {
+    // One indel weighs 2: active at the deepest pile where 2 / depth still
+    // reaches the fraction, inactive one read deeper. The deletion itself
+    // adds to the depth of the locus it starts at.
+    let deepest =
+        (MIN_DEPTH as usize..).take_while(|&n| 2.0 / n as f64 >= MIN_EVIDENCE_FRAC).last();
+    let deepest = deepest.unwrap();
+    for (depth, active) in [(deepest + 1, false), (deepest, true)] {
         let mut records = pile(depth - 1, 0, 500);
         let ops = vec![(30, CigarOp::Match), (2, CigarOp::Del), (28, CigarOp::Match)];
         records.push(read(&reference, "del".into(), 0, 470, ops, &[]));
-        let got = assert_agree(&mut rng, &mut records, &reference, &opts, "one deletion");
+        let got = assert_agree(&mut rng, &mut records, &reference, "one deletion");
         assert_eq!(!got.is_empty(), active, "depth {depth}: {got:?}");
     }
 }
@@ -307,7 +305,6 @@ fn loci_exactly_on_a_threshold_give_the_oracles_regions() {
 fn alignments_at_and_past_the_contig_end_give_the_oracles_regions() {
     let mut rng = StdRng::seed_from_u64(9);
     let reference = reference(&mut rng, &[400, 250]);
-    let opts = option_sets();
     let mut records = Vec::new();
     for (contig, clen) in [(0u32, 400u64), (1, 250)] {
         for k in 0..6u64 {
@@ -339,11 +336,13 @@ fn alignments_at_and_past_the_contig_end_give_the_oracles_regions() {
             records.push(read(&reference, format!("i{contig}-{k}"), contig, 0, ops, &[0]));
         }
     }
-    let regions = assert_agree(&mut rng, &mut records, &reference, &opts, "contig ends");
-    // Both ends of both contigs are active, and no region leaves its contig.
+    let regions = assert_agree(&mut rng, &mut records, &reference, "contig ends");
+    // Both ends of both contigs are active, and `PAD` is clamped at each:
+    // the first region starts at 0 and the last ends at the contig end.
     assert_eq!(regions.len(), 4, "{regions:?}");
-    for iv in &regions {
-        assert!(iv.end <= reference.dict().length_of(iv.contig), "{iv:?}");
+    for (pair, clen) in regions.chunks(2).zip([400u64, 250]) {
+        assert_eq!((pair[0].start, pair[1].end), (0, clen), "{pair:?}");
+        assert!(pair[0].len() < 2 * PAD + 1 && pair[1].len() < 2 * PAD + 1, "{pair:?}");
     }
 }
 
@@ -357,7 +356,7 @@ fn no_countable_read_gives_no_region() {
     for (i, r) in records.iter_mut().enumerate() {
         r.flags.set([SamFlags::DUPLICATE, SamFlags::SECONDARY, SamFlags::UNMAPPED][i % 3]);
     }
-    let regions = assert_agree(&mut rng, &mut records, &reference, &option_sets(), "all skipped");
+    let regions = assert_agree(&mut rng, &mut records, &reference, "all skipped");
     assert!(regions.is_empty());
-    assert!(assert_agree(&mut rng, &mut [], &reference, &option_sets(), "empty").is_empty());
+    assert!(assert_agree(&mut rng, &mut [], &reference, "empty").is_empty());
 }

@@ -5,10 +5,10 @@
 //! entry per covered locus, probed once per aligned base. It lives under
 //! `tests/` only, so the library carries one implementation and
 //! `activeregion_differential.rs` pins that one to this — the same regions
-//! in the same order. It takes the library's `ActiveRegionOptions`, so the
-//! two sides cannot drift apart on a threshold.
+//! in the same order. It reads the library's thresholds, so the two sides
+//! cannot drift apart on one.
 
-use gpf_caller::ActiveRegionOptions;
+use gpf_caller::activeregion::{MAX_REGION_LEN, MIN_DEPTH, MIN_EVIDENCE_FRAC, PAD};
 use gpf_formats::cigar::CigarOp;
 use gpf_formats::genome::merge_intervals;
 use gpf_formats::sam::SamRecord;
@@ -27,7 +27,6 @@ struct Pileup {
 pub fn find_active_regions(
     records: &[SamRecord],
     reference: &ReferenceGenome,
-    opts: &ActiveRegionOptions,
 ) -> Vec<GenomeInterval> {
     // Sparse pileup keyed by (contig, pos) — regions are rare, genomes big.
     let mut pile: HashMap<(u32, u64), Pileup> = HashMap::new();
@@ -70,13 +69,13 @@ pub fn find_active_regions(
 
     let mut active: Vec<GenomeInterval> = Vec::new();
     for ((contig, pos), p) in &pile {
-        if p.depth < opts.min_depth {
+        if p.depth < MIN_DEPTH {
             continue;
         }
         let evidence = p.mismatches as f64 + 2.0 * p.indels as f64;
-        if evidence / p.depth as f64 >= opts.min_evidence_frac {
+        if evidence / p.depth as f64 >= MIN_EVIDENCE_FRAC {
             let clen = reference.dict().length_of(*contig);
-            active.push(GenomeInterval::new(*contig, *pos, pos + 1).padded(opts.pad, clen));
+            active.push(GenomeInterval::new(*contig, *pos, pos + 1).padded(PAD, clen));
         }
     }
     let merged = merge_intervals(active);
@@ -84,12 +83,12 @@ pub fn find_active_regions(
     // Split oversized regions.
     let mut out = Vec::with_capacity(merged.len());
     for iv in merged {
-        if iv.len() <= opts.max_region_len {
+        if iv.len() <= MAX_REGION_LEN {
             out.push(iv);
         } else {
             let mut s = iv.start;
             while s < iv.end {
-                let e = (s + opts.max_region_len).min(iv.end);
+                let e = (s + MAX_REGION_LEN).min(iv.end);
                 out.push(GenomeInterval::new(iv.contig, s, e));
                 s = e;
             }

@@ -13,11 +13,12 @@
 //! simulator's `N` calls and duplicates, and one coverage hotspot per contig.
 //! `the_world_has_what_the_golden_is_for` checks that the two shapes the
 //! hot path treats specially really occur: a region assembling three or more
-//! haplotypes, and one deeper than `max_reads`.
+//! haplotypes, and one deeper than `MAX_READS`.
 
 use gpf_align::BwaMemAligner;
 use gpf_caller::assembly::assemble;
-use gpf_caller::{call_region, find_active_regions, CallerOptions, HaplotypeCaller};
+use gpf_caller::genotyper::{MAX_READS, WINDOW_PAD};
+use gpf_caller::{call_region, find_active_regions, HaplotypeCaller, MIN_MAPQ};
 use gpf_cleaner::{coordinate_sort, mark_duplicates};
 use gpf_formats::sam::SamRecord;
 use gpf_formats::vcf::{format_vcf, Genotype, VcfHeaderInfo, VcfRecord};
@@ -47,7 +48,7 @@ fn world() -> (ReferenceGenome, Vec<SamRecord>) {
     );
     // 24x over genome plus hotspot mass: about 18x outside the hotspots and
     // 65x inside them — deep enough that a region there overlaps more than
-    // `max_reads` reads, shallow enough that the first `max_reads` of them
+    // `MAX_READS` reads, shallow enough that the first `MAX_READS` of them
     // still reach its variant.
     let cfg = SimulatorConfig {
         coverage: 24.0,
@@ -105,7 +106,7 @@ fn summarize(reference: &ReferenceGenome, calls: &[VcfRecord]) -> Summary {
 #[test]
 fn calls_match_the_pinned_vcf() {
     let (reference, records) = world();
-    let calls = HaplotypeCaller::default().call(&records, &reference);
+    let calls = HaplotypeCaller.call(&records, &reference);
     assert_eq!(
         summarize(&reference, &calls),
         Summary {
@@ -123,14 +124,12 @@ fn calls_match_the_pinned_vcf() {
 #[test]
 fn the_world_has_what_the_golden_is_for() {
     let (reference, records) = world();
-    let caller = HaplotypeCaller::default();
-    let opts = CallerOptions::default();
     let usable: Vec<SamRecord> = records
         .iter()
-        .filter(|r| r.flags.is_mapped() && !r.flags.is_duplicate() && r.mapq >= caller.min_mapq)
+        .filter(|r| r.flags.is_mapped() && !r.flags.is_duplicate() && r.mapq >= MIN_MAPQ)
         .cloned()
         .collect();
-    let regions = find_active_regions(&usable, &reference, &caller.region_opts);
+    let regions = find_active_regions(&usable, &reference);
     assert!(regions.iter().any(|iv| iv.contig == 0) && regions.iter().any(|iv| iv.contig == 1));
     // Called regions only: a region that assembles nothing but the reference
     // never reaches the pair-HMM.
@@ -142,15 +141,14 @@ fn the_world_has_what_the_golden_is_for() {
                 r.contig == region.contig && r.pos < region.end && r.ref_end() > region.start
             })
             .collect();
-        if call_region(&reads, &reference, *region, &opts).is_empty() {
+        if call_region(&reads, &reference, *region).is_empty() {
             continue;
         }
         deepest = deepest.max(reads.len());
-        let window = region.padded(opts.window_pad, reference.dict().length_of(region.contig));
-        let seqs: Vec<&[u8]> =
-            reads.iter().take(opts.max_reads).map(|r| r.seq.as_slice()).collect();
-        most_haps = most_haps.max(assemble(reference.slice(window), &seqs, &opts.assembly).len());
+        let window = region.padded(WINDOW_PAD, reference.dict().length_of(region.contig));
+        let seqs: Vec<&[u8]> = reads.iter().take(MAX_READS).map(|r| r.seq.as_slice()).collect();
+        most_haps = most_haps.max(assemble(reference.slice(window), &seqs).len());
     }
     assert!(most_haps >= 3, "no called region assembles 3 haplotypes (most: {most_haps})");
-    assert!(deepest > opts.max_reads, "no called region is deeper than max_reads ({deepest})");
+    assert!(deepest > MAX_READS, "no called region is deeper than MAX_READS ({deepest})");
 }

@@ -46,7 +46,7 @@ fn pipeline_recovers_planted_variants() {
     assert!(stats.duplicate_fragments > 0, "simulator planted duplicates");
 
     // Call.
-    let calls = HaplotypeCaller::default().call(&records, &reference);
+    let calls = HaplotypeCaller.call(&records, &reference);
     assert!(!calls.is_empty(), "caller should find variants");
 
     // Score against truth (positions within 1bp count; indel representations
@@ -105,7 +105,7 @@ fn het_hom_genotypes_mostly_correct() {
         records.push(b);
     }
     coordinate_sort(&mut records);
-    let calls = HaplotypeCaller::default().call(&records, &reference);
+    let calls = HaplotypeCaller.call(&records, &reference);
 
     let mut genotype_checked = 0usize;
     let mut genotype_right = 0usize;

@@ -98,7 +98,7 @@ fn hostile_sam_records_are_skipped_not_indexed() {
     // caller can only meet it on a record built in code.
     mixed.insert(1, SamRecord { name: "h5".into(), pos: u64::MAX - 1, ..clean[0].clone() });
 
-    let caller = HaplotypeCaller::default();
+    let caller = HaplotypeCaller;
     let want = caller.call(&clean, &r);
     assert_eq!(want.iter().map(|v| v.pos).collect::<Vec<_>>(), vec![1000]);
     assert_eq!(caller.call(&mixed, &r), want);

@@ -432,7 +432,7 @@ impl BundleStage for HaplotypeCallerProcess {
         bundles.into_map(move |b| {
             let mut sams: Vec<&SamRecord> = b.sams.iter().collect();
             sams.sort_by(|x, y| coordinate_cmp(x, y));
-            let mut calls = gpf_caller::HaplotypeCaller::default().call(sams, &reference);
+            let mut calls = gpf_caller::HaplotypeCaller.call(sams, &reference);
             // A read overhanging the region boundary can produce a call
             // outside the region; the partition that owns that locus makes
             // the call, so drop it here. (Regions are not padded today —

@@ -70,12 +70,12 @@ impl SimCluster {
     }
 }
 
+/// GC seconds charged per byte of heap churn: 25 s per GiB.
+const GC_SECONDS_PER_BYTE: f64 = 25.0 / (1u64 << 30) as f64;
+
 /// Simulation options.
 #[derive(Debug, Clone)]
 pub struct SimOptions {
-    /// GC seconds charged per byte of heap churn (copy from the
-    /// `EngineConfig` that recorded the run).
-    pub gc_seconds_per_byte: f64,
     /// Zero out disk time (blocked-time counterfactual).
     pub zero_disk: bool,
     /// Zero out network time (blocked-time counterfactual).
@@ -86,12 +86,7 @@ pub struct SimOptions {
 
 impl Default for SimOptions {
     fn default() -> Self {
-        Self {
-            gc_seconds_per_byte: 25.0 / (1u64 << 30) as f64,
-            zero_disk: false,
-            zero_net: false,
-            timeline_bins: 240,
-        }
+        Self { zero_disk: false, zero_net: false, timeline_bins: 240 }
     }
 }
 
@@ -211,7 +206,7 @@ pub fn simulate(run: &JobRun, cluster: &SimCluster, opts: &SimOptions) -> SimRes
             } else {
                 1.0 / n.max(1) as f64
             };
-            let gc = stage.alloc_bytes as f64 * opts.gc_seconds_per_byte * gc_share;
+            let gc = stage.alloc_bytes as f64 * GC_SECONDS_PER_BYTE * gc_share;
             // Shuffle reads come from remote disks over the network; writes
             // go to local disk (Spark always spills shuffle output to disk).
             // Collect results skip the disk: tasks stream them to the driver.
@@ -395,6 +390,8 @@ mod tests {
     use super::*;
     use crate::metrics::StageMetrics;
 
+    /// `stages` stages of `tasks` equal tasks. No stage allocates, so the
+    /// simulator charges no GC.
     fn uniform_run(stages: usize, tasks: usize, cpu_each: f64, shuffle_bytes: u64) -> JobRun {
         let mut run = JobRun::default();
         for s in 0..stages {
@@ -429,7 +426,7 @@ mod tests {
         // 256 equal tasks, no I/O: doubling cores halves time until
         // cores > tasks, after which time is flat.
         let run = uniform_run(1, 256, 1.0, 0);
-        let opts = SimOptions { gc_seconds_per_byte: 0.0, ..Default::default() };
+        let opts = SimOptions::default();
         let t64 = simulate(&run, &SimCluster::paper_cluster(64), &opts).makespan_s;
         let t128 = simulate(&run, &SimCluster::paper_cluster(128), &opts).makespan_s;
         let t512 = simulate(&run, &SimCluster::paper_cluster(512), &opts).makespan_s;
@@ -441,7 +438,7 @@ mod tests {
     fn straggler_bounds_makespan() {
         let mut run = uniform_run(1, 64, 0.1, 0);
         run.stages[0].task_cpu_s[7] = 30.0;
-        let opts = SimOptions { gc_seconds_per_byte: 0.0, ..Default::default() };
+        let opts = SimOptions::default();
         let r = simulate(&run, &SimCluster::paper_cluster(1024), &opts);
         assert!((r.makespan_s - 30.0).abs() < 1e-6);
     }
@@ -521,7 +518,7 @@ mod tests {
         let run = uniform_run(1, 16, 1.0, 0);
         let mut cluster = SimCluster::paper_cluster(16);
         cluster.cpu_scale = 2.0;
-        let opts = SimOptions { gc_seconds_per_byte: 0.0, ..Default::default() };
+        let opts = SimOptions::default();
         let r = simulate(&run, &cluster, &opts);
         assert!((r.makespan_s - 2.0).abs() < 1e-9);
     }

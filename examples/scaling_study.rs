@@ -62,7 +62,7 @@ mod gpf_bench_like {
         let _calls = deduped.map_partitions(move |records| {
             let mut sorted = records.to_vec();
             coordinate_sort(&mut sorted);
-            HaplotypeCaller::default().call(&sorted, &reference2)
+            HaplotypeCaller.call(&sorted, &reference2)
         });
         ctx.take_run()
     }
