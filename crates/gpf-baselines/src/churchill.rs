@@ -76,7 +76,7 @@ impl ChurchillPipeline {
         let nregions = info.num_partitions() as usize;
         let info_route = info.clone();
         let split = aligned
-            .partition_by(nregions, move |r: &SamRecord| {
+            .into_partition_by(nregions, move |r: &SamRecord| {
                 gpf_core::process::route_record(r, &info_route) as usize
             })
             .barrier_via_disk("split->region.bams");

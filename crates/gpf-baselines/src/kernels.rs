@@ -77,7 +77,7 @@ pub fn run_markdup(flavor: Flavor, input: &KernelInput) -> JobRun {
         let key = own.min(mate);
         ((key.0 as u64) << 40 | key.1, r.clone())
     });
-    let partitioned = keyed.partition_by_key(nparts, move |k: &u64| {
+    let partitioned = keyed.into_partition_by_key(nparts, move |k: &u64| {
         (gpf_engine::dataset::stable_hash(k) % nparts as u64) as usize
     });
     let marked = partitioned.map_partitions(|part| {

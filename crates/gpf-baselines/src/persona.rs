@@ -91,7 +91,7 @@ pub fn run_markdup(records: &[SamRecord], cfg: &PersonaConfig) -> JobRun {
     let nparts = cfg.nparts;
     let marked = ds
         .map(|r| ((r.contig as u64) << 40 | r.pos, r.clone()))
-        .partition_by_key(nparts, move |k: &u64| {
+        .into_partition_by_key(nparts, move |k: &u64| {
             (gpf_engine::dataset::stable_hash(k) % nparts as u64) as usize
         })
         .map_partitions(|part| {

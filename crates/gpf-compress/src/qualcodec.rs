@@ -7,13 +7,11 @@
 //! Huffman-codes it with an explicit **EOF** symbol terminating each record
 //! (Figure 6).
 //!
-//! Two table modes are provided:
-//!
-//! * [`QualityCodec::default_codec`] — a static table shaped like a HiSeq
-//!   delta distribution (sharply peaked at 0), with every legal symbol given
-//!   a nonzero floor frequency so *any* valid quality string is encodable;
-//! * [`QualityCodec::train`] — a table fitted to a sample of quality strings
-//!   (what a per-partition trainer would ship alongside the partition).
+//! Every serializer uses one table, [`QualityCodec::default_codec`]: a
+//! static table shaped like a HiSeq delta distribution (sharply peaked at
+//! 0), with every legal symbol given a nonzero floor frequency so *any*
+//! valid quality string is encodable. No table is fitted per partition, so
+//! none travels with one.
 
 use crate::bitio::{BitReader, BitWriter};
 use crate::error::CodecError;
@@ -83,21 +81,6 @@ impl QualityCodec {
         freqs[delta_to_symbol(60) as usize] += 100;
         // EOF occurs once per record (~once per 100 symbols).
         freqs[EOF_SYMBOL as usize] += 20_000;
-        Self::from_frequencies(&freqs)
-    }
-
-    /// Fit a table to a sample of quality strings.
-    pub fn train<'a>(sample: impl IntoIterator<Item = &'a [u8]>) -> Self {
-        let mut freqs = vec![1u64; ALPHABET];
-        for qual in sample {
-            let mut prev = 0i32;
-            for &c in qual {
-                let d = c as i32 - prev;
-                freqs[delta_to_symbol(d) as usize] += 1;
-                prev = c as i32;
-            }
-            freqs[EOF_SYMBOL as usize] += 1;
-        }
         Self::from_frequencies(&freqs)
     }
 
@@ -248,23 +231,6 @@ mod tests {
         // give ~1-2 bits/char.
         assert!(bytes.len() < 40, "compressed to {} bytes", bytes.len());
         round_trip(&codec, &qual);
-    }
-
-    #[test]
-    fn trained_codec_beats_default_on_its_sample() {
-        let sample: Vec<Vec<u8>> = (0..50)
-            .map(|i| {
-                let mut q = vec![60u8 + (i % 3) as u8; 80];
-                q[i % 80] = 55;
-                q
-            })
-            .collect();
-        let refs: Vec<&[u8]> = sample.iter().map(|v| v.as_slice()).collect();
-        let trained = QualityCodec::train(refs.iter().copied());
-        let default = QualityCodec::default_codec();
-        let t: usize = refs.iter().map(|q| trained.encode_to_bytes(q).unwrap().len()).sum();
-        let d: usize = refs.iter().map(|q| default.encode_to_bytes(q).unwrap().len()).sum();
-        assert!(t <= d, "trained {t} vs default {d}");
     }
 
     #[test]

@@ -11,7 +11,7 @@ use gpf_workloads::variants::{DonorGenome, VariantSpec};
 use std::sync::{Arc, Mutex};
 
 /// One pipeline at a time: `shuffle_move_accounting…` reads process-global
-/// counters exactly while ambient tracing is on.
+/// counters exactly while tracing is on.
 static ONE_PIPELINE: Mutex<()> = Mutex::new(());
 
 struct Setup {

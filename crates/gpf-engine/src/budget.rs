@@ -38,7 +38,7 @@ use gpf_support::sync::{Mutex, RwLock};
 use gpf_trace::names as tn;
 use std::sync::{Arc, Weak};
 
-/// Bump a registry counter. Unconditional — not gated on ambient tracing —
+/// Bump a registry counter. Unconditional — not gated on `set_enabled` —
 /// for the same reason as `record_fault_event`: these fire only on budget
 /// events (a spill serializes frames, a restore decodes them) whose cost
 /// dwarfs the registry lookup, and tests and benches read the counters

@@ -166,7 +166,7 @@ impl EngineContext {
     }
 
     /// Record one narrow operation's per-task measurements into the open
-    /// stage: a `Begin`/`End` pair per task (`Begin` only while ambient
+    /// stage: a `Begin`/`End` pair per task (`Begin` only while
     /// tracing is enabled — `End` events carry the metrics and are always
     /// recorded) plus one op-metadata instant.
     pub(crate) fn record_tasks(
@@ -459,7 +459,7 @@ impl EngineContext {
 
     /// Record one recovery event: a scheduler instant in the session trace
     /// plus a global counter bump. The global counters are unconditional
-    /// (not gated on ambient tracing) — this path only executes when faults
+    /// (not gated on `set_enabled`) — this path only executes when faults
     /// are configured, so the disabled-cost is zero and chaos tests can
     /// read the counters without toggling `set_enabled`.
     pub(crate) fn record_fault_event(&self, name: &'static str, stage: u32, part: u32, n: u64) {
@@ -487,7 +487,7 @@ impl EngineContext {
     /// timeline shows *when* the driver rebalanced. Counters are
     /// unconditional, like `EngineContext::record_fault_event`'s: one
     /// call per decision costs nothing, and tests read them without
-    /// toggling ambient tracing.
+    /// toggling `set_enabled`.
     pub fn record_repartition(&self, splits: u64, moved_records: u64, cap_hits: u64, merged: u64) {
         gpf_trace::counter(gpf_trace::names::REPARTITION_SPLITS).add(splits);
         gpf_trace::counter(gpf_trace::names::REPARTITION_MOVED).add(moved_records);

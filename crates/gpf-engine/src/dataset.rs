@@ -787,18 +787,6 @@ impl<T: Send + Sync + 'static> Dataset<T> {
         Dataset { ctx: Arc::clone(&self.ctx), parts: output_parts(&self.ctx, parts) }
     }
 
-    /// Repartition arbitrary records by an explicit routing function.
-    pub fn partition_by(
-        &self,
-        nparts: usize,
-        route: impl Fn(&T) -> usize + Send + Sync,
-    ) -> Dataset<T>
-    where
-        T: GpfSerialize + Clone,
-    {
-        shuffle(&self.ctx, self.parts.clone(), nparts, "partitionBy", route)
-    }
-
     /// Opt this dataset into the memory-budget eviction policy: under a
     /// configured budget ([`crate::EngineConfig::with_memory_budget`]) its
     /// partitions become spill-vs-recompute victims and map stages over
@@ -841,12 +829,13 @@ impl<T: Send + Sync + 'static> Dataset<T> {
         }
     }
 
-    /// Consuming [`Dataset::partition_by`]: when this handle holds the last
-    /// reference to its partitions, each map task frees its input partition
-    /// as soon as it has serialized it, instead of the whole input living
-    /// until the shuffle ends. Use it when the source dataset is not needed
-    /// afterwards (the common case for pipeline intermediates). Neither
-    /// form copies a record of a plain input.
+    /// Repartition arbitrary records by an explicit routing function. When
+    /// this handle holds the last reference to its partitions, each map task
+    /// frees its input partition as soon as it has serialized it, instead of
+    /// the whole input living until the shuffle ends. A caller that reads
+    /// the dataset again passes a `.clone()`: the shuffle then reads the
+    /// shared partitions in place. Neither way copies a record of a plain
+    /// input.
     pub fn into_partition_by(
         self,
         nparts: usize,
@@ -997,34 +986,6 @@ where
     K: Hash + Eq + Clone + Send + Sync + GpfSerialize + 'static,
     V: Clone + Send + Sync + GpfSerialize + 'static,
 {
-    /// Hash-partition by key, then group values per key (order of first
-    /// arrival, so results are deterministic).
-    pub fn group_by_key(&self, nparts: usize) -> Dataset<(K, Vec<V>)> {
-        let shuffled = shuffle(&self.ctx, self.parts.clone(), nparts, "groupByKey", |kv: &(K, V)| {
-            (stable_hash(&kv.0) % nparts as u64) as usize
-        });
-        shuffled.narrow_op("group", |_, p| {
-            let mut order: Vec<K> = Vec::new();
-            let mut groups: std::collections::HashMap<K, Vec<V>> = std::collections::HashMap::new();
-            for (k, v) in p {
-                groups
-                    .entry(k.clone())
-                    .or_insert_with(|| {
-                        order.push(k.clone());
-                        Vec::new()
-                    })
-                    .push(v.clone());
-            }
-            order
-                .into_iter()
-                .filter_map(|k| {
-                    let vs = groups.remove(&k)?;
-                    Some((k, vs))
-                })
-                .collect()
-        })
-    }
-
     /// Hash-partition by key and fold values with `f`.
     pub fn reduce_by_key(&self, nparts: usize, f: impl Fn(&V, &V) -> V + Send + Sync) -> Dataset<(K, V)> {
         // Map-side combine first (Spark does this too) to cut shuffle volume.
@@ -1039,49 +1000,10 @@ where
         shuffled.narrow_op("reduce", |_, p| fold_by_key(p, &f))
     }
 
-    /// Inner hash join (both sides shuffled by key hash).
-    pub fn join<W>(&self, other: &Dataset<(K, W)>, nparts: usize) -> Dataset<(K, (V, W))>
-    where
-        W: Clone + Send + Sync + GpfSerialize + 'static,
-    {
-        let left = shuffle(&self.ctx, self.parts.clone(), nparts, "join(left)", |kv: &(K, V)| {
-            (stable_hash(&kv.0) % nparts as u64) as usize
-        });
-        let right = shuffle(&other.ctx, other.parts.clone(), nparts, "join(right)", |kv: &(K, W)| {
-            (stable_hash(&kv.0) % nparts as u64) as usize
-        });
-        left.into_zip_partitions(right, |_, l, r| {
-            let mut table: std::collections::HashMap<&K, Vec<&V>> = std::collections::HashMap::new();
-            for (k, v) in &l {
-                table.entry(k).or_default().push(v);
-            }
-            let mut out = Vec::new();
-            for (k, w) in &r {
-                if let Some(vs) = table.get(k) {
-                    for v in vs {
-                        out.push((k.clone(), ((*v).clone(), w.clone())));
-                    }
-                }
-            }
-            out
-        })
-    }
-
     /// Repartition key-value records by a key routing function, preserving
-    /// record order within each source partition.
-    pub fn partition_by_key(
-        &self,
-        nparts: usize,
-        route: impl Fn(&K) -> usize + Send + Sync,
-    ) -> Dataset<(K, V)> {
-        shuffle(&self.ctx, self.parts.clone(), nparts, "partitionByKey", move |kv: &(K, V)| {
-            route(&kv.0)
-        })
-    }
-
-    /// Consuming [`Dataset::partition_by_key`]: input partitions are freed
-    /// by the map tasks that serialized them when this handle holds the
-    /// last reference to them.
+    /// record order within each source partition. Input partitions are
+    /// freed by the map tasks that serialized them when this handle holds
+    /// the last reference to them, as for [`Dataset::into_partition_by`].
     pub fn into_partition_by_key(
         self,
         nparts: usize,
@@ -1207,48 +1129,12 @@ mod tests {
     }
 
     #[test]
-    fn group_by_key_groups_everything() {
-        let c = ctx();
-        let data: Vec<(u64, u64)> = (0u64..100).map(|i| (i % 7, i)).collect();
-        let d = Dataset::from_vec(Arc::clone(&c), data, 5);
-        let g = d.group_by_key(3);
-        let mut all: Vec<(u64, Vec<u64>)> = g.collect_local();
-        all.sort_by_key(|(k, _)| *k);
-        assert_eq!(all.len(), 7);
-        for (k, vs) in &all {
-            assert_eq!(vs.len(), if *k < 100 % 7 { 15 } else { 14 });
-            for v in vs {
-                assert_eq!(v % 7, *k);
-            }
-        }
-        let run = c.take_run();
-        assert_eq!(run.num_stages(), 2, "one shuffle => two stages");
-        assert!(run.total_shuffle_bytes() > 0);
-    }
-
-    #[test]
     fn reduce_by_key_sums() {
         let data: Vec<(u64, u64)> = (0u64..50).map(|i| (i % 3, 1)).collect();
         let d = Dataset::from_vec(ctx(), data, 4);
         let mut out = d.reduce_by_key(2, |a, b| a + b).collect_local();
         out.sort();
         assert_eq!(out, vec![(0, 17), (1, 17), (2, 16)]);
-    }
-
-    #[test]
-    fn join_matches_pairs() {
-        let c = ctx();
-        let left = Dataset::from_vec(
-            Arc::clone(&c),
-            vec![(1u64, "a".to_string()), (2, "b".to_string()), (2, "b2".to_string())],
-            2,
-        );
-        let right =
-            Dataset::from_vec(Arc::clone(&c), vec![(2u64, 20u64), (3, 30), (2, 21)], 2);
-        let mut j = left.join(&right, 2).collect_local();
-        j.sort_by(|a, b| (a.0, &a.1 .1).cmp(&(b.0, &b.1 .1)));
-        assert_eq!(j.len(), 4); // keys 2×2 matches
-        assert!(j.iter().all(|(k, _)| *k == 2));
     }
 
     #[test]
@@ -1274,7 +1160,7 @@ mod tests {
     #[test]
     fn partition_by_routes_records() {
         let d = Dataset::from_vec(ctx(), (0u64..40).collect(), 4);
-        let p = d.partition_by(4, |x| (*x % 4) as usize);
+        let p = d.into_partition_by(4, |x| (*x % 4) as usize);
         for i in 0..4 {
             assert!(p.partition(i).iter().all(|x| (*x % 4) as usize == i));
         }
@@ -1323,7 +1209,7 @@ mod tests {
             .map(|cfg| {
                 let c = EngineContext::new(cfg);
                 let d = Dataset::from_vec(Arc::clone(&c), data.clone(), 4);
-                let _g = d.group_by_key(4);
+                let _p = d.into_partition_by_key(4, |k| (*k % 4) as usize);
                 c.take_run().total_shuffle_bytes()
             })
             .collect();
@@ -1334,14 +1220,6 @@ mod tests {
         assert!(
             d.serialized_size(SerializerKind::JavaSim) > d.serialized_size(SerializerKind::KryoSim)
         );
-    }
-
-    #[test]
-    fn group_by_key_is_deterministic() {
-        let data: Vec<(u64, u64)> = (0u64..500).map(|i| (i % 13, i)).collect();
-        let run1 = Dataset::from_vec(ctx(), data.clone(), 8).group_by_key(5).collect_local();
-        let run2 = Dataset::from_vec(ctx(), data, 8).group_by_key(5).collect_local();
-        assert_eq!(run1, run2);
     }
 
     #[test]
@@ -1507,8 +1385,8 @@ mod tests {
         let c = ctx();
         let d: Dataset<(u64, u64)> = Dataset::from_vec(Arc::clone(&c), vec![], 3);
         assert!(d.is_empty());
-        let g = d.group_by_key(2);
-        assert!(g.collect_local().is_empty());
+        let r = d.reduce_by_key(2, |a, b| a + b);
+        assert!(r.collect_local().is_empty());
         let m = d.map(|kv| kv.0);
         assert_eq!(m.num_partitions(), 3);
     }

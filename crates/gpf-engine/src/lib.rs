@@ -9,10 +9,10 @@
 //!
 //! * [`dataset::Dataset`] — an eagerly evaluated, partitioned, in-memory
 //!   collection with Spark-shaped operations: narrow (`map`, `flat_map`,
-//!   `filter`, `map_partitions`) and wide (`group_by_key`, `reduce_by_key`,
-//!   `join`, `partition_by`, `sort_by_key`). Narrow ops run data-parallel
-//!   over partitions on [`gpf_support::par`]; wide ops run a real **shuffle** that
-//!   serializes every bucket with the configured
+//!   `filter`, `map_partitions`) and wide (`into_partition_by`,
+//!   `into_partition_by_key`, `reduce_by_key`, `sort_by_key`). Narrow ops
+//!   run data-parallel over partitions on [`gpf_support::par`]; wide ops
+//!   run a real **shuffle** that serializes every bucket with the configured
 //!   [`gpf_compress::SerializerKind`], so shuffle byte counts honestly
 //!   reflect Java-like vs Kryo-like vs GPF-compressed encodings (§4.2 of the
 //!   paper).

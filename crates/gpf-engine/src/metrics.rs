@@ -231,11 +231,6 @@ impl JobRun {
         self.stages.iter().map(|s| s.serde_s).sum()
     }
 
-    /// Stages belonging to a phase tag.
-    pub fn stages_in_phase<'a>(&'a self, phase: &'a str) -> impl Iterator<Item = &'a StageMetrics> {
-        self.stages.iter().filter(move |s| s.phase == phase)
-    }
-
     /// Distinct phase tags in first-appearance order.
     pub fn phases(&self) -> Vec<String> {
         let mut out: Vec<String> = Vec::new();
@@ -267,7 +262,7 @@ impl JobRun {
 /// | `Instant`/`Io`                         | close stage as [`StageKind::Collect`]     |
 /// | `Counter`/`Scheduler` `heap.live_bytes`| stage heap peak/live (max/last sample)    |
 ///
-/// `Begin`, other `Scheduler`, and `Warn` events are timeline-only and
+/// `Begin`, other `Scheduler`, and `Other` events are timeline-only and
 /// ignored here. A stage still open when the stream ends is pushed as
 /// [`StageKind::Final`].
 pub fn derive_job_run(events: &[Event]) -> JobRun {
@@ -502,6 +497,5 @@ mod tests {
         assert_eq!(run.num_stages(), 2);
         assert_eq!(run.total_shuffle_bytes(), 35);
         assert_eq!(run.phases(), vec!["aligner".to_string(), "cleaner".to_string()]);
-        assert_eq!(run.stages_in_phase("cleaner").count(), 1);
     }
 }

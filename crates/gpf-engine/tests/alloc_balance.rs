@@ -137,7 +137,7 @@ fn wide_sparse_shuffle_allocates_by_records_not_geometry() {
         }
         let d = Dataset::from_partitions(ctx(), input);
         let before = shuffle_and_serde_bytes();
-        let p = d.partition_by(WIDTH, |kv| (kv.0 & 0xffff) as usize * 37 % WIDTH);
+        let p = d.clone().into_partition_by(WIDTH, |kv| (kv.0 & 0xffff) as usize * 37 % WIDTH);
         let allocated = shuffle_and_serde_bytes() - before;
         assert_eq!(p.len(), 64);
         assert_eq!(p.partition_sizes().iter().filter(|&&n| n == 1).count(), 64);

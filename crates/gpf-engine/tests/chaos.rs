@@ -162,7 +162,7 @@ fn corrupt_shuffle_bucket_recomputes_from_lineage() {
     let baseline = {
         let ctx = plain_ctx();
         let d = Dataset::from_vec(Arc::clone(&ctx), data.clone(), 4);
-        let p = d.partition_by(5, route);
+        let p = d.clone().into_partition_by(5, route);
         (0..5).map(|i| p.partition(i).to_vec()).collect::<Vec<_>>()
     };
     let recomputed0 = counter("shuffle.recomputed");
@@ -172,7 +172,7 @@ fn corrupt_shuffle_bucket_recomputes_from_lineage() {
     ];
     let ctx = chaos_ctx(FaultPlan::explicit(sites));
     let d = Dataset::from_vec(Arc::clone(&ctx), data, 4);
-    let p = d.partition_by(5, route);
+    let p = d.clone().into_partition_by(5, route);
     let chaotic = (0..5).map(|i| p.partition(i).to_vec()).collect::<Vec<_>>();
     assert_eq!(chaotic, baseline, "recomputed buckets must be byte-identical");
     assert!(ctx.take_failure().is_none());

@@ -1,6 +1,6 @@
 //! Operator-matrix differential test: one job touching every operator
 //! family — element-wise narrow, whole-partition narrow over a shuffle
-//! output, `join` (two shuffles + `into_zip_partitions`), `sort_by_key`,
+//! output, a bundle zip (two key shuffles + `into_zip_partitions`), `sort_by_key`,
 //! `reduce_by_key`, `barrier_via_disk`, a split-table shuffle, `collect` — run
 //! under {faults off, quiet plan, seeded plans} × {no budget, tight budget}
 //! × {sole-owner, shared shuffle input}.
@@ -17,7 +17,8 @@
 //! that for the whole operator surface at once, where the
 //! chaos/budget/skew batteries pin it per mechanism.
 //!
-//! Beside the job: every consuming operator against its borrowed twin, and
+//! Beside the job: every consuming operator against its borrowed twin (the
+//! shuffle and the zip against themselves on shared handles), and
 //! `map_fold` against `map` + `collect` + a fold.
 
 mod shuffle_oracle;
@@ -104,8 +105,18 @@ fn job(ctx: &Arc<EngineContext>, data: &[Rec], shared: bool) -> Outcome {
     let s = b.sort_by_key(4);
     let r = s.reduce_by_key(3, |a, b| a.wrapping_add(*b));
     let tags = s.filter(|kv| kv.1 % 4 == 0).map(|kv| (kv.0, format!("t{}", kv.1 % 1000)));
-    let j = r.join(&tags, 3);
-    let jc = checkpoint("join", &j);
+    // The bundle shape: both sides shuffled by key, then zipped pairwise
+    // (`r` is checkpointed below, so it goes in as a shared handle).
+    let by_key = |k: &u64| (*k % 3) as usize;
+    let j = r.clone().into_partition_by_key(3, by_key).into_zip_partitions(
+        tags.into_partition_by_key(3, by_key),
+        |_, l, t| {
+            l.iter()
+                .flat_map(|(k, v)| t.iter().filter(move |(tk, _)| tk == k).map(move |(_, s)| (*k, (*v, s.clone()))))
+                .collect()
+        },
+    );
+    let jc = checkpoint("zip", &j);
     // Shuffle through a fixed split table: base 0 splits by tag length.
     let a = j.into_partition_by(4, |kv: &(u64, (u64, String))| {
         let base = (kv.0 % 3) as usize;
@@ -194,7 +205,7 @@ fn every_operator_agrees_across_faults_budget_and_ownership() {
     assert_eq!(
         plain_shape.iter().filter(|s| s.kind == StageKind::Shuffle).count(),
         7,
-        "partitionBy, barrier, sortByKey, reduceByKey, join x2, split table: {plain_shape:?}"
+        "partitionBy, barrier, sortByKey, reduceByKey, partitionByKey x2, split table: {plain_shape:?}"
     );
     assert_plain_cell_matches_oracle(&data, &plain, &plain_shape);
 
@@ -239,8 +250,8 @@ fn every_operator_agrees_across_faults_budget_and_ownership() {
 }
 
 /// The consuming operators, each beside the borrowed twin it must agree
-/// with (the zip: beside itself on shared handles). `e` is the zip's
-/// right-hand side; the other operators ignore it.
+/// with (the shuffle and the zip: beside themselves on shared handles). `e`
+/// is the zip's right-hand side; the other operators ignore it.
 #[derive(Clone, Copy, Debug)]
 enum Twin {
     PartitionByKey,
@@ -283,7 +294,10 @@ fn zip_pair(a: &Rec, b: &Rec) -> Rec {
 /// can make the first invocation fail.
 fn run_borrowed(twin: Twin, d: &Dataset<Rec>, e: &Dataset<Rec>, tick: &(dyn Fn() + Sync)) -> Dataset<Rec> {
     match twin {
-        Twin::PartitionByKey => d.partition_by_key(5, |k| {
+        // The shuffle and the zip have no borrowed twin: their reference is
+        // themselves on shared handles (`d` and `e` stay alive), the path a
+        // Resource-held input takes.
+        Twin::PartitionByKey => d.clone().into_partition_by_key(5, |k| {
             tick();
             key_route(k)
         }),
@@ -304,8 +318,6 @@ fn run_borrowed(twin: Twin, d: &Dataset<Rec>, e: &Dataset<Rec>, tick: &(dyn Fn()
             tick();
             p.iter().rev().copied().collect()
         }),
-        // The zip has no borrowed twin: its reference is itself on shared
-        // handles (`d` and `e` stay alive), the clone path.
         Twin::ZipPartitions => d.clone().into_zip_partitions(e.clone(), |_, l, r| {
             tick();
             l.iter().zip(&r).map(|(a, b)| zip_pair(a, b)).collect()
@@ -442,8 +454,8 @@ fn consuming_operators_agree_with_their_borrowed_twins() {
     }
 }
 
-/// A shared plain input through the borrowed `partition_by` — the shuffle a
-/// Resource-held dataset takes: for every serializer kind the input is
+/// A shared plain input through `into_partition_by` on a clone — the
+/// shuffle a Resource-held dataset takes: for every serializer kind the input is
 /// untouched (same records, same places) and still readable afterwards, the
 /// output and the bytes per map and per reduce task are the oracle's, and
 /// with a segment of every map task corrupted the output is recomputed from
@@ -469,12 +481,13 @@ fn a_shared_plain_input_is_shuffled_where_it_sits() {
             let before = parts(&d);
             let want = shuffle_oracle(kind, &before, SHUFFLE_PARTS, route);
 
-            let p = d.partition_by(SHUFFLE_PARTS, route);
+            let p = d.clone().into_partition_by(SHUFFLE_PARTS, route);
             assert!(ctx.take_failure().is_none(), "[{cell}] a corrupt segment is recoverable");
             assert!(parts(&p) == want.parts, "[{cell}] output diverged from the oracle");
             assert!(parts(&d) == before, "[{cell}] the shuffle disturbed its input");
             // Still an operand: a second shuffle of the same handle agrees.
-            assert!(parts(&d.partition_by(SHUFFLE_PARTS, route)) == want.parts, "[{cell}] second read");
+            let again = d.clone().into_partition_by(SHUFFLE_PARTS, route);
+            assert!(parts(&again) == want.parts, "[{cell}] second read");
 
             let (run, trace) = ctx.take_run_traced();
             assert_eq!(run.stages[0].shuffle_write_bytes, want.write_bytes, "[{cell}] bytes per map task");

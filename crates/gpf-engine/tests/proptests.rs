@@ -14,8 +14,8 @@ fn ctx() -> std::sync::Arc<EngineContext> {
     EngineContext::new(EngineConfig::default())
 }
 
-/// Hold the engine's one shuffle to the oracle through both of its entry
-/// points — a borrowed input (serialized where it sits) and a consumed
+/// Hold the engine's one shuffle to the oracle through both of its input
+/// paths — a shared input (serialized where it sits) and a consumed
 /// sole-owner input (each partition freed by the task that serialized it):
 /// the same records partition for partition,
 /// and the same bytes per map task written and per reduce task read.
@@ -41,14 +41,15 @@ where
         }
     };
     let c_new = EngineContext::new(cfg.clone());
-    let p_new = dataset(&c_new).partition_by(nparts, route);
+    let shared = dataset(&c_new);
+    let p_new = shared.clone().into_partition_by(nparts, route);
     let run_new = c_new.take_run();
 
     let c_mv = EngineContext::new(cfg.clone());
     let p_mv = dataset(&c_mv).into_partition_by(nparts, route);
     let run_mv = c_mv.take_run();
 
-    for (path, c, p, run) in [("borrowed", &c_new, &p_new, &run_new), ("consumed", &c_mv, &p_mv, &run_mv)] {
+    for (path, c, p, run) in [("shared", &c_new, &p_new, &run_new), ("consumed", &c_mv, &p_mv, &run_mv)] {
         prop_assert!(c.take_budget_breach().is_none(), "{} path: a streamed shuffle breached", path);
         prop_assert!(c.take_failure().is_none(), "{} path: the shuffle failed", path);
         prop_assert_eq!(p.num_partitions(), nparts);
@@ -131,7 +132,7 @@ fn router(route: Route, nparts: usize) -> impl Fn(&Rec) -> usize + Send + Sync +
 
 /// The geometries a dense `nmaps x nparts` segment index made too costly to
 /// sweep: every width pair, with entirely empty maps, every record in one
-/// bucket and one record per bucket, for each serializer kind, borrowed
+/// bucket and one record per bucket, for each serializer kind, shared
 /// and consumed.
 #[test]
 fn sparse_geometries_agree_with_the_oracle() {
@@ -226,7 +227,7 @@ fn corrupt_bucket_hits_the_salted_nonempty_segment_and_recovers() {
                 let p = if consume {
                     d.into_partition_by(nparts, route_fn)
                 } else {
-                    d.partition_by(nparts, route_fn)
+                    d.clone().into_partition_by(nparts, route_fn)
                 };
                 assert!(c.take_failure().is_none(), "[{cell}] a corrupt bucket is never terminal");
                 for t in 0..nparts {
@@ -257,25 +258,6 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn group_by_key_preserves_multiset(
-        data in proptest::collection::vec((0u64..20, any::<u64>()), 0..300),
-        parts in 1usize..8,
-        out_parts in 1usize..8,
-    ) {
-        let d = Dataset::from_vec(ctx(), data.clone(), parts);
-        let grouped = d.group_by_key(out_parts);
-        let mut flat: Vec<(u64, u64)> = grouped
-            .collect_local()
-            .into_iter()
-            .flat_map(|(k, vs)| vs.into_iter().map(move |v| (k, v)))
-            .collect();
-        let mut expect = data;
-        flat.sort();
-        expect.sort();
-        prop_assert_eq!(flat, expect);
-    }
-
-    #[test]
     fn sort_by_key_outputs_sorted_multiset(
         data in proptest::collection::vec((any::<u64>(), 0u64..100), 1..300),
         parts in 1usize..6,
@@ -298,7 +280,7 @@ proptest! {
         nparts in 1usize..10,
     ) {
         let d = Dataset::from_vec(ctx(), data.clone(), 3);
-        let p = d.partition_by(nparts, move |x| (*x % nparts as u64) as usize);
+        let p = d.clone().into_partition_by(nparts, move |x| (*x % nparts as u64) as usize);
         for i in 0..nparts {
             prop_assert!(p.partition(i).iter().all(|x| (*x % nparts as u64) as usize == i));
         }
@@ -336,7 +318,7 @@ proptest! {
         // Record a real shuffle-bearing run through the public API.
         let c = ctx();
         let d = Dataset::from_vec(std::sync::Arc::clone(&c), data, parts);
-        let _ = d.map(|kv| (kv.0, kv.1 / 2)).group_by_key(parts).map(|(k, vs)| (*k, vs.len() as u64));
+        let _ = d.map(|kv| (kv.0, kv.1 / 2)).reduce_by_key(parts, |a, b| a.wrapping_add(*b));
         let run = c.take_run();
         let opts = SimOptions::default();
         let mut last = f64::INFINITY;
@@ -354,7 +336,7 @@ proptest! {
     ) {
         let c = ctx();
         let d = Dataset::from_vec(std::sync::Arc::clone(&c), data, 4);
-        let _ = d.group_by_key(4);
+        let _ = d.into_partition_by_key(4, |k| (*k % 4) as usize);
         let run = c.take_run();
         let rep = gpf_engine::sim::blocked_time(
             &run,

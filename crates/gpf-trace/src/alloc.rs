@@ -298,14 +298,14 @@ impl Drop for AllocScope {
 
 /// The attribution scope implied by a span category: compute spans charge
 /// `Task`, serde spans `Serde`, shuffle spans `Shuffle`, io spans `Spill`;
-/// scheduler/warn/other spans carry no attribution.
+/// scheduler/other spans carry no attribution.
 pub(crate) fn scope_for_category(cat: Category) -> Option<AllocScope> {
     let tag = match cat {
         Category::Compute => AllocTag::Task,
         Category::Serde => AllocTag::Serde,
         Category::Shuffle => AllocTag::Shuffle,
         Category::Io => AllocTag::Spill,
-        Category::Scheduler | Category::Warn | Category::Other => return None,
+        Category::Scheduler | Category::Other => return None,
     };
     Some(scope(tag))
 }

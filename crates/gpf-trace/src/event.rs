@@ -41,8 +41,6 @@ pub enum Category {
     Scheduler,
     /// Driver I/O: collects, broadcasts.
     Io,
-    /// Warnings routed through the trace.
-    Warn,
     /// Anything else.
     Other,
 }
@@ -56,7 +54,6 @@ impl Category {
             Category::Serde => "serde",
             Category::Scheduler => "scheduler",
             Category::Io => "io",
-            Category::Warn => "warn",
             Category::Other => "other",
         }
     }
@@ -71,7 +68,7 @@ impl Category {
 pub struct Event {
     /// Shape of the event.
     pub kind: EventKind,
-    /// Span/operator label (for [`Category::Warn`] events: the message).
+    /// Span/operator label.
     pub name: Arc<str>,
     /// Work category.
     pub cat: Category,

@@ -11,7 +11,7 @@
 //! - [`Event`] — one timestamped record: a span [`EventKind::Begin`]/
 //!   [`EventKind::End`] pair, a point [`EventKind::Instant`], or a
 //!   [`EventKind::Counter`] sample. Every event carries a [`Category`]
-//!   (compute / shuffle / serde / scheduler / io / warn), the pipeline
+//!   (compute / shuffle / serde / scheduler / io / other), the pipeline
 //!   *phase* tag active when it was emitted, a thread id, and a list of
 //!   `u64` counter attachments.
 //! - [`TraceLog`] — a bounded ring buffer of events. Overflow drops the
@@ -34,13 +34,15 @@
 //!   thread-local [`clock::MockClock`] that makes trace-shape tests
 //!   byte-stable.
 //!
-//! ## Ambient vs. explicit recording
+//! ## One recording plane
 //!
-//! [`span`]/[`instant`] write to the process-global log and are gated on
-//! [`set_enabled`]; [`span_in`]/[`instant_in`] write to an explicit
-//! [`TraceLog`] unconditionally (the engine's per-context session log uses
-//! the explicit form: its events *are* the metrics, so they cannot be
-//! optional).
+//! Every span and instant names the [`TraceLog`] it writes to
+//! ([`span_in`]/[`instant_in`]) and records unconditionally. The engine's
+//! per-context session log is that log for a run — its events *are* the
+//! metrics, so they cannot be optional — and an application span opened on
+//! it (`EngineContext::trace_log`) lands in the same exported trace.
+//! [`set_enabled`] does not gate them: it switches the engine's task
+//! `Begin` events, allocation tracking and the tracing-only counters.
 
 pub mod alloc;
 pub mod clock;
@@ -53,7 +55,5 @@ pub mod sink;
 
 pub use counters::{counter, counters_snapshot, histogram, histograms_snapshot, LocalHistogram};
 pub use event::{Category, Event, EventKind, SpanView, Trace};
-pub use recorder::{
-    current_tid, enabled, global, instant, instant_in, set_enabled, span, span_in, warn, SpanGuard,
-};
+pub use recorder::{current_tid, enabled, instant_in, set_enabled, span_in, SpanGuard};
 pub use ring::{RingStats, TraceLog};

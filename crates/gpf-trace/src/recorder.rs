@@ -7,20 +7,18 @@
 //! becomes the target — so the steady-state cost of a span is two clock
 //! reads plus an amortized fraction of one mutex acquisition.
 //!
-//! Two recording planes:
-//!
-//! - **Ambient** ([`span`], [`instant`], [`warn`]): writes to the
-//!   process-global log, gated on [`set_enabled`]. Free when tracing is
-//!   off (one atomic load).
-//! - **Explicit** ([`span_in`], [`instant_in`]): writes to a caller-owned
-//!   log unconditionally. The engine's session log uses this plane — its
-//!   events *are* the job metrics and must never be silently absent.
+//! One recording plane: [`span_in`] and [`instant_in`] write to the
+//! [`TraceLog`] their caller names, unconditionally. The engine's session
+//! log is that log for everything a run records — its events *are* the job
+//! metrics and must never be silently absent — and an application span
+//! joins the same log through `EngineContext::trace_log`. [`set_enabled`]
+//! does not gate them: it switches the engine's task `Begin` events,
+//! allocation tracking and the tracing-only counters.
 
 use crate::clock::now_ns;
 use crate::event::{Category, Event, EventKind};
 use crate::ring::TraceLog;
 use gpf_check::shim::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use gpf_check::shim::sync::OnceLock;
 use std::cell::{Cell, RefCell};
 use std::sync::Arc;
 
@@ -31,7 +29,9 @@ static ENABLED: AtomicBool = AtomicBool::new(false);
 static NEXT_TID: AtomicU32 = AtomicU32::new(1);
 static NEXT_SPAN_ID: AtomicU64 = AtomicU64::new(1);
 
-/// Turn ambient tracing on or off (explicit-log recording is unaffected).
+/// Turn tracing on or off: the engine's task `Begin` events, allocation
+/// tracking and the tracing-only counters follow it; [`span_in`] /
+/// [`instant_in`] record either way.
 pub fn set_enabled(on: bool) {
     // ordering: Relaxed — a pure on/off gate; every event it gates is
     // published through the ring's mutex, so the flag carries no data.
@@ -41,16 +41,10 @@ pub fn set_enabled(on: bool) {
     crate::alloc::sync_enabled(on);
 }
 
-/// Whether ambient tracing is on.
+/// Whether tracing is on.
 pub fn enabled() -> bool {
-    // ordering: Relaxed — see set_enabled; this is the per-span hot gate.
+    // ordering: Relaxed — see set_enabled; every traced site reads it.
     ENABLED.load(Ordering::Relaxed)
-}
-
-/// The process-global trace log (ambient recording target).
-pub fn global() -> &'static Arc<TraceLog> {
-    static GLOBAL: OnceLock<Arc<TraceLog>> = OnceLock::new();
-    GLOBAL.get_or_init(|| Arc::new(TraceLog::new()))
 }
 
 thread_local! {
@@ -137,67 +131,49 @@ fn stack_top() -> u64 {
 }
 
 /// An open span; records the End event (with any attached counters) on
-/// drop. Obtained from [`span`] / [`span_in`].
+/// drop. Obtained from [`span_in`].
 #[must_use = "dropping the guard immediately records a zero-length span"]
 pub struct SpanGuard {
-    active: Option<ActiveSpan>,
-    // Heap-attribution scope for the span's category. Declared after
-    // `active` so drop glue releases it *after* Drop::drop records the End
-    // event: allocations made while building the End event still charge to
-    // this span's tag.
-    _alloc_scope: Option<crate::alloc::AllocScope>,
-}
-
-struct ActiveSpan {
     log: Arc<TraceLog>,
     name: Arc<str>,
     cat: Category,
     id: u64,
     counters: Vec<(Arc<str>, u64)>,
+    // Heap-attribution scope for the span's category. Declared last so
+    // drop glue releases it *after* Drop::drop records the End event:
+    // allocations made while building the End event still charge to this
+    // span's tag.
+    _alloc_scope: Option<crate::alloc::AllocScope>,
 }
 
 impl SpanGuard {
     /// Attach a counter to the span's End event.
     pub fn add_counter(&mut self, key: &str, value: u64) {
-        if let Some(active) = &mut self.active {
-            active.counters.push((Arc::from(key), value));
-        }
+        self.counters.push((Arc::from(key), value));
     }
-
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        let Some(active) = self.active.take() else {
-            return;
-        };
         SPAN_STACK.with(|s| {
             s.borrow_mut().pop();
         });
         let event = Event {
             kind: EventKind::End,
-            name: active.name,
-            cat: active.cat,
+            name: Arc::clone(&self.name),
+            cat: self.cat,
             phase: empty_phase(),
             ts_ns: now_ns(),
             tid: current_tid(),
-            id: active.id,
+            id: self.id,
             parent: stack_top(),
-            counters: active.counters,
+            counters: std::mem::take(&mut self.counters),
         };
-        enqueue(&active.log, event);
+        enqueue(&self.log, event);
     }
 }
 
-/// Open an ambient span (no-op guard while tracing is disabled).
-pub fn span(name: &str, cat: Category) -> SpanGuard {
-    if !enabled() {
-        return SpanGuard { active: None, _alloc_scope: None };
-    }
-    span_in(global(), name, cat)
-}
-
-/// Open a span in an explicit log (always records).
+/// Open a span in `log` (always records).
 pub fn span_in(log: &Arc<TraceLog>, name: &str, cat: Category) -> SpanGuard {
     // ordering: Relaxed — a unique-id generator; only atomicity of the
     // increment matters, never ordering against other memory.
@@ -218,21 +194,16 @@ pub fn span_in(log: &Arc<TraceLog>, name: &str, cat: Category) -> SpanGuard {
     SPAN_STACK.with(|s| s.borrow_mut().push(id));
     enqueue(log, event);
     SpanGuard {
-        active: Some(ActiveSpan { log: Arc::clone(log), name, cat, id, counters: Vec::new() }),
+        log: Arc::clone(log),
+        name,
+        cat,
+        id,
+        counters: Vec::new(),
         _alloc_scope: crate::alloc::scope_for_category(cat),
     }
 }
 
-/// Record an ambient instant event (no-op while tracing is disabled).
-pub fn instant(name: &str, cat: Category) {
-    if !enabled() {
-        return;
-    }
-    instant_in(global(), name, cat, &[]);
-}
-
-/// Record an instant event with counters in an explicit log (always
-/// records).
+/// Record an instant event with counters in `log` (always records).
 pub fn instant_in(log: &Arc<TraceLog>, name: &str, cat: Category, counters: &[(&str, u64)]) {
     let event = Event {
         kind: EventKind::Instant,
@@ -246,28 +217,6 @@ pub fn instant_in(log: &Arc<TraceLog>, name: &str, cat: Category, counters: &[(&
         counters: counters.iter().map(|(k, v)| (Arc::from(*k), *v)).collect(),
     };
     enqueue(log, event);
-}
-
-/// Report a warning: always reaches stderr (through the sanctioned sink
-/// console), and additionally lands in the ambient trace as a
-/// [`Category::Warn`] instant when tracing is enabled.
-pub fn warn(msg: &str) {
-    crate::sink::console_err(msg);
-    if !enabled() {
-        return;
-    }
-    let event = Event {
-        kind: EventKind::Instant,
-        name: Arc::from(msg),
-        cat: Category::Warn,
-        phase: empty_phase(),
-        ts_ns: now_ns(),
-        tid: current_tid(),
-        id: 0,
-        parent: stack_top(),
-        counters: Vec::new(),
-    };
-    global().push(event);
 }
 
 #[cfg(test)]
@@ -324,23 +273,6 @@ mod tests {
         }
         // Stack is non-empty, so only the threshold flush has happened.
         assert!(log.len() >= FLUSH_THRESHOLD, "len {} < threshold", log.len());
-    }
-
-    #[test]
-    fn ambient_span_is_noop_while_disabled() {
-        // Note: tests run in parallel; this test never enables tracing and
-        // relies on nothing else in this binary enabling it.
-        let before = global().len();
-        {
-            let mut g = span("invisible-span-gated", Category::Other);
-            g.add_counter("x", 1);
-        }
-        instant("invisible-instant-gated", Category::Other);
-        let t = global().snapshot();
-        assert!(
-            !t.events.iter().any(|e| e.name.contains("invisible")),
-            "gated events must not reach the global log (len before {before})"
-        );
     }
 
     #[test]

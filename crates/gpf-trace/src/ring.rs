@@ -5,7 +5,7 @@ use crate::event::{Event, Trace};
 use gpf_check::shim::sync::{Mutex, MutexGuard};
 use std::collections::VecDeque;
 
-/// Default ring capacity for the ambient global log.
+/// Default ring capacity of a [`TraceLog::new`] log.
 pub const DEFAULT_CAPACITY: usize = 1 << 16;
 
 struct Inner {

@@ -22,19 +22,15 @@
 //!   errors driven by quality, occasional `N`s, PCR/optical duplicates, and
 //!   **coverage hotspots** (the paper notes 10 000×-deep pileups inside a
 //!   50× dataset in §4.4 — the load imbalance its dynamic repartitioner
-//!   exists to fix);
-//! * [`profiles`] — bundled workload presets (a WGS scale model and a tiny
-//!   test profile).
+//!   exists to fix).
 //!
 //! Everything is deterministic given a seed.
 
-pub mod profiles;
 pub mod quality;
 pub mod readsim;
 pub mod refgen;
 pub mod variants;
 
-pub use profiles::WorkloadProfile;
 pub use quality::QualityProfile;
 pub use readsim::{ReadSimulator, SimulatedPair, SimulatorConfig};
 pub use refgen::ReferenceSpec;

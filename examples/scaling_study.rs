@@ -49,7 +49,7 @@ mod gpf_bench_like {
                 let key = (r.contig, r.pos).min((r.mate_contig, r.mate_pos));
                 ((key.0 as u64) << 40 | key.1, r.clone())
             })
-            .partition_by_key(nparts, move |k: &u64| {
+            .into_partition_by_key(nparts, move |k: &u64| {
                 (gpf::engine::dataset::stable_hash(k) % nparts as u64) as usize
             })
             .map_partitions(|part| {

@@ -17,8 +17,8 @@ use std::sync::Arc;
 
 fn main() {
     // Tracing is off by default (the engine still derives its metrics from
-    // the event stream either way); turning it on adds span Begin events and
-    // the ambient span()/instant()/counter APIs.
+    // the event stream either way); turning it on adds the engine's task
+    // Begin events and the global counters printed at the end.
     gpf::trace::set_enabled(true);
 
     // A tiny workload: synthetic genome, simulated paired-end reads.
@@ -31,12 +31,14 @@ fn main() {
     );
     let known = donor.known_sites(&reference, 0.8, 20, 99);
 
-    // An application can add its own spans/counters next to the engine's.
+    // An application can add its own spans/counters next to the engine's:
+    // a span opened on the context's log lands in the trace exported below.
     let ctx = EngineContext::new(EngineConfig::gpf().with_parallelism(32));
     let mut pipeline = Pipeline::new("traceTour", Arc::clone(&ctx));
     let dict = reference.dict().clone();
     {
-        let mut setup = gpf::trace::span("setup:graph", gpf::trace::Category::Other);
+        let mut setup =
+            gpf::trace::span_in(ctx.trace_log(), "setup:graph", gpf::trace::Category::Other);
 
         let fastq = FastqPairBundle::defined(
             "fastqPair",

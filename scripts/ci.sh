@@ -19,6 +19,8 @@
 # Usage:
 #   scripts/ci.sh          # quick + gpf-check model check + clippy +
 #                          # experiments smoke + trace export/schema check
+#                          # + the trace tour's export, which must carry
+#                          # its application span
 #   scripts/ci.sh quick    # -D warnings build + gpf-lint + rustdoc with
 #                          # -D warnings + tests (workspace and
 #                          # benchmark/), plus one short benchmark run
@@ -208,5 +210,18 @@ trace_out="$(mktemp -t gpf_trace_XXXX.json)"
 cargo run --release --offline -p gpf-bench --bin experiments -- --smoke --trace "$trace_out" >/dev/null
 cargo run --release --offline -p gpf-bench --bin experiments -- --validate-trace "$trace_out"
 rm -f "$trace_out"
+
+echo "== trace tour (an application span lands in the exported trace) =="
+# The example writes gpf_trace.json into the temp dir; its own TMPDIR keeps
+# the file apart from anything else there. `setup:graph` is the span the
+# example opens on the context's log around pipeline setup.
+tour_dir="$(mktemp -d -t gpf_trace_tour_XXXX)"
+TMPDIR="$tour_dir" cargo run --release --offline -q --example trace_tour >/dev/null
+cargo run --release --offline -p gpf-bench --bin experiments -- --validate-trace "$tour_dir/gpf_trace.json"
+if ! grep -q '"setup:graph"' "$tour_dir/gpf_trace.json"; then
+    echo "trace_tour: its setup:graph span is missing from the exported gpf_trace.json" >&2
+    exit 1
+fi
+rm -rf "$tour_dir"
 
 echo "CI OK"

@@ -191,7 +191,7 @@ fn gpf_serializer_beats_kryo_on_pipeline_shuffles() {
             let nparts = 16;
             let _ = aligned
                 .map(|r| (r.pos, r.clone()))
-                .partition_by_key(nparts, move |k: &u64| (*k % nparts as u64) as usize);
+                .into_partition_by_key(nparts, move |k: &u64| (*k % nparts as u64) as usize);
             ctx.take_run().total_shuffle_bytes()
         })
         .collect();
