@@ -1,9 +1,15 @@
 //! Differential and hostile-input properties for the alignment kernels.
 //!
-//! The SWAR Smith–Waterman is pinned to the retained scalar reference —
-//! identical score, CIGAR, `window_start`, and edit distance, including
-//! `None` on uncovered bands — and the Myers bit-parallel distance to a
-//! classic O(mn) DP. The prefilter property is the one mate rescue and
+//! Every in-envelope sweep body of the banded Smith–Waterman is pinned to
+//! the retained scalar reference — identical score, CIGAR, `window_start`,
+//! and edit distance, including `None` on uncovered bands — on random
+//! inputs, at the shapes its three production callers feed it (the
+//! aligner's, IndelRealign's and the genotyper's scorings; reads of 1 to
+//! 150 bases planted with mismatches and indels of up to 30 bases in
+//! windows of up to about 500, and the genotyper's haplotypes of 200 to
+//! 480 bases against their windows), and on the edge shapes: wild bytes,
+//! band 0, one-base reads, windows shorter than the read. The Myers
+//! bit-parallel distance is pinned to a classic O(mn) DP. The prefilter property is the one mate rescue and
 //! realignment rely on for byte-identical output: it never skips a window
 //! the DP would have accepted (seed candidates no longer consult it, and
 //! `verify_candidate` still equals the old prefilter-then-DP sequence).
@@ -67,6 +73,68 @@ fn hostile_scoring() -> impl Strategy<Value = Scoring> {
             band,
         },
     )
+}
+
+/// One in-envelope sweep body of the banded DP.
+type Body = fn(&[u8], &[u8], usize, &Scoring) -> Option<Alignment>;
+
+/// Every in-envelope sweep body this target builds, by name.
+fn bodies() -> Vec<(&'static str, Body)> {
+    vec![("swar", swar::fit_align_swar)]
+}
+
+/// Every sweep body equals `fit_align_ref` field for field on this input,
+/// which the caller has checked is in the envelope.
+fn check_bodies(
+    read: &[u8],
+    window: &[u8],
+    diag: usize,
+    sc: &Scoring,
+) -> Result<(), TestCaseError> {
+    let expect = fit_align_ref(read, window, diag, sc);
+    for (name, body) in bodies() {
+        prop_assert_eq!(body(read, window, diag, sc), expect, "{name} body, diag {diag}, {sc:?}");
+    }
+    Ok(())
+}
+
+/// The scorings `fit_align` runs under in production, by `which`: the
+/// aligner's default, IndelRealign's relaxed one, and the genotyper's for a
+/// haplotype `len_diff` bases longer or shorter than its window.
+fn production_scoring(which: usize, len_diff: usize) -> Scoring {
+    match which % 3 {
+        0 => Scoring::default(),
+        1 => Scoring { gap_open: -2, gap_extend: -1, band: 24, ..Scoring::default() },
+        _ => Scoring {
+            band: (len_diff + 20).max(24),
+            gap_open: -4,
+            gap_extend: -1,
+            ..Scoring::default()
+        },
+    }
+}
+
+/// `read` with a substitution at each `(at, delta)` (positions modulo the
+/// read), then `indel` bases deleted at `cut` — or, when `insert`, the first
+/// `indel` bases of `filler` inserted there.
+fn plant(
+    read: &[u8],
+    subs: &[(usize, u8)],
+    (cut, indel, insert): (usize, usize, bool),
+    filler: &[u8],
+) -> Vec<u8> {
+    let mut copy = read.to_vec();
+    for &(at, delta) in subs {
+        let at = at % copy.len();
+        copy[at] = (copy[at] + delta) % 4;
+    }
+    let cut = cut % (copy.len() + 1);
+    if insert {
+        copy.splice(cut..cut, filler[..indel].iter().copied());
+    } else {
+        copy.drain(cut..(cut + indel).min(copy.len()));
+    }
+    copy
 }
 
 /// Classic O(mn) fitting edit distance: read global, window start/end free.
@@ -521,14 +589,77 @@ proptest! {
         diag in 0usize..12,
         sc in scoring(),
     ) {
-        // In-envelope scorings take the SWAR path; the result must be the
-        // reference's bit for bit (CIGAR tie-breaks included).
+        // In-envelope scorings take a sweep body; every body's result must
+        // be the reference's bit for bit (CIGAR tie-breaks included).
         if !swar::in_envelope(read.len(), window.len(), &sc) {
             return Ok(());
         }
-        let fast = swar::fit_align_swar(&read, &window, diag, &sc);
-        let slow = fit_align_ref(&read, &window, diag, &sc);
-        prop_assert_eq!(fast, slow);
+        check_bodies(&read, &window, diag, &sc)?;
+    }
+
+    #[test]
+    fn sweep_bodies_match_reference_at_production_shapes(
+        read in proptest::collection::vec(0u8..4, 1..=150),
+        (left, right) in (rank_seq(160), rank_seq(160)),
+        subs in proptest::collection::vec((any::<usize>(), 1u8..4), 0..6),
+        indel in (any::<usize>(), 0usize..=30, any::<bool>()),
+        filler in proptest::collection::vec(0u8..4, 30),
+        (which, jitter, centred) in (0usize..3, 0usize..=48, any::<bool>()),
+    ) {
+        // A read planted in random flanks with mismatches and an indel of
+        // up to 30 bases, looked up from up to 24 diagonals either side of
+        // its copy (the aligner and IndelRealign) or from diagonal 0 (the
+        // genotyper's haplotype against its window).
+        let copy = plant(&read, &subs, indel, &filler);
+        let window = [left.as_slice(), &copy, &right].concat();
+        let diag = if centred { (left.len() + jitter).saturating_sub(24) } else { 0 };
+        let sc = production_scoring(which, read.len().abs_diff(window.len()));
+        prop_assert!(swar::in_envelope(read.len(), window.len(), &sc), "{sc:?} left the envelope");
+        check_bodies(&read, &window, diag, &sc)?;
+    }
+
+    #[test]
+    fn sweep_bodies_match_reference_at_genotyper_shapes(
+        window in proptest::collection::vec(0u8..4, 200..=480),
+        subs in proptest::collection::vec((any::<usize>(), 1u8..4), 0..8),
+        indel in (any::<usize>(), 0usize..=30, any::<bool>()),
+        filler in proptest::collection::vec(0u8..4, 30),
+    ) {
+        // The genotyper aligns an assembled haplotype to its region's
+        // window from diagonal 0: both a few hundred bases, their lengths
+        // an indel apart, the band growing with the difference.
+        let hap = plant(&window, &subs, indel, &filler);
+        let sc = production_scoring(2, hap.len().abs_diff(window.len()));
+        prop_assert!(swar::in_envelope(hap.len(), window.len(), &sc), "{sc:?} left the envelope");
+        check_bodies(&hap, &window, 0, &sc)?;
+    }
+
+    #[test]
+    fn sweep_bodies_match_reference_on_edge_shapes(
+        (salt, bytes) in (any::<u8>(), wild_seq(60)),
+        read in proptest::collection::vec(0u8..4, 1..=150),
+        (short, extra) in (0usize..=160, rank_seq(40)),
+        (which, diag) in (0usize..3, 0usize..=40),
+    ) {
+        // Wild bytes (at least 13 distinct read bytes), a one-base read, a
+        // window shorter than the read (including `n + band < m`, which is
+        // `None`), each under a production scoring and its band-0 variant.
+        let wild: Vec<u8> =
+            (0..13u8).map(|k| k.wrapping_mul(19).wrapping_add(salt)).chain(bytes).collect();
+        let wild_window = [extra.as_slice(), &wild, &extra].concat();
+        let shapes: [(&[u8], &[u8]); 4] = [
+            (&wild, &wild_window),
+            (&read[..1], &read),
+            (&read, &read[..short.min(read.len())]),
+            (&read, &extra),
+        ];
+        let sc = production_scoring(which, 0);
+        for sc in [sc, Scoring { band: 0, ..sc }] {
+            for (r, w) in shapes {
+                prop_assert!(swar::in_envelope(r.len(), w.len(), &sc));
+                check_bodies(r, w, diag, &sc)?;
+            }
+        }
     }
 
     #[test]
