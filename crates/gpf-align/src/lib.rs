@@ -9,9 +9,10 @@
 //! * [`suffix`] — suffix-array construction (prefix doubling);
 //! * [`fmindex`] — BWT + FM-index with backward search and O(1) locate;
 //! * [`sw`] — banded fitting alignment (Smith–Waterman style) with CIGAR
-//!   traceback, computed anti-diagonal-wise with packed 16-bit SWAR lanes
-//!   (the scalar kernel, [`sw::reference::fit_align_ref`], runs every
-//!   scoring outside the 16-bit envelope);
+//!   traceback, swept a row at a time over 16-bit band lanes — eight per
+//!   SSE2 vector on x86_64, four per u64 word elsewhere (the scalar kernel,
+//!   [`sw::reference::fit_align_ref`], runs every input outside the 16-bit
+//!   envelope);
 //! * [`myers`] — bit-parallel Myers edit distance, used as a sound
 //!   prefilter that lets candidate windows skip the affine DP entirely;
 //! * [`verify`] — candidate verification shared by the two aligners: an

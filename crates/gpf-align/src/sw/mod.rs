@@ -8,22 +8,36 @@
 //! preferred over the same bases split into several gaps — essential both
 //! for alignment quality and for unambiguous variant extraction downstream.
 //!
-//! Two kernels compute the same DP, each the only path on its own inputs.
-//! [`swar`] packs four 16-bit band lanes into each u64 accumulator and
-//! fills a row per sweep; [`reference`](mod@reference) is the
-//! cell-at-a-time kernel with full-width `i32` cells. [`fit_align`] picks
-//! from what it can observe: the SWAR kernel whenever the scoring fits its
-//! 16-bit envelope ([`swar::in_envelope`]), the reference for every other
-//! [`Scoring`]. `fit_align` is public over any `Scoring`, and its callers
-//! do not share one: the aligner, IndelRealign and the genotyper each score
-//! with their own, so out-of-envelope scorings are supported inputs, not a
-//! test hook. The reference is therefore both the out-of-envelope path and
-//! the tests' reference: the differential proptests in
-//! `tests/kernel_differential.rs` pin the SWAR kernel's score, CIGAR,
-//! `window_start`, and edit distance to it bit for bit, so results are
-//! identical whichever side of the envelope an input falls.
+//! Three bodies compute the same DP; on any one input exactly one of them
+//! runs, and every one returns what the reference returns.
+//!
+//! - **Two sweeps over one layout, one traceback.** Inside the 16-bit
+//!   envelope ([`swar::in_envelope`]) the DP is swept a row at a time over
+//!   biased 16-bit band lanes: [`sse2`] holds eight lanes per `__m128i`,
+//!   [`swar`] four per u64 word. Both write the one row layout of the
+//!   private `band` module, and its one end-cell scan and traceback read
+//!   it, re-deriving the reference's decisions so that CIGAR tie-breaks
+//!   are the reference's. [`fit_align`] picks the sweep at build time: the
+//!   SSE2 body on x86_64, where SSE2 is part of the baseline, and the SWAR
+//!   body on every other target. Nothing is detected at run time and no
+//!   option selects a body.
+//! - **The reference.** [`reference`](mod@reference) is the
+//!   cell-at-a-time kernel with full-width `i32` cells and its own
+//!   traceback. `fit_align` takes it for every input outside the envelope.
+//!   `fit_align` is public over any `Scoring`, and its callers do not
+//!   share one: the aligner, IndelRealign and the genotyper each score
+//!   with their own, so out-of-envelope scorings are supported inputs, not
+//!   a test hook.
+//!
+//! The reference is also the tests' oracle: the differential proptests in
+//! `tests/kernel_differential.rs` pin every sweep body this target builds
+//! to it — score, CIGAR, `window_start` and edit distance — so results are
+//! identical whichever body an input takes.
 
+mod band;
 pub mod reference;
+#[cfg(target_arch = "x86_64")]
+pub mod sse2;
 pub mod swar;
 
 use gpf_formats::cigar::Cigar;
@@ -86,11 +100,13 @@ pub fn fit_align(read: &[u8], window: &[u8], diag_offset: usize, sc: &Scoring) -
             .sum();
         gpf_trace::counter(gpf_trace::names::ALIGN_SW_CELLS).add(cells);
     }
-    if swar::in_envelope(read.len(), window.len(), sc) {
-        swar::fit_align_swar(read, window, diag_offset, sc)
-    } else {
-        reference::fit_align_ref(read, window, diag_offset, sc)
+    if !swar::in_envelope(read.len(), window.len(), sc) {
+        return reference::fit_align_ref(read, window, diag_offset, sc);
     }
+    #[cfg(target_arch = "x86_64")]
+    return sse2::fit_align_sse2(read, window, diag_offset, sc);
+    #[cfg(not(target_arch = "x86_64"))]
+    return swar::fit_align_swar(read, window, diag_offset, sc);
 }
 
 #[cfg(test)]
@@ -109,7 +125,7 @@ mod tests {
     #[test]
     fn default_scoring_takes_the_swar_path() {
         // The seed unit tests below all run under the default scoring; this
-        // pins that they exercise the SWAR kernel, not the fallback.
+        // pins that they exercise a sweep body, not the fallback.
         assert!(swar::in_envelope(150, 300, &Scoring::default()));
     }
 

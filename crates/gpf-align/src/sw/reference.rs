@@ -3,11 +3,13 @@
 //! [`fit_align_ref`] is the cell-at-a-time banded affine DP the workspace
 //! shipped with before the SWAR overhaul. It stays in the library because
 //! it runs: [`super::fit_align`] takes it for every scoring or input shape
-//! outside the 16-bit SWAR envelope, where it is the only implementation.
-//! That also makes it the reference — the public contract is exactly this
-//! function's behavior on every input, and the differential proptests pin
-//! the fast kernel to it (identical score, CIGAR, and `window_start` over
-//! random inputs).
+//! outside the 16-bit envelope of the sweep bodies, where it is the only
+//! implementation. That also makes it the reference — the public contract
+//! is exactly this function's behavior on every input, and the
+//! differential proptests pin every sweep body to it (identical score,
+//! CIGAR, `window_start` and edit distance). It keeps its own traceback,
+//! over its own backtrack codes, so the oracle shares no code with the
+//! bodies it checks.
 
 use super::{Alignment, Scoring, NEG, S_M, S_X, S_Y};
 use gpf_formats::cigar::{Cigar, CigarOp};

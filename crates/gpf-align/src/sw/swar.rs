@@ -4,13 +4,15 @@
 //! and in band coordinates every cell of row `i` depends only on row `i−1`
 //! (for M and X) shifted by the band drift `s_i = lo(i) − lo(i−1) ∈ {0, 1}`,
 //! plus the in-row Y chain. That makes a row-per-sweep SWAR formulation
-//! possible with plain u64 arithmetic — no `std::simd`, no intrinsics:
+//! possible with plain u64 arithmetic — no `std::simd`, no intrinsics. It
+//! is the in-envelope body on every target but x86_64, where
+//! [`super::sse2`] computes the same lanes eight at a time.
 //!
-//! - **Lane layout.** Band lane `c` (window column `j = lo(i) + c`) lives in
-//!   bits `16·(c mod 4)..` of word `c / 4`. Values are stored *biased*:
-//!   `stored = value + 0x4000`, with `0` reserved as the dead-lane sentinel
-//!   (the reference's `NEG`). Each row keeps one zero pad word on both
-//!   sides so lane shifts can read across word boundaries branch-free.
+//! - **Lane layout** is `sw::band`'s: band lane `c` (window column
+//!   `j = lo(i) + c`) lives in bits `16·(c mod 4)..` of word `c / 4`,
+//!   biased by `0x4000` with `0` the dead-lane sentinel (the reference's
+//!   `NEG`), and each row keeps one zero pad word on both sides so lane
+//!   shifts can read across word boundaries branch-free.
 //! - **Guard-bit compare.** With all live lanes in `[1, 0x7F00]`, bit 15 of
 //!   every lane is free, so `((a | 0x8000·) − b) & 0x8000·` computes a
 //!   per-lane `a ≥ b` without cross-lane borrows; expanding that bit to a
@@ -25,11 +27,8 @@
 //!   plain running max: `Y(c) = (max_{k<c} [A(k)+r_k]) − r_{c−1}` — an
 //!   exclusive prefix max computed in log-steps per word (`x = max(x, x≪16)`,
 //!   `x = max(x, x≪32)`) with a scalar carry between words.
-//! - **Traceback by recompute.** The kernel stores the biased dp matrices
-//!   for all rows and no backtrack codes; traceback re-derives the
-//!   reference kernel's decision at each cell from the stored values using
-//!   the *same* comparison order and band-range conditions, so tie-breaks —
-//!   and therefore the CIGAR — are identical, not merely score-equivalent.
+//! - **Traceback** is `sw::band`'s: it re-derives the reference's
+//!   decisions from the stored matrices, so the CIGAR is the reference's.
 //!
 //! [`in_envelope`] gates all of this: the scoring's worst-case dynamic
 //! range (longest path × largest step, plus the Y ramp) must fit the biased
@@ -38,11 +37,9 @@
 //! the reference store `NEG + δ` values that the sentinel cannot mirror).
 //! Out-of-envelope calls fall back to [`super::reference::fit_align_ref`].
 
-use super::{Alignment, Scoring, NEG, S_M, S_X, S_Y};
-use gpf_formats::cigar::{Cigar, CigarOp};
+use super::band::{BandDp, LANES};
+use super::{Alignment, Scoring};
 
-const LANES: usize = 4;
-const BIAS: i64 = 0x4000;
 const LANE_MASK: u64 = 0xFFFF;
 const ONES: u64 = 0x0001_0001_0001_0001;
 const SIGN: u64 = 0x8000_8000_8000_8000;
@@ -134,30 +131,23 @@ pub fn in_envelope(m: usize, n: usize, sc: &Scoring) -> bool {
 
 /// The packed kernel. Callers must check [`in_envelope`] first; within the
 /// envelope this returns exactly what `fit_align_ref` returns, including
-/// tie-breaks. See the module docs for the layout and the proof sketch.
+/// tie-breaks. See the module docs for the arithmetic.
 pub fn fit_align_swar(
     read: &[u8],
     window: &[u8],
     diag_offset: usize,
     sc: &Scoring,
 ) -> Option<Alignment> {
+    let mut dp = BandDp::new(read.len(), window.len(), diag_offset, sc.band)?;
+    sweep(&mut dp, read, window, sc);
+    dp.traceback(read, window, sc)
+}
+
+/// Fill rows `1..=m` of `dp`, a word of four lanes at a time.
+fn sweep(dp: &mut BandDp, read: &[u8], window: &[u8], sc: &Scoring) {
     let m = read.len();
     let n = window.len();
-    if m == 0 || n == 0 || n + sc.band < m {
-        return None;
-    }
-    let band = sc.band;
-    let lo = |i: usize| (i + diag_offset).saturating_sub(band);
-    let hi = |i: usize| (i + diag_offset + band + 1).min(n + 1);
-    let width = 2 * band + 1;
-    let words = width.div_ceil(LANES);
-    // One pad word on each side per row; data word w lives at `1 + w`.
-    let stride = words + 2;
-    let rows = m + 1;
-    // One allocation (one memset) for all three state matrices.
-    let mut buf = vec![0u64; 3 * rows * stride];
-    let (m_mat, rest) = buf.split_at_mut(rows * stride);
-    let (x_mat, y_mat) = rest.split_at_mut(rows * stride);
+    let words = dp.words();
 
     // Scoring decomposed for lane arithmetic. The envelope guarantees
     // ge ≤ 0 and go+ge ≤ 0; match/mismatch may have either sign.
@@ -193,26 +183,6 @@ pub fn fit_align_swar(
         })
         .collect();
 
-    // Live-lane prefix mask for a row of `live` lanes.
-    let row_mask = |live: usize, w: usize| -> u64 {
-        let base = w * LANES;
-        if live >= base + LANES {
-            !0u64
-        } else if live <= base {
-            0
-        } else {
-            (1u64 << (16 * (live - base))) - 1
-        }
-    };
-
-    // Row 0: free leading reference gap — M = 0 (biased) on every band lane.
-    {
-        let live = hi(0).saturating_sub(lo(0));
-        for (w, slot) in m_mat[1..1 + words].iter_mut().enumerate() {
-            *slot = bcast(BIAS as u16) & row_mask(live, w);
-        }
-    }
-
     // Per-symbol equality tables over *absolute* window columns: for read
     // symbol `s`, lane `j mod 4` of word `j / 4` is `0xFFFF` iff
     // `window[j−1] == s` (column 0 and out-of-range columns stay 0). A
@@ -247,29 +217,18 @@ pub fn fit_align_swar(
     }
 
     for i in 1..=m {
-        let lo_i = lo(i);
-        let live = hi(i).saturating_sub(lo_i);
+        let lo_i = dp.lo(i);
+        let live = dp.live(i);
         if live == 0 {
             // Uncovered row: every lane dead, and the matrices are
             // pre-zeroed — nothing to write.
             continue;
         }
-        let drift = lo_i - lo(i - 1); // 0 or 1 — lo is nondecreasing by ≤1
+        let drift = lo_i - dp.lo(i - 1); // 0 or 1 — lo is nondecreasing by ≤1
         let rb = read[i - 1];
-        let prev_base = (i - 1) * stride;
-        let cur_base = i * stride;
-
-        // Split each matrix at the current row: the previous row is read
-        // immutably, the current row is written in place (no scratch copy).
-        let (m_done, m_rest) = m_mat.split_at_mut(cur_base);
-        let prev_m = &m_done[prev_base..prev_base + stride];
-        let cur_m = &mut m_rest[..stride];
-        let (x_done, x_rest) = x_mat.split_at_mut(cur_base);
-        let prev_x = &x_done[prev_base..prev_base + stride];
-        let cur_x = &mut x_rest[..stride];
-        let (y_done, y_rest) = y_mat.split_at_mut(cur_base);
-        let prev_y = &y_done[prev_base..prev_base + stride];
-        let cur_y = &mut y_rest[..stride];
+        // The previous row is read immutably, the current row is written
+        // in place (no scratch copy).
+        let ([prev_m, prev_x, prev_y], [cur_m, cur_x, cur_y]) = dp.rows_mut(i);
 
         // Funnel-shift parameters for this row's eq-table extraction:
         // band column c maps to absolute column `lo_i + c`, so word `w`
@@ -360,129 +319,6 @@ pub fn fit_align_swar(
             do_word(wfull, (1u64 << (16 * tail)) - 1, &mut carry);
         }
     }
-
-    // Biased matrix accessor with NEG semantics for dead lanes.
-    let mats: [&[u64]; 3] = [m_mat, x_mat, y_mat];
-    let get = |s: usize, i: usize, c: usize| -> i64 {
-        let word = mats[s][i * stride + 1 + c / LANES];
-        let lane = (word >> (16 * (c % LANES))) & LANE_MASK;
-        if lane == 0 { NEG as i64 } else { lane as i64 - BIAS }
-    };
-
-    // Best end cell on the last row — same scan order as the reference.
-    let neg = NEG as i64;
-    let (mut best, mut j_end, mut s_end) = (neg, 0usize, S_M);
-    for j in lo(m)..hi(m) {
-        for s in [S_M, S_X] {
-            let v = get(s, m, j - lo(m));
-            if v > best {
-                best = v;
-                j_end = j;
-                s_end = s;
-            }
-        }
-    }
-    if best <= neg {
-        return None;
-    }
-
-    // Traceback: re-derive the reference's backtrack decision at each cell
-    // from the stored values, with identical comparison order.
-    let mut ops_rev: Vec<CigarOp> = Vec::with_capacity(m + 8);
-    let mut edit = 0u32;
-    let (mut i, mut j, mut s) = (m, j_end, s_end);
-    while i > 0 {
-        let from: u8 = match s {
-            S_M => {
-                if j >= 1 && j > lo(i - 1) && j - 1 < hi(i - 1) {
-                    let cp = j - 1 - lo(i - 1);
-                    let (mut b, mut f) = (neg, 0u8);
-                    for ps in [S_M, S_X, S_Y] {
-                        let v = get(ps, i - 1, cp);
-                        if v > b {
-                            b = v;
-                            f = ps as u8 + 1;
-                        }
-                    }
-                    f
-                } else {
-                    0
-                }
-            }
-            S_X => {
-                if j >= lo(i - 1) && j < hi(i - 1) {
-                    let cp = j - lo(i - 1);
-                    let open = get(S_M, i - 1, cp) + go_ge;
-                    let extend = get(S_X, i - 1, cp) + ge;
-                    if open >= extend && open > neg {
-                        S_M as u8 + 1
-                    } else if extend > neg {
-                        S_X as u8 + 1
-                    } else {
-                        0
-                    }
-                } else {
-                    0
-                }
-            }
-            _ => {
-                if j >= 1 && j > lo(i) {
-                    let cp = j - 1 - lo(i);
-                    let open = get(S_M, i, cp) + go_ge;
-                    let extend = get(S_Y, i, cp) + ge;
-                    if open >= extend && open > neg {
-                        S_M as u8 + 1
-                    } else if extend > neg {
-                        S_Y as u8 + 1
-                    } else {
-                        0
-                    }
-                } else {
-                    0
-                }
-            }
-        };
-        if from == 0 {
-            return None; // band broke the path
-        }
-        let prev_state = (from - 1) as usize;
-        match s {
-            S_M => {
-                if read[i - 1] != window[j - 1] {
-                    edit += 1;
-                }
-                ops_rev.push(CigarOp::Match);
-                i -= 1;
-                j -= 1;
-            }
-            S_X => {
-                ops_rev.push(CigarOp::Ins);
-                edit += 1;
-                i -= 1;
-            }
-            _ => {
-                ops_rev.push(CigarOp::Del);
-                edit += 1;
-                j -= 1;
-            }
-        }
-        s = prev_state;
-    }
-    let window_start = j;
-
-    let mut runs: Vec<(u32, CigarOp)> = Vec::new();
-    for op in ops_rev.into_iter().rev() {
-        match runs.last_mut() {
-            Some((count, last)) if *last == op => *count += 1,
-            _ => runs.push((1, op)),
-        }
-    }
-    Some(Alignment {
-        score: best as i32,
-        window_start,
-        cigar: Cigar::from_ops(runs),
-        edit_distance: edit,
-    })
 }
 
 #[cfg(test)]

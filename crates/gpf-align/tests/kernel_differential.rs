@@ -78,9 +78,14 @@ fn hostile_scoring() -> impl Strategy<Value = Scoring> {
 /// One in-envelope sweep body of the banded DP.
 type Body = fn(&[u8], &[u8], usize, &Scoring) -> Option<Alignment>;
 
-/// Every in-envelope sweep body this target builds, by name.
+/// Every in-envelope sweep body this target builds, by name: the SSE2 body
+/// `fit_align` takes on x86_64, and the SWAR body it takes everywhere else.
 fn bodies() -> Vec<(&'static str, Body)> {
-    vec![("swar", swar::fit_align_swar)]
+    vec![
+        #[cfg(target_arch = "x86_64")]
+        ("sse2", sw::sse2::fit_align_sse2),
+        ("swar", swar::fit_align_swar),
+    ]
 }
 
 /// Every sweep body equals `fit_align_ref` field for field on this input,
