@@ -50,8 +50,15 @@ impl BandDp {
         }
         let words = (2 * band + 1).div_ceil(LANES);
         let stride = words + 2;
-        let mut dp =
-            BandDp { m, n, diag_offset, band, words, stride, buf: vec![0u64; 3 * (m + 1) * stride] };
+        let mut dp = BandDp {
+            m,
+            n,
+            diag_offset,
+            band,
+            words,
+            stride,
+            buf: vec![0u64; 3 * (m + 1) * stride],
+        };
         for c in 0..dp.live(0) {
             dp.buf[1 + c / LANES] |= (BIAS as u64) << (16 * (c % LANES));
         }
@@ -69,7 +76,7 @@ impl BandDp {
     }
 
     /// One past the last window column of row `i`'s band.
-    pub(crate) fn hi(&self, i: usize) -> usize {
+    fn hi(&self, i: usize) -> usize {
         (i + self.diag_offset + self.band + 1).min(self.n + 1)
     }
 

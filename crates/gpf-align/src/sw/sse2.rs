@@ -191,9 +191,8 @@ unsafe fn store<const HALF: bool>(p: *mut u16, v: __m128i) {
 ///
 /// # Safety
 ///
-/// The host must support SSE2, and the lanes `at` to `at + 8` (`+ 4` when
-/// `HALF`) must lie inside the row's band lanes `0..covered` as `sweep`
-/// checks them.
+/// Band lanes `at..at + 8` (`+ 4` when `HALF`) must lie inside the row's
+/// lanes `0..covered`, as `sweep` checks them.
 #[inline(always)]
 // SAFETY: every caller is `sweep`, which checks each row's bounds first.
 unsafe fn step<const HALF: bool>(
@@ -204,10 +203,11 @@ unsafe fn step<const HALF: bool>(
     ramp: __m128i,
     carry: __m128i,
 ) -> __m128i {
-    // Band lane `c` sits at lane `LANES + c` of its row, behind the pad.
-    let c = LANES + at;
-    // M's source in row i − 1 is band lane c + drift − 1, X's c + drift.
-    let (src_m, src_x) = (c + row.drift - 1, c + row.drift);
+    // Band lane `at` sits at lane `LANES + at` of its row, behind the pad
+    // word. M's source in row i − 1 is one lane before the drift-shifted
+    // lane, X's the drift-shifted lane itself.
+    let lane = LANES + at;
+    let (src_m, src_x) = (lane + row.drift - 1, lane + row.drift);
     let [pm, px, py] = row.prev;
     let [cm, cx, cy] = row.cur;
     // SAFETY: `sweep` checked that row i − 1's lanes `src_m..src_x + 8`
@@ -236,12 +236,12 @@ unsafe fn step<const HALF: bool>(
     incl = _mm_max_epi16(incl, _mm_slli_si128::<8>(incl));
     let excl = _mm_max_epi16(_mm_slli_si128::<2>(incl), carry);
     let y = _mm_subs_epu16(excl, _mm_subs_epu16(ramp, d.ext));
-    // SAFETY: row i's lanes `c..c + 8` are its band lanes `at..at + 8`,
-    // which `sweep` checked lie inside the row.
+    // SAFETY: row i's lanes `lane..lane + 8` are its band lanes
+    // `at..at + 8`, which `sweep` checked lie inside the row.
     unsafe {
-        store::<HALF>(cm.add(c), m);
-        store::<HALF>(cx.add(c), _mm_and_si128(x, mask));
-        store::<HALF>(cy.add(c), _mm_and_si128(y, mask));
+        store::<HALF>(cm.add(lane), m);
+        store::<HALF>(cx.add(lane), _mm_and_si128(x, mask));
+        store::<HALF>(cy.add(lane), _mm_and_si128(y, mask));
     }
     let top = _mm_shufflehi_epi16::<0xFF>(incl);
     _mm_max_epi16(carry, _mm_unpackhi_epi64(top, top))
