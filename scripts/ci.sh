@@ -17,7 +17,8 @@
 # MarkDuplicate, codec, kernel and BQSR oracles under crates/*/tests/).
 #
 # Usage:
-#   scripts/ci.sh          # quick + gpf-check model check + clippy +
+#   scripts/ci.sh          # quick + gpf-check model check + the kernel
+#                          # differential at 4096 cases + clippy +
 #                          # experiments smoke + trace export/schema check
 #                          # + the trace tour's export, which must carry
 #                          # its application span
@@ -191,6 +192,13 @@ CARGO_TARGET_DIR=target/gpf-check \
 RUSTFLAGS="${RUSTFLAGS:-} --cfg gpf_check" \
 GPF_CHECK_SCHEDULES="${GPF_CHECK_SCHEDULES:-10000}" \
     cargo test -q --offline -p gpf-engine --lib models:: -- --test-threads=1
+
+echo "== DP sweep differential, deep (4096 cases per property) =="
+# The workspace tests run every property of the alignment-kernel battery at
+# the default 128 cases; this reruns it at 4096, which holds every banded-DP
+# sweep body this host builds to the reference over far more production
+# shapes, wild bytes and band-0 inputs (about 2 s).
+GPF_PROPTEST_CASES=4096 cargo test -q --offline -p gpf-align --test kernel_differential
 
 echo "== clippy (blocking when installed) =="
 # A missing clippy component must not fail CI on minimal toolchains; an
