@@ -197,7 +197,7 @@ echo "== DP sweep differential, deep (4096 cases per property) =="
 # The workspace tests run every property of the alignment-kernel battery at
 # the default 128 cases; this reruns it at 4096, which holds every banded-DP
 # sweep body this host builds to the reference over far more production
-# shapes, wild bytes and band-0 inputs (about 2 s).
+# shapes, wild bytes and band-0 inputs (about 4 s).
 GPF_PROPTEST_CASES=4096 cargo test -q --offline -p gpf-align --test kernel_differential
 
 echo "== clippy (blocking when installed) =="
