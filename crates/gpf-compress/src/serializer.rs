@@ -383,7 +383,9 @@ pub fn deserialize_batch_into<T: GpfSerialize>(
     let mut pos = 0usize;
     let n = varint::read_u64(buf, &mut pos)? as usize;
     r.pos = pos;
-    out.reserve(n.min(1 << 20));
+    // Every record takes at least one byte, so a count beyond the bytes left
+    // is corrupt: reserve no more than they can hold.
+    out.reserve(n.min(1 << 20).min(r.remaining()));
     for _ in 0..n {
         out.push(T::read(&mut r)?);
     }
@@ -464,7 +466,7 @@ impl<T: GpfSerialize> GpfSerialize for Vec<T> {
     }
     fn read(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
         let n = r.read_u64()? as usize;
-        let mut out = Vec::with_capacity(n.min(1 << 20));
+        let mut out = Vec::with_capacity(n.min(1 << 20).min(r.remaining()));
         for _ in 0..n {
             out.push(T::read(r)?);
         }
@@ -693,7 +695,7 @@ impl GpfSerialize for Cigar {
     }
     fn read(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
         let n = r.read_u32()? as usize;
-        let mut ops = Vec::with_capacity(n.min(1 << 16));
+        let mut ops = Vec::with_capacity(n.min(1 << 16).min(r.remaining()));
         for _ in 0..n {
             let packed = r.read_u32()?;
             let len = packed >> 4;

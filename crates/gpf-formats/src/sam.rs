@@ -360,6 +360,12 @@ pub fn parse_sam(text: &str) -> Result<(SamHeaderInfo, Vec<SamRecord>), FormatEr
                         }
                     }
                     match (name, len) {
+                        (Some(n), Some(_)) if dict.id_of(&n).is_some() => {
+                            return Err(FormatError::Sam {
+                                line: lineno,
+                                msg: format!("duplicate @SQ `{n}`"),
+                            })
+                        }
                         (Some(n), Some(l)) => {
                             dict.push(n, l);
                         }
@@ -501,6 +507,12 @@ mod tests {
             SamRecord::parse_sam_line(line, &d, 1),
             Err(FormatError::UnknownContig { .. })
         ));
+    }
+
+    #[test]
+    fn a_second_sq_line_for_a_contig_is_an_error() {
+        let text = "@SQ\tSN:chr1\tLN:100\n@SQ\tSN:chr2\tLN:50\n@SQ\tSN:chr1\tLN:100\n";
+        assert!(matches!(parse_sam(text), Err(FormatError::Sam { line: 3, .. })));
     }
 
     #[test]

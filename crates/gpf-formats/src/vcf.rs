@@ -189,6 +189,12 @@ pub fn parse_vcf(text: &str) -> Result<(VcfHeaderInfo, Vec<VcfRecord>), FormatEr
                     }
                 }
                 if let (Some(n), Some(l)) = (id, len) {
+                    if dict.id_of(&n).is_some() {
+                        return Err(FormatError::Vcf {
+                            line: lineno,
+                            msg: format!("duplicate ##contig `{n}`"),
+                        });
+                    }
                     dict.push(n, l);
                 }
             }
@@ -274,6 +280,12 @@ mod tests {
         let d = dict();
         assert!(VcfRecord::parse_vcf_line("chr1\t0\t.\tA\tG\t50\tPASS\tDP=5", &d, 1).is_err());
         assert!(VcfRecord::parse_vcf_line("chr1\t5", &d, 1).is_err());
+    }
+
+    #[test]
+    fn a_second_contig_line_for_a_contig_is_an_error() {
+        let text = "##contig=<ID=chr1,length=100>\n##contig=<ID=chr1,length=100>\n";
+        assert!(matches!(parse_vcf(text), Err(FormatError::Vcf { line: 2, .. })));
     }
 
     #[test]
