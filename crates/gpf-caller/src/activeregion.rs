@@ -47,12 +47,7 @@ pub fn find_active_regions<'a>(
         let clen = reference.dict().length_of(contig);
         for (pos, p) in (base..).zip(pile.drain(..n)) {
             let evidence = p.mismatches as f64 + 2.0 * p.indels as f64;
-            // A deletion can carry depth past the contig end; a locus more
-            // than `PAD` out there has no interval on the contig.
-            if p.depth >= MIN_DEPTH
-                && evidence / p.depth as f64 >= MIN_EVIDENCE_FRAC
-                && pos.saturating_sub(PAD) <= clen
-            {
+            if p.depth >= MIN_DEPTH && evidence / p.depth as f64 >= MIN_EVIDENCE_FRAC {
                 active.push(GenomeInterval::new(contig, pos, pos + 1).padded(PAD, clen));
             }
         }
@@ -76,12 +71,9 @@ pub fn find_active_regions<'a>(
             let span = &mut pile[at..];
             match block.op {
                 CigarOp::Match | CigarOp::Equal | CigarOp::Diff => {
-                    // Zipping stops at the contig end (and at the end of a
-                    // `SEQ` shorter than its CIGAR claims).
-                    let ref_bases = refseq.get(r.pos as usize + at..).unwrap_or(&[]);
-                    let read_bases = r.seq.get(block.read_off as usize..).unwrap_or(&[]);
                     let cols = span[..block.len as usize].iter_mut();
-                    for ((p, &read_b), &ref_b) in cols.zip(read_bases).zip(ref_bases) {
+                    let read_bases = &r.seq[block.read_off as usize..];
+                    for ((p, &read_b), &ref_b) in cols.zip(read_bases).zip(&refseq[r.pos as usize + at..]) {
                         p.depth += 1;
                         if read_b != b'N' && read_b != ref_b {
                             p.mismatches += 1;

@@ -121,12 +121,7 @@ pub fn call_region(
     let ref_window = reference.slice(window);
 
     // Assemble candidate haplotypes from the (downsampled) reads.
-    let usable: Vec<&SamRecord> = reads
-        .iter()
-        .copied()
-        .filter(|r| !r.seq.is_empty() && r.seq.len() == r.qual.len())
-        .take(MAX_READS)
-        .collect();
+    let usable = &reads[..reads.len().min(MAX_READS)];
     if usable.is_empty() {
         return Vec::new();
     }
@@ -136,8 +131,8 @@ pub fn call_region(
         return Vec::new();
     }
 
-    let lik = read_likelihoods(&usable, &haps, window.start);
-    genotype(&usable, &haps, &lik, ref_window, window)
+    let lik = read_likelihoods(usable, &haps, window.start);
+    genotype(usable, &haps, &lik, ref_window, window)
 }
 
 /// The window of `hap` a read placed `off` bases into the region's window is

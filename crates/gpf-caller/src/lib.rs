@@ -49,26 +49,17 @@ pub struct HaplotypeCaller;
 impl HaplotypeCaller {
     /// Call variants over `records` (must be coordinate-sorted), borrowed:
     /// `&[SamRecord]`, `&Vec<SamRecord>` and `Vec<&SamRecord>` all do.
-    /// Duplicates, unmapped reads and low-MAPQ reads are skipped internally,
-    /// and so is a record the walks below could not index — a start on no
-    /// contig of the reference, a CIGAR longer than `SEQ`, `QUAL` of another
-    /// length than `SEQ` (SAM text can carry all three): it is neither
-    /// evidence nor likelihood. Returns records sorted by position.
+    /// Duplicates, unmapped reads and low-MAPQ reads are skipped internally;
+    /// the rest keep the record invariant (`SamRecord::check`) against
+    /// `reference`'s dictionary. Returns records sorted by position.
     pub fn call<'a>(
         &self,
         records: impl IntoIterator<Item = &'a SamRecord>,
         reference: &ReferenceGenome,
     ) -> Vec<VcfRecord> {
-        let dict = reference.dict();
         let usable: Vec<&SamRecord> = records
             .into_iter()
             .filter(|r| r.flags.is_mapped() && !r.flags.is_duplicate() && r.mapq >= MIN_MAPQ)
-            .filter(|r| {
-                (r.contig as usize) < dict.len()
-                    && r.pos < dict.length_of(r.contig)
-                    && r.cigar.read_len() <= r.seq.len() as u64
-                    && r.seq.len() == r.qual.len()
-            })
             .collect();
         let regions = find_active_regions(usable.iter().copied(), reference);
         let mut out = Vec::new();

@@ -5,8 +5,8 @@
 //!
 //! The read sets are built around what a position-indexed sweep can get
 //! wrong and a hash map cannot: input that is not sorted, several contigs,
-//! loci only a deletion or a trailing insertion touches, alignments that run
-//! past the contig end, reads that must not count at all, and loci sitting
+//! loci only a deletion or a trailing insertion touches, reads clipped at
+//! the contig end, reads that must not count at all, and loci sitting
 //! exactly on the depth and evidence thresholds. The thresholds are the
 //! library's constants, so the cases below are built from them: a cluster
 //! longer than `MAX_REGION_LEN` that splits, `PAD` clamped at both ends of a
@@ -44,9 +44,10 @@ fn other_base(b: u8) -> u8 {
     }
 }
 
-/// A mapped primary read at `pos` with the given CIGAR. Aligned bases copy
-/// the reference except at reference positions in `alt` (and past the contig
-/// end, where there is nothing to copy); inserted and clipped bases are `T`.
+/// A mapped primary read at `pos` with the given CIGAR, clipped where it
+/// would leave the contig ([`clip_at_contig_end`]). Aligned bases copy the
+/// reference except at reference positions in `alt`; inserted and clipped
+/// bases are `T`.
 fn read(
     reference: &ReferenceGenome,
     name: String,
@@ -56,14 +57,14 @@ fn read(
     alt: &[u64],
 ) -> SamRecord {
     let refseq = reference.contig_seq(contig);
-    let cigar = Cigar::from_ops(ops);
+    let cigar = Cigar::from_ops(clip_at_contig_end(ops, pos, refseq.len() as u64));
     let mut seq = Vec::new();
     for block in cigar.walk() {
         for k in 0..block.len as u64 {
             match block.op {
                 CigarOp::Match | CigarOp::Equal | CigarOp::Diff => {
                     let p = pos + block.ref_off + k;
-                    let b = refseq.get(p as usize).copied().unwrap_or(b'C');
+                    let b = refseq[p as usize];
                     seq.push(if alt.contains(&p) { other_base(b) } else { b });
                 }
                 CigarOp::Ins | CigarOp::SoftClip => seq.push(b'T'),
@@ -117,28 +118,40 @@ fn random_ops(rng: &mut StdRng) -> Vec<(u32, CigarOp)> {
     ops
 }
 
-/// Cut `ops` before the first indel that would start beyond the contig end.
-/// An aligned block or a deletion may run past the end, which real reads at
-/// a contig edge do; an indel *starting* out there is a locus more than
-/// `pad` off the contig, which the oracle cannot turn into an interval.
-fn keep_indels_on_contig(ops: &mut Vec<(u32, CigarOp)>, pos: u64, clen: u64) {
-    let mut ref_pos = pos;
-    for i in 0..ops.len() {
-        let (len, op) = ops[i];
-        if matches!(op, CigarOp::Ins | CigarOp::Del) && ref_pos > clen {
-            ops.truncate(i);
-            break;
-        }
-        if op.consumes_ref() {
-            ref_pos += len as u64;
+/// Clip an alignment at `pos` where it would leave a contig of `clen`
+/// bases, as an aligner does: every read base from there on becomes one
+/// trailing soft clip and reference-only ops out there go, so the record
+/// keeps the invariant that its alignment ends inside its contig. An
+/// alignment that fits is returned as it is.
+fn clip_at_contig_end(ops: Vec<(u32, CigarOp)>, pos: u64, clen: u64) -> Vec<(u32, CigarOp)> {
+    let mut room = clen - pos;
+    let mut out = Vec::with_capacity(ops.len() + 1);
+    // Read bases past the end, once the alignment has reached it.
+    let mut clipped: Option<u32> = None;
+    for (len, op) in ops {
+        if let Some(c) = clipped.as_mut() {
+            *c += if op.consumes_read() { len } else { 0 };
+        } else if !op.consumes_ref() || len as u64 <= room {
+            room -= if op.consumes_ref() { len as u64 } else { 0 };
+            out.push((len, op));
+        } else {
+            let keep = room as u32;
+            if keep > 0 {
+                out.push((keep, op));
+            }
+            clipped = Some(if op.consumes_read() { len - keep } else { 0 });
         }
     }
+    if let Some(c @ 1..) = clipped {
+        out.push((c, CigarOp::SoftClip));
+    }
+    out
 }
 
 /// A read set over `reference`: every contig gets variant sites that a
 /// share of the covering reads carry, plus a sprinkling of reads that must
 /// not count (duplicate, secondary, supplementary, unmapped) and reads that
-/// hang over the contig end.
+/// would hang over the contig end and are clipped there.
 fn random_reads(rng: &mut StdRng, reference: &ReferenceGenome, n: usize) -> Vec<SamRecord> {
     let contigs = reference.dict().len() as u32;
     let sites: Vec<Vec<u64>> = (0..contigs)
@@ -164,9 +177,7 @@ fn random_reads(rng: &mut StdRng, reference: &ReferenceGenome, n: usize) -> Vec<
                 }
             };
             let alt: &[u64] = if rng.gen_bool(carrier) { &sites[contig as usize] } else { &[] };
-            let mut ops = random_ops(rng);
-            keep_indels_on_contig(&mut ops, pos, clen);
-            let mut r = read(reference, format!("r{i}"), contig, pos, ops, alt);
+            let mut r = read(reference, format!("r{i}"), contig, pos, random_ops(rng), alt);
             if rng.gen_bool(0.05) {
                 let at = rng.gen_range(0..r.seq.len());
                 r.seq[at] = b'N';
@@ -308,7 +319,8 @@ fn alignments_at_and_past_the_contig_end_give_the_oracles_regions() {
     let mut records = Vec::new();
     for (contig, clen) in [(0u32, 400u64), (1, 250)] {
         for k in 0..6u64 {
-            // A deletion that starts inside the contig and runs past its end.
+            // A deletion that starts inside the contig and would run past
+            // its end: clipped, it ends there and the read's tail is `S`.
             let ops = vec![(20, CigarOp::Match), (40, CigarOp::Del), (10, CigarOp::Match)];
             records.push(read(
                 &reference,
@@ -318,7 +330,8 @@ fn alignments_at_and_past_the_contig_end_give_the_oracles_regions() {
                 ops,
                 &[],
             ));
-            // An `M` block that hangs over the end, mismatching right up to it.
+            // An `M` block that would hang over the end, mismatching right
+            // up to it, clipped there.
             let ops = vec![(50, CigarOp::Match)];
             records.push(read(
                 &reference,

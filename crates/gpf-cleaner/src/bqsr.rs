@@ -28,7 +28,7 @@
 
 use gpf_compress::{ByteReader, ByteWriter, CodecError, GpfSerialize};
 use gpf_formats::cigar::CigarOp;
-use gpf_formats::quality::{char_to_phred, is_valid_qual_char, phred_to_char, MAX_PHRED};
+use gpf_formats::quality::{char_to_phred, phred_to_char, MAX_PHRED};
 use gpf_formats::sam::SamRecord;
 use gpf_formats::vcf::VcfRecord;
 use gpf_formats::ReferenceGenome;
@@ -105,16 +105,6 @@ fn context_code(seq: &[u8], i: usize) -> usize {
 fn cycle_bucket(read_len: usize, i: usize, reverse: bool) -> usize {
     let cycle = if reverse { read_len - 1 - i } else { i };
     (cycle / CYCLE_BUCKET).min(MAX_BUCKET)
-}
-
-/// BQSR walks `seq`, `qual` and the CIGAR in lock step. SAM text can carry a
-/// mapped record where they disagree (`QUAL` of `*`, a CIGAR longer than
-/// `SEQ`, bytes outside Phred+33); such a record is neither counted nor
-/// rewritten, instead of being indexed out of bounds.
-fn is_well_formed(r: &SamRecord) -> bool {
-    r.qual.len() == r.seq.len()
-        && r.cigar.read_len() <= r.seq.len() as u64
-        && r.qual.iter().all(|&c| is_valid_qual_char(c))
 }
 
 /// Per-read-group rows indexed by reported quality, sorted by read group.
@@ -287,12 +277,7 @@ impl RecalTable {
 
     /// Accumulate one record's aligned bases into the table.
     pub fn observe(&mut self, r: &SamRecord, reference: &ReferenceGenome, mask: &KnownSitesMask) {
-        if !r.flags.is_mapped()
-            || !r.flags.is_primary()
-            || r.flags.is_duplicate()
-            || r.contig as usize >= reference.dict().len()
-            || !is_well_formed(r)
-        {
+        if !r.flags.is_mapped() || !r.flags.is_primary() || r.flags.is_duplicate() {
             return;
         }
         self.lut.take();
@@ -304,12 +289,10 @@ impl RecalTable {
             if !matches!(block.op, CigarOp::Match | CigarOp::Equal | CigarOp::Diff) {
                 continue;
             }
-            let ref_start = r.pos.saturating_add(block.ref_off);
-            // Past the contig end; so is every later block.
-            let Some(ref_bases) = refseq.get(ref_start as usize..) else { break };
+            let ref_start = r.pos + block.ref_off;
             let mut masked = mask.at_or_after(r.contig, ref_start);
             let read_start = block.read_off as usize;
-            for (k, &ref_base) in ref_bases.iter().take(block.len as usize).enumerate() {
+            for (k, &ref_base) in refseq[ref_start as usize..].iter().take(block.len as usize).enumerate() {
                 // Sites ascend with `k`, so the mask is walked, not searched.
                 if masked.first() == Some(&(r.contig, ref_start + k as u64)) {
                     masked = &masked[1..];
@@ -474,7 +457,7 @@ pub fn build_recal_table(
 pub fn apply_recalibration(records: &mut [SamRecord], table: &RecalTable) {
     let lut = table.lut();
     for r in records.iter_mut() {
-        if !r.flags.is_mapped() || !is_well_formed(r) {
+        if !r.flags.is_mapped() {
             continue;
         }
         let Some(rows) = lut.rows(r.read_group) else { continue };
@@ -495,7 +478,7 @@ pub fn apply_recalibration(records: &mut [SamRecord], table: &RecalTable) {
 mod tests {
     use super::*;
     use gpf_compress::serializer::{deserialize_batch, serialize_batch, SerializerKind};
-    use gpf_formats::sam::{format_sam, parse_sam, SamFlags, SamHeaderInfo};
+    use gpf_formats::sam::SamFlags;
     use gpf_formats::vcf::Genotype;
     use gpf_formats::Cigar;
 
@@ -777,74 +760,6 @@ mod tests {
             w.write_u64(25);
             let got = RecalTable::read(&mut ByteReader::new(SerializerKind::Gpf, &w.buf));
             assert!(matches!(got, Err(CodecError::Corrupt(_))), "q {q} ctx {ctx}: {got:?}");
-        }
-    }
-
-    /// SAM text the parser accepts but BQSR cannot walk: each hostile line
-    /// sits between two well-formed reads, which must come out exactly as
-    /// they do without it.
-    #[test]
-    fn hostile_sam_records_are_skipped_not_indexed() {
-        let r = reference();
-        let good: Vec<SamRecord> = (0..30).map(|i| read_at(&r, i * 40, 50, &[5, 25], 36)).collect();
-        let header = SamHeaderInfo::unsorted_header(r.dict().clone());
-        let clean_text = format_sam(&header, &good);
-        let seq50 = String::from_utf8(r.contig_seq(0)[100..150].to_vec()).unwrap();
-        let hostile = [
-            // QUAL `*` on a mapped read.
-            format!("h1\t0\tchr1\t101\t60\t50M\t*\t0\t0\t{seq50}\t*\tRG:Z:rg1"),
-            // CIGAR consumes 80 read bases, SEQ holds 50.
-            format!("h2\t0\tchr1\t101\t60\t80M\t*\t0\t0\t{seq50}\t{}\tRG:Z:rg1", "E".repeat(50)),
-            format!(
-                "h3\t16\tchr1\t101\t60\t10S60M10I\t*\t0\t0\t{seq50}\t{}\tRG:Z:rg1",
-                "E".repeat(50)
-            ),
-            // SEQ `*` with a CIGAR.
-            "h4\t0\tchr1\t101\t60\t50M\t*\t0\t0\t*\t*\tRG:Z:rg1".to_string(),
-            // Quality bytes below `!` and above `~`.
-            format!("h5\t0\tchr1\t101\t60\t50M\t*\t0\t0\t{seq50}\t{}\tRG:Z:rg1", " ".repeat(50)),
-            format!(
-                "h6\t0\tchr1\t101\t60\t50M\t*\t0\t0\t{seq50}\t{}\x7f\tRG:Z:rg1",
-                "E".repeat(49)
-            ),
-            // Mapped flag, no contig.
-            format!("h7\t0\t*\t101\t60\t50M\t*\t0\t0\t{seq50}\t{}\tRG:Z:rg1", "E".repeat(50)),
-        ];
-        // Header, then a hostile line after each of the first seven reads.
-        let mut hostile_lines = hostile.iter();
-        let mut mixed_text = String::new();
-        for line in clean_text.lines() {
-            mixed_text += line;
-            mixed_text.push('\n');
-            if !line.starts_with('@') {
-                if let Some(h) = hostile_lines.next() {
-                    mixed_text += h;
-                    mixed_text.push('\n');
-                }
-            }
-        }
-        let (_, clean) = parse_sam(&clean_text).unwrap();
-        let (_, mut mixed) = parse_sam(&mixed_text).unwrap();
-        assert_eq!(mixed.len(), clean.len() + hostile.len());
-        // A start beyond the contig's end is rejected by `parse_sam`, so
-        // BQSR can only meet it on a record built in code.
-        mixed.insert(1, SamRecord { name: "h8".into(), pos: u64::MAX - 1, ..clean[0].clone() });
-
-        // h7 and h8 are well-formed reads that merely sit on no reference:
-        // they count nothing and are recalibrated like any read. The others
-        // are left as parsed.
-        let untouched = |r: &SamRecord| r.name.starts_with('h') && r.name != "h7" && r.name != "h8";
-        let table = build_recal_table(&mixed, &r, &[]);
-        assert_eq!(table, build_recal_table(&clean, &r, &[]));
-        let mut out = mixed.clone();
-        apply_recalibration(&mut out, &table);
-        let mut expect = clean.clone();
-        apply_recalibration(&mut expect, &table);
-        assert_ne!(expect, clean);
-        let kept: Vec<&SamRecord> = out.iter().filter(|r| !r.name.starts_with('h')).collect();
-        assert_eq!(kept, expect.iter().collect::<Vec<_>>());
-        for (got, parsed) in out.iter().zip(&mixed).filter(|(r, _)| untouched(r)) {
-            assert_eq!(got, parsed, "{} was rewritten", got.name);
         }
     }
 }

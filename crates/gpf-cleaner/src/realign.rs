@@ -53,17 +53,14 @@ pub fn find_realign_intervals(
             if matches!(block.op, CigarOp::Ins | CigarOp::Del) {
                 let pos = r.pos + block.ref_off;
                 let clen = reference.dict().length_of(r.contig);
-                raw.push(
-                    GenomeInterval::new(r.contig, pos, (pos + block.len as u64).min(clen))
-                        .padded(INTERVAL_PAD, clen),
-                );
+                raw.push(GenomeInterval::new(r.contig, pos, pos + block.len as u64).padded(INTERVAL_PAD, clen));
             }
         }
     }
     for v in known_indels {
         if v.ref_allele.len() != v.alt_allele.len() {
             let clen = reference.dict().length_of(v.contig);
-            let end = (v.pos + v.ref_allele.len() as u64).min(clen);
+            let end = v.pos + v.ref_allele.len() as u64;
             raw.push(GenomeInterval::new(v.contig, v.pos, end).padded(INTERVAL_PAD, clen));
         }
     }
@@ -73,22 +70,11 @@ pub fn find_realign_intervals(
 /// One candidate indel: (ref position, deleted length, inserted bases).
 type IndelCandidate = (u64, u32, Vec<u8>);
 
-/// SAM text can carry a mapped record whose CIGAR consumes more read bases
-/// than its SEQ holds. Such a record is neither indel evidence nor
-/// rewritten — as BQSR treats it — instead of being sliced out of bounds.
-fn cigar_fits_seq(r: &SamRecord) -> bool {
-    r.cigar.read_len() <= r.seq.len() as u64
-}
-
 /// Collect indel candidates supported by reads in an interval.
 fn indel_candidates(records: &[SamRecord], interval: &GenomeInterval) -> Vec<(IndelCandidate, u32)> {
     let mut counts: HashMap<IndelCandidate, u32> = HashMap::new();
     for r in records {
-        if !r.flags.is_mapped()
-            || r.contig != interval.contig
-            || !r.cigar.has_indel()
-            || !cigar_fits_seq(r)
-        {
+        if !r.flags.is_mapped() || r.contig != interval.contig || !r.cigar.has_indel() {
             continue;
         }
         for block in r.cigar.walk() {
@@ -180,7 +166,6 @@ pub fn realign_interval(
             || r.ref_end() <= interval.start
             || r.pos >= interval.end
             || r.edit_distance == 0
-            || !cigar_fits_seq(r)
         {
             continue;
         }
@@ -341,40 +326,6 @@ mod tests {
         assert!(fixed.cigar.has_indel(), "cigar now {}", fixed.cigar);
         assert_eq!(fixed.cigar.ref_span(), 106);
         assert!(fixed.edit_distance <= 6, "edit now {}", fixed.edit_distance);
-    }
-
-    #[test]
-    fn records_whose_cigar_overruns_seq_are_skipped() {
-        // Two 100-base reads across a known 6 bp deletion whose CIGARs
-        // consume more bases than SEQ holds: one has an `I` block inside
-        // the interval that runs past its SEQ, the other would be
-        // rewritten. Both stay as they are.
-        let r = reference();
-        let refseq = r.contig_seq(0);
-        let mut donor: Vec<u8> = refseq[1500..1550].to_vec();
-        donor.extend_from_slice(&refseq[1556..1606]);
-        let mut records = vec![
-            mapped("ins", 1500, "60M45I", donor.clone()),
-            mapped("long", 1500, "110M", donor),
-        ];
-        for rec in &mut records {
-            rec.edit_distance = 30;
-        }
-        let before = records.clone();
-        let known = vec![VcfRecord {
-            contig: 0,
-            pos: 1549,
-            ref_allele: refseq[1549..1556].to_vec(),
-            alt_allele: refseq[1549..1550].to_vec(),
-            qual: 99.0,
-            genotype: Genotype::Het,
-            depth: 10,
-        }];
-        let iv = GenomeInterval::new(0, 1540, 1566);
-        let stats = realign_interval(&mut records, &r, &iv, &known);
-        assert_eq!(stats.haplotypes_tested, 1, "the known deletion is still a candidate");
-        assert_eq!(stats.realigned_reads, 0);
-        assert_eq!(records, before);
     }
 
     #[test]

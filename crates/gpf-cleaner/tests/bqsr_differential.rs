@@ -83,9 +83,12 @@ fn random_record(rng: &mut StdRng, reference: &ReferenceGenome, id: usize) -> Sa
     } else {
         rng.gen_range(20..160usize)
     };
-    // Starts run up to the last base, so late reads overhang the contig.
+    // Starts run up to the last base; a late read moves back until its
+    // alignment ends on the contig's last base, as the record invariant
+    // requires of a mapped read.
     let pos = rng.gen_range(0..refseq.len() as u64);
     let cigar = random_cigar(rng, read_len);
+    let pos = pos.min(refseq.len() as u64 - cigar.ref_span());
     let mut seq = Vec::with_capacity(read_len);
     for block in cigar.walk() {
         if !block.op.consumes_read() {

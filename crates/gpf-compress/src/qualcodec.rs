@@ -48,7 +48,7 @@ fn symbol_to_delta(s: u32) -> i32 {
 
 impl QualityCodec {
     /// Build from an explicit symbol frequency table (`ALPHABET` entries).
-    pub fn from_frequencies(freqs: &[u64]) -> Self {
+    fn from_frequencies(freqs: &[u64]) -> Self {
         assert_eq!(freqs.len(), ALPHABET);
         Self { huff: HuffmanCodec::from_frequencies(freqs) }
     }

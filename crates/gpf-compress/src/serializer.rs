@@ -577,10 +577,11 @@ fn write_seq_qual(w: &mut ByteWriter, seq: &[u8], qual: &[u8]) {
             let ByteWriter { buf, codec_scratch, .. } = w;
             let scratch = codec_scratch.get_or_insert_with(Default::default);
             let c = compress_read_fields_into(seq, qual, default_quality_codec(), scratch)
-                // gpf-lint: allow(no-panic): SamRecord construction validates
-                // seq/qual lengths match, which is the only failure mode of
-                // compress_read_fields_into; a panic here means a SamRecord
-                // invariant was broken upstream.
+                // gpf-lint: allow(no-panic): compress_read_fields_into fails
+                // only on SEQ/QUAL lengths that differ, a base outside
+                // {A,C,G,T,N} or a quality outside Phred+33, and every record
+                // written here came through `SamRecord::check` (parse_sam) or
+                // `FastqRecord::new`, which refuse all three.
                 .expect("record validated at construction");
             varint::write_u64(buf, c.len as u64);
             for field in [c.packed_seq, c.qual_stream, c.n_quals] {
@@ -741,7 +742,7 @@ impl GpfSerialize for SamRecord {
         let (seq, qual) = read_seq_qual(r)?;
         let read_group = r.read_u16()?;
         let edit_distance = r.read_u16()?;
-        Ok(SamRecord {
+        let record = SamRecord {
             name,
             flags,
             contig,
@@ -755,7 +756,11 @@ impl GpfSerialize for SamRecord {
             qual,
             read_group,
             edit_distance,
-        })
+        };
+        // A frame holds only records the engine wrote, so the shape half of
+        // the invariant (no per-byte scan, no dictionary) is all a decode
+        // re-establishes.
+        record.check_shape().map(|()| record).map_err(CodecError::Corrupt)
     }
     fn resident_bytes(&self) -> usize {
         std::mem::size_of::<Self>()

@@ -10,7 +10,10 @@
 //! harness catches it), and so does a heap peak above a fixed multiple of
 //! the mutant's size, as the tracking allocator measures it on the calling
 //! thread: a parser or decoder that sizes a buffer from a length it read,
-//! rather than from the bytes it holds, fails.
+//! rather than from the bytes it holds, fails. Every `SamRecord` and
+//! `VcfRecord` that comes back `Ok` must keep the record invariant, restated
+//! below as the oracle: all of it from a parser, the shape half from a
+//! decoder.
 
 use gpf_compress::serializer::{deserialize_batch, serialize_batch, GpfSerialize, SerializerKind};
 use gpf_compress::varint;
@@ -34,6 +37,26 @@ fn peak_heap<R>(f: impl FnOnce() -> R) -> (R, u64) {
 /// for its records, a few times over, and never a size read from the input.
 fn heap_bound(len: usize) -> u64 {
     64 * 1024 + 256 * len as u64
+}
+
+/// The half of the `SamRecord` invariant a decoder re-establishes: `QUAL` as
+/// long as `SEQ`, and a mapped record with a contig and a CIGAR that
+/// consumes exactly its bases (of which it has some).
+fn keeps_shape(r: &SamRecord) -> bool {
+    r.qual.len() == r.seq.len()
+        && (!r.flags.is_mapped()
+            || (r.contig != NO_CONTIG
+                && !r.seq.is_empty()
+                && r.cigar.read_len() == r.seq.len() as u64))
+}
+
+/// The whole `SamRecord` invariant against the header's dictionary.
+fn keeps_invariant(r: &SamRecord, dict: &ContigDict) -> bool {
+    keeps_shape(r)
+        && r.seq.iter().all(|b| b"ACGTN".contains(b))
+        && r.qual.iter().all(|q| (b'!'..=b'~').contains(q))
+        && (!r.flags.is_mapped()
+            || r.pos.saturating_add(r.cigar.ref_span()) <= dict.length_of(r.contig))
 }
 
 const KINDS: [SerializerKind; 3] =
@@ -86,7 +109,7 @@ fn sam_records(seed: u64) -> Vec<SamRecord> {
         let mate_contig = if i % 3 == 0 { 1 - contig } else { contig };
         out.push(SamRecord {
             name: format!("sim{seed}:{i}/1"),
-            flags: SamFlags(SamFlags::PAIRED | SamFlags::FIRST_IN_PAIR | (i as u16 % 2) * 16),
+            flags: SamFlags(SamFlags::PAIRED | SamFlags::FIRST_IN_PAIR | ((i as u16 % 2) * 16)),
             contig,
             pos,
             mapq: (rng.next_u64() % 61) as u8,
@@ -231,6 +254,9 @@ fn oversize_frame(kind: SerializerKind) -> impl Fn(&[u8], u64, u64) -> Vec<u8> {
     }
 }
 
+/// Writes an oversized value into a length field: `(input, at, with)`.
+type Oversize = dyn Fn(&[u8], u64, u64) -> Vec<u8>;
+
 /// One mutant of a corpus input. `op` picks the input and the mutation,
 /// `at` where it lands, and `with` the second input of a splice (and where
 /// in it) or the value of an oversized field.
@@ -239,7 +265,7 @@ fn mutant(
     op: u64,
     at: u64,
     with: u64,
-    oversize: &dyn Fn(&[u8], u64, u64) -> Vec<u8>,
+    oversize: &Oversize,
 ) -> Vec<u8> {
     let input = &corpus[(op / 4) as usize % corpus.len()];
     let cut = |bytes: &[u8], at: u64| (at % (bytes.len() as u64 + 1)) as usize;
@@ -277,13 +303,22 @@ proptest! {
     #[test]
     fn sam_text_mutants_parse_or_fail(op in any::<u64>(), at in any::<u64>(), with in any::<u64>()) {
         let input = text(&mutant(&sam_texts(), op, at, with, &oversize_text));
-        let _ = bounded("parse_sam", input.len(), || parse_sam(&input))?;
+        if let Ok((header, records)) = bounded("parse_sam", input.len(), || parse_sam(&input))? {
+            for r in &records {
+                prop_assert!(keeps_invariant(r, &header.dict), "parse_sam kept {r:?}");
+            }
+        }
     }
 
     #[test]
     fn vcf_text_mutants_parse_or_fail(op in any::<u64>(), at in any::<u64>(), with in any::<u64>()) {
         let input = text(&mutant(&vcf_texts(), op, at, with, &oversize_text));
-        let _ = bounded("parse_vcf", input.len(), || parse_vcf(&input))?;
+        if let Ok((header, records)) = bounded("parse_vcf", input.len(), || parse_vcf(&input))? {
+            for v in &records {
+                let end = v.pos.saturating_add(v.ref_allele.len() as u64);
+                prop_assert!(end <= header.dict.length_of(v.contig), "parse_vcf kept {v:?}");
+            }
+        }
     }
 
     #[test]
@@ -318,9 +353,12 @@ proptest! {
     fn sam_frame_mutants_decode_or_fail(op in any::<u64>(), at in any::<u64>(), with in any::<u64>()) {
         for (kind, corpus) in KINDS.into_iter().zip(frames(sam_records)) {
             let input = mutant(&corpus, op, at, with, &oversize_frame(kind));
-            let _ = bounded("SamRecord::read", input.len(), || {
+            let decoded = bounded("SamRecord::read", input.len(), || {
                 deserialize_batch::<SamRecord>(kind, &input)
             })?;
+            for r in decoded.iter().flatten() {
+                prop_assert!(keeps_shape(r), "{kind:?} decoded {r:?}");
+            }
         }
     }
 

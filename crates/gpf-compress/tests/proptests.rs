@@ -219,8 +219,14 @@ proptest! {
         };
         for kind in [SerializerKind::JavaSim, SerializerKind::KryoSim, SerializerKind::Gpf] {
             let buf = serialize_batch(kind, std::slice::from_ref(&rec));
-            let out: Vec<SamRecord> = deserialize_batch(kind, &buf).unwrap();
-            prop_assert_eq!(&out[0], &rec);
+            let out = deserialize_batch::<SamRecord>(kind, &buf);
+            // An empty read under a mapped flag breaks the record invariant,
+            // which the decoder refuses; every other record round-trips.
+            if rec.seq.is_empty() && rec.flags.is_mapped() {
+                prop_assert!(out.is_err(), "{kind:?} decoded a mapped record without bases");
+            } else {
+                prop_assert_eq!(&out.unwrap()[0], &rec);
+            }
         }
     }
 

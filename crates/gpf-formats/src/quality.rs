@@ -76,11 +76,10 @@ pub fn error_prob_to_phred(p: f64) -> u8 {
 }
 
 /// Sum of Phred scores of a quality string — the Picard criterion used by
-/// MarkDuplicate to pick the representative read among duplicates. A byte
-/// outside Phred+33 ([`is_valid_qual_char`]) adds 0, so it can neither
-/// wrap nor win a duplicate set.
+/// MarkDuplicate to pick the representative read among duplicates. The
+/// record invariant keeps every byte in Phred+33.
 pub(crate) fn phred_sum(qual: &[u8]) -> u64 {
-    qual.iter().filter(|&&c| is_valid_qual_char(c)).map(|&c| char_to_phred(c) as u64).sum()
+    qual.iter().map(|&c| char_to_phred(c) as u64).sum()
 }
 
 #[cfg(test)]
@@ -114,14 +113,6 @@ mod tests {
         assert_eq!(phred_sum(b"II"), 80);
         assert_eq!(phred_sum(b"!"), 0);
         assert_eq!(phred_sum(b""), 0);
-    }
-
-    #[test]
-    fn phred_sum_adds_nothing_for_bytes_outside_phred33() {
-        // A space would be Phred 255 by `c − 33` (wrapping): "II I" summed
-        // to 375 and won its duplicate set.
-        assert_eq!(phred_sum(b"II I"), 120);
-        assert_eq!(phred_sum(&[b'I', 0, 32, 127, 255]), 40);
     }
 
     #[test]

@@ -8,10 +8,10 @@
 //! metadata (`new SamHeaderInfo.unsortedHeader()` in Figure 3): it carries
 //! the contig dictionary and a sort-order flag.
 
-use crate::cigar::Cigar;
+use crate::{base::is_valid_seq_char, cigar::Cigar};
 use crate::error::FormatError;
 use crate::genome::{ContigDict, GenomePosition};
-use crate::quality::phred_sum;
+use crate::quality::{is_valid_qual_char, phred_sum};
 use std::fmt::Write as _;
 
 /// SAM FLAG bits.
@@ -139,6 +139,10 @@ impl SamHeaderInfo {
 pub const NO_CONTIG: u32 = u32::MAX;
 
 /// One aligned (or unaligned) read.
+///
+/// A record that came out of [`parse_sam`] or a serializer keeps the record
+/// invariant ([`SamRecord::check`]), and every reader downstream relies on
+/// it instead of checking again.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SamRecord {
     /// QNAME.
@@ -191,11 +195,7 @@ impl SamRecord {
 
     /// Mapping position as a [`GenomePosition`], or `None` when unmapped.
     pub fn position(&self) -> Option<GenomePosition> {
-        if self.flags.is_mapped() && self.contig != NO_CONTIG {
-            Some(GenomePosition::new(self.contig, self.pos))
-        } else {
-            None
-        }
+        self.flags.is_mapped().then(|| GenomePosition::new(self.contig, self.pos))
     }
 
     /// Unclipped 5'-most alignment start — Picard's duplicate key coordinate.
@@ -218,6 +218,43 @@ impl SamRecord {
     /// Sum of base qualities — the MarkDuplicate survivor criterion.
     pub fn quality_sum(&self) -> u64 {
         phred_sum(&self.qual)
+    }
+
+    /// The half of the record invariant a decoder can afford per record: no
+    /// contig dictionary, O(1) plus the CIGAR's length. `QUAL` is as long as
+    /// `SEQ` (so `QUAL` `*` goes only with `SEQ` `*`), and a mapped record
+    /// names a contig and has bases that its CIGAR consumes exactly. A
+    /// mapped record without bases is refused on purpose: every Process
+    /// reads bases, and no producer here writes one.
+    pub fn check_shape(&self) -> Result<(), String> {
+        let (n, cigar) = (self.seq.len(), &self.cigar);
+        if self.qual.len() != n {
+            return Err(format!("SEQ length {n} != QUAL length {}", self.qual.len()));
+        }
+        let placed = self.contig != NO_CONTIG && n > 0 && cigar.read_len() == n as u64;
+        if self.flags.is_mapped() && !placed {
+            return Err(format!("a mapped record needs RNAME and SEQ, all under its CIGAR: {n} bases, {cigar}"));
+        }
+        Ok(())
+    }
+
+    /// The record invariant, which [`parse_sam`] holds every record to:
+    /// [`SamRecord::check_shape`], `SEQ` over `{A,C,G,T,N}`, `QUAL` in
+    /// Phred+33, and a mapped alignment that ends inside its contig of `dict`.
+    pub fn check(&self, dict: &ContigDict) -> Result<(), String> {
+        self.check_shape()?;
+        if let Some(b) = self.seq.iter().find(|&&b| !is_valid_seq_char(b)) {
+            return Err(format!("SEQ base `{}` is not one of A, C, G, T, N", b.escape_ascii()));
+        }
+        if let Some(c) = self.qual.iter().find(|&&c| !is_valid_qual_char(c)) {
+            return Err(format!("QUAL byte {c} is outside Phred+33"));
+        }
+        let end = self.pos.saturating_add(self.cigar.ref_span());
+        let past = self.contig as usize >= dict.len() || end > dict.length_of(self.contig);
+        if self.flags.is_mapped() && past {
+            return Err(format!("the alignment at {} spans past the end of its contig", self.pos + 1));
+        }
+        Ok(())
     }
 
     /// Render as one SAM text line (no trailing newline).
@@ -295,9 +332,6 @@ impl SamRecord {
         let tlen: i64 = fields[8].parse().map_err(|e| err(format!("bad TLEN: {e}")))?;
         let seq = if fields[9] == "*" { Vec::new() } else { fields[9].as_bytes().to_vec() };
         let qual = if fields[10] == "*" { Vec::new() } else { fields[10].as_bytes().to_vec() };
-        if !seq.is_empty() && !qual.is_empty() && seq.len() != qual.len() {
-            return Err(err(format!("SEQ length {} != QUAL length {}", seq.len(), qual.len())));
-        }
         let mut edit_distance = 0;
         let mut read_group = 0;
         for tag in &fields[11..] {
@@ -307,7 +341,7 @@ impl SamRecord {
                 read_group = v.parse().unwrap_or(0);
             }
         }
-        Ok(Self {
+        let record = Self {
             name: fields[0].to_string(),
             flags,
             contig,
@@ -321,7 +355,8 @@ impl SamRecord {
             qual,
             read_group,
             edit_distance,
-        })
+        };
+        record.check(dict).map(|()| record).map_err(err)
     }
 }
 
@@ -360,19 +395,13 @@ pub fn parse_sam(text: &str) -> Result<(SamHeaderInfo, Vec<SamRecord>), FormatEr
                         }
                     }
                     match (name, len) {
-                        (Some(n), Some(_)) if dict.id_of(&n).is_some() => {
-                            return Err(FormatError::Sam {
-                                line: lineno,
-                                msg: format!("duplicate @SQ `{n}`"),
-                            })
-                        }
-                        (Some(n), Some(l)) => {
+                        (Some(n), Some(l)) if dict.id_of(&n).is_none() => {
                             dict.push(n, l);
                         }
                         _ => {
                             return Err(FormatError::Sam {
                                 line: lineno,
-                                msg: "@SQ missing SN or LN".into(),
+                                msg: "@SQ missing SN or LN, or naming a contig twice".into(),
                             })
                         }
                     }
@@ -524,24 +553,55 @@ mod tests {
 
     #[test]
     fn parse_rejects_coordinates_beyond_the_contig_end() {
+        // The record invariant, one row per rule. chr1 is 10,000 bases and
+        // chr2 5,000. Row `i` follows `i + 1` good records, so a refused row
+        // is refused at its own line: four header lines (@HD, two @SQ, @RG),
+        // the good records, then it.
         let header = sorted_header().to_sam_string();
         let good = record().to_sam_line(&dict());
-        // chr1 is 10,000 bases, chr2 5,000: its last base parses, one past
-        // it does not — as POS, as PNEXT under `=`, and as PNEXT on a named
-        // mate contig; `*` names no contig, so its coordinate is held to none.
-        for (hostile, ok) in [
-            ("h\t0\tchr1\t10000\t60\t4M\t=\t10000\t0\tACGT\tIIII", true),
-            ("h\t0\tchr1\t1000000000\t60\t4M\t*\t0\t0\tACGT\tIIII", false),
-            ("h\t0\tchr1\t100\t60\t4M\t=\t10001\t0\tACGT\tIIII", false),
-            ("h\t4\t*\t0\t0\t*\tchr2\t5001\t0\tACGT\tIIII", false),
-            ("h\t4\t*\t7000\t0\t*\t*\t7000\t0\tACGT\tIIII", true),
-        ] {
-            match parse_sam(&format!("{header}{good}\n{hostile}\n{good}\n")) {
-                Ok((_, records)) => assert!(ok && records.len() == 3, "{hostile}"),
-                // Four header lines (@HD, two @SQ, @RG), one record, then it.
+        let seq = "ACGTN".repeat(10);
+        let q = "E".repeat(50);
+        let rows = [
+            // A coordinate's last base parses, one past it does not — as
+            // POS, as PNEXT under `=`, and as PNEXT on a named mate contig;
+            // `*` names no contig, so its coordinate is held to none.
+            ("h\t0\tchr1\t10000\t60\t1M\t=\t10000\t0\tA\tI".to_string(), true),
+            ("h\t0\tchr1\t1000000000\t60\t4M\t*\t0\t0\tACGT\tIIII".into(), false),
+            ("h\t0\tchr1\t100\t60\t4M\t=\t10001\t0\tACGT\tIIII".into(), false),
+            ("h\t4\t*\t0\t0\t*\tchr2\t5001\t0\tACGT\tIIII".into(), false),
+            ("h\t4\t*\t7000\t0\t*\t*\t7000\t0\tACGT\tIIII".into(), true),
+            // A mapped alignment ends inside its contig: on chr2's last base,
+            // one past it, and a deletion hanging 80 bases over the end.
+            (format!("h\t0\tchr2\t4951\t60\t50M\t*\t0\t0\t{seq}\t{q}"), true),
+            (format!("h\t0\tchr2\t4952\t60\t50M\t*\t0\t0\t{seq}\t{q}"), false),
+            (format!("h\t0\tchr2\t4981\t60\t40M10D10M\t*\t0\t0\t{seq}\t{q}"), false),
+            // `QUAL` is as long as `SEQ`: `*` on a mapped and on an unmapped
+            // read, which is fine only with `SEQ` `*` too.
+            (format!("h\t0\tchr1\t101\t60\t50M\t*\t0\t0\t{seq}\t*"), false),
+            (format!("h\t4\t*\t0\t0\t*\t*\t0\t0\t{seq}\t*"), false),
+            ("h\t4\t*\t0\t0\t*\t*\t0\t0\t*\t*".into(), true),
+            // A mapped read has bases, a CIGAR, and a contig.
+            ("h\t0\tchr1\t101\t60\t50M\t*\t0\t0\t*\t*".into(), false),
+            (format!("h\t0\tchr1\t101\t60\t*\t*\t0\t0\t{seq}\t{q}"), false),
+            (format!("h\t0\t*\t101\t60\t50M\t*\t0\t0\t{seq}\t{q}"), false),
+            // Its CIGAR consumes exactly `SEQ`: 80 and 80 read bases against
+            // 50, and 49.
+            (format!("h\t0\tchr1\t101\t60\t80M\t*\t0\t0\t{seq}\t{q}"), false),
+            (format!("h\t16\tchr1\t101\t60\t10S60M10I\t*\t0\t0\t{seq}\t{q}"), false),
+            (format!("h\t0\tchr1\t101\t60\t49M\t*\t0\t0\t{seq}\t{q}"), false),
+            // Quality bytes below `!` and above `~`, and a base outside
+            // `{A,C,G,T,N}`.
+            (format!("h\t0\tchr1\t101\t60\t50M\t*\t0\t0\t{seq}\t{}", " ".repeat(50)), false),
+            (format!("h\t0\tchr1\t101\t60\t50M\t*\t0\t0\t{seq}\t{}\x7f", "E".repeat(49)), false),
+            (format!("h\t4\t*\t0\t0\t*\t*\t0\t0\ta{}\t{q}", &seq[1..]), false),
+        ];
+        for (i, (row, ok)) in rows.iter().enumerate() {
+            let goods = format!("{good}\n").repeat(i + 1);
+            match parse_sam(&format!("{header}{goods}{row}\n{good}\n")) {
+                Ok((_, records)) => assert!(*ok && records.len() == i + 3, "{row}"),
                 Err(e) => assert!(
-                    !ok && matches!(e, FormatError::Sam { line: 6, .. }),
-                    "{hostile}: {e}"
+                    !ok && matches!(e, FormatError::Sam { line, .. } if line == 6 + i),
+                    "{row}: {e}"
                 ),
             }
         }

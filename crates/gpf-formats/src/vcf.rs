@@ -89,9 +89,7 @@ impl VcfRecord {
         let err = |msg: String| FormatError::Vcf { line: lineno, msg };
         let contig = dict.require_id(fields[0])?;
         let pos1: u64 = fields[1].parse().map_err(|e| err(format!("bad POS: {e}")))?;
-        if pos1 == 0 {
-            return Err(err("POS must be ≥ 1".into()));
-        }
+        let pos = pos1.checked_sub(1).ok_or_else(|| err("POS must be ≥ 1".into()))?;
         let qual: f64 = if fields[5] == "." {
             0.0
         } else {
@@ -107,9 +105,14 @@ impl VcfRecord {
             .get(9)
             .and_then(|gt| Genotype::parse(gt.split(':').next().unwrap_or("")))
             .unwrap_or(Genotype::Het);
+        // The record invariant: `REF` lies on its contig, so every interval
+        // a reader builds from it does too.
+        if pos.saturating_add(fields[3].len() as u64) > dict.length_of(contig) {
+            return Err(err(format!("REF {} at POS {pos1} runs past the end of {}", fields[3], fields[0])));
+        }
         Ok(Self {
             contig,
-            pos: pos1 - 1,
+            pos,
             ref_allele: fields[3].as_bytes().to_vec(),
             alt_allele: fields[4].as_bytes().to_vec(),
             qual,
@@ -190,10 +193,7 @@ pub fn parse_vcf(text: &str) -> Result<(VcfHeaderInfo, Vec<VcfRecord>), FormatEr
                 }
                 if let (Some(n), Some(l)) = (id, len) {
                     if dict.id_of(&n).is_some() {
-                        return Err(FormatError::Vcf {
-                            line: lineno,
-                            msg: format!("duplicate ##contig `{n}`"),
-                        });
+                        return Err(FormatError::Vcf { line: lineno, msg: format!("##contig `{n}` repeated") });
                     }
                     dict.push(n, l);
                 }
@@ -286,6 +286,26 @@ mod tests {
     fn a_second_contig_line_for_a_contig_is_an_error() {
         let text = "##contig=<ID=chr1,length=100>\n##contig=<ID=chr1,length=100>\n";
         assert!(matches!(parse_vcf(text), Err(FormatError::Vcf { line: 2, .. })));
+    }
+
+    #[test]
+    fn ref_must_lie_on_its_contig() {
+        // chr1 is 10,000 bases: a REF ending on its last base parses; one
+        // base further, as a SNV or as an indel starting on or off the
+        // contig, does not.
+        let header = "##contig=<ID=chr1,length=10000>\n#CHROM\tPOS\tID\tREF\tALT\n";
+        for (line, ok) in [
+            ("chr1\t10000\t.\tA\tG\t50\tPASS\tDP=5", true),
+            ("chr1\t9999\t.\tAC\tA\t50\tPASS\tDP=5", true),
+            ("chr1\t10001\t.\tA\tG\t50\tPASS\tDP=5", false),
+            ("chr1\t10000\t.\tAC\tA\t50\tPASS\tDP=5", false),
+            ("chr1\t10100\t.\tAC\tA\t100.00\tPASS\tDP=0\tGT\t0/1", false),
+        ] {
+            match parse_vcf(&format!("{header}{line}\n")) {
+                Ok((_, records)) => assert!(ok && records.len() == 1, "{line}"),
+                Err(e) => assert!(!ok && matches!(e, FormatError::Vcf { line: 3, .. }), "{line}: {e}"),
+            }
+        }
     }
 
     #[test]

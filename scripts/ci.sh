@@ -18,7 +18,8 @@
 #
 # Usage:
 #   scripts/ci.sh          # quick + gpf-check model check + the kernel
-#                          # differential at 4096 cases + clippy +
+#                          # differential and the record entry-point
+#                          # mutation battery at 4096 cases + clippy +
 #                          # experiments smoke + trace export/schema check
 #                          # + the trace tour's export, which must carry
 #                          # its application span
@@ -199,6 +200,15 @@ echo "== DP sweep differential, deep (4096 cases per property) =="
 # sweep body this host builds to the reference over far more production
 # shapes, wild bytes and band-0 inputs (about 4 s).
 GPF_PROPTEST_CASES=4096 cargo test -q --offline -p gpf-align --test kernel_differential
+
+echo "== record entry-point mutation battery, deep (4096 cases per property) =="
+# The workspace tests run the battery at the default 128 cases; this reruns
+# it at 4096 truncated, bit-flipped, spliced and oversized mutants per
+# entry point — each text parser, Cigar::parse and the SamRecord, VcfRecord
+# and FastqRecord decoders under all three serializer kinds — every one
+# answering Ok or Err within its heap bound, every Ok record keeping the
+# record invariant (about 1.5 s).
+GPF_PROPTEST_CASES=4096 cargo test -q --offline -p gpf-compress --test mutation_battery
 
 echo "== clippy (blocking when installed) =="
 # A missing clippy component must not fail CI on minimal toolchains; an

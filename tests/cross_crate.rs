@@ -122,6 +122,24 @@ fn malformed_fastq_is_rejected_at_load() {
     }
 }
 
+/// A mapped SAM record with `SEQ` and a `QUAL` of `*` is valid SAM text, but
+/// no Process can use it: it fails at load, naming its line, not in the
+/// first shuffle that serializes it.
+#[test]
+fn mapped_sam_record_without_qualities_is_rejected_at_load() {
+    let dict = gpf::formats::ContigDict::from_pairs([("chr1", 1_000u64)]);
+    let header = gpf::formats::sam::format_sam(&SamHeaderInfo::unsorted_header(dict), &[]);
+    let line = |qual: &str| {
+        format!("r1\t99\tchr1\t101\t60\t8M\t=\t301\t208\tACGTACGT\t{qual}\tNM:i:0\tRG:Z:rg1")
+    };
+    // @HD, @SQ, @RG, one good record, then the same record without QUAL.
+    let text = format!("{header}{}\n{}\n", line("IIIIIIII"), line("*"));
+    match gpf::formats::sam::parse_sam(&text) {
+        Err(e) => assert!(e.to_string().starts_with("SAM parse error at line 5:"), "{e}"),
+        Ok(_) => panic!("expected a load error"),
+    }
+}
+
 /// A circular Process graph is refused up front by the static validator,
 /// with the actual cycle path in the diagnostic and the Algorithm-1
 /// "circular dependency" wording preserved in the Display.
