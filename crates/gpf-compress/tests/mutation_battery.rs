@@ -23,6 +23,7 @@ use gpf_formats::vcf::{format_vcf, parse_vcf, Genotype, VcfHeaderInfo, VcfRecord
 use gpf_formats::{Cigar, CigarOp, ContigDict, ReferenceGenome};
 use gpf_support::proptest::prelude::*;
 use gpf_support::rng::SplitMix64;
+
 /// `f`'s result and the peak growth of this thread's live heap while it
 /// ran, as `gpf-trace`'s tracking allocator measures it.
 fn peak_heap<R>(f: impl FnOnce() -> R) -> (R, u64) {

@@ -140,9 +140,10 @@ pub const NO_CONTIG: u32 = u32::MAX;
 
 /// One aligned (or unaligned) read.
 ///
-/// A record that came out of [`parse_sam`] or a serializer keeps the record
-/// invariant ([`SamRecord::check`]), and every reader downstream relies on
-/// it instead of checking again.
+/// A record that came out of [`parse_sam`] keeps the record invariant
+/// ([`SamRecord::check`]), a decoder re-checks its shape half, and every
+/// reader downstream relies on it instead of checking again. The fields are
+/// `pub`, so a record built in code must keep it too.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SamRecord {
     /// QNAME.
@@ -243,11 +244,12 @@ impl SamRecord {
     /// Phred+33, and a mapped alignment that ends inside its contig of `dict`.
     pub fn check(&self, dict: &ContigDict) -> Result<(), String> {
         self.check_shape()?;
-        if let Some(b) = self.seq.iter().find(|&&b| !is_valid_seq_char(b)) {
-            return Err(format!("SEQ base `{}` is not one of A, C, G, T, N", b.escape_ascii()));
-        }
-        if let Some(c) = self.qual.iter().find(|&&c| !is_valid_qual_char(c)) {
-            return Err(format!("QUAL byte {c} is outside Phred+33"));
+        // Branch-free folds vectorize; an early-exit `find` over the same
+        // bytes ran about four times slower on the benchmark's reads.
+        let bytes_ok = self.seq.iter().fold(true, |ok, &b| ok & is_valid_seq_char(b))
+            & self.qual.iter().fold(true, |ok, &c| ok & is_valid_qual_char(c));
+        if !bytes_ok {
+            return Err("SEQ must be over A, C, G, T, N and QUAL in Phred+33".into());
         }
         let end = self.pos.saturating_add(self.cigar.ref_span());
         let past = self.contig as usize >= dict.len() || end > dict.length_of(self.contig);
