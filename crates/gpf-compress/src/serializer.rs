@@ -61,17 +61,12 @@ pub struct ByteWriter {
 }
 
 impl ByteWriter {
-    /// Create a writer for `kind`.
+    /// Create a writer for `kind` (take the bytes back from
+    /// [`ByteWriter::buf`]). A shuffle map task holds one for all of its
+    /// segments, so the codec scratch is built once per task, not once per
+    /// segment.
     pub fn new(kind: SerializerKind) -> Self {
-        Self::appending(kind, Vec::new())
-    }
-
-    /// A writer that appends to `buf` (take the bytes back from
-    /// [`ByteWriter::buf`]). A shuffle map task holds one over its pooled
-    /// buffer for all of its segments, so the codec scratch is built once
-    /// per task, not once per segment.
-    pub fn appending(kind: SerializerKind, buf: Vec<u8>) -> Self {
-        Self { buf, kind, codec_scratch: None }
+        Self { buf: Vec::new(), kind, codec_scratch: None }
     }
 
     /// Append one count-prefixed batch — the unit [`deserialize_batch_into`]
@@ -968,13 +963,12 @@ mod tests {
             let plain = serialize_batch(kind, &items);
             // One writer, two batches, the second gathered by reference out
             // of order: each is byte for byte what `serialize_batch` writes.
-            let mut w = ByteWriter::appending(kind, vec![0xEE, 0xFF]);
+            let mut w = ByteWriter::new(kind);
             let n = w.write_batch(items.iter());
             let n_rev = w.write_batch([&items[1], &items[0]].into_iter());
             assert_eq!((n, n_rev), (plain.len(), plain.len()));
-            assert_eq!(&w.buf[..2], &[0xEE, 0xFF], "prefix must survive");
-            assert_eq!(&w.buf[2..2 + n], &plain[..], "appended bytes must match plain serialize");
-            assert_eq!(&w.buf[2 + n..], &plain[..], "a second batch reuses the writer");
+            assert_eq!(&w.buf[..n], &plain[..], "appended bytes must match plain serialize");
+            assert_eq!(&w.buf[n..], &plain[..], "a second batch reuses the writer");
 
             let mut out: Vec<SamRecord> = vec![sam()];
             let n2 = deserialize_batch_into(kind, &plain, &mut out).unwrap();

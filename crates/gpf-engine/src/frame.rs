@@ -6,7 +6,7 @@
 //! The budget store's eviction image and `barrier_via_disk`'s "files" are
 //! both tickets, written by [`SpillTicket::write`] and read back through
 //! [`FrameReader::read`]; shuffle segments are not frames (they live inside
-//! a map task's pooled buffer) but are verified by the same
+//! a map task's output buffer) but are verified by the same
 //! [`verify_decode`].
 //!
 //! Frames model write-verified durable storage as in-memory buffers

@@ -35,10 +35,9 @@ use crate::frame::{fnv64, verify_decode};
 use crate::task::{run_stage, Mode};
 use crate::timing::TaskTimer;
 use gpf_compress::{ByteWriter, GpfSerialize, SerializerKind};
-use gpf_support::sync::Mutex;
 use gpf_trace::alloc::{self, AllocTag};
 use gpf_trace::names as tn;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// One serialized non-empty bucket inside a map task's output buffer.
 ///
@@ -58,7 +57,7 @@ struct BucketSeg {
 }
 
 /// Output of one map-side shuffle task: its non-empty buckets serialized
-/// back-to-back into a single pooled buffer, listed as `(reduce id,
+/// back-to-back into a single buffer, listed as `(reduce id,
 /// segment)` in ascending reduce id.
 struct MapTaskOut {
     data: Vec<u8>,
@@ -103,40 +102,6 @@ impl ReduceIndex {
     }
 }
 
-/// Cap on pooled map-side serialization buffers. Bounds idle memory while
-/// still covering every worker thread of the widest in-repo shuffle.
-const SCRATCH_POOL_CAP: usize = 64;
-
-fn scratch_pool() -> &'static Mutex<Vec<Vec<u8>>> {
-    static POOL: OnceLock<Mutex<Vec<Vec<u8>>>> = OnceLock::new();
-    POOL.get_or_init(|| Mutex::new(Vec::new()))
-}
-
-/// Take a cleared serialization buffer from the pool (or allocate the first
-/// time). Reuse keeps steady-state shuffles from re-growing a fresh `Vec`
-/// through the allocator on every map task.
-fn scratch_take() -> Vec<u8> {
-    let got = scratch_pool().lock().pop();
-    if gpf_trace::enabled() {
-        if got.is_some() {
-            gpf_trace::counter(tn::SHUFFLE_SCRATCH_REUSED).add(1);
-        } else {
-            gpf_trace::counter(tn::SHUFFLE_SCRATCH_ALLOCATED).add(1);
-        }
-    }
-    got.unwrap_or_default()
-}
-
-/// Return a buffer to the pool once the reduce side has drained it.
-fn scratch_put(mut buf: Vec<u8>) {
-    buf.clear();
-    let mut pool = scratch_pool().lock();
-    // An empty map task's output never grew: nothing worth a pool slot.
-    if buf.capacity() > 0 && pool.len() < SCRATCH_POOL_CAP {
-        pool.push(buf);
-    }
-}
-
 /// Route every record of `items` and return `(target, index)` pairs ordered
 /// by target bucket — stably, so the per-source order inside a bucket is
 /// unchanged. Equal targets are adjacent, which is what [`serialize_runs`]
@@ -163,7 +128,7 @@ fn order_by_bucket<T>(
 }
 
 /// Serialize each run of equal targets in `order` (from
-/// [`order_by_bucket`]) back-to-back into one pooled buffer, each record
+/// [`order_by_bucket`]) back-to-back into one buffer, each record
 /// written from where it sits in `items`, recording a [`BucketSeg`] per run
 /// as it is written. One writer serves every run of the task.
 fn serialize_runs<T: GpfSerialize>(
@@ -172,15 +137,15 @@ fn serialize_runs<T: GpfSerialize>(
     order: &[(usize, usize)],
     with_checksum: bool,
 ) -> (Vec<u8>, Vec<(usize, BucketSeg)>) {
-    // A map task with no records writes nothing and borrows no buffer.
+    // A map task with no records writes nothing and allocates no buffer.
     if items.is_empty() {
         return (Vec::new(), Vec::new());
     }
-    // Serialization allocations (scratch growth, codec temporaries) charge
+    // Serialization allocations (buffer growth, codec temporaries) charge
     // the serde heap tag; one scope per map task keeps this off the
     // per-segment hot path.
     let _serde_scope = alloc::scope(AllocTag::Serde);
-    let mut w = ByteWriter::appending(kind, scratch_take());
+    let mut w = ByteWriter::new(kind);
     let mut segs = Vec::new();
     // Segment stats accumulate locally and merge into the registry once
     // per task: even an uncontended per-segment `fetch_add` shows up in the
@@ -350,9 +315,9 @@ where
     ) else {
         return failed();
     };
-    for m in map_out {
-        scratch_put(m.data);
-    }
+    // The reduce side has drained every map buffer: free them before the
+    // output partitions are registered.
+    drop(map_out);
     for (t, (_, recomputed, _)) in reduce_out.iter().enumerate() {
         if *recomputed > 0 {
             ctx.record_fault_event(tn::SHUFFLE_RECOMPUTED, read_stage, t as u32, *recomputed);

@@ -77,7 +77,7 @@ proptest! {
         prop_assert!(gpf_trace::alloc::tracking_active(), "hooks must be live for this property");
 
         // Warmup at full instrumentation: first-use registrations (counter
-        // slots, histogram arrays, scratch pools, ring capacity) allocate
+        // slots, histogram arrays, ring capacity) allocate
         // once and persist, so they must land before the baseline read.
         {
             let warm_ctx = ctx();
@@ -143,10 +143,8 @@ fn wide_sparse_shuffle_allocates_by_records_not_geometry() {
         assert_eq!(p.partition_sizes().iter().filter(|&&n| n == 1).count(), 64);
         allocated
     };
-    // The first run grows the pooled scratch buffers and registers the
-    // pool-miss counter; the second, reusing them, registers the pool-hit
-    // counter. From the third on nothing is first-use.
-    run();
+    // The first run registers the counters and histograms it bumps; from
+    // the second on nothing is first-use.
     run();
     let (first, second) = (run(), run());
     assert!(first < 1 << 20, "a 64-record shuffle allocated {first} bytes in its tasks");

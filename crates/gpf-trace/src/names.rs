@@ -82,10 +82,6 @@ pub const TASK_RETRIES: &str = "task.retries";
 /// Shuffle segments and barrier partitions recomputed from lineage.
 pub const SHUFFLE_RECOMPUTED: &str = "shuffle.recomputed";
 
-/// Shuffle scratch buffers reused from the pool.
-pub const SHUFFLE_SCRATCH_REUSED: &str = "shuffle.scratch.reused";
-/// Shuffle scratch buffers freshly allocated.
-pub const SHUFFLE_SCRATCH_ALLOCATED: &str = "shuffle.scratch.allocated";
 /// Shuffle input partitions taken by the map task that serialized them and
 /// freed there (sole owner).
 pub const SHUFFLE_PARTITIONS_MOVED: &str = "shuffle.partitions.moved";
@@ -202,8 +198,6 @@ pub const ALL_COUNTERS: &[&str] = &[
     SHUFFLE_PARTITIONS_CLONED,
     SHUFFLE_PARTITIONS_MOVED,
     SHUFFLE_RECOMPUTED,
-    SHUFFLE_SCRATCH_ALLOCATED,
-    SHUFFLE_SCRATCH_REUSED,
     TASK_RETRIES,
     TRACE_DROPPED,
 ];
