@@ -35,7 +35,7 @@
 use crate::process::{run_bundle_chain, BundleStage, Process};
 use crate::resource::ResourceAny;
 use crate::validate::{self, Diagnostic, Severity, ValidationReport};
-use gpf_engine::EngineContext;
+use gpf_engine::{EngineContext, Failure};
 use gpf_trace::names as tn;
 use gpf_trace::{instant_in, span_in, Category, TraceLog};
 use std::collections::{BTreeMap, BTreeSet};
@@ -291,23 +291,23 @@ impl Pipeline {
                 self.fused_chains.push(members.clone());
             }
             self.executed.extend(members);
-            // A budget breach is the more specific failure: it may also have
-            // aborted the task layer, so check it before the generic channel
-            // and surface the operator/bytes detail instead of a retry tale.
-            if let Some(b) = self.ctx.take_budget_breach() {
-                return Err(PipelineError::MemoryBudgetExceeded {
-                    process: step_label,
-                    stage: b.stage,
-                    operator: b.operator,
-                    requested: b.requested,
-                    budget: b.budget,
-                });
-            }
-            // The engine records terminal task failures in the context
-            // (Process::execute has no Result channel); surface the first
-            // one here with the step that was executing.
-            if let Some(failure) = self.ctx.take_failure() {
-                return Err(PipelineError::TaskFailed { process: step_label, failure });
+            // The engine records a job's one terminal failure in the context
+            // (Process::execute has no Result channel); surface it here with
+            // the step that was executing.
+            match self.ctx.take_failure() {
+                None => {}
+                Some(Failure::Task(failure)) => {
+                    return Err(PipelineError::TaskFailed { process: step_label, failure });
+                }
+                Some(Failure::Budget(b)) => {
+                    return Err(PipelineError::MemoryBudgetExceeded {
+                        process: step_label,
+                        stage: b.stage,
+                        operator: b.operator,
+                        requested: b.requested,
+                        budget: b.budget,
+                    });
+                }
             }
         }
         Ok(())

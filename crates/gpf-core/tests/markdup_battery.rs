@@ -177,8 +177,7 @@ fn run_process(cfg: EngineConfig, input: &[Vec<SamRecord>], cell: &str) -> Vec<V
     let aligned = SamBundle::defined("alignedSam", header.clone(), ds);
     let deduped = SamBundle::undefined("dedupedSam", header);
     MarkDuplicateProcess::new("MarkDuplicate", aligned, Arc::clone(&deduped)).execute(&ctx);
-    assert!(ctx.take_budget_breach().is_none(), "[{cell}] a feasible budget breached");
-    assert!(ctx.take_failure().is_none(), "[{cell}] in-budget faults must recover");
+    assert_eq!(ctx.take_failure(), None, "[{cell}] a feasible budget breached or in-budget faults did not recover");
     let (_, trace) = ctx.take_run_traced();
     let injected = trace.events.iter().any(|ev| &*ev.name == "fault.injected");
     // One input partition is a handful of tasks: too few for the plan to

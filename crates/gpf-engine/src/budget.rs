@@ -51,7 +51,8 @@ fn note(name: &'static str, n: u64) {
 
 /// A structured budget breach: the accountant exhausted every eviction
 /// victim and the charge still did not fit. Carried through
-/// `crate::EngineContext::fail_budget` to `PipelineError::MemoryBudgetExceeded`.
+/// the context's one failure slot (`crate::Failure::Budget`) to
+/// `PipelineError::MemoryBudgetExceeded`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BudgetBreach {
     /// Stage index at the failing operation's entry.

@@ -14,7 +14,7 @@ use crate::config::EngineConfig;
 use crate::fault::{EngineError, FaultPlan};
 use crate::metrics::{derive_job_run, names, JobRun};
 use gpf_compress::{serializer::serialize_batch, GpfSerialize, SerializerKind};
-use gpf_support::chk::atomic::{AtomicBool, AtomicU32, Ordering};
+use gpf_support::chk::atomic::{AtomicU32, Ordering};
 use gpf_support::sync::Mutex;
 use gpf_trace::clock::now_ns;
 use gpf_trace::event::Trace;
@@ -44,17 +44,28 @@ pub struct EngineContext {
     /// close so `(stage, partition, attempt)` coordinates are stable and
     /// cheap to read (no replay of the trace).
     stage_counter: AtomicU32,
-    /// Set once a task exhausts its retry budget; datasets short-circuit to
-    /// empty results after this so the failure propagates without panics.
-    failed_flag: AtomicBool,
-    /// The first terminal failure (first-failure-wins).
-    failure: Mutex<Option<EngineError>>,
+    /// The first terminal failure (first-failure-wins). Once it is set,
+    /// datasets short-circuit to empty results so the failure propagates
+    /// without panics.
+    failure: Mutex<Option<Failure>>,
     /// The memory-budget accountant, installed when
     /// [`EngineConfig::memory_budget`] is set.
     accountant: Option<Arc<BudgetAccountant>>,
-    /// The first terminal budget breach (first-failure-wins), kept separate
-    /// from `failure` so `take_failure`'s contract is untouched.
-    budget_breach: Mutex<Option<BudgetBreach>>,
+}
+
+/// A job's terminal failure, recorded on the [`EngineContext`] (a
+/// `Process::execute` has no `Result` channel) and taken by
+/// [`EngineContext::take_failure`].
+///
+/// A job records at most one: a stage records at most one abort (the first
+/// `Err` in partition order), and every operator returns on the failure
+/// before it runs a task.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Failure {
+    /// A task exhausted its retry budget.
+    Task(EngineError),
+    /// The memory budget cannot admit an operation.
+    Budget(BudgetBreach),
 }
 
 /// One task's measurements, captured on the worker and recorded
@@ -87,10 +98,8 @@ impl EngineContext {
             trace: Arc::new(TraceLog::with_capacity(SESSION_LOG_CAPACITY)),
             phase: Mutex::new(Arc::from("")),
             stage_counter: AtomicU32::new(0),
-            failed_flag: AtomicBool::new(false),
             failure: Mutex::new(None),
             accountant,
-            budget_breach: Mutex::new(None),
         })
     }
 
@@ -382,13 +391,15 @@ impl EngineContext {
         self.config.faults.as_ref()
     }
 
-    /// Record a terminal task failure. First failure wins; later ones are
-    /// dropped (they are usually short-circuit echoes of the first).
-    pub(crate) fn fail(&self, err: EngineError) {
+    /// Record a terminal failure. First failure wins; a later one is
+    /// dropped.
+    pub(crate) fn fail(&self, failure: Failure) {
         let mut slot = self.failure.lock();
-        if slot.is_none() {
-            self.failed_flag.store(true, Ordering::SeqCst);
-            let ev = self.ev(
+        if slot.is_some() {
+            return;
+        }
+        let ev = match &failure {
+            Failure::Task(err) => self.ev(
                 EventKind::Instant,
                 Arc::from("task.failed"),
                 Category::Scheduler,
@@ -397,41 +408,8 @@ impl EngineContext {
                     (Arc::from("part"), err.partition as u64),
                     (Arc::from("attempts"), err.attempts.len() as u64),
                 ],
-            );
-            self.trace.push(ev);
-            *slot = Some(err);
-        }
-    }
-
-    /// Whether a terminal failure has been recorded (datasets short-circuit
-    /// on this to let the error surface without running further work).
-    pub(crate) fn has_failed(&self) -> bool {
-        self.failed_flag.load(Ordering::SeqCst)
-    }
-
-    /// Take the recorded failure, if any, clearing it so the context can be
-    /// reused for another run.
-    pub fn take_failure(&self) -> Option<EngineError> {
-        let taken = self.failure.lock().take();
-        if taken.is_some() {
-            self.failed_flag.store(false, Ordering::SeqCst);
-        }
-        taken
-    }
-
-    /// The memory-budget accountant, when a budget is installed.
-    pub fn accountant(&self) -> Option<&Arc<BudgetAccountant>> {
-        self.accountant.as_ref()
-    }
-
-    /// Record a terminal memory-budget breach. First breach wins; later
-    /// ones are short-circuit echoes. Sets the same failed flag as
-    /// [`EngineContext::fail`] so datasets stop scheduling work.
-    pub(crate) fn fail_budget(&self, breach: BudgetBreach) {
-        let mut slot = self.budget_breach.lock();
-        if slot.is_none() {
-            self.failed_flag.store(true, Ordering::SeqCst);
-            let ev = self.ev(
+            ),
+            Failure::Budget(breach) => self.ev(
                 EventKind::Instant,
                 Arc::from("budget.breach"),
                 Category::Scheduler,
@@ -440,21 +418,27 @@ impl EngineContext {
                     (Arc::from("requested"), breach.requested),
                     (Arc::from("budget"), breach.budget),
                 ],
-            );
-            self.trace.push(ev);
-            *slot = Some(breach);
-        }
+            ),
+        };
+        self.trace.push(ev);
+        *slot = Some(failure);
     }
 
-    /// Take the recorded budget breach, if any, clearing it so the context
-    /// can be reused. Checked by `Pipeline::run` *before* `take_failure`,
-    /// because a breach's short-circuiting can echo as task failures.
-    pub fn take_budget_breach(&self) -> Option<BudgetBreach> {
-        let taken = self.budget_breach.lock().take();
-        if taken.is_some() {
-            self.failed_flag.store(false, Ordering::SeqCst);
-        }
-        taken
+    /// Whether a terminal failure has been recorded (datasets short-circuit
+    /// on this to let the error surface without running further work).
+    pub(crate) fn has_failed(&self) -> bool {
+        self.failure.lock().is_some()
+    }
+
+    /// Take the recorded failure, if any, clearing it so the context can be
+    /// reused for another run.
+    pub fn take_failure(&self) -> Option<Failure> {
+        self.failure.lock().take()
+    }
+
+    /// The memory-budget accountant, when a budget is installed.
+    pub fn accountant(&self) -> Option<&Arc<BudgetAccountant>> {
+        self.accountant.as_ref()
     }
 
     /// Record one recovery event: a scheduler instant in the session trace
@@ -663,30 +647,34 @@ mod tests {
     }
 
     #[test]
-    fn budget_breach_slot_is_separate_from_failure() {
+    fn one_failure_slot_first_failure_wins() {
         let ctx = EngineContext::new(EngineConfig::gpf().with_memory_budget(1 << 16));
         assert!(ctx.accountant().is_some());
-        assert!(ctx.take_budget_breach().is_none());
-        ctx.fail_budget(crate::budget::BudgetBreach {
-            stage: 2,
-            operator: "map".into(),
-            requested: 100,
-            budget: 50,
-        });
-        // Echoes after the first breach are dropped.
-        ctx.fail_budget(crate::budget::BudgetBreach {
+        assert!(ctx.take_failure().is_none());
+        let breach =
+            crate::budget::BudgetBreach { stage: 2, operator: "map".into(), requested: 100, budget: 50 };
+        ctx.fail(Failure::Budget(breach.clone()));
+        // Later failures, of either kind, are dropped.
+        ctx.fail(Failure::Budget(crate::budget::BudgetBreach {
             stage: 3,
             operator: "later".into(),
             requested: 1,
             budget: 1,
-        });
+        }));
+        ctx.fail(Failure::Task(EngineError {
+            label: "later".into(),
+            stage: 4,
+            partition: 0,
+            attempts: Vec::new(),
+        }));
         assert!(ctx.has_failed());
-        assert!(ctx.take_failure().is_none(), "a breach must not masquerade as a task failure");
-        let breach = ctx.take_budget_breach().expect("breach recorded");
-        assert_eq!(breach.stage, 2);
-        assert_eq!(breach.operator, "map");
-        assert_eq!((breach.requested, breach.budget), (100, 50));
-        assert!(!ctx.has_failed(), "taking the breach clears the short-circuit flag");
+        assert_eq!(ctx.take_failure(), Some(Failure::Budget(breach)));
+        assert!(!ctx.has_failed(), "taking the failure clears the short-circuit");
+        assert!(ctx.take_failure().is_none(), "a failure is taken exactly once");
+        let (_, trace) = ctx.take_run_traced();
+        let breaches = trace.events.iter().filter(|e| &*e.name == "budget.breach").count();
+        let failed = trace.events.iter().filter(|e| &*e.name == "task.failed").count();
+        assert_eq!((breaches, failed), (1, 0), "only the first failure is traced");
     }
 
     #[test]

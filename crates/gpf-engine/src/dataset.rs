@@ -1312,7 +1312,7 @@ mod tests {
         let d = Dataset::from_vec(Arc::clone(&c), (0u64..6000).collect(), 2).evictable();
         assert_eq!(d.spilled_partitions(), 2);
         let at = d.flat_map_indexed(|part, index, x| (x % 2 == 0).then_some((part, index, *x)));
-        assert!(c.take_budget_breach().is_none(), "an element-wise operator never restores");
+        assert!(c.take_failure().is_none(), "an element-wise operator never restores");
         let want: Vec<(usize, usize, u64)> =
             (0u64..6000).filter(|x| x % 2 == 0).map(|x| ((x / 3000) as usize, (x % 3000) as usize, x)).collect();
         assert_eq!(at.collect_local(), want);

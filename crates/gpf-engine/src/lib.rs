@@ -58,7 +58,7 @@ mod timing;
 pub use broadcast::Broadcast;
 pub use budget::{BudgetAccountant, BudgetBreach};
 pub use config::EngineConfig;
-pub use context::EngineContext;
+pub use context::{EngineContext, Failure};
 pub use dataset::{Dataset, PartRef};
 pub use fault::{AttemptRecord, EngineError, FaultKind, FaultPlan, FaultSite};
 pub use metrics::{JobRun, StageKind, StageMetrics};

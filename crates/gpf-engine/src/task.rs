@@ -9,7 +9,7 @@
 //! [`crate::frame`]) instead of a second copy of each operator.
 
 use crate::budget::BudgetBreach;
-use crate::context::{EngineContext, TaskSample};
+use crate::context::{EngineContext, Failure, TaskSample};
 use crate::fault::{
     backoff_ns, AttemptRecord, EngineError, FaultKind, FaultPlan, FaultSurface, MAX_TASK_RETRIES,
 };
@@ -203,13 +203,13 @@ pub(crate) fn run_stage<R: Send>(
         Ok(runs) => runs,
         Err(Abort::Breach { requested, budget }) => {
             let operator = label.to_string();
-            ctx.fail_budget(BudgetBreach { stage, operator, requested, budget });
+            ctx.fail(Failure::Budget(BudgetBreach { stage, operator, requested, budget }));
             return None;
         }
         Err(Abort::Task(err)) => {
             let retries = err.attempts.len() as u64;
             ctx.record_fault_event(tn::TASK_RETRIES, stage, err.partition, retries);
-            ctx.fail(err);
+            ctx.fail(Failure::Task(err));
             return None;
         }
     };

@@ -6,7 +6,7 @@
 //! plans and split-table routing on/off; directed tests pin ledger-peak
 //! bounding, infeasible-budget structured errors, and the breach message.
 
-use gpf_engine::{Dataset, EngineConfig, EngineContext, FaultPlan};
+use gpf_engine::{Dataset, EngineConfig, EngineContext, Failure, FaultPlan};
 use gpf_support::proptest::prelude::*;
 use std::sync::Arc;
 
@@ -76,8 +76,7 @@ proptest! {
         );
         let budgeted = job(&ctx, &data, parts, nparts, split);
         prop_assert_eq!(budgeted, baseline, "budget {} must not change output", budget);
-        prop_assert!(ctx.take_failure().is_none(), "degradation is never terminal");
-        prop_assert!(ctx.take_budget_breach().is_none(), "streaming schedules never breach");
+        prop_assert_eq!(ctx.take_failure(), None, "degradation is never terminal and streaming schedules never breach");
     }
 }
 
@@ -104,8 +103,7 @@ fn ledger_peak_stays_within_budget_and_spills_happen() {
         acct.peak(),
         budget
     );
-    assert!(ctx.take_budget_breach().is_none());
-    assert!(ctx.take_failure().is_none());
+    assert_eq!(ctx.take_failure(), None);
 }
 
 /// Infeasible budgets surface as a clean structured breach naming the
@@ -122,7 +120,9 @@ fn infeasible_budget_breaches_cleanly_with_pinned_message() {
     // A whole-partition operator needs one partition resident: infeasible.
     let out = d.map_partitions(|p| p.to_vec());
     assert_eq!(out.partition_sizes().iter().sum::<usize>(), 0, "breached run yields empty output");
-    let breach = ctx.take_budget_breach().expect("infeasible restore records a breach");
+    let Some(Failure::Budget(breach)) = ctx.take_failure() else {
+        panic!("infeasible restore records a breach");
+    };
     assert_eq!(breach.operator, "mapPartitions");
     assert_eq!(breach.budget, budget);
     assert!(breach.requested > budget);

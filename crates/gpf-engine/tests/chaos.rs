@@ -9,7 +9,7 @@
 //! determinism of the whole trace. No test here depends on wall time.
 
 use gpf_engine::{
-    Dataset, EngineConfig, EngineContext, FaultKind, FaultPlan, FaultSite,
+    Dataset, EngineConfig, EngineContext, Failure, FaultKind, FaultPlan, FaultSite,
 };
 use gpf_support::proptest::prelude::*;
 use std::sync::Arc;
@@ -99,7 +99,9 @@ fn exhausted_retry_budget_surfaces_structured_error() {
     // run, so the deterministic plan cannot re-fire).
     let again = out.map(|x| x * 2);
     assert!(again.is_empty());
-    let err = ctx.take_failure().expect("budget exhaustion records a failure");
+    let Some(Failure::Task(err)) = ctx.take_failure() else {
+        panic!("budget exhaustion records a task failure");
+    };
     assert_eq!(err.label, "map");
     assert_eq!(err.stage, 0);
     assert_eq!(err.partition, 1);
@@ -240,8 +242,7 @@ fn damaged_spill_reads_recover_byte_identically() {
     let (spilled, chaotic) = run(&ctx);
     assert!(spilled > 0, "the budget must actually force spills");
     assert_eq!(chaotic, baseline, "checksummed re-reads must recover byte-identically");
-    assert!(ctx.take_failure().is_none(), "read-back damage is never terminal");
-    assert!(ctx.take_budget_breach().is_none(), "feasible budget must not breach");
+    assert_eq!(ctx.take_failure(), None, "read-back damage is never terminal and a feasible budget never breaches");
     assert!(
         counter("fault.injected") >= injected0 + 2,
         "corrupt and truncated read-backs must both have fired"
@@ -300,8 +301,7 @@ fn barrier_round_trips_every_serializer_size_fault_and_budget() {
                 }
                 // One streamed concatenation: feasible under any budget.
                 assert!(out.collect_local() == want, "[{cell}] records diverged from the input");
-                assert!(ctx.take_failure().is_none(), "[{cell}] frame damage is never terminal");
-                assert!(ctx.take_budget_breach().is_none(), "[{cell}] streaming never breaches");
+                assert_eq!(ctx.take_failure(), None, "[{cell}] frame damage is never terminal and streaming never breaches");
                 let (_, trace) = ctx.take_run_traced();
                 let seen = |name: &str, part: usize| {
                     trace.events.iter().any(|e| &*e.name == name && e.counter("part") == Some(part as u64))

@@ -24,7 +24,8 @@
 mod shuffle_oracle;
 
 use gpf_engine::{
-    Dataset, EngineConfig, EngineContext, FaultKind, FaultPlan, FaultSite, JobRun, StageKind,
+    Dataset, EngineConfig, EngineContext, Failure, FaultKind, FaultPlan, FaultSite, JobRun,
+    StageKind,
 };
 use shuffle_oracle::shuffle_oracle;
 use std::sync::Arc;
@@ -232,8 +233,7 @@ fn every_operator_agrees_across_faults_budget_and_ownership() {
                 }
                 let ctx = EngineContext::new(cfg);
                 let got = job(&ctx, &data, shared);
-                assert!(ctx.take_budget_breach().is_none(), "[{cell}] feasible budget breached");
-                assert!(ctx.take_failure().is_none(), "[{cell}] in-budget faults must recover");
+                assert_eq!(ctx.take_failure(), None, "[{cell}] feasible budget breached or in-budget faults did not recover");
                 assert_eq!(
                     got.spilled_inputs > 0,
                     budget.is_some(),
@@ -411,7 +411,7 @@ fn consuming_operators_agree_with_their_borrowed_twins() {
             let (d, e) = twin_inputs(&ctx, &data);
             assert!(d.spilled_partitions() > 0, "[{twin:?}] budget 1/4 must force spills");
             same("budget 1/4", &run_consuming(twin, d, e, &quiet));
-            assert!(ctx.take_budget_breach().is_none(), "[{twin:?}] feasible budget breached");
+            assert_eq!(ctx.take_failure(), None, "[{twin:?}] feasible budget breached");
             assert_eq!(shape(&ctx.take_run()), want_shape, "[{twin:?}, budget 1/4] JobRun shape");
         }
 
@@ -421,12 +421,14 @@ fn consuming_operators_agree_with_their_borrowed_twins() {
             let ctx = EngineContext::new(cfg);
             let (d, e) = twin_inputs(&ctx, &data);
             let got = run_consuming(twin, d, e, &quiet);
-            let breach = ctx.take_budget_breach();
+            let failure = ctx.take_failure();
             if twin.streams() {
-                assert!(breach.is_none(), "[{twin:?}] a streamed operator never restores");
+                assert!(failure.is_none(), "[{twin:?}] a streamed operator never restores");
                 same("budget 64 B", &got);
             } else {
-                let breach = breach.expect("an infeasible restore is a structured breach");
+                let Some(Failure::Budget(breach)) = failure else {
+                    panic!("[{twin:?}] an infeasible restore is a structured breach, got {failure:?}");
+                };
                 assert_eq!(breach.operator, want_shape[0].label, "[{twin:?}]");
                 assert!(got.is_empty(), "[{twin:?}] a breached stage yields no records");
             }
@@ -563,8 +565,7 @@ fn map_fold_is_map_then_collect_then_fold() {
             let (d, _) = twin_inputs(&ctx, &data);
             assert_eq!(d.spilled_partitions() > 0, budgeted, "[{kind:?}, {cell}] a budget (and only one) must force spills");
             assert!(map_fold_tables(&d, &quiet) == want, "[{kind:?}, {cell}] folded value");
-            assert!(ctx.take_budget_breach().is_none(), "[{kind:?}, {cell}] a streamed operator never restores");
-            assert!(ctx.take_failure().is_none(), "[{kind:?}, {cell}] in-budget faults must recover");
+            assert_eq!(ctx.take_failure(), None, "[{kind:?}, {cell}] a streamed operator never restores and in-budget faults recover");
             let (run, trace) = ctx.take_run_traced();
             assert_eq!(shape(&run), want_shape, "[{kind:?}, {cell}] JobRun shape");
             let injected = trace.events.iter().any(|ev| &*ev.name == "fault.injected");
