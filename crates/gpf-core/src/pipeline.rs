@@ -72,7 +72,7 @@ pub enum PipelineError {
     /// A task exhausted its retry budget under the engine's fault-tolerance
     /// layer. Names the Process (or fused chain) that was executing and
     /// carries the engine's structured failure — stage, partition, and the
-    /// full attempt history with per-attempt causes and backoff accounting.
+    /// full attempt history with per-attempt causes.
     TaskFailed {
         /// The Process (or `a+b` fused-chain label) whose execution failed.
         process: String,

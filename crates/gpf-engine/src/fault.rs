@@ -191,21 +191,6 @@ pub(crate) fn corrupt_bit(bytes: &mut [u8], salt: u64) -> bool {
 /// damage a spill read on attempts `0..=MAX_TASK_RETRIES` only.
 pub(crate) const MAX_TASK_RETRIES: u32 = 3;
 
-/// Base of the exponential per-attempt backoff *accounting*.
-const BACKOFF_BASE_NS: u64 = 1_000_000;
-
-/// Backoff charged to attempt `attempt` (`BACKOFF_BASE_NS << (attempt - 1)`;
-/// the first attempt is charged nothing). Recorded, never slept: the engine
-/// is in-memory and deterministic, so the cost model charges the wait
-/// instead of paying it in wall-clock.
-pub(crate) fn backoff_ns(attempt: u32) -> u64 {
-    if attempt == 0 {
-        0
-    } else {
-        BACKOFF_BASE_NS.saturating_mul(1u64 << (attempt - 1).min(20))
-    }
-}
-
 /// One failed attempt in a task's history.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AttemptRecord {
@@ -213,8 +198,6 @@ pub struct AttemptRecord {
     pub attempt: u32,
     /// Why the attempt failed (injected fault or captured panic message).
     pub cause: String,
-    /// Backoff accounting charged before this attempt, in ns.
-    pub backoff_ns: u64,
 }
 
 /// A task that exhausted its retry budget — the structured failure
@@ -245,7 +228,7 @@ impl fmt::Display for EngineError {
             if i > 0 {
                 write!(f, "; ")?;
             }
-            write!(f, "attempt {} ({} ns backoff): {}", a.attempt, a.backoff_ns, a.cause)?;
+            write!(f, "attempt {}: {}", a.attempt, a.cause)?;
         }
         Ok(())
     }
@@ -351,21 +334,14 @@ mod tests {
     }
 
     #[test]
-    fn backoff_doubles_per_attempt() {
-        assert_eq!(backoff_ns(0), 0);
-        assert_eq!(backoff_ns(1), BACKOFF_BASE_NS);
-        assert_eq!(backoff_ns(3), BACKOFF_BASE_NS * 4);
-    }
-
-    #[test]
     fn engine_error_display_names_the_site() {
         let err = EngineError {
             label: "map".into(),
             stage: 2,
             partition: 7,
             attempts: vec![
-                AttemptRecord { attempt: 0, cause: "injected: task panic".into(), backoff_ns: 0 },
-                AttemptRecord { attempt: 1, cause: "injected: task panic".into(), backoff_ns: 5 },
+                AttemptRecord { attempt: 0, cause: "injected: task panic".into() },
+                AttemptRecord { attempt: 1, cause: "injected: task panic".into() },
             ],
         };
         let text = err.to_string();

@@ -11,7 +11,7 @@
 use crate::budget::BudgetBreach;
 use crate::context::{EngineContext, Failure, TaskSample};
 use crate::fault::{
-    backoff_ns, AttemptRecord, EngineError, FaultKind, FaultPlan, FaultSurface, MAX_TASK_RETRIES,
+    AttemptRecord, EngineError, FaultKind, FaultPlan, FaultSurface, MAX_TASK_RETRIES,
 };
 use crate::timing::TaskTimer;
 use gpf_support::par;
@@ -145,7 +145,7 @@ impl Task<'_> {
                     (Err(payload), _) => panic_message(payload),
                 }
             };
-            attempts.push(AttemptRecord { attempt, cause, backoff_ns: backoff_ns(attempt) });
+            attempts.push(AttemptRecord { attempt, cause });
             if attempt >= MAX_TASK_RETRIES {
                 return Err(EngineError {
                     label: self.label.to_string(),

@@ -109,9 +109,6 @@ fn exhausted_retry_budget_surfaces_structured_error() {
     for (i, a) in err.attempts.iter().enumerate() {
         assert_eq!(a.attempt, i as u32);
         assert!(a.cause.contains("injected"), "{}", a.cause);
-        if i > 0 {
-            assert!(a.backoff_ns > 0, "retries charge backoff accounting");
-        }
     }
     assert!(ctx.take_failure().is_none(), "failure is taken exactly once");
 }
