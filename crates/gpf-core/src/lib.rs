@@ -80,7 +80,7 @@ pub use partition::PartitionInfo;
 pub use pipeline::{Pipeline, PipelineError};
 pub use process::Process;
 pub use resource::{
-    FastqPairBundle, PartitionInfoBundle, ResourceAny, ResourceKind, ResourceState, SamBundle,
+    FastqPairBundle, PartitionInfoBundle, ResourceAny, ResourceState, SamBundle,
     VcfBundle,
 };
 pub use validate::{Diagnostic, DiagnosticKind, Severity, ValidationReport};

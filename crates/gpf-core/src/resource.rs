@@ -38,36 +38,6 @@ pub enum ResourceState {
     Released,
 }
 
-/// The bundle kind a Resource carries — used by [`crate::pipeline::Pipeline::check`]
-/// to diagnose producer/consumer type mismatches before any dataset is
-/// materialized.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum ResourceKind {
-    /// Paired-end FASTQ reads ([`FastqPairBundle`]).
-    FastqPair,
-    /// Aligned reads ([`SamBundle`]).
-    Sam,
-    /// Variant records ([`VcfBundle`]).
-    Vcf,
-    /// Driver-side partition map ([`PartitionInfoBundle`]).
-    PartitionInfo,
-    /// Anything else (generic [`DataBundle`]s, user-defined resources).
-    Generic,
-}
-
-impl std::fmt::Display for ResourceKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = match self {
-            ResourceKind::FastqPair => "FASTQ",
-            ResourceKind::Sam => "SAM",
-            ResourceKind::Vcf => "VCF",
-            ResourceKind::PartitionInfo => "PartitionInfo",
-            ResourceKind::Generic => "generic",
-        };
-        f.write_str(s)
-    }
-}
-
 /// Type-erased view of a Resource, used by the DAG scheduler.
 pub trait ResourceAny: Send + Sync {
     /// Resource name (unique within a pipeline by convention).
@@ -77,10 +47,6 @@ pub trait ResourceAny: Send + Sync {
     /// `true` when Defined.
     fn is_defined(&self) -> bool {
         self.state() == ResourceState::Defined
-    }
-    /// Bundle kind, for static producer/consumer compatibility checks.
-    fn kind(&self) -> ResourceKind {
-        ResourceKind::Generic
     }
     /// Records held, when Defined (what a trace reports as resident).
     fn held_records(&self) -> Option<u64> {
@@ -206,18 +172,15 @@ impl<T: Send + Sync + 'static> ResourceAny for DataBundle<T> {
 }
 
 /// The typed bundles are a [`DataBundle`] plus a header: every
-/// [`ResourceAny`] question but the kind is the inner bundle's.
+/// [`ResourceAny`] question is the inner bundle's.
 macro_rules! typed_bundle_resource {
-    ($bundle:ty, $kind:expr) => {
+    ($bundle:ty) => {
         impl ResourceAny for $bundle {
             fn name(&self) -> &str {
                 self.inner.name()
             }
             fn state(&self) -> ResourceState {
                 self.inner.state()
-            }
-            fn kind(&self) -> ResourceKind {
-                $kind
             }
             fn held_records(&self) -> Option<u64> {
                 self.inner.held_records()
@@ -341,9 +304,9 @@ impl VcfBundle {
     }
 }
 
-typed_bundle_resource!(FastqPairBundle, ResourceKind::FastqPair);
-typed_bundle_resource!(SamBundle, ResourceKind::Sam);
-typed_bundle_resource!(VcfBundle, ResourceKind::Vcf);
+typed_bundle_resource!(FastqPairBundle);
+typed_bundle_resource!(SamBundle);
+typed_bundle_resource!(VcfBundle);
 
 /// Driver-side partition map (`PartitionInfoBundle`). A small driver-side
 /// table, not a dataset: it is never released.
@@ -381,9 +344,6 @@ impl ResourceAny for PartitionInfoBundle {
         } else {
             ResourceState::Undefined
         }
-    }
-    fn kind(&self) -> ResourceKind {
-        ResourceKind::PartitionInfo
     }
     fn held_records(&self) -> Option<u64> {
         self.info.lock().as_ref().map(|info| info.num_partitions() as u64)

@@ -14,9 +14,8 @@
 //! * **duplicate producers** — two Processes claim the same output Resource;
 //! * **aliased resources** — one name bound to several distinct Resource
 //!   objects (the producer fills one object while the consumer waits on
-//!   another, which would stall forever at run time);
-//! * **kind mismatches** — producer and consumer disagree on the bundle kind
-//!   (FASTQ / SAM / VCF / PartitionInfo);
+//!   another, which would stall forever at run time). A Resource object has
+//!   one bundle kind, so a name used as two kinds is aliased too;
 //! * **dead outputs** (warning) — a Process output no other Process consumes;
 //! * **fusion eligibility** (info) — the §4.3 / Figure 7 report of which
 //!   [`crate::process::BundleStage`] chains will fuse under `optimize`.
@@ -26,7 +25,7 @@
 //! fusion report is by construction identical to what `run()` does.
 
 use crate::process::{BundleStage, Process, StageOutput};
-use crate::resource::{ResourceAny, ResourceKind, ResourceState};
+use crate::resource::{ResourceAny, ResourceState};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::Arc;
@@ -92,13 +91,6 @@ pub enum DiagnosticKind {
         resource: String,
         /// Every Process referencing some object under this name.
         referrers: Vec<String>,
-    },
-    /// Producer and consumer disagree on the bundle kind of a Resource.
-    KindMismatch {
-        /// The contested Resource name.
-        resource: String,
-        /// `(process, kind)` for every distinct-kind reference.
-        uses: Vec<(String, ResourceKind)>,
     },
     /// `process` defines `resource`, but no Process consumes it. Legitimate
     /// for terminal outputs the driver reads after `run()` — hence a warning.
@@ -187,16 +179,6 @@ impl fmt::Display for Diagnostic {
                  (referenced by: {})",
                 referrers.join(", ")
             ),
-            DiagnosticKind::KindMismatch { resource, uses } => {
-                write!(f, "resource `{resource}` is used with conflicting bundle kinds: ")?;
-                for (i, (who, kind)) in uses.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, ", ")?;
-                    }
-                    write!(f, "{who} ({kind})")?;
-                }
-                Ok(())
-            }
             DiagnosticKind::DeadOutput { process, resource } => write!(
                 f,
                 "output `{resource}` of process `{process}` is never consumed by any process"
@@ -286,37 +268,30 @@ pub(crate) fn analyze(processes: &[Arc<dyn Process>], optimize: bool) -> Analysi
         producers: Vec<usize>,
         consumers: Vec<usize>,
         objects: BTreeSet<usize>,
-        kinds: Vec<(String, ResourceKind)>,
         defined: bool,
     }
     let mut uses: BTreeMap<String, ResUse> = BTreeMap::new();
-    let mut record =
-        |name: &str, who: usize, kind: ResourceKind, ptr: usize, defined: bool, output: bool| {
-            let entry = uses.entry(name.to_string()).or_insert_with(|| ResUse {
-                producers: Vec::new(),
-                consumers: Vec::new(),
-                objects: BTreeSet::new(),
-                kinds: Vec::new(),
-                defined: false,
-            });
-            if output {
-                entry.producers.push(who);
-            } else {
-                entry.consumers.push(who);
-            }
-            entry.objects.insert(ptr);
-            let who_name = processes.get(who).map(|p| p.name().to_string()).unwrap_or_default();
-            if !entry.kinds.iter().any(|(w, k)| *w == who_name && *k == kind) {
-                entry.kinds.push((who_name, kind));
-            }
-            entry.defined |= defined;
-        };
+    let mut record = |name: &str, who: usize, ptr: usize, defined: bool, output: bool| {
+        let entry = uses.entry(name.to_string()).or_insert_with(|| ResUse {
+            producers: Vec::new(),
+            consumers: Vec::new(),
+            objects: BTreeSet::new(),
+            defined: false,
+        });
+        if output {
+            entry.producers.push(who);
+        } else {
+            entry.consumers.push(who);
+        }
+        entry.objects.insert(ptr);
+        entry.defined |= defined;
+    };
     for (i, p) in processes.iter().enumerate() {
         for r in p.input_resources() {
-            record(r.name(), i, r.kind(), Arc::as_ptr(&r) as *const u8 as usize, r.is_defined(), false);
+            record(r.name(), i, Arc::as_ptr(&r) as *const u8 as usize, r.is_defined(), false);
         }
         for r in p.output_resources() {
-            record(r.name(), i, r.kind(), Arc::as_ptr(&r) as *const u8 as usize, r.is_defined(), true);
+            record(r.name(), i, Arc::as_ptr(&r) as *const u8 as usize, r.is_defined(), true);
         }
     }
 
@@ -338,17 +313,9 @@ pub(crate) fn analyze(processes: &[Arc<dyn Process>], optimize: bool) -> Analysi
         }
     }
 
-    // 2. Kind mismatches, then same-kind aliasing.
+    // 2. Aliasing: one name, several objects (of one kind or of several).
     for (name, u) in &uses {
-        let mut kinds: Vec<ResourceKind> = u.kinds.iter().map(|(_, k)| *k).collect();
-        kinds.sort_unstable();
-        kinds.dedup();
-        if kinds.len() > 1 {
-            diagnostics.push(Diagnostic::new(
-                Severity::Error,
-                DiagnosticKind::KindMismatch { resource: name.clone(), uses: u.kinds.clone() },
-            ));
-        } else if u.objects.len() > 1 {
+        if u.objects.len() > 1 {
             let mut referrers: Vec<usize> = u.producers.iter().chain(&u.consumers).copied().collect();
             referrers.sort_unstable();
             referrers.dedup();
