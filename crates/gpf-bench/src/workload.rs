@@ -106,11 +106,6 @@ impl WgsWorkload {
         }
     }
 
-    /// Total sequenced bases.
-    pub fn sequenced_bases(&self) -> u64 {
-        self.pairs.iter().map(|p| p.total_bases() as u64).sum()
-    }
-
     /// Shared SNAP index (built on first use).
     pub fn snap(&self) -> Arc<SnapAligner> {
         self.snap.get_or_init(|| Arc::new(SnapAligner::new(&self.reference))).clone()

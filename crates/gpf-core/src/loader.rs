@@ -3,7 +3,6 @@
 use crate::pipeline::PipelineError;
 use gpf_engine::{Dataset, EngineContext};
 use gpf_formats::fastq::{pair_up, parse_fastq, FastqPair};
-use gpf_formats::vcf::{parse_vcf, VcfRecord};
 use std::sync::Arc;
 
 /// Loaders turning on-disk (or in-memory) genomic text into engine datasets.
@@ -22,30 +21,6 @@ impl FileLoader {
         let r2 = parse_fastq(fastq2).map_err(|e| PipelineError::Load(e.to_string()))?;
         let pairs = pair_up(r1, r2).map_err(|e| PipelineError::Load(e.to_string()))?;
         Ok(Dataset::from_vec(Arc::clone(ctx), pairs, parts))
-    }
-
-    /// Read two FASTQ files from disk and pair them.
-    pub fn load_fastq_pair_files(
-        ctx: &Arc<EngineContext>,
-        path1: &std::path::Path,
-        path2: &std::path::Path,
-        parts: usize,
-    ) -> Result<Dataset<FastqPair>, PipelineError> {
-        let t1 = std::fs::read_to_string(path1)
-            .map_err(|e| PipelineError::Load(format!("{}: {e}", path1.display())))?;
-        let t2 = std::fs::read_to_string(path2)
-            .map_err(|e| PipelineError::Load(format!("{}: {e}", path2.display())))?;
-        Self::load_fastq_pair_to_rdd(ctx, &t1, &t2, parts)
-    }
-
-    /// Parse VCF text into a known-sites dataset (the dbSNP `rodMap` input).
-    pub fn load_vcf_to_rdd(
-        ctx: &Arc<EngineContext>,
-        vcf_text: &str,
-        parts: usize,
-    ) -> Result<Dataset<VcfRecord>, PipelineError> {
-        let (_, records) = parse_vcf(vcf_text).map_err(|e| PipelineError::Load(e.to_string()))?;
-        Ok(Dataset::from_vec(Arc::clone(ctx), records, parts))
     }
 }
 
@@ -70,29 +45,6 @@ mod tests {
         let f1 = "@r1/1\nACGT\n+\nIIII\n";
         match FileLoader::load_fastq_pair_to_rdd(&ctx, f1, "", 1) {
             Err(PipelineError::Load(_)) => {}
-            Err(other) => panic!("unexpected error {other}"),
-            Ok(_) => panic!("expected an error"),
-        }
-    }
-
-    #[test]
-    fn loads_vcf_text() {
-        let ctx = EngineContext::new(EngineConfig::default());
-        let vcf = "##fileformat=VCFv4.2\n##contig=<ID=chr1,length=1000>\n#CHROM\tPOS\tID\tREF\tALT\tQUAL\tFILTER\tINFO\nchr1\t100\t.\tA\tG\t50\tPASS\tDP=10\n";
-        let ds = FileLoader::load_vcf_to_rdd(&ctx, vcf, 1).unwrap();
-        assert_eq!(ds.len(), 1);
-    }
-
-    #[test]
-    fn missing_file_errors() {
-        let ctx = EngineContext::new(EngineConfig::default());
-        match FileLoader::load_fastq_pair_files(
-            &ctx,
-            std::path::Path::new("/nonexistent/1.fastq"),
-            std::path::Path::new("/nonexistent/2.fastq"),
-            1,
-        ) {
-            Err(PipelineError::Load(msg)) => assert!(msg.contains("/nonexistent")),
             Err(other) => panic!("unexpected error {other}"),
             Ok(_) => panic!("expected an error"),
         }
