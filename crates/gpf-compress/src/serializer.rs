@@ -633,6 +633,12 @@ impl GpfSerialize for FastqRecord {
         r.object_header()?;
         let name = r.read_str()?;
         let (seq, qual) = read_seq_qual(r)?;
+        // The shape check of `SamRecord`'s decode, O(1): `FastqRecord::new`
+        // refuses a `QUAL` whose length is not `SEQ`'s.
+        if qual.len() != seq.len() {
+            let msg = format!("SEQ length {} != QUAL length {}", seq.len(), qual.len());
+            return Err(CodecError::Corrupt(msg));
+        }
         Ok(FastqRecord { name, seq, qual })
     }
     fn resident_bytes(&self) -> usize {
@@ -932,6 +938,14 @@ mod tests {
             let buf = serialize_batch(kind, &[iv]);
             assert_eq!(deserialize_batch::<GenomeInterval>(kind, &buf).unwrap(), vec![iv]);
         }
+    }
+
+    #[test]
+    fn fastq_decode_refuses_qual_not_as_long_as_seq() {
+        // A KryoSim batch of one record: name "r", SEQ "ACGT", QUAL "II".
+        let frame = [1, 1, b'r', 4, b'A', b'C', b'G', b'T', 2, b'I', b'I'];
+        let r: Result<Vec<FastqRecord>, _> = deserialize_batch(SerializerKind::KryoSim, &frame);
+        assert!(matches!(r, Err(CodecError::Corrupt(_))), "{r:?}");
     }
 
     #[test]

@@ -377,9 +377,12 @@ proptest! {
     fn fastq_frame_mutants_decode_or_fail(op in any::<u64>(), at in any::<u64>(), with in any::<u64>()) {
         for (kind, corpus) in KINDS.into_iter().zip(frames(|s| fastq_records(s, 1))) {
             let input = mutant(&corpus, op, at, with, &oversize_frame(kind));
-            let _ = bounded("FastqRecord::read", input.len(), || {
+            let decoded = bounded("FastqRecord::read", input.len(), || {
                 deserialize_batch::<FastqRecord>(kind, &input)
             })?;
+            for r in decoded.iter().flatten() {
+                prop_assert!(r.seq.len() == r.qual.len(), "{kind:?} decoded {r:?}");
+            }
         }
     }
 }
