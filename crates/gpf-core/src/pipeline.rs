@@ -65,7 +65,8 @@ fn state_event(log: &Arc<TraceLog>, name: &str, code: u64) {
 pub enum PipelineError {
     /// The Process/Resource graph failed validation — carries every
     /// error-severity [`Diagnostic`] found by [`Pipeline::check`] (cycles,
-    /// undefined inputs, duplicate producers, aliased resources, …).
+    /// undefined inputs, duplicate producers, aliased resources, contig
+    /// dictionaries that are not the reference's, …).
     Invalid(Vec<Diagnostic>),
     /// Input loading failed.
     Load(String),
@@ -180,9 +181,10 @@ impl Pipeline {
     ///
     /// Reports *all* defects at once — cycles (with the full
     /// Process → Resource → Process path), inputs nobody produces, duplicate
-    /// producers, aliased resource names, dead outputs — plus the Figure 7
-    /// fusion-eligibility report showing which [`BundleStage`] chains will
-    /// fuse under `optimize`.
+    /// producers, aliased resource names, bundle dictionaries that are not
+    /// the reference's, dead outputs — plus the Figure 7 fusion-eligibility
+    /// report showing which [`BundleStage`] chains will fuse under
+    /// `optimize`.
     pub fn check(&self) -> ValidationReport {
         ValidationReport::new(validate::analyze(&self.processes, self.optimize).diagnostics)
     }

@@ -23,6 +23,7 @@ use crate::partition::PartitionInfo;
 use gpf_engine::Dataset;
 use gpf_formats::fastq::FastqPair;
 use gpf_formats::sam::{SamHeaderInfo, SamRecord};
+use gpf_formats::ContigDict;
 use gpf_formats::vcf::{VcfHeaderInfo, VcfRecord};
 use gpf_support::sync::Mutex;
 use std::sync::Arc;
@@ -47,6 +48,12 @@ pub trait ResourceAny: Send + Sync {
     /// `true` when Defined.
     fn is_defined(&self) -> bool {
         self.state() == ResourceState::Defined
+    }
+    /// The contig dictionary whose ids the records use: a SAM or VCF
+    /// bundle's header dictionary, which [`crate::Pipeline::check`] holds
+    /// to the reference's.
+    fn contig_dict(&self) -> Option<&ContigDict> {
+        None
     }
     /// Records held, when Defined (what a trace reports as resident).
     fn held_records(&self) -> Option<u64> {
@@ -172,9 +179,10 @@ impl<T: Send + Sync + 'static> ResourceAny for DataBundle<T> {
 }
 
 /// The typed bundles are a [`DataBundle`] plus a header: every
-/// [`ResourceAny`] question is the inner bundle's.
+/// [`ResourceAny`] question but the dictionary is the inner bundle's, and
+/// the dictionary is the header's.
 macro_rules! typed_bundle_resource {
-    ($bundle:ty) => {
+    ($bundle:ty $(, $header:ident)?) => {
         impl ResourceAny for $bundle {
             fn name(&self) -> &str {
                 self.inner.name()
@@ -182,6 +190,9 @@ macro_rules! typed_bundle_resource {
             fn state(&self) -> ResourceState {
                 self.inner.state()
             }
+            $(fn contig_dict(&self) -> Option<&ContigDict> {
+                Some(&self.$header.dict)
+            })?
             fn held_records(&self) -> Option<u64> {
                 self.inner.held_records()
             }
@@ -305,8 +316,8 @@ impl VcfBundle {
 }
 
 typed_bundle_resource!(FastqPairBundle);
-typed_bundle_resource!(SamBundle);
-typed_bundle_resource!(VcfBundle);
+typed_bundle_resource!(SamBundle, header);
+typed_bundle_resource!(VcfBundle, header);
 
 /// Driver-side partition map (`PartitionInfoBundle`). A small driver-side
 /// table, not a dataset: it is never released.

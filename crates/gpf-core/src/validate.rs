@@ -16,6 +16,9 @@
 //!   objects (the producer fills one object while the consumer waits on
 //!   another, which would stall forever at run time). A Resource object has
 //!   one bundle kind, so a name used as two kinds is aliased too;
+//! * **dictionary mismatches** — a SAM or VCF bundle whose contig dictionary
+//!   is not the reference's, so its contig ids would index the wrong
+//!   contigs;
 //! * **dead outputs** (warning) — a Process output no other Process consumes;
 //! * **fusion eligibility** (info) — the §4.3 / Figure 7 report of which
 //!   [`crate::process::BundleStage`] chains will fuse under `optimize`.
@@ -26,6 +29,7 @@
 
 use crate::process::{BundleStage, Process, StageOutput};
 use crate::resource::{ResourceAny, ResourceState};
+use gpf_formats::ContigDict;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::Arc;
@@ -91,6 +95,18 @@ pub enum DiagnosticKind {
         resource: String,
         /// Every Process referencing some object under this name.
         referrers: Vec<String>,
+    },
+    /// `resource`'s contig dictionary, as `process` uses it, is not the
+    /// reference's: a bundle stage's own reference, and for any other
+    /// Process the pipeline's (its first bundle stage's, else the first
+    /// dictionary seen).
+    DictionaryMismatch {
+        /// The SAM or VCF bundle.
+        resource: String,
+        /// The Process that reads or defines it.
+        process: String,
+        /// The first contig at which the two dictionaries differ.
+        contig: String,
     },
     /// `process` defines `resource`, but no Process consumes it. Legitimate
     /// for terminal outputs the driver reads after `run()` — hence a warning.
@@ -178,6 +194,11 @@ impl fmt::Display for Diagnostic {
                 "resource name `{resource}` refers to distinct resource objects \
                  (referenced by: {})",
                 referrers.join(", ")
+            ),
+            DiagnosticKind::DictionaryMismatch { resource, process, contig } => write!(
+                f,
+                "resource `{resource}` of process `{process}` has a contig dictionary that is \
+                 not the reference's (first difference: contig `{contig}`)"
             ),
             DiagnosticKind::DeadOutput { process, resource } => write!(
                 f,
@@ -329,7 +350,36 @@ pub(crate) fn analyze(processes: &[Arc<dyn Process>], optimize: bool) -> Analysi
         }
     }
 
-    // 3. Undefined inputs: not Defined now and nobody produces them.
+    // 3. Contig dictionaries: a bundle's contig ids index the reference, so
+    //    its dictionary must be the reference's.
+    let mut pipeline_dict: Option<ContigDict> = processes
+        .iter()
+        .find_map(|p| p.as_bundle_stage())
+        .map(|s| s.io().reference.dict().clone());
+    for (i, p) in processes.iter().enumerate() {
+        let own = p.as_bundle_stage().map(|s| s.io().reference.dict());
+        for r in p.input_resources().into_iter().chain(p.output_resources()) {
+            let Some(dict) = r.contig_dict() else {
+                continue;
+            };
+            let reference = match own {
+                Some(own) => own,
+                None => pipeline_dict.get_or_insert_with(|| dict.clone()),
+            };
+            if let Some(contig) = first_difference(dict, reference) {
+                diagnostics.push(Diagnostic::new(
+                    Severity::Error,
+                    DiagnosticKind::DictionaryMismatch {
+                        resource: r.name().to_string(),
+                        process: pname(i),
+                        contig,
+                    },
+                ));
+            }
+        }
+    }
+
+    // 4. Undefined inputs: not Defined now and nobody produces them.
     for (i, p) in processes.iter().enumerate() {
         for r in p.input_resources() {
             if r.is_defined() {
@@ -347,7 +397,7 @@ pub(crate) fn analyze(processes: &[Arc<dyn Process>], optimize: bool) -> Analysi
         }
     }
 
-    // 4. Cycles. Edges run producer → consumer through each resource that is
+    // 5. Cycles. Edges run producer → consumer through each resource that is
     //    not already Defined (a Defined resource never blocks scheduling).
     let mut adj: Vec<Vec<(usize, String)>> = vec![Vec::new(); n];
     for (name, u) in &uses {
@@ -372,7 +422,7 @@ pub(crate) fn analyze(processes: &[Arc<dyn Process>], optimize: bool) -> Analysi
         diagnostics.push(Diagnostic::new(Severity::Error, DiagnosticKind::Cycle { path }));
     }
 
-    // 5. Dead outputs (warnings): produced, never consumed.
+    // 6. Dead outputs (warnings): produced, never consumed.
     for (i, p) in processes.iter().enumerate() {
         for r in p.output_resources() {
             let consumed = uses.get(r.name()).map(|u| !u.consumers.is_empty()).unwrap_or(false);
@@ -394,7 +444,7 @@ pub(crate) fn analyze(processes: &[Arc<dyn Process>], optimize: bool) -> Analysi
         return Analysis { diagnostics, plan: None };
     }
 
-    // 6. Plan (and with it the fusion report). With the graph validated,
+    // 7. Plan (and with it the fusion report). With the graph validated,
     //    planning can only fail on a defect the checks above missed — keep a
     //    defensive error so run() never stalls silently.
     match build_plan(processes, optimize) {
@@ -419,6 +469,20 @@ pub(crate) fn analyze(processes: &[Arc<dyn Process>], optimize: bool) -> Analysi
             Analysis { diagnostics, plan: None }
         }
     }
+}
+
+/// The first contig at which `dict` and `reference` differ in name or
+/// length, or at which one of them ends first; named as `dict` has it where
+/// it has one. `None` when they are the same dictionary.
+fn first_difference(dict: &ContigDict, reference: &ContigDict) -> Option<String> {
+    let shared = dict.len().min(reference.len()) as u32;
+    let same = |id: u32| {
+        dict.name_of(id) == reference.name_of(id) && dict.length_of(id) == reference.length_of(id)
+    };
+    let at = (0..shared).find(|&id| !same(id));
+    let at = at.or((dict.len() != reference.len()).then_some(shared))?;
+    let named = if (at as usize) < dict.len() { dict } else { reference };
+    Some(named.name_of(at).to_string())
 }
 
 /// Find elementary cycles via DFS back-edge extraction, one per distinct

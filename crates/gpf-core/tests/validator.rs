@@ -8,7 +8,7 @@
 //! actually fuses.
 
 use gpf_core::prelude::*;
-use gpf_core::{DiagnosticKind, PipelineError, Severity};
+use gpf_core::{DiagnosticKind, PipelineError, ResourceAny, ResourceState, Severity};
 use gpf_engine::{Dataset, EngineConfig, EngineContext};
 use gpf_formats::{ContigDict, SamRecord};
 use std::sync::Arc;
@@ -218,6 +218,78 @@ fn bundle_kind_mismatch_is_an_error() {
             if resource == "shared"
                 && *referrers == vec!["Producer".to_string(), "Consumer".to_string()]
     )));
+}
+
+/// A SAM whose `@SQ` lines are in another order than the reference's
+/// contigs is valid SAM, but its contig ids would index the wrong contigs.
+/// `run()` refuses it before any dataset work, naming the resource, the
+/// Process and the first contig that differs; a known-sites VCF whose
+/// dictionary stops short is refused the same way.
+#[test]
+fn bundle_dictionary_other_than_the_reference_is_an_error() {
+    use gpf_workloads::refgen::ReferenceSpec;
+
+    let reference = Arc::new(
+        ReferenceSpec { contig_lengths: vec![3_000, 2_000], seed: 5, ..Default::default() }
+            .generate(),
+    );
+    let swapped = ContigDict::from_pairs([("chr2", 2_000u64), ("chr1", 3_000)]);
+    let ctx = ctx();
+    let mut pipeline = Pipeline::new("dicts", Arc::clone(&ctx));
+    let empty = Dataset::from_vec(Arc::clone(&ctx), Vec::<SamRecord>::new(), 2);
+    let aligned = SamBundle::defined("alignedSam", SamHeaderInfo::unsorted_header(swapped), empty);
+    let short = ContigDict::from_pairs([("chr1", 3_000u64)]);
+    let known = Dataset::from_vec(Arc::clone(&ctx), Vec::new(), 2);
+    let dbsnp = VcfBundle::defined("dbsnp", VcfHeaderInfo::new_header(short, vec![]), known);
+    let pinfo = PartitionInfoBundle::undefined("partInfo");
+    pipeline.add_process(ReadRepartitioner::new(
+        "Repartitioner",
+        vec![Arc::clone(&aligned)],
+        Arc::clone(&pinfo),
+        reference.dict().lengths(),
+        1_000,
+    ));
+    let realigned =
+        SamBundle::undefined("realignedSam", SamHeaderInfo::unsorted_header(reference.dict().clone()));
+    pipeline.add_process(IndelRealignProcess::new(
+        "IndelRealign",
+        Arc::clone(&reference),
+        Some(dbsnp),
+        pinfo,
+        aligned,
+        Arc::clone(&realigned),
+    ));
+
+    let mismatches: Vec<(String, String, String)> = pipeline
+        .check()
+        .errors()
+        .iter()
+        .filter_map(|d| match d.kind() {
+            DiagnosticKind::DictionaryMismatch { resource, process, contig } => {
+                Some((resource.clone(), process.clone(), contig.clone()))
+            }
+            _ => None,
+        })
+        .collect();
+    let row = |r: &str, p: &str, c: &str| (r.to_string(), p.to_string(), c.to_string());
+    assert_eq!(
+        mismatches,
+        vec![
+            row("alignedSam", "Repartitioner", "chr2"),
+            row("alignedSam", "IndelRealign", "chr2"),
+            row("dbsnp", "IndelRealign", "chr2"),
+        ]
+    );
+    match pipeline.run() {
+        Err(PipelineError::Invalid(errors)) => {
+            assert_eq!(errors.len(), 3, "{errors:?}");
+            let text = PipelineError::Invalid(errors).to_string();
+            assert!(text.starts_with("invalid pipeline: "), "{text}");
+            assert!(text.contains("`alignedSam`") && text.contains("`chr2`"), "{text}");
+        }
+        other => panic!("expected Invalid, got {other:?}"),
+    }
+    assert_eq!(realigned.state(), ResourceState::Undefined, "nothing ran");
 }
 
 /// The WGS template (Figure 3) is valid: check() passes, flags only the
