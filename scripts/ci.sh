@@ -29,8 +29,10 @@
 #                          # for its checks, four children for the pinned
 #                          # VCF digests, shuffle bytes, stages and peak-RSS
 #                          # ceilings, one unfused child for the same digest
-#                          # and its own stages and shuffle bytes, and one
-#                          # traced child for the
+#                          # and its own stages and shuffle bytes, one
+#                          # clean-call child on a SAM with two @SQ lines
+#                          # swapped, which must exit 2 with "invalid
+#                          # pipeline", and one traced child for the
 #                          # aligner's DP-cell ceiling and the pair-HMM's
 #                          # exact cell count; the two wgs-full
 #                          # children also bound the index build
@@ -144,6 +146,28 @@ for want in '"digest": "242c4063708960b1"' '"engine.shuffle_mb": 10.830526351928
         exit 1
     fi
 done
+# A SAM whose contig dictionary is not the reference's: genome 6054's
+# inputs with the first two `@SQ` lines of `aligned.sam` swapped are valid
+# SAM, but their contig ids would index the wrong reference contigs. The
+# pipeline validator refuses them before any dataset work, so the
+# clean-call child must exit 2 with "invalid pipeline" (it used to crash
+# inside the Cleaner with exit 101).
+swapped_inputs="$(mktemp -d -t gpf_bench_swapped_XXXX)"
+cp -r "$bench_inputs"/. "$swapped_inputs"
+awk '/^@SQ/ && ++sq <= 2 { held[sq] = $0; if (sq == 2) { print held[2]; print held[1] } next } { print }' \
+    "$bench_inputs/aligned.sam" >"$swapped_inputs/aligned.sam"
+if swapped_err="$("$bench_exe" child --workload clean-call --dir "$swapped_inputs" 2>&1 >/dev/null)"; then
+    swapped_exit=0
+else
+    swapped_exit=$?
+fi
+rm -rf "$swapped_inputs"
+if [[ "$swapped_exit" != 2 || "$swapped_err" != *"invalid pipeline"* ]]; then
+    rm -rf "$bench_inputs"
+    echo "clean-call on genome 6054 with two @SQ lines swapped exited $swapped_exit, not 2 with \"invalid pipeline\":" >&2
+    echo "${swapped_err:0:400}" >&2
+    exit 1
+fi
 # The kernels' DP work: one traced wgs-full child counts the banded-SW
 # cells evaluated (`align.sw_cells`, exact and repeatable: 17,307,941 on
 # this genome, 35,495,891 before verification decided exact and
