@@ -63,22 +63,42 @@ proptest! {
         }
     }
 
-    /// Final partition intervals tile the genome exactly.
+    /// Final partition intervals tile the genome exactly, in genome order:
+    /// read in id order they ascend in `(contig, start)` across contigs,
+    /// with splits alone and with splits plus merges. The Caller's output
+    /// is its bundles' calls flattened in partition order, so this is the
+    /// order the VCF comes out in.
     #[test]
     fn intervals_tile_exactly(
         lens in proptest::collection::vec(100u64..3_000, 1..4),
         plen in 50u64..800,
-        hot_count in 0u64..50_000,
+        hot in proptest::collection::vec((0u32..40, 0u64..50_000), 0..6),
     ) {
         let base = PartitionInfo::new(&lens, plen);
-        let info = base.with_splits(&[(0, hot_count)], 500);
-        let ivs = info.intervals();
-        let total: u64 = ivs.iter().map(|iv| iv.len()).sum();
-        prop_assert_eq!(total, lens.iter().sum::<u64>());
-        // Adjacent intervals on the same contig are contiguous.
-        for w in ivs.windows(2) {
-            if w[0].contig == w[1].contig {
-                prop_assert_eq!(w[0].end, w[1].start);
+        let counts: Vec<(u32, u64)> = hot
+            .into_iter()
+            .map(|(id, c)| (id % base.num_base_partitions(), c))
+            .collect();
+        let merged = base.with_splits_merges_stats(&counts, 500).0;
+        for info in [base.with_splits(&counts, 500), merged] {
+            let ivs = info.intervals();
+            let total: u64 = ivs.iter().map(|iv| iv.len()).sum();
+            prop_assert_eq!(total, lens.iter().sum::<u64>());
+            prop_assert_eq!((ivs[0].contig, ivs[0].start), (0, 0));
+            for w in ivs.windows(2) {
+                prop_assert!(
+                    (w[0].contig, w[0].start) <= (w[1].contig, w[1].start),
+                    "{:?} before {:?}", w[0], w[1]
+                );
+                if w[0].contig == w[1].contig {
+                    // Adjacent intervals on one contig are contiguous.
+                    prop_assert_eq!(w[0].end, w[1].start);
+                } else {
+                    // A contig ends at its length; the next starts at 0.
+                    prop_assert_eq!(w[1].contig, w[0].contig + 1);
+                    prop_assert_eq!(w[0].end, lens[w[0].contig as usize]);
+                    prop_assert_eq!(w[1].start, 0);
+                }
             }
         }
     }
