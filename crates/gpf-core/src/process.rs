@@ -14,10 +14,11 @@
 //! §4.3 redundancy elimination fuses across consecutive Processes.
 //!
 //! A bundle stage declares its inputs ([`BundleStageIo`]), its output, its
-//! phase, its per-bundle work and how it finalizes; everything else is one
-//! blanket [`Process`] impl. `run_bundle_chain` is the one executor: a
-//! stage run alone is a chain of one, a fused chain is longer, and both
-//! build their bundles in the same place.
+//! phase and its per-bundle work; everything else is one blanket
+//! [`Process`] impl. `run_bundle_chain` is the one executor: a stage run
+//! alone is a chain of one, a fused chain is longer, both build their
+//! bundles in the same place, and the last stage's output is the bundles'
+//! reads or calls flattened in partition order.
 
 use crate::partition::PartitionInfo;
 use crate::resource::{PartitionInfoBundle, ResourceAny, SamBundle, VcfBundle};
@@ -173,13 +174,6 @@ fn build_bundles_owned(
     })
 }
 
-/// Flatten a bundled RDD back to a plain SAM dataset (Figure 7(a)'s
-/// "FlatMap to cleaned SAM records" merge step). The bundles are spent:
-/// their reads move into the output.
-pub fn flatten_sams(bundles: Dataset<RegionBundle>) -> Dataset<SamRecord> {
-    bundles.into_flat_map(|b| b.sams)
-}
-
 /// What a bundle stage reads — Table 2's constructor arguments shared by
 /// `IndelRealignProcess`, `BaseRecalibrationProcess` and
 /// `HaplotypeCallerProcess`.
@@ -224,15 +218,6 @@ pub trait BundleStage: Send + Sync {
         ctx: &Arc<EngineContext>,
         bundles: Dataset<RegionBundle>,
     ) -> Dataset<RegionBundle>;
-
-    /// Write this stage's final outputs from the transformed bundles, which
-    /// nothing reads afterwards: their records move into the outputs. A
-    /// stage that hands reads on flattens them into its output SAM.
-    fn finalize(&self, _ctx: &Arc<EngineContext>, bundles: Dataset<RegionBundle>) {
-        if let StageOutput::Sam(output) = self.output() {
-            output.define(flatten_sams(bundles));
-        }
-    }
 }
 
 impl<S: BundleStage> Process for S {
@@ -292,8 +277,14 @@ pub(crate) fn run_bundle_chain(ctx: &Arc<EngineContext>, chain: &[&dyn BundleSta
         bundles = stage.run_on_bundles(ctx, bundles);
     }
     // Intermediate SAM merges are exactly the redundancy the fusion
-    // removes — only the last link materializes outputs.
-    last.finalize(ctx, bundles);
+    // removes — only the last link flattens the bundles into its output,
+    // moving their records. Final partition ids ascend with genomic
+    // position and each bundle's calls are sorted and inside its region,
+    // so the flattened calls are already in genome order.
+    match last.output() {
+        StageOutput::Sam(output) => output.define(bundles.into_flat_map(|b| b.sams)),
+        StageOutput::Vcf(output) => output.define(bundles.into_flat_map(|b| b.calls)),
+    }
 }
 
 #[cfg(test)]
@@ -447,7 +438,7 @@ mod tests {
             (0..50).map(|i| mapped(&format!("r{i}"), (i % 2) as u32, (i * 17) as u64 % 480)).collect();
         let sams = Dataset::from_vec(Arc::clone(&ctx), records.clone(), 4);
         let bundles = build_bundles(&ctx, &r, &info, &sams, None);
-        let flat = flatten_sams(bundles);
+        let flat = bundles.into_flat_map(|b| b.sams);
         let mut names: Vec<String> = flat.collect_local().into_iter().map(|r| r.name).collect();
         names.sort();
         let mut expect: Vec<String> = records.into_iter().map(|r| r.name).collect();

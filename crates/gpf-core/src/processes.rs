@@ -465,14 +465,6 @@ impl BundleStage for HaplotypeCallerProcess {
         })
     }
 
-    fn finalize(&self, _ctx: &Arc<EngineContext>, bundles: Dataset<RegionBundle>) {
-        // Merge calls and globally sort by locus.
-        let nparts = bundles.num_partitions().max(1);
-        let flat = bundles.into_flat_map(|b| b.calls);
-        let keyed = flat.into_map(|v| ((v.contig as u64) << 40 | v.pos, v));
-        let sorted = keyed.sort_by_key(nparts);
-        self.output.define(sorted.into_map(|(_, v)| v));
-    }
 }
 
 #[cfg(test)]

@@ -52,8 +52,6 @@ fn setup() -> Setup {
 
 /// What one run's `ReadRepartitioner` decided (§4.4).
 struct Repartition {
-    /// Final partitions of the published table.
-    partitions: u64,
     /// The published `PartitionInfo`, serialized.
     table: Vec<u8>,
     /// `repartition.split` instants in the session trace.
@@ -146,7 +144,6 @@ fn run_pipeline_unlocked(s: &Setup, optimize: bool) -> (Vec<VcfRecord>, JobRun, 
     let calls = vcf_out.dataset().collect_local();
     let (run, trace) = ctx.take_run_traced();
     let repartition = Repartition {
-        partitions: pinfo.info().num_partitions() as u64,
         table: serialize_batch(SerializerKind::Gpf, &[pinfo.info()]),
         instants: trace.events.iter().filter(|e| &*e.name == "repartition.split").count(),
     };
@@ -241,8 +238,9 @@ fn pipeline_records_three_phases() {
 /// signatures, the Repartitioner's map-side combine, the bundle build's
 /// keyed FASTA) and the Resources the fused chain is the last reader of
 /// (`dbsnp`'s known sites and `dedupedSam`'s reads, handed over by
-/// `consume()`). Only the `sortByKey` of the calls, which takes `&self`,
-/// borrows. No shuffle copies a record.
+/// `consume()`). No shuffle borrows — the calls leave the Caller flattened
+/// in partition order, with no shuffle of their own — and none copies a
+/// record.
 #[test]
 fn shuffle_move_accounting_moves_temporaries_and_consumed_resources() {
     let s = setup();
@@ -256,7 +254,7 @@ fn shuffle_move_accounting_moves_temporaries_and_consumed_resources() {
     let _one = ONE_PIPELINE.lock().unwrap_or_else(|e| e.into_inner());
     gpf_trace::set_enabled(true);
     let before = [MOVED, BORROWED, CLONED].map(count);
-    let (calls, _, fused, repartition) = run_pipeline_unlocked(&s, true);
+    let (calls, _, fused, _) = run_pipeline_unlocked(&s, true);
     let [moved, borrowed, cloned] = [MOVED, BORROWED, CLONED].map(count);
     gpf_trace::set_enabled(false);
     assert_eq!(fused, 1);
@@ -267,6 +265,6 @@ fn shuffle_move_accounting_moves_temporaries_and_consumed_resources() {
         5 * 6,
         "the signatures, the combined counts, the keyed FASTA, the known sites and the reads"
     );
-    assert_eq!(borrowed - before[1], repartition.partitions, "the calls");
+    assert_eq!(borrowed - before[1], 0, "every shuffle's input is spent");
     assert_eq!(cloned - before[2], 0, "only a budget-tracked input is gathered by cloning");
 }

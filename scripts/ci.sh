@@ -105,14 +105,14 @@ echo "== repo benchmark (genome 6054: VCF digests, shuffle bytes, stage count, a
 bench_exe="${CARGO_TARGET_DIR:-benchmark/target}/release/gpf-benchmark"
 bench_inputs="$(mktemp -d -t gpf_bench_inputs_XXXX)"
 "$bench_exe" gen --dir "$bench_inputs" --seed 6054
-for pin in wgs-full:242c4063708960b1:4.523370742797852:44 \
-    clean-call:242c4063708960b1:4.523387908935547:48 \
-    clean-call-fine:b3cdabcc53910815:6.022452354431152:52 \
-    clean-call-tight-mem:242c4063708960b1:4.523387908935547:60; do
+for pin in wgs-full:242c4063708960b1:4.5209150314331055:44 \
+    clean-call:242c4063708960b1:4.520932197570801:48 \
+    clean-call-fine:b3cdabcc53910815:6.020244598388672:52 \
+    clean-call-tight-mem:242c4063708960b1:4.520932197570801:60; do
     IFS=: read -r workload digest shuffle_mb rss_ceiling <<<"$pin"
     bench_line="$("$bench_exe" child --workload "$workload" --dir "$bench_inputs" | tail -n 1)"
     for want in "\"digest\": \"$digest\"" "\"engine.shuffle_mb\": $shuffle_mb," \
-        "\"engine.stages\": 10,"; do
+        "\"engine.stages\": 9,"; do
         if [[ "$bench_line" != *"$want"* ]]; then
             rm -rf "$bench_inputs"
             echo "$workload on genome 6054 did not print $want:" >&2
@@ -133,12 +133,12 @@ done
 # The unfused path (`--no-optimize`, Table 4's "Original" column): each
 # bundle stage builds its own bundles, through the same chain executor the
 # fused chain runs, so it must call exactly what the fused children call.
-# Its dataflow is Table 4's unfused row — 16 stages against 10, 10.83 MiB
+# Its dataflow is Table 4's unfused row — 15 stages against 9, 10.83 MiB
 # shuffled against 4.52 — and repeats exactly, so a change to what a lone
 # stage builds or shuffles shows here.
 bench_line="$("$bench_exe" child --workload clean-call --dir "$bench_inputs" --no-optimize | tail -n 1)"
-for want in '"digest": "242c4063708960b1"' '"engine.shuffle_mb": 10.830526351928711,' \
-    '"engine.stages": 16,'; do
+for want in '"digest": "242c4063708960b1"' '"engine.shuffle_mb": 10.828070640563965,' \
+    '"engine.stages": 15,'; do
     if [[ "$bench_line" != *"$want"* ]]; then
         rm -rf "$bench_inputs"
         echo "clean-call --no-optimize on genome 6054 did not print $want:" >&2
