@@ -464,7 +464,6 @@ impl BundleStage for HaplotypeCallerProcess {
             }
         })
     }
-
 }
 
 #[cfg(test)]
