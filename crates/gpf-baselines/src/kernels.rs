@@ -138,6 +138,7 @@ pub fn run_realign(flavor: Flavor, input: &KernelInput) -> JobRun {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gpf_engine::StageKind;
     use gpf_formats::sam::SamFlags;
     use gpf_formats::Cigar;
 
@@ -192,6 +193,53 @@ mod tests {
             gpf.total_shuffle_bytes()
         );
         assert!(adam.num_stages() > gpf.num_stages(), "conversion adds stages");
+    }
+
+    /// What the cluster simulator reads of a run: the stage count, each
+    /// stage's kind and task count, and the bytes shuffled, collected to
+    /// the driver and broadcast.
+    fn dataflow(run: &JobRun) -> (usize, Vec<(StageKind, usize)>, u64, u64, u64) {
+        let stages = run.stages.iter().map(|s| (s.kind, s.num_tasks())).collect();
+        let collected = run
+            .stages
+            .iter()
+            .filter(|s| s.kind == StageKind::Collect)
+            .map(|s| s.total_shuffle_write())
+            .sum();
+        let broadcast = run.stages.iter().map(|s| s.broadcast_bytes).sum();
+        (run.num_stages(), stages, run.total_shuffle_bytes(), collected, broadcast)
+    }
+
+    /// BQSR and realignment under each flavor, pinned: the bundle build's
+    /// three shuffles, BQSR's one collect and broadcast of the merged
+    /// table, ADAM's two conversion barriers, and the bytes each serializer
+    /// writes.
+    #[test]
+    fn bqsr_and_realign_dataflow_is_pinned_per_flavor() {
+        use StageKind::{Collect, Final, Shuffle};
+        let input = input();
+        let bqsr = vec![(Shuffle, 4), (Shuffle, 10), (Shuffle, 10), (Collect, 10), (Final, 10)];
+        let realign = vec![(Shuffle, 4), (Shuffle, 10), (Shuffle, 10), (Final, 10)];
+        let adam_bqsr = vec![
+            (Shuffle, 4),
+            (Shuffle, 4),
+            (Shuffle, 10),
+            (Shuffle, 10),
+            (Collect, 10),
+            (Shuffle, 10),
+            (Final, 10),
+        ];
+        let adam_realign =
+            vec![(Shuffle, 4), (Shuffle, 4), (Shuffle, 10), (Shuffle, 10), (Shuffle, 10), (Final, 10)];
+        let want = [
+            (Flavor::Gpf, (5, bqsr.clone(), 52_116, 1_670, 170), (4, realign.clone(), 50_446, 0, 0)),
+            (Flavor::AdamLike, (7, adam_bqsr, 288_116, 1_670, 170), (6, adam_realign, 286_446, 0, 0)),
+            (Flavor::Gatk4Like, (5, bqsr, 110_516, 1_670, 170), (4, realign, 108_846, 0, 0)),
+        ];
+        for (flavor, bqsr, realign) in want {
+            assert_eq!(dataflow(&run_bqsr(flavor, &input)), bqsr, "{flavor:?} bqsr");
+            assert_eq!(dataflow(&run_realign(flavor, &input)), realign, "{flavor:?} realign");
+        }
     }
 
     #[test]
