@@ -1,4 +1,6 @@
-//! Execution flavors: how each compared system configures the engine.
+//! Execution flavors: each compared system is a configuration of the engine
+//! GPF's Processes run on — a serializer, a per-record overhead, a CPU
+//! factor and whether a format conversion brackets each kernel.
 
 use gpf_compress::SerializerKind;
 use gpf_engine::EngineConfig;
@@ -57,9 +59,10 @@ impl Flavor {
     }
 
     /// Whether the flavor pays a storage-format conversion around each
-    /// kernel (ADAM's Parquet-style columnar conversion).
+    /// kernel: ADAM's Parquet-style columnar conversion, Persona's AGD
+    /// import and export. Either is a disk barrier on the way in and out.
     pub fn converts_format(self) -> bool {
-        matches!(self, Flavor::AdamLike)
+        matches!(self, Flavor::AdamLike | Flavor::PersonaLike)
     }
 
     /// Display name used in experiment tables.

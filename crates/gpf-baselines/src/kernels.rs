@@ -1,17 +1,16 @@
 //! Flavor-parameterized kernel runners for the Figure 11 strong-scaling
-//! comparisons: each runs one Cleaner kernel on the engine under a flavor's
-//! configuration and returns the recorded [`JobRun`] for the cluster
-//! simulator.
+//! comparisons: each executes the `gpf-core` Process of its name — the one
+//! GPF's own pipeline runs — on the engine under a flavor's configuration
+//! and returns the recorded [`JobRun`] for the cluster simulator.
 
 use crate::flavors::Flavor;
-use gpf_cleaner::bqsr::{apply_recalibration, build_recal_table, RecalTable};
-use gpf_cleaner::mark_duplicates;
-use gpf_cleaner::realign::{find_realign_intervals, realign_interval};
 use gpf_core::partition::PartitionInfo;
-use gpf_core::process::build_bundles;
+use gpf_core::process::Process;
+use gpf_core::processes::{BaseRecalibrationProcess, IndelRealignProcess, MarkDuplicateProcess};
+use gpf_core::resource::{PartitionInfoBundle, SamBundle, VcfBundle};
 use gpf_engine::{Dataset, EngineContext, JobRun};
-use gpf_formats::sam::SamRecord;
-use gpf_formats::vcf::VcfRecord;
+use gpf_formats::sam::{SamHeaderInfo, SamRecord};
+use gpf_formats::vcf::{VcfHeaderInfo, VcfRecord};
 use gpf_formats::ReferenceGenome;
 use std::sync::Arc;
 
@@ -30,109 +29,74 @@ pub struct KernelInput {
     pub nparts: usize,
 }
 
-impl KernelInput {
-    fn ctx(&self, flavor: Flavor) -> Arc<EngineContext> {
-        EngineContext::new(flavor.engine_config().with_parallelism(self.nparts))
-    }
+/// The Resources a kernel's Process is built from.
+struct KernelResources {
+    reference: Arc<ReferenceGenome>,
+    reads: Arc<SamBundle>,
+    known: Arc<VcfBundle>,
+    partition_info: Arc<PartitionInfoBundle>,
+    output: Arc<SamBundle>,
+}
 
-    fn dataset(&self, ctx: &Arc<EngineContext>, flavor: Flavor) -> Dataset<SamRecord> {
-        let ds = Dataset::from_vec(Arc::clone(ctx), self.records.clone(), self.nparts);
-        if flavor.converts_format() {
-            // ADAM ingests by converting BAM -> columnar storage.
-            ds.barrier_via_disk("format-conversion(in)")
-        } else {
-            ds
-        }
+/// Execute the Process `make_process` builds over `input` under `flavor`:
+/// the flavor's engine configuration, and its format conversion on the way
+/// in and out when it has one.
+fn run<P: Process>(
+    flavor: Flavor,
+    input: &KernelInput,
+    make_process: impl FnOnce(KernelResources) -> Arc<P>,
+) -> JobRun {
+    let ctx = EngineContext::new(flavor.engine_config().with_parallelism(input.nparts));
+    ctx.set_phase("cleaner");
+    let dict = input.reference.dict().clone();
+    let mut reads = Dataset::from_vec(Arc::clone(&ctx), input.records.clone(), input.nparts);
+    if flavor.converts_format() {
+        reads = reads.barrier_via_disk("format-conversion(in)");
     }
-
-    fn finish(
-        &self,
-        ctx: &Arc<EngineContext>,
-        flavor: Flavor,
-        out: Dataset<SamRecord>,
-    ) -> JobRun {
-        if flavor.converts_format() {
-            let _ = out.barrier_via_disk("format-conversion(out)");
-        } else {
-            // Materialization of the kernel output (writes survive the job).
-            let _ = out.len();
-        }
-        ctx.take_run()
+    let header = SamHeaderInfo::unsorted_header(dict.clone());
+    let output = SamBundle::undefined("cleanedSam", header.clone());
+    let process = make_process(KernelResources {
+        reference: Arc::clone(&input.reference),
+        reads: SamBundle::defined("alignedSam", header, reads),
+        known: VcfBundle::defined(
+            "knownSites",
+            VcfHeaderInfo::new_header(dict.clone(), vec![]),
+            Dataset::from_vec(Arc::clone(&ctx), input.known.clone(), input.nparts),
+        ),
+        partition_info: PartitionInfoBundle::defined(
+            "partInfo",
+            PartitionInfo::new(&dict.lengths(), input.partition_len),
+        ),
+        output: Arc::clone(&output),
+    });
+    process.execute(&ctx);
+    let out = output.consume();
+    if flavor.converts_format() {
+        let _ = out.barrier_via_disk("format-conversion(out)");
+    } else {
+        // Materialization of the kernel output (writes survive the job).
+        let _ = out.len();
     }
-
-    fn partition_info(&self) -> PartitionInfo {
-        PartitionInfo::new(&self.reference.dict().lengths(), self.partition_len)
-    }
+    ctx.take_run()
 }
 
 /// MarkDuplicate kernel (Figure 11(a)).
 pub fn run_markdup(flavor: Flavor, input: &KernelInput) -> JobRun {
-    let ctx = input.ctx(flavor);
-    ctx.set_phase("cleaner");
-    let ds = input.dataset(&ctx, flavor);
-    let nparts = input.nparts;
-    let keyed = ds.map(|r| {
-        let own = (r.contig, r.pos);
-        let mate = (r.mate_contig, r.mate_pos);
-        let key = own.min(mate);
-        ((key.0 as u64) << 40 | key.1, r.clone())
-    });
-    let partitioned = keyed.into_partition_by_key(nparts, move |k: &u64| {
-        (gpf_engine::dataset::stable_hash(k) % nparts as u64) as usize
-    });
-    let marked = partitioned.map_partitions(|part| {
-        let mut records: Vec<SamRecord> = part.iter().map(|(_, r)| r.clone()).collect();
-        mark_duplicates(&mut records);
-        records
-    });
-    input.finish(&ctx, flavor, marked)
+    run(flavor, input, |r| MarkDuplicateProcess::new("MarkDuplicate", r.reads, r.output))
 }
 
-/// BQSR kernel (Figure 11(b)): gather → collect (serial) → broadcast → apply.
+/// BQSR kernel (Figure 11(b)).
 pub fn run_bqsr(flavor: Flavor, input: &KernelInput) -> JobRun {
-    let ctx = input.ctx(flavor);
-    ctx.set_phase("cleaner");
-    let ds = input.dataset(&ctx, flavor);
-    let info = input.partition_info();
-    let known = Dataset::from_vec(Arc::clone(&ctx), input.known.clone(), input.nparts);
-    let bundles = build_bundles(&ctx, &input.reference, &info, &ds, Some(&known));
-    let reference = Arc::clone(&input.reference);
-    let tables = bundles.map(move |b| build_recal_table(&b.sams, &reference, &b.vcfs));
-    let collected = tables.collect();
-    let mut merged = RecalTable::default();
-    for t in &collected {
-        merged.merge(t);
-    }
-    merged.finish();
-    let table = ctx.broadcast(merged);
-    let recal = bundles.map(move |b| {
-        let mut out = b.clone();
-        apply_recalibration(&mut out.sams, table.value());
-        out
-    });
-    let out = recal.flat_map(|b| b.sams.clone());
-    input.finish(&ctx, flavor, out)
+    run(flavor, input, |r| {
+        BaseRecalibrationProcess::new("BQSR", r.reference, Some(r.known), r.partition_info, r.reads, r.output)
+    })
 }
 
 /// INDEL realignment kernel (Figure 11(c)).
 pub fn run_realign(flavor: Flavor, input: &KernelInput) -> JobRun {
-    let ctx = input.ctx(flavor);
-    ctx.set_phase("cleaner");
-    let ds = input.dataset(&ctx, flavor);
-    let info = input.partition_info();
-    let known = Dataset::from_vec(Arc::clone(&ctx), input.known.clone(), input.nparts);
-    let bundles = build_bundles(&ctx, &input.reference, &info, &ds, Some(&known));
-    let reference = Arc::clone(&input.reference);
-    let realigned = bundles.map(move |b| {
-        let mut out = b.clone();
-        let intervals = find_realign_intervals(&out.sams, &out.vcfs, &reference);
-        for iv in &intervals {
-            realign_interval(&mut out.sams, &reference, iv, &out.vcfs);
-        }
-        out
-    });
-    let out = realigned.flat_map(|b| b.sams.clone());
-    input.finish(&ctx, flavor, out)
+    run(flavor, input, |r| {
+        IndelRealignProcess::new("IndelRealign", r.reference, Some(r.known), r.partition_info, r.reads, r.output)
+    })
 }
 
 #[cfg(test)]
@@ -193,6 +157,25 @@ mod tests {
             gpf.total_shuffle_bytes()
         );
         assert!(adam.num_stages() > gpf.num_stages(), "conversion adds stages");
+        let persona = run_markdup(Flavor::PersonaLike, &input);
+        assert!(persona.num_stages() > gpf.num_stages(), "AGD import and export add stages");
+    }
+
+    /// MarkDuplicate ships each read's signature, not the read: the job
+    /// moves less than half of what the input records serialize to.
+    #[test]
+    fn markdup_shuffles_signatures_not_records() {
+        let input = input();
+        let run = run_markdup(Flavor::Gpf, &input);
+        let config = Flavor::Gpf.engine_config();
+        let serializer = config.serializer;
+        let records = Dataset::from_vec(EngineContext::new(config), input.records.clone(), input.nparts)
+            .serialized_size(serializer);
+        assert!(
+            run.total_shuffle_bytes() * 2 < records,
+            "shuffled {} of {records} record bytes",
+            run.total_shuffle_bytes()
+        );
     }
 
     /// What the cluster simulator reads of a run: the stage count, each

@@ -15,7 +15,6 @@
 
 use crate::flavors::Flavor;
 use gpf_align::SnapAligner;
-use gpf_cleaner::mark_duplicates;
 use gpf_engine::{Dataset, EngineContext, JobRun};
 use gpf_formats::fastq::FastqRecord;
 use gpf_formats::sam::SamRecord;
@@ -26,19 +25,6 @@ use std::sync::Arc;
 const AGD_IMPORT_BPS: f64 = 360.0e6;
 /// AGD → BAM export rate, bytes/s (Persona paper: 82 MB/s).
 const AGD_EXPORT_BPS: f64 = 82.0e6;
-
-/// Persona deployment parameters.
-#[derive(Debug, Clone)]
-pub struct PersonaConfig {
-    /// Engine partitions.
-    pub nparts: usize,
-}
-
-impl Default for PersonaConfig {
-    fn default() -> Self {
-        Self { nparts: 8 }
-    }
-}
 
 /// Seconds of AGD format conversion around one job: importing `fastq_bytes`
 /// and exporting `bam_bytes`.
@@ -65,13 +51,13 @@ pub fn run_snap_align(
     reference: &Arc<ReferenceGenome>,
     snap: &SnapAligner,
     reads: &[FastqRecord],
-    cfg: &PersonaConfig,
+    nparts: usize,
 ) -> PersonaAlignRun {
-    let ctx = EngineContext::new(Flavor::PersonaLike.engine_config().with_parallelism(cfg.nparts));
+    let ctx = EngineContext::new(Flavor::PersonaLike.engine_config().with_parallelism(nparts));
     ctx.set_phase("aligner");
     let bases: u64 = reads.iter().map(|r| r.len() as u64).sum();
     let fastq_bytes: u64 = reads.iter().map(|r| r.to_fastq_string().len() as u64).sum();
-    let ds = Dataset::from_vec(Arc::clone(&ctx), reads.to_vec(), cfg.nparts);
+    let ds = Dataset::from_vec(Arc::clone(&ctx), reads.to_vec(), nparts);
     let snap_ref: &SnapAligner = snap;
     // SAFETY-free sharing: SnapAligner is Sync; map borrows it for the call.
     let aligned = ds.map(move |r| snap_ref.align_read(&r.name, &r.seq, &r.qual));
@@ -79,28 +65,6 @@ pub fn run_snap_align(
     let bam_bytes = aligned.serialized_size(gpf_compress::SerializerKind::KryoSim);
     let _ = reference;
     PersonaAlignRun { run: ctx.take_run(), bases, fastq_bytes, bam_bytes, records }
-}
-
-/// Persona-style duplicate marking over single-end records.
-pub fn run_markdup(records: &[SamRecord], cfg: &PersonaConfig) -> JobRun {
-    let ctx = EngineContext::new(Flavor::PersonaLike.engine_config().with_parallelism(cfg.nparts));
-    ctx.set_phase("cleaner");
-    let ds = Dataset::from_vec(Arc::clone(&ctx), records.to_vec(), cfg.nparts);
-    // AGD ingestion barrier.
-    let ds = ds.barrier_via_disk("agd-import");
-    let nparts = cfg.nparts;
-    let marked = ds
-        .map(|r| ((r.contig as u64) << 40 | r.pos, r.clone()))
-        .into_partition_by_key(nparts, move |k: &u64| {
-            (gpf_engine::dataset::stable_hash(k) % nparts as u64) as usize
-        })
-        .map_partitions(|part| {
-            let mut records: Vec<SamRecord> = part.iter().map(|(_, r)| r.clone()).collect();
-            mark_duplicates(&mut records);
-            records
-        });
-    let _ = marked.barrier_via_disk("agd-export");
-    ctx.take_run()
 }
 
 #[cfg(test)]
@@ -120,7 +84,7 @@ mod tests {
     }
 
     #[test]
-    fn snap_align_and_markdup_run() {
+    fn snap_align_runs() {
         let reference = Arc::new(
             ReferenceSpec { contig_lengths: vec![30_000], seed: 61, ..Default::default() }
                 .generate(),
@@ -135,15 +99,10 @@ mod tests {
         // Persona uses single-end: take mate 1 only.
         let reads: Vec<FastqRecord> = pairs.iter().map(|p| p.pair.r1.clone()).collect();
         let snap = SnapAligner::new(&reference);
-        let cfg = PersonaConfig { nparts: 3 };
-        let aligned = run_snap_align(&reference, &snap, &reads, &cfg);
+        let aligned = run_snap_align(&reference, &snap, &reads, 3);
         assert_eq!(aligned.records.len(), reads.len());
         assert!(aligned.bases > 0);
         assert!(aligned.bam_bytes > 0);
         assert!(aligned.run.total_cpu_s() > 0.0);
-
-        let md = run_markdup(&aligned.records, &cfg);
-        // AGD import/export barriers bracket the kernel.
-        assert!(md.num_stages() >= 3, "stages {}", md.num_stages());
     }
 }

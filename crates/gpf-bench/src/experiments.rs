@@ -8,7 +8,7 @@ use crate::report::{fmt_bytes, ExperimentReport};
 use crate::workload::{GpfRun, WgsWorkload};
 use gpf_baselines::flavors::Flavor;
 use gpf_baselines::kernels::{run_bqsr, run_markdup, run_realign, KernelInput};
-use gpf_baselines::persona::{self, PersonaConfig};
+use gpf_baselines::persona;
 use gpf_compress::SerializerKind;
 use gpf_core::partition::PartitionInfo;
 use gpf_core::process::build_bundles;
@@ -264,15 +264,11 @@ fn fig11_kernel(
     runner: impl Fn(Flavor, &KernelInput) -> JobRun,
     flavors: &[Flavor],
     paper_note: &str,
-    persona_run: Option<JobRun>,
 ) -> ExperimentReport {
     let input = lab.kernel_input();
     let mut headers = vec!["cores".to_string()];
     for f in flavors {
         headers.push(format!("{} (s)", f.name()));
-    }
-    if persona_run.is_some() {
-        headers.push("Persona (s)".to_string());
     }
     for f in flavors.iter().skip(1) {
         headers.push(format!("{}/GPF", f.name()));
@@ -289,10 +285,6 @@ fn fig11_kernel(
         for t in &times {
             row.push(format!("{t:.2}"));
         }
-        if let Some(p) = &persona_run {
-            let t = sim_at(p, cores, Flavor::PersonaLike.cpu_factor()).makespan_s;
-            row.push(format!("{t:.2}"));
-        }
         for t in times.iter().skip(1) {
             row.push(format!("{:.1}x", t / times[0]));
         }
@@ -304,18 +296,13 @@ fn fig11_kernel(
 
 /// Figure 11(a): MarkDuplicate strong scaling.
 pub fn fig11a(lab: &Lab) -> ExperimentReport {
-    let input = lab.kernel_input();
-    let persona = stable_kernel_run(&|| {
-        persona::run_markdup(&input.records, &PersonaConfig { nparts: input.nparts })
-    });
     fig11_kernel(
         "fig11a",
         "MarkDuplicate speedup (paper Figure 11a)",
         lab,
         run_markdup,
-        &[Flavor::Gpf, Flavor::AdamLike, Flavor::Gatk4Like],
+        &[Flavor::Gpf, Flavor::AdamLike, Flavor::Gatk4Like, Flavor::PersonaLike],
         "paper: GPF 7.3x vs ADAM, 6.3x vs GATK4, ~10x vs Persona",
-        Some(persona),
     )
 }
 
@@ -328,7 +315,6 @@ pub fn fig11b(lab: &Lab) -> ExperimentReport {
         run_bqsr,
         &[Flavor::Gpf, Flavor::AdamLike, Flavor::Gatk4Like],
         "paper: GPF 6.4x vs ADAM, 8.4x vs GATK4",
-        None,
     );
     r.note("the Collect after BQSR is a serial step (mask-table broadcast) visible in all flavors");
     r
@@ -343,7 +329,6 @@ pub fn fig11c(lab: &Lab) -> ExperimentReport {
         run_realign,
         &[Flavor::Gpf, Flavor::AdamLike],
         "paper: GPF 7.6x vs ADAM (GATK4 lacks a Spark realigner)",
-        None,
     )
 }
 
@@ -367,9 +352,8 @@ pub fn fig11d(lab: &Lab) -> ExperimentReport {
 
     // Persona: SNAP single-end on the same reads (mate 1 only).
     let reads: Vec<gpf_formats::FastqRecord> = half.iter().map(|p| p.r1.clone()).collect();
-    let cfg = PersonaConfig { nparts: w.fastq_parts };
     let snap = w.snap();
-    let persona = persona::run_snap_align(&w.reference, &snap, &reads, &cfg);
+    let persona = persona::run_snap_align(&w.reference, &snap, &reads, w.fastq_parts);
     let conversion_s = persona::conversion_seconds(persona.fastq_bytes, persona.bam_bytes);
 
     let mut r = ExperimentReport::new(
@@ -658,9 +642,8 @@ pub fn table5(lab: &Lab) -> ExperimentReport {
     let w = lab.workload();
     let reads: Vec<gpf_formats::FastqRecord> =
         w.pairs.iter().take(w.pairs.len() / 2).map(|p| p.r1.clone()).collect();
-    let cfg = PersonaConfig { nparts: w.fastq_parts };
     let snap = w.snap();
-    let persona = persona::run_snap_align(&w.reference, &snap, &reads, &cfg);
+    let persona = persona::run_snap_align(&w.reference, &snap, &reads, w.fastq_parts);
     r.row(vec![
         "Persona (Aligner&Cleaner)".into(),
         "no".into(),

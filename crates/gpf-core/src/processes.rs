@@ -508,8 +508,7 @@ mod tests {
                 Dataset::from_vec(Arc::clone(&ctx), reads.clone(), 2),
             );
             let output = VcfBundle::undefined("calls", VcfHeaderInfo::new_header(dict.clone(), vec![]));
-            let regions = PartitionInfoBundle::undefined("regions");
-            regions.define(PartitionInfo::new(&dict.lengths(), 500));
+            let regions = PartitionInfoBundle::defined("regions", PartitionInfo::new(&dict.lengths(), 500));
             let caller = HaplotypeCallerProcess::new(
                 "caller",
                 Arc::clone(&reference),

@@ -327,6 +327,11 @@ pub struct PartitionInfoBundle {
 }
 
 impl PartitionInfoBundle {
+    /// Defined bundle: a fixed partition map no Process computes.
+    pub fn defined(name: impl Into<String>, info: PartitionInfo) -> Arc<Self> {
+        Arc::new(Self { name: name.into(), info: Mutex::new(Some(info)) })
+    }
+
     /// Undefined bundle to be produced by a `ReadRepartitioner`.
     pub fn undefined(name: impl Into<String>) -> Arc<Self> {
         Arc::new(Self { name: name.into(), info: Mutex::new(None) })

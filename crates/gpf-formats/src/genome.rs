@@ -175,18 +175,6 @@ impl GenomeInterval {
         self.contig == other.contig && self.start < other.end && other.start < self.end
     }
 
-    /// The intersection of two intervals, or `None` when disjoint.
-    pub fn intersect(&self, other: &GenomeInterval) -> Option<GenomeInterval> {
-        if !self.overlaps(other) {
-            return None;
-        }
-        Some(GenomeInterval::new(
-            self.contig,
-            self.start.max(other.start),
-            self.end.min(other.end),
-        ))
-    }
-
     /// Grow the interval by `pad` on both sides, clamping to `[0, contig_len]`.
     pub fn padded(&self, pad: u64, contig_len: u64) -> GenomeInterval {
         GenomeInterval::new(
@@ -276,8 +264,6 @@ mod tests {
         assert!(!a.overlaps(&d), "different contigs never overlap");
         assert!(a.contains(GenomePosition::new(0, 10)));
         assert!(!a.contains(GenomePosition::new(0, 20)));
-        assert_eq!(a.intersect(&b), Some(GenomeInterval::new(0, 19, 20)));
-        assert_eq!(a.intersect(&c), None);
     }
 
     #[test]

@@ -65,16 +65,6 @@ pub fn char_to_error_prob(c: u8) -> f64 {
     table[c as usize]
 }
 
-/// Phred score for an error probability, clamped to `[0, MAX_PHRED]`.
-#[inline]
-pub fn error_prob_to_phred(p: f64) -> u8 {
-    if p <= 0.0 {
-        return MAX_PHRED;
-    }
-    let q = -10.0 * p.log10();
-    q.round().clamp(0.0, MAX_PHRED as f64) as u8
-}
-
 /// Sum of Phred scores of a quality string — the Picard criterion used by
 /// MarkDuplicate to pick the representative read among duplicates. The
 /// record invariant keeps every byte in Phred+33.
@@ -97,14 +87,6 @@ mod tests {
     fn q30_is_one_in_thousand() {
         let p = phred_to_error_prob(30);
         assert!((p - 0.001).abs() < 1e-12);
-        assert_eq!(error_prob_to_phred(0.001), 30);
-    }
-
-    #[test]
-    fn error_prob_clamps() {
-        assert_eq!(error_prob_to_phred(0.0), MAX_PHRED);
-        assert_eq!(error_prob_to_phred(1.0), 0);
-        assert_eq!(error_prob_to_phred(2.0), 0);
     }
 
     #[test]
