@@ -5,7 +5,7 @@
 //! record's stream. The codec is *canonical* so a table can be shipped as a
 //! bare list of code lengths.
 
-use crate::bitio::{BitReader, BitWriter};
+use crate::bitio::BitReader;
 use crate::error::CodecError;
 
 /// Maximum code length we allow; with alphabets ≤ 512 and non-pathological
@@ -126,27 +126,14 @@ impl HuffmanCodec {
     }
 
     /// The canonical `(code, length)` pair for `symbol`, or `None` when the
-    /// symbol has no code. For bit sinks other than [`BitWriter`], which
-    /// cannot go through [`HuffmanCodec::encode`].
+    /// symbol has no code (or lies outside the alphabet): what an encoder
+    /// writes, MSB first, for that symbol.
     pub fn code(&self, symbol: u32) -> Option<(u32, u8)> {
         let l = *self.lengths.get(symbol as usize)?;
         if l == 0 {
             return None;
         }
         Some((self.codes[symbol as usize], l))
-    }
-
-    /// Encode one symbol.
-    pub fn encode(&self, symbol: u32, w: &mut BitWriter) -> Result<(), CodecError> {
-        let l = *self
-            .lengths
-            .get(symbol as usize)
-            .ok_or(CodecError::SymbolOutOfRange { symbol: symbol as i32 })?;
-        if l == 0 {
-            return Err(CodecError::SymbolOutOfRange { symbol: symbol as i32 });
-        }
-        w.write_bits(self.codes[symbol as usize], l);
-        Ok(())
     }
 
     /// Decode one symbol: a single primary-table load for codes of length
@@ -280,14 +267,21 @@ fn code_lengths(freqs: &[u64]) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bitio::BitWriter;
+
+    /// Every symbol's code written MSB first, as the quality encoder does.
+    fn encode_all(codec: &HuffmanCodec, symbols: &[u32]) -> Vec<u8> {
+        let mut w = BitWriter::new();
+        for &s in symbols {
+            let (code, len) = codec.code(s).unwrap();
+            w.write_bits(code, len);
+        }
+        w.into_bytes()
+    }
 
     fn round_trip(freqs: &[u64], symbols: &[u32]) {
         let codec = HuffmanCodec::from_frequencies(freqs);
-        let mut w = BitWriter::new();
-        for &s in symbols {
-            codec.encode(s, &mut w).unwrap();
-        }
-        let bytes = w.into_bytes();
+        let bytes = encode_all(&codec, symbols);
         let mut r = BitReader::new(&bytes);
         for &s in symbols {
             assert_eq!(codec.decode(&mut r).unwrap(), s);
@@ -327,18 +321,14 @@ mod tests {
     #[test]
     fn zero_frequency_symbol_rejected_at_encode() {
         let codec = HuffmanCodec::from_frequencies(&[10, 0, 5]);
-        let mut w = BitWriter::new();
-        assert!(matches!(
-            codec.encode(1, &mut w),
-            Err(CodecError::SymbolOutOfRange { symbol: 1 })
-        ));
+        assert_eq!(codec.code(1), None);
+        assert!(codec.code(0).is_some() && codec.code(2).is_some());
     }
 
     #[test]
     fn out_of_alphabet_symbol_rejected() {
         let codec = HuffmanCodec::from_frequencies(&[10, 5]);
-        let mut w = BitWriter::new();
-        assert!(codec.encode(99, &mut w).is_err());
+        assert_eq!(codec.code(99), None);
     }
 
     #[test]
@@ -346,11 +336,7 @@ mod tests {
         let freqs = [100, 50, 20, 5, 5, 1];
         let a = HuffmanCodec::from_frequencies(&freqs);
         let b = HuffmanCodec::from_lengths(a.lengths().to_vec());
-        let mut w = BitWriter::new();
-        for s in [0u32, 5, 3, 2, 1, 0] {
-            a.encode(s, &mut w).unwrap();
-        }
-        let bytes = w.into_bytes();
+        let bytes = encode_all(&a, &[0, 5, 3, 2, 1, 0]);
         let mut r = BitReader::new(&bytes);
         for s in [0u32, 5, 3, 2, 1, 0] {
             assert_eq!(b.decode(&mut r).unwrap(), s);
@@ -413,11 +399,7 @@ mod tests {
         let freqs = long_code_freqs(20);
         let codec = HuffmanCodec::from_frequencies(&freqs);
         let symbols: Vec<u32> = (0..20u32).cycle().take(100).collect();
-        let mut w = BitWriter::new();
-        for &s in &symbols {
-            codec.encode(s, &mut w).unwrap();
-        }
-        let bytes = w.into_bytes();
+        let bytes = encode_all(&codec, &symbols);
         let mut fast = BitReader::new(&bytes);
         let mut walk = BitReader::new(&bytes);
         for &s in &symbols {

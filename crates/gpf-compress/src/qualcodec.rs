@@ -34,7 +34,12 @@ const ALPHABET: usize = 254;
 #[derive(Debug, Clone)]
 pub struct QualityCodec {
     huff: HuffmanCodec,
+    /// The encode table: `code << 8 | len` per symbol.
+    codes: Vec<u32>,
 }
+
+/// Longest code the encode table packs above its 8-bit length field.
+const MAX_TABLE_CODE_LEN: u8 = 24;
 
 #[inline]
 fn delta_to_symbol(d: i32) -> u32 {
@@ -50,7 +55,18 @@ impl QualityCodec {
     /// Build from an explicit symbol frequency table (`ALPHABET` entries).
     fn from_frequencies(freqs: &[u64]) -> Self {
         assert_eq!(freqs.len(), ALPHABET);
-        Self { huff: HuffmanCodec::from_frequencies(freqs) }
+        let huff = HuffmanCodec::from_frequencies(freqs);
+        let codes = (0..ALPHABET as u32)
+            .map(|s| {
+                // gpf-lint: allow(no-panic): the codec is built from its
+                // one static table, in which every symbol has a nonzero
+                // frequency and a code no longer than the table packs.
+                let (code, len) = huff.code(s).expect("every quality symbol has a code");
+                assert!(len <= MAX_TABLE_CODE_LEN, "code of symbol {s} is {len} bits");
+                code << 8 | len as u32
+            })
+            .collect();
+        Self { huff, codes }
     }
 
     /// The static default table: geometric decay around delta 0 (the paper's
@@ -90,19 +106,44 @@ impl QualityCodec {
     /// writer alive and [`BitWriter::clear`] it between records instead of
     /// allocating a stream per call.
     ///
+    /// Each delta's code comes from one table load and is appended to a
+    /// local accumulator, which hands the writer 32 bits at a time; the
+    /// bits are those of writing each code on its own.
+    ///
     /// Returns an error if any character is outside `[MIN_QUAL_CHAR,
-    /// MAX_QUAL_CHAR]`.
+    /// MAX_QUAL_CHAR]`; the codes of the characters before it are written.
     pub fn encode(&self, qual: &[u8], w: &mut BitWriter) -> Result<(), CodecError> {
+        // Pending bits, right-aligned: the low `nbits` of `acc` (< 32
+        // between codes, so a 24-bit code never overflows it).
+        let mut acc = 0u64;
+        let mut nbits = 0u32;
+        let mut push = |entry: u32, w: &mut BitWriter| {
+            let len = entry & 0xFF;
+            acc = acc << len | (entry >> 8) as u64;
+            nbits += len;
+            if nbits >= 32 {
+                nbits -= 32;
+                w.write_bits((acc >> nbits) as u32, 32);
+            }
+        };
         let mut prev = 0i32;
+        let mut out_of_range = None;
         for &c in qual {
             if !(MIN_QUAL_CHAR..=MAX_QUAL_CHAR).contains(&c) {
-                return Err(CodecError::SymbolOutOfRange { symbol: c as i32 });
+                out_of_range = Some(c);
+                break;
             }
-            let d = c as i32 - prev;
-            self.huff.encode(delta_to_symbol(d), w)?;
+            push(self.codes[delta_to_symbol(c as i32 - prev) as usize], w);
             prev = c as i32;
         }
-        self.huff.encode(EOF_SYMBOL, w)
+        if out_of_range.is_none() {
+            push(self.codes[EOF_SYMBOL as usize], w);
+        }
+        w.write_bits(acc as u32, nbits as u8);
+        match out_of_range {
+            Some(c) => Err(CodecError::SymbolOutOfRange { symbol: c as i32 }),
+            None => Ok(()),
+        }
     }
 
     /// Decode one quality string (terminated by EOF).
@@ -245,6 +286,50 @@ mod tests {
         let mut r = BitReader::new(&bytes);
         for q in quals {
             assert_eq!(codec.decode(&mut r).unwrap(), q.to_vec());
+        }
+    }
+
+    /// The table-driven encoder writes exactly each delta's canonical code
+    /// in turn — across many 32-bit hand-offs and every delta magnitude —
+    /// and an out-of-range character stops it after the codes before it.
+    #[test]
+    fn table_encode_writes_each_code_in_turn() {
+        let codec = QualityCodec::default_codec();
+        let per_code = |qual: &[u8], eof: bool| {
+            let mut w = BitWriter::new();
+            let mut prev = 0i32;
+            let symbols = qual.iter().map(|&c| {
+                let s = delta_to_symbol(c as i32 - prev);
+                prev = c as i32;
+                s
+            });
+            for s in symbols.chain(eof.then_some(EOF_SYMBOL)) {
+                let (code, len) = codec.huff.code(s).unwrap();
+                w.write_bits(code, len);
+            }
+            w.into_bytes()
+        };
+        let mut qual: Vec<u8> = (MIN_QUAL_CHAR..=MAX_QUAL_CHAR).chain((MIN_QUAL_CHAR..=MAX_QUAL_CHAR).rev()).collect();
+        let mut x = 0x9E37_79B9u32;
+        qual.extend((0..5000).map(|_| {
+            x ^= x << 13;
+            x ^= x >> 17;
+            x ^= x << 5;
+            [MIN_QUAL_CHAR, 33, 60, 70, 70, 70, 71, 69, MAX_QUAL_CHAR][(x % 9) as usize]
+        }));
+        for n in [0, 1, 7, 31, 126, 252, qual.len()] {
+            assert_eq!(codec.encode_to_bytes(&qual[..n]).unwrap(), per_code(&qual[..n], true), "n = {n}");
+        }
+        for bad in [0u8, 127, 200] {
+            let mut input = qual[..300].to_vec();
+            input.push(bad);
+            input.extend_from_slice(b"IIII");
+            let mut w = BitWriter::new();
+            assert!(matches!(
+                codec.encode(&input, &mut w),
+                Err(CodecError::SymbolOutOfRange { symbol }) if symbol == bad as i32
+            ));
+            assert_eq!(w.into_bytes(), per_code(&qual[..300], false));
         }
     }
 

@@ -245,6 +245,7 @@ pub fn decompress_read_fields_into(
     }
     seq_out.truncate(n);
     qual_out.clear();
+    qual_out.reserve(n);
     let mut qr = BitReader::new(qual_stream);
     codec.decode_into(&mut qr, qual_out)?;
     if qual_out.len() != n {

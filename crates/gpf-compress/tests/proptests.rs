@@ -114,7 +114,8 @@ proptest! {
 
         let mut w = BitWriter::new();
         for &s in &symbols {
-            codec.encode(s, &mut w).unwrap();
+            let (code, len) = codec.code(s).unwrap();
+            w.write_bits(code, len);
         }
         let bytes = w.into_bytes();
 

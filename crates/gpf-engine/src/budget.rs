@@ -21,11 +21,13 @@
 //! The spill image and its read-back are `crate::frame`'s: frames are
 //! pristine at rest, a read-back fault damages only the transient copy, the
 //! checksum detects it and a bounded re-read recovers — a tracked-store
-//! read never returns corrupt data. A read fails in two ways only: a
-//! genuinely infeasible budget (restoring one partition alone breaches),
-//! which surfaces as a structured [`BudgetBreach`], and a frame damaged at
-//! rest, which a store has no lineage to recompute and reports by
-//! panicking with the frame's coordinates.
+//! read never returns corrupt data. A read fails in two ways only. Its
+//! charge may not fit beside the partitions other readers pin: the task
+//! runner re-runs that task alone, and only a genuinely infeasible budget
+//! (restoring one task's partitions alone breaches) surfaces as a
+//! structured [`BudgetBreach`]. And a frame may be damaged at rest, which a
+//! store has no lineage to recompute and reports by panicking with the
+//! frame's coordinates.
 //!
 //! [c1]: gpf_trace::names::MEM_BUDGET_DROPPED_CLEAN
 //! [c2]: gpf_trace::names::MEM_BUDGET_SPILLED
@@ -34,6 +36,7 @@ use crate::fault::FaultPlan;
 use crate::frame::{DamagedAtRest, FrameReader, SpillTicket};
 use gpf_compress::serializer::{GpfSerialize, SerializerKind};
 use gpf_support::chk::atomic::{AtomicU64, Ordering};
+use gpf_support::par;
 use gpf_support::sync::{Mutex, RwLock};
 use gpf_trace::names as tn;
 use std::sync::{Arc, Weak};
@@ -92,10 +95,14 @@ struct Ledger {
 /// [`crate::EngineConfig::with_memory_budget`]).
 ///
 /// The ledger holds *exact* resident partition bytes — charges come from
-/// [`GpfSerialize::resident_bytes`], not the allocator — so its peak is
-/// deterministic across runs. The PR 8 `TrackingAlloc` gauges ride along
-/// as the ground-truth cross-check: [`crate::EngineContext`] annotates
-/// every `heap.live_bytes` sample with the current ledger value.
+/// [`GpfSerialize::resident_bytes`], not the allocator — and only a charge
+/// that fits is admitted, so its peak never passes the budget. Which
+/// partitions are resident at once is not fixed: tasks restore in parallel,
+/// so how many spills and restores a budgeted run makes (and its peak below
+/// the budget) can differ between runs, while the bytes it produces cannot.
+/// The `TrackingAlloc` gauges ride along as the ground-truth cross-check:
+/// [`crate::EngineContext`] annotates every `heap.live_bytes` sample with
+/// the current ledger value.
 pub struct BudgetAccountant {
     budget: u64,
     ledger: Mutex<Ledger>,
@@ -198,7 +205,8 @@ pub(crate) trait TrackedParts<T>: Send + Sync {
     /// Record count of partition `i` (known without restoring).
     fn part_len(&self, i: usize) -> usize;
     /// Restore partition `i` fully resident. `Err((requested, budget))`
-    /// only when admitting its charge is infeasible.
+    /// only when its charge does not fit, even after evicting every
+    /// unpinned victim.
     fn read(&self, i: usize) -> Result<Arc<Vec<T>>, (u64, u64)>;
     /// Stream partition `i` chunk-by-chunk without materializing it:
     /// resident slots yield one chunk, spilled slots one per frame.
@@ -230,6 +238,11 @@ impl<T: GpfSerialize + Send + Sync + 'static> TrackedStore<T> {
     /// partition's charge. A partition whose charge cannot be admitted
     /// even after eviction is spilled on the spot instead of failing:
     /// dataset *creation* always succeeds under any budget.
+    ///
+    /// Admission is one serial pass in partition order, so which partitions
+    /// spill does not depend on scheduling. The spill tickets of those
+    /// that were not admitted are then written in parallel, each partition
+    /// dropped as soon as its ticket exists.
     pub(crate) fn build(
         parts: Vec<Vec<T>>,
         kind: SerializerKind,
@@ -239,20 +252,19 @@ impl<T: GpfSerialize + Send + Sync + 'static> TrackedStore<T> {
     ) -> Arc<Self> {
         let counts: Vec<usize> = parts.iter().map(Vec::len).collect();
         let n = parts.len();
-        let mut slots = Vec::with_capacity(n);
-        for part in parts {
-            let bytes = part.resident_bytes() as u64;
-            let slot = match acct.admit(bytes) {
-                Ok(()) => Slot::Resident { data: Arc::new(part), bytes, ticket: None },
-                Err(_) => {
-                    let ticket = Arc::new(SpillTicket::write(kind, &part));
-                    note(tn::MEM_BUDGET_SPILLED, 1);
-                    note(tn::MEM_BUDGET_SPILLED_BYTES, bytes);
-                    Slot::Spilled { ticket, bytes }
-                }
-            };
-            slots.push(RwLock::new(slot));
-        }
+        let bytes: Vec<u64> = parts.iter().map(|p| p.resident_bytes() as u64).collect();
+        let admitted: Vec<bool> = bytes.iter().map(|&b| acct.admit(b).is_ok()).collect();
+        let cells: Vec<Mutex<Vec<T>>> = parts.into_iter().map(Mutex::new).collect();
+        let slots = par::map_range(n, |i| {
+            let (part, bytes) = (std::mem::take(&mut *cells[i].lock()), bytes[i]);
+            if admitted[i] {
+                return RwLock::new(Slot::Resident { data: Arc::new(part), bytes, ticket: None });
+            }
+            let ticket = Arc::new(SpillTicket::write(kind, &part));
+            note(tn::MEM_BUDGET_SPILLED, 1);
+            note(tn::MEM_BUDGET_SPILLED_BYTES, bytes);
+            RwLock::new(Slot::Spilled { ticket, bytes })
+        });
         let store = Arc::new(Self {
             kind,
             stage,
@@ -385,18 +397,26 @@ impl<T: GpfSerialize + Send + Sync + 'static> TrackedParts<T> for TrackedStore<T
     }
 }
 
+impl<T> TrackedStore<T> {
+    /// The ledger bytes this store's resident slots hold.
+    pub(crate) fn resident_charge(&self) -> u64 {
+        self.slots
+            .iter()
+            .map(|slot| match &*slot.read() {
+                Slot::Resident { bytes, .. } => *bytes,
+                Slot::Spilled { .. } => 0,
+            })
+            .sum()
+    }
+}
+
 impl<T> Drop for TrackedStore<T> {
     /// A dropped dataset returns its resident charges to the ledger.
     /// Without this, dead stores pin ledger bytes no reclaim can ever
     /// find — their `Weak` registration has already expired — and the
     /// accountant slowly fills with ghost charges until any admit fails.
     fn drop(&mut self) {
-        let mut resident = 0u64;
-        for slot in &self.slots {
-            if let Slot::Resident { bytes, .. } = &*slot.read() {
-                resident += *bytes;
-            }
-        }
+        let resident = self.resident_charge();
         if resident > 0 {
             self.acct.credit(resident);
         }

@@ -21,7 +21,7 @@ use crate::context::EngineContext;
 use crate::fault::{FaultKind, FaultSurface};
 use crate::frame::{FrameReader, SpillTicket};
 use crate::shuffle::shuffle;
-use crate::task::{run_stage, Abort, Mode, Task, TaskRun};
+use crate::task::{run_stage, Abort, Task, TaskRun};
 use crate::timing::TaskTimer;
 use gpf_compress::serializer::serialize_batch;
 use gpf_compress::{GpfSerialize, SerializerKind};
@@ -100,10 +100,6 @@ impl<T> Parts<T> {
         (0..self.num()).map(|i| self.part_len(i)).sum()
     }
 
-    fn is_tracked(&self) -> bool {
-        matches!(self, Parts::Tracked(_))
-    }
-
     /// Borrow (plain) or restore (tracked) partition `i`.
     /// `Err((requested, budget))` only when a tracked restore is infeasible
     /// under the installed memory budget.
@@ -138,17 +134,6 @@ impl<T> Parts<T> {
     }
 }
 
-/// How a stage whose tasks read whole partitions schedules them: a tracked
-/// operand means restores, which are admitted one task at a time; plain
-/// operands are borrowed by one parallel wave.
-fn restore_mode(any_tracked: bool) -> Mode {
-    if any_tracked {
-        Mode::Serial
-    } else {
-        Mode::Parallel
-    }
-}
-
 /// A stage's input taken *by value* — the one place that decides how a
 /// consuming operator reaches its records, for the shuffle and the `into_*`
 /// narrow operators alike.
@@ -161,8 +146,8 @@ fn restore_mode(any_tracked: bool) -> Mode {
 /// cell that exactly one task invocation empties.
 /// Anything else — shared, budget-tracked, or faults on — ⇒ `Shared`: tasks
 /// borrow, stream or restore exactly as the borrowed operators do, so a
-/// tracked restore keeps [`restore_mode`]'s one-at-a-time admission. An
-/// operator that hands records on by value clones them; the shuffle, which
+/// tracked restore is admitted, pinned and re-run after a breach as
+/// `run_stage` does it for them. An operator that hands records on by value clones them; the shuffle, which
 /// only reads them, does not.
 pub(crate) enum TaskSource<T> {
     Owned(Vec<Mutex<Vec<T>>>),
@@ -197,7 +182,7 @@ impl<T: Clone> TaskSource<T> {
     /// gathered from its streamed chunks — a chunk is a spill frame decoded
     /// into a buffer the next frame reuses, so it cannot be borrowed past
     /// the callback, and restoring the partition instead would charge the
-    /// ledger and serialize the stage.
+    /// ledger and pin the partition for the whole task.
     pub(crate) fn with_part<R>(&self, i: usize, f: impl FnOnce(&[T]) -> R) -> R {
         match self {
             TaskSource::Owned(cells) => f(&std::mem::take(&mut *cells[i].lock())),
@@ -352,12 +337,11 @@ fn narrow_stage<U: Send + Sync + 'static>(
     ctx: &Arc<EngineContext>,
     n: usize,
     label: &str,
-    mode: Mode,
     body: impl Fn(usize, &Task<'_>) -> Result<TaskRun<Vec<U>>, Abort> + Sync,
 ) -> Dataset<U> {
     let overhead = ctx.config().per_record_overhead_bytes;
     let surface = Some(FaultSurface::NarrowTask);
-    let outs = run_stage(ctx, label, surface, n, mode, body, |outs| {
+    let outs = run_stage(ctx, label, surface, n, body, |outs| {
         let records: u64 = outs.iter().map(|v| v.len() as u64).sum();
         (records, records * overhead)
     });
@@ -492,21 +476,19 @@ impl<T: Send + Sync + 'static> Dataset<T> {
     /// Core narrow operation: per-partition transform with metric
     /// recording. `f` receives `(partition_index, records)`.
     ///
-    /// Plain partitions are borrowed by one parallel wave. Budget-tracked
-    /// partitions are restored **serially** — at most one restore is
-    /// admitted at a time, so any budget that fits the largest single
-    /// partition stays feasible: under memory pressure the engine
-    /// deliberately trades parallelism for a bounded footprint (graceful
-    /// degradation), and an infeasible restore surfaces as a structured
-    /// budget breach. Element-wise operators avoid even the restore via
+    /// One parallel wave: plain partitions are borrowed, budget-tracked
+    /// ones restored and pinned for the task. A restore that does not fit
+    /// beside the other tasks' pins is re-run after the wave, alone, so any
+    /// budget that fits the largest single partition stays feasible; only
+    /// a restore that does not fit alone surfaces as a structured budget
+    /// breach. Element-wise operators avoid even the restore via
     /// `Dataset::narrow_op_chunked`.
     pub fn narrow_op<U: Send + Sync + 'static>(
         &self,
         label: &str,
         f: impl Fn(usize, &[T]) -> Vec<U> + Send + Sync,
     ) -> Dataset<U> {
-        let mode = restore_mode(self.parts.is_tracked());
-        narrow_stage(&self.ctx, self.parts.num(), label, mode, |i, task| {
+        narrow_stage(&self.ctx, self.parts.num(), label, |i, task| {
             let part = self.parts.get(i)?;
             task.run(AllocTag::Task, || f(i, &part))
         })
@@ -523,7 +505,7 @@ impl<T: Send + Sync + 'static> Dataset<T> {
         label: &str,
         f: impl Fn(usize, usize, &[T]) -> Vec<U> + Send + Sync,
     ) -> Dataset<U> {
-        narrow_stage(&self.ctx, self.parts.num(), label, Mode::Parallel, |i, task| {
+        narrow_stage(&self.ctx, self.parts.num(), label, |i, task| {
             task.run(AllocTag::Task, || {
                 let mut out = Vec::new();
                 let mut offset = 0usize;
@@ -647,7 +629,6 @@ impl<T: Send + Sync + 'static> Dataset<T> {
             "map",
             Some(FaultSurface::NarrowTask),
             n,
-            Mode::Parallel,
             |i, task| {
                 let run = task.run(AllocTag::Task, || {
                     let mut values: Vec<U> = Vec::with_capacity(self.parts.part_len(i));
@@ -764,7 +745,6 @@ impl<T: Send + Sync + 'static> Dataset<T> {
             &format!("{label}(read)"),
             None,
             n,
-            Mode::Parallel,
             |i, task| task.run(AllocTag::Spill, || read_back(i)),
             |outs| {
                 let records: u64 = outs.iter().map(|(v, _, _)| v.len() as u64).sum();
@@ -866,7 +846,7 @@ impl<T: Send + Sync + 'static> Dataset<T> {
         let Dataset { ctx, parts } = self;
         let n = parts.num();
         let source = TaskSource::new(&ctx, parts);
-        narrow_stage(&ctx, n, label, Mode::Parallel, |i, task| {
+        narrow_stage(&ctx, n, label, |i, task| {
             task.run(AllocTag::Task, || {
                 let mut out = Vec::new();
                 let mut offset = 0usize;
@@ -928,7 +908,9 @@ impl<T: Send + Sync + 'static> Dataset<T> {
     /// Consuming [`Dataset::map_partitions`]: `f` receives each partition
     /// as an owned vector — the partition itself when this handle holds the
     /// last reference, a clone of the borrowed (or, under a budget,
-    /// serially restored) partition otherwise.
+    /// restored) partition otherwise. Tracked restores run in the stage's
+    /// one wave, a breached one again alone after it, as for
+    /// [`Dataset::narrow_op`].
     pub fn into_map_partitions<U: Send + Sync + 'static>(
         self,
         f: impl Fn(Vec<T>) -> Vec<U> + Send + Sync,
@@ -937,9 +919,9 @@ impl<T: Send + Sync + 'static> Dataset<T> {
         T: Clone,
     {
         let Dataset { ctx, parts } = self;
-        let (n, mode) = (parts.num(), restore_mode(parts.is_tracked()));
+        let n = parts.num();
         let source = TaskSource::new(&ctx, parts);
-        narrow_stage(&ctx, n, "mapPartitions", mode, |i, task| {
+        narrow_stage(&ctx, n, "mapPartitions", |i, task| {
             let part = source.part(i)?;
             task.run(AllocTag::Task, || f(part.take_or_clone()))
         })
@@ -950,9 +932,10 @@ impl<T: Send + Sync + 'static> Dataset<T> {
     /// Both sides are taken by value, each moved or cloned on its own
     /// ownership (`TaskSource` decides).
     ///
-    /// With either side budget-tracked the zip runs pairwise-*serially*: at
-    /// most one left/right partition pair is resident at a time, so the
-    /// working set is bounded by the largest pair — not the whole
+    /// With either side budget-tracked, each task restores and pins its
+    /// left/right pair in the stage's one wave. A pair that does not fit
+    /// beside the other tasks' pins is re-run after the wave, alone, so any
+    /// budget that fits the largest pair stays feasible — not the whole
     /// right-hand dataset, which is what pinning every restore up front
     /// would cost.
     pub fn into_zip_partitions<U, V>(
@@ -972,9 +955,8 @@ impl<T: Send + Sync + 'static> Dataset<T> {
         );
         let Dataset { ctx, parts } = self;
         let n = parts.num();
-        let mode = restore_mode(parts.is_tracked() || other.parts.is_tracked());
         let (left, right) = (TaskSource::new(&ctx, parts), TaskSource::new(&ctx, other.parts));
-        narrow_stage(&ctx, n, "zipPartitions", mode, |i, task| {
+        narrow_stage(&ctx, n, "zipPartitions", |i, task| {
             let (l, r) = (left.part(i)?, right.part(i)?);
             task.run(AllocTag::Task, || f(i, l.take_or_clone(), r.take_or_clone()))
         })

@@ -7,10 +7,13 @@
 //! (`scripts/ci.sh` does, beside `gpf-check`'s own models).
 //! `GPF_CHECK_SCHEDULES=<n>` overrides the per-model schedule budget.
 
+use crate::budget::{BudgetAccountant, TrackedParts, TrackedStore};
 use crate::dataset::{FoldGroups, TaskSource};
 use gpf_check::explore::{Explorer, Failure, Report};
+use gpf_compress::{GpfSerialize, SerializerKind};
 use gpf_support::chk::thread as chk_thread;
 use gpf_support::sync::Mutex;
+use std::sync::Arc;
 
 const SCHEDULES: usize = 10_000;
 
@@ -83,4 +86,57 @@ fn model_fold_groups_fold_every_value_once() {
     let report = pass(Explorer::exhaustive(3).check("model_fold_groups_exhaustive", model), "FoldGroups (exhaustive)");
     assert!(report.schedules > 1, "exploration must actually branch");
     pass(Explorer::random(0xF01D_6209, SCHEDULES).check("model_fold_groups", model), "FoldGroups");
+}
+
+/// `TrackedStore` under concurrent restores, as a budgeted stage's wave
+/// makes them: two tasks restore the same spilled slot and then another,
+/// in opposite orders, while a third streams the resident slot (pinning it
+/// as it reads), under an accountant that fits the one large partition plus
+/// a little. Every read returns its partition's records or breaches
+/// against a pin; a breached read re-run alone after the join succeeds.
+/// The ledger never passes the budget, and once every pin is dropped it
+/// holds exactly the resident slots' charges: the lost race's refund and
+/// `shed`'s credits neither leak nor count twice.
+#[test]
+fn model_tracked_store_restores_stay_within_the_ledger() {
+    // One worker: the build's ticket writes run inline, so the explored
+    // threads are the three below.
+    std::env::set_var("GPF_PAR_THREADS", "1");
+    let parts = || vec![(0..24u64).collect::<Vec<u64>>(), (100..106).collect(), (200..206).collect()];
+    let model = || {
+        let want = parts();
+        let budget = want[0].resident_bytes() as u64 + 16;
+        let acct = Arc::new(BudgetAccountant::new(budget));
+        let store = TrackedStore::build(parts(), SerializerKind::Gpf, 0, Arc::clone(&acct), None);
+        assert!(!store.is_spilled(0) && store.is_spilled(1) && store.is_spilled(2));
+        let breached: Mutex<Vec<usize>> = Mutex::new(Vec::new());
+        let read = |i: usize| match store.read(i) {
+            Ok(part) => assert_eq!(*part, want[i], "slot {i}"),
+            Err(err) => {
+                assert_eq!(err, (want[i].resident_bytes() as u64, budget), "slot {i}");
+                breached.lock().push(i);
+            }
+        };
+        chk_thread::scope(|s| {
+            s.spawn(|| read(1));
+            s.spawn(|| read(1));
+            s.spawn(|| {
+                let mut seen = Vec::new();
+                store.stream(0, &mut |chunk| seen.extend_from_slice(chunk));
+                assert_eq!(seen, want[0], "streamed slot 0");
+            });
+        });
+        for i in breached.into_inner() {
+            let rerun = store.read(i).map(|part| part.to_vec());
+            assert_eq!(rerun, Ok(want[i].clone()), "a restore of slot {i} alone fits the budget");
+        }
+        assert!(acct.peak() <= budget, "ledger peak {} over budget {budget}", acct.peak());
+        assert_eq!(acct.used(), store.resident_charge(), "the ledger holds exactly the resident charges");
+    };
+    let report = pass(
+        Explorer::exhaustive(3).check("model_tracked_store_restores_exhaustive", model),
+        "TrackedStore restores (exhaustive)",
+    );
+    assert!(report.schedules > 1, "exploration must actually branch");
+    pass(Explorer::random(0x5B11_2E57, SCHEDULES).check("model_tracked_store_restores", model), "TrackedStore restores");
 }

@@ -32,7 +32,7 @@ use crate::context::EngineContext;
 use crate::dataset::{output_parts, Dataset, Parts, TaskSource};
 use crate::fault::{corrupt_bit, FaultKind, FaultPlan, FaultSurface};
 use crate::frame::{fnv64, verify_decode};
-use crate::task::{run_stage, Mode};
+use crate::task::run_stage;
 use crate::timing::TaskTimer;
 use gpf_compress::{ByteWriter, GpfSerialize, SerializerKind};
 use gpf_trace::alloc::{self, AllocTag};
@@ -246,7 +246,6 @@ where
         label,
         Some(FaultSurface::ShuffleMap),
         n_in,
-        Mode::Parallel,
         |i, task| task.run(AllocTag::Shuffle, || map_task(i)),
         |_| (records, 0),
     ) else {
@@ -305,7 +304,6 @@ where
         &format!("{label}(read)"),
         None,
         nparts,
-        Mode::Parallel,
         |t, task| task.run(AllocTag::Serde, || reduce_task(t)),
         // Deserialized shuffle data is fresh heap churn (the GC driver).
         |outs| {

@@ -80,19 +80,6 @@ impl From<(u64, u64)> for Abort {
     }
 }
 
-/// How a stage schedules its tasks.
-#[derive(Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Mode {
-    /// One parallel wave over [`gpf_support::par`].
-    Parallel,
-    /// One task at a time on the calling thread, stopping at the first
-    /// failure: a stage that restores budget-tracked partitions keeps at
-    /// most one task's restores admitted, so any budget that fits the
-    /// largest single task stays feasible. Trades parallelism for a
-    /// bounded footprint.
-    Serial,
-}
-
 /// One task's coordinates, handed to the stage body by [`run_stage`].
 pub(crate) struct Task<'a> {
     /// Fault plan and surface when this task runs under retry; `None` for
@@ -177,6 +164,12 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// instant carries. `surface` puts the stage's tasks under the fault plan
 /// (bounded retry) when faults are configured.
 ///
+/// Every stage is one parallel wave over [`gpf_support::par`]. A restore
+/// that breaches in the wave may only have met other tasks' pins, so its
+/// task is run again once the wave is over, alone and in index order, when
+/// no other task holds a pin: a budget that fits the largest single task
+/// stays feasible, and only a breach on that serial re-run fails the stage.
+///
 /// Returns `None` when the pipeline has failed — before this stage (nothing
 /// runs) or in it (the failure is recorded on `ctx`) — and the caller
 /// propagates the empty placeholder dataset.
@@ -185,7 +178,6 @@ pub(crate) fn run_stage<R: Send>(
     label: &str,
     surface: Option<FaultSurface>,
     n: usize,
-    mode: Mode,
     body: impl Fn(usize, &Task<'_>) -> Result<TaskRun<R>, Abort> + Sync,
     account: impl FnOnce(&[R]) -> (u64, u64),
 ) -> Option<Vec<R>> {
@@ -195,24 +187,27 @@ pub(crate) fn run_stage<R: Send>(
     let stage = ctx.current_stage();
     let retry = ctx.faults().zip(surface);
     let run_one = |i: usize| body(i, &Task { retry, label, stage, partition: i as u32 });
-    let runs: Result<Vec<TaskRun<R>>, Abort> = match mode {
-        Mode::Parallel => par::map_range(n, run_one).into_iter().collect(),
-        Mode::Serial => (0..n).map(run_one).collect(),
-    };
-    let runs = match runs {
-        Ok(runs) => runs,
-        Err(Abort::Breach { requested, budget }) => {
-            let operator = label.to_string();
-            ctx.fail(Failure::Budget(BudgetBreach { stage, operator, requested, budget }));
-            return None;
+    let mut runs = Vec::with_capacity(n);
+    for (i, run) in par::map_range(n, run_one).into_iter().enumerate() {
+        let run = match run {
+            Err(Abort::Breach { .. }) => run_one(i),
+            run => run,
+        };
+        match run {
+            Ok(run) => runs.push(run),
+            Err(Abort::Breach { requested, budget }) => {
+                let operator = label.to_string();
+                ctx.fail(Failure::Budget(BudgetBreach { stage, operator, requested, budget }));
+                return None;
+            }
+            Err(Abort::Task(err)) => {
+                let retries = err.attempts.len() as u64;
+                ctx.record_fault_event(tn::TASK_RETRIES, stage, err.partition, retries);
+                ctx.fail(Failure::Task(err));
+                return None;
+            }
         }
-        Err(Abort::Task(err)) => {
-            let retries = err.attempts.len() as u64;
-            ctx.record_fault_event(tn::TASK_RETRIES, stage, err.partition, retries);
-            ctx.fail(Failure::Task(err));
-            return None;
-        }
-    };
+    }
     if retry.is_some() {
         // Recovery events are emitted driver-side so the session trace
         // stays in deterministic order.

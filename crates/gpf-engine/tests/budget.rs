@@ -7,8 +7,11 @@
 //! bounding, infeasible-budget structured errors, and the breach message.
 
 use gpf_engine::{Dataset, EngineConfig, EngineContext, Failure, FaultPlan};
+use gpf_support::par;
 use gpf_support::proptest::prelude::*;
-use std::sync::Arc;
+use gpf_trace::names as tn;
+use std::sync::{Arc, Mutex};
+use std::thread;
 
 /// Approximate materialized footprint of the input: the record payload is
 /// what the accountant charges (16 bytes per `(u64, u64)`), and the exact
@@ -133,4 +136,78 @@ fn infeasible_budget_breaches_cleanly_with_pinned_message() {
     );
     assert!(text.contains(&format!("budget {budget} bytes")), "{text}");
     assert!(text.contains(&format!("requested {} bytes", breach.requested)), "{text}");
+}
+
+/// The ledger charge of one of `parts` equal partitions of `data`, read off
+/// an accountant that never refuses.
+fn one_partition_charge(data: &[(u64, u64)], parts: usize) -> u64 {
+    let ctx = EngineContext::new(EngineConfig::default().with_memory_budget(u64::MAX));
+    let d = Dataset::from_vec(Arc::clone(&ctx), data.to_vec(), parts).evictable();
+    assert_eq!(d.spilled_partitions(), 0);
+    ctx.accountant().expect("budget installs an accountant").peak() / parts as u64
+}
+
+/// Under a budget, a whole-partition stage over evicted partitions runs
+/// in the parallel wave like any other stage: no task runs on the calling
+/// thread. The budget fits all four restores at once, so none is re-run.
+#[test]
+fn budgeted_whole_partition_stage_runs_in_the_parallel_wave() {
+    if par::max_threads() < 2 {
+        return;
+    }
+    let data: Vec<(u64, u64)> = (0..4000u64).map(|i| (i % 31, i.wrapping_mul(0x9E37_79B9))).collect();
+    let one = one_partition_charge(&data, 4);
+    let ctx = EngineContext::new(EngineConfig::default().with_memory_budget(4 * one + 64));
+    let d = Dataset::from_vec(Arc::clone(&ctx), data.clone(), 4).evictable();
+    // A second dataset as large evicts the first to make room, so the
+    // stage below restores every partition.
+    let other = Dataset::from_vec(Arc::clone(&ctx), data.clone(), 4).evictable();
+    assert_eq!(d.spilled_partitions(), 4);
+    let caller = thread::current().id();
+    let ran_on: Mutex<Vec<thread::ThreadId>> = Mutex::new(Vec::new());
+    let out = d.map_partitions(|p| {
+        ran_on.lock().unwrap().push(thread::current().id());
+        p.iter().map(|kv| (kv.0, kv.1 ^ 0xff)).collect()
+    });
+    assert_eq!(ctx.take_failure(), None);
+    let want: Vec<(u64, u64)> = data.iter().map(|kv| (kv.0, kv.1 ^ 0xff)).collect();
+    assert_eq!(out.collect_local(), want);
+    let ran_on = ran_on.into_inner().unwrap();
+    assert_eq!(ran_on.len(), 4);
+    assert!(!ran_on.contains(&caller), "a budgeted whole-partition task ran on the calling thread");
+    assert_eq!(other.len(), data.len());
+}
+
+/// A budget that fits one partition's restore but not two: the wave's
+/// restores meet each other's pins and breach, and each breached task is
+/// re-run alone after the wave, so the stage finishes with the unbudgeted
+/// output and no failure. A task on a worker holds its pin until some
+/// restore has breached: only one partition fits, so whichever task pins
+/// first, the next restore on another worker breaches against it. (The
+/// counter is process-wide, so another test's breach can only end the wait
+/// early; the re-runs run on the calling thread and never wait.)
+#[test]
+fn restores_that_meet_another_tasks_pin_are_re_run_alone() {
+    let data: Vec<(u64, u64)> = (0..4000u64).map(|i| (i % 31, i.wrapping_mul(0x2545_f491))).collect();
+    let one = one_partition_charge(&data, 4);
+    let ctx = EngineContext::new(EngineConfig::default().with_memory_budget(one + one / 2));
+    let d = Dataset::from_vec(Arc::clone(&ctx), data.clone(), 4).evictable();
+    assert_eq!(d.spilled_partitions(), 3);
+    let breaches = || gpf_trace::counter(tn::MEM_BUDGET_BREACH).get();
+    let before = breaches();
+    let caller = thread::current().id();
+    let out = d.map_partitions_with_index(|_, p| {
+        while thread::current().id() != caller && breaches() == before {
+            thread::yield_now();
+        }
+        p.iter().map(|kv| (kv.1, kv.0)).collect()
+    });
+    assert_eq!(ctx.take_failure(), None, "a restore that fits alone never fails the stage");
+    let want: Vec<(u64, u64)> = data.iter().map(|kv| (kv.1, kv.0)).collect();
+    assert_eq!(out.collect_local(), want);
+    if par::max_threads() >= 2 {
+        assert!(breaches() > before, "the wave's restores must have met a pin");
+    }
+    let acct = ctx.accountant().expect("budget installs an accountant");
+    assert!(acct.peak() <= one + one / 2);
 }

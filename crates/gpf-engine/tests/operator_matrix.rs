@@ -12,8 +12,8 @@
 //! sole-owned shuffle input — is itself held to the pure-function seed
 //! shuffle in `shuffle_oracle/`: its `partitionBy` checkpoint and that
 //! stage's two byte vectors are the oracle's. The engine's configuration
-//! axes select execution strategy (move vs clone vs stream, parallel vs
-//! serial restore, checksum-and-recompute), never results — this test pins
+//! axes select execution strategy (move vs clone vs stream, a restore in
+//! the wave vs its re-run alone, checksum-and-recompute), never results — this test pins
 //! that for the whole operator surface at once, where the
 //! chaos/budget/skew batteries pin it per mechanism.
 //!
@@ -95,8 +95,8 @@ fn job(ctx: &Arc<EngineContext>, data: &[Rec], shared: bool) -> Outcome {
     let m = shuffle_input(&d);
     let _keep = shared.then(|| m.clone());
     let p = m.into_partition_by(SHUFFLE_PARTS, route);
-    // Whole-partition narrow op over a shuffle output (restores serially
-    // under a budget).
+    // Whole-partition narrow op over a shuffle output (restores under a
+    // budget, a breached one re-run alone after the wave).
     let w = p.map_partitions(|part| {
         let mut v = part.to_vec();
         v.sort_by_key(|kv| kv.1);
@@ -211,7 +211,7 @@ fn every_operator_agrees_across_faults_budget_and_ownership() {
     assert_plain_cell_matches_oracle(&data, &plain, &plain_shape);
 
     // About a third of the widest intermediate's footprint: forces spills,
-    // streamed maps and serial restores, yet fits the largest zip pair.
+    // streamed maps and re-run restores, yet fits the largest zip pair.
     let tight = data.len() as u64 * 16 / 3;
     let plans: [(&str, Option<FaultPlan>); 5] = [
         ("faults off", None),
