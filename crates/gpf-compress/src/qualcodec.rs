@@ -106,18 +106,17 @@ impl QualityCodec {
     /// writer alive and [`BitWriter::clear`] it between records instead of
     /// allocating a stream per call.
     ///
-    /// Each delta's code comes from one table load and is appended to a
-    /// local accumulator, which hands the writer 32 bits at a time; the
-    /// bits are those of writing each code on its own.
+    /// Each delta's code is one table load, appended to a local
+    /// accumulator that hands the writer 32 bits at a time: the stream is
+    /// bit for bit that of writing each code on its own.
     ///
     /// Returns an error if any character is outside `[MIN_QUAL_CHAR,
-    /// MAX_QUAL_CHAR]`; the codes of the characters before it are written.
+    /// MAX_QUAL_CHAR]`; the writer then holds an unfinished stream.
     pub fn encode(&self, qual: &[u8], w: &mut BitWriter) -> Result<(), CodecError> {
-        // Pending bits, right-aligned: the low `nbits` of `acc` (< 32
-        // between codes, so a 24-bit code never overflows it).
-        let mut acc = 0u64;
-        let mut nbits = 0u32;
-        let mut push = |entry: u32, w: &mut BitWriter| {
+        // Pending bits in the low `nbits` of `acc`: fewer than 32 between
+        // codes, so a code of up to 24 bits always fits.
+        let (mut acc, mut nbits) = (0u64, 0u32);
+        let mut push = |entry: u32| {
             let len = entry & 0xFF;
             acc = acc << len | (entry >> 8) as u64;
             nbits += len;
@@ -127,23 +126,16 @@ impl QualityCodec {
             }
         };
         let mut prev = 0i32;
-        let mut out_of_range = None;
         for &c in qual {
             if !(MIN_QUAL_CHAR..=MAX_QUAL_CHAR).contains(&c) {
-                out_of_range = Some(c);
-                break;
+                return Err(CodecError::SymbolOutOfRange { symbol: c as i32 });
             }
-            push(self.codes[delta_to_symbol(c as i32 - prev) as usize], w);
+            push(self.codes[delta_to_symbol(c as i32 - prev) as usize]);
             prev = c as i32;
         }
-        if out_of_range.is_none() {
-            push(self.codes[EOF_SYMBOL as usize], w);
-        }
+        push(self.codes[EOF_SYMBOL as usize]);
         w.write_bits(acc as u32, nbits as u8);
-        match out_of_range {
-            Some(c) => Err(CodecError::SymbolOutOfRange { symbol: c as i32 }),
-            None => Ok(()),
-        }
+        Ok(())
     }
 
     /// Decode one quality string (terminated by EOF).
@@ -290,12 +282,11 @@ mod tests {
     }
 
     /// The table-driven encoder writes exactly each delta's canonical code
-    /// in turn — across many 32-bit hand-offs and every delta magnitude —
-    /// and an out-of-range character stops it after the codes before it.
+    /// in turn, across many 32-bit hand-offs and every delta magnitude.
     #[test]
     fn table_encode_writes_each_code_in_turn() {
         let codec = QualityCodec::default_codec();
-        let per_code = |qual: &[u8], eof: bool| {
+        let per_code = |qual: &[u8]| {
             let mut w = BitWriter::new();
             let mut prev = 0i32;
             let symbols = qual.iter().map(|&c| {
@@ -303,7 +294,7 @@ mod tests {
                 prev = c as i32;
                 s
             });
-            for s in symbols.chain(eof.then_some(EOF_SYMBOL)) {
+            for s in symbols.chain([EOF_SYMBOL]) {
                 let (code, len) = codec.huff.code(s).unwrap();
                 w.write_bits(code, len);
             }
@@ -318,19 +309,14 @@ mod tests {
             [MIN_QUAL_CHAR, 33, 60, 70, 70, 70, 71, 69, MAX_QUAL_CHAR][(x % 9) as usize]
         }));
         for n in [0, 1, 7, 31, 126, 252, qual.len()] {
-            assert_eq!(codec.encode_to_bytes(&qual[..n]).unwrap(), per_code(&qual[..n], true), "n = {n}");
+            assert_eq!(codec.encode_to_bytes(&qual[..n]).unwrap(), per_code(&qual[..n]), "n = {n}");
         }
-        for bad in [0u8, 127, 200] {
-            let mut input = qual[..300].to_vec();
-            input.push(bad);
-            input.extend_from_slice(b"IIII");
-            let mut w = BitWriter::new();
-            assert!(matches!(
-                codec.encode(&input, &mut w),
-                Err(CodecError::SymbolOutOfRange { symbol }) if symbol == bad as i32
-            ));
-            assert_eq!(w.into_bytes(), per_code(&qual[..300], false));
-        }
+        let mut late_bad = qual.clone();
+        late_bad.push(0);
+        assert!(matches!(
+            codec.encode_to_bytes(&late_bad),
+            Err(CodecError::SymbolOutOfRange { symbol: 0 })
+        ));
     }
 
     #[test]
