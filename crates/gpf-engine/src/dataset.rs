@@ -146,9 +146,9 @@ impl<T> Parts<T> {
 /// cell that exactly one task invocation empties.
 /// Anything else — shared, budget-tracked, or faults on — ⇒ `Shared`: tasks
 /// borrow, stream or restore exactly as the borrowed operators do, so a
-/// tracked restore is admitted, pinned and re-run after a breach as
-/// `run_stage` does it for them. An operator that hands records on by value clones them; the shuffle, which
-/// only reads them, does not.
+/// tracked restore that breaches in the wave is re-run alone, as theirs
+/// is. An operator that hands records on by value clones them; the
+/// shuffle, which only reads them, does not.
 pub(crate) enum TaskSource<T> {
     Owned(Vec<Mutex<Vec<T>>>),
     Shared(Parts<T>),
