@@ -175,7 +175,8 @@ fn budgeted_whole_partition_stage_runs_in_the_parallel_wave() {
     let ran_on = ran_on.into_inner().unwrap();
     assert_eq!(ran_on.len(), 4);
     assert!(!ran_on.contains(&caller), "a budgeted whole-partition task ran on the calling thread");
-    assert_eq!(other.len(), data.len());
+    // Held through the stage: its partitions are what the restores evict.
+    drop(other);
 }
 
 /// A budget that fits one partition's restore but not two: the wave's
