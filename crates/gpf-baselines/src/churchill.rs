@@ -189,6 +189,44 @@ mod tests {
         assert!(run.total_shuffle_bytes() > 0);
     }
 
+    /// What the cluster simulator reads of a Churchill run, pinned on a
+    /// small genome whose hotspot region holds more reads than one spill
+    /// frame: each stage's kind, task count and shuffle-write bytes, and
+    /// the bytes collected to the driver.
+    #[test]
+    fn churchill_dataflow_is_pinned() {
+        use gpf_engine::StageKind::{Collect, Shuffle};
+        let reference = Arc::new(
+            ReferenceSpec { contig_lengths: vec![20_000], seed: 23, ..Default::default() }.generate(),
+        );
+        let donor = DonorGenome::generate(&reference, &VariantSpec::default());
+        let pairs = simulate_fastq_pairs(
+            &reference,
+            &donor,
+            SimulatorConfig {
+                coverage: 6.0,
+                hotspot_count: 1,
+                hotspot_multiplier: 20.0,
+                hotspot_len: 2_000,
+                ..Default::default()
+            },
+        );
+        let (_, run) = ChurchillPipeline::new(Arc::clone(&reference), 5_000, 4).run(&pairs, &[]);
+        let stages: Vec<_> =
+            run.stages.iter().map(|s| (s.kind, s.num_tasks(), s.total_shuffle_write())).collect();
+        let want = vec![
+            (Shuffle, 4, 321_375),
+            (Shuffle, 4, 321_387),
+            (Shuffle, 4, 321_374),
+            (Shuffle, 4, 321_457),
+            (Shuffle, 4, 321_457),
+            (Shuffle, 4, 321_457),
+            (Collect, 4, 123),
+        ];
+        assert_eq!(stages, want);
+        assert_eq!(run.total_shuffle_bytes(), 1_928_630);
+    }
+
     #[test]
     fn static_partitions_skew_under_hotspots() {
         let reference = Arc::new(

@@ -195,8 +195,8 @@ mod tests {
 
     /// BQSR and realignment under each flavor, pinned: the bundle build's
     /// three shuffles, BQSR's one collect and broadcast of the merged
-    /// table, ADAM's two conversion barriers, and the bytes each serializer
-    /// writes.
+    /// table, ADAM's and Persona's two conversion barriers, and the bytes
+    /// each serializer writes.
     #[test]
     fn bqsr_and_realign_dataflow_is_pinned_per_flavor() {
         use StageKind::{Collect, Final, Shuffle};
@@ -216,12 +216,33 @@ mod tests {
             vec![(Shuffle, 4), (Shuffle, 4), (Shuffle, 10), (Shuffle, 10), (Shuffle, 10), (Final, 10)];
         let want = [
             (Flavor::Gpf, (5, bqsr.clone(), 52_116, 1_670, 170), (4, realign.clone(), 50_446, 0, 0)),
-            (Flavor::AdamLike, (7, adam_bqsr, 288_116, 1_670, 170), (6, adam_realign, 286_446, 0, 0)),
+            (Flavor::AdamLike, (7, adam_bqsr.clone(), 288_116, 1_670, 170), (6, adam_realign.clone(), 286_446, 0, 0)),
             (Flavor::Gatk4Like, (5, bqsr, 110_516, 1_670, 170), (4, realign, 108_846, 0, 0)),
+            (Flavor::PersonaLike, (7, adam_bqsr, 288_116, 1_670, 170), (6, adam_realign, 286_446, 0, 0)),
         ];
         for (flavor, bqsr, realign) in want {
             assert_eq!(dataflow(&run_bqsr(flavor, &input)), bqsr, "{flavor:?} bqsr");
             assert_eq!(dataflow(&run_realign(flavor, &input)), realign, "{flavor:?} realign");
+        }
+    }
+
+    /// MarkDuplicate under each flavor, pinned: its signature shuffle, the
+    /// collect of the duplicate set, the conversion barriers around ADAM's
+    /// and Persona's runs, and the bytes each serializer writes.
+    #[test]
+    fn markdup_dataflow_is_pinned_per_flavor() {
+        use StageKind::{Collect, Final, Shuffle};
+        let input = input();
+        let markdup = vec![(Shuffle, 4), (Collect, 4), (Final, 4)];
+        let converted = vec![(Shuffle, 4), (Shuffle, 4), (Collect, 4), (Shuffle, 4), (Final, 4)];
+        let want = [
+            (Flavor::Gpf, (3, markdup.clone(), 8_010, 4, 6)),
+            (Flavor::AdamLike, (5, converted.clone(), 185_604, 4, 6)),
+            (Flavor::Gatk4Like, (3, markdup, 8_010, 4, 6)),
+            (Flavor::PersonaLike, (5, converted, 185_604, 4, 6)),
+        ];
+        for (flavor, markdup) in want {
+            assert_eq!(dataflow(&run_markdup(flavor, &input)), markdup, "{flavor:?} markdup");
         }
     }
 
