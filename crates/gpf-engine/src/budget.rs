@@ -213,9 +213,6 @@ pub(crate) trait TrackedParts<T>: Send + Sync {
     fn stream(&self, i: usize, f: &mut dyn FnMut(&[T]));
     /// Whether partition `i` is currently evicted (test/bench visibility).
     fn is_spilled(&self, i: usize) -> bool;
-    /// Serialized bytes currently held in spill frames across all evicted
-    /// partitions (test/bench visibility; what `fsmodel` prices).
-    fn spilled_bytes(&self) -> u64;
 }
 
 /// An evictable partition store: the tracked backing of a `Dataset`.
@@ -385,16 +382,6 @@ impl<T: GpfSerialize + Send + Sync + 'static> TrackedParts<T> for TrackedStore<T
     fn is_spilled(&self, i: usize) -> bool {
         matches!(&*self.slots[i].read(), Slot::Spilled { .. })
     }
-
-    fn spilled_bytes(&self) -> u64 {
-        self.slots
-            .iter()
-            .map(|s| match &*s.read() {
-                Slot::Spilled { ticket, .. } => ticket.spilled_bytes(),
-                Slot::Resident { .. } => 0,
-            })
-            .sum()
-    }
 }
 
 impl<T> TrackedStore<T> {
@@ -557,25 +544,11 @@ mod tests {
         assert_eq!(seen, parts[0], "damaged read-backs must recover byte-identically");
     }
 
-    /// Stored bytes that fail verification end the re-read loop at once:
-    /// the barrier recomputes that partition from lineage, a store — which
-    /// has none — panics naming the frame.
+    /// Stored bytes that fail verification end the re-read loop at once: a
+    /// store, which has no lineage to recompute from, panics naming the
+    /// frame.
     #[test]
-    fn a_frame_damaged_at_rest_is_recomputed_by_the_barrier_and_fatal_in_a_store() {
-        use crate::{Dataset, EngineConfig, EngineContext};
-        let site = FaultSite { stage: 0, partition: 1, attempt: 0, kind: FaultKind::CorruptSpill };
-        let ctx = EngineContext::new(EngineConfig::default().with_faults(FaultPlan::explicit(vec![site])));
-        let d = Dataset::from_vec(Arc::clone(&ctx), (0u64..6000).collect(), 2);
-        assert_eq!(d.barrier_via_disk("spill").collect_local(), d.collect_local());
-        let (_, trace) = ctx.take_run_traced();
-        let recomputed: Vec<Option<u64>> = trace
-            .events
-            .iter()
-            .filter(|e| &*e.name == tn::SHUFFLE_RECOMPUTED)
-            .map(|e| e.counter("part"))
-            .collect();
-        assert_eq!(recomputed, vec![Some(1)], "exactly the damaged partition is recomputed");
-
+    fn a_frame_damaged_at_rest_is_fatal_in_a_store() {
         let parts: Vec<Vec<u64>> = vec![(0..3000).collect()];
         let one = parts[0].resident_bytes() as u64;
         let (_acct, store) = store_with(one / 2, parts, None);

@@ -18,8 +18,7 @@
 
 use crate::budget::{TrackedParts, TrackedStore};
 use crate::context::EngineContext;
-use crate::fault::{FaultKind, FaultSurface};
-use crate::frame::{FrameReader, SpillTicket};
+use crate::fault::FaultSurface;
 use crate::shuffle::shuffle;
 use crate::task::{run_stage, Abort, Task, TaskRun};
 use crate::timing::TaskTimer;
@@ -121,16 +120,24 @@ impl<T> Parts<T> {
         }
     }
 
-    /// Materialize one partition as an owned vector by streaming (transient
-    /// copy; never charges the ledger). Used by the barrier: its lineage
-    /// recompute, and its ticket writes over a tracked input.
-    fn part_to_vec(&self, i: usize) -> Vec<T>
+    /// Run `f` over partition `i` as one slice, read by reference: a plain
+    /// partition is borrowed where it sits, a tracked one gathered from its
+    /// streamed chunks — a chunk is a spill frame decoded into a buffer the
+    /// next frame reuses, so it cannot be borrowed past the callback, and
+    /// restoring the partition instead would charge the ledger and pin it
+    /// for the whole call.
+    pub(crate) fn with_part<R>(&self, i: usize, f: impl FnOnce(&[T]) -> R) -> R
     where
         T: Clone,
     {
-        let mut out = Vec::with_capacity(self.part_len(i));
-        self.stream(i, &mut |chunk| out.extend_from_slice(chunk));
-        out
+        match self {
+            Parts::Plain(v) => f(&v[i]),
+            Parts::Tracked(_) => {
+                let mut gathered = Vec::with_capacity(self.part_len(i));
+                self.stream(i, &mut |chunk| gathered.extend_from_slice(chunk));
+                f(&gathered)
+            }
+        }
     }
 }
 
@@ -178,16 +185,11 @@ impl<T: Clone> TaskSource<T> {
 
     /// Run `f` over partition `i` as one slice, read by reference. An owned
     /// partition is taken out of its cell and dropped when `f` returns; a
-    /// shared plain one is borrowed where it sits. A tracked partition is
-    /// gathered from its streamed chunks — a chunk is a spill frame decoded
-    /// into a buffer the next frame reuses, so it cannot be borrowed past
-    /// the callback, and restoring the partition instead would charge the
-    /// ledger and pin the partition for the whole task.
+    /// shared one is borrowed or gathered by [`Parts::with_part`].
     pub(crate) fn with_part<R>(&self, i: usize, f: impl FnOnce(&[T]) -> R) -> R {
         match self {
             TaskSource::Owned(cells) => f(&std::mem::take(&mut *cells[i].lock())),
-            TaskSource::Shared(Parts::Plain(v)) => f(&v[i]),
-            TaskSource::Shared(tracked) => f(&tracked.part_to_vec(i)),
+            TaskSource::Shared(parts) => parts.with_part(i, f),
         }
     }
 
@@ -260,8 +262,8 @@ impl<A> FoldGroups<A> {
 
 /// Wrap freshly produced output partitions: budget-tracked (evictable)
 /// when the context has a memory-budget accountant installed, plain
-/// otherwise. Shuffle and barrier outputs route through this, so under a
-/// budget every wide-operation result is an eviction candidate.
+/// otherwise. Every shuffle output routes through this, so under a budget
+/// every wide-operation result is an eviction candidate.
 pub(crate) fn output_parts<T: GpfSerialize + Send + Sync + 'static>(
     ctx: &Arc<EngineContext>,
     parts: Vec<Vec<T>>,
@@ -436,41 +438,18 @@ impl<T: Send + Sync + 'static> Dataset<T> {
         }
     }
 
-    /// Write every partition's spill ticket. Tracked partitions stage
-    /// through a transient streamed copy (nothing is admitted), built
-    /// serially one partition at a time, so the frames are byte-identical
-    /// to the plain representation's under any budget.
-    fn write_tickets(&self, kind: SerializerKind) -> Vec<SpillTicket>
+    /// Serialized size of every partition under `kind`, one batch per
+    /// partition, measured in parallel. A tracked partition is gathered
+    /// from its streamed chunks ([`Parts::with_part`]), so measuring never
+    /// admits (or breaches) anything and reads the same bytes as the plain
+    /// representation under any budget.
+    fn serialized_part_bytes(&self, kind: SerializerKind) -> Vec<u64>
     where
         T: GpfSerialize + Clone,
     {
-        match &self.parts {
-            Parts::Plain(v) => par::map(v, |p| SpillTicket::write(kind, p)),
-            Parts::Tracked(_) => (0..self.parts.num())
-                .map(|i| SpillTicket::write(kind, &self.parts.part_to_vec(i)))
-                .collect(),
-        }
-    }
-
-    /// Serialized size of every partition under `kind`. Tracked partitions
-    /// serialize from streamed chunks serially, so measuring never admits
-    /// (or breaches) anything.
-    fn serialized_part_bytes(&self, kind: SerializerKind) -> Vec<u64>
-    where
-        T: GpfSerialize,
-    {
-        match &self.parts {
-            Parts::Plain(v) => par::map(v, |p| serialize_batch(kind, p).len() as u64),
-            Parts::Tracked(_) => (0..self.parts.num())
-                .map(|i| {
-                    let mut bytes = 0u64;
-                    self.parts.stream(i, &mut |chunk| {
-                        bytes += serialize_batch(kind, chunk).len() as u64;
-                    });
-                    bytes
-                })
-                .collect(),
-        }
+        par::map_range(self.parts.num(), |i| {
+            self.parts.with_part(i, |p| serialize_batch(kind, p).len() as u64)
+        })
     }
 
     /// Core narrow operation: per-partition transform with metric
@@ -576,7 +555,7 @@ impl<T: Send + Sync + 'static> Dataset<T> {
     /// partition's serialized size as driver traffic.
     fn close_stage_to_driver(&self)
     where
-        T: GpfSerialize,
+        T: GpfSerialize + Clone,
     {
         let t0 = now_ns();
         let per_partition = self.serialized_part_bytes(self.ctx.serializer());
@@ -673,98 +652,28 @@ impl<T: Send + Sync + 'static> Dataset<T> {
     /// behind the paper's Table 3.
     pub fn serialized_size(&self, kind: gpf_compress::SerializerKind) -> u64
     where
-        T: GpfSerialize,
+        T: GpfSerialize + Clone,
     {
         self.serialized_part_bytes(kind).into_iter().sum()
     }
 
-    /// Materialize the dataset through "disk": every partition is written
-    /// as a checksummed spill ticket and read back, closing the stage with
-    /// the full framed volume as both shuffle-write and shuffle-read bytes.
+    /// Materialize the dataset through "disk": the shuffle that sends
+    /// partition *i* to partition *i*, so every record is serialized, closes
+    /// the stage as shuffle-write bytes and is read back as the same
+    /// shuffle-read bytes.
     ///
     /// This models classic file-based pipelines (Churchill, HugeSeq,
     /// GATK-Queue) whose steps hand intermediate SAM/BAM files to each other
     /// through the filesystem — the I/O pattern the paper's Table 1 blames
-    /// for their poor scaling.
-    ///
-    /// The read-back is `FrameReader`'s: a read the plan damaged
-    /// (`FaultSurface::SpillRead`) fails its checksum and is re-read. A
-    /// frame damaged *at rest* ([`FaultKind::CorruptSpill`], injected here
-    /// after the checksums were taken) cannot be re-read into shape, so its
-    /// partition is recomputed from the in-memory lineage — `self` still
-    /// holds the pre-spill partitions.
+    /// for their poor scaling. Its "files" are the shuffle's buckets, so
+    /// they fail and recover as buckets do: a write task is retried, and a
+    /// damaged file is recomputed from the input, which the shuffle keeps
+    /// as lineage under faults.
     pub fn barrier_via_disk(&self, label: &str) -> Dataset<T>
     where
         T: GpfSerialize + Clone,
     {
-        let n = self.parts.num();
-        if self.ctx.has_failed() {
-            return Dataset::failed(&self.ctx, n);
-        }
-        let faults = self.ctx.faults();
-        let stage = self.ctx.current_stage();
-        let t0 = now_ns();
-        let mut tickets = self.write_tickets(self.ctx.serializer());
-        // (wall time acceptable here: it feeds the aggregate serde metric,
-        // not per-task durations)
-        self.ctx.record_serde(now_ns().saturating_sub(t0) as f64 * 1e-9);
-        if let Some(plan) = faults {
-            for (i, ticket) in tickets.iter_mut().enumerate() {
-                if plan.decide(stage, i as u32, 0, FaultSurface::Spill) == Some(FaultKind::CorruptSpill)
-                    && ticket.corrupt_at_rest(plan.corruption_salt(stage, i as u32))
-                {
-                    self.ctx.record_fault_event(tn::FAULT_INJECTED, stage, i as u32, 1);
-                }
-            }
-        }
-        let bytes: Vec<u64> = tickets.iter().map(SpillTicket::spilled_bytes).collect();
-        let spilled: u64 = bytes.iter().sum();
-        self.ctx.close_stage_shuffle(label, bytes.clone(), bytes);
-        let read_stage = self.ctx.current_stage();
-        let t1 = now_ns();
-        // One read-back: `(records, damaged reads re-read, recomputed)`.
-        let read_back = |i: usize| -> (Vec<T>, u64, bool) {
-            let mut items = Vec::with_capacity(self.parts.part_len(i));
-            let mut reader = FrameReader::new(faults, read_stage, i);
-            let Err(damaged) = reader.read_all(&tickets[i], &mut items) else {
-                return (items, reader.damaged_reads, false);
-            };
-            if faults.is_none() {
-                // gpf-lint: allow(no-panic): with faults off nothing can
-                // damage a frame written a few lines above; a decode failure
-                // is engine corruption, not an input error.
-                panic!("barrier `{label}`: {damaged:?}");
-            }
-            // Lineage recompute: the pre-spill partition is still resident,
-            // so a lost spill costs one clone, not a rerun.
-            (self.parts.part_to_vec(i), reader.damaged_reads, true)
-        };
-        let overhead = self.ctx.config().per_record_overhead_bytes;
-        let Some(read) = run_stage(
-            &self.ctx,
-            &format!("{label}(read)"),
-            None,
-            n,
-            |i, task| task.run(AllocTag::Spill, || read_back(i)),
-            |outs| {
-                let records: u64 = outs.iter().map(|(v, _, _)| v.len() as u64).sum();
-                (records, spilled + records * overhead)
-            },
-        ) else {
-            return Dataset::failed(&self.ctx, n);
-        };
-        for (i, (_, damaged_reads, recomputed)) in read.iter().enumerate() {
-            if *damaged_reads > 0 {
-                self.ctx.record_fault_event(tn::FAULT_INJECTED, read_stage, i as u32, *damaged_reads);
-                self.ctx.record_fault_event(tn::TASK_RETRIES, read_stage, i as u32, *damaged_reads);
-            }
-            if *recomputed {
-                self.ctx.record_fault_event(tn::SHUFFLE_RECOMPUTED, read_stage, i as u32, 1);
-            }
-        }
-        self.ctx.record_serde(now_ns().saturating_sub(t1) as f64 * 1e-9);
-        let parts = read.into_iter().map(|(v, _, _)| v).collect();
-        Dataset { ctx: Arc::clone(&self.ctx), parts: output_parts(&self.ctx, parts) }
+        shuffle(&self.ctx, self.parts.clone(), self.parts.num(), label, |src, _| src)
     }
 
     /// Opt this dataset into the memory-budget eviction policy: under a
@@ -799,16 +708,6 @@ impl<T: Send + Sync + 'static> Dataset<T> {
         }
     }
 
-    /// Serialized bytes currently sitting in spill frames for this dataset
-    /// (`0` for plain datasets). This is the volume `fsmodel`'s spill cost
-    /// model prices.
-    pub fn spilled_bytes(&self) -> u64 {
-        match &self.parts {
-            Parts::Plain(_) => 0,
-            Parts::Tracked(s) => s.spilled_bytes(),
-        }
-    }
-
     /// Repartition arbitrary records by an explicit routing function. When
     /// this handle holds the last reference to its partitions, each map task
     /// frees its input partition as soon as it has serialized it, instead of
@@ -825,7 +724,7 @@ impl<T: Send + Sync + 'static> Dataset<T> {
         T: GpfSerialize + Clone,
     {
         let Dataset { ctx, parts } = self;
-        shuffle(&ctx, parts, nparts, "partitionBy", route)
+        shuffle(&ctx, parts, nparts, "partitionBy", move |_, item| route(item))
     }
 
     /// Consuming twin of [`Dataset::narrow_op_chunked`]: `f` receives each
@@ -976,7 +875,7 @@ where
         // so destructuring it hands the shuffle sole ownership of the
         // partitions and each map task frees the one it serialized.
         let Dataset { ctx, parts } = combined;
-        let shuffled = shuffle(&ctx, parts, nparts, "reduceByKey", |kv: &(K, V)| {
+        let shuffled = shuffle(&ctx, parts, nparts, "reduceByKey", |_, kv: &(K, V)| {
             (stable_hash(&kv.0) % nparts as u64) as usize
         });
         shuffled.narrow_op("reduce", |_, p| fold_by_key(p, &f))
@@ -992,7 +891,7 @@ where
         route: impl Fn(&K) -> usize + Send + Sync,
     ) -> Dataset<(K, V)> {
         let Dataset { ctx, parts } = self;
-        shuffle(&ctx, parts, nparts, "partitionByKey", move |kv: &(K, V)| route(&kv.0))
+        shuffle(&ctx, parts, nparts, "partitionByKey", move |_, kv: &(K, V)| route(&kv.0))
     }
 
     /// Range-partition by key and sort each partition — Spark's
@@ -1027,7 +926,7 @@ where
                 .map(|i| sample[(i * sample.len() / nparts).min(sample.len() - 1)].clone())
                 .collect()
         };
-        let shuffled = shuffle(&self.ctx, self.parts.clone(), nparts, "sortByKey", move |kv: &(K, V)| {
+        let shuffled = shuffle(&self.ctx, self.parts.clone(), nparts, "sortByKey", move |_, kv: &(K, V)| {
             bounds.partition_point(|b| *b <= kv.0)
         });
         shuffled.narrow_op("sortPartition", |_, p| {
@@ -1298,6 +1197,28 @@ mod tests {
         let want: Vec<(usize, usize, u64)> =
             (0u64..6000).filter(|x| x % 2 == 0).map(|x| ((x / 3000) as usize, (x % 3000) as usize, x)).collect();
         assert_eq!(at.collect_local(), want);
+    }
+
+    #[test]
+    fn spilled_partitions_measure_and_collect_one_batch_each() {
+        // Two 3000-record partitions under a budget far below one: both
+        // spill, three frames each, and still serialize as one batch apiece.
+        let data: Vec<(u64, u64)> = (0u64..6000).map(|i| (i, i * 7)).collect();
+        for cfg in [EngineConfig::gpf(), EngineConfig::kryo(), EngineConfig::java()] {
+            let kind = cfg.serializer;
+            let measure = |cfg: EngineConfig| {
+                let c = EngineContext::new(cfg);
+                let d = Dataset::from_vec(Arc::clone(&c), data.clone(), 2).evictable();
+                let size = d.serialized_size(kind);
+                assert_eq!(d.collect(), data);
+                (d.spilled_partitions(), size, c.take_run().stages[0].shuffle_write_bytes.clone())
+            };
+            let (spilled, size, collected) = measure(cfg.clone().with_memory_budget(64));
+            let (_, plain_size, plain_collected) = measure(cfg);
+            assert_eq!(spilled, 2, "{kind:?}");
+            assert_eq!(size, plain_size, "{kind:?} serialized_size");
+            assert_eq!(collected, plain_collected, "{kind:?} collect");
+        }
     }
 
     #[test]

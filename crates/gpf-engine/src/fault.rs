@@ -11,8 +11,8 @@
 //! seed and the whole schedule is reproducible from it.
 //!
 //! Recovery itself lives in `task.rs` (retry), `frame.rs` (the checksum
-//! verify and the bounded re-read), `shuffle.rs` and [`crate::dataset`]
-//! (lineage recompute of a segment or a spilled partition) and
+//! verify and the bounded re-read of a spill frame), `shuffle.rs` (lineage
+//! recompute of a damaged segment, the disk barrier's "files" included) and
 //! [`crate::context`] (the failure slot `crate::EngineContext::fail` that
 //! `gpf_core`'s `Pipeline::run` maps to `PipelineError::TaskFailed`). This
 //! module only holds the plan, the two recovery constants, and the
@@ -29,9 +29,6 @@ pub enum FaultKind {
     /// One serialized shuffle bucket has a bit flipped after the map side
     /// checksummed it (detected by the reduce-side verify).
     CorruptBucket,
-    /// One spill frame of a `barrier_via_disk` partition has a bit flipped
-    /// at rest, after checksumming (detected on read-back).
-    CorruptSpill,
     /// A spill *read* returns a truncated buffer (the stored bytes are
     /// intact; the read path saw a short copy — detected by checksum /
     /// record-count verification, recovered by re-read).
@@ -51,12 +48,10 @@ pub(crate) enum FaultSurface {
     ShuffleMap,
     /// One map partition's serialized bucket buffer.
     ShuffleBucket,
-    /// One partition's `barrier_via_disk` spill frames, at rest.
-    Spill,
-    /// One partition's spill frames on *read-back* (barrier read side and
-    /// budget-evicted partition restore). Faults here model transient read
-    /// errors: the stored bytes stay intact, only the copy handed to the
-    /// reader is damaged.
+    /// One budget-evicted partition's spill frames on *read-back* (a
+    /// restore or a stream). Faults here model transient read errors: the
+    /// stored bytes stay intact, only the copy handed to the reader is
+    /// damaged.
     SpillRead,
 }
 
@@ -66,17 +61,18 @@ impl FaultSurface {
         match self {
             FaultSurface::NarrowTask | FaultSurface::ShuffleMap => &[FaultKind::TaskPanic],
             FaultSurface::ShuffleBucket => &[FaultKind::CorruptBucket],
-            FaultSurface::Spill => &[FaultKind::CorruptSpill],
             FaultSurface::SpillRead => &[FaultKind::TruncateSpill, FaultKind::CorruptSpillRead],
         }
     }
 
+    /// The surface's term in [`FaultPlan`]'s site hash. Renumbering a
+    /// surface would move every schedule a seed replays, so the id of a
+    /// removed surface (4) stays unused.
     fn id(self) -> u64 {
         match self {
             FaultSurface::NarrowTask => 1,
             FaultSurface::ShuffleMap => 2,
             FaultSurface::ShuffleBucket => 3,
-            FaultSurface::Spill => 4,
             FaultSurface::SpillRead => 5,
         }
     }
@@ -300,7 +296,7 @@ mod tests {
     #[test]
     fn spill_read_surface_admits_only_read_faults() {
         // Seeded plans at full rate on the read surface yield only the two
-        // read-side kinds, and the write-side CorruptSpill never leaks in.
+        // read-side kinds.
         let plan = FaultPlan::seeded(0xdead, 1000);
         for part in 0..64u32 {
             let k = plan.decide(3, part, 0, FaultSurface::SpillRead);
@@ -309,17 +305,38 @@ mod tests {
                 "unexpected kind {k:?}"
             );
         }
-        // An explicit write-side corruption site is inert on the read surface
-        // and vice versa.
+        // An explicit bucket corruption site is inert on the read surface
+        // and a read fault is inert on the bucket surface.
         let plan = FaultPlan::explicit(vec![
-            FaultSite { stage: 0, partition: 0, attempt: 0, kind: FaultKind::CorruptSpill },
+            FaultSite { stage: 0, partition: 0, attempt: 0, kind: FaultKind::CorruptBucket },
             FaultSite { stage: 0, partition: 1, attempt: 0, kind: FaultKind::TruncateSpill },
         ]);
         assert_eq!(plan.decide(0, 0, 0, FaultSurface::SpillRead), None);
-        assert_eq!(plan.decide(0, 1, 0, FaultSurface::Spill), None);
+        assert_eq!(plan.decide(0, 1, 0, FaultSurface::ShuffleBucket), None);
         assert_eq!(
             plan.decide(0, 1, 0, FaultSurface::SpillRead),
             Some(FaultKind::TruncateSpill)
+        );
+    }
+
+    /// A seeded plan's sites are a hash of each surface's `id()`: these are
+    /// the partitions (of 24, at stage 3) that seed 0x2018 at 250‰ faults
+    /// on each surface, so renumbering a surface moves every schedule a
+    /// seed ever replayed and fails here.
+    #[test]
+    fn seeded_decisions_are_pinned_per_surface() {
+        let plan = FaultPlan::seeded(0x2018, 250);
+        use FaultKind::{CorruptBucket as Bucket, CorruptSpillRead as Flip, TaskPanic as Panic, TruncateSpill as Cut};
+        let fired = |surface| -> Vec<(u32, FaultKind)> {
+            (0..24u32).filter_map(|p| plan.decide(3, p, 0, surface).map(|k| (p, k))).collect()
+        };
+        let each = |kind, parts: &[u32]| parts.iter().map(|&p| (p, kind)).collect::<Vec<_>>();
+        assert_eq!(fired(FaultSurface::NarrowTask), each(Panic, &[13, 20]));
+        assert_eq!(fired(FaultSurface::ShuffleMap), each(Panic, &[1, 5, 6, 9, 10, 11, 16, 18, 19, 20, 21, 22]));
+        assert_eq!(fired(FaultSurface::ShuffleBucket), each(Bucket, &[2, 5, 6, 21, 22]));
+        assert_eq!(
+            fired(FaultSurface::SpillRead),
+            [(3, Flip), (5, Cut), (6, Flip), (10, Flip), (17, Flip), (18, Flip), (20, Cut), (22, Flip)]
         );
     }
 

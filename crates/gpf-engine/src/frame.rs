@@ -1,22 +1,20 @@
-//! The checksummed frame: the one format engine data takes when it leaves
-//! tracked memory, and the one place a checksum is compared.
+//! The checksummed frame: the format a budget-evicted partition takes when
+//! it leaves tracked memory, and the one place a checksum is compared.
 //!
 //! A partition spills as a [`SpillTicket`] — [`FRAME_RECORDS`]-record
 //! [`SpillFrame`]s, each with an FNV-1a checksum over its serialized bytes.
-//! The budget store's eviction image and `barrier_via_disk`'s "files" are
-//! both tickets, written by [`SpillTicket::write`] and read back through
-//! [`FrameReader::read`]; shuffle segments are not frames (they live inside
-//! a map task's output buffer) but are verified by the same
-//! [`verify_decode`].
+//! Tickets are the budget store's eviction image and nothing else: written
+//! by [`SpillTicket::write`] and read back through [`FrameReader::read`].
+//! Shuffle segments — the disk barrier's "files" among them — are not
+//! frames (they live inside a map task's output buffer) but are verified by
+//! the same [`verify_decode`].
 //!
-//! Frames model write-verified durable storage as in-memory buffers
-//! ([`crate::fsmodel`] prices the IO analytically), so they are pristine at
-//! rest unless a plan says otherwise: [`SpillTicket::corrupt_at_rest`] is
-//! the write-side injection ([`FaultSurface::Spill`]), [`damaged_read`] the
-//! read-side one ([`FaultSurface::SpillRead`]), which damages only the
-//! transient copy handed to the decoder. A damaged copy fails its checksum
-//! and is re-read; stored bytes that fail are reported as
-//! [`DamagedAtRest`], and what happens then is the caller's lineage story.
+//! Frames model write-verified durable storage as in-memory buffers, so
+//! they are pristine at rest: the one injection is [`damaged_read`]
+//! ([`FaultSurface::SpillRead`]), which damages only the transient copy
+//! handed to the decoder. A damaged copy fails its checksum and is re-read;
+//! stored bytes that fail are reported as [`DamagedAtRest`], which a store,
+//! having no lineage, treats as fatal.
 
 use crate::dataset::Fnv1a;
 use crate::fault::{corrupt_bit, FaultKind, FaultPlan, FaultSurface, MAX_TASK_RETRIES};
@@ -106,15 +104,11 @@ impl SpillTicket {
         self.frames.len()
     }
 
-    /// Serialized size across all frames (the bytes `fsmodel` prices).
-    pub(crate) fn spilled_bytes(&self) -> u64 {
-        self.frames.iter().map(|f| f.bytes.len() as u64).sum()
-    }
-
-    /// Write-side injection ([`FaultSurface::Spill`]): flip one salted bit
-    /// of one salted frame *after* its checksum was taken over the correct
-    /// bytes, so detection must fire even when the flipped bit would still
-    /// decode. `false` when there is no frame to damage.
+    /// Damage at rest, for tests: flip one salted bit of one salted frame
+    /// *after* its checksum was taken over the correct bytes, so detection
+    /// must fire even when the flipped bit would still decode. `false` when
+    /// there is no frame to damage.
+    #[cfg(test)]
     pub(crate) fn corrupt_at_rest(&mut self, salt: u64) -> bool {
         let n = self.frames.len().max(1) as u64;
         self.frames.get_mut((salt % n) as usize).is_some_and(|f| corrupt_bit(&mut f.bytes, salt))
@@ -145,8 +139,8 @@ fn damaged_read(
 }
 
 /// A frame whose *stored* bytes fail verification: no re-read can help, so
-/// the reader stops and names it. The barrier recomputes the partition from
-/// lineage; a tracked store has none.
+/// the reader stops and names it. A tracked store has no lineage to
+/// recompute the partition from.
 #[derive(Debug, PartialEq, Eq)]
 pub(crate) struct DamagedAtRest {
     pub(crate) stage: u32,

@@ -102,20 +102,22 @@ impl ReduceIndex {
     }
 }
 
-/// Route every record of `items` and return `(target, index)` pairs ordered
-/// by target bucket — stably, so the per-source order inside a bucket is
-/// unchanged. Equal targets are adjacent, which is what [`serialize_runs`]
-/// cuts segments from; the records themselves stay where they are.
+/// Route every record of source partition `src` (`items`) and return
+/// `(target, index)` pairs ordered by target bucket — stably, so the
+/// per-source order inside a bucket is unchanged. Equal targets are
+/// adjacent, which is what [`serialize_runs`] cuts segments from; the
+/// records themselves stay where they are.
 fn order_by_bucket<T>(
+    src: usize,
     items: &[T],
     nparts: usize,
-    route: &(impl Fn(&T) -> usize + Send + Sync),
+    route: &(impl Fn(usize, &T) -> usize + Send + Sync),
 ) -> Vec<(usize, usize)> {
     let mut order: Vec<(usize, usize)> = items
         .iter()
         .enumerate()
         .map(|(i, item)| {
-            let target = route(item);
+            let target = route(src, item);
             assert!(target < nparts, "router produced partition {target} >= {nparts}");
             (target, i)
         })
@@ -200,7 +202,9 @@ fn inject_bucket_corruption(
     }
 }
 
-/// Repartition `parts` into `nparts` partitions by `route`.
+/// Repartition `parts` into `nparts` partitions by `route`, which sees
+/// each record with the index of the partition it comes from (the disk
+/// barrier routes by that alone: partition *i* to partition *i*).
 ///
 /// Takes the partitions by value: when the caller held the only reference
 /// (consuming APIs like [`Dataset::into_partition_by`] or internal
@@ -212,7 +216,7 @@ pub(crate) fn shuffle<T>(
     parts: Parts<T>,
     nparts: usize,
     label: &str,
-    route: impl Fn(&T) -> usize + Send + Sync,
+    route: impl Fn(usize, &T) -> usize + Send + Sync,
 ) -> Dataset<T>
 where
     T: GpfSerialize + Clone + Send + Sync + 'static,
@@ -234,7 +238,7 @@ where
 
     let map_task = |i: usize| -> MapTaskOut {
         source.with_part(i, |items| {
-            let order = order_by_bucket(items, nparts, &route);
+            let order = order_by_bucket(i, items, nparts, &route);
             let t1 = TaskTimer::start();
             let (data, segs) = serialize_runs(kind, items, &order, lineage.is_some());
             MapTaskOut { data, segs, ser_s: t1.elapsed_s() }
@@ -292,7 +296,7 @@ where
                 panic!("shuffle segment {mi}->{t}: {} records did not decode", seg.records);
             };
             lineage.stream(mi, &mut |chunk| {
-                out.extend(chunk.iter().filter(|item| route(item) == t).cloned());
+                out.extend(chunk.iter().filter(|item| route(mi, item) == t).cloned());
             });
             recomputed += 1;
         }

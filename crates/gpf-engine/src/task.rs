@@ -1,7 +1,7 @@
 //! The task runner: the one way a task is measured, retried and recorded.
 //!
-//! Every parallel stage in the engine — narrow operators, both shuffle
-//! sides, the barrier read-back — goes through
+//! Every parallel stage in the engine — narrow operators and both shuffle
+//! sides, the disk barrier's included — goes through
 //! [`run_stage`], and every task body through [`Task::run`], which is plain
 //! [`timed`] when faults are off and the bounded retry loop when they are
 //! on. Fault tolerance therefore costs a fault-free run three `Option`

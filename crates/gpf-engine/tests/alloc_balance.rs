@@ -1,6 +1,6 @@
 //! Allocation-balance properties for the tracking allocator: with heap
-//! tracking live, a codec round-trip plus a full map → spill → shuffle →
-//! map job return the global live-byte gauge to its pre-run baseline (to
+//! tracking live, a codec round-trip plus a full map → disk barrier →
+//! shuffle → map job return the global live-byte gauge to its pre-run baseline (to
 //! within the documented per-thread flush quantum), and the job's output
 //! stays byte-identical to an untracked run — the accounting observes the
 //! workload, never perturbs it. And an allocation bound: a wide, almost
@@ -25,9 +25,9 @@ fn ctx() -> Arc<EngineContext> {
     EngineContext::new(EngineConfig::default().with_parallelism(4))
 }
 
-/// The balance job: narrow map → spill barrier → consuming shuffle →
-/// narrow map, touching every allocation-attribution surface (task, spill,
-/// shuffle, serde).
+/// The balance job: narrow map → disk barrier → consuming shuffle →
+/// narrow map, touching the task, shuffle and serde allocation tags (the
+/// spill tag is the memory budget's, and no budget is set here).
 fn job(ctx: &Arc<EngineContext>, data: &[(u64, u64)], parts: usize, nparts: usize) -> Vec<Vec<(u64, u64)>> {
     let d = Dataset::from_vec(Arc::clone(ctx), data.to_vec(), parts);
     let out = d

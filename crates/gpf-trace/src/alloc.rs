@@ -62,7 +62,8 @@ pub enum AllocTag {
     Serde = 2,
     /// Shuffle scatter/gather.
     Shuffle = 3,
-    /// Barrier-via-disk spill and reload.
+    /// Memory-budget spill frames: written on eviction, decoded on restore
+    /// or stream.
     Spill = 4,
 }
 

@@ -79,7 +79,7 @@ pub const REPARTITION_MERGED: &str = "repartition.merged";
 pub const FAULT_INJECTED: &str = "fault.injected";
 /// Task attempts beyond the first, and damaged spill reads re-read.
 pub const TASK_RETRIES: &str = "task.retries";
-/// Shuffle segments and barrier partitions recomputed from lineage.
+/// Shuffle segments (the disk barrier's included) recomputed from lineage.
 pub const SHUFFLE_RECOMPUTED: &str = "shuffle.recomputed";
 
 /// Shuffle input partitions taken by the map task that serialized them and
@@ -106,7 +106,7 @@ pub const HEAP_TAG_TASK: &str = "heap.tag.task";
 pub const HEAP_TAG_SERDE: &str = "heap.tag.serde";
 /// Bytes charged to shuffle scopes.
 pub const HEAP_TAG_SHUFFLE: &str = "heap.tag.shuffle";
-/// Bytes charged to spill (barrier-via-disk) scopes.
+/// Bytes charged to spill (memory-budget spill frame) scopes.
 pub const HEAP_TAG_SPILL: &str = "heap.tag.spill";
 
 /// Budget breaches: the accountant could not admit a charge even after
