@@ -211,3 +211,52 @@ fn restores_that_meet_another_tasks_pin_are_re_run_alone() {
     let acct = ctx.accountant().expect("budget installs an accountant");
     assert!(acct.peak() <= one + one / 2);
 }
+
+/// A consuming zip whose left input is the last handle to a tracked store
+/// and whose right input is a shared tracked dataset, under a budget of a
+/// quarter of both inputs' footprint: one left and one right partition fit
+/// at once, two right partitions do not. The wave's restores meet each
+/// other's pins and breach (on whichever side a task reaches first), and
+/// each breached task is re-run alone after the wave, where it must still
+/// find its left partition. The output equals the unbudgeted run's under
+/// every serializer.
+#[test]
+fn a_zip_re_run_after_a_breach_still_finds_its_sole_owned_partition() {
+    let left: Vec<(u64, u64)> = (0..800u64).map(|i| (i, i.wrapping_mul(0x9E37_79B9))).collect();
+    let right: Vec<(u64, u64)> = (0..2400u64).map(|i| (i % 97, i ^ 0x5a5a)).collect();
+    let (l, r) = (one_partition_charge(&left, 4), one_partition_charge(&right, 4));
+    let breaches = || gpf_trace::counter(tn::MEM_BUDGET_BREACH).get();
+    let caller = thread::current().id();
+    let zip = |ctx: &Arc<EngineContext>| {
+        // The right input first: the left one then has resident partitions
+        // and a spilled one to hand over.
+        let shared = Dataset::from_vec(Arc::clone(ctx), right.clone(), 4).evictable();
+        let keep = shared.clone();
+        let owned = Dataset::from_vec(Arc::clone(ctx), left.clone(), 4).evictable();
+        let before = breaches();
+        let out = owned.into_zip_partitions(shared, |_, l, r| {
+            // A task on a worker holds its pins until some restore has
+            // breached against them; the re-runs run on the calling thread.
+            while ctx.accountant().is_some() && thread::current().id() != caller && breaches() == before {
+                thread::yield_now();
+            }
+            l.into_iter().chain(r).collect::<Vec<(u64, u64)>>()
+        });
+        assert_eq!(keep.len(), right.len(), "the shared input keeps its records");
+        (out.partition_sizes(), out.collect_local(), breaches() > before)
+    };
+    for base in [EngineConfig::gpf(), EngineConfig::kryo(), EngineConfig::java()] {
+        let kind = base.serializer;
+        let (want_sizes, want, _) = zip(&EngineContext::new(base.clone()));
+        let ctx = EngineContext::new(base.with_memory_budget(l + r));
+        let (sizes, got, breached) = zip(&ctx);
+        assert_eq!(ctx.take_failure(), None, "{kind:?}: a task that fits alone never fails the stage");
+        assert_eq!(sizes, want_sizes, "{kind:?}");
+        assert!(got == want, "{kind:?}: the budgeted zip diverged from the unbudgeted one");
+        if par::max_threads() >= 2 {
+            assert!(breached, "{kind:?}: the wave's restores must have met a pin");
+        }
+        let acct = ctx.accountant().expect("budget installs an accountant");
+        assert!(acct.peak() <= l + r, "{kind:?}: ledger peak {} over budget {}", acct.peak(), l + r);
+    }
+}
