@@ -7,7 +7,7 @@
 //! partition bytes (via [`GpfSerialize::resident_bytes`]); every partition
 //! materialization *admits* its charge, and when a charge would breach the
 //! budget the accountant reclaims from registered `TrackedStore`s —
-//! oldest-touched victims first — before giving up.
+//! victims read longest ago first — before giving up.
 //!
 //! The eviction policy is spill-vs-recompute by lineage cost:
 //!
@@ -29,12 +29,22 @@
 //! store has no lineage to recompute and reports by panicking with the
 //! frame's coordinates.
 //!
+//! A consuming operator that holds the last handle to a store *takes* its
+//! partitions instead (`TrackedParts::take`): the slot is emptied, its
+//! charge leaves the ledger, and a spilled partition is decoded straight
+//! into the task's vector without admission, so the take neither evicts
+//! anything nor can breach.
+//!
+//! Every spill, restore, clean drop and damaged read is recorded through
+//! the run's trace keyed by the store's stage and the partition
+//! (`EngineContext::record_part_event`), beside its registry counter.
+//!
 //! [c1]: gpf_trace::names::MEM_BUDGET_DROPPED_CLEAN
 //! [c2]: gpf_trace::names::MEM_BUDGET_SPILLED
 
-use crate::fault::FaultPlan;
+use crate::context::EngineContext;
 use crate::frame::{DamagedAtRest, FrameReader, SpillTicket};
-use gpf_compress::serializer::{GpfSerialize, SerializerKind};
+use gpf_compress::serializer::GpfSerialize;
 use gpf_support::chk::atomic::{AtomicU64, Ordering};
 use gpf_support::par;
 use gpf_support::sync::{Mutex, RwLock};
@@ -42,7 +52,7 @@ use gpf_trace::names as tn;
 use std::sync::{Arc, Weak};
 
 /// Bump a registry counter. Unconditional — not gated on `set_enabled` —
-/// for the same reason as `record_fault_event`: these fire only on budget
+/// for the same reason as `record_part_event`: these fire only on budget
 /// events (a spill serializes frames, a restore decodes them) whose cost
 /// dwarfs the registry lookup, and tests and benches read the counters
 /// without a tracing session.
@@ -194,6 +204,9 @@ enum Slot<T> {
     /// Evicted (or never admitted): only the checksummed spill image
     /// exists. `bytes` is the resident charge a restore will admit.
     Spilled { ticket: Arc<SpillTicket>, bytes: u64 },
+    /// Handed over to a consuming task ([`TrackedParts::take`]): holds
+    /// nothing and charges nothing, and is never shed or restored.
+    Taken,
 }
 
 /// Type-erased view of a [`TrackedStore`] used by `Dataset`'s `Parts`
@@ -211,23 +224,34 @@ pub(crate) trait TrackedParts<T>: Send + Sync {
     /// Stream partition `i` chunk-by-chunk without materializing it:
     /// resident slots yield one chunk, spilled slots one per frame.
     fn stream(&self, i: usize, f: &mut dyn FnMut(&[T]));
+    /// Hand partition `i` over by value and empty its slot: a resident
+    /// partition moves out (cloned only if a reader still pins it) and its
+    /// charge leaves the ledger; a spilled one is read back (a restore, in
+    /// the counters) frame by frame straight into the returned vector,
+    /// without admission. Only the last handle to the store may take
+    /// (`TaskSource` decides); a taken slot reads, streams and takes as an
+    /// empty partition.
+    fn take(&self, i: usize) -> Vec<T>;
     /// Whether partition `i` is currently evicted (test/bench visibility).
     fn is_spilled(&self, i: usize) -> bool;
 }
 
 /// An evictable partition store: the tracked backing of a `Dataset`.
 pub(crate) struct TrackedStore<T> {
-    kind: SerializerKind,
+    /// The run it belongs to: its serializer, read-side fault plan and
+    /// trace.
+    ctx: Arc<EngineContext>,
+    /// The stage it was built in: its fault sites' and events' stage.
     stage: u32,
     acct: Arc<BudgetAccountant>,
-    /// Read-side fault plan, captured at build time from the engine's
-    /// configuration.
-    faults: Option<FaultPlan>,
     counts: Vec<usize>,
     slots: Vec<RwLock<Slot<T>>>,
-    /// Per-slot last-touch generation (LRU clock for victim selection).
+    /// Per-slot last-touch generation for victim selection: one past the
+    /// stage of the slot's last read (0 = never read). A stage's parallel
+    /// reads all write the same generation, so the victims a later
+    /// admission picks — oldest stage first, then partition order — do not
+    /// depend on how that stage's tasks interleaved.
     touch: Vec<AtomicU64>,
-    clock: AtomicU64,
 }
 
 impl<T: GpfSerialize + Send + Sync + 'static> TrackedStore<T> {
@@ -240,13 +264,8 @@ impl<T: GpfSerialize + Send + Sync + 'static> TrackedStore<T> {
     /// spill does not depend on scheduling. The spill tickets of those
     /// that were not admitted are then written in parallel, each partition
     /// dropped as soon as its ticket exists.
-    pub(crate) fn build(
-        parts: Vec<Vec<T>>,
-        kind: SerializerKind,
-        stage: u32,
-        acct: Arc<BudgetAccountant>,
-        faults: Option<FaultPlan>,
-    ) -> Arc<Self> {
+    pub(crate) fn build(parts: Vec<Vec<T>>, ctx: &Arc<EngineContext>, acct: Arc<BudgetAccountant>) -> Arc<Self> {
+        let (kind, stage) = (ctx.serializer(), ctx.current_stage());
         let counts: Vec<usize> = parts.iter().map(Vec::len).collect();
         let n = parts.len();
         let bytes: Vec<u64> = parts.iter().map(|p| p.resident_bytes() as u64).collect();
@@ -258,19 +277,17 @@ impl<T: GpfSerialize + Send + Sync + 'static> TrackedStore<T> {
                 return RwLock::new(Slot::Resident { data: Arc::new(part), bytes, ticket: None });
             }
             let ticket = Arc::new(SpillTicket::write(kind, &part));
-            note(tn::MEM_BUDGET_SPILLED, 1);
+            ctx.record_part_event(tn::MEM_BUDGET_SPILLED, stage, i as u32, 1);
             note(tn::MEM_BUDGET_SPILLED_BYTES, bytes);
             RwLock::new(Slot::Spilled { ticket, bytes })
         });
         let store = Arc::new(Self {
-            kind,
+            ctx: Arc::clone(ctx),
             stage,
             acct: Arc::clone(&acct),
-            faults,
             counts,
             slots,
             touch: (0..n).map(|_| AtomicU64::new(0)).collect(),
-            clock: AtomicU64::new(1),
         });
         let weak: Weak<dyn Shed> = {
             let w: Weak<Self> = Arc::downgrade(&store);
@@ -281,24 +298,31 @@ impl<T: GpfSerialize + Send + Sync + 'static> TrackedStore<T> {
     }
 
     fn touch_slot(&self, i: usize) {
-        // gpf-lint: allow(relaxed-ordering): the touch clock is a pure LRU
-        // heuristic for victim ordering — a stale generation can only make
-        // eviction pick a slightly different victim, never corrupt data
-        // (slot state itself is guarded by the per-slot RwLock).
-        let gen = self.clock.fetch_add(1, Ordering::Relaxed);
-        // gpf-lint: allow(relaxed-ordering): same heuristic clock as above.
+        let gen = u64::from(self.ctx.current_stage()) + 1;
+        // gpf-lint: allow(relaxed-ordering): the touch generation is a pure
+        // victim-ordering heuristic — a stale one can only make eviction
+        // pick a different victim, never corrupt data (slot state itself is
+        // guarded by the per-slot RwLock).
         self.touch[i].store(gen, Ordering::Relaxed);
     }
 
-    /// Run `decode` over a reader for partition `i` and fold what the plan
-    /// did to it into the registry. Unconditional like `record_fault_event`:
-    /// a read is only damaged under configured faults, and chaos tests read
-    /// the counters without tracing on.
+    /// Record one of this store's events on partition `i` through the
+    /// run's trace (and its registry counter).
+    fn event(&self, name: &'static str, i: usize) {
+        self.ctx.record_part_event(name, self.stage, i as u32, 1);
+    }
+
+    /// Run `decode` over a reader for partition `i` and record what the
+    /// plan did to it through the run's trace, at the read's own fault
+    /// site (this store's stage, partition `i`).
     fn read_frames(&self, i: usize, decode: impl FnOnce(&mut FrameReader<'_>) -> Result<(), DamagedAtRest>) {
-        let mut reader = FrameReader::new(self.faults.as_ref(), self.stage, i);
+        let mut reader = FrameReader::new(self.ctx.faults(), self.stage, i);
         let read = decode(&mut reader);
-        note(tn::FAULT_INJECTED, reader.damaged_reads);
-        note(tn::TASK_RETRIES, reader.damaged_reads);
+        if reader.damaged_reads > 0 {
+            for name in [tn::FAULT_INJECTED, tn::TASK_RETRIES] {
+                self.ctx.record_part_event(name, self.stage, i as u32, reader.damaged_reads);
+            }
+        }
         if let Err(damaged) = read {
             // gpf-lint: allow(no-panic): nothing damages a frame this store
             // wrote and still holds; stored bytes that fail their checksum
@@ -309,7 +333,7 @@ impl<T: GpfSerialize + Send + Sync + 'static> TrackedStore<T> {
     }
 }
 
-impl<T: GpfSerialize + Send + Sync + 'static> TrackedParts<T> for TrackedStore<T> {
+impl<T: GpfSerialize + Clone + Send + Sync + 'static> TrackedParts<T> for TrackedStore<T> {
     fn num_parts(&self) -> usize {
         self.slots.len()
     }
@@ -327,6 +351,7 @@ impl<T: GpfSerialize + Send + Sync + 'static> TrackedParts<T> for TrackedStore<T
             match &*slot {
                 Slot::Resident { data, .. } => return Ok(Arc::clone(data)),
                 Slot::Spilled { ticket, bytes } => (Arc::clone(ticket), *bytes),
+                Slot::Taken => return Ok(Arc::default()),
             }
         };
         self.acct.admit(bytes)?;
@@ -343,10 +368,18 @@ impl<T: GpfSerialize + Send + Sync + 'static> TrackedParts<T> for TrackedStore<T
                 Ok(winner)
             }
             Slot::Spilled { .. } => {
-                note(tn::MEM_BUDGET_RESTORED, 1);
-                note(tn::MEM_BUDGET_RESTORED_BYTES, bytes);
                 *slot = Slot::Resident { data: Arc::clone(&data), bytes, ticket: Some(ticket) };
+                drop(slot);
+                self.event(tn::MEM_BUDGET_RESTORED, i);
+                note(tn::MEM_BUDGET_RESTORED_BYTES, bytes);
                 Ok(data)
+            }
+            // Taken while we decoded: only the last handle takes, and it
+            // does not read as well, so this refund is never expected.
+            Slot::Taken => {
+                drop(slot);
+                self.acct.credit(bytes);
+                Ok(Arc::default())
             }
         }
     }
@@ -364,6 +397,7 @@ impl<T: GpfSerialize + Send + Sync + 'static> TrackedParts<T> for TrackedStore<T
                     return;
                 }
                 Slot::Spilled { ticket, .. } => Arc::clone(ticket),
+                Slot::Taken => return,
             }
         };
         // Decode frame-by-frame: transient footprint is one frame, not the
@@ -379,6 +413,24 @@ impl<T: GpfSerialize + Send + Sync + 'static> TrackedParts<T> for TrackedStore<T
         });
     }
 
+    fn take(&self, i: usize) -> Vec<T> {
+        let slot = std::mem::replace(&mut *self.slots[i].write(), Slot::Taken);
+        match slot {
+            Slot::Resident { data, bytes, .. } => {
+                self.acct.credit(bytes);
+                Arc::unwrap_or_clone(data)
+            }
+            Slot::Spilled { ticket, bytes } => {
+                let mut out = Vec::with_capacity(self.counts[i]);
+                self.read_frames(i, |reader| reader.read_all(&ticket, &mut out));
+                self.event(tn::MEM_BUDGET_RESTORED, i);
+                note(tn::MEM_BUDGET_RESTORED_BYTES, bytes);
+                out
+            }
+            Slot::Taken => Vec::new(),
+        }
+    }
+
     fn is_spilled(&self, i: usize) -> bool {
         matches!(&*self.slots[i].read(), Slot::Spilled { .. })
     }
@@ -391,9 +443,15 @@ impl<T> TrackedStore<T> {
             .iter()
             .map(|slot| match &*slot.read() {
                 Slot::Resident { bytes, .. } => *bytes,
-                Slot::Spilled { .. } => 0,
+                Slot::Spilled { .. } | Slot::Taken => 0,
             })
             .sum()
+    }
+
+    /// Whether partition `i` was handed over by [`TrackedParts::take`].
+    #[cfg(test)]
+    pub(crate) fn is_taken(&self, i: usize) -> bool {
+        matches!(&*self.slots[i].read(), Slot::Taken)
     }
 }
 
@@ -412,7 +470,7 @@ impl<T> Drop for TrackedStore<T> {
 
 impl<T: GpfSerialize + Send + Sync + 'static> Shed for TrackedStore<T> {
     fn shed(&self, need: u64) -> u64 {
-        // Victim order: least-recently-touched first.
+        // Victim order: least-recently-read stage first, then partition.
         let mut order: Vec<(u64, usize)> = (0..self.slots.len())
             // gpf-lint: allow(relaxed-ordering): LRU heuristic read —
             // staleness only reorders victims; slot locks carry correctness.
@@ -431,25 +489,21 @@ impl<T: GpfSerialize + Send + Sync + 'static> Shed for TrackedStore<T> {
                     continue;
                 }
                 let bytes = *bytes;
-                let ticket = match ticket.take() {
+                let (ticket, event) = match ticket.take() {
                     // Clean: the spill image already exists — cheap
                     // lineage, drop and re-read later.
-                    Some(t) => {
-                        note(tn::MEM_BUDGET_DROPPED_CLEAN, 1);
-                        t
-                    }
+                    Some(t) => (t, tn::MEM_BUDGET_DROPPED_CLEAN),
                     // Dirty: expensive lineage — serialize a checksummed
                     // spill image first.
                     None => {
-                        let t = Arc::new(SpillTicket::write(self.kind, data));
-                        note(tn::MEM_BUDGET_SPILLED, 1);
                         note(tn::MEM_BUDGET_SPILLED_BYTES, bytes);
-                        t
+                        (Arc::new(SpillTicket::write(self.ctx.serializer(), data)), tn::MEM_BUDGET_SPILLED)
                     }
                 };
                 *slot = Slot::Spilled { ticket, bytes };
                 drop(slot);
                 self.acct.credit(bytes);
+                self.event(event, i);
                 freed += bytes;
             }
         }
@@ -460,7 +514,8 @@ impl<T: GpfSerialize + Send + Sync + 'static> Shed for TrackedStore<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::{FaultKind, FaultSite};
+    use crate::config::EngineConfig;
+    use crate::fault::{FaultKind, FaultPlan, FaultSite};
     use crate::frame::FRAME_RECORDS;
 
     fn store_with(
@@ -468,9 +523,13 @@ mod tests {
         parts: Vec<Vec<u64>>,
         faults: Option<FaultPlan>,
     ) -> (Arc<BudgetAccountant>, Arc<TrackedStore<u64>>) {
-        let acct = Arc::new(BudgetAccountant::new(budget));
-        let store =
-            TrackedStore::build(parts, SerializerKind::Gpf, 0, Arc::clone(&acct), faults);
+        let mut cfg = EngineConfig::gpf().with_memory_budget(budget);
+        if let Some(plan) = faults {
+            cfg = cfg.with_faults(plan);
+        }
+        let ctx = EngineContext::new(cfg);
+        let acct = Arc::clone(ctx.accountant().expect("a budget installs an accountant"));
+        let store = TrackedStore::build(parts, &ctx, Arc::clone(&acct));
         (acct, store)
     }
 
@@ -562,6 +621,30 @@ mod tests {
         let payload = caught.expect_err("a frame damaged at rest must not be read");
         let message = payload.downcast_ref::<String>().expect("a formatted panic message");
         assert!(message.contains("stage: 0, partition: 0, frame: 1"), "{message}");
+    }
+
+    /// A take empties its slot: a resident partition's charge leaves the
+    /// ledger with it, a spilled one is decoded without admitting anything,
+    /// and a taken slot is neither shed nor charged again.
+    #[test]
+    fn take_hands_partitions_over_and_empties_their_slots() {
+        let parts: Vec<Vec<u64>> = (0..3).map(|p| (0..2000).map(|i| p * 10_000 + i).collect()).collect();
+        let one = parts[0].resident_bytes() as u64;
+        let (acct, store) = store_with(one + 64, parts.clone(), None);
+        assert!(!store.is_spilled(0) && store.is_spilled(1) && store.is_spilled(2));
+        assert_eq!(acct.used(), one);
+        assert_eq!(store.take(0), parts[0], "the resident partition moves out");
+        assert_eq!(acct.used(), 0, "its charge leaves the ledger with it");
+        assert_eq!(store.take(1), parts[1], "the spilled partition is decoded");
+        assert_eq!((acct.used(), acct.peak()), (0, one), "without admission");
+        for i in [0, 1] {
+            assert!(store.is_taken(i) && !store.is_spilled(i), "slot {i}");
+            assert!(store.take(i).is_empty(), "a second take of slot {i} is empty");
+        }
+        assert_eq!(&*store.read(2).unwrap(), &parts[2]);
+        assert_eq!(store.shed(u64::MAX), one, "only the restored slot is shed");
+        assert!(store.is_taken(0) && store.is_taken(1));
+        assert_eq!((acct.used(), store.resident_charge()), (0, 0));
     }
 
     #[test]

@@ -441,12 +441,14 @@ impl EngineContext {
         self.accountant.as_ref()
     }
 
-    /// Record one recovery event: a scheduler instant in the session trace
-    /// plus a global counter bump. The global counters are unconditional
-    /// (not gated on `set_enabled`) — this path only executes when faults
-    /// are configured, so the disabled-cost is zero and chaos tests can
-    /// read the counters without toggling `set_enabled`.
-    pub(crate) fn record_fault_event(&self, name: &'static str, stage: u32, part: u32, n: u64) {
+    /// Record one event on a partition — a recovery (an injected fault, a
+    /// retry, a recomputed segment) or a memory-budget spill, restore or
+    /// clean drop: a scheduler instant in the session trace, keyed by stage
+    /// and partition, plus a global counter bump. The global counters are
+    /// unconditional (not gated on `set_enabled`) — this path only executes
+    /// when faults or a budget are configured, so the disabled-cost is zero
+    /// and tests can read the counters without toggling `set_enabled`.
+    pub(crate) fn record_part_event(&self, name: &'static str, stage: u32, part: u32, n: u64) {
         gpf_trace::counter(name).add(n);
         let ev = self.ev(
             EventKind::Instant,
@@ -469,7 +471,7 @@ impl EngineContext {
     /// `repartition.merged` when the table merges underfull partitions),
     /// and drops one scheduler instant into the session trace so the
     /// timeline shows *when* the driver rebalanced. Counters are
-    /// unconditional, like `EngineContext::record_fault_event`'s: one
+    /// unconditional, like `EngineContext::record_part_event`'s: one
     /// call per decision costs nothing, and tests read them without
     /// toggling `set_enabled`.
     pub fn record_repartition(&self, splits: u64, moved_records: u64, cap_hits: u64, merged: u64) {

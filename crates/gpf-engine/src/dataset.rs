@@ -145,36 +145,64 @@ impl<T> Parts<T> {
 /// consuming operator reaches its records, for the shuffle and the `into_*`
 /// narrow operators alike.
 ///
-/// It observes two things. **Ownership**: only a plain input whose `Arc`
-/// this was the last handle to can be taken apart. **Faults**: with a fault
-/// plan configured a task may run again (a retry) and a shuffle keeps its
-/// input as lineage, so the input must still be there afterwards.
-/// Sole-owned, plain and faults off ⇒ `Owned`: each partition sits in a
-/// cell that exactly one task invocation empties.
-/// Anything else — shared, budget-tracked, or faults on — ⇒ `Shared`: tasks
-/// borrow, stream or restore exactly as the borrowed operators do, so a
-/// tracked restore that breaches in the wave is re-run alone, as theirs
-/// is. An operator that hands records on by value clones them; the
-/// shuffle, which only reads them, does not.
+/// It observes two things. **Ownership**: only an input whose `Arc` this
+/// was the last handle to — plain partitions or a budget-tracked store —
+/// can be taken apart. **Faults**: with a fault plan configured a task may
+/// run again (a retry) and a shuffle keeps its input as lineage, so the
+/// input must still be there afterwards.
+/// Sole-owned and faults off ⇒ `Owned`: each partition is handed over once,
+/// by the one task invocation that takes it ([`OwnedParts::take`]).
+/// Anything else — shared, or faults on — ⇒ `Shared`: tasks borrow, stream
+/// or restore exactly as the borrowed operators do, so a tracked restore
+/// that breaches in the wave is re-run alone, as theirs is. An operator
+/// that hands records on by value clones them; the shuffle, which only
+/// reads them, does not.
 pub(crate) enum TaskSource<T> {
-    Owned(Vec<Mutex<Vec<T>>>),
+    Owned(OwnedParts<T>),
     Shared(Parts<T>),
+}
+
+/// A sole-owned input: plain partitions, each in a cell that one task
+/// empties, or a budget-tracked store whose slots one task each takes.
+pub(crate) enum OwnedParts<T> {
+    Cells(Vec<Mutex<Vec<T>>>),
+    Store(Arc<dyn TrackedParts<T>>),
+}
+
+impl<T> OwnedParts<T> {
+    /// Partition `i` by value; a second take yields an empty partition. A
+    /// tracked partition leaves the store here — its charge leaves the
+    /// ledger, and a spilled one is decoded without admission, so a take
+    /// never evicts and never breaches.
+    pub(crate) fn take(&self, i: usize) -> Vec<T> {
+        match self {
+            OwnedParts::Cells(cells) => std::mem::take(&mut *cells[i].lock()),
+            OwnedParts::Store(store) => store.take(i),
+        }
+    }
 }
 
 impl<T: Clone> TaskSource<T> {
     pub(crate) fn new(ctx: &EngineContext, parts: Parts<T>) -> Self {
+        if ctx.faults().is_some() {
+            return TaskSource::Shared(parts);
+        }
         match parts {
-            Parts::Plain(arc) if ctx.faults().is_none() => match Arc::try_unwrap(arc) {
-                Ok(owned) => TaskSource::Owned(owned.into_iter().map(Mutex::new).collect()),
+            Parts::Plain(arc) => match Arc::try_unwrap(arc) {
+                Ok(owned) => TaskSource::Owned(OwnedParts::Cells(owned.into_iter().map(Mutex::new).collect())),
                 Err(shared) => TaskSource::Shared(Parts::Plain(shared)),
             },
-            retained => TaskSource::Shared(retained),
+            // The accountant holds the store only weakly, so a strong count
+            // of one is this handle alone (a reclaim holding it upgraded at
+            // this moment makes it read as shared, which is only slower).
+            Parts::Tracked(store) if Arc::strong_count(&store) == 1 => TaskSource::Owned(OwnedParts::Store(store)),
+            shared => TaskSource::Shared(shared),
         }
     }
 
     /// The `shuffle.partitions.*` counter naming how [`TaskSource::with_part`]
     /// reaches a partition: taken and freed, read in place, or gathered
-    /// from a budget-tracked store's chunks.
+    /// from a shared budget-tracked store's chunks.
     pub(crate) fn access_counter(&self) -> &'static str {
         match self {
             TaskSource::Owned(_) => tn::SHUFFLE_PARTITIONS_MOVED,
@@ -184,11 +212,11 @@ impl<T: Clone> TaskSource<T> {
     }
 
     /// Run `f` over partition `i` as one slice, read by reference. An owned
-    /// partition is taken out of its cell and dropped when `f` returns; a
-    /// shared one is borrowed or gathered by [`Parts::with_part`].
+    /// partition is taken and dropped when `f` returns; a shared one is
+    /// borrowed or gathered by [`Parts::with_part`].
     pub(crate) fn with_part<R>(&self, i: usize, f: impl FnOnce(&[T]) -> R) -> R {
         match self {
-            TaskSource::Owned(cells) => f(&std::mem::take(&mut *cells[i].lock())),
+            TaskSource::Owned(owned) => f(&owned.take(i)),
             TaskSource::Shared(parts) => parts.with_part(i, f),
         }
     }
@@ -198,34 +226,37 @@ impl<T: Clone> TaskSource<T> {
     /// (one per spill frame of an evicted partition) otherwise.
     pub(crate) fn for_each_chunk(&self, i: usize, f: &mut dyn FnMut(Vec<T>)) {
         match self {
-            TaskSource::Owned(cells) => f(std::mem::take(&mut *cells[i].lock())),
+            TaskSource::Owned(owned) => f(owned.take(i)),
             TaskSource::Shared(parts) => parts.stream(i, &mut |chunk| f(chunk.to_vec())),
         }
     }
 
     /// Partition `i` whole, for a task body to turn into a vector with
-    /// [`TaskPart::take_or_clone`]. A tracked partition is restored here —
-    /// outside the task body, where an infeasible restore can abort the
-    /// stage with a structured breach.
-    fn part(&self, i: usize) -> Result<TaskPart<'_, T>, (u64, u64)> {
+    /// [`TaskPart::take_or_clone`]. A shared tracked partition is restored
+    /// here — outside the task body, where an infeasible restore can abort
+    /// the stage with a structured breach. An owned one is only taken in
+    /// the body, after every restore of the task has succeeded, so a task
+    /// re-run alone after a breach still finds it.
+    fn part(&self, i: usize, task: &Task<'_>) -> Result<TaskPart<'_, T>, Abort> {
         match self {
-            TaskSource::Owned(cells) => Ok(TaskPart::Cell(&cells[i])),
-            TaskSource::Shared(parts) => parts.get(i).map(TaskPart::Ref),
+            TaskSource::Owned(owned) => Ok(TaskPart::Owned(owned, i)),
+            TaskSource::Shared(parts) => task.restore(|| parts.get(i)).map(TaskPart::Ref),
         }
     }
 }
 
-/// One task's whole input partition: the cell to empty, or a borrowed /
-/// restored view to clone (which a retried attempt finds still there).
+/// One task's whole input partition: the owned partition to take, or a
+/// borrowed / restored view to clone (which a retried attempt finds still
+/// there).
 enum TaskPart<'a, T> {
-    Cell(&'a Mutex<Vec<T>>),
+    Owned(&'a OwnedParts<T>, usize),
     Ref(PartRef<'a, T>),
 }
 
 impl<T: Clone> TaskPart<'_, T> {
     fn take_or_clone(&self) -> Vec<T> {
         match self {
-            TaskPart::Cell(cell) => std::mem::take(&mut *cell.lock()),
+            TaskPart::Owned(owned, i) => owned.take(*i),
             TaskPart::Ref(part) => part.to_vec(),
         }
     }
@@ -264,18 +295,12 @@ impl<A> FoldGroups<A> {
 /// when the context has a memory-budget accountant installed, plain
 /// otherwise. Every shuffle output routes through this, so under a budget
 /// every wide-operation result is an eviction candidate.
-pub(crate) fn output_parts<T: GpfSerialize + Send + Sync + 'static>(
+pub(crate) fn output_parts<T: GpfSerialize + Clone + Send + Sync + 'static>(
     ctx: &Arc<EngineContext>,
     parts: Vec<Vec<T>>,
 ) -> Parts<T> {
     match ctx.accountant() {
-        Some(acct) => Parts::Tracked(TrackedStore::build(
-            parts,
-            ctx.serializer(),
-            ctx.current_stage(),
-            Arc::clone(acct),
-            ctx.faults().cloned(),
-        )),
+        Some(acct) => Parts::Tracked(TrackedStore::build(parts, ctx, Arc::clone(acct))),
         None => Parts::Plain(Arc::new(parts)),
     }
 }
@@ -468,7 +493,7 @@ impl<T: Send + Sync + 'static> Dataset<T> {
         f: impl Fn(usize, &[T]) -> Vec<U> + Send + Sync,
     ) -> Dataset<U> {
         narrow_stage(&self.ctx, self.parts.num(), label, |i, task| {
-            let part = self.parts.get(i)?;
+            let part = task.restore(|| self.parts.get(i))?;
             task.run(AllocTag::Task, || f(i, &part))
         })
     }
@@ -729,11 +754,10 @@ impl<T: Send + Sync + 'static> Dataset<T> {
 
     /// Consuming twin of [`Dataset::narrow_op_chunked`]: `f` receives each
     /// chunk by value — the partition itself when this handle holds the
-    /// last reference to it, a clone of each streamed chunk otherwise
-    /// ([`TaskSource`] decides) — as `(partition, offset of the chunk
-    /// within it, chunk)`. Element-wise, so an evicted partition is
-    /// streamed one spill frame at a time, never restored, and the stage
-    /// stays parallel under any budget.
+    /// last reference to it (taken out of its store when budget-tracked),
+    /// a clone of each streamed chunk otherwise ([`TaskSource`] decides) —
+    /// as `(partition, offset of the chunk within it, chunk)`. Neither way
+    /// admits anything, so the stage stays parallel under any budget.
     fn into_narrow_op_chunked<U: Send + Sync + 'static>(
         self,
         label: &str,
@@ -762,8 +786,8 @@ impl<T: Send + Sync + 'static> Dataset<T> {
     /// Consuming [`Dataset::map`]: `f` receives each record by value —
     /// moved when this handle holds the last reference to its partitions,
     /// a clone otherwise (`TaskSource` decides). Same stage label, fault
-    /// surface and accounting as `map`, and like it an evicted partition is
-    /// streamed one spill frame at a time, never restored. Each chunk is
+    /// surface and accounting as `map`, and like it never admits a
+    /// partition to a memory budget. Each chunk is
     /// collected straight off its own iterator, so when `T` and `U` share a
     /// layout (`RegionBundle -> RegionBundle`) the output is the input's
     /// allocation, rewritten in place.
@@ -806,9 +830,10 @@ impl<T: Send + Sync + 'static> Dataset<T> {
 
     /// Consuming [`Dataset::map_partitions`]: `f` receives each partition
     /// as an owned vector — the partition itself when this handle holds the
-    /// last reference, a clone of the borrowed (or, under a budget,
-    /// restored) partition otherwise. Tracked restores run in the stage's
-    /// one wave, a breached one again alone after it, as for
+    /// last reference (taken out of its store when budget-tracked, without
+    /// admission), a clone of the borrowed (or, under a budget, restored)
+    /// partition otherwise. Shared tracked restores run in the stage's one
+    /// wave, a breached one again alone after it, as for
     /// [`Dataset::narrow_op`].
     pub fn into_map_partitions<U: Send + Sync + 'static>(
         self,
@@ -821,7 +846,7 @@ impl<T: Send + Sync + 'static> Dataset<T> {
         let n = parts.num();
         let source = TaskSource::new(&ctx, parts);
         narrow_stage(&ctx, n, "mapPartitions", |i, task| {
-            let part = source.part(i)?;
+            let part = source.part(i, task)?;
             task.run(AllocTag::Task, || f(part.take_or_clone()))
         })
     }
@@ -831,12 +856,14 @@ impl<T: Send + Sync + 'static> Dataset<T> {
     /// Both sides are taken by value, each moved or cloned on its own
     /// ownership (`TaskSource` decides).
     ///
-    /// With either side budget-tracked, each task restores and pins its
-    /// left/right pair in the stage's one wave. A pair that does not fit
-    /// beside the other tasks' pins is re-run after the wave, alone, so any
-    /// budget that fits the largest pair stays feasible — not the whole
-    /// right-hand dataset, which is what pinning every restore up front
-    /// would cost.
+    /// A side that is the last handle to its budget-tracked store is taken
+    /// in the task body, without admission. A shared tracked side is
+    /// restored and pinned in the stage's one wave; a task whose restore
+    /// does not fit beside the other tasks' pins is re-run after the wave,
+    /// alone, so any budget that fits the largest pair stays feasible — not
+    /// the whole right-hand dataset, which is what pinning every restore up
+    /// front would cost. The re-run still finds a sole-owned side's
+    /// partition: it is only taken once both sides are in hand.
     pub fn into_zip_partitions<U, V>(
         self,
         other: Dataset<U>,
@@ -856,7 +883,7 @@ impl<T: Send + Sync + 'static> Dataset<T> {
         let n = parts.num();
         let (left, right) = (TaskSource::new(&ctx, parts), TaskSource::new(&ctx, other.parts));
         narrow_stage(&ctx, n, "zipPartitions", |i, task| {
-            let (l, r) = (left.part(i)?, right.part(i)?);
+            let (l, r) = (left.part(i, task)?, right.part(i, task)?);
             task.run(AllocTag::Task, || f(i, l.take_or_clone(), r.take_or_clone()))
         })
     }

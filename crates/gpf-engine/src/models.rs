@@ -7,10 +7,12 @@
 //! (`scripts/ci.sh` does, beside `gpf-check`'s own models).
 //! `GPF_CHECK_SCHEDULES=<n>` overrides the per-model schedule budget.
 
-use crate::budget::{BudgetAccountant, TrackedParts, TrackedStore};
-use crate::dataset::{FoldGroups, TaskSource};
+use crate::budget::{BudgetAccountant, Shed, TrackedParts, TrackedStore};
+use crate::config::EngineConfig;
+use crate::context::EngineContext;
+use crate::dataset::{FoldGroups, OwnedParts, TaskSource};
 use gpf_check::explore::{Explorer, Failure, Report};
-use gpf_compress::{GpfSerialize, SerializerKind};
+use gpf_compress::GpfSerialize;
 use gpf_support::chk::thread as chk_thread;
 use gpf_support::sync::Mutex;
 use std::sync::Arc;
@@ -34,7 +36,7 @@ fn pass(result: Result<Report, Failure>, name: &str) -> Report {
 fn model_task_source_cells_are_each_emptied_once() {
     let parts = || vec![vec![1u64, 2], vec![3], vec![4, 5, 6]];
     let model = || {
-        let source = TaskSource::Owned(parts().into_iter().map(Mutex::new).collect());
+        let source = TaskSource::Owned(OwnedParts::Cells(parts().into_iter().map(Mutex::new).collect()));
         let seen: Vec<Mutex<Vec<Vec<u64>>>> = (0..3).map(|_| Mutex::new(Vec::new())).collect();
         chk_thread::scope(|s| {
             // What a consuming narrow operator's task does …
@@ -107,7 +109,7 @@ fn model_tracked_store_restores_stay_within_the_ledger() {
         let want = parts();
         let budget = want[0].resident_bytes() as u64 + 16;
         let acct = Arc::new(BudgetAccountant::new(budget));
-        let store = TrackedStore::build(parts(), SerializerKind::Gpf, 0, Arc::clone(&acct), None);
+        let store = TrackedStore::build(parts(), &EngineContext::new(EngineConfig::gpf()), Arc::clone(&acct));
         assert!(!store.is_spilled(0) && store.is_spilled(1) && store.is_spilled(2));
         let breached: Mutex<Vec<usize>> = Mutex::new(Vec::new());
         let read = |i: usize| match store.read(i) {
@@ -139,4 +141,58 @@ fn model_tracked_store_restores_stay_within_the_ledger() {
     );
     assert!(report.schedules > 1, "exploration must actually branch");
     pass(Explorer::random(0x5B11_2E57, SCHEDULES).check("model_tracked_store_restores", model), "TrackedStore restores");
+}
+
+/// `TrackedStore::take` racing a `shed` and a restore of another slot, as a
+/// consuming operator's task meets a concurrent eviction: slots 0 and 2
+/// start resident and slot 1 spilled, under a budget that fits slots 0 and
+/// 2 but not slot 1 beside both. One thread takes slot 0, one restores
+/// slot 1 (evicting whatever it needs), one sheds everything unpinned. The
+/// take returns slot 0's records whether or not the shed spilled them
+/// first; a breached restore re-run alone succeeds; the taken slot is
+/// never shed or restored; the ledger never passes the budget, and after
+/// the join it holds exactly the resident charges.
+#[test]
+fn model_tracked_store_take_races_shed_and_restore() {
+    // One worker: the build's ticket writes run inline, so the explored
+    // threads are the three below.
+    std::env::set_var("GPF_PAR_THREADS", "1");
+    let parts = || vec![(0..12u64).collect::<Vec<u64>>(), (100..112).collect(), (200..206).collect()];
+    let model = || {
+        let want = parts();
+        let charge = |i: usize| want[i].resident_bytes() as u64;
+        let budget = charge(0) + charge(2);
+        let acct = Arc::new(BudgetAccountant::new(budget));
+        let store = TrackedStore::build(parts(), &EngineContext::new(EngineConfig::gpf()), Arc::clone(&acct));
+        assert!(!store.is_spilled(0) && store.is_spilled(1) && !store.is_spilled(2));
+        let breached = Mutex::new(false);
+        chk_thread::scope(|s| {
+            s.spawn(|| assert_eq!(store.take(0), want[0], "the taken slot 0"));
+            s.spawn(|| match store.read(1) {
+                Ok(part) => assert_eq!(*part, want[1], "restored slot 1"),
+                Err(err) => {
+                    assert_eq!(err, (charge(1), budget), "slot 1");
+                    *breached.lock() = true;
+                }
+            });
+            s.spawn(|| {
+                store.shed(u64::MAX);
+            });
+        });
+        if breached.into_inner() {
+            let rerun = store.read(1).map(|part| part.to_vec());
+            assert_eq!(rerun, Ok(want[1].clone()), "a restore of slot 1 alone fits the budget");
+        }
+        assert!(store.is_taken(0), "the taken slot was shed or restored");
+        assert!(store.read(0).is_ok_and(|part| part.is_empty()), "a taken slot reads as empty");
+        assert!(store.is_taken(0), "reading a taken slot restored it");
+        assert!(acct.peak() <= budget, "ledger peak {} over budget {budget}", acct.peak());
+        assert_eq!(acct.used(), store.resident_charge(), "the ledger holds exactly the resident charges");
+    };
+    let report = pass(
+        Explorer::exhaustive(3).check("model_tracked_store_take_exhaustive", model),
+        "TrackedStore take (exhaustive)",
+    );
+    assert!(report.schedules > 1, "exploration must actually branch");
+    pass(Explorer::random(0x7A4E_5ED0, SCHEDULES).check("model_tracked_store_take", model), "TrackedStore take");
 }

@@ -5,11 +5,12 @@
 //! from what the code can observe, not from a second code path:
 //!
 //! * the map side serializes its input *by reference*, wherever the records
-//!   sit: a shared plain input is borrowed in place, a sole-owned one is
-//!   taken and dropped by the task that serialized it, and a budget-tracked
-//!   one is gathered from its streamed chunks (one spill frame at a time,
-//!   never restored, so nothing is charged to the ledger) — decided once,
-//!   by [`TaskSource`], for the shuffle and the consuming narrow operators
+//!   sit: a shared plain input is borrowed in place, a sole-owned one —
+//!   plain or budget-tracked — is taken and dropped by the task that
+//!   serialized it, and a shared budget-tracked one is gathered from its
+//!   streamed chunks (one spill frame at a time, never restored); nothing
+//!   is charged to the ledger either way — decided once, by
+//!   [`TaskSource`], for the shuffle and the consuming narrow operators
 //!   alike;
 //! * with faults configured the input is retained as *lineage* (and
 //!   `TaskSource` never takes it), every segment is checksummed, and the
@@ -197,7 +198,7 @@ fn inject_bucket_corruption(
         let salt = plan.corruption_salt(stage, i as u32);
         let (_, seg) = m.segs[(salt % m.segs.len() as u64) as usize];
         if corrupt_bit(&mut m.data[seg.offset..seg.offset + seg.len], salt) {
-            ctx.record_fault_event(tn::FAULT_INJECTED, stage, i as u32, 1);
+            ctx.record_part_event(tn::FAULT_INJECTED, stage, i as u32, 1);
         }
     }
 }
@@ -322,7 +323,7 @@ where
     drop(map_out);
     for (t, (_, recomputed, _)) in reduce_out.iter().enumerate() {
         if *recomputed > 0 {
-            ctx.record_fault_event(tn::SHUFFLE_RECOMPUTED, read_stage, t as u32, *recomputed);
+            ctx.record_part_event(tn::SHUFFLE_RECOMPUTED, read_stage, t as u32, *recomputed);
         }
     }
     ctx.record_serde(reduce_out.iter().map(|(_, _, de_s)| de_s).sum());

@@ -19,14 +19,20 @@ use gpf_trace::alloc::{self, AllocTag};
 use gpf_trace::clock::now_ns;
 use gpf_trace::current_tid;
 use gpf_trace::names as tn;
+use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
+/// When a task's measured window opened: its wall-clock start and its
+/// thread-CPU timer.
+type Begun = (u64, TaskTimer);
+
 /// Run `body` as one measured task: wall window, thread-CPU seconds and the
-/// worker's heap window, with allocations attributed to `tag`. The only
-/// place a [`TaskSample`] is built from a live measurement.
-pub(crate) fn timed<R>(tag: AllocTag, body: impl FnOnce() -> R) -> (R, TaskSample) {
-    let start_ns = now_ns();
-    let t0 = TaskTimer::start();
+/// worker's heap window, with allocations attributed to `tag`. The wall
+/// and CPU window opens at `begun` when the task restored its input first
+/// ([`Task::restore`]), else here. The only place a [`TaskSample`] is built
+/// from a live measurement.
+pub(crate) fn timed<R>(begun: Option<Begun>, tag: AllocTag, body: impl FnOnce() -> R) -> (R, TaskSample) {
+    let (start_ns, t0) = begun.unwrap_or_else(|| (now_ns(), TaskTimer::start()));
     let scope = alloc::scope(tag);
     let ht = alloc::window_begin();
     let out = body();
@@ -88,15 +94,28 @@ pub(crate) struct Task<'a> {
     label: &'a str,
     stage: u32,
     partition: u32,
+    /// Set by the task's first [`Task::restore`]: the measured window
+    /// opens there, so the restore is charged to this task.
+    begun: Cell<Option<Begun>>,
 }
 
 impl Task<'_> {
+    /// Restore this task's input before its body runs. The restore is
+    /// charged to the task's sample (its CPU and wall window open here), and
+    /// a restore that does not fit the budget aborts the task with a
+    /// [`Abort::Breach`] for the runner to re-run it alone.
+    pub(crate) fn restore<P>(&self, read: impl FnOnce() -> Result<P, (u64, u64)>) -> Result<P, Abort> {
+        let begun = self.begun.take().unwrap_or_else(|| (now_ns(), TaskTimer::start()));
+        self.begun.set(Some(begun));
+        read().map_err(Abort::from)
+    }
+
     /// Run the task body, heap-attributed to `tag`. `body` runs exactly
     /// once unless this task is under retry.
     pub(crate) fn run<R>(&self, tag: AllocTag, body: impl Fn() -> R) -> Result<TaskRun<R>, Abort> {
         match self.retry {
             None => {
-                let (out, sample) = timed(tag, body);
+                let (out, sample) = timed(self.begun.take(), tag, body);
                 Ok(TaskRun { out, sample, attempts: Vec::new(), injected: 0 })
             }
             Some((plan, surface)) => {
@@ -127,7 +146,7 @@ impl Task<'_> {
                 // A panicked attempt's heap stats are meaningless and are
                 // dropped with its sample; `timed` still closed the window,
                 // so the thread-local peak state stays balanced.
-                match timed(tag, || catch_unwind(AssertUnwindSafe(&body))) {
+                match timed(self.begun.take(), tag, || catch_unwind(AssertUnwindSafe(&body))) {
                     (Ok(out), sample) => return Ok(TaskRun { out, sample, attempts, injected }),
                     (Err(payload), _) => panic_message(payload),
                 }
@@ -158,8 +177,9 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 
 /// Run one stage of `n` tasks and record it into the open engine stage.
 ///
-/// `body(i, task)` prepares task `i`'s input (a budget-tracked restore may
-/// [`Abort::Breach`]) and runs its work through [`Task::run`]; `account`
+/// `body(i, task)` prepares task `i`'s input (a budget-tracked restore,
+/// through [`Task::restore`], may [`Abort::Breach`]) and runs its work
+/// through [`Task::run`]; `account`
 /// maps the task outputs to the `(records_out, alloc_bytes)` the op
 /// instant carries. `surface` puts the stage's tasks under the fault plan
 /// (bounded retry) when faults are configured.
@@ -186,7 +206,7 @@ pub(crate) fn run_stage<R: Send>(
     }
     let stage = ctx.current_stage();
     let retry = ctx.faults().zip(surface);
-    let run_one = |i: usize| body(i, &Task { retry, label, stage, partition: i as u32 });
+    let run_one = |i: usize| body(i, &Task { retry, label, stage, partition: i as u32, begun: Cell::new(None) });
     let mut runs = Vec::with_capacity(n);
     for (i, run) in par::map_range(n, run_one).into_iter().enumerate() {
         let run = match run {
@@ -202,7 +222,7 @@ pub(crate) fn run_stage<R: Send>(
             }
             Err(Abort::Task(err)) => {
                 let retries = err.attempts.len() as u64;
-                ctx.record_fault_event(tn::TASK_RETRIES, stage, err.partition, retries);
+                ctx.record_part_event(tn::TASK_RETRIES, stage, err.partition, retries);
                 ctx.fail(Failure::Task(err));
                 return None;
             }
@@ -213,11 +233,11 @@ pub(crate) fn run_stage<R: Send>(
         // stays in deterministic order.
         for (i, r) in runs.iter().enumerate() {
             if r.injected > 0 {
-                ctx.record_fault_event(tn::FAULT_INJECTED, stage, i as u32, r.injected as u64);
+                ctx.record_part_event(tn::FAULT_INJECTED, stage, i as u32, r.injected as u64);
             }
             if !r.attempts.is_empty() {
                 let retries = r.attempts.len() as u64;
-                ctx.record_fault_event(tn::TASK_RETRIES, stage, i as u32, retries);
+                ctx.record_part_event(tn::TASK_RETRIES, stage, i as u32, retries);
             }
         }
     }

@@ -6,10 +6,12 @@
 //! plans and split-table routing on/off; directed tests pin ledger-peak
 //! bounding, infeasible-budget structured errors, and the breach message.
 
+use gpf_compress::{ByteReader, ByteWriter, CodecError, GpfSerialize};
 use gpf_engine::{Dataset, EngineConfig, EngineContext, Failure, FaultPlan};
 use gpf_support::par;
 use gpf_support::proptest::prelude::*;
 use gpf_trace::names as tn;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
 
@@ -258,5 +260,110 @@ fn a_zip_re_run_after_a_breach_still_finds_its_sole_owned_partition() {
         }
         let acct = ctx.accountant().expect("budget installs an accountant");
         assert!(acct.peak() <= l + r, "{kind:?}: ledger peak {} over budget {}", acct.peak(), l + r);
+    }
+}
+
+/// Clones of [`Tallied`] records, process-wide: only
+/// `consuming_a_sole_owned_tracked_input_clones_no_record` makes them.
+static CLONES: AtomicUsize = AtomicUsize::new(0);
+
+/// A record that counts its own clones, decoded copies included.
+struct Tallied(u64);
+
+impl Clone for Tallied {
+    fn clone(&self) -> Self {
+        CLONES.fetch_add(1, Ordering::SeqCst);
+        Tallied(self.0)
+    }
+}
+
+impl GpfSerialize for Tallied {
+    fn write(&self, w: &mut ByteWriter) {
+        w.write_u64(self.0);
+    }
+    fn read(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
+        Ok(Tallied(r.read_u64()?))
+    }
+}
+
+/// Every consuming operator, and the shuffle, over a tracked input that is
+/// the last handle to its store clones no record under a quarter budget:
+/// the resident partition moves out of its slot and the spilled ones are
+/// decoded straight into the task's vector. A second handle on the input
+/// still costs one clone per record.
+#[test]
+fn consuming_a_sole_owned_tracked_input_clones_no_record() {
+    const RECORDS: usize = 400;
+    let charge = (RECORDS / 4 * std::mem::size_of::<Tallied>() + std::mem::size_of::<Vec<Tallied>>()) as u64;
+    let ctx = EngineContext::new(EngineConfig::default().with_memory_budget(charge));
+    let build = || Dataset::from_vec(Arc::clone(&ctx), (0..RECORDS as u64).map(Tallied).collect(), 4).evictable();
+    type Op = fn(Dataset<Tallied>, Dataset<Tallied>) -> Dataset<u64>;
+    let ops: [(&str, Op); 6] = [
+        ("into_map", |d, _| d.into_map(|t| t.0)),
+        ("into_map_indexed", |d, _| d.into_map_indexed(|_, _, t| t.0)),
+        ("into_flat_map", |d, _| d.into_flat_map(|t| [t.0])),
+        ("into_map_partitions", |d, _| d.into_map_partitions(|p| p.into_iter().map(|t| t.0).collect())),
+        ("into_zip_partitions", |d, e| {
+            d.into_zip_partitions(e, |_, l, r| l.iter().zip(&r).map(|(a, b)| a.0 + b.0).collect())
+        }),
+        ("into_partition_by", |d, _| d.into_partition_by(4, |t| (t.0 % 4) as usize).into_map(|t| t.0)),
+    ];
+    for (name, op) in ops {
+        let (d, e) = (build(), build());
+        assert_eq!(d.spilled_partitions(), 4, "{name}: the second input evicted the first");
+        assert_eq!(e.spilled_partitions(), 3, "{name}: one partition fits");
+        let before = CLONES.load(Ordering::SeqCst);
+        let moved = op(d, e);
+        assert_eq!(CLONES.load(Ordering::SeqCst), before, "{name}: a sole owner clones nothing");
+        let (d, e) = (build(), build());
+        let keep = d.clone();
+        let before = CLONES.load(Ordering::SeqCst);
+        let cloned = op(d, e);
+        assert_eq!(CLONES.load(Ordering::SeqCst), before + RECORDS, "{name}: a shared input, one clone per record");
+        assert_eq!(cloned.collect_local(), moved.collect_local(), "{name}");
+        assert_eq!(keep.len(), RECORDS, "{name}: the kept handle still holds its records");
+        assert_eq!(ctx.take_failure(), None, "{name}");
+    }
+}
+
+/// A consuming stage over sole-owned tracked inputs takes every partition
+/// without admitting one, so it evicts nothing: the run's trace records the
+/// spills that building the inputs made, keyed by stage and partition, and
+/// in the consuming stage no spill and one read-back (a restore) of each
+/// partition that was spilled when the stage began.
+#[test]
+fn a_consuming_wave_spills_nothing() {
+    let data: Vec<(u64, u64)> = (0..4000u64).map(|i| (i % 29, i.wrapping_mul(0x2545_f491))).collect();
+    let one = one_partition_charge(&data, 8);
+    let ctx = EngineContext::new(EngineConfig::default().with_memory_budget(4 * one));
+    // `(stage, partition)` of every spill and every restore in the run so
+    // far, in recorded order.
+    type Sites = Vec<(Option<u64>, Option<u64>)>;
+    let drain = || -> (Sites, Sites) {
+        let (_, trace) = ctx.take_run_traced();
+        let sites = |name: &str| -> Sites {
+            trace.events.iter().filter(|e| &*e.name == name).map(|e| (e.counter("stage"), e.counter("part"))).collect()
+        };
+        (sites(tn::MEM_BUDGET_SPILLED), sites(tn::MEM_BUDGET_RESTORED))
+    };
+    type Op = fn(Dataset<(u64, u64)>, Dataset<(u64, u64)>) -> Dataset<(u64, u64)>;
+    let ops: [(&str, Op, usize); 2] = [
+        ("into_map_partitions", |d, _| d.into_map_partitions(|p| p.into_iter().rev().collect()), 1),
+        ("into_zip_partitions", |d, e| d.into_zip_partitions(e, |_, l, r| l.into_iter().chain(r).collect()), 2),
+    ];
+    for (name, op, inputs) in ops {
+        let d = Dataset::from_vec(Arc::clone(&ctx), data.clone(), 8).evictable();
+        let e = Dataset::from_vec(Arc::clone(&ctx), data.clone(), 8).evictable();
+        let spilled = [d.spilled_partitions(), e.spilled_partitions()];
+        assert!(spilled[0] + spilled[1] >= 8, "{name}: the inputs do not fit the budget");
+        let (spills, restores) = drain();
+        assert_eq!((spills.len(), restores.len()), (spilled[0] + spilled[1], 0), "{name}: the builds' spills");
+        let out = op(d, e);
+        let (spills, restores) = drain();
+        assert_eq!(spills, Vec::new(), "{name}: the consuming wave spilled");
+        let read_back: usize = spilled[..inputs].iter().sum();
+        assert_eq!(restores.len(), read_back, "{name}: each spilled partition is read back once");
+        assert_eq!(out.len(), inputs * data.len(), "{name}");
+        assert_eq!(ctx.take_failure(), None, "{name}");
     }
 }

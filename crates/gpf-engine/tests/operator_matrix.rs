@@ -263,8 +263,9 @@ enum Twin {
 }
 
 impl Twin {
-    /// Element-wise operators stream an evicted partition and never restore
-    /// it; the whole-partition ones restore, one task at a time.
+    /// Element-wise operators stream an evicted partition of a shared input
+    /// and never restore it; the whole-partition ones restore it. (A
+    /// sole-owned input is taken by every operator, never restored.)
     fn streams(self) -> bool {
         !matches!(self, Twin::MapPartitions | Twin::ZipPartitions)
     }
@@ -365,8 +366,9 @@ fn twin_inputs(ctx: &Arc<EngineContext>, data: &[Rec]) -> (Dataset<Rec>, Dataset
 /// One operator-matrix cell per consuming operator: its output (placement,
 /// order, stage shape) is its borrowed twin's with a sole owner, with a
 /// second handle alive, under a quarter budget and under a plan that makes
-/// the first attempt fail; an infeasible budget is a structured breach for
-/// the whole-partition operators and no obstacle for the streamed ones.
+/// the first attempt fail; an infeasible budget is no obstacle for a sole
+/// owner, which takes its partitions, and over a shared input a structured
+/// breach for the whole-partition operators and none for the streamed ones.
 #[test]
 fn consuming_operators_agree_with_their_borrowed_twins() {
     use std::sync::atomic::{AtomicU32, Ordering};
@@ -402,9 +404,9 @@ fn consuming_operators_agree_with_their_borrowed_twins() {
             }
         }
 
-        // A quarter of the input's footprint: inputs spill at build, the
-        // streamed operators stream, the whole-partition ones restore one
-        // task at a time, and a sixteenth-sized partition (or a pair) fits.
+        // A quarter of the input's footprint: inputs spill at build and
+        // every operator takes its sole-owned partitions, the resident ones
+        // out of their slots and the spilled ones decoded without admission.
         {
             let cfg = EngineConfig::default().with_parallelism(4).with_memory_budget(footprint / 4);
             let ctx = EngineContext::new(cfg);
@@ -415,16 +417,20 @@ fn consuming_operators_agree_with_their_borrowed_twins() {
             assert_eq!(shape(&ctx.take_run()), want_shape, "[{twin:?}, budget 1/4] JobRun shape");
         }
 
-        // Far below one partition: restoring is infeasible, streaming is not.
-        {
+        // Far below one partition: restoring is infeasible, streaming and
+        // taking are not. A sole owner takes; a second handle keeps the
+        // shared path, where the whole-partition operators restore.
+        for shared in [false, true] {
             let cfg = EngineConfig::default().with_parallelism(4).with_memory_budget(64);
             let ctx = EngineContext::new(cfg);
             let (d, e) = twin_inputs(&ctx, &data);
+            let keep = shared.then(|| (d.clone(), e.clone()));
             let got = run_consuming(twin, d, e, &quiet);
             let failure = ctx.take_failure();
-            if twin.streams() {
-                assert!(failure.is_none(), "[{twin:?}] a streamed operator never restores");
-                same("budget 64 B", &got);
+            drop(keep);
+            if !shared || twin.streams() {
+                assert!(failure.is_none(), "[{twin:?}, shared {shared}] a take or a stream never restores");
+                same(&format!("budget 64 B, shared {shared}"), &got);
             } else {
                 let Some(Failure::Budget(breach)) = failure else {
                     panic!("[{twin:?}] an infeasible restore is a structured breach, got {failure:?}");

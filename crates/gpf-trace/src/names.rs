@@ -83,12 +83,12 @@ pub const TASK_RETRIES: &str = "task.retries";
 pub const SHUFFLE_RECOMPUTED: &str = "shuffle.recomputed";
 
 /// Shuffle input partitions taken by the map task that serialized them and
-/// freed there (sole owner).
+/// freed there (sole owner, plain or out of a budget store).
 pub const SHUFFLE_PARTITIONS_MOVED: &str = "shuffle.partitions.moved";
 /// Shuffle input partitions serialized where they sit (shared plain input,
 /// or any plain input kept as lineage under a fault plan).
 pub const SHUFFLE_PARTITIONS_BORROWED: &str = "shuffle.partitions.borrowed";
-/// Shuffle input partitions gathered, record by record, from a
+/// Shuffle input partitions gathered, record by record, from a shared
 /// budget-tracked store's streamed chunks.
 pub const SHUFFLE_PARTITIONS_CLONED: &str = "shuffle.partitions.cloned";
 
@@ -115,7 +115,8 @@ pub const MEM_BUDGET_BREACH: &str = "mem.budget.breach";
 /// Clean resident partitions dropped by the eviction policy (their spill
 /// ticket was already on disk, so recompute = a checksummed re-read).
 pub const MEM_BUDGET_DROPPED_CLEAN: &str = "mem.budget.dropped_clean";
-/// Spilled partitions restored (decoded + checksum-verified) on demand.
+/// Spilled partitions read back (decoded + checksum-verified) on demand:
+/// restored into their store, or taken out of it by a consuming task.
 pub const MEM_BUDGET_RESTORED: &str = "mem.budget.restored";
 /// Resident bytes restored from spill.
 pub const MEM_BUDGET_RESTORED_BYTES: &str = "mem.budget.restored_bytes";

@@ -91,11 +91,18 @@ echo "== repo benchmark (genome 6054: VCF digests, shuffle bytes, stage count, a
 # the answer: `engine.shuffle_mb` and `engine.stages` repeat exactly, so a
 # change that shuffles more (or adds a stage) says so here by moving them.
 # And the footprint beside the dataflow: each child's `peak_rss_mb` has a
-# ceiling 15-20% over what it measures (37.8 / 40.7 / 44.4 / 48.6 MiB for
-# wgs-full / clean-call / -fine / -tight-mem; it repeats within 1%), so one
-# more resident copy of the reads (12 MiB or more) fails here and allocator
-# noise does not. wgs-full runs the aligner on the same genome, so its
-# digest also pins aligner output end to end.
+# ceiling 15-20% over what it measures (37.8 / 40.7 / 44.4 / 40.9 MiB for
+# wgs-full / clean-call / -fine / -tight-mem; it repeats within 1% on two
+# threads), so one more resident copy of the reads (12 MiB or more) fails
+# here and allocator noise does not. -tight-mem's ceiling was 60 MiB while
+# its consuming stages restored and cloned each partition they dropped
+# (48.6 MiB); they take their partitions out of the budget store now.
+# Its budget's work is pinned too: the consuming stages admit nothing, so
+# `engine.spill_count`, `engine.spill_mb` and `engine.restore_count`
+# repeat exactly, run after run and at 1, 2 and 3 threads (470 spills of
+# 12.42 MB, 470 read back); a change that spills more, or brings back the
+# restore-evict thrash, fails here. wgs-full runs the aligner on the same
+# genome, so its digest also pins aligner output end to end.
 # And the index build: wgs-full's `setup_s` is the FASTA parse plus the
 # FM-index build (~0.015 s with the linear-time suffix array; 0.063-0.13 s
 # with the O(n log^2 n) prefix doubling it replaced). The smaller of the
@@ -108,15 +115,19 @@ bench_inputs="$(mktemp -d -t gpf_bench_inputs_XXXX)"
 for pin in wgs-full:242c4063708960b1:4.5209150314331055:44 \
     clean-call:242c4063708960b1:4.520932197570801:48 \
     clean-call-fine:b3cdabcc53910815:6.020244598388672:52 \
-    clean-call-tight-mem:242c4063708960b1:4.520932197570801:60; do
+    clean-call-tight-mem:242c4063708960b1:4.520932197570801:48; do
     IFS=: read -r workload digest shuffle_mb rss_ceiling <<<"$pin"
     bench_line="$("$bench_exe" child --workload "$workload" --dir "$bench_inputs" | tail -n 1)"
-    for want in "\"digest\": \"$digest\"" "\"engine.shuffle_mb\": $shuffle_mb," \
-        "\"engine.stages\": 9,"; do
+    wants=("\"digest\": \"$digest\"" "\"engine.shuffle_mb\": $shuffle_mb," "\"engine.stages\": 9,")
+    if [[ "$workload" == clean-call-tight-mem ]]; then
+        wants+=('"engine.spill_count": 470,' '"engine.spill_mb": 12.422523498535156,' \
+            '"engine.restore_count": 470,')
+    fi
+    for want in "${wants[@]}"; do
         if [[ "$bench_line" != *"$want"* ]]; then
             rm -rf "$bench_inputs"
             echo "$workload on genome 6054 did not print $want:" >&2
-            echo "$bench_line" | tr ',' '\n' | grep -E 'digest|engine\.(shuffle_mb|stages)' >&2
+            echo "$bench_line" | tr ',' '\n' | grep -E 'digest|engine\.(shuffle_mb|stages|spill|restore)' >&2
             exit 1
         fi
     done
