@@ -130,7 +130,7 @@ impl BudgetAccountant {
     }
 
     /// Bytes currently charged to the ledger.
-    pub(crate) fn used(&self) -> u64 {
+    pub fn used(&self) -> u64 {
         self.ledger.lock().used
     }
 

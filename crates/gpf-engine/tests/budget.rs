@@ -367,3 +367,38 @@ fn a_consuming_wave_spills_nothing() {
         assert_eq!(ctx.take_failure(), None, "{name}");
     }
 }
+
+/// A borrowed whole-partition stage over a tracked input whose partitions
+/// are all spilled, under a budget of a quarter of its footprint: a second
+/// input as large evicts the first and holds the only resident partitions.
+/// Under every serializer the output equals the unbudgeted run's, nothing
+/// fails, the ledger peak stays within the budget, and once the stage is
+/// over the ledger holds exactly the stores' resident charges.
+#[test]
+fn a_borrowed_stage_over_spilled_partitions_leaves_only_resident_charges() {
+    let data: Vec<(u64, u64)> = (0..4000u64).map(|i| (i % 37, i.wrapping_mul(0x9E37_79B9))).collect();
+    let one = one_partition_charge(&data, 8);
+    let stage = |ctx: &Arc<EngineContext>| {
+        let d = Dataset::from_vec(Arc::clone(ctx), data.clone(), 8).evictable();
+        let other = Dataset::from_vec(Arc::clone(ctx), data.clone(), 8).evictable();
+        if ctx.accountant().is_some() {
+            assert_eq!(d.spilled_partitions(), 8, "the second input evicted the first");
+        }
+        let out = d.map_partitions(|p| p.iter().rev().map(|kv| (kv.1, kv.0)).collect());
+        (out.partition_sizes(), out.collect_local(), d, other)
+    };
+    for base in [EngineConfig::gpf(), EngineConfig::kryo(), EngineConfig::java()] {
+        let kind = base.serializer;
+        let (want_sizes, want, _, _) = stage(&EngineContext::new(base.clone()));
+        let budget = 2 * one;
+        let ctx = EngineContext::new(base.with_memory_budget(budget));
+        let (sizes, got, d, other) = stage(&ctx);
+        assert_eq!(ctx.take_failure(), None, "{kind:?}");
+        assert_eq!(sizes, want_sizes, "{kind:?}");
+        assert!(got == want, "{kind:?}: the budgeted stage diverged from the unbudgeted one");
+        let acct = ctx.accountant().expect("budget installs an accountant");
+        assert!(acct.peak() <= budget, "{kind:?}: ledger peak {} over budget {budget}", acct.peak());
+        let resident = (16 - d.spilled_partitions() - other.spilled_partitions()) as u64 * one;
+        assert_eq!(acct.used(), resident, "{kind:?}: the ledger holds exactly the resident charges");
+    }
+}
