@@ -26,9 +26,10 @@ pub struct EngineConfig {
     /// default) runs fully in-memory, exactly as before. `Some(bytes)`
     /// installs a [`crate::BudgetAccountant`] on the context: datasets
     /// produced by shuffles/barriers (and any marked `.evictable()`)
-    /// become eviction candidates under a spill-vs-recompute policy, and
-    /// map stages over evicted partitions stream chunk-by-chunk instead of
-    /// materializing them.
+    /// become eviction candidates, spilled to checksummed frames when an
+    /// admission needs room and never resident again; map stages over
+    /// evicted partitions stream chunk-by-chunk, and whole-partition
+    /// stages decode a charged copy per task.
     pub memory_budget: Option<u64>,
 }
 

@@ -443,7 +443,7 @@ impl EngineContext {
 
     /// Record one event on a partition — a recovery (an injected fault, a
     /// retry, a recomputed segment) or a memory-budget spill, restore or
-    /// clean drop: a scheduler instant in the session trace, keyed by stage
+    /// breached read: a scheduler instant in the session trace, keyed by stage
     /// and partition, plus a global counter bump. The global counters are
     /// unconditional (not gated on `set_enabled`) — this path only executes
     /// when faults or a budget are configured, so the disabled-cost is zero

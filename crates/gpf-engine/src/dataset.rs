@@ -16,7 +16,7 @@
 //! (`Parts`). Every operator is a thin caller of the one task runner
 //! (`task.rs`) and the one shuffle (`shuffle.rs`).
 
-use crate::budget::{TrackedParts, TrackedStore};
+use crate::budget::{Charge, TrackedParts, TrackedStore};
 use crate::context::EngineContext;
 use crate::fault::FaultSurface;
 use crate::shuffle::shuffle;
@@ -64,8 +64,8 @@ pub fn stable_hash<K: Hash>(key: &K) -> u64 {
 /// `Plain` is the classic fully-resident form — zero overhead, byte-for-byte
 /// the engine as it existed before memory budgets. `Tracked` partitions live
 /// in a budget-accounted [`TrackedStore`]: they may be evicted to checksummed
-/// spill frames under memory pressure and are restored (or streamed
-/// chunk-by-chunk) on access.
+/// spill frames under memory pressure, and an evicted one is decoded for
+/// its reader (or streamed chunk-by-chunk) on access.
 pub(crate) enum Parts<T> {
     Plain(Arc<Vec<Vec<T>>>),
     Tracked(Arc<dyn TrackedParts<T>>),
@@ -99,13 +99,13 @@ impl<T> Parts<T> {
         (0..self.num()).map(|i| self.part_len(i)).sum()
     }
 
-    /// Borrow (plain) or restore (tracked) partition `i`.
-    /// `Err((requested, budget))` only when a tracked restore is infeasible
-    /// under the installed memory budget.
+    /// Borrow (plain) or read (tracked) partition `i`.
+    /// `Err((requested, budget))` only when a tracked read of an evicted
+    /// partition is infeasible under the installed memory budget.
     fn get(&self, i: usize) -> Result<PartRef<'_, T>, (u64, u64)> {
         match self {
             Parts::Plain(v) => Ok(PartRef::Slice(&v[i])),
-            Parts::Tracked(s) => s.read(i).map(PartRef::Owned),
+            Parts::Tracked(s) => s.read(i),
         }
     }
 
@@ -305,12 +305,15 @@ pub(crate) fn output_parts<T: GpfSerialize + Clone + Send + Sync + 'static>(
     }
 }
 
-/// A borrowed view of one partition: a direct slice for plain datasets, a
-/// pinned `Arc` for tracked ones (the pin keeps the eviction policy from
-/// dropping the partition while it is being read). Derefs to `[T]`.
+/// A borrowed view of one partition: a direct slice for plain datasets; for
+/// tracked ones a pinned `Arc` of a resident partition (the pin keeps
+/// eviction from spilling it while it is read) or a copy of an evicted one
+/// decoded for this reader alone, holding its ledger charge until it drops.
+/// Derefs to `[T]`.
 pub enum PartRef<'a, T> {
     Slice(&'a [T]),
     Owned(Arc<Vec<T>>),
+    Restored(Vec<T>, Charge),
 }
 
 impl<T> std::ops::Deref for PartRef<'_, T> {
@@ -319,6 +322,7 @@ impl<T> std::ops::Deref for PartRef<'_, T> {
         match self {
             PartRef::Slice(s) => s,
             PartRef::Owned(v) => v,
+            PartRef::Restored(v, _) => v,
         }
     }
 }
@@ -446,9 +450,10 @@ impl<T: Send + Sync + 'static> Dataset<T> {
         (0..self.parts.num()).map(|i| self.parts.part_len(i)).collect()
     }
 
-    /// Borrow a partition's records. On a budget-tracked dataset this
-    /// restores the partition if it was evicted; an infeasible restore
-    /// panics, so pipelines should go through operators (which surface a
+    /// Borrow a partition's records. On a budget-tracked dataset an evicted
+    /// partition is decoded into a copy for the returned `PartRef`, charged
+    /// to the ledger until it drops, and stays evicted; a charge that cannot
+    /// fit panics, so pipelines should go through operators (which surface a
     /// structured breach instead) — this accessor is for tests, benches and
     /// diagnostics.
     pub fn partition(&self, idx: usize) -> PartRef<'_, T> {
@@ -480,9 +485,11 @@ impl<T: Send + Sync + 'static> Dataset<T> {
     /// Core narrow operation: per-partition transform with metric
     /// recording. `f` receives `(partition_index, records)`.
     ///
-    /// One parallel wave: plain partitions are borrowed, budget-tracked
-    /// ones restored and pinned for the task. A restore that does not fit
-    /// beside the other tasks' pins is re-run after the wave, alone, so any
+    /// One parallel wave: plain partitions are borrowed, resident
+    /// budget-tracked ones pinned for the task and evicted ones decoded into
+    /// a copy the task holds, charged to the ledger until the task drops it
+    /// (the slot stays evicted). A restore that does not fit beside the
+    /// other tasks' pins and copies is re-run after the wave, alone, so any
     /// budget that fits the largest single partition stays feasible; only
     /// a restore that does not fit alone surfaces as a structured budget
     /// breach. Element-wise operators avoid even the restore via
@@ -703,7 +710,7 @@ impl<T: Send + Sync + 'static> Dataset<T> {
 
     /// Opt this dataset into the memory-budget eviction policy: under a
     /// configured budget ([`crate::EngineConfig::with_memory_budget`]) its
-    /// partitions become spill-vs-recompute victims and map stages over
+    /// partitions become eviction victims and map stages over
     /// evicted partitions stream chunk-by-chunk. A no-op when no budget is
     /// installed or the dataset is already tracked. Takes the dataset: a
     /// sole-owned one moves into the store, record for record where it
@@ -858,11 +865,11 @@ impl<T: Send + Sync + 'static> Dataset<T> {
     ///
     /// A side that is the last handle to its budget-tracked store is taken
     /// in the task body, without admission. A shared tracked side is
-    /// restored and pinned in the stage's one wave; a task whose restore
-    /// does not fit beside the other tasks' pins is re-run after the wave,
-    /// alone, so any budget that fits the largest pair stays feasible — not
-    /// the whole right-hand dataset, which is what pinning every restore up
-    /// front would cost. The re-run still finds a sole-owned side's
+    /// pinned or restored as in [`Dataset::narrow_op`], in the stage's one
+    /// wave; a task whose restore does not fit beside the other tasks' pins
+    /// and copies is re-run after the wave, alone, so any budget that fits
+    /// the largest pair stays feasible — not the whole right-hand dataset,
+    /// which is what pinning every restore up front would cost. The re-run still finds a sole-owned side's
     /// partition: it is only taken once both sides are in hand.
     pub fn into_zip_partitions<U, V>(
         self,

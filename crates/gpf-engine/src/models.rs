@@ -90,15 +90,15 @@ fn model_fold_groups_fold_every_value_once() {
     pass(Explorer::random(0xF01D_6209, SCHEDULES).check("model_fold_groups", model), "FoldGroups");
 }
 
-/// `TrackedStore` under concurrent restores, as a budgeted stage's wave
-/// makes them: two tasks restore the same spilled slot and then another,
-/// in opposite orders, while a third streams the resident slot (pinning it
-/// as it reads), under an accountant that fits the one large partition plus
-/// a little. Every read returns its partition's records or breaches
-/// against a pin; a breached read re-run alone after the join succeeds.
-/// The ledger never passes the budget, and once every pin is dropped it
-/// holds exactly the resident slots' charges: the lost race's refund and
-/// `shed`'s credits neither leak nor count twice.
+/// `TrackedStore` under concurrent reads, as a budgeted stage's wave makes
+/// them: two tasks read the same spilled slot, each decoding its own copy,
+/// while a third streams the resident slot (pinning it as it reads), under
+/// an accountant that fits the one large partition plus a little. Every
+/// read returns its partition's records or breaches against a pin or the
+/// other reader's charge; a breached read re-run alone after the join
+/// succeeds. The ledger never passes the budget, and once every reader is
+/// done it holds exactly the resident slots' charges: the readers' charges
+/// returned on drop and `shed`'s credits neither leak nor count twice.
 #[test]
 fn model_tracked_store_restores_stay_within_the_ledger() {
     // One worker: the build's ticket writes run inline, so the explored
@@ -130,7 +130,7 @@ fn model_tracked_store_restores_stay_within_the_ledger() {
         });
         for i in breached.into_inner() {
             let rerun = store.read(i).map(|part| part.to_vec());
-            assert_eq!(rerun, Ok(want[i].clone()), "a restore of slot {i} alone fits the budget");
+            assert_eq!(rerun, Ok(want[i].clone()), "a read of slot {i} alone fits the budget");
         }
         assert!(acct.peak() <= budget, "ledger peak {} over budget {budget}", acct.peak());
         assert_eq!(acct.used(), store.resident_charge(), "the ledger holds exactly the resident charges");
@@ -143,15 +143,16 @@ fn model_tracked_store_restores_stay_within_the_ledger() {
     pass(Explorer::random(0x5B11_2E57, SCHEDULES).check("model_tracked_store_restores", model), "TrackedStore restores");
 }
 
-/// `TrackedStore::take` racing a `shed` and a restore of another slot, as a
+/// `TrackedStore::take` racing a `shed` and a read of another slot, as a
 /// consuming operator's task meets a concurrent eviction: slots 0 and 2
 /// start resident and slot 1 spilled, under a budget that fits slots 0 and
-/// 2 but not slot 1 beside both. One thread takes slot 0, one restores
-/// slot 1 (evicting whatever it needs), one sheds everything unpinned. The
-/// take returns slot 0's records whether or not the shed spilled them
-/// first; a breached restore re-run alone succeeds; the taken slot is
-/// never shed or restored; the ledger never passes the budget, and after
-/// the join it holds exactly the resident charges.
+/// 2 but not slot 1 beside both. One thread takes slot 0, one reads slot 1
+/// (evicting whatever it needs, its charge returned when its copy drops),
+/// one sheds everything unpinned. The take returns slot 0's records
+/// whether or not the shed spilled them first; a breached read re-run
+/// alone succeeds; the taken slot is never shed or read back; the ledger
+/// never passes the budget, and after the join it holds exactly the
+/// resident charges.
 #[test]
 fn model_tracked_store_take_races_shed_and_restore() {
     // One worker: the build's ticket writes run inline, so the explored
@@ -169,7 +170,7 @@ fn model_tracked_store_take_races_shed_and_restore() {
         chk_thread::scope(|s| {
             s.spawn(|| assert_eq!(store.take(0), want[0], "the taken slot 0"));
             s.spawn(|| match store.read(1) {
-                Ok(part) => assert_eq!(*part, want[1], "restored slot 1"),
+                Ok(part) => assert_eq!(*part, want[1], "read slot 1"),
                 Err(err) => {
                     assert_eq!(err, (charge(1), budget), "slot 1");
                     *breached.lock() = true;
@@ -181,11 +182,11 @@ fn model_tracked_store_take_races_shed_and_restore() {
         });
         if breached.into_inner() {
             let rerun = store.read(1).map(|part| part.to_vec());
-            assert_eq!(rerun, Ok(want[1].clone()), "a restore of slot 1 alone fits the budget");
+            assert_eq!(rerun, Ok(want[1].clone()), "a read of slot 1 alone fits the budget");
         }
         assert!(store.is_taken(0), "the taken slot was shed or restored");
         assert!(store.read(0).is_ok_and(|part| part.is_empty()), "a taken slot reads as empty");
-        assert!(store.is_taken(0), "reading a taken slot restored it");
+        assert!(store.is_taken(0), "reading a taken slot brought it back");
         assert!(acct.peak() <= budget, "ledger peak {} over budget {budget}", acct.peak());
         assert_eq!(acct.used(), store.resident_charge(), "the ledger holds exactly the resident charges");
     };
@@ -195,4 +196,51 @@ fn model_tracked_store_take_races_shed_and_restore() {
     );
     assert!(report.schedules > 1, "exploration must actually branch");
     pass(Explorer::random(0x7A4E_5ED0, SCHEDULES).check("model_tracked_store_take", model), "TrackedStore take");
+}
+
+/// Cross-store reclaim racing a dropped store (the rest of ROADMAP 5(b)):
+/// two stores on one accountant that fits one. One thread builds the
+/// second store, whose admissions reclaim from the first through the
+/// registry; another drops the first store's last handle, so its `Drop`
+/// credits its resident charges back while the reclaim may be spilling
+/// from it — or the reclaim finds it expired and the build spills on the
+/// spot. Either way the second store holds its records, the ledger never
+/// passes the budget, and after the join it holds exactly the live store's
+/// resident charges: `Drop`'s credit-back and `shed`'s credits neither leak
+/// nor count twice.
+#[test]
+fn model_cross_store_reclaim_races_a_dropped_store() {
+    // One worker: the builds' ticket writes run inline, so the explored
+    // threads are the two below.
+    std::env::set_var("GPF_PAR_THREADS", "1");
+    let parts = || vec![(0..12u64).collect::<Vec<u64>>(), (100..112).collect()];
+    let model = || {
+        let want = parts();
+        let budget = want.iter().map(|p| p.resident_bytes() as u64).sum::<u64>();
+        let acct = Arc::new(BudgetAccountant::new(budget));
+        let ctx = EngineContext::new(EngineConfig::gpf());
+        let first = TrackedStore::build(parts(), &ctx, Arc::clone(&acct));
+        assert!(!first.is_spilled(0) && !first.is_spilled(1));
+        // The scope joins the build, so this holds the second store.
+        let built = Mutex::new(Vec::new());
+        chk_thread::scope(|s| {
+            s.spawn(|| built.lock().push(TrackedStore::build(parts(), &ctx, Arc::clone(&acct))));
+            s.spawn(move || drop(first));
+        });
+        for second in built.into_inner() {
+            for (i, want) in want.iter().enumerate() {
+                let mut seen = Vec::new();
+                second.stream(i, &mut |chunk| seen.extend_from_slice(chunk));
+                assert_eq!(&seen, want, "slot {i} of the second store");
+            }
+            assert_eq!(acct.used(), second.resident_charge(), "the ledger holds exactly the live store's charges");
+        }
+        assert!(acct.peak() <= budget, "ledger peak {} over budget {budget}", acct.peak());
+    };
+    let report = pass(
+        Explorer::exhaustive(3).check("model_cross_store_reclaim_exhaustive", model),
+        "cross-store reclaim (exhaustive)",
+    );
+    assert!(report.schedules > 1, "exploration must actually branch");
+    pass(Explorer::random(0xC055_D20F, SCHEDULES).check("model_cross_store_reclaim", model), "cross-store reclaim");
 }

@@ -373,7 +373,9 @@ fn a_consuming_wave_spills_nothing() {
 /// input as large evicts the first and holds the only resident partitions.
 /// Under every serializer the output equals the unbudgeted run's, nothing
 /// fails, the ledger peak stays within the budget, and once the stage is
-/// over the ledger holds exactly the stores' resident charges.
+/// over the ledger holds exactly the stores' resident charges. No slot
+/// returns to resident: the input is as spilled after the stage as before
+/// it, and running the stage twice decodes each partition twice.
 #[test]
 fn a_borrowed_stage_over_spilled_partitions_leaves_only_resident_charges() {
     let data: Vec<(u64, u64)> = (0..4000u64).map(|i| (i % 37, i.wrapping_mul(0x9E37_79B9))).collect();
@@ -384,7 +386,10 @@ fn a_borrowed_stage_over_spilled_partitions_leaves_only_resident_charges() {
         if ctx.accountant().is_some() {
             assert_eq!(d.spilled_partitions(), 8, "the second input evicted the first");
         }
-        let out = d.map_partitions(|p| p.iter().rev().map(|kv| (kv.1, kv.0)).collect());
+        drop(ctx.take_run_traced());
+        let swap = |p: &[(u64, u64)]| p.iter().rev().map(|kv| (kv.1, kv.0)).collect();
+        let out = d.map_partitions(swap);
+        assert!(d.map_partitions(swap).collect_local() == out.collect_local(), "the second run");
         (out.partition_sizes(), out.collect_local(), d, other)
     };
     for base in [EngineConfig::gpf(), EngineConfig::kryo(), EngineConfig::java()] {
@@ -400,5 +405,35 @@ fn a_borrowed_stage_over_spilled_partitions_leaves_only_resident_charges() {
         assert!(acct.peak() <= budget, "{kind:?}: ledger peak {} over budget {budget}", acct.peak());
         let resident = (16 - d.spilled_partitions() - other.spilled_partitions()) as u64 * one;
         assert_eq!(acct.used(), resident, "{kind:?}: the ledger holds exactly the resident charges");
+        assert_eq!(d.spilled_partitions(), 8, "{kind:?}: a read returned a slot to resident");
+        let (_, trace) = ctx.take_run_traced();
+        let mut decoded = [0usize; 8];
+        for e in trace.events.iter().filter(|e| &*e.name == tn::MEM_BUDGET_RESTORED) {
+            decoded[e.counter("part").expect("a restore names its partition") as usize] += 1;
+        }
+        assert_eq!(decoded, [2; 8], "{kind:?}: each of two reads decodes its partition");
     }
+}
+
+/// `mem.budget.breach` counts breaches only. A build that spills
+/// partitions it cannot admit records none; a whole-partition read whose
+/// charge never fits records one per attempt — in the wave, and again on
+/// the re-run alone that then fails the stage — keyed by partition.
+#[test]
+fn breaches_are_recorded_per_read_attempt_and_never_by_a_build() {
+    let data: Vec<(u64, u64)> = (0..2000u64).map(|i| (i, i)).collect();
+    let ctx = EngineContext::new(EngineConfig::default().with_memory_budget(256));
+    let breaches = || -> Vec<Option<u64>> {
+        let (_, trace) = ctx.take_run_traced();
+        trace.events.iter().filter(|e| &*e.name == tn::MEM_BUDGET_BREACH).map(|e| e.counter("part")).collect()
+    };
+    let d = Dataset::from_vec(Arc::clone(&ctx), data, 2).evictable();
+    assert_eq!(d.spilled_partitions(), 2);
+    assert_eq!(breaches(), Vec::new(), "a spilling build breaches nothing");
+    let out = d.map_partitions(|p| p.to_vec());
+    assert!(matches!(ctx.take_failure(), Some(Failure::Budget(_))));
+    assert_eq!(out.len(), 0);
+    let mut sites = breaches();
+    sites.sort();
+    assert_eq!(sites, vec![Some(0), Some(0), Some(1)], "partition 0 in the wave and alone, partition 1 in the wave");
 }

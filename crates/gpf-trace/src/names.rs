@@ -109,18 +109,18 @@ pub const HEAP_TAG_SHUFFLE: &str = "heap.tag.shuffle";
 /// Bytes charged to spill (memory-budget spill frame) scopes.
 pub const HEAP_TAG_SPILL: &str = "heap.tag.spill";
 
-/// Budget breaches: the accountant could not admit a charge even after
-/// exhausting every eviction victim (surfaces as a structured error).
+/// Budget breaches: a read of a spilled partition could not admit its
+/// charge even after exhausting every eviction victim (the task is re-run
+/// alone, and a breach on that re-run surfaces as a structured error).
+/// A store build that spills a partition on the spot is not a breach.
 pub const MEM_BUDGET_BREACH: &str = "mem.budget.breach";
-/// Clean resident partitions dropped by the eviction policy (their spill
-/// ticket was already on disk, so recompute = a checksummed re-read).
-pub const MEM_BUDGET_DROPPED_CLEAN: &str = "mem.budget.dropped_clean";
 /// Spilled partitions read back (decoded + checksum-verified) on demand:
-/// restored into their store, or taken out of it by a consuming task.
+/// a copy for one reader, or taken out of the store by a consuming task.
 pub const MEM_BUDGET_RESTORED: &str = "mem.budget.restored";
 /// Resident bytes restored from spill.
 pub const MEM_BUDGET_RESTORED_BYTES: &str = "mem.budget.restored_bytes";
-/// Dirty resident partitions serialized to spill frames by eviction.
+/// Resident partitions serialized to spill frames: by eviction, or by a
+/// store build that could not admit them.
 pub const MEM_BUDGET_SPILLED: &str = "mem.budget.spilled";
 /// Resident bytes evicted to spill frames.
 pub const MEM_BUDGET_SPILLED_BYTES: &str = "mem.budget.spilled_bytes";
@@ -178,7 +178,6 @@ pub const ALL_COUNTERS: &[&str] = &[
     HEAP_TAG_TASK,
     HEAP_TAG_UNTAGGED,
     MEM_BUDGET_BREACH,
-    MEM_BUDGET_DROPPED_CLEAN,
     MEM_BUDGET_RESTORED,
     MEM_BUDGET_RESTORED_BYTES,
     MEM_BUDGET_SPILLED,

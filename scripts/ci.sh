@@ -100,9 +100,10 @@ echo "== repo benchmark (genome 6054: VCF digests, shuffle bytes, stage count, a
 # Its budget's work is pinned too: the consuming stages admit nothing, so
 # `engine.spill_count`, `engine.spill_mb` and `engine.restore_count`
 # repeat exactly, run after run and at 1, 2 and 3 threads (470 spills of
-# 12.42 MB, 470 read back); a change that spills more, or brings back the
-# restore-evict thrash, fails here. wgs-full runs the aligner on the same
-# genome, so its digest also pins aligner output end to end.
+# 12.42 MB, 470 read back; the second loop below checks 1 and 3); a change
+# that spills more, or brings back the restore-evict thrash, fails here.
+# wgs-full runs the aligner on the same genome, so its digest also pins
+# aligner output end to end.
 # And the index build: wgs-full's `setup_s` is the FASTA parse plus the
 # FM-index build (~0.015 s with the linear-time suffix array; 0.063-0.13 s
 # with the O(n log^2 n) prefix doubling it replaced). The smaller of the
@@ -140,6 +141,24 @@ for pin in wgs-full:242c4063708960b1:4.5209150314331055:44 \
         echo "$workload on genome 6054: peak_rss_mb $peak_rss_mb is over its ceiling of $rss_ceiling MiB" >&2
         exit 1
     fi
+done
+# -tight-mem's budget work again at 1 and 3 worker threads (the loop above
+# runs at the host's count): the same digest, dataflow and 470 / 12.42 MB /
+# 470, because eviction walks victims in partition order and no read
+# returns a slot to resident, so how the wave interleaves does not show.
+for threads in 1 3; do
+    bench_line="$(GPF_PAR_THREADS=$threads "$bench_exe" child --workload clean-call-tight-mem \
+        --dir "$bench_inputs" | tail -n 1)"
+    for want in '"digest": "242c4063708960b1"' '"engine.shuffle_mb": 4.520932197570801,' \
+        '"engine.stages": 9,' '"engine.spill_count": 470,' '"engine.spill_mb": 12.422523498535156,' \
+        '"engine.restore_count": 470,'; do
+        if [[ "$bench_line" != *"$want"* ]]; then
+            rm -rf "$bench_inputs"
+            echo "clean-call-tight-mem on genome 6054 at $threads threads did not print $want:" >&2
+            echo "$bench_line" | tr ',' '\n' | grep -E 'digest|engine\.(shuffle_mb|stages|spill|restore)' >&2
+            exit 1
+        fi
+    done
 done
 # The unfused path (`--no-optimize`, Table 4's "Original" column): each
 # bundle stage builds its own bundles, through the same chain executor the
