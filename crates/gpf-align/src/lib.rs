@@ -6,17 +6,17 @@
 //! Burrows–Wheeler-transform index over the reference plus seed-and-extend
 //! alignment. This crate implements that algorithmic family from scratch:
 //!
-//! * [`suffix`] — suffix-array construction (prefix doubling);
+//! * [`suffix`] — suffix-array construction by induced sorting (SA-IS);
 //! * [`fmindex`] — BWT + FM-index with backward search and O(1) locate;
 //! * [`sw`] — banded fitting alignment (Smith–Waterman style) with CIGAR
-//!   traceback, swept a row at a time over 16-bit band lanes — eight per
-//!   SSE2 vector on x86_64, four per u64 word elsewhere (the scalar kernel,
+//!   traceback, swept a row at a time over 16-bit band lanes, eight per
+//!   SSE2 vector, on x86_64 (the scalar kernel,
 //!   [`sw::reference::fit_align_ref`], runs every input outside the 16-bit
-//!   envelope);
-//! * [`myers`] — bit-parallel Myers edit distance, used as a sound
-//!   prefilter that lets candidate windows skip the affine DP entirely;
+//!   envelope, and every input on other targets);
+//! * [`myers`] — bit-parallel Myers edit distance, a sound prefilter that
+//!   lets mate-rescue and realignment windows skip the affine DP entirely;
 //! * [`verify`] — candidate verification shared by the two aligners: an
-//!   exact-placement check, then the Myers prefilter, then the DP;
+//!   exact-placement check, then a one-mismatch check, then the DP;
 //! * [`bwamem`] — the BWA-MEM-like aligner: exact-match seeding through the
 //!   FM-index, diagonal voting, banded extension, paired-end pairing with
 //!   mate rescue, MAPQ from score margins;

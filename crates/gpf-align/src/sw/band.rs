@@ -1,17 +1,14 @@
-//! The DP layout both in-envelope sweeps write, and the one end-cell scan
-//! and traceback that read it.
+//! The DP layout the SSE2 sweep writes, and the one end-cell scan and
+//! traceback that read it.
 //!
 //! Row `i` of each of the M, X and Y matrices holds band lane `c` (window
-//! column `j = lo(i) + c`) as a *biased* 16-bit value, `value + 0x4000`,
-//! with `0` reserved as the dead-lane sentinel (the reference's `NEG`).
-//! Four lanes pack into each u64 word — lane `c` in bits `16·(c mod 4)..`
-//! of word `c / 4` — which on a little-endian target is also lane order in
-//! memory, so the SWAR sweep reads the rows as words and the SSE2 sweep as
-//! vectors of eight lanes. A row is `words = ⌈(2·band + 1) / 4⌉` data words
-//! between one zero pad word on each side, so a sweep reads a row shifted
-//! by one lane either way without a bounds test; lanes past a row's live
-//! width stay zero. The three matrices share one zeroed allocation, and
-//! [`BandDp::new`] sets row 0.
+//! column `j = lo(i) + c`) as a *biased* `u16`, `value + 0x4000`, with `0`
+//! reserved as the dead-lane sentinel (the reference's `NEG`). A row is
+//! `lanes = 2·band + 1` rounded up to a multiple of [`PAD`], between `PAD`
+//! zero lanes on each side, so the sweep reads a row shifted by one lane
+//! either way, and writes a half vector at its tail, without a bounds
+//! test; lanes past a row's live width stay zero. The three matrices share
+//! one zeroed allocation, and [`BandDp::new`] sets row 0.
 //!
 //! The matrices are kept for every row and no backtrack codes are stored:
 //! [`BandDp::traceback`] re-derives the reference kernel's decision at each
@@ -22,11 +19,11 @@
 use super::{Alignment, Scoring, NEG, S_M, S_X, S_Y};
 use gpf_formats::cigar::{Cigar, CigarOp};
 
-/// Band lanes per u64 word.
-pub(crate) const LANES: usize = 4;
+/// Zero lanes on each side of a row, and the multiple a row's lanes round
+/// up to: the SSE2 sweep's half vector.
+pub(crate) const PAD: usize = 4;
 /// Bias added to every live value; `0` is the dead-lane sentinel.
-pub(crate) const BIAS: i64 = 0x4000;
-const LANE_MASK: u64 = 0xFFFF;
+const BIAS: u16 = 0x4000;
 
 /// The M, X and Y matrices of one banded fitting alignment.
 pub(crate) struct BandDp {
@@ -34,10 +31,10 @@ pub(crate) struct BandDp {
     n: usize,
     diag_offset: usize,
     band: usize,
-    words: usize,
+    lanes: usize,
     stride: usize,
-    /// M rows, then X rows, then Y rows, `stride` words each.
-    buf: Vec<u64>,
+    /// M rows, then X rows, then Y rows, `stride` lanes each.
+    buf: Vec<u16>,
 }
 
 impl BandDp {
@@ -48,26 +45,25 @@ impl BandDp {
         if m == 0 || n == 0 || n + band < m {
             return None;
         }
-        let words = (2 * band + 1).div_ceil(LANES);
-        let stride = words + 2;
+        let lanes = (2 * band + 1).next_multiple_of(PAD);
+        let stride = lanes + 2 * PAD;
         let mut dp = BandDp {
             m,
             n,
             diag_offset,
             band,
-            words,
+            lanes,
             stride,
-            buf: vec![0u64; 3 * (m + 1) * stride],
+            buf: vec![0; 3 * (m + 1) * stride],
         };
-        for c in 0..dp.live(0) {
-            dp.buf[1 + c / LANES] |= (BIAS as u64) << (16 * (c % LANES));
-        }
+        let live = dp.live(0);
+        dp.buf[PAD..PAD + live].fill(BIAS);
         Some(dp)
     }
 
-    /// Data words per row.
-    pub(crate) fn words(&self) -> usize {
-        self.words
+    /// Data lanes per row, pads excluded.
+    pub(crate) fn lanes(&self) -> usize {
+        self.lanes
     }
 
     /// First window column of row `i`'s band.
@@ -86,9 +82,9 @@ impl BandDp {
     }
 
     /// Row `i − 1` of M, X and Y to read, and row `i` of each to write;
-    /// every row is `words() + 2` words, pads included.
-    pub(crate) fn rows_mut(&mut self, i: usize) -> ([&[u64]; 3], [&mut [u64]; 3]) {
-        fn split(mat: &mut [u64], i: usize, stride: usize) -> (&[u64], &mut [u64]) {
+    /// every row is `lanes() + 2·PAD` lanes, pads included.
+    pub(crate) fn rows_mut(&mut self, i: usize) -> ([&[u16]; 3], [&mut [u16]; 3]) {
+        fn split(mat: &mut [u16], i: usize, stride: usize) -> (&[u16], &mut [u16]) {
             let (done, rest) = mat.split_at_mut(i * stride);
             (&done[(i - 1) * stride..], &mut rest[..stride])
         }
@@ -103,12 +99,9 @@ impl BandDp {
     /// Unbiased value of state `s` at row `i`, band lane `c`; `NEG` for a
     /// dead lane.
     fn get(&self, s: usize, i: usize, c: usize) -> i64 {
-        let word = self.buf[(s * (self.m + 1) + i) * self.stride + 1 + c / LANES];
-        let lane = (word >> (16 * (c % LANES))) & LANE_MASK;
-        if lane == 0 {
-            NEG as i64
-        } else {
-            lane as i64 - BIAS
+        match self.buf[(s * (self.m + 1) + i) * self.stride + PAD + c] {
+            0 => NEG as i64,
+            lane => i64::from(lane) - i64::from(BIAS),
         }
     }
 

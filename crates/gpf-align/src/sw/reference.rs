@@ -1,15 +1,15 @@
 //! The scalar kernel: the out-of-envelope path and the tests' reference.
 //!
 //! [`fit_align_ref`] is the cell-at-a-time banded affine DP the workspace
-//! shipped with before the SWAR overhaul. It stays in the library because
-//! it runs: [`super::fit_align`] takes it for every scoring or input shape
-//! outside the 16-bit envelope of the sweep bodies, where it is the only
-//! implementation. That also makes it the reference — the public contract
-//! is exactly this function's behavior on every input, and the
-//! differential proptests pin every sweep body to it (identical score,
-//! CIGAR, `window_start` and edit distance). It keeps its own traceback,
-//! over its own backtrack codes, so the oracle shares no code with the
-//! bodies it checks.
+//! shipped with before the lane-parallel sweep. It stays in the library
+//! because it runs: [`super::fit_align`] takes it for every scoring or
+//! input shape outside the sweep's 16-bit envelope, and for every input on
+//! targets other than x86_64, where it is the only implementation. That
+//! also makes it the reference — the public contract is exactly this
+//! function's behavior on every input, and the differential proptests pin
+//! the sweep to it (identical score, CIGAR, `window_start` and edit
+//! distance). It keeps its own traceback, over its own backtrack codes, so
+//! the oracle shares no code with the body it checks.
 
 use super::{Alignment, Scoring, NEG, S_M, S_X, S_Y};
 use gpf_formats::cigar::{Cigar, CigarOp};

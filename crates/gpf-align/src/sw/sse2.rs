@@ -1,14 +1,15 @@
 //! The SSE2 sweep: eight 16-bit band lanes per `__m128i`.
 //!
-//! [`fit_align_sse2`] writes, lane for lane, the values the SWAR kernel
-//! ([`super::swar`]) writes, into the same layout (`sw::band`), and
-//! hands that to the same end-cell scan and traceback; within
-//! [`super::swar::in_envelope`] it therefore returns exactly what
+//! [`fit_align_sse2`] fills the `u16` rows of `sw::band` a row at a time
+//! and hands them to its end-cell scan and traceback; within
+//! [`super::in_envelope`] it therefore returns exactly what
 //! `fit_align_ref` returns. SSE2 is part of the x86_64 baseline, so
-//! [`super::fit_align`] takes this body at build time on that target and
-//! nothing is detected at run time.
+//! [`super::fit_align`] takes this body on that target and nothing is
+//! detected at run time.
 //!
-//! Only the spelling of each lane operation differs from the SWAR kernel:
+//! The band has constant width `2·band + 1`, and in band coordinates every
+//! cell of row `i` depends only on row `i − 1` (for M and X), shifted by
+//! the band drift `lo(i) − lo(i − 1) ∈ {0, 1}`, plus the in-row Y chain:
 //!
 //! - **Max.** Every live value lies in `[0x100, 0x7F00]` and a dead lane is
 //!   `0`, so the signed `pmaxsw` is the lane max, and a dead lane loses
@@ -20,20 +21,22 @@
 //!   the band drift, plus the substitution delta picked by equality, masked
 //!   to the lanes that are live and inside the row.
 //! - **Equality.** One 16-bit copy of the window is compared (`pcmpeqw`)
-//!   with the row's read byte: no per-symbol tables, and no fallback for
-//!   reads with many distinct bytes.
-//! - **Y.** The ramped prefix max takes three log steps (lane shifts by 1,
-//!   2 and 4) inside a vector; the running max of earlier vectors is a
-//!   broadcast carry, so the chain from one vector to the next is one max.
+//!   with the row's read byte, so any byte is a symbol.
+//! - **Y.** `Y(c) = max(M(c−1) + go + ge, Y(c−1) + ge)` unrolls to a
+//!   running max once the ramp `r_c = |ge|·c` is added:
+//!   `Y(c) = max_{k<c} [M(k) + go + ge + r_k] − r_{c−1}`. The prefix max
+//!   takes three log steps (lane shifts by 1, 2 and 4) inside a vector; the
+//!   running max of earlier vectors is a broadcast carry, so the chain from
+//!   one vector to the next is one max.
 //! - **Row tail.** A row's vectors cover its live lanes rounded up to a
 //!   multiple of four: a tail of one to four lanes is a half vector, read
 //!   and written with 64-bit moves, so no access leaves the row.
 
-use super::band::{BandDp, LANES};
+use super::band::{BandDp, PAD};
 use super::{Alignment, Scoring};
 use std::arch::x86_64::*;
 
-/// The SSE2 kernel. Callers must check [`super::swar::in_envelope`] first;
+/// The SSE2 kernel. Callers must check [`super::in_envelope`] first;
 /// within the envelope this returns exactly what `fit_align_ref` returns,
 /// including tie-breaks.
 pub fn fit_align_sse2(
@@ -101,7 +104,7 @@ unsafe fn sweep(dp: &mut BandDp, read: &[u8], win: &[u16], sc: &Scoring) {
         ramp0: _mm_mullo_epi16(_mm_setr_epi16(0, 1, 2, 3, 4, 5, 6, 7), ext),
         ramp_step: _mm_slli_epi16::<3>(ext),
     };
-    let words = dp.words();
+    let lanes = dp.lanes();
     for i in 1..=read.len() {
         let lo_i = dp.lo(i);
         let live = dp.live(i);
@@ -111,16 +114,16 @@ unsafe fn sweep(dp: &mut BandDp, read: &[u8], win: &[u16], sc: &Scoring) {
             continue;
         }
         // The vectors cover band lanes `0..covered`: inside the row's data
-        // words, and inside `win` from the row's first column. A vector at
+        // lanes, and inside `win` from the row's first column. A vector at
         // band lane `c` reads row i − 1 from lane `c + drift − 1 ≥ −1` to
-        // `c + drift + 8 ≤ covered + 1`, inside the row's pad words.
-        let covered = live.next_multiple_of(LANES);
-        assert!(covered <= LANES * words && lo_i + covered <= win.len());
+        // `c + drift + 8 ≤ covered + 1`, inside the row's pads.
+        let covered = live.next_multiple_of(PAD);
+        assert!(covered <= lanes && lo_i + covered <= win.len());
         let drift = lo_i - dp.lo(i - 1);
         let (prev, cur) = dp.rows_mut(i);
         let row = Row {
-            prev: prev.map(|r| r.as_ptr().cast::<u16>()),
-            cur: cur.map(|r| r.as_mut_ptr().cast::<u16>()),
+            prev: prev.map(<[u16]>::as_ptr),
+            cur: cur.map(<[u16]>::as_mut_ptr),
             win: win[lo_i..].as_ptr(),
             drift,
             base: _mm_set1_epi16(i16::from(read[i - 1])),
@@ -203,10 +206,10 @@ unsafe fn step<const HALF: bool>(
     ramp: __m128i,
     carry: __m128i,
 ) -> __m128i {
-    // Band lane `at` sits at lane `LANES + at` of its row, behind the pad
-    // word. M's source in row i − 1 is one lane before the drift-shifted
+    // Band lane `at` sits at lane `PAD + at` of its row, behind the leading
+    // pad. M's source in row i − 1 is one lane before the drift-shifted
     // lane, X's the drift-shifted lane itself.
-    let lane = LANES + at;
+    let lane = PAD + at;
     let (src_m, src_x) = (lane + row.drift - 1, lane + row.drift);
     let [pm, px, py] = row.prev;
     let [cm, cx, cy] = row.cur;

@@ -1,7 +1,7 @@
 //! Differential and hostile-input properties for the alignment kernels.
 //!
-//! Every in-envelope sweep body of the banded Smith–Waterman is pinned to
-//! the retained scalar reference — identical score, CIGAR, `window_start`,
+//! The in-envelope sweep of the banded Smith–Waterman is pinned to the
+//! retained scalar reference — identical score, CIGAR, `window_start`,
 //! and edit distance, including `None` on uncovered bands — on random
 //! inputs, at the shapes its three production callers feed it (the
 //! aligner's, IndelRealign's and the genotyper's scorings; reads of 1 to
@@ -30,7 +30,7 @@
 //! hostile scorings.
 
 use gpf_align::myers;
-use gpf_align::sw::{self, reference::fit_align_ref, swar, Alignment, Scoring};
+use gpf_align::sw::{self, in_envelope, reference::fit_align_ref, Alignment, Scoring};
 use gpf_align::verify::{
     exact_placement, one_mismatch_placement, verify_at, verify_candidate, OrientedRead,
 };
@@ -60,7 +60,7 @@ fn scoring() -> impl Strategy<Value = Scoring> {
     )
 }
 
-/// Scorings that may fall outside the SWAR envelope (positive gap deltas,
+/// Scorings that may fall outside the sweep's envelope (positive gap deltas,
 /// huge magnitudes) — the dispatcher must still agree with the reference
 /// by falling back.
 fn hostile_scoring() -> impl Strategy<Value = Scoring> {
@@ -79,12 +79,12 @@ fn hostile_scoring() -> impl Strategy<Value = Scoring> {
 type Body = fn(&[u8], &[u8], usize, &Scoring) -> Option<Alignment>;
 
 /// Every in-envelope sweep body this target builds, by name: the SSE2 body
-/// `fit_align` takes on x86_64, and the SWAR body it takes everywhere else.
+/// `fit_align` takes on x86_64. Other targets build none and run every
+/// input through the reference.
 fn bodies() -> Vec<(&'static str, Body)> {
     vec![
         #[cfg(target_arch = "x86_64")]
         ("sse2", sw::sse2::fit_align_sse2),
-        ("swar", swar::fit_align_swar),
     ]
 }
 
@@ -588,7 +588,7 @@ proptest! {
     }
 
     #[test]
-    fn swar_sw_matches_reference(
+    fn sweep_bodies_match_reference_on_random_inputs(
         read in rank_seq(60),
         window in rank_seq(90),
         diag in 0usize..12,
@@ -596,7 +596,7 @@ proptest! {
     ) {
         // In-envelope scorings take a sweep body; every body's result must
         // be the reference's bit for bit (CIGAR tie-breaks included).
-        if !swar::in_envelope(read.len(), window.len(), &sc) {
+        if !in_envelope(read.len(), window.len(), &sc) {
             return Ok(());
         }
         check_bodies(&read, &window, diag, &sc)?;
@@ -619,7 +619,7 @@ proptest! {
         let window = [left.as_slice(), &copy, &right].concat();
         let diag = if centred { (left.len() + jitter).saturating_sub(24) } else { 0 };
         let sc = production_scoring(which, read.len().abs_diff(window.len()));
-        prop_assert!(swar::in_envelope(read.len(), window.len(), &sc), "{sc:?} left the envelope");
+        prop_assert!(in_envelope(read.len(), window.len(), &sc), "{sc:?} left the envelope");
         check_bodies(&read, &window, diag, &sc)?;
     }
 
@@ -635,7 +635,7 @@ proptest! {
         // an indel apart, the band growing with the difference.
         let hap = plant(&window, &subs, indel, &filler);
         let sc = production_scoring(2, hap.len().abs_diff(window.len()));
-        prop_assert!(swar::in_envelope(hap.len(), window.len(), &sc), "{sc:?} left the envelope");
+        prop_assert!(in_envelope(hap.len(), window.len(), &sc), "{sc:?} left the envelope");
         check_bodies(&hap, &window, 0, &sc)?;
     }
 
@@ -661,7 +661,7 @@ proptest! {
         let sc = production_scoring(which, 0);
         for sc in [sc, Scoring { band: 0, ..sc }] {
             for (r, w) in shapes {
-                prop_assert!(swar::in_envelope(r.len(), w.len(), &sc));
+                prop_assert!(in_envelope(r.len(), w.len(), &sc));
                 check_bodies(r, w, diag, &sc)?;
             }
         }

@@ -83,8 +83,8 @@ pub enum PipelineError {
     /// The configured memory budget
     /// ([`gpf_engine::EngineConfig::with_memory_budget`]) cannot admit the
     /// pipeline: even after the accountant exhausted its degradation ladder
-    /// (streamed maps, spill, recompute) one operation still needed more
-    /// than the whole budget. Infeasible budgets surface here as a clean
+    /// (take, stream, charged copy, re-run alone) one operation still
+    /// needed more than the whole budget. Infeasible budgets surface here as a clean
     /// structured error, never a panic or an OOM kill.
     MemoryBudgetExceeded {
         /// The Process (or fused-chain label) that was executing.

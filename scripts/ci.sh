@@ -199,17 +199,18 @@ if [[ "$swapped_exit" != 2 || "$swapped_err" != *"invalid pipeline"* ]]; then
     exit 1
 fi
 # The kernels' DP work: one traced wgs-full child counts the banded-SW
-# cells evaluated (`align.sw_cells`, exact and repeatable: 17,307,941 on
-# this genome, 35,495,891 before verification decided exact and
-# one-mismatch placements without the DP) and the pair-HMM's
+# cells evaluated (`align.sw_cells`, exactly 17,307,941 and repeatable on
+# this genome at 1, 2 and 3 threads; 35,495,891 before verification decided
+# exact and one-mismatch placements without the DP) and the pair-HMM's
 # (`caller.pairhmm_cells`, exactly 62,066,800 and repeatable). Certified
 # placements drifting back to the DP fail here, and so does a change to the
-# Caller's grouping, windowing or job dedup hiding inside a faster kernel.
+# aligner's seeding or verification, or to the Caller's grouping, windowing
+# or job dedup, hiding inside a faster kernel.
 bench_line="$("$bench_exe" child --workload wgs-full --dir "$bench_inputs" --trace-kernels | tail -n 1)"
 rm -rf "$bench_inputs"
 sw_cells="$(sed -E 's/.*"align.sw_cells": ([0-9.]+).*/\1/' <<<"$bench_line")"
-if ! awk -v got="$sw_cells" 'BEGIN { exit !(got > 0 && got <= 20000000) }'; then
-    echo "wgs-full on genome 6054: align.sw_cells $sw_cells is over its ceiling of 20,000,000" >&2
+if [[ "$sw_cells" != 17307941 ]]; then
+    echo "wgs-full on genome 6054: align.sw_cells $sw_cells is not 17,307,941" >&2
     exit 1
 fi
 pairhmm_cells="$(sed -E 's/.*"caller.pairhmm_cells": ([0-9.]+).*/\1/' <<<"$bench_line")"
