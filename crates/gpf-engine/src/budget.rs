@@ -14,16 +14,14 @@
 //! partition's charge and decodes a copy private to the reader, whose
 //! charge leaves the ledger when the reader drops it ([`Charge`]).
 //!
-//! The spill image and its read-back are `crate::frame`'s: frames are
-//! pristine at rest, a read-back fault damages only the transient copy, the
-//! checksum detects it and a bounded re-read recovers — a tracked-store
-//! read never returns corrupt data. A read fails in two ways only. Its
-//! charge may not fit beside the partitions other readers pin: the task
-//! runner re-runs that task alone, and only a genuinely infeasible budget
-//! (restoring one task's partitions alone breaches) surfaces as a
-//! structured [`BudgetBreach`]. And a frame may be damaged at rest, which a
-//! store has no lineage to recompute and reports by panicking with the
-//! frame's coordinates.
+//! The spill image and its read-back are `crate::frame`'s: every frame read
+//! is checksum-verified, so a tracked-store read never returns corrupt
+//! data. A read fails in two ways only. Its charge may not fit beside the
+//! partitions other readers pin: the task runner re-runs that task alone,
+//! and only a genuinely infeasible budget (restoring one task's partitions
+//! alone breaches) surfaces as a structured [`BudgetBreach`]. And a frame
+//! may be damaged at rest, which a store has no lineage to recompute and
+//! reports by panicking with the frame's coordinates.
 //!
 //! A consuming operator that holds the last handle to a store *takes* its
 //! partitions instead (`TrackedParts::take`): the slot is emptied, its
@@ -31,15 +29,15 @@
 //! into the task's vector without admission, so the take neither evicts
 //! anything nor can breach.
 //!
-//! Every spill, restore, breached read and damaged read is recorded through
-//! the run's trace keyed by the store's stage and the partition
+//! Every spill, restore and breached read is recorded through the run's
+//! trace keyed by the store's stage and the partition
 //! (`EngineContext::record_part_event`), beside its registry counter.
 //!
 //! [c1]: gpf_trace::names::MEM_BUDGET_SPILLED
 
 use crate::context::EngineContext;
 use crate::dataset::PartRef;
-use crate::frame::{DamagedAtRest, FrameReader, SpillTicket};
+use crate::frame::{DamagedAtRest, SpillTicket};
 use gpf_compress::serializer::GpfSerialize;
 use gpf_support::par;
 use gpf_support::sync::{Mutex, RwLock};
@@ -249,10 +247,9 @@ pub(crate) trait TrackedParts<T>: Send + Sync {
 
 /// An evictable partition store: the tracked backing of a `Dataset`.
 pub(crate) struct TrackedStore<T> {
-    /// The run it belongs to: its serializer, read-side fault plan and
-    /// trace.
+    /// The run it belongs to: its serializer and trace.
     ctx: Arc<EngineContext>,
-    /// The stage it was built in: its fault sites' and events' stage.
+    /// The stage it was built in: its events' stage.
     stage: u32,
     acct: Arc<BudgetAccountant>,
     counts: Vec<usize>,
@@ -301,18 +298,11 @@ impl<T: GpfSerialize + Send + Sync + 'static> TrackedStore<T> {
         self.ctx.record_part_event(name, self.stage, i as u32, 1);
     }
 
-    /// Run `decode` over a reader for partition `i` and record what the
-    /// plan did to it through the run's trace, at the read's own fault
-    /// site (this store's stage, partition `i`).
-    fn read_frames(&self, i: usize, decode: impl FnOnce(&mut FrameReader<'_>) -> Result<(), DamagedAtRest>) {
-        let mut reader = FrameReader::new(self.ctx.faults(), self.stage, i);
-        let read = decode(&mut reader);
-        if reader.damaged_reads > 0 {
-            for name in [tn::FAULT_INJECTED, tn::TASK_RETRIES] {
-                self.ctx.record_part_event(name, self.stage, i as u32, reader.damaged_reads);
-            }
-        }
-        if let Err(damaged) = read {
+    /// Decode frame `idx` of partition `i`'s `ticket` onto `out`, or panic
+    /// naming the frame when its stored bytes fail their checksum.
+    fn read_frame(&self, i: usize, ticket: &SpillTicket, idx: usize, out: &mut Vec<T>) {
+        if !ticket.read(idx, out) {
+            let damaged = DamagedAtRest { stage: self.stage, partition: i as u32, frame: idx };
             // gpf-lint: allow(no-panic): nothing damages a frame this store
             // wrote and still holds; stored bytes that fail their checksum
             // are engine corruption, not an input error, and an evicted
@@ -324,7 +314,9 @@ impl<T: GpfSerialize + Send + Sync + 'static> TrackedStore<T> {
     /// Decode spilled partition `i` whole (a restore, in the counters).
     fn restore(&self, i: usize, ticket: &SpillTicket, bytes: u64) -> Vec<T> {
         let mut out = Vec::with_capacity(self.counts[i]);
-        self.read_frames(i, |reader| reader.read_all(ticket, &mut out));
+        for idx in 0..ticket.num_frames() {
+            self.read_frame(i, ticket, idx, &mut out);
+        }
         self.event(tn::MEM_BUDGET_RESTORED, i);
         note(tn::MEM_BUDGET_RESTORED_BYTES, bytes);
         out
@@ -375,14 +367,11 @@ impl<T: GpfSerialize + Clone + Send + Sync + 'static> TrackedParts<T> for Tracke
         // Decode frame-by-frame: transient footprint is one frame, not the
         // partition, and nothing is charged to the ledger.
         let mut chunk: Vec<T> = Vec::new();
-        self.read_frames(i, |reader| {
-            (0..ticket.num_frames()).try_for_each(|idx| {
-                chunk.clear();
-                reader.read(&ticket, idx, &mut chunk)?;
-                f(&chunk);
-                Ok(())
-            })
-        });
+        for idx in 0..ticket.num_frames() {
+            chunk.clear();
+            self.read_frame(i, &ticket, idx, &mut chunk);
+            f(&chunk);
+        }
     }
 
     fn take(&self, i: usize) -> Vec<T> {
@@ -465,19 +454,10 @@ impl<T: GpfSerialize + Send + Sync + 'static> Shed for TrackedStore<T> {
 mod tests {
     use super::*;
     use crate::config::EngineConfig;
-    use crate::fault::{FaultKind, FaultPlan, FaultSite};
     use crate::frame::FRAME_RECORDS;
 
-    fn store_with(
-        budget: u64,
-        parts: Vec<Vec<u64>>,
-        faults: Option<FaultPlan>,
-    ) -> (Arc<BudgetAccountant>, Arc<TrackedStore<u64>>) {
-        let mut cfg = EngineConfig::gpf().with_memory_budget(budget);
-        if let Some(plan) = faults {
-            cfg = cfg.with_faults(plan);
-        }
-        let ctx = EngineContext::new(cfg);
+    fn store_with(budget: u64, parts: Vec<Vec<u64>>) -> (Arc<BudgetAccountant>, Arc<TrackedStore<u64>>) {
+        let ctx = EngineContext::new(EngineConfig::gpf().with_memory_budget(budget));
         let acct = Arc::clone(ctx.accountant().expect("a budget installs an accountant"));
         let store = TrackedStore::build(parts, &ctx, Arc::clone(&acct));
         (acct, store)
@@ -486,7 +466,7 @@ mod tests {
     #[test]
     fn unlimited_budget_keeps_everything_resident() {
         let parts: Vec<Vec<u64>> = (0..4).map(|p| (0..100).map(|i| p * 1000 + i).collect()).collect();
-        let (acct, store) = store_with(u64::MAX, parts.clone(), None);
+        let (acct, store) = store_with(u64::MAX, parts.clone());
         for (i, want) in parts.iter().enumerate() {
             assert!(!store.is_spilled(i));
             assert_eq!(&*store.read(i).unwrap(), want);
@@ -500,7 +480,7 @@ mod tests {
         let parts: Vec<Vec<u64>> = (0..8).map(|p| (0..500).map(|i| p * 10_000 + i).collect()).collect();
         let one = parts[0].resident_bytes() as u64;
         // Room for ~2 partitions: building 8 must evict, not fail.
-        let (acct, store) = store_with(one * 2 + 64, parts.clone(), None);
+        let (acct, store) = store_with(one * 2 + 64, parts.clone());
         assert!((0..8).any(|i| store.is_spilled(i)), "tight budget must spill");
         for (i, want) in parts.iter().enumerate() {
             assert_eq!(&*store.read(i).unwrap(), want, "partition {i}");
@@ -513,7 +493,7 @@ mod tests {
         let parts: Vec<Vec<u64>> = vec![(0..5000).collect()];
         let one = parts[0].resident_bytes() as u64;
         // Budget below one partition: the slot starts (and stays) spilled.
-        let (acct, store) = store_with(one / 2, parts.clone(), None);
+        let (acct, store) = store_with(one / 2, parts.clone());
         assert!(store.is_spilled(0));
         let used_before = acct.used();
         let mut seen = Vec::new();
@@ -533,34 +513,18 @@ mod tests {
     fn infeasible_restore_surfaces_requested_and_budget() {
         let parts: Vec<Vec<u64>> = vec![(0..5000).collect()];
         let one = parts[0].resident_bytes() as u64;
-        let (_acct, store) = store_with(one / 2, parts, None);
+        let (_acct, store) = store_with(one / 2, parts);
         let err = store.read(0).unwrap_err();
         assert_eq!(err, (one, one / 2));
     }
 
-    #[test]
-    fn injected_read_damage_is_detected_and_retried() {
-        let parts: Vec<Vec<u64>> = vec![(0..3000).collect()];
-        let one = parts[0].resident_bytes() as u64;
-        // Explicit read faults on attempts 0 and 1; attempt 2 reads clean.
-        let plan = FaultPlan::explicit(vec![
-            FaultSite { stage: 0, partition: 0, attempt: 0, kind: FaultKind::CorruptSpillRead },
-            FaultSite { stage: 0, partition: 0, attempt: 1, kind: FaultKind::TruncateSpill },
-        ]);
-        let (_acct, store) = store_with(one / 2, parts.clone(), Some(plan));
-        let mut seen = Vec::new();
-        store.stream(0, &mut |chunk| seen.extend_from_slice(chunk));
-        assert_eq!(seen, parts[0], "damaged read-backs must recover byte-identically");
-    }
-
-    /// Stored bytes that fail verification end the re-read loop at once: a
-    /// store, which has no lineage to recompute from, panics naming the
-    /// frame.
+    /// Stored bytes that fail verification are fatal: a store, which has no
+    /// lineage to recompute from, panics naming the frame.
     #[test]
     fn a_frame_damaged_at_rest_is_fatal_in_a_store() {
         let parts: Vec<Vec<u64>> = vec![(0..3000).collect()];
         let one = parts[0].resident_bytes() as u64;
-        let (_acct, store) = store_with(one / 2, parts, None);
+        let (_acct, store) = store_with(one / 2, parts);
         {
             let mut slot = store.slots[0].write();
             let Slot::Spilled { ticket, .. } = &mut *slot else { panic!("the slot starts spilled") };
@@ -582,7 +546,7 @@ mod tests {
     fn take_hands_partitions_over_and_empties_their_slots() {
         let parts: Vec<Vec<u64>> = (0..3).map(|p| (0..2000).map(|i| p * 10_000 + i).collect()).collect();
         let one = parts[0].resident_bytes() as u64;
-        let (acct, store) = store_with(one + 64, parts.clone(), None);
+        let (acct, store) = store_with(one + 64, parts.clone());
         assert!(!store.is_spilled(0) && store.is_spilled(1) && store.is_spilled(2));
         assert_eq!(acct.used(), one);
         assert_eq!(store.take(0), parts[0], "the resident partition moves out");

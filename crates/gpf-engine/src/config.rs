@@ -19,8 +19,10 @@ pub struct EngineConfig {
     /// bytes, on top of payload bytes.
     pub per_record_overhead_bytes: u64,
     /// The fault plan. `None` (the default) disables the whole fault path —
-    /// no injection, no checksums, no retry machinery — so pipelines that
-    /// don't opt in pay nothing.
+    /// no injection, no shuffle-segment checksums, no retry or lineage
+    /// machinery — so pipelines that don't opt in pay nothing. Spill frames
+    /// are checksummed on every write and verified on every read either
+    /// way; no plan touches them.
     pub faults: Option<FaultPlan>,
     /// Memory budget for resident partition bytes, in bytes. `None` (the
     /// default) runs fully in-memory, exactly as before. `Some(bytes)`
@@ -56,9 +58,9 @@ impl EngineConfig {
         self
     }
 
-    /// Enable fault tolerance — checksummed segments and spill frames,
-    /// bounded task retry, lineage recompute — with `plan` deciding what is
-    /// injected ([`FaultPlan::seeded`]`(seed, 0)` injects nothing).
+    /// Enable fault tolerance — checksummed shuffle segments, bounded task
+    /// retry, lineage recompute — with `plan` deciding what is injected
+    /// ([`FaultPlan::seeded`]`(seed, 0)` injects nothing).
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
         self.faults = Some(plan);
         self

@@ -10,13 +10,13 @@
 //! exact same fault schedule on every run — a failing chaos test prints its
 //! seed and the whole schedule is reproducible from it.
 //!
-//! Recovery itself lives in `task.rs` (retry), `frame.rs` (the checksum
-//! verify and the bounded re-read of a spill frame), `shuffle.rs` (lineage
-//! recompute of a damaged segment, the disk barrier's "files" included) and
-//! [`crate::context`] (the failure slot `crate::EngineContext::fail` that
-//! `gpf_core`'s `Pipeline::run` maps to `PipelineError::TaskFailed`). This
-//! module only holds the plan, the two recovery constants, and the
-//! [`EngineError`] those layers exchange.
+//! Recovery itself lives in `task.rs` (retry), `frame.rs` (`verify_decode`,
+//! the one checksum compare), `shuffle.rs` (lineage recompute of a damaged
+//! segment, the disk barrier's "files" included) and [`crate::context`]
+//! (the failure slot `crate::EngineContext::fail` that `gpf_core`'s
+//! `Pipeline::run` maps to `PipelineError::TaskFailed`). This module only
+//! holds the plan, the retry bound, and the [`EngineError`] those layers
+//! exchange.
 
 use gpf_support::rng::SplitMix64;
 use std::fmt;
@@ -29,13 +29,6 @@ pub enum FaultKind {
     /// One serialized shuffle bucket has a bit flipped after the map side
     /// checksummed it (detected by the reduce-side verify).
     CorruptBucket,
-    /// A spill *read* returns a truncated buffer (the stored bytes are
-    /// intact; the read path saw a short copy — detected by checksum /
-    /// record-count verification, recovered by re-read).
-    TruncateSpill,
-    /// A spill *read* returns a bit-flipped copy of an intact buffer
-    /// (detected by checksum verification on read-back).
-    CorruptSpillRead,
 }
 
 /// Where in the engine a fault decision is being made. Each surface admits
@@ -48,11 +41,6 @@ pub(crate) enum FaultSurface {
     ShuffleMap,
     /// One map partition's serialized bucket buffer.
     ShuffleBucket,
-    /// One budget-evicted partition's spill frames on *read-back* (a
-    /// restore or a stream). Faults here model transient read errors: the
-    /// stored bytes stay intact, only the copy handed to the reader is
-    /// damaged.
-    SpillRead,
 }
 
 impl FaultSurface {
@@ -61,19 +49,17 @@ impl FaultSurface {
         match self {
             FaultSurface::NarrowTask | FaultSurface::ShuffleMap => &[FaultKind::TaskPanic],
             FaultSurface::ShuffleBucket => &[FaultKind::CorruptBucket],
-            FaultSurface::SpillRead => &[FaultKind::TruncateSpill, FaultKind::CorruptSpillRead],
         }
     }
 
     /// The surface's term in [`FaultPlan`]'s site hash. Renumbering a
-    /// surface would move every schedule a seed replays, so the id of a
-    /// removed surface (4) stays unused.
+    /// surface would move every schedule a seed replays, so the ids of
+    /// removed surfaces (4 and 5) stay unused.
     fn id(self) -> u64 {
         match self {
             FaultSurface::NarrowTask => 1,
             FaultSurface::ShuffleMap => 2,
             FaultSurface::ShuffleBucket => 3,
-            FaultSurface::SpillRead => 5,
         }
     }
 }
@@ -97,7 +83,9 @@ pub struct FaultSite {
 /// This is the whole fault-tolerance configuration
 /// ([`crate::EngineConfig::faults`]): `None` there skips every fault path —
 /// the zero-overhead default — and a plan that injects nothing
-/// ([`FaultPlan::seeded`]`(seed, 0)`) still turns checksums and recovery on.
+/// ([`FaultPlan::seeded`]`(seed, 0)`) still turns the shuffle's segment
+/// checksums, task retry and lineage recompute on. Spill frames are
+/// checksummed either way, and no plan touches them.
 ///
 /// The probabilistic path only ever fires on attempt 0, so any schedule it
 /// produces is recoverable within a one-retry budget; schedules that must
@@ -183,8 +171,7 @@ pub(crate) fn corrupt_bit(bytes: &mut [u8], salt: u64) -> bool {
 }
 
 /// Retries allowed per task after its first attempt: a task failing
-/// `1 + MAX_TASK_RETRIES` times surfaces an [`EngineError`], and a plan may
-/// damage a spill read on attempts `0..=MAX_TASK_RETRIES` only.
+/// `1 + MAX_TASK_RETRIES` times surfaces an [`EngineError`].
 pub(crate) const MAX_TASK_RETRIES: u32 = 3;
 
 /// One failed attempt in a task's history.
@@ -293,32 +280,6 @@ mod tests {
         assert_eq!(plan.decide(1, 3, 0, FaultSurface::ShuffleBucket), None);
     }
 
-    #[test]
-    fn spill_read_surface_admits_only_read_faults() {
-        // Seeded plans at full rate on the read surface yield only the two
-        // read-side kinds.
-        let plan = FaultPlan::seeded(0xdead, 1000);
-        for part in 0..64u32 {
-            let k = plan.decide(3, part, 0, FaultSurface::SpillRead);
-            assert!(
-                matches!(k, Some(FaultKind::TruncateSpill | FaultKind::CorruptSpillRead)),
-                "unexpected kind {k:?}"
-            );
-        }
-        // An explicit bucket corruption site is inert on the read surface
-        // and a read fault is inert on the bucket surface.
-        let plan = FaultPlan::explicit(vec![
-            FaultSite { stage: 0, partition: 0, attempt: 0, kind: FaultKind::CorruptBucket },
-            FaultSite { stage: 0, partition: 1, attempt: 0, kind: FaultKind::TruncateSpill },
-        ]);
-        assert_eq!(plan.decide(0, 0, 0, FaultSurface::SpillRead), None);
-        assert_eq!(plan.decide(0, 1, 0, FaultSurface::ShuffleBucket), None);
-        assert_eq!(
-            plan.decide(0, 1, 0, FaultSurface::SpillRead),
-            Some(FaultKind::TruncateSpill)
-        );
-    }
-
     /// A seeded plan's sites are a hash of each surface's `id()`: these are
     /// the partitions (of 24, at stage 3) that seed 0x2018 at 250‰ faults
     /// on each surface, so renumbering a surface moves every schedule a
@@ -326,7 +287,7 @@ mod tests {
     #[test]
     fn seeded_decisions_are_pinned_per_surface() {
         let plan = FaultPlan::seeded(0x2018, 250);
-        use FaultKind::{CorruptBucket as Bucket, CorruptSpillRead as Flip, TaskPanic as Panic, TruncateSpill as Cut};
+        use FaultKind::{CorruptBucket as Bucket, TaskPanic as Panic};
         let fired = |surface| -> Vec<(u32, FaultKind)> {
             (0..24u32).filter_map(|p| plan.decide(3, p, 0, surface).map(|k| (p, k))).collect()
         };
@@ -334,10 +295,6 @@ mod tests {
         assert_eq!(fired(FaultSurface::NarrowTask), each(Panic, &[13, 20]));
         assert_eq!(fired(FaultSurface::ShuffleMap), each(Panic, &[1, 5, 6, 9, 10, 11, 16, 18, 19, 20, 21, 22]));
         assert_eq!(fired(FaultSurface::ShuffleBucket), each(Bucket, &[2, 5, 6, 21, 22]));
-        assert_eq!(
-            fired(FaultSurface::SpillRead),
-            [(3, Flip), (5, Cut), (6, Flip), (10, Flip), (17, Flip), (18, Flip), (20, Cut), (22, Flip)]
-        );
     }
 
     #[test]

@@ -4,20 +4,21 @@
 //! A partition spills as a [`SpillTicket`] — [`FRAME_RECORDS`]-record
 //! [`SpillFrame`]s, each with an FNV-1a checksum over its serialized bytes.
 //! Tickets are the budget store's eviction image and nothing else: written
-//! by [`SpillTicket::write`] and read back through [`FrameReader::read`].
+//! by [`SpillTicket::write`] and read back by [`SpillTicket::read`].
 //! Shuffle segments — the disk barrier's "files" among them — are not
 //! frames (they live inside a map task's output buffer) but are verified by
 //! the same [`verify_decode`].
 //!
-//! Frames model write-verified durable storage as in-memory buffers, so
-//! they are pristine at rest: the one injection is [`damaged_read`]
-//! ([`FaultSurface::SpillRead`]), which damages only the transient copy
-//! handed to the decoder. A damaged copy fails its checksum and is re-read;
-//! stored bytes that fail are reported as [`DamagedAtRest`], which a store,
-//! having no lineage, treats as fatal.
+//! Frames are in-memory buffers that never leave the process, and no fault
+//! plan touches them: a read hands the stored bytes to [`verify_decode`]
+//! on every read, plan or no plan. Bytes that fail are damaged at rest — a
+//! second read of them cannot succeed where the first failed — and the
+//! store reports them as [`DamagedAtRest`], which, having no lineage, it
+//! treats as fatal.
 
 use crate::dataset::Fnv1a;
-use crate::fault::{corrupt_bit, FaultKind, FaultPlan, FaultSurface, MAX_TASK_RETRIES};
+#[cfg(test)]
+use crate::fault::corrupt_bit;
 use gpf_compress::serializer::{deserialize_batch_into, serialize_batch, GpfSerialize, SerializerKind};
 use gpf_trace::alloc::{self, AllocTag};
 use std::hash::Hasher;
@@ -68,8 +69,8 @@ pub(crate) struct SpillFrame {
 
 impl SpillFrame {
     /// The raw stored bytes, **not** checksum-verified. Their one consumer
-    /// is [`FrameReader::read`], which hands them (or a damaged copy of
-    /// them) to [`verify_decode`] — enforced by gpf-lint's
+    /// is [`SpillTicket::read`], which hands them to [`verify_decode`] —
+    /// enforced by gpf-lint's
     /// `spill-read-checksum` rule, which flags any call site without a
     /// nearby `verify_decode`.
     fn payload_unverified(&self) -> &[u8] {
@@ -104,6 +105,14 @@ impl SpillTicket {
         self.frames.len()
     }
 
+    /// Verify and decode frame `idx` onto `out`. `false` when the stored
+    /// bytes fail [`verify_decode`]; `out` is then left as it was.
+    pub(crate) fn read<T: GpfSerialize>(&self, idx: usize, out: &mut Vec<T>) -> bool {
+        let _scope = alloc::scope(AllocTag::Spill);
+        let frame = &self.frames[idx];
+        verify_decode(self.kind, frame.payload_unverified(), Some(frame.checksum), frame.records as usize, out)
+    }
+
     /// Damage at rest, for tests: flip one salted bit of one salted frame
     /// *after* its checksum was taken over the correct bytes, so detection
     /// must fire even when the flipped bit would still decode. `false` when
@@ -115,32 +124,9 @@ impl SpillTicket {
     }
 }
 
-/// Read-side injection ([`FaultSurface::SpillRead`]): the damaged
-/// *transient copy* a faulted read observes — truncated or with one bit
-/// flipped — or `None` when the plan leaves this read alone. The stored
-/// bytes stay pristine, so the checksum verify detects the damage and a
-/// re-read recovers byte-identically.
-fn damaged_read(
-    plan: &FaultPlan,
-    stage: u32,
-    partition: u32,
-    attempt: u32,
-    stored: &[u8],
-) -> Option<Vec<u8>> {
-    let kind = plan.decide(stage, partition, attempt, FaultSurface::SpillRead)?;
-    let salt = plan.corruption_salt(stage, partition);
-    let mut copy = stored.to_vec();
-    if kind == FaultKind::TruncateSpill {
-        copy.truncate((salt % copy.len().max(1) as u64) as usize);
-    } else {
-        corrupt_bit(&mut copy, salt);
-    }
-    Some(copy)
-}
-
-/// A frame whose *stored* bytes fail verification: no re-read can help, so
-/// the reader stops and names it. A tracked store has no lineage to
-/// recompute the partition from.
+/// A frame whose stored bytes fail verification, named by the store that
+/// read it: a tracked store has no lineage to recompute the partition
+/// from.
 #[derive(Debug, PartialEq, Eq)]
 pub(crate) struct DamagedAtRest {
     pub(crate) stage: u32,
@@ -148,96 +134,30 @@ pub(crate) struct DamagedAtRest {
     pub(crate) frame: usize,
 }
 
-/// Reads one partition's frames at a fault site, counting what the plan did
-/// to it.
-pub(crate) struct FrameReader<'a> {
-    /// Read-side fault plan; `None` reads the stored bytes as they are.
-    plan: Option<&'a FaultPlan>,
-    stage: u32,
-    partition: u32,
-    /// Reads the plan damaged, each detected and re-read.
-    pub(crate) damaged_reads: u64,
-}
-
-impl<'a> FrameReader<'a> {
-    pub(crate) fn new(plan: Option<&'a FaultPlan>, stage: u32, partition: usize) -> Self {
-        Self { plan, stage, partition: partition as u32, damaged_reads: 0 }
-    }
-
-    /// Decode frame `idx` of `ticket` onto `out`. A read the plan damaged
-    /// fails [`verify_decode`] and is re-read; a plan may damage attempts
-    /// `0..=MAX_TASK_RETRIES` only, so the loop ends one read past that at
-    /// the latest — with the records, or with the stored bytes themselves
-    /// failing.
-    pub(crate) fn read<T: GpfSerialize>(
-        &mut self,
-        ticket: &SpillTicket,
-        idx: usize,
-        out: &mut Vec<T>,
-    ) -> Result<(), DamagedAtRest> {
-        let _scope = alloc::scope(AllocTag::Spill);
-        let frame = &ticket.frames[idx];
-        let mut attempt = 0u32;
-        loop {
-            let stored = frame.payload_unverified();
-            let damaged = self
-                .plan
-                .filter(|_| attempt <= MAX_TASK_RETRIES)
-                .and_then(|plan| damaged_read(plan, self.stage, self.partition, attempt, stored));
-            let read = damaged.as_deref().unwrap_or(stored);
-            if verify_decode(ticket.kind, read, Some(frame.checksum), frame.records as usize, out) {
-                return Ok(());
-            }
-            if damaged.is_none() {
-                return Err(DamagedAtRest { stage: self.stage, partition: self.partition, frame: idx });
-            }
-            self.damaged_reads += 1;
-            attempt += 1;
-        }
-    }
-
-    /// Decode every frame of `ticket`, in order.
-    pub(crate) fn read_all<T: GpfSerialize>(
-        &mut self,
-        ticket: &SpillTicket,
-        out: &mut Vec<T>,
-    ) -> Result<(), DamagedAtRest> {
-        (0..ticket.num_frames()).try_for_each(|idx| self.read(ticket, idx, out))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::FaultSite;
 
     #[test]
-    fn a_damaged_read_is_re_read_and_a_damaged_frame_is_named() {
+    fn a_frame_damaged_at_rest_fails_its_read() {
         let data: Vec<u64> = (0..2500).collect();
         let mut ticket = SpillTicket::write(SerializerKind::KryoSim, &data);
         assert_eq!(ticket.num_frames(), 3);
         assert_eq!(SpillTicket::write::<u64>(SerializerKind::KryoSim, &[]).num_frames(), 0);
-        // Every attempt the plan may damage is damaged: the read past them
-        // still returns the records.
-        let sites = (0..=MAX_TASK_RETRIES)
-            .map(|attempt| FaultSite { stage: 2, partition: 5, attempt, kind: FaultKind::TruncateSpill })
-            .collect();
-        let plan = FaultPlan::explicit(sites);
+        // The first frame whose read fails, reading in order onto `out`.
+        let first_bad = |ticket: &SpillTicket, out: &mut Vec<u64>| {
+            (0..ticket.num_frames()).find(|&idx| !ticket.read(idx, out))
+        };
         let mut out: Vec<u64> = Vec::new();
-        let mut reader = FrameReader::new(Some(&plan), 2, 5);
-        assert_eq!(reader.read_all(&ticket, &mut out), Ok(()));
+        assert_eq!(first_bad(&ticket, &mut out), None);
         assert_eq!(out, data);
-        assert_eq!(reader.damaged_reads, 12, "4 damaged reads per frame");
 
-        // One stored bit flipped: that frame is reported, with or without a
-        // plan, and `out` keeps only the frames before it.
+        // One stored bit flipped: that frame fails, and `out` keeps only the
+        // frames before it.
         assert!(ticket.corrupt_at_rest(1));
         let bad = 1 % ticket.num_frames();
-        for plan in [None, Some(&plan)] {
-            out.clear();
-            let err = FrameReader::new(plan, 2, 5).read_all(&ticket, &mut out).unwrap_err();
-            assert_eq!(err, DamagedAtRest { stage: 2, partition: 5, frame: bad });
-            assert_eq!(out, data[..bad * FRAME_RECORDS]);
-        }
+        out.clear();
+        assert_eq!(first_bad(&ticket, &mut out), Some(bad));
+        assert_eq!(out, data[..bad * FRAME_RECORDS]);
     }
 }

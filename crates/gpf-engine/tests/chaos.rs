@@ -5,8 +5,7 @@
 //! map → disk barrier → shuffle → map job (failing cases print a
 //! `GPF_PROPTEST_REPLAY` seed); directed tests pin each recovery mechanism
 //! (retry, lineage recompute for corrupt buckets — the disk barrier's
-//! "files" included — the bounded re-read of a damaged spill read, budget
-//! exhaustion) and the MockClock determinism of the whole trace. No test
+//! "files" included — and budget exhaustion) and the MockClock determinism of the whole trace. No test
 //! here depends on wall time.
 
 use gpf_engine::{
@@ -208,71 +207,18 @@ fn corrupt_barrier_file_recomputes_partition() {
     assert_eq!(parts("shuffle.recomputed"), vec![Some(1)], "exactly the damaged partition is recomputed");
 }
 
-#[test]
-fn damaged_spill_reads_recover_byte_identically() {
-    let data: Vec<(u64, u64)> = (0..900u64).map(|i| (i % 17, i.wrapping_mul(0x9e37_79b9))).collect();
-    let run = |ctx: &Arc<EngineContext>| {
-        let d = Dataset::from_vec(Arc::clone(ctx), data.clone(), 3).evictable();
-        let spilled = d.spilled_partitions();
-        // Whole-partition op: every spilled input partition must be
-        // restored, frame by checksummed frame.
-        let out = d.map(|kv| (kv.0, kv.1 ^ 0x5a)).map_partitions(|p| p.to_vec());
-        let parts = (0..out.num_partitions()).map(|i| out.partition(i).to_vec()).collect::<Vec<_>>();
-        (spilled, parts)
-    };
-    let (_, baseline) = run(&plain_ctx());
-    // Damage the first two read attempts at every conceivable spill-read
-    // site (explicit sites only fire on their kind's surface, so blanketing
-    // stages is safe); the third attempt reads the pristine frame.
-    let mut sites = Vec::new();
-    for stage in 0..6u32 {
-        for partition in 0..3u32 {
-            sites.push(FaultSite { stage, partition, attempt: 0, kind: FaultKind::CorruptSpillRead });
-            sites.push(FaultSite { stage, partition, attempt: 1, kind: FaultKind::TruncateSpill });
-        }
-    }
-    // A budget around one partition's footprint forces the evictable input
-    // to spill at build time while keeping single-partition restores
-    // feasible.
-    let ctx = EngineContext::new(
-        EngineConfig::default()
-            .with_parallelism(4)
-            .with_memory_budget(8 * 1024)
-            .with_faults(FaultPlan::explicit(sites)),
-    );
-    let (spilled, chaotic) = run(&ctx);
-    assert_eq!(spilled, 2, "the first partition fits, the other two spill");
-    assert_eq!(chaotic, baseline, "checksummed re-reads must recover byte-identically");
-    assert_eq!(ctx.take_failure(), None, "read-back damage is never terminal and a feasible budget never breaches");
-    // Each spilled partition is one frame, read once: its corrupt and its
-    // truncated read-back both fire and are re-read, recorded at the
-    // store's stage (0) and the partition.
-    let (_, trace) = ctx.take_run_traced();
-    for name in ["fault.injected", "task.retries"] {
-        let mut events: Vec<(Option<u64>, Option<u64>, Option<u64>)> = trace
-            .events
-            .iter()
-            .filter(|e| &*e.name == name)
-            .map(|e| (e.counter("stage"), e.counter("part"), e.counter("n")))
-            .collect();
-        events.sort();
-        assert_eq!(events, vec![(Some(0), Some(1), Some(2)), (Some(0), Some(2), Some(2))], "{name}");
-    }
-}
-
 /// Barrier battery: `barrier_via_disk` output ≡ input, partition for
 /// partition, for every serializer × partition sizes straddling the spill
-/// frame boundary × {faults off, a damaged file, the two read-side
-/// damages} × {no budget, a budget that spills every output partition}.
-/// Each faulted cell reads its own run's trace: a damaged file fires and is
-/// recomputed in every non-empty partition. Read-side damage has frames to
-/// hit only where the budget spilled the output: there every frame's first
-/// read is damaged and re-read, and without a budget it never fires.
+/// frame boundary × {faults off, a damaged file, a seeded plan that faults
+/// every site it is asked about} × {no budget, a budget that spills every
+/// output partition}. Each faulted cell reads its own run's trace: the
+/// write stage's (0) task panics are retried and a damaged file is
+/// recomputed in every non-empty partition. No plan touches a spill frame,
+/// so nothing fires and nothing is read twice on the read stage (1), where
+/// the budget's store holds the output's frames.
 #[test]
 fn barrier_round_trips_every_serializer_size_fault_and_budget() {
     const SIZES: [usize; 6] = [0, 1, 1023, 1024, 1025, 3000];
-    /// Spill frames of 1,024 records across `SIZES`.
-    const FRAMES: u64 = 8;
     type Rec = (u64, String);
     let input: Vec<Vec<Rec>> = SIZES
         .iter()
@@ -282,28 +228,23 @@ fn barrier_round_trips_every_serializer_size_fault_and_budget() {
         })
         .collect();
     let want: Vec<Rec> = input.concat();
-    // Explicit sites only fire on their kind's surface, so blanketing the
-    // write stage (0) and the read stage (1) is safe.
-    let blanket = |kind: FaultKind| -> Vec<FaultSite> {
-        (0..2u32)
-            .flat_map(|stage| {
-                (0..SIZES.len() as u32).map(move |partition| FaultSite { stage, partition, attempt: 0, kind })
-            })
-            .collect()
-    };
-    let modes: [(&str, Option<FaultKind>); 4] = [
-        ("faults off", None),
-        ("CorruptBucket", Some(FaultKind::CorruptBucket)),
-        ("CorruptSpillRead", Some(FaultKind::CorruptSpillRead)),
-        ("TruncateSpill", Some(FaultKind::TruncateSpill)),
+    let damaged_files = (0..SIZES.len() as u32)
+        .map(|partition| FaultSite { stage: 0, partition, attempt: 0, kind: FaultKind::CorruptBucket })
+        .collect();
+    // Each mode with whether it panics the write stage's tasks and whether
+    // it damages its files.
+    let modes: [(&str, Option<FaultPlan>, bool, bool); 3] = [
+        ("faults off", None, false, false),
+        ("CorruptBucket", Some(FaultPlan::explicit(damaged_files)), false, true),
+        ("seeded at 1000‰", Some(FaultPlan::seeded(0x2018, 1000)), true, true),
     ];
     for base in [EngineConfig::gpf(), EngineConfig::kryo(), EngineConfig::java()] {
-        for (mode, kind) in modes {
+        for (mode, plan, panics, damages_files) in &modes {
             for budget in [None, Some(1u64)] {
                 let cell = format!("{:?}, {mode}, budget {budget:?}", base.serializer);
                 let mut cfg = base.clone().with_parallelism(4);
-                if let Some(kind) = kind {
-                    cfg = cfg.with_faults(FaultPlan::explicit(blanket(kind)));
+                if let Some(plan) = plan {
+                    cfg = cfg.with_faults(plan.clone());
                 }
                 if let Some(bytes) = budget {
                     cfg = cfg.with_memory_budget(bytes);
@@ -331,29 +272,18 @@ fn barrier_round_trips_every_serializer_size_fault_and_budget() {
                 let per_partition = |n_of: fn(usize) -> u64| -> Vec<(u64, u64)> {
                     SIZES.iter().enumerate().map(|(p, &n)| (p as u64, n_of(n))).filter(|&(_, n)| n > 0).collect()
                 };
-                // A damaged file fires on the write stage (0) and is
-                // recomputed on the read stage (1), once per non-empty
+                // Every write task panics once and is retried; a damaged
+                // file fires on the write stage after the tasks' events and
+                // is recomputed on the read stage, once per non-empty
                 // partition.
-                let files = match kind {
-                    Some(FaultKind::CorruptBucket) => per_partition(|n| (n > 0) as u64),
-                    _ => Vec::new(),
-                };
-                assert_eq!(events("fault.injected", 0), files, "[{cell}] damaged files");
+                let tasks = if *panics { per_partition(|_| 1) } else { Vec::new() };
+                let files = if *damages_files { per_partition(|n| (n > 0) as u64) } else { Vec::new() };
+                assert_eq!(events("fault.injected", 0), [&tasks[..], &files[..]].concat(), "[{cell}] write faults");
+                assert_eq!(events("task.retries", 0), tasks, "[{cell}] retried write tasks");
                 assert_eq!(events("shuffle.recomputed", 1), files, "[{cell}] recomputed files");
-                // A damaged read fires where the store built on the read
-                // stage holds frames: the first read of each is damaged and
-                // re-read, recorded once per partition with its count.
-                let reads = match kind {
-                    Some(FaultKind::CorruptSpillRead | FaultKind::TruncateSpill) if budget.is_some() => {
-                        per_partition(|n| n.div_ceil(1024) as u64)
-                    }
-                    _ => Vec::new(),
-                };
-                if !reads.is_empty() {
-                    assert_eq!(reads.iter().map(|&(_, n)| n).sum::<u64>(), FRAMES, "[{cell}] frames");
-                }
-                assert_eq!(events("fault.injected", 1), reads, "[{cell}] damaged reads");
-                assert_eq!(events("task.retries", 1), reads, "[{cell}] re-reads");
+                let none: Vec<(u64, u64)> = Vec::new();
+                assert_eq!(events("fault.injected", 1), none, "[{cell}] read-stage faults");
+                assert_eq!(events("task.retries", 1), none, "[{cell}] read-stage re-reads");
             }
         }
     }

@@ -84,7 +84,7 @@ pub enum Rule {
     /// lines: spilled partitions are the
     /// one place engine data leaves tracked memory, and an unverified
     /// decode would let read-back corruption flow silently into results.
-    SpillReadChecksum,
+    SpillFrameChecksum,
 }
 
 impl Rule {
@@ -101,7 +101,7 @@ impl Rule {
             Rule::NoRawPrint => "no-raw-print",
             Rule::SwallowedError => "swallowed-error",
             Rule::CounterNameRegistry => "counter-name-registry",
-            Rule::SpillReadChecksum => "spill-read-checksum",
+            Rule::SpillFrameChecksum => "spill-read-checksum",
         }
     }
 
@@ -117,7 +117,7 @@ impl Rule {
             Rule::NoRawPrint,
             Rule::SwallowedError,
             Rule::CounterNameRegistry,
-            Rule::SpillReadChecksum,
+            Rule::SpillFrameChecksum,
         ]
     }
 }
@@ -744,7 +744,7 @@ pub fn lint_source(file: &str, source: &str) -> Vec<Finding> {
         // Call sites only (`.payload_unverified`): the declaration itself
         // carries no payload to verify.
         if code.contains(".payload_unverified")
-            && !is_allowed(&masked, idx, Rule::SpillReadChecksum)
+            && !is_allowed(&masked, idx, Rule::SpillFrameChecksum)
         {
             let lo = idx.saturating_sub(10);
             let hi = (idx + 11).min(masked.code.len());
@@ -752,7 +752,7 @@ pub fn lint_source(file: &str, source: &str) -> Vec<Finding> {
                 (lo..hi).any(|l| !token_positions(&masked.code[l], "verify_decode").is_empty());
             if !verified {
                 findings.push(Finding {
-                    rule: Rule::SpillReadChecksum,
+                    rule: Rule::SpillFrameChecksum,
                     file: file.to_string(),
                     line: lineno,
                     message: "`.payload_unverified()` without a `verify_decode` call \

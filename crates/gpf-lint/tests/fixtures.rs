@@ -274,7 +274,7 @@ fn spill_read_checksum_positive() {
         "crates/gpf-engine/src/budget.rs",
         include_str!("../fixtures/spill_checksum_bad.rs"),
     );
-    assert_eq!(rules_hit(&f), vec![Rule::SpillReadChecksum]);
+    assert_eq!(rules_hit(&f), vec![Rule::SpillFrameChecksum]);
     assert_eq!(f.len(), 1, "{f:?}");
     assert_eq!(f[0].line, 3);
     assert!(f[0].message.contains("verify_decode"), "{f:?}");
@@ -282,8 +282,8 @@ fn spill_read_checksum_positive() {
 
 #[test]
 fn spill_read_checksum_negative() {
-    // The frame reader's shape — stored bytes or a damaged copy of them,
-    // straight into `verify_decode` — passes clean.
+    // The frame reader's shape — the stored bytes straight into
+    // `verify_decode` — passes clean.
     let f = lint_source(
         "crates/gpf-engine/src/budget.rs",
         include_str!("../fixtures/spill_checksum_ok.rs"),

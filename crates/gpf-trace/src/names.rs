@@ -77,7 +77,7 @@ pub const REPARTITION_MERGED: &str = "repartition.merged";
 
 /// Faults injected by the active fault plan.
 pub const FAULT_INJECTED: &str = "fault.injected";
-/// Task attempts beyond the first, and damaged spill reads re-read.
+/// Task attempts beyond the first.
 pub const TASK_RETRIES: &str = "task.retries";
 /// Shuffle segments (the disk barrier's included) recomputed from lineage.
 pub const SHUFFLE_RECOMPUTED: &str = "shuffle.recomputed";
