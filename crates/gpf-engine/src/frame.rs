@@ -10,9 +10,9 @@
 //! the same [`verify_decode`].
 //!
 //! Frames are in-memory buffers that never leave the process, and no fault
-//! plan touches them: a read hands the stored bytes to [`verify_decode`]
-//! on every read, plan or no plan. Bytes that fail are damaged at rest — a
-//! second read of them cannot succeed where the first failed — and the
+//! plan touches them: every read hands the stored bytes to
+//! [`verify_decode`], plan or no plan. Bytes that fail are damaged at rest —
+//! a second read of them cannot succeed where the first failed — and the
 //! store reports them as [`DamagedAtRest`], which, having no lineage, it
 //! treats as fatal.
 
@@ -70,9 +70,8 @@ pub(crate) struct SpillFrame {
 impl SpillFrame {
     /// The raw stored bytes, **not** checksum-verified. Their one consumer
     /// is [`SpillTicket::read`], which hands them to [`verify_decode`] —
-    /// enforced by gpf-lint's
-    /// `spill-read-checksum` rule, which flags any call site without a
-    /// nearby `verify_decode`.
+    /// enforced by gpf-lint's `spill-read-checksum` rule, which flags any
+    /// call site without a nearby `verify_decode`.
     fn payload_unverified(&self) -> &[u8] {
         &self.bytes
     }

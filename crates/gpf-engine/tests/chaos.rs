@@ -5,8 +5,8 @@
 //! map → disk barrier → shuffle → map job (failing cases print a
 //! `GPF_PROPTEST_REPLAY` seed); directed tests pin each recovery mechanism
 //! (retry, lineage recompute for corrupt buckets — the disk barrier's
-//! "files" included — and budget exhaustion) and the MockClock determinism of the whole trace. No test
-//! here depends on wall time.
+//! "files" included — and budget exhaustion) and the MockClock determinism
+//! of the whole trace. No test here depends on wall time.
 
 use gpf_engine::{
     Dataset, EngineConfig, EngineContext, Failure, FaultKind, FaultPlan, FaultSite,
