@@ -10,18 +10,28 @@
 //! ```
 //!
 //! Ids: table1 table3 table4 table5 fig5 fig10 fig11a fig11b fig11c fig11d
-//! fig12 fig13. `--scale` (or `GPF_SCALE`) shrinks/grows the workload;
-//! 1.0 ≈ a 1 Mb genome at 20×. `--smoke` runs every requested experiment
-//! at a tiny fixed scale — a CI-speed check that each code path still
-//! executes, not a measurement.
+//! fig12 fig13; `all` is every one of them, in paper order. `--scale`
+//! shrinks/grows the workload; 1.0 ≈ a 0.84 Mb genome at 20×. Every
+//! invocation ends with the Summary: each report's verdict, computed from
+//! its claims. `--smoke` runs every requested experiment at a tiny fixed
+//! scale — a CI-speed check that each code path still executes, not a
+//! measurement.
 
-use gpf_bench::experiments::{self, Lab};
+use gpf_bench::experiments::{self, Job, Lab};
+use gpf_bench::report::summary;
+use gpf_bench::workload::WgsWorkload;
 use gpf_bench::ExperimentReport;
 use gpf_trace::sink::{self, console_err, console_out};
 
+/// Every paper artifact, in paper order: what `all` runs.
+const ALL: [&str; 12] = [
+    "table1", "fig5", "fig10", "fig11a", "fig11b", "fig11c", "fig11d", "table3", "table4", "fig12",
+    "fig13", "table5",
+];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut scale = gpf_bench::env_scale(1.0).unwrap_or_else(|e| die(&e));
+    let mut scale = 1.0;
     let mut smoke = false;
     let mut trace_path: Option<String> = None;
     let mut validate_path: Option<String> = None;
@@ -56,6 +66,7 @@ fn main() {
                 eprintln!(
                     "usage: experiments <id>[,<id>...]|all [--scale X] [--smoke]\n\
                      ids: table1 table3 table4 table5 fig5 fig10 fig11a fig11b fig11c fig11d fig12 fig13\n\
+                     all: every id in paper order; every run ends with the Summary of verdicts\n\
                      extra: diag (per-stage task/straggler diagnostics, not a paper artifact)\n\
                      --smoke: tiny fixed scale; verifies code paths, numbers are meaningless\n\
                      --trace PATH: run the WGS pipeline traced; write Chrome JSON to PATH,\n\
@@ -72,8 +83,8 @@ fn main() {
         }
         i += 1;
     }
-    if ids.is_empty() {
-        ids.push("all".to_string());
+    if ids.is_empty() || ids.iter().any(|s| s == "all") {
+        ids = ALL.map(String::from).to_vec();
     }
     if smoke {
         scale = 0.05;
@@ -93,14 +104,8 @@ fn main() {
         return;
     }
 
-    if ids.iter().any(|s| s == "all") {
-        for report in experiments::all(scale) {
-            report.print();
-        }
-        return;
-    }
-
     let lab = Lab::new(scale);
+    let mut reports = Vec::new();
     for id in &ids {
         if id == "diag" {
             diagnose(&lab);
@@ -122,6 +127,13 @@ fn main() {
             other => die(&format!("unknown experiment `{other}`")),
         };
         report.print();
+        reports.push(report);
+    }
+    if !reports.is_empty() {
+        console_out(&format!(
+            "== summary — verdicts from each report's claims (scale {scale}) ==\n{}",
+            summary(&reports)
+        ));
     }
 }
 
@@ -138,8 +150,7 @@ fn run_traced(scale: f64, path: &str) {
     // carries the heap.live_bytes counter track and the text report its
     // memory section.
     gpf_trace::alloc::set_tracking(true);
-    let lab = Lab::new(scale);
-    let gpf = lab.gpf_opt();
+    let gpf = WgsWorkload::build(scale, 2018).run_gpf(true);
     let json = sink::chrome_trace(&gpf.trace);
     if let Err(e) = std::fs::write(path, &json) {
         die(&format!("cannot write trace to {path}: {e}"));
@@ -246,8 +257,7 @@ fn mem_breakdown(run: &gpf_engine::JobRun) -> String {
 fn run_mem_report(scale: f64) {
     gpf_trace::set_enabled(true);
     gpf_trace::alloc::set_tracking(true);
-    let workload = gpf_bench::workload::WgsWorkload::build(scale, 2018);
-    let run = workload.run_gpf(true);
+    let run = WgsWorkload::build(scale, 2018).run_gpf(true);
     gpf_trace::alloc::flush_thread_stats();
     gpf_trace::alloc::set_tracking(false);
     gpf_trace::set_enabled(false);
@@ -255,10 +265,11 @@ fn run_mem_report(scale: f64) {
     console_out(&mem_breakdown(&run.run));
 }
 
-/// Print per-stage diagnostics of the optimized GPF run (not a paper
+/// Print per-stage diagnostics of the optimized GPF replay (not a paper
 /// artifact; a tool for understanding what bounds the simulated makespan).
 fn diagnose(lab: &Lab) {
-    let run = &lab.gpf_opt().run;
+    let gpf = lab.replay(Job::Gpf { fused: true });
+    let run = &gpf.run;
     println!(
         "{:<4} {:<10} {:<28} {:>6} {:>9} {:>9} {:>10} {:>10} {:>9}",
         "id", "phase", "label", "tasks", "cpu(s)", "max(s)", "read", "write", "bcast"

@@ -20,9 +20,12 @@
 //! | `fig13`   | cluster utilization timeline | [`experiments::fig13`] |
 //! | `table5`  | platform comparison (parallel efficiency) | [`experiments::table5`] |
 //!
-//! Scale: every experiment accepts a `scale` factor (1.0 ≈ a 1.2 Mb genome
-//! at 25× — laptop-friendly); the `GPF_SCALE` environment variable controls
-//! the `experiments` binary and the `paper_tables` bench.
+//! Scale: every experiment accepts a `scale` factor (1.0 ≈ a 0.84 Mb genome
+//! at 20× — laptop-friendly), the `experiments` binary's `--scale`. Each
+//! report carries the paper's claims about its artifact, held against the
+//! numbers it prints, and `experiments all` ends with the Summary of the
+//! verdicts they roll up to ([`report::summary`]). The tables that read one
+//! job read one replay of it ([`experiments::Lab`]).
 //!
 //! This crate reproduces the paper's evaluation; it does not defend the
 //! repo's own speed. That is `benchmark/`'s job (whole-pipeline metrics
@@ -36,14 +39,3 @@ pub mod workload;
 
 pub use report::ExperimentReport;
 pub use workload::{SkewRun, SkewedWorkload, WgsWorkload};
-
-/// Scale factor from the `GPF_SCALE` env var, `default` when it is unset.
-/// A value that does not parse is an error rather than a silent `default`:
-/// `GPF_SCALE=abc` must not run, and report, at some other scale.
-pub fn env_scale(default: f64) -> Result<f64, String> {
-    match std::env::var("GPF_SCALE") {
-        Err(std::env::VarError::NotPresent) => Ok(default),
-        Ok(s) => s.parse().map_err(|_| format!("GPF_SCALE needs a number, got `{s}`")),
-        Err(e) => Err(format!("GPF_SCALE: {e}")),
-    }
-}

@@ -20,7 +20,9 @@
 #   scripts/ci.sh          # quick + gpf-check model check + the kernel
 #                          # differential and the record entry-point
 #                          # mutation battery at 4096 cases + clippy +
-#                          # experiments smoke + trace export/schema check
+#                          # experiments smoke + the Summary of
+#                          # `experiments all --scale 0.15` diffed against
+#                          # EXPERIMENTS.md's + trace export/schema check
 #                          # + the trace tour's export, which must carry
 #                          # its application span
 #   scripts/ci.sh quick    # -D warnings build + gpf-lint + rustdoc with
@@ -277,6 +279,18 @@ fi
 
 echo "== experiments smoke (every paper table/figure code path, tiny scale) =="
 cargo run --release --offline -p gpf-bench --bin experiments -- --smoke >/dev/null
+
+echo "== experiments all (computed verdicts equal EXPERIMENTS.md's Summary) =="
+# Each report's verdict rolls up the paper's claims held against the numbers
+# it prints, and EXPERIMENTS.md's Summary is this command's last table. A
+# claim that breaks, or one that starts to hold, fails here until the
+# Summary is regenerated.
+summary_table() { awk '/^\| artifact \| verdict /{p=1} p&&/^\|/{print; next} p{exit}'; }
+if ! diff <(cargo run --release --offline -q -p gpf-bench --bin experiments -- all --scale 0.15 | summary_table) \
+        <(summary_table < EXPERIMENTS.md); then
+    echo "experiments all --scale 0.15: its Summary (<) differs from EXPERIMENTS.md's (>)" >&2
+    exit 1
+fi
 
 echo "== trace smoke (chrome export + schema check) =="
 trace_out="$(mktemp -t gpf_trace_XXXX.json)"
