@@ -7,10 +7,12 @@
 //!
 //! ## Two compilation modes
 //!
-//! The [`shim`] module exports the workspace's concurrency primitives
-//! (`Atomic*`, `Mutex`, `RwLock`, `Condvar`, `thread::spawn`/`scope`,
-//! yield points). Normally they compile to the real `std::sync` /
-//! `std::thread` items — zero cost, identical codegen. Under
+//! The [`shim`] module exports the concurrency primitives the workspace
+//! runs: the `Atomic*` types (`load`, `store`, `swap`, `fetch_add`,
+//! `fetch_max`, `get_mut`, `into_inner`), `Mutex`, `RwLock`, `OnceLock` and
+//! `thread::scope`.
+//! Normally they compile to the real `std::sync` / `std::thread` items —
+//! zero cost, identical codegen. Under
 //! `RUSTFLAGS="--cfg gpf_check"` every
 //! access instead routes through a cooperative scheduler (`rt`) that:
 //!
@@ -21,10 +23,11 @@
 //! - keeps a **per-location store history**, so a `Relaxed` load may
 //!   observe a stale value unless a release/acquire (or SeqCst) edge
 //!   forbids it — wrong orderings *actually fail* under exploration;
-//! - maintains **vector clocks** for happens-before: data races on
-//!   [`shim::cell::RaceCell`] state, deadlocks on the lock-wait graph,
-//!   lost wakeups (all remaining threads parked), and livelocks (schedule
-//!   step budget) are all reported with a replayable schedule.
+//! - reports **deadlocks** (a lock-wait cycle, or every remaining thread
+//!   parked on a lock or a join), **livelocks** (the schedule's step
+//!   budget) and **model panics** (a failed assertion, such as a stale
+//!   payload read through a missing release/acquire edge), each with a
+//!   replayable schedule.
 //!
 //! Code written against the shim runs **unmodified** in both modes:
 //! `gpf_support::par`, `gpf_support::sync`, and the `gpf-trace`

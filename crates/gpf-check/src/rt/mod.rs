@@ -10,8 +10,8 @@
 //! mode) or derives from a seed (random mode).
 //!
 //! This module owns thread/baton lifecycle, vector clocks, and failure
-//! classification; the per-primitive operations (atomics, locks, condvars,
-//! race cells) live in [`ops`] and are re-exported at `rt::*`.
+//! classification; the per-primitive operations (atomics and locks) live in
+//! [`ops`] and are re-exported at `rt::*`.
 
 mod ops;
 
@@ -19,7 +19,7 @@ pub use ops::*;
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 
 /// How many trailing stores of a location's modification order a load may
 /// observe (beyond its coherence floor). Small on purpose: it bounds the
@@ -27,14 +27,14 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 /// deep, which is where real ordering mistakes live.
 pub(crate) const STORE_WINDOW: usize = 3;
 
-/// Stable identity for a shimmed location (atomic, lock, condvar, cell).
+/// Stable identity for a shimmed location (atomic or lock).
 ///
 /// Const-constructible so shimmed statics work; the id itself is assigned
 /// lazily from a process-global counter on first model access, so it stays
 /// stable across the many schedules of one exploration.
 #[derive(Debug, Default)]
 pub struct LocId {
-    id: AtomicUsize,
+    id: OnceLock<usize>,
 }
 
 static NEXT_LOC: AtomicUsize = AtomicUsize::new(1);
@@ -42,20 +42,12 @@ static NEXT_LOC: AtomicUsize = AtomicUsize::new(1);
 impl LocId {
     /// An unassigned location id.
     pub const fn new() -> Self {
-        Self { id: AtomicUsize::new(0) }
+        Self { id: OnceLock::new() }
     }
 
     /// The process-global key, assigned on first use.
     pub(crate) fn key(&self) -> usize {
-        let cur = self.id.load(Ordering::Relaxed);
-        if cur != 0 {
-            return cur;
-        }
-        let fresh = NEXT_LOC.fetch_add(1, Ordering::Relaxed);
-        match self.id.compare_exchange(0, fresh, Ordering::Relaxed, Ordering::Relaxed) {
-            Ok(_) => fresh,
-            Err(winner) => winner,
-        }
+        *self.id.get_or_init(|| NEXT_LOC.fetch_add(1, Ordering::Relaxed))
     }
 }
 
@@ -64,22 +56,11 @@ impl LocId {
 pub(crate) struct VClock(Vec<u64>);
 
 impl VClock {
-    pub(crate) fn get(&self, tid: usize) -> u64 {
-        self.0.get(tid).copied().unwrap_or(0)
-    }
-
     pub(crate) fn bump(&mut self, tid: usize) {
         if self.0.len() <= tid {
             self.0.resize(tid + 1, 0);
         }
         self.0[tid] += 1;
-    }
-
-    pub(crate) fn set_component(&mut self, tid: usize, v: u64) {
-        if self.0.len() <= tid {
-            self.0.resize(tid + 1, 0);
-        }
-        self.0[tid] = self.0[tid].max(v);
     }
 
     pub(crate) fn join(&mut self, other: &VClock) {
@@ -89,12 +70,6 @@ impl VClock {
         for (i, v) in other.0.iter().enumerate() {
             self.0[i] = self.0[i].max(*v);
         }
-    }
-
-    /// `self ≤ other` componentwise (everything in `self` happened-before
-    /// or at the point described by `other`).
-    pub(crate) fn le(&self, other: &VClock) -> bool {
-        self.0.iter().enumerate().all(|(i, v)| *v <= other.get(i))
     }
 }
 
@@ -114,7 +89,6 @@ pub(crate) fn merge_view(into: &mut View, from: &View) {
 pub(crate) enum Wait {
     Lock(usize),
     Rw(usize),
-    Cond(usize),
     Join(usize),
 }
 
@@ -172,22 +146,11 @@ pub(crate) struct RwSt {
     pub(crate) rview: View,
 }
 
-/// FastTrack-style access history for a [`RaceCell`](crate::shim::cell::RaceCell).
-#[derive(Debug, Default)]
-pub(crate) struct CellSt {
-    pub(crate) writes: VClock,
-    pub(crate) reads: VClock,
-}
-
 /// Why a schedule failed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FailureKind {
-    /// Unsynchronized conflicting accesses to a `RaceCell`.
-    DataRace,
     /// No thread runnable and at least one parked on a lock/join.
     Deadlock,
-    /// No thread runnable and every parked thread waits on a condvar.
-    LostWakeup,
     /// The schedule exceeded its step budget without finishing.
     Livelock,
     /// A model thread panicked (failed assertion or real bug).
@@ -197,9 +160,7 @@ pub enum FailureKind {
 impl std::fmt::Display for FailureKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let s = match self {
-            FailureKind::DataRace => "data race",
             FailureKind::Deadlock => "deadlock",
-            FailureKind::LostWakeup => "lost wakeup",
             FailureKind::Livelock => "livelock (step budget exceeded)",
             FailureKind::ModelPanic => "model panic",
         };
@@ -304,7 +265,6 @@ pub(crate) struct State {
     pub(crate) locs: HashMap<usize, Loc>,
     pub(crate) locks: HashMap<usize, LockSt>,
     pub(crate) rws: HashMap<usize, RwSt>,
-    pub(crate) cells: HashMap<usize, CellSt>,
     pub(crate) sc_clock: VClock,
     pub(crate) sc_view: View,
     /// Schedule-local display names for locations, assigned in first-touch
@@ -369,16 +329,6 @@ pub fn abort_current_schedule(_why: &str) {
     }
 }
 
-/// An explicit scheduling point with no memory effect.
-pub fn yield_point() {
-    let Some((sched, my)) = cur_ctx() else { return };
-    let mut st = sched.lock_state();
-    if !sched.bump_step(&mut st, my) {
-        return;
-    }
-    let _ = sched.pick_and_wait(st, my);
-}
-
 impl Sched {
     pub fn new(cfg: SchedConfig) -> Arc<Self> {
         Arc::new(Self {
@@ -396,7 +346,6 @@ impl Sched {
                 locs: HashMap::new(),
                 locks: HashMap::new(),
                 rws: HashMap::new(),
-                cells: HashMap::new(),
                 sc_clock: VClock::default(),
                 sc_view: View::default(),
                 loc_names: HashMap::new(),
@@ -514,8 +463,8 @@ impl Sched {
                 st.current = None;
                 return;
             }
-            let (kind, message) = classify_stuck(st);
-            self.fail_abort(st, kind, message);
+            let message = stuck_message(st);
+            self.fail_abort(st, FailureKind::Deadlock, message);
             // The caller is the running thread; it unwinds via its
             // post-pick abort check (wait_granted or finish_thread).
             return;
@@ -607,32 +556,24 @@ impl Sched {
     }
 }
 
-/// Classify an all-parked state into a failure kind and message.
-fn classify_stuck(st: &State) -> (FailureKind, String) {
-    let mut parked: Vec<(usize, Wait)> = Vec::new();
-    for (i, t) in st.threads.iter().enumerate() {
-        if let Phase::Parked(w) = t.phase {
-            parked.push((i, w));
-        }
-    }
-    let any_cond = parked.iter().any(|(_, w)| matches!(w, Wait::Cond(_)));
-    let detail: Vec<String> = parked
+/// Describe an all-parked state: who waits on what.
+fn stuck_message(st: &State) -> String {
+    let detail: Vec<String> = st
+        .threads
         .iter()
-        .map(|(tid, w)| match w {
-            Wait::Lock(k) => format!("t{tid} waits on mutex #{}", st.loc_name(*k)),
-            Wait::Rw(k) => format!("t{tid} waits on rwlock #{}", st.loc_name(*k)),
-            Wait::Cond(k) => format!("t{tid} waits on condvar #{}", st.loc_name(*k)),
-            Wait::Join(t) => format!("t{tid} waits to join t{t}"),
+        .enumerate()
+        .filter_map(|(tid, t)| match t.phase {
+            Phase::Parked(Wait::Lock(k)) => {
+                Some(format!("t{tid} waits on mutex #{}", st.loc_name(k)))
+            }
+            Phase::Parked(Wait::Rw(k)) => {
+                Some(format!("t{tid} waits on rwlock #{}", st.loc_name(k)))
+            }
+            Phase::Parked(Wait::Join(t)) => Some(format!("t{tid} waits to join t{t}")),
+            _ => None,
         })
         .collect();
-    if any_cond {
-        (
-            FailureKind::LostWakeup,
-            format!("no runnable thread and a condvar waiter is parked: {}", detail.join("; ")),
-        )
-    } else {
-        (FailureKind::Deadlock, format!("no runnable thread: {}", detail.join("; ")))
-    }
+    format!("no runnable thread: {}", detail.join("; "))
 }
 
 /// Register a virtual thread for a shim-level spawn. `None` when the

@@ -1,8 +1,7 @@
 //! Per-primitive model operations: ordering-aware atomics over store
-//! histories, scheduler-mediated locks and condvars, and vector-clock race
-//! checking for `RaceCell`. Every function here is a scheduling point; all
-//! return pass-through sentinels (`None` / `false`) when the caller is not
-//! a model thread.
+//! histories and scheduler-mediated locks. Every function here is a
+//! scheduling point; all return pass-through sentinels (`None` / `false`)
+//! when the caller is not a model thread.
 
 use std::sync::atomic::Ordering;
 
@@ -31,31 +30,7 @@ pub fn atomic_load(id: &super::LocId, order: Ordering, latest: &dyn Fn() -> u64)
         return Some(latest());
     }
     seed_loc(&mut st, key, latest);
-    if order == Ordering::SeqCst {
-        let sc_clock = st.sc_clock.clone();
-        let sc_view = st.sc_view.clone();
-        st.threads[my].clock.join(&sc_clock);
-        merge_view(&mut st.threads[my].view, &sc_view);
-    }
-    let floor = st.threads[my].view.get(&key).copied().unwrap_or(0);
-    let len = st.locs[&key].stores.len();
-    let lo = floor.max(len.saturating_sub(STORE_WINDOW));
-    let hi = len - 1;
-    let n = hi - lo + 1;
-    // Choice 0 is the newest store, so forced moves and DFS-first paths
-    // read sequentially-consistent values.
-    let back = if n > 1 { st.decider.pick(n) } else { 0 };
-    let idx = hi - back;
-    let (val, s_release, s_clock, s_view) = {
-        let s = &st.locs[&key].stores[idx];
-        (s.val, s.release, s.clock.clone(), s.view.clone())
-    };
-    if is_acquire(order) && s_release {
-        st.threads[my].clock.join(&s_clock);
-        merge_view(&mut st.threads[my].view, &s_view);
-    }
-    let floor_entry = st.threads[my].view.entry(key).or_insert(0);
-    *floor_entry = (*floor_entry).max(idx);
+    let val = observe(&mut st, key, my, order, true);
     let _ = sched.pick_and_wait(st, my);
     Some(val)
 }
@@ -100,49 +75,12 @@ pub fn atomic_rmw(
         return Some(old);
     }
     seed_loc(&mut st, key, latest);
-    let old = rmw_read_newest(&mut st, key, my, order);
+    let old = observe(&mut st, key, my, order, false);
     let new = compute(old);
     push_store(&mut st, key, my, new, order);
     apply(new);
     let _ = sched.pick_and_wait(st, my);
     Some(old)
-}
-
-/// Atomic compare-exchange against the newest store.
-#[allow(clippy::too_many_arguments)]
-pub fn atomic_cx(
-    id: &super::LocId,
-    success: Ordering,
-    failure: Ordering,
-    current: u64,
-    new: u64,
-    latest: &dyn Fn() -> u64,
-    apply: &dyn Fn(u64),
-) -> Option<Result<u64, u64>> {
-    let (sched, my) = cur_ctx()?;
-    let key = id.key();
-    let mut st = sched.lock_state();
-    if !sched.bump_step(&mut st, my) {
-        drop(st);
-        return Some(Err(latest()));
-    }
-    seed_loc(&mut st, key, latest);
-    let newest = {
-        let stores = &st.locs[&key].stores;
-        stores[stores.len() - 1].val
-    };
-    let result = if newest == current {
-        rmw_read_newest(&mut st, key, my, success);
-        push_store(&mut st, key, my, new, success);
-        apply(new);
-        Ok(newest)
-    } else {
-        // Failed exchange acts as a load of the newest store.
-        rmw_read_newest(&mut st, key, my, failure);
-        Err(newest)
-    };
-    let _ = sched.pick_and_wait(st, my);
-    Some(result)
 }
 
 /// Seed a location's modification order with its pre-model value. The
@@ -160,16 +98,29 @@ fn seed_loc(st: &mut super::State, key: usize, latest: &dyn Fn() -> u64) {
     }
 }
 
-/// Shared tail of RMW-style reads: observe the newest store (joining its
-/// edges if this op acquires) and raise the coherence floor to it.
-fn rmw_read_newest(st: &mut super::State, key: usize, my: usize, order: Ordering) -> u64 {
+/// Read one store of `key`'s modification order: for a load (`window`),
+/// the one the decider picks from the visible window above this thread's
+/// coherence floor; for an RMW, the newest. A SeqCst op first joins the
+/// global SeqCst clock and view; an acquiring read of a release store joins
+/// that store's clock and view; the floor rises to the store read.
+fn observe(st: &mut super::State, key: usize, my: usize, order: Ordering, window: bool) -> u64 {
     if order == Ordering::SeqCst {
         let sc_clock = st.sc_clock.clone();
         let sc_view = st.sc_view.clone();
         st.threads[my].clock.join(&sc_clock);
         merge_view(&mut st.threads[my].view, &sc_view);
     }
-    let idx = st.locs[&key].stores.len() - 1;
+    let hi = st.locs[&key].stores.len() - 1;
+    let idx = if window {
+        let floor = st.threads[my].view.get(&key).copied().unwrap_or(0);
+        let lo = floor.max((hi + 1).saturating_sub(STORE_WINDOW));
+        let n = hi - lo + 1;
+        // Choice 0 is the newest store, so forced moves and DFS-first paths
+        // read sequentially-consistent values.
+        hi - if n > 1 { st.decider.pick(n) } else { 0 }
+    } else {
+        hi
+    };
     let (val, s_release, s_clock, s_view) = {
         let s = &st.locs[&key].stores[idx];
         (s.val, s.release, s.clock.clone(), s.view.clone())
@@ -321,11 +272,6 @@ pub fn lock_release(id: &super::LocId) {
     if !sched.bump_step(&mut st, my) {
         return;
     }
-    release_lock_inner(&mut st, key, my);
-    let _ = sched.pick_and_wait(st, my);
-}
-
-fn release_lock_inner(st: &mut super::State, key: usize, my: usize) {
     let clock = st.threads[my].clock.clone();
     let view = st.threads[my].view.clone();
     let entry = st.locks.entry(key).or_default();
@@ -337,6 +283,7 @@ fn release_lock_inner(st: &mut super::State, key: usize, my: usize) {
             t.phase = Phase::Ready;
         }
     }
+    let _ = sched.pick_and_wait(st, my);
 }
 
 // ---------------------------------------------------------------------------
@@ -465,169 +412,4 @@ fn wake_rw_waiters(st: &mut super::State, key: usize) {
             t.phase = Phase::Ready;
         }
     }
-}
-
-// ---------------------------------------------------------------------------
-// Condvar
-
-/// Model-level condvar wait: atomically (under the scheduler state lock)
-/// release the mutex and park on the condvar, then — once notified and
-/// scheduled — re-acquire the mutex before returning. The caller (shim)
-/// has already dropped the real lock and re-takes it after this returns.
-pub fn cond_wait(cv: &super::LocId, lock: &super::LocId) {
-    let Some((sched, my)) = cur_ctx() else { return };
-    let cv_key = cv.key();
-    let lock_key = lock.key();
-    let mut st = sched.lock_state();
-    if !sched.bump_step(&mut st, my) {
-        return;
-    }
-    st.local_loc(cv_key);
-    release_lock_inner(&mut st, lock_key, my);
-    st.threads[my].phase = Phase::Parked(Wait::Cond(cv_key));
-    sched.pick_next(&mut st, Some(my));
-    if st.abort {
-        drop(st);
-        sched.abort_exit();
-        return;
-    }
-    sched.cv.notify_all();
-    st = match sched.wait_granted(st, my) {
-        Some(s) => s,
-        None => return,
-    };
-    // Notified (the notifier joined its clock into ours) and scheduled:
-    // re-contend for the mutex like a fresh acquirer.
-    loop {
-        let holder = st.locks.entry(lock_key).or_default().held;
-        match holder {
-            None => {
-                let clock = st.locks[&lock_key].clock.clone();
-                let view = st.locks[&lock_key].view.clone();
-                st.threads[my].clock.join(&clock);
-                merge_view(&mut st.threads[my].view, &view);
-                // gpf-lint: allow(no-panic): entry() above materialized it.
-                st.locks.get_mut(&lock_key).expect("lock entry").held = Some(my);
-                return;
-            }
-            Some(_) => {
-                st.threads[my].phase = Phase::Parked(Wait::Lock(lock_key));
-                sched.pick_next(&mut st, Some(my));
-                if st.abort {
-                    drop(st);
-                    sched.abort_exit();
-                    return;
-                }
-                sched.cv.notify_all();
-                st = match sched.wait_granted(st, my) {
-                    Some(s) => s,
-                    None => return,
-                };
-            }
-        }
-    }
-}
-
-/// Model-level notify. Which waiter wakes (for `notify_one` with several
-/// parked) is an explored decision. A notify with no waiters is a no-op —
-/// the lost-wakeup ingredient the all-parked detector then catches.
-/// Returns false outside a model (caller uses the real condvar).
-pub fn cond_notify(cv: &super::LocId, all: bool) -> bool {
-    let Some((sched, my)) = cur_ctx() else { return false };
-    let key = cv.key();
-    let mut st = sched.lock_state();
-    if !sched.bump_step(&mut st, my) {
-        return true;
-    }
-    let waiters: Vec<usize> = st
-        .threads
-        .iter()
-        .enumerate()
-        .filter(|(_, t)| t.phase == Phase::Parked(Wait::Cond(key)))
-        .map(|(i, _)| i)
-        .collect();
-    let my_clock = st.threads[my].clock.clone();
-    let my_view = st.threads[my].view.clone();
-    if all {
-        for w in waiters {
-            st.threads[w].clock.join(&my_clock);
-            merge_view(&mut st.threads[w].view, &my_view);
-            st.threads[w].phase = Phase::Ready;
-        }
-    } else if !waiters.is_empty() {
-        let idx = if waiters.len() > 1 { st.decider.pick(waiters.len()) } else { 0 };
-        let w = waiters[idx];
-        st.threads[w].clock.join(&my_clock);
-        merge_view(&mut st.threads[w].view, &my_view);
-        st.threads[w].phase = Phase::Ready;
-    }
-    let _ = sched.pick_and_wait(st, my);
-    true
-}
-
-// ---------------------------------------------------------------------------
-// RaceCell
-
-/// Vector-clock check for a `RaceCell` read: every prior write must
-/// happen-before this thread's current clock.
-pub fn race_read(id: &super::LocId) {
-    let Some((sched, my)) = cur_ctx() else { return };
-    let key = id.key();
-    let mut st = sched.lock_state();
-    if !sched.bump_step(&mut st, my) {
-        return;
-    }
-    let name = st.local_loc(key);
-    let my_clock = st.threads[my].clock.clone();
-    let racy = {
-        let cell = st.cells.entry(key).or_default();
-        !cell.writes.le(&my_clock)
-    };
-    if racy {
-        let msg = format!(
-            "read of RaceCell #{name} by t{my} races a prior write (write clock {:?} not ordered before reader clock {:?})",
-            st.cells[&key].writes, my_clock
-        );
-        sched.fail_abort(&mut st, FailureKind::DataRace, msg);
-        drop(st);
-        sched.abort_exit();
-        return;
-    }
-    let own = my_clock.get(my);
-    if let Some(cell) = st.cells.get_mut(&key) {
-        cell.reads.set_component(my, own);
-    }
-    let _ = sched.pick_and_wait(st, my);
-}
-
-/// Vector-clock check for a `RaceCell` write: every prior read *and*
-/// write must happen-before this thread's current clock.
-pub fn race_write(id: &super::LocId) {
-    let Some((sched, my)) = cur_ctx() else { return };
-    let key = id.key();
-    let mut st = sched.lock_state();
-    if !sched.bump_step(&mut st, my) {
-        return;
-    }
-    let name = st.local_loc(key);
-    let my_clock = st.threads[my].clock.clone();
-    let racy = {
-        let cell = st.cells.entry(key).or_default();
-        !(cell.writes.le(&my_clock) && cell.reads.le(&my_clock))
-    };
-    if racy {
-        let msg = format!(
-            "write to RaceCell #{name} by t{my} races a prior access (writes {:?} / reads {:?} not ordered before writer clock {:?})",
-            st.cells[&key].writes, st.cells[&key].reads, my_clock
-        );
-        sched.fail_abort(&mut st, FailureKind::DataRace, msg);
-        drop(st);
-        sched.abort_exit();
-        return;
-    }
-    let own = my_clock.get(my);
-    if let Some(cell) = st.cells.get_mut(&key) {
-        cell.writes.set_component(my, own);
-    }
-    let _ = sched.pick_and_wait(st, my);
 }

@@ -78,31 +78,6 @@ mod checked {
                     }
                 }
 
-                /// Compare-exchange against the newest store.
-                pub fn compare_exchange(
-                    &self,
-                    current: $t,
-                    new: $t,
-                    success: Ordering,
-                    failure: Ordering,
-                ) -> Result<$t, $t> {
-                    let cur_bits = ($to)(current);
-                    let new_bits = ($to)(new);
-                    match rt::atomic_cx(
-                        &self.id,
-                        success,
-                        failure,
-                        cur_bits,
-                        new_bits,
-                        &|| ($to)(self.v.load(Ordering::SeqCst)),
-                        &|v| self.v.store(($from)(v), Ordering::SeqCst),
-                    ) {
-                        Some(Ok(old)) => Ok(($from)(old)),
-                        Some(Err(old)) => Err(($from)(old)),
-                        None => self.v.compare_exchange(current, new, success, failure),
-                    }
-                }
-
                 /// Mutable access without synchronization (exclusive borrow).
                 pub fn get_mut(&mut self) -> &mut $t {
                     self.v.get_mut()
@@ -132,20 +107,6 @@ mod checked {
                     ) {
                         Some(old) => old as $t,
                         None => self.v.fetch_add(val, order),
-                    }
-                }
-
-                /// Fetch-sub, modeled as an RMW on the newest store.
-                pub fn fetch_sub(&self, val: $t, order: Ordering) -> $t {
-                    match rt::atomic_rmw(
-                        &self.id,
-                        order,
-                        &|| self.v.load(Ordering::SeqCst) as u64,
-                        &|old| (old as $t).wrapping_sub(val) as u64,
-                        &|new| self.v.store(new as $t, Ordering::SeqCst),
-                    ) {
-                        Some(old) => old as $t,
-                        None => self.v.fetch_sub(val, order),
                     }
                 }
 

@@ -4,22 +4,11 @@
 //! | module | normal build | `--cfg gpf_check` |
 //! |---|---|---|
 //! | [`atomic`] | `std::sync::atomic` aliases | store-history atomics with ordering-aware visibility |
-//! | [`sync`] | non-poisoning `std::sync` wrappers | scheduler-mediated locks with happens-before edges |
-//! | [`thread`] | `std::thread` spawn/scope | virtual threads under the cooperative scheduler |
-//! | [`cell`] | transparent `UnsafeCell` wrapper | vector-clock race-checked shared cell |
+//! | [`sync`] | non-poisoning `std::sync` wrappers, `OnceLock` | scheduler-mediated locks with happens-before edges |
+//! | [`thread`] | `std::thread` scope | virtual threads under the cooperative scheduler |
 //!
 //! `gpf-support` re-exports this module as `gpf_support::chk`.
 
 pub mod atomic;
-pub mod cell;
 pub mod sync;
 pub mod thread;
-
-/// A scheduling point with no memory effect. No-op in normal builds; under
-/// `gpf_check` it lets the explorer preempt here (useful in spin loops so
-/// random schedules make progress).
-#[inline]
-pub fn yield_point() {
-    #[cfg(gpf_check)]
-    crate::rt::yield_point();
-}

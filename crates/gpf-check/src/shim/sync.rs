@@ -1,4 +1,4 @@
-//! Shimmed locks and condition variables, with `parking_lot` ergonomics.
+//! Shimmed locks, with `parking_lot` ergonomics.
 //!
 //! The workspace treats a poisoned lock as unreachable: engine tasks that
 //! panic already abort the whole job through `gpf_support::par`'s panic
@@ -10,15 +10,16 @@
 //! Under `gpf_check`, acquisition order is mediated by the scheduler: a
 //! model thread that finds the lock model-held parks in the lock-wait
 //! graph (deadlock-detectable) instead of blocking in the OS, and every
-//! release→acquire pair carries a happens-before edge for the race
-//! detector. The inner `std` lock still provides real mutual exclusion
-//! against non-model threads (pass-through access stays correct).
+//! release→acquire pair carries the releaser's clock and visibility floors
+//! to the acquirer. The inner `std` lock still provides real mutual
+//! exclusion against non-model threads (pass-through access stays
+//! correct).
 
 #[cfg(not(gpf_check))]
-pub use real::{Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
+pub use real::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 #[cfg(gpf_check)]
-pub use checked::{Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
+pub use checked::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Init-once cell. Pass-through in both builds: initialization racing is
 /// resolved by `std`, and init closures must not perform shim operations
@@ -100,32 +101,6 @@ mod real {
             self.0.write().unwrap_or_else(|e| e.into_inner())
         }
     }
-
-    /// Condition variable paired with [`Mutex`].
-    #[derive(Debug, Default)]
-    pub struct Condvar(std::sync::Condvar);
-
-    impl Condvar {
-        /// A fresh condvar.
-        pub const fn new() -> Self {
-            Self(std::sync::Condvar::new())
-        }
-
-        /// Release the guard's lock, park until notified, re-acquire.
-        pub fn wait<'a, T>(&self, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
-            self.0.wait(guard).unwrap_or_else(|e| e.into_inner())
-        }
-
-        /// Wake one parked waiter.
-        pub fn notify_one(&self) {
-            self.0.notify_one();
-        }
-
-        /// Wake every parked waiter.
-        pub fn notify_all(&self) {
-            self.0.notify_all();
-        }
-    }
 }
 
 #[cfg(gpf_check)]
@@ -197,9 +172,8 @@ mod checked {
     impl<'a, T: ?Sized> std::ops::Deref for MutexGuard<'a, T> {
         type Target = T;
         fn deref(&self) -> &T {
-            // gpf-lint: allow(no-panic): the guard holds the std guard for
-            // its whole lifetime (Condvar::wait consumes the guard by value
-            // and returns a fresh one).
+            // gpf-lint: allow(no-panic): the std guard is present for the
+            // guard's whole lifetime; only `Drop` takes it.
             self.std.as_ref().expect("guard taken")
         }
     }
@@ -311,65 +285,6 @@ mod checked {
             drop(self.std.take());
             if self.model {
                 rt::rw_write_release(&self.lock.id);
-            }
-        }
-    }
-
-    /// Instrumented condition variable: waiters park in the scheduler (so
-    /// lost wakeups are detected as all-parked states) and wakeups carry
-    /// the notifier's clock as a happens-before edge.
-    #[derive(Debug, Default)]
-    pub struct Condvar {
-        id: LocId,
-        inner: std::sync::Condvar,
-    }
-
-    impl Condvar {
-        /// A fresh condvar.
-        pub const fn new() -> Self {
-            Self { id: LocId::new(), inner: std::sync::Condvar::new() }
-        }
-
-        /// Release the guard's lock, park until notified, re-acquire.
-        pub fn wait<'a, T>(&self, mut guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
-            let lock = guard.lock;
-            let std_guard = guard.std.take();
-            let model = guard.model;
-            guard.model = false; // the drop below must not double-release
-            drop(guard);
-            match (model, std_guard) {
-                (true, Some(std_guard)) => {
-                    // Model path: drop the real lock, park in the scheduler
-                    // (which performs the model-level release and, on
-                    // wakeup, the model-level re-acquisition), then re-take
-                    // the real lock.
-                    drop(std_guard);
-                    rt::cond_wait(&self.id, &lock.id);
-                    MutexGuard { lock, std: Some(lock.std_lock()), model: true }
-                }
-                (false, Some(std_guard)) => {
-                    let std = self.inner.wait(std_guard).unwrap_or_else(|e| e.into_inner());
-                    MutexGuard { lock, std: Some(std), model: false }
-                }
-                // gpf-lint: allow(no-panic): a live guard always holds its
-                // std guard; only this method takes it, and it consumes the
-                // guard by value.
-                _ => unreachable!("wait on a consumed guard"),
-            }
-        }
-
-        /// Wake one parked waiter (scheduler chooses which — an explored
-        /// decision point).
-        pub fn notify_one(&self) {
-            if !rt::cond_notify(&self.id, false) {
-                self.inner.notify_one();
-            }
-        }
-
-        /// Wake every parked waiter.
-        pub fn notify_all(&self) {
-            if !rt::cond_notify(&self.id, true) {
-                self.inner.notify_all();
             }
         }
     }

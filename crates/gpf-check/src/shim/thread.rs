@@ -1,32 +1,23 @@
-//! Shimmed threads: `spawn`, `scope`, and `yield_now`.
+//! Shimmed scoped threads.
 //!
 //! Normal builds re-export `std::thread` items untouched. Under
-//! `gpf_check`, spawns from a model thread register a new *virtual* thread
-//! with the scheduler: the OS thread is still real (so TLS, borrows and
-//! panics behave exactly as in production), but it only executes while the
-//! scheduler's baton grants it, and spawn/join edges update the vector
-//! clocks (a join makes everything the child did happen-before the
-//! joiner). Spawns from non-model threads pass through to `std`.
+//! `gpf_check`, a scoped spawn from a model thread registers a new
+//! *virtual* thread with the scheduler: the OS thread is still real (so
+//! TLS, borrows and panics behave exactly as in production), but it only
+//! executes while the scheduler's baton grants it, and spawn/join edges
+//! update the vector clocks (a join makes everything the child did
+//! happen-before the joiner). Spawns from non-model threads pass through
+//! to `std`.
 
 #[cfg(not(gpf_check))]
-pub use std::thread::{scope, spawn, yield_now, JoinHandle, Scope, ScopedJoinHandle};
+pub use std::thread::{scope, Scope, ScopedJoinHandle};
 
 #[cfg(gpf_check)]
-pub use checked::{scope, spawn, yield_now, JoinHandle, Scope, ScopedJoinHandle};
+pub use checked::{scope, Scope, ScopedJoinHandle};
 
 #[cfg(gpf_check)]
 mod checked {
     use crate::rt;
-
-    /// Scheduling-point yield: under a model this is an explored decision
-    /// point; outside one it is `std::thread::yield_now`.
-    pub fn yield_now() {
-        if rt::in_model() {
-            rt::yield_point();
-        } else {
-            std::thread::yield_now();
-        }
-    }
 
     /// Instrumented `std::thread::scope` wrapper.
     ///
@@ -111,38 +102,6 @@ mod checked {
                 if let Some(pending) = self.pending {
                     pending.lock().unwrap_or_else(|e| e.into_inner()).retain(|t| *t != tid);
                 }
-                rt::join_wait(tid);
-            }
-            self.inner.join()
-        }
-    }
-
-    /// Join handle mirroring `std::thread::JoinHandle`.
-    pub struct JoinHandle<T> {
-        inner: std::thread::JoinHandle<T>,
-        tid: Option<usize>,
-    }
-
-    /// Spawn a free thread; a virtual (scheduler-registered) thread when
-    /// the spawner is itself a model thread.
-    pub fn spawn<F, T>(f: F) -> JoinHandle<T>
-    where
-        F: FnOnce() -> T + Send + 'static,
-        T: Send + 'static,
-    {
-        match rt::spawn_register() {
-            Some((sched, tid)) => {
-                let inner = std::thread::spawn(move || rt::child_main(sched, tid, f));
-                JoinHandle { inner, tid: Some(tid) }
-            }
-            None => JoinHandle { inner: std::thread::spawn(f), tid: None },
-        }
-    }
-
-    impl<T> JoinHandle<T> {
-        /// Join the thread, returning its result (or the panic payload).
-        pub fn join(self) -> std::thread::Result<T> {
-            if let Some(tid) = self.tid {
                 rt::join_wait(tid);
             }
             self.inner.join()

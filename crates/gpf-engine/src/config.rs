@@ -12,8 +12,11 @@ pub struct EngineConfig {
     /// the ADAM/GATK4-like baselines run the same pipelines under
     /// [`SerializerKind::KryoSim`].
     pub serializer: SerializerKind,
-    /// Default number of partitions for `parallelize` and wide operations
-    /// when the caller does not specify one.
+    /// A partition count that nothing reads, so it has no effect: datasets
+    /// are built from explicit partitions and every wide operation takes
+    /// its partition count as an argument. It stays because callers,
+    /// the benchmark's among them, still set it through
+    /// [`EngineConfig::with_parallelism`].
     pub default_parallelism: usize,
     /// Fixed per-record heap-churn estimate (object headers, boxing) in
     /// bytes, on top of payload bytes.
@@ -51,7 +54,8 @@ impl EngineConfig {
         Self { serializer: SerializerKind::JavaSim, ..Self::default() }
     }
 
-    /// Set the default parallelism.
+    /// Set [`EngineConfig::default_parallelism`], which has no effect:
+    /// nothing reads it.
     pub fn with_parallelism(mut self, parts: usize) -> Self {
         assert!(parts > 0, "parallelism must be positive");
         self.default_parallelism = parts;

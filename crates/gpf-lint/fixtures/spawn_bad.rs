@@ -1,4 +1,4 @@
-// Fixture: free-threading outside gpf-support.
+// Fixture: free-threading outside gpf-check.
 use std::thread;
 
 pub fn fire_and_forget() {

@@ -13,7 +13,7 @@
 //! | `no-panic` | no `.unwrap()` / `.expect(` / `panic!` / `unreachable!` / `todo!` / `unimplemented!` in non-test library code |
 //! | `safety-comment` | every `unsafe` is preceded by (or shares a line with) a `// SAFETY:` comment |
 //! | `relaxed-ordering` | `Ordering::Relaxed` only inside `gpf-support/src/par.rs` or `gpf-trace/src`, and only with an adjacent `// ordering:` justification comment |
-//! | `thread-spawn` | `thread::spawn` only inside `gpf-support` and `gpf-check` (everyone else uses `gpf_support::par`) |
+//! | `thread-spawn` | `thread::spawn` only inside `gpf-check` (everyone else uses `gpf_support::par`) |
 //! | `concurrency-boundary` | raw `std::sync::atomic`, `std::thread::spawn`, and `std::sync::{Mutex,RwLock,Condvar}` only inside `gpf-check` (the shim home) — everyone else uses the shim-backed re-exports (`gpf_support::chk`, `gpf_support::sync`), so the model checker sees every primitive |
 //! | `hermetic-deps` | every manifest dependency is a workspace/path dep — nothing from crates.io |
 //! | `no-raw-print` | no `println!`/`eprintln!` in non-test library code — route output through `gpf_trace::sink` (binaries and the sink module itself are exempt) |
@@ -60,7 +60,7 @@ pub enum Rule {
     /// `gpf-trace/src`, and every use needs an adjacent `// ordering:`
     /// justification comment.
     RelaxedOrdering,
-    /// `thread::spawn` is confined to `gpf-support` and `gpf-check`.
+    /// `thread::spawn` is confined to `gpf-check`.
     ThreadSpawn,
     /// Raw `std::sync` concurrency primitives (atomics, `Mutex`, `RwLock`,
     /// `Condvar`) and `std::thread::spawn` are confined to `gpf-check`:
@@ -583,7 +583,6 @@ pub fn lint_source(file: &str, source: &str) -> Vec<Finding> {
     let raw_lines: Vec<&str> = source.lines().collect();
     let mut findings = Vec::new();
     let in_par = file.ends_with("gpf-support/src/par.rs");
-    let in_support = file.contains("gpf-support/");
     // gpf-check IS the shim / model-checker home: it implements the memory
     // model, so it legitimately holds raw std primitives and Relaxed loads.
     let in_check = file.contains("gpf-check/");
@@ -660,8 +659,7 @@ pub fn lint_source(file: &str, source: &str) -> Vec<Finding> {
                 });
             }
         }
-        if !in_support
-            && !in_check
+        if !in_check
             && code.contains("thread::spawn")
             && !is_allowed(&masked, idx, Rule::ThreadSpawn)
         {
@@ -669,7 +667,7 @@ pub fn lint_source(file: &str, source: &str) -> Vec<Finding> {
                 rule: Rule::ThreadSpawn,
                 file: file.to_string(),
                 line: lineno,
-                message: "`thread::spawn` outside gpf-support; use gpf_support::par for \
+                message: "`thread::spawn` outside gpf-check; use gpf_support::par for \
                           scoped parallelism"
                     .to_string(),
             });

@@ -12,12 +12,9 @@
 /// lock types serves both worlds: real `std` locks in normal builds, and —
 /// under `RUSTFLAGS="--cfg gpf_check"` — scheduler-instrumented doubles
 /// whose acquisition order the model checker explores and whose
-/// release→acquire edges feed the happens-before race detector. This
-/// re-export also adds [`Condvar`] (lost-wakeup-detectable under the
-/// checker) and `const fn new` on both locks.
-pub use gpf_check::shim::sync::{
-    Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard,
-};
+/// release→acquire edges carry the releaser's view to the acquirer. This
+/// re-export also adds `const fn new` on both locks.
+pub use gpf_check::shim::sync::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 #[cfg(test)]
 mod tests {

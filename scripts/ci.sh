@@ -231,7 +231,7 @@ if [[ "${1:-}" == "quick" ]]; then
     exit 0
 fi
 
-echo "== model check (gpf-check: schedule explorer + race detector) =="
+echo "== model check (gpf-check: schedule explorer + deadlock/ordering checks) =="
 # Separate target dir: --cfg gpf_check changes every crate's fingerprint,
 # and sharing ./target would force a full rebuild of the normal artifacts
 # on the next plain cargo invocation. Serial (--test-threads=1) so the
